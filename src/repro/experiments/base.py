@@ -49,20 +49,21 @@ from repro.adversary.tap import Tap
 from repro.core.model import GaussianPIATModel
 from repro.exceptions import ConfigurationError
 from repro.network.delay_models import path_piat_variance
-from repro.network.path import UnprotectedPath
+from repro.network.path import HOP_PROPAGATION_DELAY_S, UnprotectedPath
 from repro.network.crosstraffic import cross_traffic_rate_for_utilization
 from repro.padding.disturbance import InterruptDisturbance
 from repro.padding.gateway import SenderGateway
 from repro.padding.policies import PaddingPolicy, cit_policy
 from repro.padding.receiver import ReceiverGateway
 from repro.sim.engine import Simulator
-from repro.sim.kernel import simulate_padded_capture
+from repro.sim.kernel import simulate_padded_capture, tandem_fifo_exit_times
 from repro.sim.random import RandomStreams
 from repro.traffic.sources import PoissonSource
 from repro.units import (
     PAPER_HIGH_RATE_PPS,
     PAPER_LOW_RATE_PPS,
     PAPER_PACKET_SIZE_BYTES,
+    serialization_delay,
 )
 
 
@@ -248,22 +249,29 @@ def resolve_kernel_mode(kernel: Optional[str] = None) -> str:
     return mode
 
 
-def vectorized_capture_eligible(scenario: ScenarioConfig, with_network: bool) -> bool:
+def vectorized_capture_eligible(scenario: ScenarioConfig) -> bool:
     """Whether a capture can take the vectorized kernel without changing output.
 
-    The closed-form replay covers the no-network gateway pipeline (hybrid
-    captures and zero-hop simulations) with the standard
-    :class:`InterruptDisturbance` (or none).  Anything the kernel's
-    equivalence proof does not cover — routed paths with cross traffic,
-    disturbance subclasses with overridden sampling — falls back to the
-    event engine.
+    The closed-form replay covers the gateway pipeline and the routed path
+    behind it (hybrid captures and every simulation) with the standard
+    :class:`InterruptDisturbance` (or none).  Disturbance subclasses with
+    overridden sampling fall outside the kernel's equivalence proof and take
+    the event engine.
     """
-    if with_network and scenario.n_hops > 0:
-        return False
     disturbance = scenario.disturbance
-    if disturbance is not None and type(disturbance) is not InterruptDisturbance:
-        return False
-    return True
+    return disturbance is None or type(disturbance) is InterruptDisturbance
+
+
+def _cross_traffic_rate(scenario: ScenarioConfig) -> float:
+    """Per-hop cross-traffic rate (pps) that loads each router to the target."""
+    if scenario.cross_utilization == 0.0:
+        return 0.0
+    return cross_traffic_rate_for_utilization(
+        scenario.cross_utilization,
+        scenario.link_rate_bps,
+        scenario.packet_size_bytes,
+        padded_rate_pps=scenario.policy.padded_rate_pps,
+    )
 
 
 def simulate_gateway_capture(
@@ -277,23 +285,28 @@ def simulate_gateway_capture(
 ) -> np.ndarray:
     """Simulate one payload rate's padded capture and return tap intervals.
 
-    Uses the vectorized closed-form kernel (:mod:`repro.sim.kernel`) whenever
-    the capture is eligible, falling back to the event engine otherwise; the
-    two produce byte-identical captures, so callers cannot observe which path
-    ran.  ``kernel`` (or the ``REPRO_SIM_KERNEL`` environment variable)
-    forces a specific path — ``event`` is the benchmark harness's scalar
-    baseline, ``vectorized`` is the strict mode used in equivalence tests.
+    ``with_network`` sends the padded stream through the scenario's
+    ``n_hops`` shared routers before the tap (simulation mode); without it
+    the tap sits at the gateway's output (hybrid mode).  Uses the vectorized
+    closed-form kernel (:mod:`repro.sim.kernel`) whenever the capture is
+    eligible, falling back to the event engine otherwise; the two produce
+    byte-identical captures, so callers cannot observe which path ran.
+    ``kernel`` (or the ``REPRO_SIM_KERNEL`` environment variable) forces a
+    specific path — ``event`` is the benchmark harness's scalar baseline,
+    ``vectorized`` is the strict mode used in equivalence tests.
     """
     mode = resolve_kernel_mode(kernel)
-    eligible = vectorized_capture_eligible(scenario, with_network)
+    eligible = vectorized_capture_eligible(scenario)
     if mode == "vectorized" and not eligible:
         raise ConfigurationError(
             f"kernel='vectorized' requested but the capture for class {label!r} is "
-            f"not eligible (networked path or non-standard disturbance)"
+            f"not eligible (non-standard disturbance)"
         )
     # Enough simulated time to capture warmup + the requested intervals, with
     # a small margin for the packets still in flight across the path.
     duration = scenario.warmup_time + (n_intervals + 20) * scenario.policy.mean_interval + 0.5
+    n_hops = scenario.n_hops if with_network else 0
+    cross_rate = _cross_traffic_rate(scenario) if n_hops > 0 else 0.0
 
     if eligible and mode != "event":
         disturbance = scenario.disturbance
@@ -309,6 +322,17 @@ def simulate_gateway_capture(
             blocking_window=disturbance.blocking_window if disturbance else 0.0,
             blocking_delay_mean=disturbance.blocking_delay_mean if disturbance else 0.0,
         )
+        if n_hops > 0:
+            stamps = tandem_fifo_exit_times(
+                stamps,
+                cross_rngs=[streams.get(f"cross-{label}-hop{hop}") for hop in range(n_hops)],
+                cross_rate_pps=cross_rate,
+                service_time=float(
+                    serialization_delay(scenario.packet_size_bytes, scenario.link_rate_bps)
+                ),
+                propagation_delay=HOP_PROPAGATION_DELAY_S,
+                horizon=duration,
+            )
         stamps = stamps[stamps >= scenario.warmup_time]
         intervals = np.diff(stamps) if stamps.size >= 2 else np.empty(0, dtype=float)
         if intervals.size < n_intervals:
@@ -319,7 +343,7 @@ def simulate_gateway_capture(
         return intervals[:n_intervals]
 
     return _simulate_gateway_capture_events(
-        scenario, payload_rate_pps, n_intervals, streams, label, with_network, duration
+        scenario, payload_rate_pps, n_intervals, streams, label, n_hops, cross_rate, duration
     )
 
 
@@ -329,7 +353,8 @@ def _simulate_gateway_capture_events(
     n_intervals: int,
     streams: RandomStreams,
     label: str,
-    with_network: bool,
+    n_hops: int,
+    cross_rate: float,
     duration: float,
 ) -> np.ndarray:
     """The event-engine capture path (reference implementation)."""
@@ -341,23 +366,18 @@ def _simulate_gateway_capture_events(
         tap.observe(packet)
         receiver.accept(packet)
 
-    if with_network and scenario.n_hops > 0:
+    if n_hops > 0:
         path = UnprotectedPath(
             simulator,
             exit_sink=exit_sink,
-            n_hops=scenario.n_hops,
+            n_hops=n_hops,
             link_rate_bps=scenario.link_rate_bps,
+            propagation_delay=HOP_PROPAGATION_DELAY_S,
             packet_size_bytes=scenario.packet_size_bytes,
             name=f"path-{label}",
         )
-        if scenario.cross_utilization > 0.0:
-            cross_rate = cross_traffic_rate_for_utilization(
-                scenario.cross_utilization,
-                scenario.link_rate_bps,
-                scenario.packet_size_bytes,
-                padded_rate_pps=scenario.policy.padded_rate_pps,
-            )
-            for hop in range(scenario.n_hops):
+        if cross_rate > 0.0:
+            for hop in range(n_hops):
                 path.attach_cross_traffic(
                     hop, cross_rate, rng=streams.get(f"cross-{label}-hop{hop}")
                 )

@@ -30,6 +30,9 @@ from repro.units import PAPER_PACKET_SIZE_BYTES
 Observer = Callable[[Packet], None]
 RateLike = Union[float, RateSchedule]
 
+#: One-way propagation delay of each hop's output link, in seconds.
+HOP_PROPAGATION_DELAY_S = 0.5e-3
+
 
 class _HopEgress:
     """Forwards padded packets at a hop egress through observers, then onward."""
@@ -74,7 +77,7 @@ class UnprotectedPath:
         exit_sink: PacketSink,
         n_hops: int = 1,
         link_rate_bps: Union[float, Sequence[float]] = 80e6,
-        propagation_delay: float = 0.5e-3,
+        propagation_delay: float = HOP_PROPAGATION_DELAY_S,
         router_buffer_packets: Optional[int] = None,
         packet_size_bytes: int = PAPER_PACKET_SIZE_BYTES,
         name: str = "path",
@@ -218,4 +221,4 @@ class UnprotectedPath:
         return [router.measured_utilization() for router in self.routers]
 
 
-__all__ = ["UnprotectedPath"]
+__all__ = ["HOP_PROPAGATION_DELAY_S", "UnprotectedPath"]

@@ -7,6 +7,22 @@ how much cross traffic happens to be in front of it, which perturbs the
 padded stream's inter-arrival times exactly as congestion at the Marconi
 router (Figure 6) or the campus/Internet routers (Figure 8) did in the
 paper's testbed.
+
+Invariants relied on by the vectorized kernel
+---------------------------------------------
+:func:`repro.sim.kernel.tandem_fifo_exit_times` replays a chain of these
+routers in closed form and is byte-identical only while:
+
+* the queue is served strictly FIFO, one packet at a time;
+* a packet's departure is ``simulator.now + service_time`` scheduled when its
+  service starts — the clock reads the arrival time when the port was idle
+  and the previous departure time otherwise, so departures are the chained
+  additions ``D_n = max(A_n, D_{n-1}) + S``;
+* ``processing_delay`` is 0 and the buffer is unbounded on the paths the
+  experiments build (no extra delay, no drops).
+
+Changing any of these changes cached capture fingerprints' meaning; treat
+them as frozen contracts, like the engine's event ordering.
 """
 
 from __future__ import annotations
@@ -44,6 +60,10 @@ class Router:
         output queue (lookup/switching time).
     name:
         Label used in reports.
+
+    ``queue_monitor`` is kept as an empty time series: queue depth is not
+    recorded per packet (nothing reads it, and it cost one sample per
+    arrival and departure).
     """
 
     def __init__(
@@ -97,7 +117,6 @@ class Router:
             self.counters.increment("dropped")
             return
         self._queue.append(packet)
-        self.queue_monitor.record(self.simulator.now, len(self._queue))
         if not self._busy:
             self._start_service()
 
@@ -116,7 +135,6 @@ class Router:
             self._busy_time += self.simulator.now - self._service_started_at
             self._service_started_at = None
         packet = self._queue.popleft()
-        self.queue_monitor.record(self.simulator.now, len(self._queue))
         self.counters.increment("forwarded")
         self.output(packet)
         self._start_service()

@@ -10,9 +10,11 @@ baseline checked into the repository.
 Three design rules keep the artifact honest across machines:
 
 * **The headline speedups are measured within one run.**
-  ``cold_capture_speedup`` divides the event-engine capture time by the
-  vectorized-kernel time for the *same* capture (forced via the ``kernel``
-  argument of :func:`repro.experiments.base.simulate_gateway_capture`), and
+  ``cold_capture_speedup`` (gateway only) and ``routed_capture_speedup``
+  (gateway plus shared routers with cross traffic) divide the event-engine
+  capture time by the vectorized-kernel time for the *same* capture (forced
+  via the ``kernel`` argument of
+  :func:`repro.experiments.base.simulate_gateway_capture`), and
   ``sweep_warm_speedup`` divides a cold sweep by its warm re-run against the
   same store.  Ratios of timings taken seconds apart on one machine are
   meaningful on any machine; absolute seconds are not.
@@ -52,7 +54,7 @@ DEFAULT_MAX_REGRESSION = 0.2
 #: Metrics that are ratios of same-run timings, hence machine-independent.
 #: CI compares only these against the committed baseline; absolute timings
 #: are recorded for trend lines but never gate a differently-sized runner.
-RATIO_METRICS = ("cold_capture_speedup", "sweep_warm_speedup")
+RATIO_METRICS = ("cold_capture_speedup", "routed_capture_speedup", "sweep_warm_speedup")
 
 
 def metric_direction(name: str) -> str:
@@ -308,7 +310,9 @@ def _best_of(repeats: int, fn: Callable[[], Any]) -> Tuple[float, Any]:
     return best, result
 
 
-def _time_capture(scenario, n_intervals: int, seed: int, kernel: str, repeats: int):
+def _time_capture(
+    scenario, n_intervals: int, seed: int, kernel: str, repeats: int, with_network: bool
+):
     from repro.experiments.base import simulate_gateway_capture
     from repro.sim.random import RandomStreams
 
@@ -317,12 +321,33 @@ def _time_capture(scenario, n_intervals: int, seed: int, kernel: str, repeats: i
         return {
             label: simulate_gateway_capture(
                 scenario, rate, n_intervals, streams, label,
-                with_network=False, kernel=kernel,
+                with_network=with_network, kernel=kernel,
             )
             for label, rate in scenario.rate_labels.items()
         }
 
     return _best_of(repeats, one_run)
+
+
+def _time_kernels(
+    scenario, n_intervals: int, seed: int, repeats: int, with_network: bool
+) -> Tuple[float, float, Dict[str, np.ndarray]]:
+    """Event and vectorized timings of one capture, refused unless identical."""
+    event_seconds, event_captures = _time_capture(
+        scenario, n_intervals, seed, "event", repeats, with_network
+    )
+    vectorized_seconds, vectorized_captures = _time_capture(
+        scenario, n_intervals, seed, "vectorized", repeats, with_network
+    )
+    if not all(
+        np.array_equal(event_captures[label], vectorized_captures[label])
+        for label in event_captures
+    ):
+        raise ConfigurationError(
+            "event and vectorized kernels produced different captures; the "
+            "benchmark refuses to report a speedup for a broken kernel"
+        )
+    return event_seconds, vectorized_seconds, vectorized_captures
 
 
 def _time_engine(n_events: int, repeats: int) -> float:
@@ -466,31 +491,25 @@ def run_bench(
 ) -> BenchResult:
     """Measure the hot paths and return the benchmark artifact.
 
-    The capture benchmark runs the same two-class gateway capture under the
-    forced ``event`` and ``vectorized`` kernels from identical seeds, checks
-    the outputs are byte-identical (the kernel contract), and cross-checks
-    the measured variance ratio against the closed forms in
+    The capture benchmarks run the same two-class capture — at the gateway,
+    and behind two shared routers with cross traffic — under the forced
+    ``event`` and ``vectorized`` kernels from identical seeds, check the
+    outputs are byte-identical (the kernel contract), and cross-check the
+    measured variance ratio against the closed forms in
     :mod:`repro.core.exact`.
     """
     from repro.core.exact import detection_rate_variance_exact
     from repro.experiments.base import ScenarioConfig
 
     scenario = ScenarioConfig()
-    event_seconds, event_captures = _time_capture(
-        scenario, capture_intervals, seed, "event", repeats
+    event_seconds, vectorized_seconds, vectorized_captures = _time_kernels(
+        scenario, capture_intervals, seed, repeats, with_network=False
     )
-    vectorized_seconds, vectorized_captures = _time_capture(
-        scenario, capture_intervals, seed, "vectorized", repeats
+    # 20 Mbit/s links keep the event engine's side of the routed pair short.
+    routed = ScenarioConfig(n_hops=2, link_rate_bps=20e6, cross_utilization=0.2)
+    routed_event_seconds, routed_vectorized_seconds, _ = _time_kernels(
+        routed, capture_intervals, seed, repeats, with_network=True
     )
-    identical = all(
-        np.array_equal(event_captures[label], vectorized_captures[label])
-        for label in event_captures
-    )
-    if not identical:
-        raise ConfigurationError(
-            "event and vectorized kernels produced different captures; the "
-            "benchmark refuses to report a speedup for a broken kernel"
-        )
 
     engine_seconds = _time_engine(engine_events, repeats)
     sweep_cold, sweep_warm, n_cells = _time_sweep(seed)
@@ -508,6 +527,9 @@ def run_bench(
         "capture_event_seconds": event_seconds,
         "capture_vectorized_seconds": vectorized_seconds,
         "cold_capture_speedup": event_seconds / vectorized_seconds,
+        "routed_capture_event_seconds": routed_event_seconds,
+        "routed_capture_vectorized_seconds": routed_vectorized_seconds,
+        "routed_capture_speedup": routed_event_seconds / routed_vectorized_seconds,
         "kernel_intervals_per_sec": 2 * capture_intervals / vectorized_seconds,
         "engine_events_per_sec": engine_events / engine_seconds,
         "sweep_cold_seconds": sweep_cold,
@@ -535,7 +557,12 @@ def run_bench(
         "queue_seconds": queue_seconds,
         "population_flows": population_flows,
         "population_seconds": population_seconds,
-        "captures_identical": identical,
+        "captures_identical": True,
+        "routed_capture": {
+            "n_hops": routed.n_hops,
+            "link_rate_bps": routed.link_rate_bps,
+            "cross_utilization": routed.cross_utilization,
+        },
         "analytic_crosscheck": {
             "measured_variance_ratio": measured_r,
             "model_variance_ratio": model_r,

@@ -24,11 +24,17 @@ order before (possibly) re-heapifying.  :mod:`repro.sim.kernel` computes
 capture timestamps in closed form instead of replaying the event loop; its
 byte-for-byte equivalence proof assumes exactly this deterministic ordering
 plus the fact that ``run(until=h)`` fires every event with ``time <= h`` and
-leaves later events on the heap.  Changing the tie-breaking rule, the horizon
-comparison (``<=`` vs ``<``), or the one-draw-per-activation discipline of
-:class:`repro.sim.process.PeriodicProcess` silently breaks that equivalence
-and therefore cached capture fingerprints — treat all three as frozen
-contracts.
+leaves later events on the heap.  Frozen contracts — changing any of them
+silently breaks that equivalence and therefore cached capture fingerprints:
+
+* the tie-breaking rule;
+* the horizon comparison (``<=`` vs ``<``);
+* the one-draw-per-activation discipline of
+  :class:`repro.sim.process.PeriodicProcess`;
+* the router's ``now + service_time`` chain: :meth:`schedule` computes an
+  event time as ``now + delay`` in one floating-point addition, so a
+  router's back-to-back departures are chained additions of the service
+  time (see :mod:`repro.network.router`).
 """
 
 from __future__ import annotations
@@ -243,14 +249,28 @@ class Simulator:
         """Process exactly one (non-cancelled) event.
 
         Returns ``True`` if an event fired, ``False`` if the heap is empty.
+        Enforces the same invariants as :meth:`run`: it is not re-entrant
+        (calling it from inside a callback could fire a later event before an
+        earlier one finishes) and it counts against ``max_events``.
         """
+        if self._running:
+            raise SimulationError("Simulator.step is not re-entrant")
         while self._heap:
             event = heapq.heappop(self._heap)
             if event.cancelled:
                 continue
             self._now = event.time
             self._processed += 1
-            event.fire()
+            if self._processed > self._max_events:
+                raise SimulationError(
+                    f"exceeded max_events={self._max_events}; "
+                    "possible runaway self-rescheduling loop"
+                )
+            self._running = True
+            try:
+                event.fire()
+            finally:
+                self._running = False
             return True
         return False
 

@@ -1,17 +1,16 @@
-"""Vectorized fast path for the padded-link gateway capture.
+"""Vectorized fast path for gateway captures, zero-hop and routed.
 
 The event engine (:mod:`repro.sim.engine`) replays a gateway capture one
-Python callback at a time: every timer interrupt, payload arrival and
-transmission is a heap operation plus a handful of attribute lookups.
-Profiling a cold ``--preset fast`` sweep shows ~98% of the wall clock inside
-that loop.  This module computes the *same* capture in closed form with a
-fixed number of numpy array operations, reproducing the event path
-byte-for-byte.
+Python callback at a time: every timer interrupt, payload arrival,
+cross-traffic packet and router service completion is a heap operation plus
+a handful of attribute lookups.  This module computes the *same* capture in
+closed form with a bounded number of numpy array operations, reproducing the
+event path byte-for-byte.
 
-Why the two paths agree exactly
--------------------------------
-The no-network gateway capture has a special structure that makes it
-replayable without a scheduler:
+Why the gateway stage agrees exactly
+------------------------------------
+The gateway capture has a special structure that makes it replayable
+without a scheduler:
 
 1. **Timer due times** are a pure cumulative sum.  The gateway reschedules
    each interrupt relative to its *due* time (no drift), so
@@ -32,22 +31,45 @@ replayable without a scheduler:
 5. **Transmission times** are ``due_k + delay_k`` passed through the
    gateway's monotonic minimum-spacing clamp, which is a running maximum.
 
+Why the routed stages agree exactly
+-----------------------------------
+On a routed path (:class:`repro.network.path.UnprotectedPath`) every router
+is a FIFO queue with one constant service time ``S`` (padded and cross
+packets have the same size), and cross traffic leaves the path after the one
+hop it was injected at.  Each hop is therefore an independent stage whose
+input is the padded stream's departures from the previous hop (plus the
+propagation delay) merged with that hop's own Poisson cross arrivals:
+
+6. **Departures** follow ``D_n = max(A_n, D_{n-1}) + S`` in arrival order —
+   the router adds ``S`` to the simulator clock, which reads ``A_n`` when
+   the port is idle and ``D_{n-1}`` when the packet waited.  An exact tie
+   ``A_n == D_{n-1}`` gives the same value on either branch.
+   :func:`fifo_departures` guesses the busy periods from the real-arithmetic
+   Lindley closed form, fills each one with the same chained ``+ S``
+   additions the event loop performs, checks every start/continue decision
+   against the exact values and finishes sequentially from the first wrong
+   guess.
+7. **Cross arrivals** come from the hop's dedicated ``cross-...-hop{h}``
+   stream with the same one-draw-per-gap discipline as the payload.
+
 The equivalence additionally relies on the engine's deterministic
 tie-breaking (see :mod:`repro.sim.engine`) and on
 :class:`repro.sim.process.PeriodicProcess` drawing exactly one interval per
 activation.  The only event-path behaviour *not* reproduced is the ordering
-of a payload arrival landing at *exactly* a timer due time at double
-precision — a measure-zero tie that cannot occur with continuous draws on
-independent streams.
+of two events landing at *exactly* the same time at double precision — a
+payload arrival at a timer due time, or a padded and a cross packet reaching
+a router together — measure-zero ties that cannot occur with continuous
+draws on independent streams.
 
-The entry point is :func:`simulate_padded_capture`; the routing decision
-(which captures may take this path) lives with the experiment code in
+The entry points are :func:`simulate_padded_capture` (the gateway) and
+:func:`tandem_fifo_exit_times` (the routers); the routing decision (which
+captures may take this path) lives with the experiment code in
 :mod:`repro.experiments.base`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -274,6 +296,95 @@ def simulate_padded_capture(
     return send_times[send_times <= duration]
 
 
+def _sequential_departures(
+    arrivals: np.ndarray, service: float, departures: np.ndarray, first: int
+) -> None:
+    """Overwrite ``departures[first:]`` with the scalar FIFO recursion.
+
+    ``departures[:first]`` must already be exact.  Python floats are IEEE
+    doubles, so ``max(a, last) + service`` is the event loop's arithmetic.
+    """
+    last = float(departures[first - 1]) if first > 0 else float("-inf")
+    tail = []
+    for arrival in arrivals[first:].tolist():
+        last = (arrival if arrival > last else last) + service
+        tail.append(last)
+    departures[first:] = tail
+
+
+def fifo_departures(arrivals: np.ndarray, service: float) -> np.ndarray:
+    """Departure times of a FIFO queue with constant service time.
+
+    Computes ``D_n = max(A_n, D_{n-1}) + service`` for sorted ``arrivals``,
+    bit for bit.  The busy periods are guessed from the real-arithmetic
+    closed form ``D_k = max_{j<=k}(A_j - jS) + (k+1)S``; each period is then
+    filled with one vectorized ``+ service`` per position, so packet ``k`` of
+    a period gets exactly the chained additions the router performs.  Every
+    start/continue decision is checked against the exact values, and from the
+    first wrong guess (a rounding-boundary tie) on the recursion runs
+    sequentially, as :func:`clamp_min_spacing` does.
+    """
+    arrivals = np.asarray(arrivals, dtype=float)
+    if service <= 0.0:
+        raise SimulationError(f"service time must be > 0, got {service!r}")
+    n = arrivals.size
+    if n == 0:
+        return np.empty(0, dtype=float)
+    slack = arrivals - np.arange(n) * service
+    opens = np.empty(n, dtype=bool)
+    opens[0] = True
+    opens[1:] = slack[1:] > np.maximum.accumulate(slack)[:-1]
+
+    departures = np.empty(n, dtype=float)
+    depth = np.flatnonzero(opens)
+    departures[depth] = arrivals[depth] + service
+    while depth.size:
+        depth = depth[depth < n - 1] + 1
+        depth = depth[~opens[depth]]
+        departures[depth] = departures[depth - 1] + service
+
+    wrong = np.flatnonzero(opens[1:] == (arrivals[1:] <= departures[:-1]))
+    if wrong.size:
+        _sequential_departures(arrivals, service, departures, int(wrong[0]) + 1)
+    return departures
+
+
+def tandem_fifo_exit_times(
+    send_times: np.ndarray,
+    *,
+    cross_rngs: Sequence[np.random.Generator],
+    cross_rate_pps: float,
+    service_time: float,
+    propagation_delay: float,
+    horizon: float,
+) -> np.ndarray:
+    """Times the padded stream leaves a chain of shared FIFO routers.
+
+    Byte-identical to feeding ``send_times`` into
+    :class:`repro.network.path.UnprotectedPath` with one Poisson
+    cross-traffic source per hop (``cross_rngs[h]`` at ``cross_rate_pps``)
+    and reading the exit sink's timestamps after
+    ``Simulator.run(until=horizon)``.  Hop ``h`` merges the padded arrivals
+    with its cross arrivals, computes :func:`fifo_departures`, keeps the
+    padded departures, adds the propagation delay and drops what would
+    arrive after the horizon.
+    """
+    times = np.asarray(send_times, dtype=float)
+    for rng in cross_rngs:
+        cross = poisson_arrival_times(rng, cross_rate_pps, horizon)
+        # Merge the two sorted streams; a padded packet ties ahead of a cross
+        # packet (measure zero either way).
+        padded_at = np.arange(times.size) + np.searchsorted(cross, times, side="left")
+        is_cross = np.ones(times.size + cross.size, dtype=bool)
+        is_cross[padded_at] = False
+        merged = np.empty(is_cross.size, dtype=float)
+        merged[padded_at] = times
+        merged[is_cross] = cross
+        times = fifo_departures(merged, service_time)[padded_at] + propagation_delay
+        times = times[times <= horizon]
+    return times
+
+
 __all__ = [
     "MIN_TX_SPACING_S",
     "MIN_PAYLOAD_GAP_S",
@@ -282,4 +393,6 @@ __all__ = [
     "blocking_counts",
     "clamp_min_spacing",
     "simulate_padded_capture",
+    "fifo_departures",
+    "tandem_fifo_exit_times",
 ]

@@ -17,9 +17,10 @@ RNG-stream contract (relied on by the vectorized simulation kernel)
 :class:`PoissonSource` draws exactly one exponential gap per scheduled
 emission, in emission order, from the ``rng`` it was constructed with, and
 nothing else touches that stream.  The vectorized capture kernel
-(:mod:`repro.sim.kernel`) regenerates the arrival process as one cumulative
-sum of batched exponential draws and relies on that one-draw-per-gap
-discipline for byte-identical arrival times; for the same reason the source
+(:mod:`repro.sim.kernel`) regenerates the arrival process — the payload and
+every hop's cross traffic — as one cumulative sum of batched exponential
+draws and relies on that one-draw-per-gap discipline for byte-identical
+arrival times; for the same reason the source
 itself serves its gaps from a :class:`repro.sim.random.ChunkedDraws` buffer
 when the rate is constant — same bit stream, a fraction of the numpy call
 overhead.  Gaps are floored at ``1e-12`` (an exponential draw can round to

@@ -164,6 +164,9 @@ class TestRunBench:
             "capture_event_seconds",
             "capture_vectorized_seconds",
             "cold_capture_speedup",
+            "routed_capture_event_seconds",
+            "routed_capture_vectorized_seconds",
+            "routed_capture_speedup",
             "kernel_intervals_per_sec",
             "engine_events_per_sec",
             "sweep_cold_seconds",
@@ -210,6 +213,25 @@ class TestRunBench:
         # The committed artifact records ~75x; even tiny captures on a busy
         # CI box clear 1x comfortably.
         assert result.metrics["cold_capture_speedup"] > 1.0
+
+    def test_routed_kernel_is_faster(self, result):
+        assert result.metrics["routed_capture_speedup"] > 1.0
+        assert result.notes["routed_capture"]["n_hops"] > 0
+
+    def test_diverging_kernels_refuse_to_report(self, monkeypatch):
+        from repro.experiments import base
+
+        real = base.simulate_gateway_capture
+
+        def skewed(*args, **kwargs):
+            intervals = real(*args, **kwargs)
+            if kwargs.get("kernel") == "vectorized" and kwargs.get("with_network"):
+                intervals = intervals + 1e-12
+            return intervals
+
+        monkeypatch.setattr(base, "simulate_gateway_capture", skewed)
+        with pytest.raises(ConfigurationError, match="different captures"):
+            run_bench("test", capture_intervals=100, engine_events=100, repeats=1)
 
     def test_artifact_round_trips(self, result, tmp_path):
         path = tmp_path / "BENCH_test.json"

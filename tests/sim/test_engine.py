@@ -135,6 +135,40 @@ class TestRun:
         assert simulator.step() is True
         assert simulator.step() is False
 
+    def test_step_honours_the_max_events_guard(self):
+        sim = Simulator(max_events=3)
+
+        def forever():
+            sim.schedule(1.0, forever)
+
+        sim.schedule(1.0, forever)
+        for _ in range(3):
+            assert sim.step() is True
+        with pytest.raises(SimulationError):
+            sim.step()
+
+    def test_step_inside_run_is_rejected(self, simulator):
+        fired = []
+
+        def nested():
+            simulator.step()
+
+        simulator.schedule(1.0, nested)
+        simulator.schedule(5.0, fired.append, "late")
+        with pytest.raises(SimulationError, match="re-entrant"):
+            simulator.run()
+        # The later event never fired early and the clock did not jump ahead.
+        assert fired == []
+        assert simulator.now == 1.0
+
+    def test_step_inside_step_is_rejected(self, simulator):
+        simulator.schedule(1.0, simulator.step)
+        simulator.schedule(2.0, lambda: None)
+        with pytest.raises(SimulationError, match="re-entrant"):
+            simulator.step()
+        assert simulator.now == 1.0
+        assert simulator.step() is True  # the guard resets after the error
+
     def test_processed_event_counter(self, simulator):
         for i in range(5):
             simulator.schedule(float(i + 1), lambda: None)

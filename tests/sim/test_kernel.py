@@ -5,7 +5,8 @@ every eligible scenario the closed-form capture must equal the event-engine
 capture exactly, not approximately, because cached sweep results are
 fingerprinted on configuration and silently switching kernels must never
 change a figure.  These tests pin that guarantee across every timer family,
-the disturbance on/off matrix, the kernel-selection plumbing, and the
+the disturbance on/off matrix, routed paths (hop count x utilization), the
+FIFO primitive's sequential fallback, the kernel-selection plumbing, and the
 constants the kernel mirrors from the gateway and source modules.
 """
 
@@ -13,8 +14,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError, SimulationError
+from repro.experiments import base as base_module
 from repro.experiments.base import (
     KERNEL_ENV_VAR,
     ScenarioConfig,
@@ -29,14 +33,33 @@ from repro.sim import kernel
 from repro.sim.random import RandomStreams
 
 
-def _capture(scenario: ScenarioConfig, kernel_mode: str, n: int = 800, seed: int = 42):
+def _capture(
+    scenario: ScenarioConfig,
+    kernel_mode: str,
+    n: int = 800,
+    seed: int = 42,
+    with_network: bool = False,
+):
     streams = RandomStreams(seed)
     return {
         label: simulate_gateway_capture(
-            scenario, rate, n, streams, label, with_network=False, kernel=kernel_mode
+            scenario, rate, n, streams, label, with_network=with_network, kernel=kernel_mode
         )
         for label, rate in scenario.rate_labels.items()
     }
+
+
+class _CustomDisturbance(InterruptDisturbance):
+    """A disturbance subclass: outside the kernel's proof, hence ineligible."""
+
+
+def _scalar_departures(arrivals, service):
+    """The router's FIFO recursion, one packet at a time."""
+    departures, last = [], float("-inf")
+    for arrival in arrivals:
+        last = max(arrival, last) + service
+        departures.append(last)
+    return np.array(departures, dtype=float)
 
 
 class TestByteIdentity:
@@ -76,6 +99,108 @@ class TestByteIdentity:
             assert np.array_equal(event[label], vectorized[label])
 
 
+class TestRoutedByteIdentity:
+    """Routed SIMULATION captures: tandem-FIFO kernel == event engine, bit for bit."""
+
+    @pytest.mark.parametrize("n_hops", [1, 2, 3])
+    @pytest.mark.parametrize("utilization", [0.0, 0.05, 0.2, 0.5])
+    @pytest.mark.parametrize(
+        "policy", [cit_policy(), vit_policy(sigma_t=1e-3)], ids=["cit", "vit-normal"]
+    )
+    @pytest.mark.parametrize(
+        "disturbance", [InterruptDisturbance(), None], ids=["disturbed", "quiet"]
+    )
+    def test_routed_capture_matches_the_event_engine(
+        self, n_hops, utilization, policy, disturbance
+    ):
+        # 20 Mbit/s links keep the event engine's cross-packet count small;
+        # utilization 0 leaves routers that carry only the padded stream.
+        scenario = ScenarioConfig(
+            policy=policy,
+            disturbance=disturbance,
+            n_hops=n_hops,
+            link_rate_bps=20e6,
+            cross_utilization=utilization,
+            warmup_time=0.5,
+        )
+        event = _capture(scenario, "event", n=200, seed=7, with_network=True)
+        vectorized = _capture(scenario, "vectorized", n=200, seed=7, with_network=True)
+        for label in ("low", "high"):
+            assert np.array_equal(event[label], vectorized[label]), label
+
+    def test_hybrid_capture_ignores_the_routers(self):
+        """Without the network, a routed scenario is the zero-hop capture."""
+        routed = ScenarioConfig(n_hops=2, cross_utilization=0.3)
+        bare = ScenarioConfig()
+        for mode in ("event", "vectorized"):
+            with_hops = _capture(routed, mode, n=200)
+            without = _capture(bare, mode, n=200)
+            for label in ("low", "high"):
+                assert np.array_equal(with_hops[label], without[label])
+
+
+class TestFifoDepartures:
+    def test_exact_ties_force_the_sequential_fallback(self, monkeypatch):
+        service = 0.1
+        # Packet 1 arrives exactly as packet 0 departs (A_n == D_{n-1});
+        # packet 8 arrives one ulp after the chained departure 0.7999999999999999,
+        # which the real-arithmetic guess reads as "still busy".
+        arrivals = np.array([0.0] + [0.1] * 7 + [0.8, 0.8, 1.0])
+        reference = _scalar_departures(arrivals, service)
+        assert arrivals[1] == reference[0]
+        assert arrivals[8] == np.nextafter(reference[7], np.inf)
+        assert arrivals[10] == reference[9]
+
+        fallbacks = []
+        sequential = kernel._sequential_departures
+
+        def spy(*args):
+            fallbacks.append(args[-1])
+            return sequential(*args)
+
+        monkeypatch.setattr(kernel, "_sequential_departures", spy)
+        departures = kernel.fifo_departures(arrivals, service)
+        assert fallbacks == [8]
+        assert np.array_equal(departures, reference)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        gaps=st.lists(
+            st.one_of(
+                st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
+                st.integers(min_value=0, max_value=4).map(float),
+            ),
+            max_size=120,
+        ),
+        service=st.one_of(
+            st.floats(min_value=1e-6, max_value=2.0, allow_nan=False),
+            st.sampled_from([0.1, 0.25, 1.0]),
+        ),
+    )
+    def test_matches_the_scalar_lindley_loop(self, gaps, service):
+        # Cumulative sums of mixed real/integer gaps give sorted arrivals
+        # with plenty of exact ties against multiples of the service time.
+        arrivals = np.cumsum(np.array(gaps, dtype=float))
+        departures = kernel.fifo_departures(arrivals, service)
+        assert np.array_equal(departures, _scalar_departures(arrivals.tolist(), service))
+
+    def test_rejects_a_non_positive_service_time(self):
+        with pytest.raises(SimulationError):
+            kernel.fifo_departures(np.array([0.0, 1.0]), 0.0)
+
+    def test_zero_hops_leave_the_stream_untouched(self):
+        times = np.array([0.1, 0.2, 0.3])
+        exit_times = kernel.tandem_fifo_exit_times(
+            times,
+            cross_rngs=[],
+            cross_rate_pps=100.0,
+            service_time=1e-3,
+            propagation_delay=1e-3,
+            horizon=1.0,
+        )
+        assert np.array_equal(exit_times, times)
+
+
 class TestKernelSelection:
     def test_resolve_prefers_argument_over_environment(self, monkeypatch):
         monkeypatch.setenv(KERNEL_ENV_VAR, "event")
@@ -89,28 +214,37 @@ class TestKernelSelection:
             resolve_kernel_mode("turbo")
 
     def test_networked_paths_are_ineligible(self):
-        scenario = ScenarioConfig(n_hops=3, cross_utilization=0.2)
-        assert not vectorized_capture_eligible(scenario, with_network=True)
-        # The same scenario without the routed path is eligible (hybrid mode).
-        assert vectorized_capture_eligible(scenario, with_network=False)
+        """Routed paths are eligible; only a disturbance subclass is not."""
+        assert vectorized_capture_eligible(ScenarioConfig(n_hops=3, cross_utilization=0.2))
+        scenario = ScenarioConfig(
+            n_hops=3, cross_utilization=0.2, disturbance=_CustomDisturbance()
+        )
+        assert not vectorized_capture_eligible(scenario)
 
     def test_disturbance_subclasses_are_ineligible(self):
-        class CustomDisturbance(InterruptDisturbance):
-            pass
-
-        scenario = ScenarioConfig(disturbance=CustomDisturbance())
-        assert not vectorized_capture_eligible(scenario, with_network=False)
+        scenario = ScenarioConfig(disturbance=_CustomDisturbance())
+        assert not vectorized_capture_eligible(scenario)
+        assert vectorized_capture_eligible(ScenarioConfig(disturbance=None))
 
     def test_strict_vectorized_raises_when_ineligible(self):
-        scenario = ScenarioConfig(n_hops=2, cross_utilization=0.2)
+        scenario = ScenarioConfig(
+            n_hops=2, cross_utilization=0.2, disturbance=_CustomDisturbance()
+        )
         streams = RandomStreams(1)
         with pytest.raises(ConfigurationError):
             simulate_gateway_capture(
                 scenario, 10.0, 50, streams, "low", with_network=True, kernel="vectorized"
             )
 
-    def test_auto_falls_back_to_the_event_engine(self):
-        scenario = ScenarioConfig(n_hops=1, cross_utilization=0.1)
+    def test_auto_falls_back_to_the_event_engine(self, monkeypatch):
+        scenario = ScenarioConfig(
+            n_hops=1, cross_utilization=0.1, disturbance=_CustomDisturbance()
+        )
+
+        def forbidden(**kwargs):
+            raise AssertionError("an ineligible capture reached the vectorized kernel")
+
+        monkeypatch.setattr(base_module, "simulate_padded_capture", forbidden)
         intervals = simulate_gateway_capture(
             scenario, 10.0, 50, RandomStreams(1), "low", with_network=True, kernel="auto"
         )
