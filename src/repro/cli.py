@@ -391,8 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache.add_argument(
         "action",
         choices=("compact", "stats", "index"),
-        help="compact: drop superseded duplicate records and fold a legacy "
-        "flat results.jsonl into the sharded layout (also refreshes an "
+        help="compact: drop superseded duplicate records (also refreshes an "
         "existing sqlite index); stats: report record/shard counts, store "
         "size and schema versions; index: build or incrementally refresh "
         "the store's sqlite query index (index.sqlite, used by 'repro serve')",

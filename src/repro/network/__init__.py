@@ -15,8 +15,7 @@ the mechanism behind the Figure 6 (lab cross traffic) and Figure 8
 * :mod:`repro.network.path` — wiring helpers that chain routers into an
   end-to-end unprotected path with per-hop cross traffic.
 * :mod:`repro.network.topology` — the paper's three evaluation environments
-  (laboratory, campus, wide-area) as ready-made presets, plus a
-  :mod:`networkx` view of each topology.
+  (laboratory, campus, wide-area) as ready-made presets.
 * :mod:`repro.network.delay_models` — analytic M/M/1 and M/D/1 waiting-time
   moments used to predict ``sigma_net`` without running the simulator.
 """
@@ -41,7 +40,6 @@ from repro.network.topology import (
     build_path,
     campus_topology,
     lab_topology,
-    topology_graph,
     wan_topology,
 )
 
@@ -60,7 +58,6 @@ __all__ = [
     "campus_topology",
     "wan_topology",
     "build_path",
-    "topology_graph",
     "mm1_waiting_time_moments",
     "md1_waiting_time_moments",
     "mg1_waiting_time_moments",

@@ -12,9 +12,8 @@ The paper evaluates three environments (Figures 3 and 7):
   modelled as a long chain with heavier diurnal load (Figure 8(b)).
 
 A :class:`TopologySpec` captures the knobs (hop count, link rates, cross
-load), :func:`build_path` turns it into a wired
-:class:`~repro.network.path.UnprotectedPath`, and :func:`topology_graph`
-returns a :mod:`networkx` view for inspection and documentation.
+load), and :func:`build_path` turns it into a wired
+:class:`~repro.network.path.UnprotectedPath`.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import networkx as nx
 import numpy as np
 
 from repro.exceptions import NetworkError
@@ -180,43 +178,10 @@ def build_path(
     return path
 
 
-def topology_graph(spec: TopologySpec) -> nx.DiGraph:
-    """A :mod:`networkx` view of the topology for inspection and docs.
-
-    Nodes: the sender subnet/gateway, each router, the receiver gateway and
-    subnet, plus one cross-traffic source/destination pair per loaded hop.
-    Edges carry ``link_rate_bps`` attributes.
-    """
-    graph = nx.DiGraph(name=spec.name)
-    graph.add_node("subnet-A", role="protected-subnet")
-    graph.add_node("GW1", role="sender-gateway")
-    graph.add_node("GW2", role="receiver-gateway")
-    graph.add_node("subnet-B", role="protected-subnet")
-    graph.add_edge("subnet-A", "GW1", link_rate_bps=spec.link_rate_bps)
-    previous = "GW1"
-    loaded = spec.cross_utilization > 0.0 or spec.diurnal_peak_utilization is not None
-    for hop in range(spec.n_hops):
-        router = f"router-{hop}"
-        graph.add_node(router, role="router")
-        graph.add_edge(previous, router, link_rate_bps=spec.link_rate_bps)
-        if loaded:
-            src = f"cross-src-{hop}"
-            dst = f"cross-dst-{hop}"
-            graph.add_node(src, role="cross-source")
-            graph.add_node(dst, role="cross-destination")
-            graph.add_edge(src, router, link_rate_bps=spec.link_rate_bps)
-            graph.add_edge(router, dst, link_rate_bps=spec.link_rate_bps)
-        previous = router
-    graph.add_edge(previous, "GW2", link_rate_bps=spec.link_rate_bps)
-    graph.add_edge("GW2", "subnet-B", link_rate_bps=spec.link_rate_bps)
-    return graph
-
-
 __all__ = [
     "TopologySpec",
     "lab_topology",
     "campus_topology",
     "wan_topology",
     "build_path",
-    "topology_graph",
 ]

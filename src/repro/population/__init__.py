@@ -27,7 +27,6 @@ site.
 from repro.population.topology import (
     ASGraphSpec,
     ASTopology,
-    as_graph,
     build_sender_path,
     generate_as_topology,
     sender_topology_spec,
@@ -64,7 +63,6 @@ __all__ = [
     "aggregate_confusion",
     "anonymity_set_distribution",
     "anonymity_summary",
-    "as_graph",
     "assemble_population",
     "build_sender_path",
     "generate_as_topology",

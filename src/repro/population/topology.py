@@ -29,8 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
-
 from repro.exceptions import ConfigurationError
 from repro.experiments.base import ScenarioConfig
 from repro.network.link import PacketSink
@@ -137,7 +135,7 @@ class ASTopology:
         """The shortest AS-path from ``src`` to the core (BFS, lowest-id ties).
 
         The tie-break is the sorted adjacency order, so the path depends only
-        on the graph — never on dict iteration or networkx internals.
+        on the graph — never on dict iteration order.
         """
         if not 0 <= src < self.spec.n_as:
             raise ConfigurationError(f"AS {src!r} is not in the topology")
@@ -259,27 +257,6 @@ def generate_as_topology(spec: ASGraphSpec) -> ASTopology:
     )
 
 
-def as_graph(topology: ASTopology) -> nx.Graph:
-    """The :mod:`networkx` view of an AS topology for inspection and docs.
-
-    Nodes carry ``role`` (``"core"``/``"edge"``) and ``utilization``
-    attributes; edges carry their ``relationship`` label.  The companion of
-    :func:`repro.network.topology.topology_graph` one level up the hierarchy:
-    that one draws the routers inside a single path, this one draws the AS
-    graph those paths are routed over.
-    """
-    graph = nx.Graph(name=f"as-graph-{topology.spec.seed}")
-    for as_id in range(topology.spec.n_as):
-        graph.add_node(
-            as_id,
-            role="core" if as_id == topology.core_as else "edge",
-            utilization=topology.utilizations[as_id],
-        )
-    for a, b, relationship in topology.edges:
-        graph.add_edge(a, b, relationship=relationship)
-    return graph
-
-
 def sender_topology_spec(topology: ASTopology, src: int) -> TopologySpec:
     """The :class:`TopologySpec` of one sender's rendered AS-path.
 
@@ -314,7 +291,6 @@ __all__ = [
     "PEER",
     "ASGraphSpec",
     "ASTopology",
-    "as_graph",
     "build_sender_path",
     "generate_as_topology",
     "sender_topology_spec",

@@ -66,7 +66,7 @@ from repro.runner.backends.codec import (
 from repro.runner.backends.process import default_mp_context
 from repro.runner.capture import CaptureResult, CaptureSpec
 from repro.runner.cells import CellResult, SweepCell
-from repro.runner.store import ResultsStore
+from repro.runner.store import _FINGERPRINT_RE, ResultsStore
 
 #: Version of the queue entry / result-shard record layout.
 QUEUE_SCHEMA_VERSION = 1
@@ -80,9 +80,6 @@ DEFAULT_LEASE_TIMEOUT = 30.0
 
 #: Seconds idle workers (and the merging parent) sleep between scans.
 DEFAULT_POLL_INTERVAL = 0.05
-
-#: Fingerprints become file names; accept only boring hash-like tokens.
-_FINGERPRINT_RE = re.compile(r"[0-9a-zA-Z]{3,128}")
 
 _WORKER_ID_BAD_CHARS = re.compile(r"[^A-Za-z0-9_.-]+")
 

@@ -7,9 +7,8 @@ characters of the fingerprint under the store's root directory::
     ├── ab/
     │   ├── abcd0…e1.jsonl     # every record ever written for this fingerprint
     │   └── ab9f3…77.jsonl
-    ├── c0/
-    │   └── c04d1…38.jsonl
-    └── results.jsonl          # optional legacy flat file (read-only)
+    └── c0/
+        └── c04d1…38.jsonl
 
 Each line is a self-contained record::
 
@@ -21,15 +20,13 @@ configuration dict kept alongside for auditability (a record can be traced
 back to its scenario without the code that produced it); ``result`` is the
 :meth:`repro.runner.cells.CellResult.to_json_dict` (or
 :meth:`repro.runner.capture.CaptureResult.to_json_dict`) payload; ``kind``
-distinguishes ordinary sweep cells from shared gateway captures (absent on
-legacy records, which are all cells).
+distinguishes ordinary sweep cells from shared gateway captures (a record
+without one counts as a cell).
 
 Sharding keeps lookups O(1) file reads — a warm sweep never loads the whole
 store — and keeps any one directory small enough for ordinary tooling once
-stores grow to many thousands of records.  Stores written by older versions
-as a single flat ``results.jsonl`` remain transparently readable: shard files
-take precedence, the flat file is the fallback.  :meth:`compact` migrates the
-flat file into shards and drops superseded duplicate records.
+stores grow to many thousands of records.  :meth:`compact` drops superseded
+duplicate records.
 
 The format is deliberately boring: appends are a single ``write`` call, a
 half-written last line (from a killed run) is skipped on load, duplicate
@@ -63,18 +60,15 @@ class StoreStats:
     compaction targets, though :meth:`ResultsStore.compact` deliberately
     leaves files it cannot fully interpret (foreign-schema or truncated
     lines) untouched, so the counter can stay non-zero after compacting.
-    ``legacy_records`` counts the lines still living in a pre-sharding flat
-    ``results.jsonl``.  ``schema_versions`` lists every ``schema`` value
-    present, including versions this code cannot read — a store carrying
-    foreign versions after an upgrade/rollback is worth noticing in
-    nightly-sweep logs.
+    ``schema_versions`` lists every ``schema`` value present, including
+    versions this code cannot read — a store carrying foreign versions after
+    an upgrade/rollback is worth noticing in nightly-sweep logs.
     """
 
     records: int
     cells: int
     captures: int
     shard_files: int
-    legacy_records: int
     superseded: int
     total_bytes: int
     #: Every distinct ``schema`` value found, foreign types included (a
@@ -85,9 +79,8 @@ class StoreStats:
         versions = ", ".join(str(v) for v in self.schema_versions) or "(empty store)"
         return (
             f"{self.records} records ({self.cells} cells, {self.captures} captures), "
-            f"{self.shard_files} shard files, {self.legacy_records} legacy records, "
-            f"{self.superseded} superseded duplicates, {self.total_bytes} bytes, "
-            f"schema versions: {versions}"
+            f"{self.shard_files} shard files, {self.superseded} superseded duplicates, "
+            f"{self.total_bytes} bytes, schema versions: {versions}"
         )
 
 
@@ -97,20 +90,16 @@ class CompactionStats:
 
     records_kept: int
     superseded_dropped: int
-    legacy_migrated: int
 
     def __str__(self) -> str:
         return (
             f"{self.records_kept} records kept, "
-            f"{self.superseded_dropped} superseded duplicates dropped, "
-            f"{self.legacy_migrated} legacy records migrated into shards"
+            f"{self.superseded_dropped} superseded duplicates dropped"
         )
 
 
 class ResultsStore:
     """A directory-backed cache of cell results, keyed by config fingerprint."""
-
-    LEGACY_FILENAME = "results.jsonl"
 
     def __init__(self, root: Union[str, Path]) -> None:
         self._root = Path(root)
@@ -118,20 +107,23 @@ class ResultsStore:
             raise ConfigurationError(
                 f"results store root {str(self._root)!r} exists and is not a directory"
             )
+        # Pre-sharding releases kept every record in one flat file at the
+        # root.  Nothing here reads it, so such a store would look empty and
+        # every cell would silently be recomputed; refuse it instead.
+        flat = self._root / "results.jsonl"
+        if flat.exists():
+            raise ConfigurationError(
+                f"{str(flat)!r} is a flat store file from a pre-sharding release; "
+                f"convert it into shards with 'repro cache compact' from an earlier "
+                f"release that still reads that layout"
+            )
         self._index: Dict[str, Dict[str, Any]] = {}
-        self._legacy_index: Dict[str, Dict[str, Any]] = {}
-        self._legacy_loaded = False
 
     # ----------------------------------------------------------------- layout
     @property
     def root(self) -> Path:
         """The store's root directory."""
         return self._root
-
-    @property
-    def legacy_path(self) -> Path:
-        """The flat JSON-lines file written by pre-sharding versions."""
-        return self._root / self.LEGACY_FILENAME
 
     def shard_path(self, fingerprint: str) -> Path:
         """The shard file holding every record for ``fingerprint``."""
@@ -176,48 +168,40 @@ class ResultsStore:
                 records.append(record)
         return records
 
-    def _load_legacy(self) -> None:
-        if self._legacy_loaded:
-            return
-        self._legacy_loaded = True
-        for record in self.read_records(self.legacy_path):
-            self._legacy_index[record["fingerprint"]] = record
+    @classmethod
+    def shard_winner(cls, path: Path) -> Optional[Dict[str, Any]]:
+        """The last valid record in shard ``path`` for the fingerprint it is named after.
+
+        Lines carrying any other fingerprint (a doctored or foreign-tool
+        shard) are skipped, never served for an unrelated lookup.  Lookups,
+        listings and the sqlite index all resolve a shard through this rule.
+        """
+        records = [r for r in cls.read_records(path) if r["fingerprint"] == path.stem]
+        return records[-1] if records else None
 
     def get(self, fingerprint: str, kind: str = "cell") -> Optional[Dict[str, Any]]:
         """The record for ``fingerprint``, or ``None`` on a cache miss.
 
-        Shard files take precedence over the legacy flat file; within a file
-        the last record wins.  ``kind`` filters out records of the other
-        record family (legacy records carry no ``kind`` and count as cells).
+        Within a shard the last record wins.  ``kind`` filters out records
+        of the other record family (a record without ``kind`` counts as a
+        cell).
 
-        The kind filter applies *after* precedence is resolved: when a shard
+        The kind filter applies *after* the winner is resolved: when a shard
         holds a winning record of the wrong ``kind``, the lookup returns
-        ``None`` without falling back to an older same-kind record — in the
-        shard or in the legacy flat file.  This is deliberate last-record-
-        wins semantics: the newest record for a fingerprint is the truth
-        about it, and a kind mismatch means the caller is asking for a
-        record family that fingerprint no longer is (pinned by tests in
-        ``tests/runner/test_store.py``).
+        ``None`` without falling back to an older same-kind record.  This is
+        deliberate last-record-wins semantics: the newest record for a
+        fingerprint is the truth about it, and a kind mismatch means the
+        caller is asking for a record family that fingerprint no longer is
+        (pinned by tests in ``tests/runner/test_store.py``).
         """
         record = self._index.get(fingerprint)
         if record is None:
             try:
-                shard = self.shard_path(fingerprint)
+                record = self.shard_winner(self.shard_path(fingerprint))
             except ConfigurationError:
-                shard = None
-            if shard is not None and shard.exists():
-                # read_records() guarantees a string fingerprint, but a
-                # doctored or foreign-tool shard line should degrade to a
-                # skip, never to a KeyError on an unrelated lookup.
-                records = [
-                    r for r in self.read_records(shard) if r.get("fingerprint") == fingerprint
-                ]
-                if records:
-                    record = records[-1]
-                    self._index[fingerprint] = record
-        if record is None:
-            self._load_legacy()
-            record = self._legacy_index.get(fingerprint)
+                return None  # not a hash-like token, so never stored
+            if record is not None:
+                self._index[fingerprint] = record
         if record is None or record.get("kind", "cell") != kind:
             return None
         return record
@@ -267,15 +251,14 @@ class ResultsStore:
         return sum(1 for line in path.read_text(encoding="utf-8").splitlines() if line.strip())
 
     def compact(self) -> CompactionStats:
-        """Drop superseded duplicates and fold the legacy flat file into shards.
+        """Drop superseded duplicate records.
 
-        Every shard file is rewritten to its last (winning) record, legacy
-        records without a shard are migrated into one, and the legacy flat
-        file is removed.  The store's observable contents are unchanged —
-        and so are records this code version cannot interpret: a file
-        containing foreign-schema or partial lines (e.g. a store restored
-        from a cache written by a different ``SCHEMA_VERSION``) is left
-        exactly as it is, so a rollback still finds its data.
+        Every shard file is rewritten to its last (winning) record.  The
+        store's observable contents are unchanged — and so are records this
+        code version cannot interpret: a file containing foreign-schema or
+        partial lines (e.g. a store restored from a cache written by a
+        different ``SCHEMA_VERSION``) is left exactly as it is, so a rollback
+        still finds its data.
         """
         superseded = 0
         kept = 0
@@ -304,40 +287,7 @@ class ResultsStore:
                 scratch = path.with_suffix(".jsonl.tmp")
                 scratch.write_text("\n".join(lines) + "\n", encoding="utf-8")
                 os.replace(scratch, path)
-
-        migrated = 0
-        if self.legacy_path.exists():
-            legacy_records = self.read_records(self.legacy_path)
-            foreign_lines = self._count_data_lines(self.legacy_path) - len(legacy_records)
-            last_by_fingerprint = {}
-            for record in legacy_records:
-                last_by_fingerprint[record["fingerprint"]] = record
-            superseded += len(legacy_records) - len(last_by_fingerprint)
-            unmigratable = 0
-            for fingerprint, record in last_by_fingerprint.items():
-                try:
-                    self._check_fingerprint(fingerprint)
-                except ConfigurationError:
-                    unmigratable += 1  # not a shardable token; keep the flat file
-                    continue
-                if self.shard_path(fingerprint).exists():
-                    superseded += 1  # a shard record supersedes the legacy one
-                    continue
-                self.put(
-                    fingerprint,
-                    record.get("config", {}),
-                    record["result"],
-                    kind=record.get("kind", "cell"),
-                )
-                migrated += 1
-                kept += 1
-            if unmigratable == 0 and foreign_lines == 0:
-                self.legacy_path.unlink()
-                self._legacy_index.clear()
-                self._legacy_loaded = True
-        return CompactionStats(
-            records_kept=kept, superseded_dropped=superseded, legacy_migrated=migrated
-        )
+        return CompactionStats(records_kept=kept, superseded_dropped=superseded)
 
     # ------------------------------------------------------------------ stats
     @staticmethod
@@ -382,21 +332,6 @@ class ResultsStore:
                 last[record["fingerprint"]] = record
             superseded += len(records) - len(last)
             winners.update(last)
-        legacy_records = 0
-        if self.legacy_path.exists():
-            total_bytes += self.legacy_path.stat().st_size
-            records = self._raw_records(self.legacy_path)
-            legacy_records = len(records)
-            last = {}
-            for record in records:
-                schema_versions.add(record.get("schema"))
-                last[record["fingerprint"]] = record
-            superseded += len(records) - len(last)
-            for fingerprint, record in last.items():
-                if fingerprint in winners:
-                    superseded += 1  # the shard record shadows the legacy one
-                else:
-                    winners[fingerprint] = record
         cells = sum(1 for r in winners.values() if r.get("kind", "cell") == "cell")
         captures = sum(1 for r in winners.values() if r.get("kind") == "capture")
         return StoreStats(
@@ -404,7 +339,6 @@ class ResultsStore:
             cells=cells,
             captures=captures,
             shard_files=len(shard_files),
-            legacy_records=legacy_records,
             superseded=superseded,
             total_bytes=total_bytes,
             schema_versions=tuple(
@@ -414,7 +348,7 @@ class ResultsStore:
 
     # -------------------------------------------------------------- protocols
     def fingerprints(self) -> Iterator[str]:
-        """All cached fingerprints (shards in path order, then legacy-only).
+        """All cached fingerprints, in shard path order.
 
         Each shard is parsed at most once per store instance (the winning
         record is cached in the in-memory index), so repeated listings of a
@@ -428,26 +362,10 @@ class ResultsStore:
                 continue
             record = self._index.get(fingerprint)
             if record is None:
-                records = [
-                    r for r in self.read_records(path) if r.get("fingerprint") == fingerprint
-                ]
-                if records:
-                    record = records[-1]
+                record = self.shard_winner(path)
+                if record is not None:
                     self._index[fingerprint] = record
             if record is not None:
-                seen.append(fingerprint)
-                seen_set.add(fingerprint)
-        self._load_legacy()
-        for fingerprint in self._legacy_index:
-            if fingerprint in seen_set:
-                continue
-            try:
-                shadowed = self.shard_path(fingerprint).exists()
-            except ConfigurationError:
-                # Not a shardable token (hand-edited/foreign record); it can
-                # only live in the flat file, which compact() also preserves.
-                shadowed = False
-            if not shadowed:
                 seen.append(fingerprint)
                 seen_set.add(fingerprint)
         return iter(seen)

@@ -122,6 +122,15 @@ class _Handler(BaseHTTPRequestHandler):
             ) from None
 
     @staticmethod
+    def _int_field(body: Dict[str, Any], name: str, default: int) -> int:
+        """``body[name]`` as an int (``default`` when absent), else a 400."""
+        value = body.get(name, default)
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            raise _HTTPError(400, f"JSON field {name}={value!r} is not an integer") from None
+
+    @staticmethod
     def _float_param(params: Dict[str, str], name: str) -> Optional[float]:
         if name not in params:
             return None
@@ -285,7 +294,15 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
     def _enqueue(self) -> Tuple[Dict[str, Any], int]:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise _HTTPError(
+                400, f"Content-Length header {header!r} is not a non-negative integer"
+            )
         raw = self.rfile.read(length) if length else b""
         try:
             body = json.loads(raw.decode("utf-8")) if raw else {}
@@ -299,8 +316,8 @@ class _Handler(BaseHTTPRequestHandler):
             )
         name = str(body["experiment"])
         preset = str(body.get("preset", "fast"))
-        seed = int(body.get("seed", _default_seed()))
-        count = int(body.get("seeds", 1))
+        seed = self._int_field(body, "seed", _default_seed())
+        count = self._int_field(body, "seeds", 1)
         experiment = self._resolve_experiment(name, preset, seed)
         seeds = seed_range(seed, count) if count > 1 else None
         cells = experiment.cells(seeds)

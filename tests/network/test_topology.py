@@ -1,8 +1,7 @@
-"""Tests for topology presets and the networkx view."""
+"""Tests for topology presets and path building."""
 
 from __future__ import annotations
 
-import networkx as nx
 import pytest
 
 from repro.exceptions import NetworkError
@@ -11,7 +10,6 @@ from repro.network import (
     build_path,
     campus_topology,
     lab_topology,
-    topology_graph,
     wan_topology,
 )
 from repro.network.topology import TopologySpec
@@ -97,45 +95,3 @@ class TestBuildPath:
             sim.run(until=5.0)
             counts.append(path.cross_generators[0].packets_emitted)
         assert counts[0] == counts[1]
-
-
-class TestTopologyGraph:
-    def test_nodes_and_roles(self):
-        graph = topology_graph(campus_topology())
-        roles = nx.get_node_attributes(graph, "role")
-        assert roles["GW1"] == "sender-gateway"
-        assert roles["GW2"] == "receiver-gateway"
-        assert sum(1 for r in roles.values() if r == "router") == 3
-        assert sum(1 for r in roles.values() if r == "cross-source") == 3
-
-    def test_unloaded_lab_graph_has_no_cross_nodes(self):
-        graph = topology_graph(lab_topology(0.0))
-        roles = nx.get_node_attributes(graph, "role")
-        assert all(r != "cross-source" for r in roles.values())
-
-    def test_padded_stream_path_length(self):
-        spec = wan_topology()
-        graph = topology_graph(spec)
-        path = nx.shortest_path(graph, "subnet-A", "subnet-B")
-        # subnet-A, GW1, 15 routers, GW2, subnet-B
-        assert len(path) == spec.n_hops + 4
-
-    def test_edges_carry_link_rate(self):
-        graph = topology_graph(lab_topology())
-        assert all("link_rate_bps" in data for _, _, data in graph.edges(data=True))
-
-    def test_graph_is_connected(self):
-        for spec in (lab_topology(0.0), campus_topology(), wan_topology()):
-            assert nx.is_weakly_connected(topology_graph(spec))
-
-    def test_zero_hop_path_connects_the_gateways_directly(self):
-        graph = topology_graph(TopologySpec(name="direct", n_hops=0))
-        assert nx.shortest_path(graph, "subnet-A", "subnet-B") == [
-            "subnet-A", "GW1", "GW2", "subnet-B",
-        ]
-
-    def test_view_is_deterministic(self):
-        spec = campus_topology()
-        a, b = topology_graph(spec), topology_graph(spec)
-        assert sorted(a.nodes) == sorted(b.nodes)
-        assert sorted(a.edges) == sorted(b.edges)

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import networkx as nx
 import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.network import CountingSink
 from repro.population import (
     ASGraphSpec,
-    as_graph,
     build_sender_path,
     generate_as_topology,
     sender_topology_spec,
@@ -51,9 +49,6 @@ class TestGenerator:
         clique_edges = core_size * (core_size - 1) // 2
         grown_edges = (spec.n_as - core_size) * spec.m_attach
         assert len(topology.edges) == clique_edges + grown_edges
-
-    def test_graph_is_connected(self, topology):
-        assert nx.is_connected(as_graph(topology))
 
     def test_every_as_reaches_the_core(self, topology):
         for src in range(topology.spec.n_as):
@@ -98,15 +93,6 @@ class TestGenerator:
             spec.min_utilization <= u <= spec.max_utilization
             for u in topology.utilizations
         )
-
-    def test_networkx_view_matches(self, topology):
-        graph = as_graph(topology)
-        assert graph.number_of_nodes() == topology.spec.n_as
-        assert graph.number_of_edges() == len(topology.edges)
-        assert dict(graph.degree()) == topology.degrees()
-        roles = nx.get_node_attributes(graph, "role")
-        assert roles[topology.core_as] == "core"
-        assert sum(1 for role in roles.values() if role == "core") == 1
 
 
 class TestPaths:

@@ -131,6 +131,35 @@ class TestWorkQueuePrimitives:
         with pytest.raises(ConfigurationError):
             queue.enqueue({"fingerprint": "../../etc/passwd"})
 
+    @pytest.mark.parametrize(
+        "token, valid",
+        [
+            ("", False),
+            ("ab", False),
+            ("a/../b", False),
+            ("a b", False),
+            ("ab.c", False),
+            ("x" * 129, False),
+            ("abc", True),
+            ("A1b2C3", True),
+            ("f" * 128, True),
+        ],
+    )
+    def test_queue_and_store_accept_the_same_fingerprints(self, tmp_path, token, valid):
+        """One rule decides which strings may become file names in both places."""
+
+        def accepted(call) -> bool:
+            try:
+                call()
+            except ConfigurationError:
+                return False
+            return True
+
+        store = ResultsStore(tmp_path / "store")
+        queue = WorkQueue(tmp_path / "queue")
+        assert accepted(lambda: store.shard_path(token)) is valid
+        assert accepted(lambda: queue.enqueue({"fingerprint": token})) is valid
+
     def test_worker_ids_with_dots_parse_back_out_of_leases(self, tmp_path):
         queue = WorkQueue(tmp_path)
         queue.enqueue(entry_from_task(("cell", grid(1)[0], None)))

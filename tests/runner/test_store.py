@@ -18,15 +18,10 @@ def store(tmp_path):
 RESULT = {"empirical_detection_rate": {"variance": {"50": 0.9}}, "measured_variance_ratio": 1.5}
 
 
-def legacy_record(fingerprint, result, schema=SCHEMA_VERSION):
+def raw_record(fingerprint, result, schema=SCHEMA_VERSION):
     return json.dumps(
         {"schema": schema, "fingerprint": fingerprint, "config": {}, "result": result}
     )
-
-
-def write_legacy(store, lines):
-    store.root.mkdir(parents=True, exist_ok=True)
-    store.legacy_path.write_text("\n".join(lines) + "\n")
 
 
 class TestResultsStore:
@@ -86,7 +81,7 @@ class TestResultsStore:
     def test_foreign_schema_records_are_ignored(self, store):
         path = store.shard_path("xyz9")
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(legacy_record("xyz9", RESULT, schema=SCHEMA_VERSION + 1) + "\n")
+        path.write_text(raw_record("xyz9", RESULT, schema=SCHEMA_VERSION + 1) + "\n")
         assert store.get("xyz9") is None
 
     def test_kinds_are_separate_namespaces(self, store):
@@ -113,32 +108,17 @@ class TestResultsStore:
         store.put("abc", {}, RESULT)
         assert store.shard_path("abc").exists()
 
-
-class TestLegacyFlatFile:
-    """Stores written before sharding stay transparently readable."""
-
-    def test_legacy_records_are_served(self, store):
-        write_legacy(store, [legacy_record("abc", RESULT)])
-        assert store.get("abc")["result"] == RESULT
-        assert "abc" in store
-        assert len(store) == 1
-
-    def test_shard_takes_precedence_over_legacy(self, store):
-        write_legacy(store, [legacy_record("abc", {"measured_variance_ratio": 1.0})])
-        store.put("abc", {}, {"measured_variance_ratio": 2.0})
-        reopened = ResultsStore(store.root)
-        assert reopened.get("abc")["result"]["measured_variance_ratio"] == 2.0
-        assert len(reopened) == 1
-
-    def test_legacy_truncated_line_is_skipped(self, store):
-        write_legacy(store, [legacy_record("abc", RESULT), '{"schema": 1, "fing'])
-        assert ResultsStore(store.root).get("abc")["result"] == RESULT
-
-    def test_mixed_layout_lists_every_fingerprint_once(self, store):
-        write_legacy(store, [legacy_record("abc", RESULT), legacy_record("old1", RESULT)])
-        store.put("abc", {}, RESULT)
-        store.put("new1", {}, RESULT)
-        assert sorted(store.fingerprints()) == ["abc", "new1", "old1"]
+    def test_pre_sharding_flat_file_is_refused(self, tmp_path):
+        """An old flat store must fail loudly, never read as an empty cache."""
+        root = tmp_path / "cache"
+        root.mkdir()
+        flat = root / "results.jsonl"
+        flat.write_text(raw_record("abc", RESULT) + "\n")
+        with pytest.raises(ConfigurationError) as excinfo:
+            ResultsStore(root)
+        message = str(excinfo.value)
+        assert str(flat) in message
+        assert "repro cache compact" in message
 
 
 class TestCompaction:
@@ -150,51 +130,22 @@ class TestCompaction:
         assert len(store.shard_path("abc").read_text().splitlines()) == 1
         assert ResultsStore(store.root).get("abc")["result"]["measured_variance_ratio"] == 2.0
 
-    def test_compact_migrates_legacy_into_shards(self, store):
-        write_legacy(
-            store,
-            [
-                legacy_record("old1", {"measured_variance_ratio": 1.0}),
-                legacy_record("old1", {"measured_variance_ratio": 3.0}),
-                legacy_record("old2", RESULT),
-            ],
-        )
-        store.put("new1", {}, RESULT)
-        stats = store.compact()
-        assert stats.legacy_migrated == 2
-        assert stats.superseded_dropped == 1  # the shadowed old1 record
-        assert not store.legacy_path.exists()
-        reopened = ResultsStore(store.root)
-        assert reopened.get("old1")["result"]["measured_variance_ratio"] == 3.0
-        assert reopened.get("old2")["result"] == RESULT
-        assert reopened.get("new1")["result"] == RESULT
-
-    def test_compact_prefers_shard_over_legacy_duplicate(self, store):
-        write_legacy(store, [legacy_record("abc", {"measured_variance_ratio": 1.0})])
-        store.put("abc", {}, {"measured_variance_ratio": 2.0})
-        store.compact()
-        assert not store.legacy_path.exists()
-        assert ResultsStore(store.root).get("abc")["result"]["measured_variance_ratio"] == 2.0
-
     def test_compact_on_empty_store_is_a_noop(self, store):
         stats = store.compact()
-        assert (stats.records_kept, stats.superseded_dropped, stats.legacy_migrated) == (0, 0, 0)
+        assert (stats.records_kept, stats.superseded_dropped) == (0, 0)
 
     def test_compact_leaves_foreign_schema_shards_untouched(self, store):
         """A store written by a different SCHEMA_VERSION is not ours to drop."""
         foreign = store.shard_path("abc123")
         foreign.parent.mkdir(parents=True, exist_ok=True)
-        foreign_line = legacy_record("abc123", RESULT, schema=SCHEMA_VERSION + 1) + "\n"
+        foreign_line = raw_record("abc123", RESULT, schema=SCHEMA_VERSION + 1) + "\n"
         foreign.write_text(foreign_line)
-        write_legacy(
-            store,
-            [legacy_record("old1", RESULT), legacy_record("xyz1", RESULT, schema=99)],
-        )
+        store.put("abc456", {}, RESULT)
+        store.put("abc456", {}, RESULT)
         stats = store.compact()
         assert foreign.read_text() == foreign_line  # byte-identical
-        assert store.legacy_path.exists()  # foreign legacy line keeps the file
-        assert stats.legacy_migrated == 1
-        assert ResultsStore(store.root).get("old1")["result"] == RESULT
+        assert (stats.records_kept, stats.superseded_dropped) == (1, 1)
+        assert ResultsStore(store.root).get("abc456")["result"] == RESULT
 
     def test_compact_preserves_capture_kind(self, store):
         store.put("abc", {}, RESULT, kind="capture")
@@ -210,7 +161,7 @@ class TestStoreStats:
 
     def test_empty_store(self, store):
         stats = store.stats()
-        assert (stats.records, stats.shard_files, stats.legacy_records) == (0, 0, 0)
+        assert (stats.records, stats.shard_files) == (0, 0)
         assert stats.total_bytes == 0
         assert stats.schema_versions == ()
         assert "(empty store)" in str(stats)
@@ -227,20 +178,12 @@ class TestStoreStats:
         assert stats.total_bytes > 0
         assert stats.schema_versions == (SCHEMA_VERSION,)
 
-    def test_counts_legacy_records_and_shadowing(self, store):
-        write_legacy(store, [legacy_record("old1", RESULT), legacy_record("aaa1", RESULT)])
-        store.put("aaa1", {}, RESULT)  # shard record shadows the legacy one
-        stats = store.stats()
-        assert stats.records == 2  # old1 + aaa1
-        assert stats.legacy_records == 2
-        assert stats.superseded == 1
-
     def test_reports_foreign_schema_versions(self, store):
         """Stats must surface versions this code cannot serve (get() skips them)."""
         store.put("aaa1", {}, RESULT)
         foreign = store.shard_path("ccc3")
         foreign.parent.mkdir(parents=True, exist_ok=True)
-        foreign.write_text(legacy_record("ccc3", RESULT, schema=SCHEMA_VERSION + 1) + "\n")
+        foreign.write_text(raw_record("ccc3", RESULT, schema=SCHEMA_VERSION + 1) + "\n")
         stats = store.stats()
         assert stats.schema_versions == (SCHEMA_VERSION, SCHEMA_VERSION + 1)
         assert str(SCHEMA_VERSION + 1) in str(stats)
@@ -250,7 +193,7 @@ class TestStoreStats:
         store.put("aaa1", {}, RESULT)
         foreign = store.shard_path("ddd4")
         foreign.parent.mkdir(parents=True, exist_ok=True)
-        foreign.write_text(legacy_record("ddd4", RESULT, schema="2.experimental") + "\n")
+        foreign.write_text(raw_record("ddd4", RESULT, schema="2.experimental") + "\n")
         stats = store.stats()
         assert set(stats.schema_versions) == {SCHEMA_VERSION, "2.experimental"}
         assert "2.experimental" in str(stats)
@@ -258,6 +201,15 @@ class TestStoreStats:
 
 class TestDoctoredShards:
     """Hardening: hand-edited or foreign-tool shard lines must degrade to skips."""
+
+    def test_shard_winner_is_the_last_line_named_after_the_shard(self, store):
+        path = store.shard_path("abcd01")
+        assert ResultsStore.shard_winner(path) is None  # no file yet
+        store.put("abcd01", {}, {"x": 1})
+        store.put("abcd01", {}, {"x": 2})
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write(raw_record("abcd02", {"x": 3}) + "\n")  # stray line
+        assert ResultsStore.shard_winner(path)["result"] == {"x": 2}
 
     def test_record_without_fingerprint_does_not_break_the_lookup(self, store):
         store.put("abcd01", {"seed": 1}, RESULT)
@@ -284,8 +236,8 @@ class TestDoctoredShards:
 class TestKindFilterPrecedence:
     """Pin the audited kind-filter semantics: precedence first, kind second.
 
-    The winning record (shards over legacy, last line in a file) is the
-    truth about a fingerprint; a kind mismatch on it is a miss, never a
+    The winning record (the last line in a shard) is the truth about a
+    fingerprint; a kind mismatch on it is a miss, never a
     fallback to an older same-kind record.
     """
 
@@ -295,15 +247,3 @@ class TestKindFilterPrecedence:
         reopened = ResultsStore(store.root)
         assert reopened.get("abc", kind="cell") is None
         assert reopened.get("abc", kind="capture") is not None
-
-    def test_wrong_kind_shard_winner_hides_a_legacy_cell_record(self, store):
-        write_legacy(store, [legacy_record("abc", RESULT)])  # legacy = cell
-        store.put("abc", {}, RESULT, kind="capture")
-        reopened = ResultsStore(store.root)
-        # The shard's capture record shadows the fingerprint wholesale: no
-        # fall-through to the legacy flat file for the requested kind.
-        assert reopened.get("abc", kind="cell") is None
-        assert reopened.get("abc", kind="capture") is not None
-        # Without the shard the legacy record would have answered.
-        store.shard_path("abc").unlink()
-        assert ResultsStore(store.root).get("abc", kind="cell") is not None

@@ -5,6 +5,8 @@ from __future__ import annotations
 import shutil
 from pathlib import Path
 
+import pytest
+
 from repro.cli import build_parser, main
 
 FIXTURE_CACHE = Path(__file__).resolve().parent.parent / "fixtures" / "sweep_cache"
@@ -146,30 +148,42 @@ class TestMultiSeedCli:
 
 
 class TestCacheCommand:
-    def test_compact_drops_duplicates_and_migrates_legacy(self, tmp_path, capsys):
-        # Write a legacy flat store by hand, then a sharded record on top.
-        import json
+    def test_compact_drops_duplicates(self, tmp_path, capsys):
+        from repro.runner import ResultsStore
 
-        from repro.runner import SCHEMA_VERSION, ResultsStore
-
-        tmp_path.joinpath("results.jsonl").write_text(
-            json.dumps(
-                {"schema": SCHEMA_VERSION, "fingerprint": "old1", "config": {}, "result": {"x": 1}}
-            )
-            + "\n"
-        )
         store = ResultsStore(tmp_path)
         store.put("abc", {}, {"x": 1})
         store.put("abc", {}, {"x": 2})
+        store.put("def", {}, {"x": 3})
         assert main(["cache", "compact", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "cache compact:" in out
-        assert "1 superseded" in out
-        assert "1 legacy" in out
-        assert not (tmp_path / "results.jsonl").exists()
+        assert "cache compact: 2 records kept, 1 superseded duplicates dropped" in out
         reopened = ResultsStore(tmp_path)
         assert reopened.get("abc")["result"] == {"x": 2}
-        assert reopened.get("old1")["result"] == {"x": 1}
+        assert reopened.get("def")["result"] == {"x": 3}
+        assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
+        assert "0 superseded duplicates" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["cache", "stats"],
+            ["cache", "compact"],
+            ["cache", "index"],
+            ["sweep", "--figures", "fig6", "--preset", "smoke"],
+        ],
+    )
+    def test_pre_sharding_store_is_a_cli_error(self, tmp_path, capsys, command):
+        """An old flat store fails loudly instead of reading as an empty cache."""
+        flat = tmp_path / "results.jsonl"
+        flat.write_text("{}\n")
+        assert main(command + ["--cache-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro: error: ")
+        assert "results.jsonl" in captured.err
+        assert "repro cache compact" in captured.err
+        assert captured.out == ""
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["results.jsonl"]
 
     def test_cache_dir_is_required(self, capsys):
         import pytest
@@ -183,7 +197,10 @@ class TestCommittedFixture:
     """The mini store committed for the CI warm-cache smoke job stays warm."""
 
     def test_fixture_exists(self):
-        assert (FIXTURE_CACHE / "results.jsonl").is_file()
+        shards = sorted(FIXTURE_CACHE.glob("??/*.jsonl"))
+        assert len(shards) == 9
+        assert all(shard.parent.name == shard.stem[:2] for shard in shards)
+        assert not (FIXTURE_CACHE / "results.jsonl").exists()
 
     def test_smoke_sweep_is_fully_cached_by_the_fixture(self, tmp_path, capsys):
         """Every cell of the default smoke grid must hit the committed cache.
@@ -191,7 +208,7 @@ class TestCommittedFixture:
         If this fails after an intentional change to the smoke preset, the
         cell schema or the scenario defaults, regenerate the fixture:
 
-            rm tests/fixtures/sweep_cache/results.jsonl
+            rm -rf tests/fixtures/sweep_cache/??
             PYTHONPATH=src python -m repro sweep --preset smoke --jobs 2 \
                 --cache-dir tests/fixtures/sweep_cache
         """

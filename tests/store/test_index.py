@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro.runner.store import ResultsStore
-from repro.store import INDEX_FILENAME, StoreIndex
+from repro.store import INDEX_FILENAME, INDEX_SCHEMA_VERSION, StoreIndex
 
 FIXTURE_CACHE = Path(__file__).resolve().parent.parent / "fixtures" / "sweep_cache"
 
@@ -44,7 +44,7 @@ class TestBuild:
         stats = StoreIndex(fixture_store).refresh()
         assert stats.total_records == 9
         assert stats.records_written == 9
-        assert stats.files_scanned == 1  # the legacy flat file
+        assert stats.files_scanned == 9  # one shard per fixture record
         assert stats.files_removed == 0
         # Every fixture record is a smoke-preset cell of a registered figure.
         assert stats.total_labels == 9
@@ -120,7 +120,7 @@ class TestIncrementality:
         store = ResultsStore(fixture_store)
         store.put("aa" + "0" * 62, {"seed": 7}, RESULT)
         stats = index.refresh()
-        assert stats.files_scanned == 1  # the new shard, not the legacy file
+        assert stats.files_scanned == 1  # the new shard, not the fixture's nine
         assert stats.records_written == 1
         assert stats.total_records == 10
 
@@ -138,31 +138,16 @@ class TestIncrementality:
 
 
 class TestPrecedence:
-    def test_shard_record_shadows_legacy_record(self, fixture_store):
+    def test_last_shard_record_wins(self, fixture_store):
         store = ResultsStore(fixture_store)
         fingerprint = next(iter(store.fingerprints()))
-        newer = dict(RESULT, measured_variance_ratio=99.0)
-        store.put(fingerprint, {"seed": 2003}, newer)
+        store.put(fingerprint, {"seed": 2003}, dict(RESULT, measured_variance_ratio=99.0))
         index = StoreIndex(fixture_store)
         index.refresh()
         rows = query_one(
             index, "SELECT variance_ratio FROM records WHERE fingerprint = ?", fingerprint
         )
         assert rows == [(99.0,)]
-
-    def test_removing_the_shadowing_shard_resurfaces_the_legacy_record(self, fixture_store):
-        store = ResultsStore(fixture_store)
-        fingerprint = next(iter(store.fingerprints()))
-        original = store.get(fingerprint)["result"]["measured_variance_ratio"]
-        store.put(fingerprint, {"seed": 2003}, dict(RESULT, measured_variance_ratio=99.0))
-        index = StoreIndex(fixture_store)
-        index.refresh()
-        store.shard_path(fingerprint).unlink()
-        index.refresh()
-        rows = query_one(
-            index, "SELECT variance_ratio FROM records WHERE fingerprint = ?", fingerprint
-        )
-        assert rows == [(original,)]
 
     def test_shard_lines_for_other_fingerprints_are_ignored(self, tmp_path):
         store = ResultsStore(tmp_path)
@@ -224,6 +209,46 @@ class TestRobustness:
         stats = index.refresh()
         assert stats.records_written == 9
         assert stats.total_records == 9
+
+    def test_schema_1_index_is_rebuilt(self, fixture_store):
+        """An index from before the flat-file reader was dropped is discarded.
+
+        Schema 1 carried a ``priority`` column the current rows do not fill;
+        refreshing against it must rebuild from the shards, not fail.
+        """
+        index = StoreIndex(fixture_store)
+        connection = sqlite3.connect(str(index.path))
+        connection.executescript(
+            """
+            CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+            INSERT INTO meta VALUES ('index_schema', '1');
+            CREATE TABLE files (path TEXT PRIMARY KEY, mtime_ns INTEGER NOT NULL,
+                                size INTEGER NOT NULL);
+            INSERT INTO files VALUES ('results.jsonl', 1, 1);
+            CREATE TABLE records (fingerprint TEXT PRIMARY KEY, kind TEXT NOT NULL,
+                seed INTEGER, mode TEXT, trials INTEGER, sample_sizes TEXT,
+                policy_kind TEXT, policy_family TEXT, low_rate_pps REAL,
+                high_rate_pps REAL, n_hops INTEGER, cross_utilization REAL,
+                variance_ratio REAL, detection_rates TEXT, result_json TEXT,
+                source TEXT NOT NULL, priority INTEGER NOT NULL);
+            INSERT INTO records (fingerprint, kind, source, priority)
+                VALUES ('stale1', 'cell', 'results.jsonl', 0);
+            CREATE TABLE labels (fingerprint TEXT NOT NULL, experiment TEXT NOT NULL,
+                preset TEXT NOT NULL, point_key TEXT NOT NULL, seed INTEGER NOT NULL,
+                PRIMARY KEY (fingerprint, experiment, preset));
+            """
+        )
+        connection.commit()
+        connection.close()
+        stats = index.refresh()
+        assert (stats.files_scanned, stats.records_written) == (9, 9)
+        assert stats.total_records == 9
+        assert query_one(index, "SELECT value FROM meta WHERE key = 'index_schema'") == [
+            (str(INDEX_SCHEMA_VERSION),)
+        ]
+        assert query_one(index, "SELECT 1 FROM records WHERE fingerprint = 'stale1'") == []
+        columns = [row[1] for row in query_one(index, "PRAGMA table_info(records)")]
+        assert "priority" not in columns
 
     def test_custom_index_path(self, fixture_store, tmp_path):
         path = tmp_path / "elsewhere" / "ix.sqlite"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import shutil
 import threading
@@ -164,6 +165,47 @@ class TestErrorPaths:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request)
         assert excinfo.value.code == 400
+
+    @pytest.mark.parametrize(
+        "body, field",
+        [
+            ({"experiment": "fig6", "preset": "smoke", "seeds": "x"}, "seeds"),
+            ({"experiment": "fig6", "preset": "smoke", "seed": "x"}, "seed"),
+            ({"experiment": "fig6", "preset": "smoke", "seeds": [2, 3]}, "seeds"),
+            ({"experiment": "fig6", "preset": "smoke", "seed": None}, "seed"),
+        ],
+    )
+    def test_non_integer_enqueue_seed_is_400_naming_the_field(self, served, body, field):
+        _, base = served
+        status, error = error_of(lambda: post_json(base, "/enqueue", body))
+        assert status == 400
+        assert f"JSON field {field}=" in error["error"]
+        assert "not an integer" in error["error"]
+
+    def test_numeric_string_seeds_are_still_accepted(self, served):
+        _, base = served
+        status, body = post_json(
+            base, "/enqueue", {"experiment": "fig6", "preset": "smoke", "seeds": "1"}
+        )
+        assert status == 200
+        assert body["requested"] == body["cached"] + body["enqueued"] + body["already_pending"]
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_bad_content_length_is_400(self, served, length):
+        _, base = served
+        host, port = urllib.parse.urlsplit(base).netloc.split(":")
+        connection = http.client.HTTPConnection(host, int(port), timeout=10)
+        try:
+            connection.putrequest("POST", "/enqueue")
+            connection.putheader("Content-Type", "application/json")
+            connection.putheader("Content-Length", length)
+            connection.endheaders()
+            response = connection.getresponse()
+            body = json.loads(response.read().decode("utf-8"))
+        finally:
+            connection.close()
+        assert response.status == 400
+        assert "Content-Length" in body["error"]
 
     def test_enqueue_unknown_experiment_is_404(self, served):
         _, base = served

@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.api import TOML_AVAILABLE
 from repro.cli import LEGACY_FIGURES, PRESETS, build_parser, main
@@ -413,3 +420,20 @@ class TestServeCommand:
         path.write_text("")
         assert main(["serve", "--cache-dir", str(path)]) == 2
         assert "repro: error:" in capsys.readouterr().err
+
+
+class TestStartup:
+    def test_cli_import_loads_no_graph_library(self):
+        """networkx is no dependency; importing the CLI must not pull it in."""
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys, repro.cli; print('networkx' in sys.modules)"
+        completed = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert completed.stdout.strip() == "False"
