@@ -133,6 +133,30 @@ class TestMultiSeedCli:
         assert "repro: error:" in err
         assert "--ci requires --seeds >= 2" in err
 
+    def test_ci_report_equals_the_per_resample_loop(
+        self, monkeypatch, capsys, reference_bootstrap_ci
+    ):
+        """Batched resampling leaves every ``--ci`` band of the report unchanged."""
+        import repro.runner.grid
+        import repro.stats.bootstrap
+
+        argv = ["sweep", "--preset", "smoke", "--seeds", "3", "--ci"]
+        assert main(argv) == 0
+        batched = capsys.readouterr().out
+
+        calls = []
+
+        def reference(*args, **kwargs):
+            calls.append(args)
+            return reference_bootstrap_ci(*args, **kwargs)
+
+        monkeypatch.setattr(repro.stats.bootstrap, "bootstrap_ci", reference)
+        monkeypatch.setattr(repro.runner.grid, "bootstrap_ci", reference)
+        assert main(argv) == 0
+        looped = capsys.readouterr().out
+        assert calls  # the bands really came from the reference loop
+        assert strip_summary(batched) == strip_summary(looped)
+
     def test_multi_seed_cache_round_trip(self, tmp_path, capsys):
         argv = [
             "sweep", "--figures", "fig5", "--preset", "smoke",
