@@ -175,10 +175,9 @@ class GaussianPIATModel:
 
     def pdf(self, rate_label: str, x: np.ndarray) -> np.ndarray:
         """Model PDF of the PIAT under the given payload-rate class."""
-        from scipy.stats import norm
-
         sigma = self._sigma_for(rate_label)
-        return norm.pdf(np.asarray(x, dtype=float), loc=self.tau, scale=sigma)
+        z = (np.asarray(x, dtype=float) - self.tau) / sigma
+        return np.exp(-0.5 * z**2) / (sigma * np.sqrt(2.0 * np.pi))
 
     def _sigma_for(self, rate_label: str) -> float:
         label = str(rate_label).strip().lower()

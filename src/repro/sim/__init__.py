@@ -19,7 +19,7 @@ are built:
 
 from repro.sim.engine import Simulator
 from repro.sim.events import Event
-from repro.sim.monitor import CounterMonitor, IntervalMonitor, TimeSeriesMonitor
+from repro.sim.monitor import CounterMonitor, TimeSeriesMonitor
 from repro.sim.process import PeriodicProcess, delayed_call
 from repro.sim.random import RandomStreams
 
@@ -28,7 +28,6 @@ __all__ = [
     "Event",
     "RandomStreams",
     "CounterMonitor",
-    "IntervalMonitor",
     "TimeSeriesMonitor",
     "PeriodicProcess",
     "delayed_call",

@@ -1,15 +1,12 @@
 """Measurement probes attached to simulation entities.
 
-Monitors never influence the simulation; they only record.  Three flavours
+Monitors never influence the simulation; they only record.  Two flavours
 cover everything the experiments need:
 
 * :class:`CounterMonitor` — named integer counters (packets sent, dummies
   injected, drops, ...).
 * :class:`TimeSeriesMonitor` — ``(time, value)`` observations, e.g. queue
   length over time, with summary statistics.
-* :class:`IntervalMonitor` — successive event timestamps, exposing the
-  inter-arrival times; this is what the adversary's tap uses to build PIAT
-  samples.
 """
 
 from __future__ import annotations
@@ -124,55 +121,4 @@ class TimeSeriesMonitor:
         self._values.clear()
 
 
-class IntervalMonitor:
-    """Records event timestamps and exposes their inter-arrival times.
-
-    This is the measurement primitive behind the adversary tap: every packet
-    observed on the wire calls :meth:`record`, and :meth:`intervals` returns
-    the PIAT sequence the classifier consumes.
-    """
-
-    def __init__(self, name: str = "intervals") -> None:
-        self.name = name
-        self._timestamps: List[float] = []
-
-    def record(self, time: float) -> None:
-        """Record one event occurrence at simulation time ``time``."""
-        if self._timestamps and time < self._timestamps[-1]:
-            raise ValueError(
-                f"timestamps must be non-decreasing ({time!r} < {self._timestamps[-1]!r})"
-            )
-        self._timestamps.append(float(time))
-
-    def __len__(self) -> int:
-        return len(self._timestamps)
-
-    @property
-    def timestamps(self) -> np.ndarray:
-        """All recorded timestamps."""
-        return np.asarray(self._timestamps, dtype=float)
-
-    def intervals(self) -> np.ndarray:
-        """Inter-arrival times between consecutive recorded events.
-
-        Returns an empty array when fewer than two events were recorded.
-        """
-        if len(self._timestamps) < 2:
-            return np.empty(0, dtype=float)
-        return np.diff(self.timestamps)
-
-    def rate(self) -> float:
-        """Average event rate (events per second) over the observation span."""
-        if len(self._timestamps) < 2:
-            raise ValueError("need at least two events to estimate a rate")
-        span = self._timestamps[-1] - self._timestamps[0]
-        if span <= 0.0:
-            raise ValueError("all events share one timestamp; rate is undefined")
-        return (len(self._timestamps) - 1) / span
-
-    def reset(self) -> None:
-        """Discard all recorded timestamps."""
-        self._timestamps.clear()
-
-
-__all__ = ["CounterMonitor", "TimeSeriesMonitor", "IntervalMonitor"]
+__all__ = ["CounterMonitor", "TimeSeriesMonitor"]

@@ -25,6 +25,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+# By name, so numpy.random loads with this module (start-up), not on the first draw.
+from numpy.random import SeedSequence, default_rng
 
 #: The declared stream-name registry: every name passed to
 #: :meth:`RandomStreams.get` anywhere in this package must match one of these
@@ -57,7 +59,7 @@ def seeded_rng(seed: int) -> np.random.Generator:
     that legitimately derives a generator from data (e.g. a grid point's
     digest) routes through here.
     """
-    return np.random.default_rng(seed)
+    return default_rng(seed)
 
 
 def derived_rng(component: str, seed: int = 0) -> np.random.Generator:
@@ -80,10 +82,8 @@ def derived_rng(component: str, seed: int = 0) -> np.random.Generator:
     if not isinstance(component, str) or not component:
         raise ValueError(f"component must be a non-empty string, got {component!r}")
     digest = np.frombuffer(component.encode("utf-8"), dtype=np.uint8)
-    child = np.random.SeedSequence(
-        entropy=seed, spawn_key=tuple(int(b) for b in digest)
-    )
-    return np.random.default_rng(child)
+    child = SeedSequence(entropy=seed, spawn_key=tuple(int(b) for b in digest))
+    return default_rng(child)
 
 
 class RandomStreams:
@@ -106,7 +106,7 @@ class RandomStreams:
 
     def __init__(self, seed: Optional[int] = None) -> None:
         self._seed = seed
-        self._root = np.random.SeedSequence(seed)
+        self._root = SeedSequence(seed)
         self._generators: Dict[str, np.random.Generator] = {}
         self._children: Dict[str, np.random.SeedSequence] = {}
 
@@ -129,12 +129,11 @@ class RandomStreams:
             # the name.  Using the name (not the creation order) keeps streams
             # stable when new components are added to an experiment.
             digest = np.frombuffer(name.encode("utf-8"), dtype=np.uint8)
-            child = np.random.SeedSequence(
-                entropy=self._root.entropy,
-                spawn_key=tuple(int(b) for b in digest),
+            child = SeedSequence(
+                entropy=self._root.entropy, spawn_key=tuple(int(b) for b in digest)
             )
             self._children[name] = child
-            self._generators[name] = np.random.default_rng(child)
+            self._generators[name] = default_rng(child)
         return self._generators[name]
 
     def spawn(self, name: str, count: int) -> List[np.random.Generator]:

@@ -115,17 +115,6 @@ class GaussianKDE:
             return float(log_density[0])
         return log_density
 
-    def cdf(self, x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
-        """Estimated cumulative distribution function at ``x``."""
-        from scipy.stats import norm
-
-        points = np.atleast_1d(np.asarray(x, dtype=float))
-        z = (points[:, None] - self.sample[None, :]) / self.bandwidth
-        values = np.mean(norm.cdf(z), axis=1)
-        if np.isscalar(x) or np.ndim(x) == 0:
-            return float(values[0])
-        return values
-
     def grid(self, n_points: int = 512, padding: float = 3.0) -> np.ndarray:
         """An evaluation grid spanning the sample plus ``padding`` bandwidths."""
         if n_points < 2:

@@ -10,10 +10,11 @@ quantile–quantile deviation measure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.exceptions import AnalysisError
 
@@ -27,11 +28,32 @@ def _validate(sample: np.ndarray, minimum: int) -> np.ndarray:
     return array
 
 
+def _shape_moments(array: np.ndarray) -> tuple[float, float, float, float]:
+    """Biased skewness ``m3/m2^1.5``, excess kurtosis ``m4/m2^2 - 3`` and
+    ``JB = n/6 (S^2 + K^2/4)`` with its chi-square(2) p-value ``exp(-JB/2)``."""
+    mean = float(np.mean(array))
+    deviations = array - mean
+    squared = deviations**2
+    m2 = float(np.mean(squared))
+    # Zero up to the rounding of the mean: the moments are undefined.
+    if m2 <= (np.finfo(float).resolution * mean) ** 2:
+        raise AnalysisError("moment statistics are undefined for a constant sample")
+    skewness = float(np.mean(squared * deviations)) / m2**1.5
+    excess_kurtosis = float(np.mean(squared**2)) / m2**2 - 3.0
+    statistic = array.size / 6.0 * (skewness**2 + excess_kurtosis**2 / 4.0)
+    return skewness, excess_kurtosis, statistic, math.exp(-statistic / 2.0)
+
+
 def jarque_bera_normality(sample: np.ndarray) -> tuple[float, float]:
     """Jarque–Bera statistic and p-value for the null of normality."""
-    array = _validate(sample, 8)
-    result = sps.jarque_bera(array)
-    return float(result.statistic), float(result.pvalue)
+    _, _, statistic, pvalue = _shape_moments(_validate(sample, 8))
+    return statistic, pvalue
+
+
+def _normal_quantiles(size: int, mean: float, std: float) -> np.ndarray:
+    """Quantiles of ``N(mean, std^2)`` at the Q–Q plotting positions ``(i - 0.5)/n``."""
+    inv_cdf = NormalDist(mean, std).inv_cdf
+    return np.array([inv_cdf((i - 0.5) / size) for i in range(1, size + 1)])
 
 
 def qq_deviation(sample: np.ndarray) -> float:
@@ -46,11 +68,8 @@ def qq_deviation(sample: np.ndarray) -> float:
     std = float(np.std(array, ddof=1))
     if std == 0.0:
         raise AnalysisError("Q-Q deviation is undefined for a constant sample")
-    sorted_values = np.sort(array)
-    n = array.size
-    quantile_levels = (np.arange(1, n + 1) - 0.5) / n
-    theoretical = sps.norm.ppf(quantile_levels, loc=np.mean(array), scale=std)
-    return float(np.sqrt(np.mean((sorted_values - theoretical) ** 2)) / std)
+    residuals = np.sort(array) - _normal_quantiles(array.size, float(np.mean(array)), std)
+    return float(np.sqrt(np.mean(residuals**2)) / std)
 
 
 @dataclass(frozen=True)
@@ -85,13 +104,13 @@ class NormalityReport:
 def normality_report(sample: np.ndarray) -> NormalityReport:
     """Build a :class:`NormalityReport` for a sample."""
     array = _validate(sample, 8)
-    statistic, pvalue = jarque_bera_normality(array)
+    skewness, excess_kurtosis, statistic, pvalue = _shape_moments(array)
     return NormalityReport(
         size=int(array.size),
         mean=float(np.mean(array)),
         std=float(np.std(array, ddof=1)),
-        skewness=float(sps.skew(array)),
-        excess_kurtosis=float(sps.kurtosis(array)),
+        skewness=skewness,
+        excess_kurtosis=excess_kurtosis,
         jarque_bera_statistic=statistic,
         jarque_bera_pvalue=pvalue,
         qq_rms_deviation=qq_deviation(array),

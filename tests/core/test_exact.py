@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats as sps
 
 from repro.core import (
     detection_rate_entropy_exact,
     detection_rate_mean_exact,
     detection_rate_variance_exact,
 )
+from repro.core import exact
 from repro.core.theorems import detection_rate_mean, detection_rate_variance
 from repro.exceptions import AnalysisError
 
@@ -76,6 +80,13 @@ class TestExactVariance:
     def test_sample_size_validation(self):
         with pytest.raises(AnalysisError):
             detection_rate_variance_exact(2.0, 1)
+        # Non-integral sizes are rejected, not truncated to the n=2 rate.
+        for size in (1.5, 2.9, 2.0, "3", None):
+            with pytest.raises(AnalysisError, match="integer"):
+                detection_rate_variance_exact(2.0, size)
+        assert detection_rate_variance_exact(2.0, np.int64(50)) == detection_rate_variance_exact(
+            2.0, 50
+        )
 
 
 class TestExactEntropy:
@@ -98,3 +109,65 @@ class TestProperties:
     def test_exact_variance_beats_exact_mean_for_large_samples(self, r):
         """With enough data, dispersion features dominate the mean (the paper's point)."""
         assert detection_rate_variance_exact(r, 5000) >= detection_rate_mean_exact(r) - 1e-9
+
+
+# Degrees of freedom 1-59 exhaustively, then geometrically up to 49,999 (the
+# n = 50,000 sample size); ratios down to r -> 1, where the chi-square
+# arguments sit on the median and both tails carry real mass.
+ORACLE_DOFS = sorted(
+    set(range(1, 60)) | {int(v) for v in np.geomspace(60, 49_999, 40)} | {49_999}
+)
+ORACLE_RATIOS = (
+    1.0 + 1e-12, 1.0 + 1e-9, 1.0 + 1e-6, 1.001, 1.01, 1.1, 1.5, 1.8, 2.0, 5.0, 20.0, 100.0
+)
+
+
+class TestAgainstScipy:
+    """The closed forms against scipy, the reference implementation."""
+
+    @staticmethod
+    def assert_chi2_matches(x, dof):
+        cdf, sf = exact._chi2_cdf_sf(x, dof)
+        assert cdf == pytest.approx(sps.chi2.cdf(x, dof), rel=1e-10, abs=0.0), (x, dof)
+        assert sf == pytest.approx(sps.chi2.sf(x, dof), rel=1e-10, abs=0.0), (x, dof)
+
+    def test_chi2_cdf_and_sf(self):
+        for dof in ORACLE_DOFS:
+            for r in ORACLE_RATIOS:
+                threshold = r * math.log(r) / (r - 1.0)
+                # The two arguments detection_rate_variance_exact evaluates.
+                self.assert_chi2_matches(dof * threshold, dof)
+                self.assert_chi2_matches(dof * threshold / r, dof)
+
+    def test_chi2_far_tails(self):
+        for dof in (1, 2, 7, 60, 1000, 49_999):
+            self.assert_chi2_matches(dof / 100.0, dof)
+            self.assert_chi2_matches(dof * 4.0 + 50.0, dof)
+
+    def test_mean_rate_normal_tails(self):
+        """``erf``/``erfc`` in place of scipy's normal cdf/sf, within 1e-13 relative."""
+        for r in np.concatenate([ORACLE_RATIOS, np.geomspace(1.0 + 1e-12, 1e4, 200)]):
+            c = math.sqrt(r * math.log(r) / (r - 1.0))
+            p_low = 2.0 * sps.norm.cdf(c) - 1.0
+            p_high = 2.0 * sps.norm.sf(c / math.sqrt(r))
+            assert detection_rate_mean_exact(r) == pytest.approx(
+                max(0.5 * p_low + 0.5 * p_high, 0.5), rel=1e-13, abs=0.0
+            ), r
+
+    def test_variance_rate(self):
+        for r in ORACLE_RATIOS:
+            for n in (2, 3, 10, 59, 100, 1000, 50_000):
+                threshold = r * math.log(r) / (r - 1.0)
+                variance_rate = 0.5 * sps.chi2.cdf((n - 1) * threshold, n - 1) + 0.5 * sps.chi2.sf(
+                    (n - 1) * threshold / r, n - 1
+                )
+                assert detection_rate_variance_exact(r, n) == pytest.approx(
+                    max(variance_rate, 0.5), abs=1e-11
+                ), (r, n)
+
+    def test_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(exact, "_MAX_ITERATIONS", 5)
+        with pytest.raises(AnalysisError, match="did not converge"):
+            exact._chi2_cdf_sf(1998.0, 2000)  # series branch
+        with pytest.raises(AnalysisError, match="did not converge"):
+            exact._chi2_cdf_sf(2020.0, 2000)  # continued-fraction branch

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from repro.core import GaussianPIATModel
 from repro.exceptions import AnalysisError
@@ -103,6 +104,8 @@ class TestSampling:
         assert pdf[1] > pdf[0] and pdf[1] > pdf[2]
         # The high-rate PDF is wider, hence lower at the mode (Figure 4(a)).
         assert model.pdf("high", np.array([0.01]))[0] < pdf[1]
+        # The closed form is the normal density.
+        np.testing.assert_allclose(pdf, sps.norm.pdf(xs, loc=0.01, scale=2e-5), rtol=1e-13)
 
     def test_describe_mentions_ratio(self):
         model = GaussianPIATModel(tau=0.01, sigma_low=2e-5, sigma_high=4e-5)

@@ -1,13 +1,11 @@
-"""Tests for simulation monitors (counters, time series, interval recorders)."""
+"""Tests for simulation monitors (counters and time series)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.sim import CounterMonitor, IntervalMonitor, TimeSeriesMonitor
+from repro.sim import CounterMonitor, TimeSeriesMonitor
 
 
 class TestCounterMonitor:
@@ -85,54 +83,3 @@ class TestTimeSeriesMonitor:
         series.reset()
         assert len(series) == 0
 
-
-class TestIntervalMonitor:
-    def test_intervals_are_diffs_of_timestamps(self):
-        monitor = IntervalMonitor()
-        for t in [0.0, 0.01, 0.03, 0.06]:
-            monitor.record(t)
-        assert np.allclose(monitor.intervals(), [0.01, 0.02, 0.03])
-
-    def test_fewer_than_two_events_gives_empty_intervals(self):
-        monitor = IntervalMonitor()
-        assert monitor.intervals().size == 0
-        monitor.record(1.0)
-        assert monitor.intervals().size == 0
-
-    def test_decreasing_timestamp_rejected(self):
-        monitor = IntervalMonitor()
-        monitor.record(1.0)
-        with pytest.raises(ValueError):
-            monitor.record(0.5)
-
-    def test_rate_estimation(self):
-        monitor = IntervalMonitor()
-        for t in np.arange(0.0, 1.01, 0.01):
-            monitor.record(float(t))
-        assert monitor.rate() == pytest.approx(100.0, rel=1e-6)
-
-    def test_rate_needs_two_events_and_positive_span(self):
-        monitor = IntervalMonitor()
-        monitor.record(1.0)
-        with pytest.raises(ValueError):
-            monitor.rate()
-        monitor.record(1.0)
-        with pytest.raises(ValueError):
-            monitor.rate()
-
-    def test_reset(self):
-        monitor = IntervalMonitor()
-        monitor.record(0.0)
-        monitor.reset()
-        assert len(monitor) == 0
-
-    @given(
-        gaps=st.lists(st.floats(min_value=1e-6, max_value=10.0), min_size=1, max_size=100)
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_interval_reconstruction_property(self, gaps):
-        monitor = IntervalMonitor()
-        timestamps = np.concatenate(([0.0], np.cumsum(gaps)))
-        for t in timestamps:
-            monitor.record(float(t))
-        assert np.allclose(monitor.intervals(), gaps)

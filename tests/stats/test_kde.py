@@ -69,14 +69,6 @@ class TestGaussianKDE:
         assert isinstance(kde.pdf(0.0), float)
         assert kde.pdf(np.zeros(3)).shape == (3,)
 
-    def test_cdf_monotone_and_bounded(self, rng):
-        kde = GaussianKDE(rng.normal(size=300))
-        xs = np.linspace(-4, 4, 41)
-        values = kde.cdf(xs)
-        assert np.all(np.diff(values) >= 0.0)
-        assert values[0] >= 0.0 and values[-1] <= 1.0
-        assert kde.cdf(10.0) == pytest.approx(1.0, abs=1e-6)
-
     def test_explicit_bandwidth(self, rng):
         data = rng.normal(size=100)
         kde = GaussianKDE(data, bandwidth=0.5)

@@ -4,9 +4,24 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from repro.exceptions import AnalysisError
 from repro.stats import jarque_bera_normality, normality_report, qq_deviation
+from repro.stats.normality import _normal_quantiles
+
+
+def assert_moments_match_scipy(data, report):
+    """Skewness, kurtosis and Jarque–Bera agree with scipy's biased defaults."""
+    reference = sps.jarque_bera(data)
+    expected = (
+        (report.skewness, sps.skew(data)),
+        (report.excess_kurtosis, sps.kurtosis(data)),
+        (report.jarque_bera_statistic, reference.statistic),
+        (report.jarque_bera_pvalue, reference.pvalue),
+    )
+    for value, oracle in expected:
+        assert value == pytest.approx(float(oracle), rel=1e-9, abs=1e-12)
 
 
 class TestJarqueBera:
@@ -24,6 +39,11 @@ class TestJarqueBera:
         with pytest.raises(AnalysisError):
             jarque_bera_normality([1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("value", [0.0, 1.0, 0.1, -3e8])
+    def test_constant_sample_rejected(self, value):
+        with pytest.raises(AnalysisError, match="constant sample"):
+            jarque_bera_normality(np.full(100, value))
+
 
 class TestQQDeviation:
     def test_normal_data_has_small_deviation(self, rng):
@@ -36,6 +56,18 @@ class TestQQDeviation:
     def test_constant_sample_rejected(self):
         with pytest.raises(AnalysisError):
             qq_deviation(np.full(100, 1.0))
+        with pytest.raises(AnalysisError, match="constant sample"):
+            normality_report(np.full(100, 1.0))
+
+    @pytest.mark.parametrize("size", [8, 9, 1000, 4999])
+    def test_quantiles_match_scipy(self, size):
+        levels = (np.arange(1, size + 1) - 0.5) / size
+        np.testing.assert_allclose(
+            _normal_quantiles(size, 10.0, 2.0),
+            sps.norm.ppf(levels, loc=10.0, scale=2.0),
+            rtol=1e-12,
+            atol=0.0,
+        )
 
 
 class TestNormalityReport:
@@ -48,11 +80,14 @@ class TestNormalityReport:
         assert abs(report.skewness) < 0.2
         assert abs(report.excess_kurtosis) < 0.3
         assert report.looks_normal
+        assert_moments_match_scipy(data, report)
 
     def test_report_flags_exponential_data(self, rng):
-        report = normality_report(rng.exponential(size=5000))
+        data = rng.exponential(size=5000)
+        report = normality_report(data)
         assert not report.looks_normal
         assert report.skewness > 1.0
+        assert_moments_match_scipy(data, report)
 
     def test_simulated_padded_piat_looks_normal(self, rng):
         """The Gaussian PIAT assumption of Section 4 holds for our traces."""

@@ -423,12 +423,13 @@ class TestServeCommand:
 
 
 class TestStartup:
-    def test_cli_import_loads_no_graph_library(self):
-        """networkx is no dependency; importing the CLI must not pull it in."""
+    """Neither networkx nor scipy is a runtime dependency; nothing may load them."""
+
+    @staticmethod
+    def run_python(code: str) -> str:
         src = str(Path(repro.__file__).resolve().parent.parent)
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        code = "import sys, repro.cli; print('networkx' in sys.modules)"
         completed = subprocess.run(
             [sys.executable, "-c", code],
             env=env,
@@ -436,4 +437,19 @@ class TestStartup:
             text=True,
             check=True,
         )
-        assert completed.stdout.strip() == "False"
+        return completed.stdout.strip()
+
+    @pytest.mark.parametrize("library", ["networkx", "scipy"])
+    def test_cli_import_does_not_load(self, library):
+        code = f"import sys, repro.cli; print({library!r} in sys.modules)"
+        assert self.run_python(code) == "False"
+
+    def test_smoke_sweep_loads_no_scipy(self):
+        code = (
+            "import contextlib, io, sys\n"
+            "from repro.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    status = main(['sweep', '--preset', 'smoke', '--backend', 'serial'])\n"
+            "print(status, sorted(k for k in sys.modules if k.startswith('scipy')))"
+        )
+        assert self.run_python(code) == "0 []"
