@@ -8,19 +8,20 @@ Gaussian kernel estimator, and derives Bayes decision rules
 ``decide omega_i  if  f(s | omega_i) P(omega_i) >= f(s | omega_j) P(omega_j)``
 for all ``j`` (equation (2)).
 
-At run time a single feature value computed from a captured PIAT sample is
-pushed through the rules.  The classifier below is agnostic to the number of
-classes, so the two-rate evaluation and the Section 6 multi-rate extension use
-the same code.
+At run time each feature value computed from a captured PIAT sample is
+pushed through the rules; :meth:`KDEBayesClassifier.decide` does so for a
+whole array of values at once.  The classifier below is agnostic to the
+number of classes, so the two-rate evaluation and the Section 6 multi-rate
+extension use the same code.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.exceptions import NotFittedError, TrainingError
+from repro.exceptions import AnalysisError, NotFittedError, TrainingError
 from repro.stats.kde import GaussianKDE
 
 
@@ -112,14 +113,47 @@ class KDEBayesClassifier:
             raise NotFittedError("classifier has not been trained; call fit() first")
 
     # --------------------------------------------------------- classification
+    def log_posterior_matrix(
+        self, feature_values: Union[Sequence[float], np.ndarray]
+    ) -> np.ndarray:
+        """``log f(s|omega) + log P(omega)`` as a ``(n_classes, n_values)`` matrix.
+
+        Rows follow :attr:`labels`; each class density is evaluated once, on
+        every value.
+        """
+        self._require_fitted()
+        values = np.asarray(feature_values, dtype=float).reshape(-1)
+        return np.stack(
+            [
+                self._densities[label].logpdf(values) + self._log_priors[label]
+                for label in self._labels
+            ]
+        )
+
+    def decide(self, feature_values: Union[Sequence[float], np.ndarray]) -> np.ndarray:
+        """Index into :attr:`labels` of the Bayes decision for every feature value.
+
+        A value goes to the first class, in sorted-label order, whose log
+        posterior is the largest; a NaN log posterior never wins.  Ties thus
+        go to the lexicographically smallest label, which keeps repeated runs
+        identical.
+        """
+        values = np.asarray(feature_values, dtype=float).reshape(-1)
+        scores = self.log_posterior_matrix(values)
+        scores[np.isnan(scores)] = -np.inf
+        winners = np.argmax(scores, axis=0)
+        undecided = scores.max(axis=0, initial=-np.inf) == -np.inf
+        if undecided.any():
+            value = values[undecided][0]
+            raise AnalysisError(
+                f"feature value {float(value)!r} has no finite posterior under any class"
+            )
+        return winners
+
     def log_posteriors(self, feature_value: float) -> Dict[str, float]:
         """Unnormalised log posteriors ``log f(s|omega) + log P(omega)`` per class."""
-        self._require_fitted()
-        value = float(feature_value)
-        return {
-            label: float(self._densities[label].logpdf(value)) + self._log_priors[label]
-            for label in self._labels
-        }
+        column = self.log_posterior_matrix([float(feature_value)])[:, 0]
+        return {label: float(value) for label, value in zip(self._labels, column)}
 
     def posterior_probabilities(self, feature_value: float) -> Dict[str, float]:
         """Normalised posterior probabilities ``P(omega | s)`` per class."""
@@ -131,24 +165,13 @@ class KDEBayesClassifier:
         return {label: float(w) for label, w in zip(log_posteriors.keys(), weights)}
 
     def classify(self, feature_value: float) -> str:
-        """Apply the Bayes decision rule to a single feature value.
-
-        Ties are broken deterministically in favour of the lexicographically
-        smallest label, which keeps repeated runs identical.
-        """
-        log_posteriors = self.log_posteriors(feature_value)
-        best_label = None
-        best_value = -np.inf
-        for label in self._labels:
-            value = log_posteriors[label]
-            if value > best_value:
-                best_label, best_value = label, value
-        assert best_label is not None
-        return best_label
+        """Apply the Bayes decision rule (:meth:`decide`) to a single feature value."""
+        return self._labels[self.decide([float(feature_value)])[0]]
 
     def classify_many(self, feature_values: Iterable[float]) -> List[str]:
-        """Classify a sequence of feature values."""
-        return [self.classify(value) for value in feature_values]
+        """Classify a sequence of feature values in one batched decision."""
+        values = np.fromiter(feature_values, dtype=float)
+        return [self._labels[index] for index in self.decide(values)]
 
     def decision_threshold(self, label_a: str, label_b: str, grid_points: int = 4001) -> float:
         """Approximate the boundary ``d`` where the two posteriors cross (Figure 2).

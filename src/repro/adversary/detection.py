@@ -3,12 +3,14 @@
 This module turns raw PIAT captures into the numbers the paper plots:
 
 1. :func:`slice_into_samples` — cut a long captured interval stream into
-   samples of the size the adversary will use at run time.
-2. :func:`extract_feature_samples` — summarise each sample with a feature
-   statistic, producing the labelled training/test feature values.
+   samples of the size the adversary will use at run time, as the rows of
+   one strided matrix.
+2. :func:`extract_feature_samples` — summarise every sample with a feature
+   statistic in one row-wise call, producing the labelled training/test
+   feature values.
 3. :func:`train_classifier` — off-line training of the KDE Bayes classifier.
-4. :func:`empirical_detection_rate` — run-time classification of held-out
-   samples and measurement of the detection rate (the paper's security
+4. :func:`empirical_detection_rate` — batched run-time classification of
+   held-out samples and measurement of the detection rate (the paper's security
    metric: the probability that the adversary identifies the payload rate
    correctly).
 """
@@ -31,8 +33,12 @@ def slice_into_samples(
     sample_size: int,
     max_samples: Optional[int] = None,
     overlap: bool = False,
-) -> List[np.ndarray]:
+) -> np.ndarray:
     """Cut an interval stream into consecutive samples of ``sample_size``.
+
+    The samples are the rows of a read-only ``(n_samples, sample_size)``
+    strided view of the capture: no interval is copied, overlapping samples
+    share memory.
 
     Parameters
     ----------
@@ -41,7 +47,8 @@ def slice_into_samples(
     sample_size:
         Number of intervals per sample (the paper's x-axis in Figure 4(b)).
     max_samples:
-        Optional cap on the number of samples returned.
+        Optional cap on the number of samples returned (at least one sample
+        is always returned).
     overlap:
         When ``True``, samples are taken with 50 % overlap, which doubles the
         number of samples extractable from a capture at the price of
@@ -58,14 +65,13 @@ def slice_into_samples(
             f"capture holds {array.size} intervals; cannot form a sample of {sample_size}"
         )
     step = sample_size // 2 if overlap and sample_size > 1 else sample_size
-    samples = []
-    start = 0
-    while start + sample_size <= array.size:
-        samples.append(array[start : start + sample_size])
-        start += step
-        if max_samples is not None and len(samples) >= max_samples:
-            break
-    return samples
+    n_samples = (array.size - sample_size) // step + 1
+    if max_samples is not None:
+        n_samples = min(n_samples, max(max_samples, 1))
+    stride = array.strides[0]
+    return np.lib.stride_tricks.as_strided(
+        array, shape=(n_samples, sample_size), strides=(step * stride, stride), writeable=False
+    )
 
 
 def extract_feature_samples(
@@ -77,7 +83,32 @@ def extract_feature_samples(
 ) -> np.ndarray:
     """Feature values of consecutive samples cut from an interval stream."""
     samples = slice_into_samples(intervals, sample_size, max_samples=max_samples, overlap=overlap)
-    return np.array([feature.compute(sample) for sample in samples], dtype=float)
+    return feature.compute_rows(samples)
+
+
+def training_features(
+    training_intervals: Mapping[str, np.ndarray],
+    feature: FeatureStatistic,
+    sample_size: int,
+    max_samples_per_class: Optional[int] = None,
+    overlap: bool = False,
+) -> Dict[str, np.ndarray]:
+    """Labelled training feature values, one array per class label.
+
+    Raises :class:`AnalysisError` when a class yields fewer than two samples.
+    """
+    features_per_class: Dict[str, np.ndarray] = {}
+    for label, intervals in training_intervals.items():
+        values = extract_feature_samples(
+            intervals, feature, sample_size, max_samples=max_samples_per_class, overlap=overlap
+        )
+        if values.size < 2:
+            raise AnalysisError(
+                f"class {label!r}: only {values.size} training samples of size "
+                f"{sample_size} could be formed; capture more traffic"
+            )
+        features_per_class[str(label)] = values
+    return features_per_class
 
 
 def train_classifier(
@@ -95,20 +126,14 @@ def train_classifier(
     PIAT capture taken while that rate was active — exactly what the paper's
     adversary obtains by reconstructing the padding system in a lab.
     """
-    features_per_class: Dict[str, np.ndarray] = {}
-    for label, intervals in training_intervals.items():
-        values = extract_feature_samples(
-            intervals, feature, sample_size, max_samples=max_samples_per_class, overlap=overlap
-        )
-        if values.size < 2:
-            raise AnalysisError(
-                f"class {label!r}: only {values.size} training samples of size "
-                f"{sample_size} could be formed; capture more traffic"
-            )
-        features_per_class[str(label)] = values
-    classifier = KDEBayesClassifier(bandwidth=bandwidth)
-    classifier.fit(features_per_class, priors=priors)
-    return classifier
+    features_per_class = training_features(
+        training_intervals,
+        feature,
+        sample_size,
+        max_samples_per_class=max_samples_per_class,
+        overlap=overlap,
+    )
+    return KDEBayesClassifier(bandwidth=bandwidth).fit(features_per_class, priors=priors)
 
 
 @dataclass
@@ -157,12 +182,13 @@ def empirical_detection_rate(
     max_samples_per_class: Optional[int] = None,
     overlap: bool = False,
 ) -> DetectionResult:
-    """Run-time classification of held-out captures and detection-rate measurement."""
+    """Run-time classification of held-out captures and detection-rate measurement.
+
+    Every test value of every class is classified in one batched
+    :meth:`KDEBayesClassifier.decide` call.
+    """
     labels = sorted(str(label) for label in test_intervals)
-    confusion: Dict[str, Dict[str, int]] = {
-        label: {predicted: 0 for predicted in classifier.labels} for label in labels
-    }
-    correct_flags: List[bool] = []
+    values_per_class = []
     for label in labels:
         values = extract_feature_samples(
             test_intervals[label],
@@ -173,10 +199,19 @@ def empirical_detection_rate(
         )
         if values.size == 0:
             raise AnalysisError(f"class {label!r}: no test samples could be formed")
-        for value in values:
-            predicted = classifier.classify(float(value))
-            confusion[label][predicted] = confusion[label].get(predicted, 0) + 1
-            correct_flags.append(predicted == label)
+        values_per_class.append(values)
+    decisions = classifier.decide(np.concatenate(values_per_class))
+    classes = classifier.labels
+    confusion: Dict[str, Dict[str, int]] = {}
+    correct_flags: List[bool] = []
+    start = 0
+    for label, values in zip(labels, values_per_class):
+        predicted = decisions[start : start + values.size]
+        start += values.size
+        counts = np.bincount(predicted, minlength=len(classes))
+        confusion[label] = {name: int(count) for name, count in zip(classes, counts)}
+        truth = classes.index(label) if label in classes else -1
+        correct_flags.extend((predicted == truth).tolist())
     per_class = {}
     for label in labels:
         total = sum(confusion[label].values())
@@ -225,6 +260,7 @@ def evaluate_attack(
 __all__ = [
     "slice_into_samples",
     "extract_feature_samples",
+    "training_features",
     "train_classifier",
     "DetectionResult",
     "empirical_detection_rate",

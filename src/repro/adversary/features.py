@@ -15,33 +15,46 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.exceptions import AnalysisError
-from repro.stats.descriptive import sample_mean, sample_variance
-from repro.stats.entropy import moddemeijer_entropy
+from repro.stats.entropy import moddemeijer_entropy_rows
 from repro.units import PAPER_TIMER_INTERVAL_S
 
 
 class FeatureStatistic:
-    """Interface: map a PIAT sample (1-D array of seconds) to one number."""
+    """Interface: map a PIAT sample (1-D array of seconds) to one number.
+
+    Subclasses implement :meth:`compute_rows`, which summarises every row of a
+    ``(n_samples, sample_size)`` matrix at once; :meth:`compute` is the same
+    computation on a one-row matrix.  Each row's value is bit-identical to the
+    1-D reference statistic (``sample_mean``, ``sample_variance``,
+    ``moddemeijer_entropy``, ...) evaluated on that row alone.
+    """
 
     #: Short identifier used in result tables ("mean", "variance", ...).
     name: str = "abstract"
     #: Smallest sample size for which the statistic is defined.
     min_sample_size: int = 1
 
-    def compute(self, intervals: np.ndarray) -> float:
-        """Value of the statistic on the given sample."""
+    def compute_rows(self, samples: np.ndarray) -> np.ndarray:
+        """Value of the statistic on each row of a ``(n_samples, sample_size)`` matrix."""
         raise NotImplementedError
 
-    def _validate(self, intervals: np.ndarray) -> np.ndarray:
+    def compute(self, intervals: np.ndarray) -> float:
+        """Value of the statistic on the given sample."""
         array = np.asarray(intervals, dtype=float)
         if array.ndim != 1:
             raise AnalysisError(f"feature {self.name!r} expects a 1-D sample")
-        if array.size < self.min_sample_size:
+        return float(self.compute_rows(array[None, :])[0])
+
+    def _validate_rows(self, samples: np.ndarray) -> np.ndarray:
+        rows = np.asarray(samples, dtype=float)
+        if rows.ndim != 2:
+            raise AnalysisError(f"feature {self.name!r} expects a 2-D matrix of samples")
+        if rows.shape[1] < self.min_sample_size:
             raise AnalysisError(
                 f"feature {self.name!r} needs at least {self.min_sample_size} intervals, "
-                f"got {array.size}"
+                f"got {rows.shape[1]}"
             )
-        return array
+        return rows
 
     def __call__(self, intervals: np.ndarray) -> float:
         return self.compute(intervals)
@@ -50,14 +63,22 @@ class FeatureStatistic:
         return f"{type(self).__name__}()"
 
 
+def _require_finite(rows: np.ndarray, statistic: str) -> None:
+    # The message names the 1-D reference statistic, which raises the same error.
+    if not np.isfinite(rows).all():
+        raise AnalysisError(f"{statistic} received non-finite values")
+
+
 class MeanFeature(FeatureStatistic):
     """Sample mean of the PIAT sample (equation (17))."""
 
     name = "mean"
     min_sample_size = 1
 
-    def compute(self, intervals: np.ndarray) -> float:
-        return sample_mean(self._validate(intervals))
+    def compute_rows(self, samples: np.ndarray) -> np.ndarray:
+        rows = self._validate_rows(samples)
+        _require_finite(rows, "sample_mean")
+        return rows.mean(axis=1)
 
 
 class VarianceFeature(FeatureStatistic):
@@ -66,8 +87,10 @@ class VarianceFeature(FeatureStatistic):
     name = "variance"
     min_sample_size = 2
 
-    def compute(self, intervals: np.ndarray) -> float:
-        return sample_variance(self._validate(intervals))
+    def compute_rows(self, samples: np.ndarray) -> np.ndarray:
+        rows = self._validate_rows(samples)
+        _require_finite(rows, "sample_variance")
+        return rows.var(axis=1, ddof=1)
 
 
 class EntropyFeature(FeatureStatistic):
@@ -93,8 +116,8 @@ class EntropyFeature(FeatureStatistic):
             raise AnalysisError("entropy bin_width must be positive")
         self.bin_width = float(bin_width)
 
-    def compute(self, intervals: np.ndarray) -> float:
-        return moddemeijer_entropy(self._validate(intervals), self.bin_width)
+    def compute_rows(self, samples: np.ndarray) -> np.ndarray:
+        return moddemeijer_entropy_rows(self._validate_rows(samples), self.bin_width)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"EntropyFeature(bin_width={self.bin_width!r})"
@@ -106,9 +129,9 @@ class MedianAbsoluteDeviationFeature(FeatureStatistic):
     name = "mad"
     min_sample_size = 2
 
-    def compute(self, intervals: np.ndarray) -> float:
-        array = self._validate(intervals)
-        return float(np.median(np.abs(array - np.median(array))))
+    def compute_rows(self, samples: np.ndarray) -> np.ndarray:
+        rows = self._validate_rows(samples)
+        return np.median(np.abs(rows - np.median(rows, axis=1, keepdims=True)), axis=1)
 
 
 class InterquartileRangeFeature(FeatureStatistic):
@@ -117,10 +140,10 @@ class InterquartileRangeFeature(FeatureStatistic):
     name = "iqr"
     min_sample_size = 4
 
-    def compute(self, intervals: np.ndarray) -> float:
-        array = self._validate(intervals)
-        q75, q25 = np.percentile(array, [75.0, 25.0])
-        return float(q75 - q25)
+    def compute_rows(self, samples: np.ndarray) -> np.ndarray:
+        rows = self._validate_rows(samples)
+        q75, q25 = np.percentile(rows, [75.0, 25.0], axis=1)
+        return q75 - q25
 
 
 def default_features(entropy_bin_width: Optional[float] = None) -> Dict[str, FeatureStatistic]:

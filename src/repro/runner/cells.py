@@ -32,11 +32,11 @@ from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.adversary.bayes import KDEBayesClassifier
 from repro.adversary.detection import (
     empirical_detection_rate,
     evaluate_attack,
-    extract_feature_samples,
-    train_classifier,
+    training_features,
 )
 from repro.adversary.features import get_feature
 from repro.adversary.multiclass import evaluate_multiclass_attack
@@ -410,27 +410,17 @@ def _measure_detection_rate(
             max_samples_per_class=cell.trials,
         )
         return float(result.detection_rate)
+    features = training_features(
+        train_intervals, feature, sample_size, max_samples_per_class=cell.trials
+    )
     if isinstance(cell.kde_bandwidth, str):
         bandwidth: Union[str, float] = cell.kde_bandwidth
     else:
         # Numeric overrides are multiples of the Silverman bandwidth of the
         # pooled training features — a scale that survives feature rescaling.
-        pooled = np.concatenate(
-            [
-                extract_feature_samples(
-                    train_intervals[label], feature, sample_size, max_samples=cell.trials
-                )
-                for label in sorted(train_intervals)
-            ]
-        )
+        pooled = np.concatenate([features[label] for label in sorted(features)])
         bandwidth = float(cell.kde_bandwidth) * silverman_bandwidth(pooled)
-    classifier = train_classifier(
-        train_intervals,
-        feature,
-        sample_size,
-        max_samples_per_class=cell.trials,
-        bandwidth=bandwidth,
-    )
+    classifier = KDEBayesClassifier(bandwidth=bandwidth).fit(features)
     result = empirical_detection_rate(
         classifier, test_intervals, feature, sample_size, max_samples_per_class=cell.trials
     )

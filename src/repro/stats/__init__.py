@@ -31,6 +31,7 @@ from repro.stats.descriptive import (
 from repro.stats.entropy import (
     histogram_entropy,
     moddemeijer_entropy,
+    moddemeijer_entropy_rows,
     normal_differential_entropy,
 )
 from repro.stats.kde import GaussianKDE, scott_bandwidth, silverman_bandwidth
@@ -48,6 +49,7 @@ __all__ = [
     "scott_bandwidth",
     "histogram_entropy",
     "moddemeijer_entropy",
+    "moddemeijer_entropy_rows",
     "normal_differential_entropy",
     "jarque_bera_normality",
     "qq_deviation",

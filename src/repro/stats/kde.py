@@ -16,6 +16,9 @@ import numpy as np
 
 from repro.exceptions import AnalysisError
 
+#: Most kernel evaluations held in memory at once by :meth:`GaussianKDE.logpdf`.
+_BLOCK_KERNELS = 1 << 18
+
 
 def silverman_bandwidth(sample: np.ndarray) -> float:
     """Silverman's rule-of-thumb bandwidth.
@@ -103,14 +106,19 @@ class GaussianKDE:
         bandwidths away from every training point.
         """
         points = np.atleast_1d(np.asarray(x, dtype=float))
-        z = (points[:, None] - self.sample[None, :]) / self.bandwidth
-        log_kernels = -0.5 * z**2 - 0.5 * np.log(2.0 * np.pi) - np.log(self.bandwidth)
-        # log mean exp over the kernel axis
-        max_log = np.max(log_kernels, axis=1, keepdims=True)
-        log_density = (
-            max_log[:, 0]
-            + np.log(np.mean(np.exp(log_kernels - max_log), axis=1))
-        )
+        log_density = np.empty(points.shape)
+        # Row blocks bound the (points, sample) kernel matrix; each point's
+        # value does not depend on the block it lands in.
+        block = max(1, _BLOCK_KERNELS // self.sample.size)
+        for start in range(0, points.size, block):
+            z = (points[start : start + block, None] - self.sample[None, :]) / self.bandwidth
+            log_kernels = -0.5 * z**2 - 0.5 * np.log(2.0 * np.pi) - np.log(self.bandwidth)
+            # log mean exp over the kernel axis
+            max_log = np.max(log_kernels, axis=1, keepdims=True)
+            log_density[start : start + block] = (
+                max_log[:, 0]
+                + np.log(np.mean(np.exp(log_kernels - max_log), axis=1))
+            )
         if np.isscalar(x) or np.ndim(x) == 0:
             return float(log_density[0])
         return log_density

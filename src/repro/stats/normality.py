@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from statistics import NormalDist
 
 import numpy as np
@@ -50,10 +51,23 @@ def jarque_bera_normality(sample: np.ndarray) -> tuple[float, float]:
     return statistic, pvalue
 
 
+@lru_cache(maxsize=8)
+def _standard_normal_quantiles(size: int) -> np.ndarray:
+    """Standard normal quantiles at the Q–Q plotting positions ``(i - 0.5)/n``."""
+    inv_cdf = NormalDist().inv_cdf
+    quantiles = np.array([inv_cdf((i - 0.5) / size) for i in range(1, size + 1)])
+    quantiles.flags.writeable = False
+    return quantiles
+
+
 def _normal_quantiles(size: int, mean: float, std: float) -> np.ndarray:
-    """Quantiles of ``N(mean, std^2)`` at the Q–Q plotting positions ``(i - 0.5)/n``."""
-    inv_cdf = NormalDist(mean, std).inv_cdf
-    return np.array([inv_cdf((i - 0.5) / size) for i in range(1, size + 1)])
+    """Quantiles of ``N(mean, std^2)`` at the Q–Q plotting positions ``(i - 0.5)/n``.
+
+    ``NormalDist(mean, std).inv_cdf(p)`` is ``mean + x * std`` for the
+    standard quantile ``x``, so scaling the cached standard quantiles gives
+    the same bits.
+    """
+    return mean + _standard_normal_quantiles(size) * std
 
 
 def qq_deviation(sample: np.ndarray) -> float:

@@ -8,6 +8,7 @@ from scipy import stats as sps
 
 from repro.exceptions import AnalysisError
 from repro.stats import GaussianKDE, scott_bandwidth, silverman_bandwidth
+from repro.stats import kde as kde_module
 
 
 class TestBandwidthRules:
@@ -68,6 +69,15 @@ class TestGaussianKDE:
         kde = GaussianKDE(rng.normal(size=100))
         assert isinstance(kde.pdf(0.0), float)
         assert kde.pdf(np.zeros(3)).shape == (3,)
+
+    @pytest.mark.parametrize("block_kernels", [1, 7, 1 << 18])
+    def test_array_logpdf_equals_per_point_logpdf(self, rng, monkeypatch, block_kernels):
+        """Row blocks and batch size do not change a single bit of any point's value."""
+        kde = GaussianKDE(rng.normal(size=50))
+        points = np.concatenate([rng.normal(0.0, 3.0, size=300), [1e3, -1e3]])
+        expected = np.array([kde.logpdf(float(p)) for p in points])
+        monkeypatch.setattr(kde_module, "_BLOCK_KERNELS", block_kernels)
+        assert np.array_equal(kde.logpdf(points).view(np.int64), expected.view(np.int64))
 
     def test_explicit_bandwidth(self, rng):
         data = rng.normal(size=100)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -68,6 +70,24 @@ class TestQQDeviation:
             rtol=1e-12,
             atol=0.0,
         )
+
+    @pytest.mark.parametrize(
+        "size, mean, std",
+        [
+            (8, 0.0, 1.0),
+            (9, 10.0, 2.0),
+            (1000, 0.01, 1.3e-5),
+            (4999, -3.5, 0.7),
+            (40_000, 0.01, 2e-5),
+        ],
+    )
+    def test_cached_quantiles_equal_the_per_point_loop(self, size, mean, std):
+        """Scaled standard quantiles are bit-identical to ``NormalDist(mean, std).inv_cdf``."""
+        inv_cdf = NormalDist(mean, std).inv_cdf
+        expected = np.array([inv_cdf((i - 0.5) / size) for i in range(1, size + 1)])
+        for _ in range(2):  # the second call is served from the cache
+            got = _normal_quantiles(size, mean, std)
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 class TestNormalityReport:

@@ -123,8 +123,9 @@ class TestEndToEndDataPath:
 class TestEndToEndAttack:
     def _captures(self, policy, utilization, seed):
         captures = {}
-        for label, rate in (("low", 10.0), ("high", 40.0)):
-            system = build_system(policy, rate, utilization, seed=seed + hash(label) % 1000, duration=130.0)
+        # The label's index, not hash(label): string hashing varies per process.
+        for index, (label, rate) in enumerate((("low", 10.0), ("high", 40.0))):
+            system = build_system(policy, rate, utilization, seed=seed + index, duration=130.0)
             captures[label] = system["tap"].intervals(since=2.0)[:12_000]
         return captures
 
