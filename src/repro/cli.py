@@ -458,20 +458,22 @@ def build_parser() -> argparse.ArgumentParser:
     queue_cmd = subcommands.add_parser(
         "queue",
         help="inspect or drain the filesystem work queue of a results store "
-        "('drain' turns the pending_cells.jsonl backlog from POST /enqueue "
-        "into computed, cached cells; docs/distributed.md)",
+        "('drain' merges every entry the queue owes — from POST /enqueue or "
+        "an interrupted queue-backed sweep — into the store; "
+        "docs/distributed.md)",
     )
     queue_cmd.add_argument(
         "action",
         choices=("drain", "status"),
-        help="drain: queue every pending cell (fingerprint-verified) and "
-        "merge worker results into the store; status: print queue counters",
+        help="drain: fingerprint-verify every queued, leased and unmerged "
+        "entry and merge worker results into the store; status: print queue "
+        "counters",
     )
     queue_cmd.add_argument(
         "--cache-dir",
         type=Path,
         required=True,
-        help="the results store whose queue (and pending_cells.jsonl) to use",
+        help="the results store whose queue to use",
     )
     queue_cmd.add_argument(
         "--workers",
@@ -700,7 +702,7 @@ def _run_worker_command(args: argparse.Namespace) -> int:
 
 def _run_queue_command(args: argparse.Namespace) -> int:
     """``repro queue drain`` / ``repro queue status``."""
-    from repro.runner.backends.queue import WorkQueue, drain_pending
+    from repro.runner.backends.queue import WorkQueue, drain_queue
 
     store = ResultsStore(args.cache_dir)
     if args.action == "status":
@@ -710,7 +712,7 @@ def _run_queue_command(args: argparse.Namespace) -> int:
             + ", ".join(f"{name}={value}" for name, value in counters.items())
         )
         return 0
-    report = drain_pending(
+    report = drain_queue(
         store.root,
         workers=args.workers,
         retries=args.retries,

@@ -28,7 +28,7 @@ from repro.runner.backends import (
     available_cpu_count,
     create_backend,
     default_worker_id,
-    drain_pending,
+    drain_queue,
     resolve_jobs,
     run_worker,
 )
@@ -87,7 +87,7 @@ __all__ = [
     "available_cpu_count",
     "create_backend",
     "default_worker_id",
-    "drain_pending",
+    "drain_queue",
     "resolve_jobs",
     "run_worker",
     "BenchComparison",

@@ -32,7 +32,7 @@ from repro.runner.backends.queue import (
     QueueBackend,
     WorkQueue,
     default_worker_id,
-    drain_pending,
+    drain_queue,
     run_worker,
 )
 from repro.runner.backends.serial import SerialBackend
@@ -125,7 +125,7 @@ __all__ = [
     "create_backend",
     "default_mp_context",
     "default_worker_id",
-    "drain_pending",
+    "drain_queue",
     "execute_task",
     "resolve_jobs",
     "run_worker",

@@ -33,9 +33,10 @@ def verify_fingerprint(key: str, config: Dict[str, Any], fingerprint: str) -> st
     Returns the (verified) fingerprint; raises a
     :class:`~repro.exceptions.ConfigurationError` naming the mismatch
     otherwise.  Every entry point that accepts a ``(fingerprint, config)``
-    pair from outside the process — ``POST /enqueue`` payloads, pending-file
-    lines, queued cells — goes through this check, so a tampered or stale
-    fingerprint can never alias a record onto the wrong cache key.
+    pair from outside the process — ``POST /enqueue`` payloads, the entries a
+    worker claims, the units ``repro queue drain`` merges — goes through this
+    check, so a tampered or stale fingerprint can never alias a record onto
+    the wrong cache key.
     """
     recomputed = fingerprint_payload(config)
     if fingerprint != recomputed:

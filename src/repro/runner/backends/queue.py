@@ -25,7 +25,9 @@ every host mounting the store — never local wall-clock time.
 Workers append outcomes to their private result shard (single writer per
 file, so appends never interleave), and only the parent process merges
 shards into the shared :class:`~repro.runner.store.ResultsStore` — the
-store's single-writer contract is preserved end to end.  Results are
+store's single-writer contract is preserved end to end.  Each shard record
+carries its entry's config, so any merging process — not only the parent
+that enqueued the entry — can store it (``repro queue drain``).  Results are
 content-addressed, and cells are pure functions of their config, so the one
 benign race — two workers computing the same cell after a steal of a
 not-actually-dead worker — produces identical records and last-record-wins
@@ -46,7 +48,7 @@ import time
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import AbstractSet, Any, Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.exceptions import ConfigurationError, SweepError
 from repro.runner.backends.base import (
@@ -64,8 +66,8 @@ from repro.runner.backends.codec import (
     verify_fingerprint,
 )
 from repro.runner.backends.process import default_mp_context
-from repro.runner.capture import CaptureResult, CaptureSpec
-from repro.runner.cells import CellResult, SweepCell
+from repro.runner.capture import CaptureResult
+from repro.runner.cells import CellResult
 from repro.runner.store import _FINGERPRINT_RE, ResultsStore
 
 #: Version of the queue entry / result-shard record layout.
@@ -154,8 +156,14 @@ class WorkQueue:
         return self.clock_path.stat().st_mtime
 
     # --------------------------------------------------------------- enqueue
-    def enqueue(self, entry: Dict[str, Any]) -> bool:
-        """Stage and atomically publish one entry; False if already active."""
+    def enqueue(self, entry: Dict[str, Any], retry: bool = False) -> bool:
+        """Stage and atomically publish one entry; False if already active.
+
+        A ``retry`` is published even while its fingerprint is active,
+        replacing a queued copy: a worker appends its failure record before
+        it unlinks the failed attempt's lease, so a merge may read the one
+        before the other, and a drain may renumber a queued entry.
+        """
         fingerprint = str(entry.get("fingerprint", ""))
         if _FINGERPRINT_RE.fullmatch(fingerprint) is None:
             raise ConfigurationError(
@@ -163,9 +171,13 @@ class WorkQueue:
                 f"hash-like token"
             )
         self.ensure()
-        if self.is_active(fingerprint):
+        if not retry and self.is_active(fingerprint):
             return False
-        staging = self.tmp_dir / f"{fingerprint}.{os.getpid()}.json"
+        # pid *and* thread id: threads of one process (the HTTP server's
+        # handlers) may stage the same fingerprint at once.
+        staging = (
+            self.tmp_dir / f"{fingerprint}.{os.getpid()}.{threading.get_ident()}.json"
+        )
         staging.write_text(json.dumps(entry, sort_keys=True) + "\n", encoding="utf-8")
         os.replace(staging, self.queued_dir / f"{fingerprint}.json")
         return True
@@ -186,10 +198,16 @@ class WorkQueue:
             pass
 
     # ----------------------------------------------------------------- leases
-    def claim(self, worker_id: str) -> Optional[Path]:
-        """Atomically claim the first queued entry; None when queue is empty."""
+    def claim(self, worker_id: str, skip: AbstractSet[str] = frozenset()) -> Optional[Path]:
+        """Atomically claim the first queued entry not in ``skip``.
+
+        ``skip`` holds fingerprints the caller released and does not want
+        back yet; None when no other entry is queued.
+        """
         self.ensure()
         for path in sorted(self.queued_dir.glob("*.json")):
+            if path.stem in skip:
+                continue
             target = self.leased_dir / f"{path.stem}.{worker_id}.json"
             try:
                 os.replace(path, target)
@@ -288,8 +306,10 @@ class WorkQueue:
         ) as handle:
             handle.write(line)
 
-    def read_new_records(self, offsets: Dict[str, int]) -> Iterator[Dict[str, Any]]:
-        """Yield shard records not seen before, advancing ``offsets`` in place.
+    def read_new_records(
+        self, offsets: Dict[str, int]
+    ) -> Iterator[Tuple[Path, Dict[str, Any]]]:
+        """Yield ``(shard, record)`` pairs not seen before, advancing ``offsets``.
 
         Only complete (newline-terminated) lines are consumed — a worker may
         be mid-append — and unparsable lines are skipped but still advance
@@ -316,7 +336,7 @@ class WorkQueue:
                 except json.JSONDecodeError:
                     continue
                 if isinstance(record, dict):
-                    yield record
+                    yield shard, record
 
     # ----------------------------------------------------------------- status
     def status(self, lease_timeout: float = DEFAULT_LEASE_TIMEOUT) -> Dict[str, int]:
@@ -387,6 +407,7 @@ def _execute_entry(store: ResultsStore, entry: Dict[str, Any]) -> Tuple[Any, ...
     store yet (the entry is released back to the queue).
     """
     try:
+        verify_fingerprint(str(entry["key"]), entry["config"], str(entry["fingerprint"]))
         if entry.get("unit") == "capture":
             spec = capture_from_config(entry["key"], entry["config"])
             task: Task = ("capture", spec)
@@ -440,13 +461,19 @@ def run_worker(
 
     executed = 0
     beat_interval = max(poll_interval, lease_timeout / 4.0)
+    # Entries released since the last executed one (a cell waiting for its
+    # capture): skipped by claim, so the capture behind them is reachable.
+    released: Set[str] = set()
     with _Heartbeat(queue, wid, interval=beat_interval):
         idle_since = time.monotonic()
         while max_tasks is None or executed < max_tasks:
-            lease = queue.claim(wid)
+            lease = queue.claim(wid, skip=released)
             if lease is None:
                 lease = queue.steal(wid, lease_timeout)
             if lease is None:
+                # Nothing runnable: idle, then give the released entries
+                # another try (their captures may have been stored since).
+                released.clear()
                 if max_idle is not None and time.monotonic() - idle_since >= max_idle:
                     break
                 time.sleep(poll_interval)
@@ -454,10 +481,9 @@ def run_worker(
             if _work_one_lease(store, queue, wid, lease, progress):
                 executed += 1
                 idle_since = time.monotonic()
+                released.clear()
             else:
-                # The entry was released (capture not ready) or was corrupt;
-                # don't spin on it.
-                time.sleep(poll_interval)
+                released.add(lease.name.partition(".")[0])
     if progress is not None:
         progress(f"worker {wid}: executed {executed} task(s)")
     return executed
@@ -493,6 +519,7 @@ def _work_one_lease(
         "unit": entry.get("unit", "cell"),
         "key": entry.get("key"),
         "fingerprint": entry.get("fingerprint"),
+        "config": entry.get("config"),
         "attempt": entry.get("attempt", 1),
     }
     if result[0] == "ok":
@@ -572,23 +599,25 @@ def merge_outcomes(
 
     ``entries`` maps fingerprint → queue entry.  Yields exactly one terminal
     outcome per fingerprint: the rebuilt result, or a
-    :class:`~repro.runner.backends.base.TaskFailure` once a cell has failed
-    ``retries + 1`` times (each accepted failure re-enqueues the entry with
+    :class:`~repro.runner.backends.base.TaskFailure` once a unit has failed
+    ``retries + 1`` times in this merge (each accepted failure re-enqueues the entry with
     an incremented attempt counter; failure records from superseded attempts
     — e.g. a stolen cell whose original owner also reported — are ignored).
     Leases of stale workers are requeued as a backstop even when no worker
     is alive to steal them.
     """
     pending = dict(entries)
-    attempts = {fingerprint: 1 for fingerprint in pending}
-    max_attempts = validate_retries(retries) + 1
+    attempts = {fingerprint: entry.get("attempt", 1) for fingerprint, entry in pending.items()}
+    # Each entry gets ``retries`` more attempts than the one it arrives at.
+    retries = validate_retries(retries)
+    last_attempt = {fingerprint: attempt + retries for fingerprint, attempt in attempts.items()}
     offsets: Dict[str, int] = {}
     deadline = (
         time.monotonic() + wait_timeout if wait_timeout is not None else None
     )
     while pending:
         progressed = False
-        for record in queue.read_new_records(offsets):
+        for _, record in queue.read_new_records(offsets):
             fingerprint = record.get("fingerprint")
             if fingerprint not in pending:
                 continue  # duplicate (post-steal) or foreign record
@@ -610,17 +639,17 @@ def merge_outcomes(
             elif record.get("status") == "failed":
                 if record.get("attempt", attempts[fingerprint]) != attempts[fingerprint]:
                     continue  # a superseded attempt's failure; already handled
-                if attempts[fingerprint] < max_attempts:
+                if attempts[fingerprint] < last_attempt[fingerprint]:
                     attempts[fingerprint] += 1
                     if progress is not None:
                         progress(
                             f"{unit} {entry['key']}: failed, retrying "
-                            f"(attempt {attempts[fingerprint]}/{max_attempts})"
+                            f"(attempt {attempts[fingerprint]}/{last_attempt[fingerprint]})"
                         )
                     retry_entry = dict(entry)
                     retry_entry["attempt"] = attempts[fingerprint]
                     pending[fingerprint] = retry_entry
-                    queue.enqueue(retry_entry)
+                    queue.enqueue(retry_entry, retry=True)
                 else:
                     pending.pop(fingerprint)
                     progressed = True
@@ -726,28 +755,28 @@ class QueueBackend(ExecutionBackend):
 
 
 # ----------------------------------------------------------------- draining
+#: The backlog file ``POST /enqueue`` wrote before it enqueued directly.
+_LEGACY_BACKLOG = "pending_cells.jsonl"
+
+
 @dataclass(frozen=True)
 class DrainReport:
     """Outcome of one ``repro queue drain`` run."""
 
-    requested: int
+    outstanding: int
     already_cached: int
-    deduplicated: int
     captures_computed: int
     cells_computed: int
-    pending_remaining: int
 
     def __str__(self) -> str:
         return (
-            f"{self.requested} pending entr(ies): {self.cells_computed} cells "
-            f"computed ({self.captures_computed} gateway captures), "
-            f"{self.already_cached} already cached, "
-            f"{self.deduplicated} duplicates, "
-            f"{self.pending_remaining} left pending"
+            f"{self.outstanding} outstanding entr(ies): {self.cells_computed} "
+            f"cells computed ({self.captures_computed} gateway captures), "
+            f"{self.already_cached} already cached"
         )
 
 
-def drain_pending(
+def drain_queue(
     store_root: Union[str, Path],
     workers: int = 0,
     retries: int = 0,
@@ -757,50 +786,32 @@ def drain_pending(
     mp_context: Optional[str] = None,
     progress: ProgressFn = None,
 ) -> DrainReport:
-    """Drain ``pending_cells.jsonl`` through the work queue into the store.
+    """Merge every unit the queue owes into the store.
 
-    Closes the loop from ``POST /enqueue``: every pending line is
-    fingerprint-verified (a line whose fingerprint does not hash from its
-    config is refused loudly — it would poison the cache), already-cached
-    cells are skipped, and the rest are queued in two phases — shared
-    gateway captures first, then the cells that consume them — so a worker
-    never has to wait long for a parent capture.  With ``workers > 0`` local
-    worker processes are spawned for the duration; with ``workers == 0`` the
-    call relies on externally running ``repro worker`` processes (pass
-    ``timeout`` so an empty fleet fails loudly instead of blocking forever).
-    Cells that reach the store are pruned from the pending file at the end.
+    Outstanding units are the entries in ``queued/`` and ``leased/`` plus
+    ``ok`` shard records whose results never reached the store (their
+    parent stopped before merging them); owed work the queue no longer
+    holds is put back on it (see :func:`_outstanding_entries`).  Every file
+    is fingerprint-verified before any work — a tampered or unparsable one
+    is refused naming it — then one merge loop stores each outcome as it arrives, so a gateway
+    capture reaches the store while the cells that consume it wait in the
+    queue.  With ``workers > 0`` local worker processes are spawned for the
+    duration; with ``workers == 0`` the call relies on externally running
+    ``repro worker`` processes (pass ``timeout`` so an empty fleet fails
+    loudly instead of blocking forever).
     """
-    from repro.store.server import PENDING_FILENAME
-
     store = ResultsStore(store_root)
-    pending_path = store.root / PENDING_FILENAME
-    records = _read_pending(pending_path)
-
-    cells: Dict[str, SweepCell] = {}
-    already_cached = 0
-    duplicates = 0
-    for record in records:
-        cell = cell_from_config(record["cell_key"], record["config"])
-        fingerprint = cell.fingerprint()
-        if fingerprint in cells:
-            duplicates += 1
-            continue
-        if store.get(fingerprint) is not None:
-            already_cached += 1
-            continue
-        cells[fingerprint] = cell
-
-    captures: Dict[str, CaptureSpec] = {}
-    for cell in cells.values():
-        if cell.capture is None:
-            continue
-        capture_fp = cell.capture.fingerprint()
-        if capture_fp in captures or store.get(capture_fp, kind="capture") is not None:
-            continue
-        captures[capture_fp] = cell.capture
-
+    legacy = store.root / _LEGACY_BACKLOG
+    if legacy.exists():
+        raise ConfigurationError(
+            f"{str(legacy)!r} is a backlog file from an earlier release, which "
+            f"this drain does not read; POST its lines to /enqueue as "
+            f'{{"cells": [...]}} (or drain it with that release), then delete it'
+        )
+    queue = WorkQueue(store.root)
+    entries, already_cached = _outstanding_entries(queue, store)
     pool = None
-    if workers > 0:
+    if workers > 0 and entries:
         pool = LocalWorkerPool(
             store.root,
             workers,
@@ -808,114 +819,180 @@ def drain_pending(
             poll_interval=poll_interval,
             lease_timeout=lease_timeout,
         )
-    backend = QueueBackend(
-        store,
-        workers=workers,
-        retries=retries,
-        progress=progress,
-        mp_context=mp_context,
-        lease_timeout=lease_timeout,
-        poll_interval=poll_interval,
-        spawn_workers=False,
-        wait_timeout=timeout,
-    )
     captures_computed = cells_computed = 0
     try:
-        capture_tasks: List[Task] = [("capture", spec) for spec in captures.values()]
-        for outcome in backend.execute(capture_tasks):
+        for outcome in merge_outcomes(
+            queue,
+            entries,
+            retries=retries,
+            progress=progress,
+            poll_interval=poll_interval,
+            lease_timeout=lease_timeout,
+            wait_timeout=timeout,
+        ):
             if isinstance(outcome, TaskFailure):
                 raise SweepError(
                     f"{outcome.unit} {outcome.key!r} failed: {outcome.error}\n"
                     f"--- worker traceback ---\n{outcome.worker_traceback}"
                 )
+            entry = entries[outcome.fingerprint]
             store.put(
                 outcome.fingerprint,
-                captures[outcome.fingerprint].config_dict(),
+                entry["config"],
                 outcome.to_json_dict(),
-                kind="capture",
+                kind=entry["unit"],
             )
-            captures_computed += 1
-        cell_tasks: List[Task] = [("cell", cell, None) for cell in cells.values()]
-        for outcome in backend.execute(cell_tasks):
-            if isinstance(outcome, TaskFailure):
-                raise SweepError(
-                    f"{outcome.unit} {outcome.key!r} failed: {outcome.error}\n"
-                    f"--- worker traceback ---\n{outcome.worker_traceback}"
-                )
-            store.put(
-                outcome.fingerprint,
-                cells[outcome.fingerprint].config_dict(),
-                outcome.to_json_dict(),
-            )
-            cells_computed += 1
+            if entry["unit"] == "capture":
+                captures_computed += 1
+            else:
+                cells_computed += 1
     finally:
         if pool is not None:
             pool.stop()
-
-    remaining = _prune_pending(pending_path, store)
     return DrainReport(
-        requested=len(records),
+        outstanding=len(entries),
         already_cached=already_cached,
-        deduplicated=duplicates,
         captures_computed=captures_computed,
         cells_computed=cells_computed,
-        pending_remaining=remaining,
     )
 
 
-def _read_pending(path: Path) -> List[Dict[str, Any]]:
-    """Parse and fingerprint-verify every pending-cells line."""
-    if not path.exists():
-        return []
-    records: List[Dict[str, Any]] = []
-    for number, line in enumerate(
-        path.read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        line = line.strip()
-        if not line:
+def _outstanding_entries(
+    queue: WorkQueue, store: ResultsStore
+) -> Tuple[Dict[str, Dict[str, Any]], int]:
+    """Fingerprint → verified entry for every unit not yet in the store.
+
+    Scans in the order a unit moves — ``queued/``, ``leased/``, then the
+    result shards — so a unit a live worker is moving along is seen at
+    least once.  Queued entries already stored are discarded and counted.
+    Two kinds of owed work the queue no longer holds are published again,
+    after every file has been verified: a unit whose records are all
+    failures (no merge was running to retry it, or an earlier drain gave
+    up on it), and the unstored gateway capture of an outstanding cell.
+    A republished or queued unit is numbered one attempt above its newest
+    failure, so the merge reads those records as superseded.
+    """
+    entries: Dict[str, Dict[str, Any]] = {}
+    queued: Set[str] = set()
+    already_cached = 0
+    for directory in (queue.queued_dir, queue.leased_dir):
+        # Listed only after the previous stage was read, so an entry that
+        # moved on in between is found at its next stop.
+        for path in sorted(directory.glob("*.json")) if directory.is_dir() else []:
+            try:
+                text = path.read_text(encoding="utf-8")
+            except FileNotFoundError:
+                continue  # claimed or finished since the listing
+            try:
+                entry = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise ConfigurationError(
+                    f"{path}: queue entry is not valid JSON ({exc})"
+                ) from None
+            entry = _verified_entry(path, entry)
+            fingerprint = entry["fingerprint"]
+            if store.get(fingerprint, kind=entry["unit"]) is not None:
+                already_cached += 1
+                queue.discard_queued(fingerprint)
+                continue
+            entries.setdefault(fingerprint, entry)
+            if directory == queue.queued_dir:
+                queued.add(fingerprint)
+    failures: Dict[str, Tuple[Path, Dict[str, Any]]] = {}
+    done: Set[str] = set()  # fingerprints with an ``ok`` record
+    for shard, record in queue.read_new_records({}):
+        fingerprint = str(record.get("fingerprint"))
+        # A record without a config predates that field and cannot be stored.
+        if "config" not in record:
+            continue
+        if record.get("status") == "failed":
+            newest = failures.get(fingerprint)
+            if newest is None or _attempt(shard, record) > _attempt(*newest):
+                failures[fingerprint] = (shard, record)
+            continue
+        if record.get("status") != "ok":
+            continue
+        done.add(fingerprint)
+        if fingerprint in entries:
+            continue
+        if store.get(fingerprint, kind=str(record.get("unit"))) is not None:
+            continue
+        entries[fingerprint] = _queue_entry(_verified_entry(shard, record))
+
+    def next_attempt(fingerprint: str) -> int:
+        newest = failures.get(fingerprint)
+        return 1 if newest is None else _attempt(*newest) + 1
+
+    republish: List[Dict[str, Any]] = []
+    for fingerprint, (shard, record) in sorted(failures.items()):
+        if fingerprint in done:
+            continue  # an attempt succeeded; the merge reads its record
+        if fingerprint in entries:
+            # A leased entry's failure may be the attempt in flight; a
+            # queued one that old would lose its next failure to the past.
+            entry = entries[fingerprint]
+            if fingerprint in queued and entry["attempt"] < next_attempt(fingerprint):
+                entries[fingerprint] = dict(entry, attempt=next_attempt(fingerprint))
+                republish.append(entries[fingerprint])
+            continue
+        if store.get(fingerprint, kind=str(record.get("unit"))) is not None:
+            continue
+        entry = _queue_entry(_verified_entry(shard, record))
+        entries[fingerprint] = dict(entry, attempt=next_attempt(fingerprint))
+        republish.append(entries[fingerprint])
+    for fingerprint, entry in sorted(entries.items()):
+        if entry["unit"] != "cell" or "capture" not in entry["config"]:
             continue
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"{path}:{number}: pending line is not valid JSON ({exc})"
-            ) from None
-        if not isinstance(record, dict) or not all(
-            key in record for key in ("cell_key", "fingerprint", "config")
-        ):
-            raise ConfigurationError(
-                f"{path}:{number}: pending line needs cell_key, fingerprint "
-                f"and config fields"
-            )
-        verify_fingerprint(
-            str(record["cell_key"]), record["config"], str(record["fingerprint"])
+            capture = cell_from_config(entry["key"], entry["config"]).capture
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"queue entry {fingerprint}: {exc}") from None
+        assert capture is not None
+        capture_fp = capture.fingerprint()
+        if capture_fp in entries or store.get(capture_fp, kind="capture") is not None:
+            continue
+        entries[capture_fp] = entry_from_task(
+            ("capture", capture), attempt=next_attempt(capture_fp)
         )
-        records.append(record)
-    return records
+        republish.append(entries[capture_fp])
+    for entry in republish:
+        queue.enqueue(entry, retry=True)
+    return entries, already_cached
 
 
-def _prune_pending(path: Path, store: ResultsStore) -> int:
-    """Drop pending lines whose cells reached the store; count the leftovers."""
-    if not path.exists():
-        return 0
-    kept: List[str] = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        stripped = line.strip()
-        if not stripped:
-            continue
-        try:
-            record = json.loads(stripped)
-            fingerprint = str(record["fingerprint"])
-        except (json.JSONDecodeError, KeyError, TypeError):
-            kept.append(line)
-            continue
-        if store.get(fingerprint) is None:
-            kept.append(line)
-    if kept:
-        path.write_text("\n".join(kept) + "\n", encoding="utf-8")
-    else:
-        path.unlink()
-    return len(kept)
+def _attempt(path: Path, record: Dict[str, Any]) -> int:
+    attempt = record.get("attempt", 1)
+    if not isinstance(attempt, int) or attempt < 1:
+        raise ConfigurationError(f"{path}: queue entry attempt {attempt!r} is not >= 1")
+    return attempt
+
+
+def _queue_entry(record: Dict[str, Any]) -> Dict[str, Any]:
+    """The queue entry a verified shard record was produced from."""
+    return dict(
+        {name: record[name] for name in ("unit", "key", "fingerprint", "config", "attempt")},
+        schema=QUEUE_SCHEMA_VERSION,
+    )
+
+
+def _verified_entry(path: Path, entry: Any) -> Dict[str, Any]:
+    """``entry`` if its fingerprint hashes from its config, else refuse ``path``."""
+    if not isinstance(entry, dict) or not all(
+        name in entry for name in ("unit", "key", "fingerprint", "config")
+    ):
+        raise ConfigurationError(
+            f"{path}: queue entry needs unit, key, fingerprint and config fields"
+        )
+    if entry["unit"] not in ("cell", "capture"):
+        raise ConfigurationError(
+            f"{path}: queue entry unit {entry['unit']!r} is not 'cell' or 'capture'"
+        )
+    attempt = _attempt(path, entry)
+    try:
+        verify_fingerprint(str(entry["key"]), entry["config"], str(entry["fingerprint"]))
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
+    return dict(entry, attempt=attempt)
 
 
 __all__ = [
@@ -928,7 +1005,7 @@ __all__ = [
     "QueueBackend",
     "WorkQueue",
     "default_worker_id",
-    "drain_pending",
+    "drain_queue",
     "entry_from_task",
     "merge_outcomes",
     "run_worker",

@@ -9,13 +9,12 @@ append-optimised *write* side of the results pipeline.  This package is the
   an existing index automatically).  Incremental: unchanged shard files are
   never reopened.
 * :class:`~repro.store.query.StoreQuery` — typed queries over the index:
-  labelled grid points per experiment, per-point CI bands (byte-identical to
-  ``repro sweep --ci`` output), and grid-vs-store diffs
-  (:meth:`~repro.store.query.StoreQuery.missing_cells`).
+  labelled grid points per experiment and per-point CI bands
+  (byte-identical to ``repro sweep --ci`` output).
 * :func:`~repro.store.server.create_server` /
   :class:`~repro.store.server.ResultsServer` — the ``repro serve`` JSON HTTP
-  API over a store, including the ``POST /enqueue`` pending-cells hand-off a
-  distributed backend can drain.
+  API over a store, including ``POST /enqueue``, which puts a grid's missing
+  cells on the store's work queue for ``repro worker`` processes.
 
 The sqlite file is always a cache of the JSONL truth: deleting it loses
 nothing, and every refresh re-derives rows through the store's own parsing
@@ -32,7 +31,6 @@ from repro.store.query import CIBand, PointRecord, StoreQuery
 from repro.store.server import (
     DEFAULT_HOST,
     DEFAULT_PORT,
-    PENDING_FILENAME,
     ResultsServer,
     create_server,
 )
@@ -44,7 +42,6 @@ __all__ = [
     "INDEX_FILENAME",
     "INDEX_SCHEMA_VERSION",
     "IndexStats",
-    "PENDING_FILENAME",
     "PointRecord",
     "ResultsServer",
     "StoreIndex",

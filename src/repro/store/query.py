@@ -13,9 +13,6 @@ notebook, a scheduler — would otherwise need a full sweep replay for:
   :func:`repro.runner.grid.mean_and_ci` with the aggregation layer's exact
   per-feature stream keys, so a band served from the index is byte-identical
   to the one a ``repro sweep --ci`` report prints for the same data.
-* :meth:`missing_cells` — diff a grid (a
-  :class:`~repro.runner.grid.GridSpec` or an explicit cell list) against the
-  index: the cells a run would still have to simulate.
 
 Connections are opened read-only (sqlite URI ``mode=ro``) and per-thread, so
 one :class:`StoreQuery` is safe to share across server threads while a sweep
@@ -29,11 +26,10 @@ import sqlite3
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.exceptions import ConfigurationError
-from repro.runner.cells import SweepCell
-from repro.runner.grid import GridSpec, mean_and_ci
+from repro.runner.grid import mean_and_ci
 from repro.store.index import StoreIndex
 
 
@@ -288,24 +284,6 @@ class StoreQuery:
             detection_rate=bands,
             variance_ratio=(ratio_mean, ratio_ci[0], ratio_ci[1]),
         )
-
-    def missing_cells(
-        self, grid: Union[GridSpec, Iterable[SweepCell]]
-    ) -> List[SweepCell]:
-        """The cells of ``grid`` with no indexed record — still to simulate."""
-        cells: Sequence[SweepCell] = (
-            grid.cells() if isinstance(grid, GridSpec) else list(grid)
-        )
-        connection = self._connection()
-        missing: List[SweepCell] = []
-        for cell in cells:
-            row = connection.execute(
-                "SELECT 1 FROM records WHERE fingerprint = ? AND kind = 'cell'",
-                (cell.fingerprint(),),
-            ).fetchone()
-            if row is None:
-                missing.append(cell)
-        return missing
 
 
 __all__ = ["CIBand", "PointRecord", "StoreQuery"]

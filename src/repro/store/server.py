@@ -17,16 +17,16 @@ the store and a sweep can keep appending while the server runs.  Endpoints:
                                   assembled purely from cached records
                                   (optional ``preset=`` / ``seed=`` / ``seeds=``
                                   / ``confidence=``; 409 lists missing cells)
-``POST /enqueue``                 diff an experiment grid against the store and
-                                  append the missing cells to a pending-cells
-                                  file a worker fleet can drain
+``POST /enqueue``                 diff an experiment grid (or explicit cells)
+                                  against the store and enqueue the missing
+                                  cells on the store's work queue
 ================================  ==============================================
 
-``POST /enqueue`` writes ``pending_cells.jsonl`` at the store root — one JSON
-line per missing cell (``cell_key``, ``fingerprint``, ``experiment``,
-``preset``, ``seed``, full ``config``), deduplicated by fingerprint under a
-process-wide lock.  It is the hand-off point for the distributed backend the
-roadmap schedules against: this server names the work, it never executes it.
+``POST /enqueue`` writes one entry per missing cell (and per missing gateway
+capture behind one) under ``<store>/queue/queued/`` — the content-addressed
+filesystem queue ``repro worker`` processes claim from and
+``repro queue drain`` merges into the store.  This server names the work; it
+never executes it.
 
 See ``docs/serving.md`` for the index schema and worked examples.
 """
@@ -34,20 +34,16 @@ See ``docs/serving.md`` for the index schema and worked examples.
 from __future__ import annotations
 
 import json
-import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 from urllib.parse import parse_qs, unquote, urlparse
 
 from repro.exceptions import ConfigurationError, ReproError
-from repro.runner.cells import CellResult, SCHEMA_VERSION
+from repro.runner.cells import CellResult, SweepCell
 from repro.runner.grid import seed_range
 from repro.runner.store import ResultsStore
 from repro.store.query import StoreQuery
-
-#: File at the store root collecting cells enqueued via ``POST /enqueue``.
-PENDING_FILENAME = "pending_cells.jsonl"
 
 #: Loopback by default: the server is an internal results surface, not an
 #: internet-facing service; bind wider interfaces explicitly.
@@ -59,7 +55,7 @@ _ENDPOINTS = {
     "GET /points?experiment=NAME": "grid-point records (preset=, seed=, policy= filters)",
     "GET /point/<point-key>": "per-seed records of one point (confidence= adds a CI band)",
     "GET /report/<experiment>": "rendered report from cache (preset=, seed=, seeds=, confidence=)",
-    "POST /enqueue": "append an experiment's missing cells to the pending-cells file",
+    "POST /enqueue": "enqueue an experiment's (or explicit) missing cells on the work queue",
 }
 
 
@@ -84,8 +80,6 @@ class ResultsServer(ThreadingHTTPServer):
     ) -> None:
         self.query = query
         self.store_root = query.store_root
-        self.pending_path = query.store_root / PENDING_FILENAME
-        self.pending_lock = threading.Lock()
         self.quiet = quiet
         super().__init__(address, _Handler)
 
@@ -320,50 +314,8 @@ class _Handler(BaseHTTPRequestHandler):
         count = self._int_field(body, "seeds", 1)
         experiment = self._resolve_experiment(name, preset, seed)
         seeds = seed_range(seed, count) if count > 1 else None
-        cells = experiment.cells(seeds)
-        missing = self.server.query.missing_cells(cells)
-
-        enqueued = 0
-        already_pending = 0
-        with self.server.pending_lock:
-            pending = _pending_fingerprints(self.server.pending_path)
-            lines = []
-            for cell in missing:
-                fingerprint = cell.fingerprint()
-                if fingerprint in pending:
-                    already_pending += 1
-                    continue
-                pending.add(fingerprint)
-                lines.append(
-                    json.dumps(
-                        {
-                            "schema": SCHEMA_VERSION,
-                            "cell_key": cell.key,
-                            "fingerprint": fingerprint,
-                            "experiment": name,
-                            "preset": preset,
-                            "seed": cell.seed,
-                            "config": cell.config_dict(),
-                        },
-                        sort_keys=True,
-                    )
-                )
-                enqueued += 1
-            if lines:
-                with self.server.pending_path.open("a", encoding="utf-8") as handle:
-                    handle.write("\n".join(lines) + "\n")
-        return (
-            {
-                "experiment": name,
-                "preset": preset,
-                "requested": len(cells),
-                "cached": len(cells) - len(missing),
-                "enqueued": enqueued,
-                "already_pending": already_pending,
-                "pending_file": str(self.server.pending_path),
-            },
-            200,
-        )
+        counts = self._enqueue_missing(experiment.cells(seeds))
+        return {"experiment": name, "preset": preset, **counts}, 200
 
     def _enqueue_cells(self, body: Dict[str, Any]) -> Tuple[Dict[str, Any], int]:
         """``POST /enqueue`` with explicit cell payloads.
@@ -375,13 +327,13 @@ class _Handler(BaseHTTPRequestHandler):
         client alias a record onto the wrong cache key when the queue is
         drained.
         """
-        from repro.runner.backends.codec import verify_fingerprint
+        from repro.runner.backends.codec import cell_from_config, verify_fingerprint
 
-        cells = body.get("cells")
-        if not isinstance(cells, list) or not cells:
+        payloads = body.get("cells")
+        if not isinstance(payloads, list) or not payloads:
             raise _HTTPError(400, "'cells' must be a non-empty list of objects")
-        entries: List[Dict[str, Any]] = []
-        for position, payload in enumerate(cells):
+        cells: List[SweepCell] = []
+        for position, payload in enumerate(payloads):
             if not isinstance(payload, dict) or not all(
                 key in payload for key in ("cell_key", "fingerprint", "config")
             ):
@@ -391,80 +343,43 @@ class _Handler(BaseHTTPRequestHandler):
                     f"config fields",
                 )
             try:
-                verify_fingerprint(
-                    str(payload["cell_key"]),
-                    payload["config"],
-                    str(payload["fingerprint"]),
-                )
+                key = str(payload["cell_key"])
+                verify_fingerprint(key, payload["config"], str(payload["fingerprint"]))
+                cells.append(cell_from_config(key, payload["config"]))
             except ConfigurationError as exc:
                 raise _HTTPError(400, f"cells[{position}]: {exc}") from None
-            entries.append(payload)
+        return self._enqueue_missing(cells), 200
+
+    def _enqueue_missing(self, cells: List[SweepCell]) -> Dict[str, int]:
+        """Enqueue every cell the store lacks, with its gateway capture.
+
+        "Lacks" is the rule ``/report`` uses (a fresh ``ResultsStore.get``),
+        and the queue's content addressing dedupes: an entry already queued
+        or leased counts as ``already_queued``.
+        """
+        from repro.runner.backends.queue import WorkQueue, entry_from_task
 
         store = ResultsStore(self.server.store_root)
-        enqueued = 0
-        already_pending = 0
-        cached = 0
-        with self.server.pending_lock:
-            pending = _pending_fingerprints(self.server.pending_path)
-            lines = []
-            for payload in entries:
-                fingerprint = str(payload["fingerprint"])
-                if store.get(fingerprint) is not None:
-                    cached += 1
-                    continue
-                if fingerprint in pending:
-                    already_pending += 1
-                    continue
-                pending.add(fingerprint)
-                lines.append(
-                    json.dumps(
-                        {
-                            "schema": SCHEMA_VERSION,
-                            "cell_key": str(payload["cell_key"]),
-                            "fingerprint": fingerprint,
-                            "config": payload["config"],
-                        },
-                        sort_keys=True,
-                    )
-                )
-                enqueued += 1
-            if lines:
-                with self.server.pending_path.open("a", encoding="utf-8") as handle:
-                    handle.write("\n".join(lines) + "\n")
-        return (
-            {
-                "requested": len(entries),
-                "cached": cached,
-                "enqueued": enqueued,
-                "already_pending": already_pending,
-                "pending_file": str(self.server.pending_path),
-            },
-            200,
-        )
+        queue = WorkQueue(store.root)
+        counts = {"requested": len(cells), "cached": 0, "enqueued": 0, "already_queued": 0}
+        for cell in cells:
+            if store.get(cell.fingerprint()) is not None:
+                counts["cached"] += 1
+                continue
+            capture = cell.capture
+            if capture is not None and store.get(capture.fingerprint(), kind="capture") is None:
+                queue.enqueue(entry_from_task(("capture", capture)))
+            if queue.enqueue(entry_from_task(("cell", cell, None))):
+                counts["enqueued"] += 1
+            else:
+                counts["already_queued"] += 1
+        return counts
 
 
 def _default_seed() -> int:
     from repro.api import DEFAULT_SEED
 
     return int(DEFAULT_SEED)
-
-
-def _pending_fingerprints(path: Path) -> set:
-    """Fingerprints already named in the pending-cells file."""
-    fingerprints: set = set()
-    if not path.exists():
-        return fingerprints
-    for line in path.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if isinstance(record, dict) and isinstance(record.get("fingerprint"), str):
-            fingerprints.add(record["fingerprint"])
-    return fingerprints
 
 
 def create_server(
@@ -487,7 +402,6 @@ def create_server(
 __all__ = [
     "DEFAULT_HOST",
     "DEFAULT_PORT",
-    "PENDING_FILENAME",
     "ResultsServer",
     "create_server",
 ]

@@ -92,21 +92,6 @@ class TestPoints:
         assert "smoke" in summary["fig6"]["presets"]
 
 
-class TestMissingCells:
-    def test_fully_cached_grid_has_no_missing_cells(self, query):
-        cells = get_experiment("fig6", "smoke", 2003).cells()
-        assert query.missing_cells(cells) == []
-
-    def test_uncached_grid_is_reported_in_full(self, query):
-        cells = get_experiment("fig6", "fast", 2003).cells()
-        missing = query.missing_cells(cells)
-        assert [cell.key for cell in missing] == [cell.key for cell in cells]
-
-    def test_accepts_a_gridspec(self, query):
-        grid = get_experiment("fig6", "smoke", 2003).grid()
-        assert query.missing_cells(grid) == []
-
-
 class TestCIBand:
     @pytest.fixture()
     def two_seed_store(self, tmp_path):

@@ -16,7 +16,8 @@ import pytest
 
 from repro.api import get_experiment
 from repro.runner import ResultsStore, SweepRunner
-from repro.store import PENDING_FILENAME, StoreIndex, create_server
+from repro.runner.backends.queue import WorkQueue
+from repro.store import StoreIndex, create_server
 
 FIXTURE_CACHE = Path(__file__).resolve().parent.parent / "fixtures" / "sweep_cache"
 
@@ -188,7 +189,7 @@ class TestErrorPaths:
             base, "/enqueue", {"experiment": "fig6", "preset": "smoke", "seeds": "1"}
         )
         assert status == 200
-        assert body["requested"] == body["cached"] + body["enqueued"] + body["already_pending"]
+        assert body["requested"] == body["cached"] + body["enqueued"] + body["already_queued"]
 
     @pytest.mark.parametrize("length", ["abc", "-5"])
     def test_bad_content_length_is_400(self, served, length):
@@ -213,24 +214,36 @@ class TestErrorPaths:
         assert status == 404
 
 
+def queued_entries(root) -> dict:
+    """Fingerprint → entry for every file under the store's ``queue/queued/``."""
+    queue = WorkQueue(root)
+    return {
+        path.stem: json.loads(path.read_text())
+        for path in sorted(queue.queued_dir.glob("*.json"))
+    }
+
+
 class TestEnqueue:
-    def test_enqueue_writes_and_dedupes_pending_cells(self, served):
+    def test_enqueue_writes_and_dedupes_queue_entries(self, served):
         root, base = served
-        pending = root / PENDING_FILENAME
+        experiment = get_experiment("fig4", preset="fast")
         status, body = post_json(base, "/enqueue", {"experiment": "fig4", "preset": "fast"})
         assert status == 200
         assert body["requested"] == body["enqueued"] > 0
         assert body["cached"] == 0
-        lines = [
-            json.loads(line) for line in pending.read_text().splitlines() if line.strip()
-        ]
-        enqueued = [line for line in lines if line["experiment"] == "fig4"]
+        assert "pending_file" not in body
+        entries = queued_entries(root)
+        enqueued = [entries[cell.fingerprint()] for cell in experiment.cells()]
         assert len(enqueued) == body["enqueued"]
-        assert all(line["preset"] == "fast" and "config" in line for line in enqueued)
+        assert all(
+            entry["unit"] == "cell" and entry["config"] == cell.config_dict()
+            for entry, cell in zip(enqueued, experiment.cells())
+        )
 
         status, again = post_json(base, "/enqueue", {"experiment": "fig4", "preset": "fast"})
         assert again["enqueued"] == 0
-        assert again["already_pending"] == body["enqueued"]
+        assert again["already_queued"] == body["enqueued"]
+        assert not (root / "pending_cells.jsonl").exists()
 
     def test_fully_cached_experiment_enqueues_nothing(self, served):
         root, base = served
@@ -263,25 +276,51 @@ class TestEnqueueCells:
             seed=seed,
         )
 
-    def test_valid_cells_land_in_the_pending_file(self, served):
+    def test_valid_cells_land_in_the_queue(self, served):
         root, base = served
         cell = self._fresh_cell()
         status, body = post_json(base, "/enqueue", {"cells": [self._payload(cell)]})
         assert status == 200
         assert body["requested"] == body["enqueued"] == 1
-        lines = [
-            json.loads(line)
-            for line in (root / PENDING_FILENAME).read_text().splitlines()
-            if line.strip()
-        ]
-        mine = [line for line in lines if line["fingerprint"] == cell.fingerprint()]
-        assert len(mine) == 1
-        assert mine[0]["cell_key"] == cell.key
-        assert mine[0]["config"] == cell.config_dict()
-        # A repeated POST dedupes against the pending file.
+        entry = queued_entries(root)[cell.fingerprint()]
+        assert entry["unit"] == "cell"
+        assert entry["key"] == cell.key
+        assert entry["config"] == cell.config_dict()
+        # A repeated POST dedupes against the queue.
         _, again = post_json(base, "/enqueue", {"cells": [self._payload(cell)]})
         assert again["enqueued"] == 0
-        assert again["already_pending"] == 1
+        assert again["already_queued"] == 1
+
+    def test_a_cells_gateway_capture_is_enqueued_with_it(self, served):
+        from repro.experiments import CollectionMode, ScenarioConfig
+        from repro.runner import CaptureSpec, SweepCell
+
+        root, base = served
+        scenario = ScenarioConfig(n_hops=3, cross_utilization=0.37)
+        capture = CaptureSpec(
+            key="server/parent", scenario=scenario, n_intervals=241, seed=408
+        )
+        cells = [
+            SweepCell(
+                key=f"server/child{i}",
+                scenario=ScenarioConfig(n_hops=3, cross_utilization=0.37 + 0.1 * i),
+                sample_sizes=(60,),
+                trials=4,
+                mode=CollectionMode.HYBRID,
+                seed=408,
+                capture=capture,
+            )
+            for i in range(2)
+        ]
+        status, body = post_json(
+            base, "/enqueue", {"cells": [self._payload(cell) for cell in cells]}
+        )
+        assert status == 200
+        assert body["enqueued"] == 2
+        entries = queued_entries(root)
+        assert entries[capture.fingerprint()]["unit"] == "capture"
+        assert entries[capture.fingerprint()]["config"] == capture.config_dict()
+        assert all(entries[cell.fingerprint()]["unit"] == "cell" for cell in cells)
 
     def test_cached_cells_are_reported_not_enqueued(self, served):
         _, base = served

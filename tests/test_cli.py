@@ -402,6 +402,54 @@ class TestCacheIndexCommand:
         assert not (tmp_path / INDEX_FILENAME).exists()
 
 
+class TestQueueCommand:
+    def test_drain_with_one_local_worker_fills_the_store(self, tmp_path, capsys):
+        from repro.experiments import CollectionMode, ScenarioConfig
+        from repro.runner import CaptureSpec, ResultsStore, SweepCell, SweepRunner
+        from repro.runner.backends.queue import WorkQueue, entry_from_task
+
+        capture = CaptureSpec(
+            key="cli/parent",
+            scenario=ScenarioConfig(n_hops=3, cross_utilization=0.1),
+            n_intervals=241,
+            seed=12,
+        )
+        cells = [
+            SweepCell(
+                key=f"cli/child/util={utilization}",
+                scenario=ScenarioConfig(n_hops=3, cross_utilization=utilization),
+                sample_sizes=(60,),
+                trials=4,
+                mode=CollectionMode.HYBRID,
+                seed=12,
+                capture=capture,
+            )
+            for utilization in (0.1, 0.3)
+        ]
+        reference = SweepRunner(backend="serial").run(cells)
+        queue = WorkQueue(tmp_path)
+        queue.enqueue(entry_from_task(("capture", capture)))
+        for cell in cells:
+            queue.enqueue(entry_from_task(("cell", cell, None)))
+
+        cache = ["--cache-dir", str(tmp_path)]
+        assert main(["queue", "drain", *cache, "--workers", "1", "--timeout", "120"]) == 0
+        assert (
+            "queue drain: 3 outstanding entr(ies): 2 cells computed "
+            "(1 gateway captures), 0 already cached"
+        ) in capsys.readouterr().out
+        store = ResultsStore(tmp_path)
+        for cell in cells:
+            stored = store.get(cell.fingerprint())["result"]
+            expected = reference[cell.key].to_json_dict()
+            stored.pop("elapsed_seconds"), expected.pop("elapsed_seconds")
+            assert stored == expected
+        assert main(["queue", "status", *cache]) == 0
+        status = capsys.readouterr().out
+        assert "queued=0," in status
+        assert "leased=0," in status
+
+
 class TestServeCommand:
     def test_parser_accepts_serve_options(self):
         args = build_parser().parse_args(
