@@ -1,10 +1,9 @@
 """Pluggable sweep execution backends.
 
 One contract (:class:`~repro.runner.backends.base.ExecutionBackend`), three
-strategies: ``serial`` (in-process fast path), ``process`` (the historical
-multiprocessing pool with timeouts and recycling) and ``queue`` (a
-filesystem work queue drained by pull-based workers — see
-``docs/distributed.md``).  :func:`create_backend` is the single factory the
+strategies: ``serial`` (in-process fast path), ``process`` (a
+``ProcessPoolExecutor`` over local workers) and ``queue`` (a filesystem work
+queue drained by pull-based workers — see ``docs/distributed.md``).  :func:`create_backend` is the single factory the
 runner and CLI go through.
 """
 
@@ -14,7 +13,6 @@ from typing import Optional
 
 from repro.exceptions import ConfigurationError
 from repro.runner.backends.base import (
-    FORKED_CAPTURES,
     ExecutionBackend,
     ProgressFn,
     Task,
@@ -46,8 +44,6 @@ def create_backend(
     name: str,
     jobs: int = 1,
     store: Optional[ResultsStore] = None,
-    mp_context: Optional[str] = None,
-    timeout: Optional[float] = None,
     retries: int = 0,
     progress: ProgressFn = None,
     **options: object,
@@ -60,37 +56,18 @@ def create_backend(
     backend does not take is a configuration error.
     """
     if name == "serial":
-        if timeout is not None:
-            raise ConfigurationError(
-                f"timeout={timeout!r} cannot be enforced by the serial backend "
-                f"(a stuck cell cannot be reclaimed in-process); use "
-                f"--backend process"
-            )
         _reject_options("serial", options)
         return SerialBackend(retries=retries, progress=progress)
     if name == "process":
         _reject_options("process", options)
-        return ProcessBackend(
-            jobs=jobs,
-            mp_context=mp_context,
-            timeout=timeout,
-            retries=retries,
-            progress=progress,
-        )
+        return ProcessBackend(jobs=jobs, retries=retries, progress=progress)
     if name == "queue":
-        if timeout is not None:
-            raise ConfigurationError(
-                f"timeout={timeout!r} is not supported by the queue backend; "
-                f"stuck workers are handled by lease expiry (lease_timeout) "
-                f"instead"
-            )
         try:
             return QueueBackend(
                 store,
                 workers=jobs,
                 retries=retries,
                 progress=progress,
-                mp_context=mp_context,
                 **options,  # type: ignore[arg-type]
             )
         except TypeError as exc:
@@ -112,7 +89,6 @@ __all__ = [
     "BACKEND_NAMES",
     "DrainReport",
     "ExecutionBackend",
-    "FORKED_CAPTURES",
     "ProcessBackend",
     "ProgressFn",
     "QueueBackend",

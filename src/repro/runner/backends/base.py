@@ -14,9 +14,9 @@ Three backends ship with the package:
 
 * ``serial`` (:mod:`repro.runner.backends.serial`) — in-process, zero
   pool/pickle overhead; the fast path for warm sweeps and small grids.
-* ``process`` (:mod:`repro.runner.backends.process`) — the historical
-  :mod:`multiprocessing` pool with per-attempt timeouts, bounded retries and
-  pool recycling.
+* ``process`` (:mod:`repro.runner.backends.process`) — a
+  :class:`~concurrent.futures.ProcessPoolExecutor` over ``jobs`` local
+  worker processes.
 * ``queue`` (:mod:`repro.runner.backends.queue`) — a filesystem work queue at
   the store root, drained by pull-based ``repro worker`` processes on any
   host sharing the store (see ``docs/distributed.md``).
@@ -27,31 +27,40 @@ from __future__ import annotations
 import os
 import traceback
 from abc import ABC, abstractmethod
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Dict, Iterator, List, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    ClassVar,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro.exceptions import ConfigurationError
 from repro.runner.capture import CaptureResult, CaptureSpec
 from repro.runner.cells import CellResult, SweepCell
 
-#: A schedulable unit of work: a cell (with its optional injected capture
-#: result) or a gateway capture.  Plain tuples keep pool payloads boring
-#: and picklable.
+if TYPE_CHECKING:
+    from concurrent.futures import Future
+
+#: A schedulable unit of work: a cell or a gateway capture.  Plain tuples
+#: keep pool payloads boring and picklable.
 Task = Union[
-    Tuple[str, SweepCell, Optional[CaptureResult]],  # ("cell", cell, capture)
+    Tuple[str, SweepCell],  # ("cell", cell)
     Tuple[str, CaptureSpec],  # ("capture", spec)
 ]
 
-#: Resolved capture results shared with ``fork``-started workers by
-#: copy-on-write inheritance.  A capture payload is a few hundred KB of
-#: gateway intervals; embedding it in every child task would re-pickle it
-#: once per ``apply_async`` call (24× per network for fig8), so on fork
-#: platforms the task carries ``None`` and the worker looks the result up
-#: here.  Populated by :meth:`~repro.runner.runner.SweepRunner.run` before
-#: any pool is created and cleared when the run finishes.  ``spawn`` workers
-#: do not inherit parent globals, so there the capture stays embedded in the
-#: task.
-FORKED_CAPTURES: Dict[str, CaptureResult] = {}
+#: Resolved gateway captures by fingerprint: what a two-level cell's task
+#: needs besides the cell itself.
+Captures = Mapping[str, CaptureResult]
+
+ProgressFn = Optional[Callable[[str], None]]
 
 
 @dataclass(frozen=True)
@@ -84,11 +93,12 @@ def task_unit(task: Task) -> str:
     return "gateway capture" if task[0] == "capture" else "cell"
 
 
-def execute_task(task: Task) -> TaskOutcome:
+def execute_task(task: Task, captures: Captures) -> TaskOutcome:
     """Run one task, converting any exception to a :class:`TaskFailure`.
 
     The entry point every backend funnels work through — pool workers,
-    queue workers and the in-process serial loop alike.  ``run_cell`` and
+    queue workers and the in-process serial loop alike.  A two-level cell
+    takes its gateway capture from ``captures``.  ``run_cell`` and
     ``run_capture`` are resolved through :mod:`repro.runner.runner` at call
     time (not import time) so a patched ``repro.runner.runner.run_cell``
     — the seam the fault-injection tests use — is honoured by every
@@ -96,13 +106,13 @@ def execute_task(task: Task) -> TaskOutcome:
     """
     import repro.runner.runner as _runner
 
-    kind = task[0]
     try:
-        if kind == "capture":
+        if task[0] == "capture":
             return _runner.run_capture(task[1])
-        cell, capture = task[1], task[2]
-        if capture is None and cell.capture is not None:
-            capture = FORKED_CAPTURES.get(cell.capture.fingerprint())
+        cell = task[1]
+        capture = None
+        if cell.capture is not None:
+            capture = captures.get(cell.capture.fingerprint())
         return _runner.run_cell(cell, capture=capture)
     except Exception as exc:
         return TaskFailure(
@@ -111,6 +121,74 @@ def execute_task(task: Task) -> TaskOutcome:
             worker_traceback=traceback.format_exc(),
             unit=task_unit(task),
         )
+
+
+def run_with_retries(
+    tasks: List[Task],
+    submit: Callable[[Task], "Future[TaskOutcome]"],
+    retries: int,
+    progress: ProgressFn,
+    window: int = 1,
+) -> Iterator[TaskOutcome]:
+    """The bounded-retry loop of the serial and process backends.
+
+    Keeps at most ``window`` submitted tasks unfinished and yields each
+    terminal outcome as its future completes.  A task whose outcome is a
+    :class:`TaskFailure` goes to the back of the line until it has had
+    ``retries + 1`` attempts.  A future that raises
+    :class:`~concurrent.futures.BrokenExecutor` means a pool worker died
+    (OOM killer, SIGKILL): the pool cannot run anything more, so that task,
+    and every task submitted after it, yields its failure at once rather
+    than being retried.
+    """
+    # Imported here, not at module level, to keep ``concurrent.futures``
+    # (~7 ms) out of the CLI's start-up.
+    from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
+
+    def worker_died(task: Task, exc: BaseException) -> TaskFailure:
+        # The pool does not say which task's worker died: name every task it
+        # still held.
+        held = [task] + [other for other, _ in running.values()]
+        return TaskFailure(
+            key=task_key(task),
+            error=(
+                f"a pool worker died while the pool held "
+                f"{', '.join(task_key(t) for t in held)} ({exc})"
+            ),
+            worker_traceback="(none: the worker process exited abruptly)",
+            unit=task_unit(task),
+        )
+
+    max_attempts = retries + 1
+    waiting = deque((task, 1) for task in tasks)
+    running: Dict["Future[TaskOutcome]", Tuple[Task, int]] = {}
+    while waiting or running:
+        while waiting and len(running) < window:
+            task, attempt = waiting.popleft()
+            try:
+                running[submit(task)] = (task, attempt)
+            except BrokenExecutor as exc:
+                # A broken pool refuses new work at submission time.
+                yield worker_died(task, exc)
+        if not running:
+            continue
+        done, _ = wait(running, return_when=FIRST_COMPLETED)
+        for future in done:
+            task, attempt = running.pop(future)
+            try:
+                outcome = future.result()
+            except BrokenExecutor as exc:
+                yield worker_died(task, exc)
+                continue
+            if isinstance(outcome, TaskFailure) and attempt < max_attempts:
+                if progress is not None:
+                    progress(
+                        f"{outcome.unit} {outcome.key}: failed, retrying "
+                        f"(attempt {attempt + 1}/{max_attempts})"
+                    )
+                waiting.append((task, attempt + 1))
+            else:
+                yield outcome
 
 
 def available_cpu_count() -> int:
@@ -168,14 +246,14 @@ class ExecutionBackend(ABC):
     name: ClassVar[str] = "abstract"
 
     @abstractmethod
-    def execute(self, tasks: List[Task]) -> Iterator[TaskOutcome]:
-        """Run every task, yielding one terminal outcome per task."""
+    def execute(
+        self, tasks: List[Task], captures: Optional[Captures] = None
+    ) -> Iterator[TaskOutcome]:
+        """Run every task, yielding one terminal outcome per task.
 
-    # Shared retry bookkeeping -------------------------------------------------
-    def _report(self, line: str) -> None:
-        progress = getattr(self, "_progress", None)
-        if progress is not None:
-            progress(line)
+        ``captures`` holds the resolved gateway captures the tasks' two-level
+        cells reference; each backend decides how they reach its workers.
+        """
 
 
 def validate_retries(retries: int) -> int:
@@ -184,10 +262,8 @@ def validate_retries(retries: int) -> int:
     return retries
 
 
-ProgressFn = Optional[Callable[[str], None]]
-
 __all__ = [
-    "FORKED_CAPTURES",
+    "Captures",
     "ExecutionBackend",
     "ProgressFn",
     "Task",
@@ -196,6 +272,7 @@ __all__ = [
     "available_cpu_count",
     "execute_task",
     "resolve_jobs",
+    "run_with_retries",
     "task_key",
     "task_unit",
     "validate_retries",

@@ -1,41 +1,41 @@
-"""The process backend: a multiprocessing pool with timeouts and recycling.
+"""The process backend: a :class:`~concurrent.futures.ProcessPoolExecutor`.
 
-This is the historical ``SweepRunner`` fan-out, moved verbatim onto the
-:class:`~repro.runner.backends.base.ExecutionBackend` contract so its
-behaviour stays pinned by the existing runner tests:
-
-* at most ``jobs`` tasks in flight, submitted via ``apply_async`` so a
-  per-attempt clock starts the moment a task is handed to a worker;
-* a task still running past ``timeout`` is charged an attempt; because a
-  stuck worker cannot be reclaimed cooperatively, the whole pool is
-  recycled — innocent in-flight tasks are requeued *at no retry cost* and
-  restart in a fresh pool;
+* ``min(jobs, len(tasks))`` worker processes, at most one task in flight per
+  worker, outcomes yielded as they complete;
 * a failing task retries up to ``retries`` extra times before its
-  :class:`~repro.runner.backends.base.TaskFailure` is yielded.
+  :class:`~repro.runner.backends.base.TaskFailure` is yielded — the same
+  loop (:func:`~repro.runner.backends.base.run_with_retries`) the serial
+  backend runs;
+* a worker that dies (OOM killer, SIGKILL) breaks the pool, and the tasks
+  it held yield a failure saying a pool worker died: the sweep aborts
+  instead of waiting for a result that will never come.  The ``queue``
+  backend is the fault-tolerant path — its leases survive dead workers.
 
-When there is nothing to parallelise and no timeout to enforce (``jobs == 1``
-or a single task), the backend runs the serial loop instead of paying for a
-one-worker pool — the same inline path the runner always took.
+The resolved gateway captures reach each worker once, through the
+executor's ``initializer``: under ``fork`` the worker inherits them without
+pickling, under ``spawn`` they are pickled once per worker rather than once
+per task.
+
+When there is nothing to parallelise (``jobs == 1`` or a single task), the
+backend runs the serial loop instead of paying for a one-worker pool.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import sys
-import time
-from collections import deque
-from typing import Dict, Iterator, List, Optional, Tuple
+from functools import partial
+from typing import Iterator, List, Optional
 
 from repro.exceptions import ConfigurationError
 from repro.runner.backends.base import (
+    Captures,
     ExecutionBackend,
     ProgressFn,
     Task,
-    TaskFailure,
     TaskOutcome,
     execute_task,
-    task_key,
-    task_unit,
+    run_with_retries,
     validate_retries,
 )
 from repro.runner.backends.serial import SerialBackend
@@ -51,124 +51,59 @@ def default_mp_context() -> str:
     return "fork" if sys.platform == "linux" else "spawn"
 
 
+#: The captures installed in this worker process by :func:`_install_captures`.
+_worker_captures: Captures = {}
+
+
+def _install_captures(captures: Captures) -> None:
+    global _worker_captures
+    _worker_captures = captures
+
+
+def _execute_in_worker(task: Task) -> TaskOutcome:
+    return execute_task(task, _worker_captures)
+
+
 class ProcessBackend(ExecutionBackend):
-    """Pool-based execution with per-attempt timeouts and pool recycling."""
+    """Pool-based execution with bounded retries."""
 
     name = "process"
 
-    #: Seconds between polls of outstanding pool results.
-    _POLL_INTERVAL = 0.02
-
     def __init__(
-        self,
-        jobs: int = 1,
-        mp_context: Optional[str] = None,
-        timeout: Optional[float] = None,
-        retries: int = 0,
-        progress: ProgressFn = None,
+        self, jobs: int = 1, retries: int = 0, progress: ProgressFn = None
     ) -> None:
         if jobs < 1:
             raise ConfigurationError(f"jobs={jobs!r} must be >= 1")
-        if timeout is not None and not timeout > 0.0:
-            raise ConfigurationError(f"timeout={timeout!r} must be positive seconds")
         self.jobs = jobs
-        self.timeout = timeout
         self.retries = validate_retries(retries)
-        self._mp_context = mp_context if mp_context is not None else default_mp_context()
         self._progress = progress
 
-    def execute(self, tasks: List[Task]) -> Iterator[TaskOutcome]:
-        if not tasks:
+    def execute(
+        self, tasks: List[Task], captures: Optional[Captures] = None
+    ) -> Iterator[TaskOutcome]:
+        workers = min(self.jobs, len(tasks))
+        if workers <= 1:
+            yield from SerialBackend(self.retries, self._progress).execute(
+                tasks, captures
+            )
             return
-        use_pool = self.timeout is not None or (self.jobs > 1 and len(tasks) > 1)
-        if not use_pool:
-            # Nothing to parallelise and no timeout to enforce: the serial
-            # loop is behaviourally identical and skips the pool startup.
-            yield from SerialBackend(
-                retries=self.retries, progress=self._progress
-            ).execute(tasks)
-            return
+        # Imported on first use: ``concurrent.futures.process`` costs the
+        # CLI's start-up ~7 ms that serial and cached runs never need back.
+        from concurrent.futures import ProcessPoolExecutor
 
-        attempts: Dict[int, int] = {i: 1 for i in range(len(tasks))}
-        queue: deque = deque(enumerate(tasks))
-        max_attempts = self.retries + 1
-        context = multiprocessing.get_context(self._mp_context)
-        while queue:
-            workers = min(self.jobs, len(queue))
-            pool = context.Pool(processes=workers)
-            recycle_pool = False
-            try:
-                in_flight: Dict[int, Tuple] = {}  # index -> (async result, started, task)
-                while queue or in_flight:
-                    while queue and len(in_flight) < workers:
-                        index, task = queue.popleft()
-                        in_flight[index] = (
-                            pool.apply_async(execute_task, (task,)),
-                            time.monotonic(),
-                            task,
-                        )
-                    progressed = False
-                    for index in [i for i, (a, _, _) in in_flight.items() if a.ready()]:
-                        async_result, _, task = in_flight.pop(index)
-                        outcome = async_result.get()
-                        progressed = True
-                        if (
-                            isinstance(outcome, TaskFailure)
-                            and attempts[index] < max_attempts
-                        ):
-                            attempts[index] += 1
-                            self._report(
-                                f"{outcome.unit} {outcome.key}: failed, retrying "
-                                f"(attempt {attempts[index]}/{max_attempts})"
-                            )
-                            queue.append((index, task))
-                        else:
-                            yield outcome
-                    if self.timeout is not None:
-                        now = time.monotonic()
-                        expired = [
-                            i
-                            for i, (a, started, _) in in_flight.items()
-                            if now - started > self.timeout
-                        ]
-                        if expired:
-                            # The stuck workers cannot be reclaimed: recycle
-                            # the whole pool.  Expired tasks are charged an
-                            # attempt; innocent in-flight tasks are requeued
-                            # free and restart in the fresh pool.
-                            for index in expired:
-                                _, _, task = in_flight.pop(index)
-                                unit = task_unit(task)
-                                if attempts[index] < max_attempts:
-                                    attempts[index] += 1
-                                    self._report(
-                                        f"{unit} {task_key(task)}: timed out after "
-                                        f"{self.timeout:g}s, retrying "
-                                        f"(attempt {attempts[index]}/{max_attempts})"
-                                    )
-                                    queue.append((index, task))
-                                else:
-                                    yield TaskFailure(
-                                        key=task_key(task),
-                                        error=(
-                                            f"timed out after {self.timeout:g}s "
-                                            f"({max_attempts} attempt(s))"
-                                        ),
-                                        worker_traceback="(worker terminated on timeout)",
-                                        unit=unit,
-                                    )
-                            for index, (_, _, task) in in_flight.items():
-                                queue.append((index, task))
-                            in_flight.clear()
-                            recycle_pool = True
-                            break
-                    if not progressed and in_flight:
-                        time.sleep(self._POLL_INTERVAL)
-                if not recycle_pool:
-                    return
-            finally:
-                pool.terminate()
-                pool.join()
+        with ProcessPoolExecutor(
+            workers,
+            multiprocessing.get_context(default_mp_context()),
+            initializer=_install_captures,
+            initargs=(captures or {},),
+        ) as executor:
+            yield from run_with_retries(
+                tasks,
+                partial(executor.submit, _execute_in_worker),
+                self.retries,
+                self._progress,
+                window=workers,
+            )
 
 
 __all__ = ["ProcessBackend", "default_mp_context"]

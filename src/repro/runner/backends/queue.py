@@ -52,6 +52,7 @@ from typing import AbstractSet, Any, Dict, Iterator, List, Optional, Set, Tuple,
 
 from repro.exceptions import ConfigurationError, SweepError
 from repro.runner.backends.base import (
+    Captures,
     ExecutionBackend,
     ProgressFn,
     Task,
@@ -406,6 +407,7 @@ def _execute_entry(store: ResultsStore, entry: Dict[str, Any]) -> Tuple[Any, ...
     ``("wait",)`` when a child cell's gateway capture has not reached the
     store yet (the entry is released back to the queue).
     """
+    captures: Dict[str, CaptureResult] = {}
     try:
         verify_fingerprint(str(entry["key"]), entry["config"], str(entry["fingerprint"]))
         if entry.get("unit") == "capture":
@@ -413,19 +415,18 @@ def _execute_entry(store: ResultsStore, entry: Dict[str, Any]) -> Tuple[Any, ...
             task: Task = ("capture", spec)
         else:
             cell = cell_from_config(entry["key"], entry["config"])
-            capture_result = None
+            task = ("cell", cell)
             if cell.capture is not None:
                 capture_fp = cell.capture.fingerprint()
                 record = store.get(capture_fp, kind="capture")
                 if record is None:
                     return ("wait",)
-                capture_result = CaptureResult.from_json_dict(
+                captures[capture_fp] = CaptureResult.from_json_dict(
                     cell.capture.key, capture_fp, record["result"]
                 )
-            task = ("cell", cell, capture_result)
     except Exception as exc:
         return ("failed", f"{type(exc).__name__}: {exc}", traceback.format_exc())
-    outcome = execute_task(task)
+    outcome = execute_task(task, captures)
     if isinstance(outcome, TaskFailure):
         return ("failed", outcome.error, outcome.worker_traceback)
     return ("ok", outcome)
@@ -552,13 +553,10 @@ class LocalWorkerPool:
         self,
         store_root: Union[str, Path],
         count: int,
-        mp_context: Optional[str] = None,
         poll_interval: float = DEFAULT_POLL_INTERVAL,
         lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
     ) -> None:
-        context = multiprocessing.get_context(
-            mp_context if mp_context is not None else default_mp_context()
-        )
+        context = multiprocessing.get_context(default_mp_context())
         self._queue = WorkQueue(store_root)
         self.worker_ids = [f"{default_worker_id()}-local{i}" for i in range(count)]
         self._procs = []
@@ -691,7 +689,6 @@ class QueueBackend(ExecutionBackend):
         workers: int = 1,
         retries: int = 0,
         progress: ProgressFn = None,
-        mp_context: Optional[str] = None,
         lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
         poll_interval: float = DEFAULT_POLL_INTERVAL,
         spawn_workers: bool = True,
@@ -717,10 +714,13 @@ class QueueBackend(ExecutionBackend):
         self.poll_interval = poll_interval
         self.spawn_workers = spawn_workers
         self.wait_timeout = wait_timeout
-        self._mp_context = mp_context
         self._progress = progress
 
-    def execute(self, tasks: List[Task]) -> Iterator[TaskOutcome]:
+    def execute(
+        self, tasks: List[Task], captures: Optional[Captures] = None
+    ) -> Iterator[TaskOutcome]:
+        # ``captures`` is not needed here: the runner stores every capture
+        # before its cells are enqueued, and workers read it from the store.
         if not tasks:
             return
         queue = WorkQueue(self.store.root)
@@ -735,7 +735,6 @@ class QueueBackend(ExecutionBackend):
             pool = LocalWorkerPool(
                 self.store.root,
                 self.workers,
-                mp_context=self._mp_context,
                 poll_interval=self.poll_interval,
                 lease_timeout=self.lease_timeout,
             )
@@ -783,7 +782,6 @@ def drain_queue(
     timeout: Optional[float] = None,
     lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
     poll_interval: float = DEFAULT_POLL_INTERVAL,
-    mp_context: Optional[str] = None,
     progress: ProgressFn = None,
 ) -> DrainReport:
     """Merge every unit the queue owes into the store.
@@ -815,7 +813,6 @@ def drain_queue(
         pool = LocalWorkerPool(
             store.root,
             workers,
-            mp_context=mp_context,
             poll_interval=poll_interval,
             lease_timeout=lease_timeout,
         )

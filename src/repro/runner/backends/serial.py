@@ -5,26 +5,23 @@ the dominant cost of the process backend is forking and tearing down its
 pool, which since the vectorized capture kernel (PR 6) routinely exceeds the
 simulation time itself.  The serial loop is also the reference
 implementation for the bit-identical-at-any-backend guarantee: one task at a
-time, in submission order, with the same bounded-retry semantics as every
-other backend.
-
-A per-attempt ``timeout`` cannot be enforced in-process (a stuck cell cannot
-be reclaimed from inside its own interpreter), so the runner rejects
-``--timeout`` with this backend and points at ``process``.
+time, in submission order, with the same bounded-retry loop
+(:func:`~repro.runner.backends.base.run_with_retries`) as the process
+backend.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Iterator, List
+from typing import Iterator, List, Optional
 
 from repro.runner.backends.base import (
+    Captures,
     ExecutionBackend,
     ProgressFn,
     Task,
-    TaskFailure,
     TaskOutcome,
     execute_task,
+    run_with_retries,
     validate_retries,
 )
 
@@ -38,24 +35,17 @@ class SerialBackend(ExecutionBackend):
         self.retries = validate_retries(retries)
         self._progress = progress
 
-    def execute(self, tasks: List[Task]) -> Iterator[TaskOutcome]:
-        if not tasks:
-            return
-        attempts = {i: 1 for i in range(len(tasks))}
-        queue: deque = deque(enumerate(tasks))
-        max_attempts = self.retries + 1
-        while queue:
-            index, task = queue.popleft()
-            outcome = execute_task(task)
-            if isinstance(outcome, TaskFailure) and attempts[index] < max_attempts:
-                attempts[index] += 1
-                self._report(
-                    f"{outcome.unit} {outcome.key}: failed, retrying "
-                    f"(attempt {attempts[index]}/{max_attempts})"
-                )
-                queue.append((index, task))
-                continue
-            yield outcome
+    def execute(
+        self, tasks: List[Task], captures: Optional[Captures] = None
+    ) -> Iterator[TaskOutcome]:
+        from concurrent.futures import Future
+
+        def run_now(task: Task) -> "Future[TaskOutcome]":
+            future: "Future[TaskOutcome]" = Future()
+            future.set_result(execute_task(task, captures or {}))
+            return future
+
+        yield from run_with_retries(tasks, run_now, self.retries, self._progress)
 
 
 __all__ = ["SerialBackend"]

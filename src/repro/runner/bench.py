@@ -407,25 +407,6 @@ def _dispatch_grid(seed: int, count: int = 8) -> List:
     ]
 
 
-def _time_backends(seed: int, repeats: int) -> Tuple[float, float, int]:
-    """Serial vs process wall-clock on the dispatch grid.
-
-    The cells are near-free analytically, so the difference is almost purely
-    the process backend's pool startup + pickle cost — the overhead the
-    serial backend exists to avoid on warm and small sweeps.
-    """
-    from repro.runner.runner import SweepRunner
-
-    cells = _dispatch_grid(seed)
-    serial_seconds, _ = _best_of(
-        repeats, lambda: SweepRunner(backend="serial").run(cells)
-    )
-    process_seconds, _ = _best_of(
-        repeats, lambda: SweepRunner(jobs=2, backend="process").run(cells)
-    )
-    return serial_seconds, process_seconds, len(cells)
-
-
 def _time_queue(seed: int, workers: int = 2) -> Tuple[float, int]:
     """Cold wall-clock of the dispatch grid through the queue backend.
 
@@ -513,7 +494,6 @@ def run_bench(
 
     engine_seconds = _time_engine(engine_events, repeats)
     sweep_cold, sweep_warm, n_cells = _time_sweep(seed)
-    serial_seconds, process_seconds, dispatch_cells = _time_backends(seed, repeats)
     queue_seconds, queue_cells = _time_queue(seed)
     population_flows = 2000
     population_seconds = _time_population(seed, population_flows, repeats)
@@ -536,12 +516,6 @@ def run_bench(
         "sweep_warm_seconds": sweep_warm,
         "sweep_warm_speedup": sweep_cold / sweep_warm,
         "sweep_cells_per_sec": n_cells / sweep_cold,
-        "serial_dispatch_seconds": serial_seconds,
-        "process_dispatch_seconds": process_seconds,
-        # How much the pool costs over running inline; clamped because a
-        # loaded machine can (rarely) time the pool faster than the clamp
-        # floor and the artifact schema requires metrics >= 0.
-        "dispatch_overhead_seconds": max(0.0, process_seconds - serial_seconds),
         "queue_cells_per_sec": queue_cells / queue_seconds,
         "population_flows_per_sec": population_flows / population_seconds,
     }
@@ -552,7 +526,6 @@ def run_bench(
         "seed": seed,
         "sweep": "fig6 --preset quick",
         "sweep_cells": n_cells,
-        "dispatch_cells": dispatch_cells,
         "queue_workers": 2,
         "queue_seconds": queue_seconds,
         "population_flows": population_flows,

@@ -3,15 +3,15 @@
 :class:`SweepRunner` executes a grid of :class:`~repro.runner.cells.SweepCell`
 objects, delegating *how* cache misses run to a pluggable
 :class:`~repro.runner.backends.base.ExecutionBackend` — ``serial`` (inline,
-zero pool overhead), ``process`` (a :mod:`multiprocessing` pool with
-per-attempt timeouts and recycling) or ``queue`` (a filesystem work queue
-drained by ``repro worker`` processes) — and streaming every computed result
-into an optional :class:`~repro.runner.store.ResultsStore` so that repeated
-sweeps skip the simulation entirely.  Two-level cells (a shared gateway
-capture feeding per-scenario children, :mod:`repro.runner.capture`) are
-resolved in a first pass: each distinct capture fingerprint is served from
-the store or simulated once, then injected into every child that references
-it.
+zero pool overhead), ``process`` (a process pool over local workers) or
+``queue`` (a filesystem work queue drained by ``repro worker`` processes) —
+and streaming every computed result into an optional
+:class:`~repro.runner.store.ResultsStore` so that repeated sweeps skip the
+simulation entirely.  Two-level cells (a shared gateway capture feeding
+per-scenario children, :mod:`repro.runner.capture`) are resolved in a first
+pass: each distinct capture fingerprint is served from the store or
+simulated once, then handed to the backend with the child cells, and the
+backend decides how it reaches their workers.
 
 Guarantees:
 
@@ -19,48 +19,28 @@ Guarantees:
   seeding via :class:`repro.sim.random.RandomStreams`), so the same grid and
   seeds produce bit-identical results on any backend at any ``jobs`` count,
   warm or cold.
-* **Loud failure** — a cell that keeps failing (or times out) aborts the
-  sweep with a :class:`~repro.exceptions.SweepError` naming the cell and
-  carrying the worker traceback; the pool is torn down rather than left to
-  hang.
-* **Bounded retries** — ``retries=N`` re-runs a failing or timed-out cell up
-  to ``N`` extra times before aborting; ``timeout=T`` bounds each attempt's
-  wall clock (process backend only — the serial loop cannot reclaim a stuck
-  cell in-process, and the queue backend handles stuck workers by lease
-  expiry).
+* **Loud failure** — a cell that keeps failing aborts the sweep with a
+  :class:`~repro.exceptions.SweepError` naming the cell and carrying the
+  worker traceback; so does a pool worker that dies, rather than leaving
+  the sweep to hang.
+* **Bounded retries** — ``retries=N`` re-runs a failing cell up to ``N``
+  extra times before aborting.
 * **Single-writer cache** — only the parent process appends to the store, so
   workers never contend for the results file.
 """
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.exceptions import ConfigurationError, SweepError
 from repro.runner.backends import create_backend
-from repro.runner.backends.base import (
-    FORKED_CAPTURES,
-    Task,
-    TaskFailure,
-    execute_task,
-    task_key,
-)
+from repro.runner.backends.base import Task, TaskFailure
 from repro.runner.capture import CaptureResult, CaptureSpec, run_capture
 from repro.runner.cells import CellResult, SweepCell, run_cell
 from repro.runner.store import ResultsStore
-
-# Historical (pre-backend-extraction) names, kept so existing imports and
-# monkeypatch targets stay valid.  ``_FORKED_CAPTURES`` must be the *same*
-# dict object as the backends module's — fork copy-on-write sharing and the
-# in-process lookup both go through that one instance.
-_Task = Task
-_CellFailure = TaskFailure
-_FORKED_CAPTURES = FORKED_CAPTURES
-_task_key = task_key
-_execute_task = execute_task
 
 
 @dataclass
@@ -112,24 +92,13 @@ class SweepRunner:
         Optional persistent cache.  Cells whose fingerprint is already stored
         are returned from the cache without simulating.  Required by the
         ``queue`` backend (workers resolve shared captures through it).
-    mp_context:
-        :mod:`multiprocessing` start method.  Defaults to ``"fork"`` on Linux
-        (cheap worker startup, and no re-import of ``__main__`` — ``spawn``
-        cannot start workers from a parent run off stdin or a REPL) and
-        ``"spawn"`` everywhere else, where forking past BLAS/framework
-        initialisation is unsafe.
     progress:
         Optional callable invoked with one line per completed cell.
-    timeout:
-        Optional per-attempt wall-clock bound in seconds (``process`` backend
-        only).  A cell (or capture) still running past it counts as a failed
-        attempt.  Because a stuck worker cannot be reclaimed, enforcing a
-        timeout always uses a worker pool, even at ``jobs=1``.
     retries:
-        Extra attempts granted to a failing or timed-out cell before the
-        sweep aborts with a :class:`~repro.exceptions.SweepError`.
+        Extra attempts granted to a failing cell before the sweep aborts
+        with a :class:`~repro.exceptions.SweepError`.
     backend:
-        Execution strategy: ``"process"`` (default, the historical pool),
+        Execution strategy: ``"process"`` (default, a process pool),
         ``"serial"`` (inline fast path) or ``"queue"`` (filesystem work
         queue; see ``docs/distributed.md``).
     backend_options:
@@ -142,39 +111,23 @@ class SweepRunner:
         self,
         jobs: int = 1,
         store: Optional[ResultsStore] = None,
-        mp_context: Optional[str] = None,
         progress: Optional[Callable[[str], None]] = None,
-        timeout: Optional[float] = None,
         retries: int = 0,
         backend: str = "process",
         backend_options: Optional[Dict[str, Any]] = None,
     ) -> None:
-        if jobs < 1:
-            raise ConfigurationError(f"jobs={jobs!r} must be >= 1")
-        if timeout is not None and not timeout > 0.0:
-            raise ConfigurationError(f"timeout={timeout!r} must be positive seconds")
-        if retries < 0:
-            raise ConfigurationError(f"retries={retries!r} must be >= 0")
         self.jobs = jobs
         self.store = store
-        if mp_context is None:
-            # fork is only trusted on Linux; macOS lists it as available but
-            # forking a parent with initialized BLAS/ObjC state is unsafe
-            # (CPython itself switched the macOS default to spawn in 3.8).
-            mp_context = "fork" if sys.platform == "linux" else "spawn"
-        self._mp_context = mp_context
         self._progress = progress
-        self.timeout = timeout
         self.retries = retries
         self.backend_name = backend
-        # Built eagerly so a misconfiguration (unknown backend, serial with a
-        # timeout, queue without a store) fails at construction, not mid-sweep.
+        # Built eagerly so a misconfiguration (unknown backend, bad jobs or
+        # retries, queue without a store) fails at construction, not
+        # mid-sweep.
         self._backend = create_backend(
             backend,
             jobs=jobs,
             store=store,
-            mp_context=mp_context,
-            timeout=timeout,
             retries=retries,
             progress=progress,
             **(backend_options or {}),
@@ -224,41 +177,24 @@ class SweepRunner:
         store_fingerprints = set(resolved)
 
         captures = self._resolve_captures(list(pending.values()))
-        # Forked workers (and the inline path) read captures from the shared
-        # module-level map; spawn workers need the payload inside the task.
-        # Queue workers ignore both — they rebuild the cell from its config
-        # and fetch the capture from the store.
-        share_by_fork = self._mp_context == "fork"
-        tasks: List[Task] = []
-        for cell in pending.values():
-            injected = None
-            if cell.capture is not None:
-                fingerprint = cell.capture.fingerprint()
-                if share_by_fork:
-                    _FORKED_CAPTURES[fingerprint] = captures[fingerprint][0]
-                else:
-                    injected = captures[fingerprint][0]
-            tasks.append(("cell", cell, injected))
-
-        try:
-            for outcome in self._backend.execute(tasks):
-                if isinstance(outcome, TaskFailure):
-                    raise SweepError(
-                        f"sweep cell {outcome.key!r} failed: {outcome.error}\n"
-                        f"--- worker traceback ---\n{outcome.worker_traceback}"
-                    )
-                resolved[outcome.fingerprint] = outcome
-                if self.store is not None:
-                    self.store.put(
-                        outcome.fingerprint,
-                        pending[outcome.fingerprint].config_dict(),
-                        outcome.to_json_dict(),
-                    )
-                self._report(
-                    f"cell {outcome.key}: simulated in {outcome.elapsed_seconds:.2f}s"
+        tasks: List[Task] = [("cell", cell) for cell in pending.values()]
+        shared = {fingerprint: result for fingerprint, (result, _) in captures.items()}
+        for outcome in self._backend.execute(tasks, shared):
+            if isinstance(outcome, TaskFailure):
+                raise SweepError(
+                    f"sweep cell {outcome.key!r} failed: {outcome.error}\n"
+                    f"--- worker traceback ---\n{outcome.worker_traceback}"
                 )
-        finally:
-            _FORKED_CAPTURES.clear()
+            resolved[outcome.fingerprint] = outcome
+            if self.store is not None:
+                self.store.put(
+                    outcome.fingerprint,
+                    pending[outcome.fingerprint].config_dict(),
+                    outcome.to_json_dict(),
+                )
+            self._report(
+                f"cell {outcome.key}: simulated in {outcome.elapsed_seconds:.2f}s"
+            )
 
         hits = misses = deduplicated = 0
         for cell in cell_list:

@@ -369,7 +369,7 @@ class _Handler(BaseHTTPRequestHandler):
             capture = cell.capture
             if capture is not None and store.get(capture.fingerprint(), kind="capture") is None:
                 queue.enqueue(entry_from_task(("capture", capture)))
-            if queue.enqueue(entry_from_task(("cell", cell, None))):
+            if queue.enqueue(entry_from_task(("cell", cell))):
                 counts["enqueued"] += 1
             else:
                 counts["already_queued"] += 1

@@ -2,13 +2,17 @@
 
 The backend contract is what keeps every execution strategy byte-identical:
 these tests pin the serial/process parity at several worker counts, the
-backend factory's validation (serial rejects timeouts, unknown names are
-named), the ``--jobs auto`` resolution, and the pool-recycle/retry semantics
-exercised through an explicitly constructed backend rather than through the
-runner's wiring.
+backend factory's validation (unknown names and options are named), the
+``--jobs auto`` resolution, and the pool's failure semantics exercised
+through an explicitly constructed backend rather than through the runner's
+wiring.
 """
 
 from __future__ import annotations
+
+import multiprocessing
+import os
+import signal
 
 import pytest
 
@@ -94,18 +98,6 @@ class TestFactory:
         for name in BACKEND_NAMES:
             assert name in str(excinfo.value)
 
-    def test_serial_rejects_a_timeout_and_points_at_process(self):
-        with pytest.raises(ConfigurationError) as excinfo:
-            create_backend("serial", timeout=5.0)
-        assert "process" in str(excinfo.value)
-
-    def test_queue_rejects_a_timeout_and_points_at_lease_expiry(self, tmp_path):
-        from repro.runner import ResultsStore
-
-        with pytest.raises(ConfigurationError) as excinfo:
-            create_backend("queue", store=ResultsStore(tmp_path), timeout=5.0)
-        assert "lease" in str(excinfo.value)
-
     def test_queue_requires_a_store(self):
         with pytest.raises(ConfigurationError) as excinfo:
             create_backend("queue", store=None)
@@ -118,11 +110,19 @@ class TestFactory:
         with pytest.raises(ConfigurationError):
             create_backend("process", spawn_workers=False)
 
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    def test_no_backend_takes_a_timeout(self, name, tmp_path):
+        from repro.runner import ResultsStore
+
+        with pytest.raises(ConfigurationError) as excinfo:
+            create_backend(name, store=ResultsStore(tmp_path), timeout=5.0)
+        assert "timeout" in str(excinfo.value)
+
     def test_process_validations_are_unchanged(self):
         with pytest.raises(ConfigurationError):
             ProcessBackend(jobs=0)
         with pytest.raises(ConfigurationError):
-            ProcessBackend(timeout=0.0)
+            ProcessBackend(retries=-1)
         with pytest.raises(ConfigurationError):
             SerialBackend(retries=-1)
 
@@ -145,16 +145,75 @@ class TestBackendParity:
         default.run(grid(1))
         assert default.summary().endswith("jobs=2, backend=process")
 
-    def test_serial_backend_through_the_runner_rejects_timeout(self):
-        with pytest.raises(ConfigurationError):
-            SweepRunner(backend="serial", timeout=1.0)
+
+def _send_outcome(sender, function, args) -> None:
+    """Call ``function(*args)`` and send its value, or its error, back."""
+    try:
+        sender.send(function(*args))
+    except Exception as exc:
+        sender.send(f"{type(exc).__name__}: {exc}")
+
+
+def run_in_forked_child(function, *args, deadline: float = 30.0):
+    """``function(*args)`` in a forked child, failing the test past ``deadline``.
+
+    For pool failures whose regression is a parent that waits forever: the
+    hang is confined to the child, which is killed at the deadline.  An
+    exception in the child comes back as its ``"Type: message"`` string.
+    """
+    context = multiprocessing.get_context("fork")
+    receiver, sender = context.Pipe(duplex=False)
+    # Not a daemon: daemonic processes may not start the pool's workers.
+    child = context.Process(target=_send_outcome, args=(sender, function, args))
+    child.start()
+    child.join(timeout=deadline)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail(f"{function.__name__} hung past {deadline:.0f}s")
+    assert receiver.poll(), f"the child exited with {child.exitcode}"
+    return receiver.recv()
+
+
+def _run_process_sweep(cells) -> str:
+    SweepRunner(jobs=2, backend="process").run(cells)
+    return "the sweep finished"
+
+
+def _process_outcomes(cells) -> list:
+    return list(ProcessBackend(jobs=2).execute([("cell", c) for c in cells]))
+
+
+def flaky_run_cell(tmp_path, failing_key: str, fail_times: int):
+    """A ``run_cell`` whose cell ``failing_key`` fails its first attempts.
+
+    Returns the wrapper and a function reading a cell's attempt count.  The
+    counters live on disk, one file per cell, so pool workers share them.
+    """
+    from repro.runner.cells import run_cell as real_run_cell
+
+    def counter_for(cell):
+        return tmp_path / f"attempts-{cell.fingerprint()[:12]}"
+
+    def attempts(cell) -> int:
+        counter = counter_for(cell)
+        return int(counter.read_text()) if counter.exists() else 0
+
+    def flaky(cell, capture=None):
+        made = attempts(cell)
+        counter_for(cell).write_text(str(made + 1))
+        if cell.key == failing_key and made < fail_times:
+            raise RuntimeError(f"transient failure #{made + 1}")
+        return real_run_cell(cell, capture=capture)
+
+    return flaky, attempts
 
 
 class TestProcessBackendSemantics:
-    """The pool loop's retry/timeout behaviour, pinned on the backend itself."""
+    """The pool loop's retry/failure behaviour, pinned on the backend itself."""
 
     def _tasks(self, n=3):
-        return [("cell", cell, None) for cell in grid(n)]
+        return [("cell", cell) for cell in grid(n)]
 
     def test_yields_one_outcome_per_task(self):
         outcomes = list(ProcessBackend(jobs=2).execute(self._tasks(3)))
@@ -166,57 +225,171 @@ class TestProcessBackendSemantics:
         assert list(SerialBackend().execute([])) == []
 
     def test_failure_is_a_marker_not_an_exception(self):
-        tasks = [("cell", cell, None) for cell in grid(1, features=("bogus",))]
+        tasks = [("cell", cell) for cell in grid(1, features=("bogus",))]
         outcomes = list(SerialBackend().execute(tasks))
         assert len(outcomes) == 1
         assert isinstance(outcomes[0], TaskFailure)
         assert outcomes[0].key == tasks[0][1].key
 
-    def test_timeout_requeue_recovers_under_the_backend(self, tmp_path, monkeypatch):
-        """Pool recycling after a timeout, driven on the backend directly."""
+    def test_a_killed_worker_aborts_the_sweep(self, monkeypatch):
+        """A pool worker SIGKILLed mid-cell (the OOM killer's way) fails the sweep.
+
+        The sweep runs in a forked child with a hard deadline, because the
+        failure this pins is a parent that waits forever for the dead
+        worker's result.
+        """
+        import repro.runner.runner as runner_module
+        from repro.runner.cells import run_cell as real_run_cell
+
+        cells = grid(2)
+
+        def die_on_the_second_cell(cell, capture=None):
+            if cell.key == cells[1].key:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_run_cell(cell, capture=capture)
+
+        monkeypatch.setattr(runner_module, "run_cell", die_on_the_second_cell)
+        message = run_in_forked_child(_run_process_sweep, cells)
+        assert message.startswith("SweepError: ")
+        assert cells[1].key in message
+        assert "a pool worker died" in message
+
+    def test_a_killed_worker_still_yields_one_outcome_per_task(self, monkeypatch):
+        """Tasks queued behind a dead worker fail too; none is dropped.
+
+        With more tasks than workers, the loop submits to a pool that is
+        already broken, which refuses the work at submission time.
+        """
+        import repro.runner.runner as runner_module
+        from repro.runner.cells import run_cell as real_run_cell
+
+        cells = grid(4)
+
+        def die_on_the_first_cell(cell, capture=None):
+            if cell.key == cells[0].key:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_run_cell(cell, capture=capture)
+
+        monkeypatch.setattr(runner_module, "run_cell", die_on_the_first_cell)
+        outcomes = run_in_forked_child(_process_outcomes, cells)
+        assert isinstance(outcomes, list), outcomes
+        assert sorted(o.key for o in outcomes) == sorted(c.key for c in cells)
+        (died,) = [o for o in outcomes if o.key == cells[0].key]
+        assert isinstance(died, TaskFailure)
+        assert "a pool worker died" in died.error
+
+    def test_a_failed_task_is_retried_in_the_pool(self, tmp_path, monkeypatch):
+        import repro.runner.runner as runner_module
+
+        cells = grid(3)
+        flaky, attempts = flaky_run_cell(tmp_path, cells[0].key, fail_times=1)
+        monkeypatch.setattr(runner_module, "run_cell", flaky)
+        lines = []
+        backend = ProcessBackend(jobs=2, retries=1, progress=lines.append)
+        outcomes = list(backend.execute([("cell", c) for c in cells]))
+        assert sorted(o.key for o in outcomes) == sorted(c.key for c in cells)
+        assert not any(isinstance(o, TaskFailure) for o in outcomes)
+        assert [attempts(c) for c in cells] == [2, 1, 1]
+        assert lines == [f"cell {cells[0].key}: failed, retrying (attempt 2/2)"]
+
+    def test_exhausted_retries_yield_one_failure_marker(self, tmp_path, monkeypatch):
+        import repro.runner.runner as runner_module
+
+        cells = grid(3)
+        flaky, attempts = flaky_run_cell(tmp_path, cells[0].key, fail_times=100)
+        monkeypatch.setattr(runner_module, "run_cell", flaky)
+        lines = []
+        backend = ProcessBackend(jobs=2, retries=2, progress=lines.append)
+        outcomes = list(backend.execute([("cell", c) for c in cells]))
+        failures = [o for o in outcomes if isinstance(o, TaskFailure)]
+        assert len(outcomes) == 3
+        assert [f.key for f in failures] == [cells[0].key]
+        assert "transient failure #3" in failures[0].error
+        assert attempts(cells[0]) == 3
+        assert lines == [
+            f"cell {cells[0].key}: failed, retrying (attempt 2/3)",
+            f"cell {cells[0].key}: failed, retrying (attempt 3/3)",
+        ]
+
+
+class TestRetryLoop:
+    """``run_with_retries``, the loop the serial and process backends share."""
+
+    def test_a_failed_task_goes_to_the_back_of_the_line(self, monkeypatch):
         import repro.runner.runner as runner_module
         from repro.runner.cells import run_cell as real_run_cell
 
         cells = grid(3)
-        marker = tmp_path / "first-attempt-done"
+        order = []
 
-        def hang_once(cell, capture=None):
-            if cell.key == cells[0].key and not marker.exists():
-                marker.write_text("")
-                import time as time_module
-
-                time_module.sleep(60.0)
+        def fail_first_attempt(cell, capture=None):
+            order.append(cell.key)
+            if order.count(cell.key) == 1 and cell.key == cells[0].key:
+                raise RuntimeError("first attempt")
             return real_run_cell(cell, capture=capture)
 
-        monkeypatch.setattr(runner_module, "run_cell", hang_once)
-        lines = []
-        backend = ProcessBackend(
-            jobs=2, timeout=1.5, retries=1, progress=lines.append
-        )
-        outcomes = list(backend.execute([("cell", c, None) for c in cells]))
-        assert len(outcomes) == 3
+        monkeypatch.setattr(runner_module, "run_cell", fail_first_attempt)
+        outcomes = list(SerialBackend(retries=1).execute([("cell", c) for c in cells]))
         assert not any(isinstance(o, TaskFailure) for o in outcomes)
-        assert any("timed out" in line and "retrying" in line for line in lines)
+        assert order == [cells[0].key, cells[1].key, cells[2].key, cells[0].key]
 
-    def test_exhausted_timeout_yields_a_failure_marker(self, monkeypatch):
-        import repro.runner.runner as runner_module
+    def test_the_window_bounds_the_tasks_in_flight(self):
+        import time
+        from concurrent.futures import ThreadPoolExecutor
 
-        cells = grid(1)
+        from repro.runner.backends.base import run_with_retries
 
-        def hang(cell, capture=None):
-            import time as time_module
+        submitted = []
+        in_flight = []
 
-            time_module.sleep(60.0)
+        def slow(task):
+            time.sleep(0.05)
+            return task[1]
 
-        monkeypatch.setattr(runner_module, "run_cell", hang)
-        outcomes = list(
-            ProcessBackend(jobs=1, timeout=1.0).execute(
-                [("cell", cells[0], None)]
-            )
-        )
-        assert len(outcomes) == 1
-        assert isinstance(outcomes[0], TaskFailure)
-        assert "timed out after 1s" in outcomes[0].error
+        with ThreadPoolExecutor(4) as executor:
+
+            def submit(task):
+                in_flight.append(1 + sum(not f.done() for f in submitted))
+                submitted.append(executor.submit(slow, task))
+                return submitted[-1]
+
+            tasks = [("cell", f"t{i}") for i in range(6)]
+            outcomes = list(run_with_retries(tasks, submit, 0, None, window=2))
+        assert sorted(outcomes) == [f"t{i}" for i in range(6)]
+        assert max(in_flight) == 2
+
+    def test_a_broken_pool_fails_each_task_without_retrying(self):
+        from concurrent.futures import BrokenExecutor, Future
+
+        from repro.runner.backends.base import run_with_retries
+
+        def submit(task):
+            future = Future()
+            future.set_exception(BrokenExecutor("a worker exited"))
+            return future
+
+        lines = []
+        tasks = [("cell", cell) for cell in grid(3)]
+        outcomes = list(run_with_retries(tasks, submit, 3, lines.append, window=2))
+        assert sorted(o.key for o in outcomes) == sorted(t[1].key for t in tasks)
+        for outcome in outcomes:
+            assert isinstance(outcome, TaskFailure)
+            assert "a pool worker died" in outcome.error
+            assert "a worker exited" in outcome.error
+        assert lines == []
+
+    def test_a_pool_refusing_new_work_fails_the_refused_tasks(self):
+        from concurrent.futures import BrokenExecutor
+
+        from repro.runner.backends.base import run_with_retries
+
+        def submit(task):
+            raise BrokenExecutor("the pool is not usable anymore")
+
+        tasks = [("cell", cell) for cell in grid(3)]
+        outcomes = list(run_with_retries(tasks, submit, 1, None, window=2))
+        assert [o.key for o in outcomes] == [t[1].key for t in tasks]
+        assert all("a pool worker died" in o.error for o in outcomes)
 
 
 class TestCliJobsParsing:

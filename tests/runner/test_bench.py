@@ -173,28 +173,10 @@ class TestRunBench:
             "sweep_warm_seconds",
             "sweep_warm_speedup",
             "sweep_cells_per_sec",
-            "serial_dispatch_seconds",
-            "process_dispatch_seconds",
-            "dispatch_overhead_seconds",
             "queue_cells_per_sec",
             "population_flows_per_sec",
         } == set(result.metrics)
-        # dispatch_overhead is clamped at 0.0 (a loaded machine can time the
-        # pool under the serial loop); everything else must be positive.
-        assert all(
-            value > 0.0
-            for name, value in result.metrics.items()
-            if name != "dispatch_overhead_seconds"
-        )
-        assert result.metrics["dispatch_overhead_seconds"] >= 0.0
-
-    def test_serial_beats_the_pool_on_the_dispatch_grid(self, result):
-        # The tentpole claim of the serial backend: on a trivial grid the
-        # pool's startup/pickle cost dominates, so inline execution wins.
-        assert (
-            result.metrics["serial_dispatch_seconds"]
-            < result.metrics["process_dispatch_seconds"]
-        )
+        assert all(value > 0.0 for value in result.metrics.values())
 
     def test_machine_info_records_available_cpus(self, result):
         available = result.machine["cpu_count_available"]

@@ -266,3 +266,24 @@ class TestCaptureCaching:
                 serial[cell.key].empirical_detection_rate
                 == parallel[cell.key].empirical_detection_rate
             )
+
+    def test_spawned_workers_receive_the_shared_capture(self, monkeypatch):
+        """Under ``spawn`` (the macOS default) no parent state is inherited:
+        the pool's initializer must deliver the resolved capture itself."""
+        import repro.runner.backends.process as process_module
+
+        started = []
+
+        def spawn() -> str:
+            started.append("spawn")
+            return "spawn"
+
+        monkeypatch.setattr(process_module, "default_mp_context", spawn)
+        children = [two_level_cell(u) for u in (0.1, 0.2, 0.3, 0.4)]
+        serial = SweepRunner(backend="serial").run(children)
+        spawned = SweepRunner(jobs=2, backend="process").run(children)
+        assert started == ["spawn"]
+        for cell in children:
+            assert replace(spawned[cell.key], elapsed_seconds=0.0) == replace(
+                serial[cell.key], elapsed_seconds=0.0
+            )

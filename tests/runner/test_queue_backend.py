@@ -93,7 +93,7 @@ SHORT = dict(lease_timeout=5.0, poll_interval=0.02)
 class TestWorkQueuePrimitives:
     def test_enqueue_claim_release_cycle(self, tmp_path):
         queue = WorkQueue(tmp_path)
-        entry = entry_from_task(("cell", grid(1)[0], None))
+        entry = entry_from_task(("cell", grid(1)[0]))
         assert queue.enqueue(entry) is True
         assert queue.enqueue(entry) is False  # already queued
         lease = queue.claim("w1")
@@ -104,13 +104,13 @@ class TestWorkQueuePrimitives:
 
     def test_claim_is_atomic_under_racing_workers(self, tmp_path):
         queue = WorkQueue(tmp_path)
-        queue.enqueue(entry_from_task(("cell", grid(1)[0], None)))
+        queue.enqueue(entry_from_task(("cell", grid(1)[0])))
         winners = [queue.claim(f"w{i}") for i in range(8)]
         assert sum(1 for lease in winners if lease is not None) == 1
 
     def test_stale_lease_is_stolen_only_after_heartbeat_expiry(self, tmp_path):
         queue = WorkQueue(tmp_path)
-        queue.enqueue(entry_from_task(("cell", grid(1)[0], None)))
+        queue.enqueue(entry_from_task(("cell", grid(1)[0])))
         queue.heartbeat("owner")
         lease = queue.claim("owner")
         assert lease is not None
@@ -123,7 +123,7 @@ class TestWorkQueuePrimitives:
 
     def test_requeue_stale_returns_work_to_the_queue(self, tmp_path):
         queue = WorkQueue(tmp_path)
-        queue.enqueue(entry_from_task(("cell", grid(1)[0], None)))
+        queue.enqueue(entry_from_task(("cell", grid(1)[0])))
         queue.claim("ghost")  # never heartbeats
         assert queue.requeue_stale(lease_timeout=60.0) == 1
         assert queue.claim("live") is not None
@@ -164,7 +164,7 @@ class TestWorkQueuePrimitives:
 
     def test_worker_ids_with_dots_parse_back_out_of_leases(self, tmp_path):
         queue = WorkQueue(tmp_path)
-        queue.enqueue(entry_from_task(("cell", grid(1)[0], None)))
+        queue.enqueue(entry_from_task(("cell", grid(1)[0])))
         lease = queue.claim("host.example.com-42")
         fingerprint, owner = WorkQueue._parse_lease(lease)
         assert owner == "host.example.com-42"
@@ -188,7 +188,7 @@ class TestWorkQueuePrimitives:
     def test_status_counts_queue_state(self, tmp_path):
         queue = WorkQueue(tmp_path)
         for cell in grid(3):
-            queue.enqueue(entry_from_task(("cell", cell, None)))
+            queue.enqueue(entry_from_task(("cell", cell)))
         queue.heartbeat("w")
         queue.claim("w")
         counters = queue.status()
@@ -201,7 +201,7 @@ class TestWorkQueuePrimitives:
         queue = WorkQueue(tmp_path)
         first, second = sorted(grid(2), key=lambda cell: cell.fingerprint())
         for cell in (first, second):
-            queue.enqueue(entry_from_task(("cell", cell, None)))
+            queue.enqueue(entry_from_task(("cell", cell)))
         lease = queue.claim("w", skip={first.fingerprint()})
         assert lease is not None and lease.name.startswith(second.fingerprint())
         assert queue.claim("w", skip={first.fingerprint()}) is None
@@ -216,7 +216,7 @@ class TestWorkQueuePrimitives:
         """
         queue = WorkQueue(tmp_path)
         entries = [
-            entry_from_task(("cell", cell, None))
+            entry_from_task(("cell", cell))
             for seed in range(5)
             for cell in grid(4, seed=seed)
         ]
@@ -254,7 +254,7 @@ def enqueue_with_captures(store_root, cells) -> None:
     for cell in cells:
         if cell.capture is not None:
             queue.enqueue(entry_from_task(("capture", cell.capture)))
-        queue.enqueue(entry_from_task(("cell", cell, None)))
+        queue.enqueue(entry_from_task(("cell", cell)))
 
 
 def shard_records(queue: WorkQueue) -> list:
@@ -299,7 +299,7 @@ class TestWorkerLoop:
     def test_worker_refuses_an_entry_whose_config_was_overwritten(self, tmp_path):
         claimed, other = grid(2)
         queue = WorkQueue(tmp_path)
-        entry = entry_from_task(("cell", claimed, None))
+        entry = entry_from_task(("cell", claimed))
         entry["config"] = other.config_dict()
         queue.enqueue(entry)
         assert run_worker(tmp_path, worker_id="w", poll_interval=0.02, max_tasks=1) == 1
@@ -311,7 +311,7 @@ class TestWorkerLoop:
     def test_shard_records_carry_their_entry_config(self, tmp_path):
         cell = grid(1)[0]
         queue = WorkQueue(tmp_path)
-        queue.enqueue(entry_from_task(("cell", cell, None)))
+        queue.enqueue(entry_from_task(("cell", cell)))
         run_worker(tmp_path, worker_id="w", poll_interval=0.02, max_tasks=1)
         (record,) = shard_records(queue)
         assert record["status"] == "ok"
@@ -425,7 +425,7 @@ class TestQueueFailures:
             wait_timeout=0.5,
             poll_interval=0.02,
         )
-        tasks = [("cell", cell, None) for cell in grid(1)]
+        tasks = [("cell", cell) for cell in grid(1)]
         with pytest.raises(SweepError) as excinfo:
             list(backend.execute(tasks))
         assert "repro worker" in str(excinfo.value)
@@ -448,7 +448,7 @@ class TestCrashRecovery:
         store = ResultsStore(tmp_path / "store")
         queue = WorkQueue(store.root)
         queue.ensure()
-        entry = entry_from_task(("cell", cells[0], None))
+        entry = entry_from_task(("cell", cells[0]))
         queue.enqueue(entry)
 
         marker = tmp_path / "pass"
@@ -506,7 +506,7 @@ class TestCrashRecovery:
         """The failure record can be read before its worker unlinks the lease."""
         store = ResultsStore(tmp_path)
         queue = WorkQueue(store.root)
-        entry = entry_from_task(("cell", grid(1)[0], None))
+        entry = entry_from_task(("cell", grid(1)[0]))
         queue.enqueue(entry)
         queue.heartbeat("w")
         assert queue.claim("w") is not None
@@ -530,7 +530,7 @@ class TestCrashRecovery:
     def test_retry_budget_counts_from_the_attempt_an_entry_arrives_at(self, tmp_path):
         """An entry queued at attempt 3 still gets ``retries`` more tries."""
         queue = WorkQueue(tmp_path)
-        entry = entry_from_task(("cell", grid(1)[0], None), attempt=3)
+        entry = entry_from_task(("cell", grid(1)[0]), attempt=3)
         queue.append_result(
             "w",
             {"fingerprint": entry["fingerprint"], "status": "failed", "attempt": 3},
@@ -555,7 +555,7 @@ class TestCrashRecovery:
         queue = WorkQueue(store.root)
         queue.ensure()
         cell = grid(1)[0]
-        entry = entry_from_task(("cell", cell, None))
+        entry = entry_from_task(("cell", cell))
         # A shard record from attempt 2 arrives while the merge loop still
         # tracks attempt 1 (e.g. the original owner reported after a steal
         # and re-enqueue): it must be skipped, not double-counted.
@@ -647,7 +647,7 @@ class TestDrainQueue:
         cells = grid(1)
         store = ResultsStore(tmp_path)
         queue = WorkQueue(store.root)
-        entry = entry_from_task(("cell", cells[0], None))
+        entry = entry_from_task(("cell", cells[0]))
         entry["fingerprint"] = "0" * 64
         queue.enqueue(entry)
         with pytest.raises(ConfigurationError) as excinfo:
@@ -811,7 +811,7 @@ class TestDrainQueue:
         """A hybrid cell queued without its capture still drains."""
         cells = two_level_cells(1)
         store = ResultsStore(tmp_path)
-        WorkQueue(store.root).enqueue(entry_from_task(("cell", cells[0], None)))
+        WorkQueue(store.root).enqueue(entry_from_task(("cell", cells[0])))
         report = drain_queue(store.root, workers=1, timeout=60.0, **SHORT)
         assert report.outstanding == 2
         assert (report.captures_computed, report.cells_computed) == (1, 1)

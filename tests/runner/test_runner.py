@@ -204,93 +204,6 @@ class TestRetries:
             SweepRunner().run(cells)
 
 
-class TestTimeouts:
-    @staticmethod
-    def _sleepy_run_cell(sleep_keys, tmp_path=None):
-        """run_cell that hangs for selected keys (until a marker appears)."""
-        import time as time_module
-
-        from repro.runner.cells import run_cell as real_run_cell
-
-        def sleepy(cell, capture=None):
-            if cell.key in sleep_keys:
-                if tmp_path is not None and (tmp_path / "pass").exists():
-                    return real_run_cell(cell, capture=capture)
-                time_module.sleep(60.0)
-            return real_run_cell(cell, capture=capture)
-
-        return sleepy
-
-    def test_rejects_bad_timeout_and_retries(self):
-        with pytest.raises(ConfigurationError):
-            SweepRunner(timeout=0.0)
-        with pytest.raises(ConfigurationError):
-            SweepRunner(retries=-1)
-
-    def test_timed_out_cell_aborts_naming_the_cell_key(self, monkeypatch):
-        import repro.runner.runner as runner_module
-
-        cells = grid(3)
-        monkeypatch.setattr(
-            runner_module, "run_cell", self._sleepy_run_cell({cells[1].key})
-        )
-        with pytest.raises(SweepError) as excinfo:
-            SweepRunner(jobs=2, timeout=1.0).run(cells)
-        message = str(excinfo.value)
-        assert cells[1].key in message
-        assert "timed out after 1s" in message
-
-    def test_innocent_cells_survive_a_pool_recycle(self, tmp_path, monkeypatch):
-        """A timeout tears the pool down; requeued bystanders still complete."""
-        import repro.runner.runner as runner_module
-
-        cells = grid(4)
-        monkeypatch.setattr(
-            runner_module,
-            "run_cell",
-            self._sleepy_run_cell({cells[0].key}, tmp_path=tmp_path),
-        )
-        # First attempt of cell 0 hangs; the marker lets its retry pass.
-        (tmp_path / "pass").write_text("")
-        report = SweepRunner(jobs=2, timeout=30.0).run(cells)
-        assert len(report.results) == 4
-
-    def test_timeout_retry_recovers_a_hung_cell(self, tmp_path, monkeypatch):
-        import repro.runner.runner as runner_module
-
-        cells = grid(2)
-
-        from repro.runner.cells import run_cell as real_run_cell
-
-        marker = tmp_path / "first-attempt-done"
-
-        def hang_once(cell, capture=None):
-            if cell.key == cells[0].key and not marker.exists():
-                marker.write_text("")
-                import time as time_module
-
-                time_module.sleep(60.0)
-            return real_run_cell(cell, capture=capture)
-
-        monkeypatch.setattr(runner_module, "run_cell", hang_once)
-        lines = []
-        report = SweepRunner(
-            jobs=2, timeout=1.5, retries=1, progress=lines.append
-        ).run(cells)
-        assert len(report.results) == 2
-        assert any("timed out" in line and "retrying" in line for line in lines)
-
-    def test_timeout_with_jobs_one_still_enforced(self, monkeypatch):
-        """timeout forces a pool even at jobs=1 (an inline cell can't be killed)."""
-        import repro.runner.runner as runner_module
-
-        cells = grid(1)
-        monkeypatch.setattr(runner_module, "run_cell", self._sleepy_run_cell({cells[0].key}))
-        with pytest.raises(SweepError) as excinfo:
-            SweepRunner(jobs=1, timeout=1.0).run(cells)
-        assert "timed out" in str(excinfo.value)
-
-
 class TestValidation:
     def test_rejects_duplicate_cell_keys(self):
         cells = grid(1) + grid(1)
@@ -301,6 +214,14 @@ class TestValidation:
     def test_rejects_nonpositive_jobs(self):
         with pytest.raises(ConfigurationError):
             SweepRunner(jobs=0)
+
+    def test_rejects_negative_retries(self):
+        with pytest.raises(ConfigurationError):
+            SweepRunner(retries=-1)
+
+    def test_takes_no_timeout(self):
+        with pytest.raises(TypeError):
+            SweepRunner(timeout=1.0)
 
     def test_empty_grid_is_a_noop(self):
         report = SweepRunner().run([])

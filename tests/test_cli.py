@@ -430,7 +430,7 @@ class TestQueueCommand:
         queue = WorkQueue(tmp_path)
         queue.enqueue(entry_from_task(("capture", capture)))
         for cell in cells:
-            queue.enqueue(entry_from_task(("cell", cell, None)))
+            queue.enqueue(entry_from_task(("cell", cell)))
 
         cache = ["--cache-dir", str(tmp_path)]
         assert main(["queue", "drain", *cache, "--workers", "1", "--timeout", "120"]) == 0
