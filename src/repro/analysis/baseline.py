@@ -1,10 +1,9 @@
 """The analysis baseline: every suppressed finding is explicit and justified.
 
 A clean tree is the goal, but some findings are deliberate — the bench
-harness stamps artifact metadata with the wall clock, the topology derives
-stream names from a runtime spec name.  Those exceptions live in one
-committed TOML file (``analysis-baseline.toml`` at the repository root),
-one ``[[ignore]]`` entry each, with a *required* justification:
+harness stamps artifact metadata with the wall clock.  Those exceptions live
+in one committed TOML file (``analysis-baseline.toml`` at the repository
+root), one ``[[ignore]]`` entry each, with a *required* justification:
 
 .. code-block:: toml
 

@@ -257,7 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="'run' the benchmark suite or 'compare' two artifacts",
     )
     bench_run = bench_sub.add_parser(
-        "run", help="time the capture kernels, event engine and a quick sweep"
+        "run",
+        help="time the capture kernel against its event-engine reference, and a "
+        "quick sweep cold and warm",
     )
     bench_run.add_argument(
         "--pr",

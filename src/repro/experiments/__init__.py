@@ -22,8 +22,9 @@ module       reproduces
 
 Collection modes (see :mod:`repro.experiments.base`):
 
-* ``"simulation"`` — full event-driven simulation (gateway + routers).
-* ``"hybrid"`` — event-driven gateway, analytic (M/D/1) network noise; used
+* ``"simulation"`` — full simulation (gateway + routers), computed by the
+  vectorized kernel byte-identically to the event-driven reference.
+* ``"hybrid"`` — simulated gateway, analytic (M/D/1) network noise; used
   where full simulation of many hops over many hours would be prohibitively
   slow.
 * ``"analytic"`` — samples drawn directly from the Gaussian PIAT model; the

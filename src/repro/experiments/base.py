@@ -8,18 +8,20 @@ the raw material for both off-line training and run-time classification.
 Three collection modes trade fidelity against run time:
 
 ``simulation``
-    Full event-driven simulation: Poisson payload source → sender gateway
-    (timer + interrupt disturbance) → chain of FIFO routers with cross
-    traffic → tap.  This is the closest analogue of the paper's testbed.
+    The full testbed: Poisson payload source → sender gateway (timer +
+    interrupt disturbance) → chain of FIFO routers with cross traffic → tap.
+    This is the closest analogue of the paper's testbed.  The vectorized
+    kernel computes it byte-identically to the event-driven reference (see
+    :func:`simulate_gateway_capture`).
 
 ``hybrid``
-    The gateway is simulated event-by-event (so the payload-dependent jitter
-    is mechanistic, not assumed), but the network is applied analytically:
-    each captured packet receives an independent queueing delay drawn from a
-    normal distribution whose variance comes from the M/D/1 model of
-    :mod:`repro.network.delay_models`.  Used for the 24-hour, 15-hop WAN
-    runs, where full simulation would take hours of CPU for no change in the
-    measured shape.
+    The gateway is simulated packet by packet (so the payload-dependent
+    jitter is mechanistic, not assumed), but the network is applied
+    analytically: each captured packet receives an independent queueing
+    delay drawn from a normal distribution whose variance comes from the
+    M/D/1 model of :mod:`repro.network.delay_models`.  Used for the 24-hour,
+    15-hop WAN runs, where full simulation would take hours of CPU for no
+    change in the measured shape.
 
 ``analytic``
     PIATs are drawn directly from the calibrated Gaussian model
@@ -228,18 +230,18 @@ class PaddedStreamCapture:
 
 
 # --------------------------------------------------------------------------- collection
-#: Environment variable selecting the capture kernel: ``auto`` (default,
-#: vectorized whenever eligible), ``vectorized`` (strict — error if a capture
-#: cannot take the fast path) or ``event`` (always replay the event loop; the
-#: benchmark harness uses this as its scalar baseline).
+#: Environment variable selecting the capture kernel: ``vectorized`` (the
+#: default, and the only path the runtime takes) or ``event`` (replay the
+#: event loop — the reference the equivalence tests, CI and the benchmark
+#: harness compare the kernel against).
 KERNEL_ENV_VAR = "REPRO_SIM_KERNEL"
 
-KERNEL_MODES = ("auto", "vectorized", "event")
+KERNEL_MODES = ("vectorized", "event")
 
 
 def resolve_kernel_mode(kernel: Optional[str] = None) -> str:
     """Normalise the capture-kernel selection (argument beats environment)."""
-    mode = kernel if kernel is not None else os.environ.get(KERNEL_ENV_VAR, "auto")
+    mode = kernel if kernel is not None else os.environ.get(KERNEL_ENV_VAR, "vectorized")
     mode = str(mode).strip().lower()
     if mode not in KERNEL_MODES:
         raise ConfigurationError(
@@ -247,19 +249,6 @@ def resolve_kernel_mode(kernel: Optional[str] = None) -> str:
             f"(set explicitly or via ${KERNEL_ENV_VAR})"
         )
     return mode
-
-
-def vectorized_capture_eligible(scenario: ScenarioConfig) -> bool:
-    """Whether a capture can take the vectorized kernel without changing output.
-
-    The closed-form replay covers the gateway pipeline and the routed path
-    behind it (hybrid captures and every simulation) with the standard
-    :class:`InterruptDisturbance` (or none).  Disturbance subclasses with
-    overridden sampling fall outside the kernel's equivalence proof and take
-    the event engine.
-    """
-    disturbance = scenario.disturbance
-    return disturbance is None or type(disturbance) is InterruptDisturbance
 
 
 def _cross_traffic_rate(scenario: ScenarioConfig) -> float:
@@ -287,64 +276,64 @@ def simulate_gateway_capture(
 
     ``with_network`` sends the padded stream through the scenario's
     ``n_hops`` shared routers before the tap (simulation mode); without it
-    the tap sits at the gateway's output (hybrid mode).  Uses the vectorized
-    closed-form kernel (:mod:`repro.sim.kernel`) whenever the capture is
-    eligible, falling back to the event engine otherwise; the two produce
-    byte-identical captures, so callers cannot observe which path ran.
-    ``kernel`` (or the ``REPRO_SIM_KERNEL`` environment variable) forces a
-    specific path — ``event`` is the benchmark harness's scalar baseline,
-    ``vectorized`` is the strict mode used in equivalence tests.
+    the tap sits at the gateway's output (hybrid mode).  The capture runs
+    through the vectorized closed-form kernel (:mod:`repro.sim.kernel`).
+    ``kernel="event"`` (or ``REPRO_SIM_KERNEL=event``) replays the event
+    engine instead: that is the reference the kernel is proven
+    byte-identical to, run by the equivalence tests, CI and ``repro bench``.
+    The kernel covers the standard :class:`InterruptDisturbance` (or none);
+    any other disturbance raises :class:`ConfigurationError` and needs the
+    event engine.
     """
     mode = resolve_kernel_mode(kernel)
-    eligible = vectorized_capture_eligible(scenario)
-    if mode == "vectorized" and not eligible:
-        raise ConfigurationError(
-            f"kernel='vectorized' requested but the capture for class {label!r} is "
-            f"not eligible (non-standard disturbance)"
-        )
     # Enough simulated time to capture warmup + the requested intervals, with
     # a small margin for the packets still in flight across the path.
     duration = scenario.warmup_time + (n_intervals + 20) * scenario.policy.mean_interval + 0.5
     n_hops = scenario.n_hops if with_network else 0
     cross_rate = _cross_traffic_rate(scenario) if n_hops > 0 else 0.0
-
-    if eligible and mode != "event":
-        disturbance = scenario.disturbance
-        stamps = simulate_padded_capture(
-            interval_generator=scenario.policy.make_timer(),
-            payload_rate_pps=payload_rate_pps,
-            duration=duration,
-            timer_rng=streams.get(f"gateway-{label}"),
-            payload_rng=streams.get(f"payload-{label}"),
-            jitter_rng=streams.get(f"gateway-jitter-{label}"),
-            blocking_rng=streams.get(f"gateway-blocking-{label}"),
-            base_jitter_std=disturbance.base_jitter_std if disturbance else 0.0,
-            blocking_window=disturbance.blocking_window if disturbance else 0.0,
-            blocking_delay_mean=disturbance.blocking_delay_mean if disturbance else 0.0,
+    if mode == "event":
+        return _simulate_gateway_capture_events(
+            scenario, payload_rate_pps, n_intervals, streams, label, n_hops, cross_rate, duration
         )
-        if n_hops > 0:
-            stamps = tandem_fifo_exit_times(
-                stamps,
-                cross_rngs=[streams.get(f"cross-{label}-hop{hop}") for hop in range(n_hops)],
-                cross_rate_pps=cross_rate,
-                service_time=float(
-                    serialization_delay(scenario.packet_size_bytes, scenario.link_rate_bps)
-                ),
-                propagation_delay=HOP_PROPAGATION_DELAY_S,
-                horizon=duration,
-            )
-        stamps = stamps[stamps >= scenario.warmup_time]
-        intervals = np.diff(stamps) if stamps.size >= 2 else np.empty(0, dtype=float)
-        if intervals.size < n_intervals:
-            raise ConfigurationError(
-                f"capture for class {label!r} produced only {intervals.size} intervals; "
-                f"{n_intervals} requested (increase the horizon margin)"
-            )
-        return intervals[:n_intervals]
 
-    return _simulate_gateway_capture_events(
-        scenario, payload_rate_pps, n_intervals, streams, label, n_hops, cross_rate, duration
+    disturbance = scenario.disturbance
+    if disturbance is not None and type(disturbance) is not InterruptDisturbance:
+        raise ConfigurationError(
+            f"the capture kernel covers InterruptDisturbance only, not "
+            f"{type(disturbance).__name__}; replay it on the event engine with "
+            f"kernel='event' or {KERNEL_ENV_VAR}=event"
+        )
+    stamps = simulate_padded_capture(
+        interval_generator=scenario.policy.make_timer(),
+        payload_rate_pps=payload_rate_pps,
+        duration=duration,
+        timer_rng=streams.get(f"gateway-{label}"),
+        payload_rng=streams.get(f"payload-{label}"),
+        jitter_rng=streams.get(f"gateway-jitter-{label}"),
+        blocking_rng=streams.get(f"gateway-blocking-{label}"),
+        base_jitter_std=disturbance.base_jitter_std if disturbance else 0.0,
+        blocking_window=disturbance.blocking_window if disturbance else 0.0,
+        blocking_delay_mean=disturbance.blocking_delay_mean if disturbance else 0.0,
     )
+    if n_hops > 0:
+        stamps = tandem_fifo_exit_times(
+            stamps,
+            cross_rngs=[streams.get(f"cross-{label}-hop{hop}") for hop in range(n_hops)],
+            cross_rate_pps=cross_rate,
+            service_time=float(
+                serialization_delay(scenario.packet_size_bytes, scenario.link_rate_bps)
+            ),
+            propagation_delay=HOP_PROPAGATION_DELAY_S,
+            horizon=duration,
+        )
+    stamps = stamps[stamps >= scenario.warmup_time]
+    intervals = np.diff(stamps) if stamps.size >= 2 else np.empty(0, dtype=float)
+    if intervals.size < n_intervals:
+        raise ConfigurationError(
+            f"capture for class {label!r} produced only {intervals.size} intervals; "
+            f"{n_intervals} requested (increase the horizon margin)"
+        )
+    return intervals[:n_intervals]
 
 
 def _simulate_gateway_capture_events(
@@ -573,7 +562,6 @@ __all__ = [
     "KERNEL_MODES",
     "resolve_kernel_mode",
     "resolve_seeds",
-    "vectorized_capture_eligible",
     "simulate_gateway_capture",
     "ScenarioConfig",
     "PaddedStreamCapture",

@@ -37,7 +37,6 @@ from repro.network.path import UnprotectedPath
 from repro.network.router import Router
 from repro.network.topology import (
     TopologySpec,
-    build_path,
     campus_topology,
     lab_topology,
     wan_topology,
@@ -57,7 +56,6 @@ __all__ = [
     "lab_topology",
     "campus_topology",
     "wan_topology",
-    "build_path",
     "mm1_waiting_time_moments",
     "md1_waiting_time_moments",
     "mg1_waiting_time_moments",

@@ -12,8 +12,7 @@ The paper evaluates three environments (Figures 3 and 7):
   modelled as a long chain with heavier diurnal load (Figure 8(b)).
 
 A :class:`TopologySpec` captures the knobs (hop count, link rates, cross
-load), and :func:`build_path` turns it into a wired
-:class:`~repro.network.path.UnprotectedPath`.
+load).
 """
 
 from __future__ import annotations
@@ -21,16 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from repro.exceptions import NetworkError
 from repro.network.crosstraffic import cross_traffic_rate_for_utilization
-from repro.network.link import PacketSink
-from repro.network.path import UnprotectedPath
-from repro.sim.engine import Simulator
-from repro.sim.random import RandomStreams
-from repro.traffic.schedule import DiurnalProfile
-from repro.units import PAPER_PACKET_SIZE_BYTES, PAPER_TIMER_INTERVAL_S, rate_for_utilization
+from repro.units import PAPER_PACKET_SIZE_BYTES, PAPER_TIMER_INTERVAL_S
 
 
 @dataclass(frozen=True)
@@ -140,48 +132,9 @@ def wan_topology(
     )
 
 
-def build_path(
-    spec: TopologySpec,
-    simulator: Simulator,
-    exit_sink: PacketSink,
-    streams: Optional[RandomStreams] = None,
-) -> UnprotectedPath:
-    """Materialise a :class:`TopologySpec` into a wired, cross-loaded path.
-
-    Cross-traffic generators are attached (one per hop) but not started;
-    call :meth:`UnprotectedPath.start_cross_traffic` when the experiment
-    begins so that warm-up handling stays in the caller's hands.
-    """
-    streams = streams if streams is not None else RandomStreams(seed=None)
-    path = UnprotectedPath(
-        simulator,
-        exit_sink=exit_sink,
-        n_hops=spec.n_hops,
-        link_rate_bps=spec.link_rate_bps,
-        propagation_delay=spec.propagation_delay,
-        packet_size_bytes=spec.packet_size_bytes,
-        name=spec.name,
-    )
-    for hop in range(spec.n_hops):
-        rng = streams.get(f"{spec.name}-cross-hop{hop}")
-        if spec.diurnal_peak_utilization is not None:
-            peak_rate = rate_for_utilization(
-                spec.diurnal_peak_utilization, spec.packet_size_bytes, spec.link_rate_bps
-            )
-            peak_cross = max(peak_rate - spec.padded_rate_pps, 0.0)
-            multipliers = np.asarray(DiurnalProfile.DEFAULT_MULTIPLIERS)
-            base = peak_cross / float(np.max(multipliers))
-            profile = DiurnalProfile(base_rate_pps=base, hourly_multipliers=multipliers)
-            path.attach_cross_traffic(hop, profile, rng=rng)
-        elif spec.cross_utilization > 0.0:
-            path.attach_cross_traffic(hop, spec.cross_rate_pps(), rng=rng)
-    return path
-
-
 __all__ = [
     "TopologySpec",
     "lab_topology",
     "campus_topology",
     "wan_topology",
-    "build_path",
 ]

@@ -27,9 +27,7 @@ site.
 from repro.population.topology import (
     ASGraphSpec,
     ASTopology,
-    build_sender_path,
     generate_as_topology,
-    sender_topology_spec,
 )
 from repro.population.flows import (
     Flow,
@@ -64,10 +62,8 @@ __all__ = [
     "anonymity_set_distribution",
     "anonymity_summary",
     "assemble_population",
-    "build_sender_path",
     "generate_as_topology",
     "hybrid_population_grid",
     "identification_curve",
     "multiclass_population_grid",
-    "sender_topology_spec",
 ]

@@ -12,10 +12,7 @@ The highest-degree AS is the *core*: the receiver gateway (GW2 of the
 paper's Figure 3) sits there, and every sender's traffic follows the shortest
 AS-path towards it.  A sender's AS-path renders into the existing single-path
 machinery — a :class:`~repro.experiments.base.ScenarioConfig` whose hop count
-and cross-traffic utilization summarise the traversed ASes, and a
-:class:`~repro.network.topology.TopologySpec` that
-:func:`~repro.network.topology.build_path` can materialise into a wired
-:class:`~repro.network.path.UnprotectedPath`.
+and cross-traffic utilization summarise the traversed ASes.
 
 All randomness is drawn from two declared streams of one
 :class:`~repro.sim.random.RandomStreams` registry: ``population-topology``
@@ -27,14 +24,10 @@ any other stream.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.experiments.base import ScenarioConfig
-from repro.network.link import PacketSink
-from repro.network.path import UnprotectedPath
-from repro.network.topology import TopologySpec, build_path
-from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
 
 #: Edge relationship labels (CAIDA convention: ``customer-provider`` edges
@@ -257,41 +250,10 @@ def generate_as_topology(spec: ASGraphSpec) -> ASTopology:
     )
 
 
-def sender_topology_spec(topology: ASTopology, src: int) -> TopologySpec:
-    """The :class:`TopologySpec` of one sender's rendered AS-path.
-
-    Bridges the population layer into the existing topology machinery: the
-    returned spec names its streams ``population-as<k>-...``, which stays
-    inside the declared ``population-*`` namespace.
-    """
-    depth = topology.path_depth(src)
-    return TopologySpec(
-        name=f"population-as{src}",
-        n_hops=topology.spec.hops_per_as * (depth + 1) if depth else 0,
-        link_rate_bps=topology.spec.link_rate_bps,
-        cross_utilization=topology.path_utilization(src) if depth else 0.0,
-    )
-
-
-def build_sender_path(
-    topology: ASTopology,
-    src: int,
-    simulator: Simulator,
-    exit_sink: PacketSink,
-    streams: Optional[RandomStreams] = None,
-) -> UnprotectedPath:
-    """Materialise one sender's AS-path as a wired :class:`UnprotectedPath`."""
-    return build_path(
-        sender_topology_spec(topology, src), simulator, exit_sink, streams=streams
-    )
-
-
 __all__ = [
     "CUSTOMER_PROVIDER",
     "PEER",
     "ASGraphSpec",
     "ASTopology",
-    "build_sender_path",
     "generate_as_topology",
-    "sender_topology_spec",
 ]

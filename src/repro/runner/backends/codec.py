@@ -80,11 +80,12 @@ def scenario_from_config(payload: Dict[str, Any]) -> ScenarioConfig:
     data = dict(payload)
     try:
         policy = policy_from_config(data.pop("policy"))
-        disturbance = disturbance_from_config(data.pop("disturbance"))
+        if data["disturbance"] is not None:  # None: an undisturbed gateway
+            data["disturbance"] = disturbance_from_config(data["disturbance"])
     except KeyError as exc:
         raise ConfigurationError(f"scenario config is missing {exc}") from None
     try:
-        return ScenarioConfig(policy=policy, disturbance=disturbance, **data)
+        return ScenarioConfig(policy=policy, **data)
     except TypeError as exc:
         raise ConfigurationError(f"malformed scenario config: {exc}") from None
 

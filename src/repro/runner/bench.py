@@ -1,9 +1,11 @@
 """Performance benchmark harness: timings as a first-class, regression-gated artifact.
 
-``repro bench run`` measures the hot paths of the reproduction — the gateway
-capture under both kernels, the raw event engine, and a representative sweep
-cold and warm — and writes a machine-readable ``BENCH_<pr>.json``
-(:class:`BenchResult`).  ``repro bench compare`` diffs two such files with
+``repro bench run`` times the reproduction's hot paths — one capture at the
+gateway and one behind shared routers, each under the vectorized kernel and
+its event-engine reference, and a representative sweep cold and warm — and
+writes a machine-readable ``BENCH_<pr>.json`` (:class:`BenchResult`) of nine
+metrics: three speedup ratios, which gate CI, and the six timings they
+divide.  ``repro bench compare`` diffs two such files with
 direction-aware tolerances so CI can fail on a >20% regression against the
 baseline checked into the repository.
 
@@ -19,8 +21,9 @@ Three design rules keep the artifact honest across machines:
   same store.  Ratios of timings taken seconds apart on one machine are
   meaningful on any machine; absolute seconds are not.
 * **Metric names encode their direction.**  ``*_seconds`` regress upward,
-  ``*_speedup`` / ``*_per_sec`` regress downward; :func:`metric_direction`
-  refuses names that encode neither, so a typo cannot silently pass CI.
+  ``*_speedup`` / ``*_per_sec`` regress downward (committed artifacts still
+  carry throughput metrics); :func:`metric_direction` refuses names that
+  encode neither, so a typo cannot silently pass CI.
 * **Results carry an analytic cross-check.**  The benchmark capture's
   measured variance ratio is compared against the scenario's closed-form
   model and pushed through :mod:`repro.core.exact` — a benchmark that got
@@ -350,21 +353,6 @@ def _time_kernels(
     return event_seconds, vectorized_seconds, vectorized_captures
 
 
-def _time_engine(n_events: int, repeats: int) -> float:
-    """Raw engine throughput: heap insertion + dispatch of no-op events."""
-    from repro.sim.engine import Simulator
-
-    times = np.linspace(0.0, 1.0, n_events, endpoint=False) + 1e-6
-
-    def one_run() -> None:
-        simulator = Simulator()
-        simulator.schedule_batch(times, lambda: None)
-        simulator.run(until=2.0)
-
-    elapsed, _ = _best_of(repeats, one_run)
-    return elapsed
-
-
 def _time_sweep(seed: int) -> Tuple[float, float, int]:
     """Cold + warm wall-clock of a representative sweep against a fresh store."""
     from repro.api import get_experiment
@@ -389,85 +377,11 @@ def _time_sweep(seed: int) -> Tuple[float, float, int]:
     return cold, warm, len(cells)
 
 
-def _dispatch_grid(seed: int, count: int = 8) -> List:
-    """A trivial analytic grid where dispatch cost dominates simulation cost."""
-    from repro.experiments.base import ScenarioConfig
-    from repro.runner.cells import SweepCell
-
-    return [
-        SweepCell(
-            key=f"bench/dispatch/{i}",
-            scenario=ScenarioConfig(),
-            sample_sizes=(50,),
-            trials=4,
-            mode="analytic",
-            seed=seed + i,
-        )
-        for i in range(count)
-    ]
-
-
-def _time_queue(seed: int, workers: int = 2) -> Tuple[float, int]:
-    """Cold wall-clock of the dispatch grid through the queue backend.
-
-    Spawns ``workers`` local queue workers against a throwaway store —
-    enqueue, claim, execute, shard-append and parent merge all included, so
-    the resulting cells-per-second is the end-to-end queue protocol
-    throughput, not just the simulation speed.
-    """
-    from repro.runner.runner import SweepRunner
-    from repro.runner.store import ResultsStore
-
-    cells = _dispatch_grid(seed)
-    with tempfile.TemporaryDirectory(prefix="repro-bench-queue-") as tmp:
-        store = ResultsStore(Path(tmp))
-        start = time.perf_counter()
-        SweepRunner(jobs=workers, store=store, backend="queue").run(cells)
-        elapsed = time.perf_counter() - start
-    return elapsed, len(cells)
-
-
-def _time_population(seed: int, n_flows: int, repeats: int) -> float:
-    """Population-structure throughput: graph growth, placement, grid compile.
-
-    Times the full deterministic pipeline a population experiment runs
-    before any cell executes — generate the AS topology, place ``n_flows``
-    senders, compile the per-AS grid — so the metric catches regressions in
-    the generator and placement paths, which scale with the population, not
-    with capture cost.
-    """
-    from repro.experiments.base import ScenarioConfig
-    from repro.population import (
-        ASGraphSpec,
-        RateClass,
-        assemble_population,
-        generate_as_topology,
-        hybrid_population_grid,
-    )
-
-    mix = (
-        RateClass(rate_pps=2.0, weight=0.5),
-        RateClass(rate_pps=5.0, weight=0.3),
-        RateClass(rate_pps=10.0, weight=0.2),
-    )
-
-    def one_run():
-        topology = generate_as_topology(ASGraphSpec(n_as=12, seed=seed))
-        population = assemble_population(topology, n_flows, mix, seed)
-        return hybrid_population_grid(
-            population, ScenarioConfig(), sample_sizes=(100,), trials=4
-        )
-
-    elapsed, _ = _best_of(repeats, one_run)
-    return elapsed
-
-
 def run_bench(
     pr: str,
     *,
     seed: int = 2003,
     capture_intervals: int = 4000,
-    engine_events: int = 50_000,
     repeats: int = 3,
 ) -> BenchResult:
     """Measure the hot paths and return the benchmark artifact.
@@ -492,11 +406,7 @@ def run_bench(
         routed, capture_intervals, seed, repeats, with_network=True
     )
 
-    engine_seconds = _time_engine(engine_events, repeats)
     sweep_cold, sweep_warm, n_cells = _time_sweep(seed)
-    queue_seconds, queue_cells = _time_queue(seed)
-    population_flows = 2000
-    population_seconds = _time_population(seed, population_flows, repeats)
 
     low = float(np.var(vectorized_captures["low"], ddof=1))
     high = float(np.var(vectorized_captures["high"], ddof=1))
@@ -510,26 +420,16 @@ def run_bench(
         "routed_capture_event_seconds": routed_event_seconds,
         "routed_capture_vectorized_seconds": routed_vectorized_seconds,
         "routed_capture_speedup": routed_event_seconds / routed_vectorized_seconds,
-        "kernel_intervals_per_sec": 2 * capture_intervals / vectorized_seconds,
-        "engine_events_per_sec": engine_events / engine_seconds,
         "sweep_cold_seconds": sweep_cold,
         "sweep_warm_seconds": sweep_warm,
         "sweep_warm_speedup": sweep_cold / sweep_warm,
-        "sweep_cells_per_sec": n_cells / sweep_cold,
-        "queue_cells_per_sec": queue_cells / queue_seconds,
-        "population_flows_per_sec": population_flows / population_seconds,
     }
     notes = {
         "capture_intervals": capture_intervals,
-        "engine_events": engine_events,
         "repeats": repeats,
         "seed": seed,
         "sweep": "fig6 --preset quick",
         "sweep_cells": n_cells,
-        "queue_workers": 2,
-        "queue_seconds": queue_seconds,
-        "population_flows": population_flows,
-        "population_seconds": population_seconds,
         "captures_identical": True,
         "routed_capture": {
             "n_hops": routed.n_hops,

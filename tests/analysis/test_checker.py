@@ -58,13 +58,13 @@ class TestRunCheck:
         report = run_check(root=SRC_ROOT)
         assert report.findings == []
         assert report.ok and report.exit_code == 0
-        # The two justified exceptions are consumed, not reported.
-        assert report.suppressed_count == 2
+        # The one justified exception is consumed, not reported.
+        assert report.suppressed_count == 1
 
     def test_real_tree_without_baseline_shows_the_justified_findings(self):
         report = run_check(root=SRC_ROOT, use_baseline=False)
         assert report.exit_code == 1
-        assert sorted(f.rule for f in report.findings) == ["CLK001", "RNG004"]
+        assert sorted(f.rule for f in report.findings) == ["CLK001"]
 
     def test_doctored_tree_fails_per_family(self, doctored_root):
         report = run_check(root=doctored_root, use_baseline=False)
@@ -81,13 +81,13 @@ class TestRunCheck:
         assert report.rules_run == ["SCH001"]
 
     def test_rule_filter_does_not_stale_unexercised_baseline_entries(self):
-        # The shipped baseline excuses CLK001 and RNG004 findings. A run
-        # restricted to one of those rules must not flag the *other* rule's
-        # entry as stale (BASE001) — it was never exercised.
+        # The shipped baseline excuses a CLK001 finding. A run restricted
+        # to another rule must not flag that entry as stale (BASE001) — it
+        # was never exercised.
         report = run_check(root=SRC_ROOT, rule_filter=["RNG004"])
         assert report.findings == []
         assert report.ok
-        assert report.suppressed_count == 1
+        assert report.suppressed_count == 0
 
     def test_unknown_rule_filter_raises(self):
         with pytest.raises(ConfigurationError, match="NOPE99"):
@@ -112,8 +112,8 @@ class TestRunCheck:
         )
         report = run_check(root=SRC_ROOT, baseline_path=baseline)
         rules = sorted(f.rule for f in report.findings)
-        # The two real (normally baselined) findings resurface plus BASE001.
-        assert rules == ["BASE001", "CLK001", "RNG004"]
+        # The real (normally baselined) finding resurfaces plus BASE001.
+        assert rules == ["BASE001", "CLK001"]
         assert report.exit_code == 1
 
     def test_json_report_round_trips(self):
@@ -123,7 +123,7 @@ class TestRunCheck:
         payload = json.loads(report.to_json())
         assert payload["ok"] is True
         assert payload["modules_checked"] == report.modules_checked
-        assert len(payload["suppressed"]) == 2
+        assert len(payload["suppressed"]) == 1
 
 
 class TestDiscoverModules:

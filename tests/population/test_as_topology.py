@@ -5,13 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.network import CountingSink
-from repro.population import (
-    ASGraphSpec,
-    build_sender_path,
-    generate_as_topology,
-    sender_topology_spec,
-)
+from repro.population import ASGraphSpec, generate_as_topology
 from repro.population.topology import CUSTOMER_PROVIDER, PEER
 
 
@@ -138,26 +132,3 @@ class TestRendering:
                 assert scenario.n_hops == topology.spec.hops_per_as * (depth + 1)
                 assert scenario.cross_utilization == topology.path_utilization(src)
             assert scenario.link_rate_bps == topology.spec.link_rate_bps
-
-    def test_sender_topology_spec_matches_the_rendered_scenario(self, topology):
-        from repro.experiments.base import ScenarioConfig
-
-        base = ScenarioConfig()
-        for src in range(topology.spec.n_as):
-            spec = sender_topology_spec(topology, src)
-            scenario = topology.scenario_for(base, src)
-            assert spec.n_hops == scenario.n_hops
-            assert spec.cross_utilization == scenario.cross_utilization
-            # The stream namespace stays inside the declared population-*.
-            assert spec.name.startswith("population-as")
-
-    def test_build_sender_path_materialises_the_rendered_hops(
-        self, topology, simulator, streams
-    ):
-        src = next(
-            as_id for as_id in range(topology.spec.n_as) if as_id != topology.core_as
-        )
-        path = build_sender_path(topology, src, simulator, CountingSink(), streams)
-        spec = sender_topology_spec(topology, src)
-        assert path.n_hops == spec.n_hops
-        assert len(path.cross_generators) == spec.n_hops  # every hop is loaded

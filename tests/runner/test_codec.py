@@ -9,7 +9,12 @@ the content-addressed cache.
 
 from __future__ import annotations
 
+import json
+from dataclasses import fields, replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
 from repro.experiments import CollectionMode, ScenarioConfig
@@ -23,7 +28,7 @@ from repro.runner.backends.codec import (
     scenario_from_config,
     verify_fingerprint,
 )
-from repro.runner.capture import CaptureSpec
+from repro.runner.capture import GATEWAY_SCENARIO_FIELDS, CaptureSpec
 
 
 def make_cell(**overrides) -> SweepCell:
@@ -94,6 +99,12 @@ class TestCellRoundTrip:
         )
         cell = make_cell(scenario=scenario)
         rebuilt = cell_from_config(cell.key, cell.config_dict())
+        assert rebuilt.fingerprint() == cell.fingerprint()
+
+    def test_undisturbed_gateway_round_trips(self):
+        cell = make_cell(scenario=ScenarioConfig(disturbance=None))
+        rebuilt = cell_from_config(cell.key, cell.config_dict())
+        assert rebuilt.scenario.disturbance is None
         assert rebuilt.fingerprint() == cell.fingerprint()
 
     def test_hybrid_cell_with_capture_round_trips(self):
@@ -167,3 +178,144 @@ class TestCaptureRoundTrip:
         spec = self._spec()
         rebuilt = capture_from_config("a/totally/different/key", spec.config_dict())
         assert rebuilt.fingerprint() == spec.fingerprint()
+
+
+# --------------------------------------------------------------------------- properties
+_TAGS = st.text(alphabet="abcdefghijklmnopqrstuvwxyz-", min_size=1, max_size=8)
+_SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def _distinct_pair(tags):
+    return st.tuples(tags, tags).filter(lambda pair: pair[0] != pair[1])
+
+
+@st.composite
+def _policies(draw):
+    mean_interval = draw(st.sampled_from((0.005, 0.01, 0.02)))
+    family = draw(st.sampled_from(("cit", "normal", "uniform", "exponential", "lognormal")))
+    if family == "cit":
+        return cit_policy(mean_interval)
+    sigma_t = draw(st.floats(min_value=1e-5, max_value=mean_interval / 2))
+    return vit_policy(sigma_t, mean_interval, family)
+
+
+_DISTURBANCES = st.one_of(
+    st.none(),
+    st.builds(
+        InterruptDisturbance,
+        base_jitter_std=st.floats(min_value=0.0, max_value=1e-3),
+        blocking_window=st.floats(min_value=0.0, max_value=2e-2),
+        blocking_delay_mean=st.floats(min_value=0.0, max_value=1e-3),
+    ),
+)
+
+
+@st.composite
+def _scenarios(draw):
+    n_hops = draw(st.integers(min_value=0, max_value=15))
+    utilization = 0.0
+    if n_hops > 0:
+        utilization = draw(st.floats(min_value=0.0, max_value=0.9))
+    return ScenarioConfig(
+        policy=draw(_policies()),
+        disturbance=draw(_DISTURBANCES),
+        n_hops=n_hops,
+        cross_utilization=utilization,
+    )
+
+
+@st.composite
+def _captures(draw, scenario=None, seed=None, seed_offsets=None, min_intervals=3):
+    return CaptureSpec(
+        key=draw(_TAGS),
+        scenario=scenario if scenario is not None else draw(_scenarios()),
+        n_intervals=draw(st.integers(min_value=min_intervals, max_value=min_intervals + 5000)),
+        seed=seed if seed is not None else draw(_SEEDS),
+        seed_offsets=seed_offsets if seed_offsets is not None else draw(_distinct_pair(_TAGS)),
+    )
+
+
+@st.composite
+def _cells(draw):
+    mode = draw(st.sampled_from(tuple(CollectionMode)))
+    scenario = draw(_scenarios())
+    sample_sizes = tuple(draw(st.lists(st.integers(2, 500), min_size=1, max_size=4)))
+    trials = draw(st.integers(min_value=2, max_value=50))
+    seed = draw(_SEEDS)
+    seed_offsets = draw(_distinct_pair(_TAGS))
+    capture = noise_offsets = None
+    if mode is CollectionMode.HYBRID:
+        if draw(st.booleans()):
+            # A hybrid child: its parent shares the gateway configuration
+            # but may be captured for a different network (hops/utilization).
+            parent = replace(
+                draw(_scenarios()),
+                policy=scenario.policy,
+                disturbance=scenario.disturbance,
+            )
+            capture = draw(
+                _captures(
+                    scenario=parent,
+                    seed=seed,
+                    seed_offsets=seed_offsets,
+                    min_intervals=max(sample_sizes) * trials + 1,
+                )
+            )
+        noise_offsets = draw(st.one_of(st.none(), _distinct_pair(_TAGS)))
+    return SweepCell(
+        key=draw(_TAGS),
+        scenario=scenario,
+        sample_sizes=sample_sizes,
+        trials=trials,
+        mode=mode,
+        seed=seed,
+        seed_offsets=seed_offsets,
+        capture=capture,
+        noise_offsets=noise_offsets,
+        kde_bandwidth=draw(
+            st.one_of(st.none(), st.sampled_from(("silverman", "scott")), st.floats(0.1, 4.0))
+        ),
+    )
+
+
+def _over_the_wire(config):
+    """The config as a queue worker receives it: through JSON."""
+    return json.loads(json.dumps(config))
+
+
+def _gateway_only(spec: CaptureSpec) -> CaptureSpec:
+    """``spec`` with its non-gateway scenario fields at their defaults.
+
+    A capture serialises only the gateway fields, so this canonical form is
+    what reconstruction can return.
+    """
+    defaults = ScenarioConfig()
+    network = {
+        f.name: getattr(defaults, f.name)
+        for f in fields(ScenarioConfig)
+        if f.name not in GATEWAY_SCENARIO_FIELDS
+    }
+    return replace(spec, scenario=replace(spec.scenario, **network))
+
+
+class TestRoundTripProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(cell=_cells())
+    def test_every_cell_round_trips(self, cell):
+        rebuilt = cell_from_config(cell.key, _over_the_wire(cell.config_dict()))
+        assert rebuilt.fingerprint() == cell.fingerprint()
+        if cell.capture is None:
+            assert rebuilt == cell
+        else:
+            assert rebuilt.capture.fingerprint() == cell.capture.fingerprint()
+            assert rebuilt.capture == replace(
+                _gateway_only(cell.capture), key=rebuilt.capture.key
+            )
+            assert rebuilt == replace(cell, capture=rebuilt.capture)
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=_captures())
+    def test_every_capture_round_trips(self, spec):
+        rebuilt = capture_from_config(spec.key, _over_the_wire(spec.config_dict()))
+        assert rebuilt.fingerprint() == spec.fingerprint()
+        assert rebuilt == _gateway_only(spec)

@@ -1,13 +1,14 @@
 """Equivalence and contract tests for the vectorized capture kernel.
 
 The load-bearing guarantee of :mod:`repro.sim.kernel` is *byte-identity*: for
-every eligible scenario the closed-form capture must equal the event-engine
+every scenario it covers the closed-form capture must equal the event-engine
 capture exactly, not approximately, because cached sweep results are
 fingerprinted on configuration and silently switching kernels must never
 change a figure.  These tests pin that guarantee across every timer family,
-the disturbance on/off matrix, routed paths (hop count x utilization), the
-FIFO primitive's sequential fallback, the kernel-selection plumbing, and the
-constants the kernel mirrors from the gateway and source modules.
+the disturbance on/off matrix, routed paths (hop count x utilization), a
+property over random scenarios, the FIFO primitive's sequential fallback,
+the kernel-selection plumbing, and the constants the kernel mirrors from the
+gateway and source modules.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from repro.exceptions import ConfigurationError, SimulationError
 from repro.experiments import base as base_module
 from repro.experiments.base import (
     KERNEL_ENV_VAR,
+    KERNEL_MODES,
     ScenarioConfig,
     resolve_kernel_mode,
     simulate_gateway_capture,
-    vectorized_capture_eligible,
 )
 from repro.padding.disturbance import InterruptDisturbance
 from repro.padding.gateway import _MIN_TX_SPACING_S
@@ -50,7 +51,7 @@ def _capture(
 
 
 class _CustomDisturbance(InterruptDisturbance):
-    """A disturbance subclass: outside the kernel's proof, hence ineligible."""
+    """A disturbance subclass: outside the kernel's proof, event engine only."""
 
 
 def _scalar_departures(arrivals, service):
@@ -63,7 +64,7 @@ def _scalar_departures(arrivals, service):
 
 
 class TestByteIdentity:
-    """vectorized == event, bit for bit, for every eligible configuration."""
+    """vectorized == event, bit for bit, for every gateway configuration."""
 
     @pytest.mark.parametrize(
         "policy",
@@ -139,6 +140,53 @@ class TestRoutedByteIdentity:
                 assert np.array_equal(with_hops[label], without[label])
 
 
+_VIT_FAMILIES = ("normal", "uniform", "exponential", "lognormal")
+
+
+@st.composite
+def _routed_scenarios(draw):
+    """Random scenarios over every timer family, disturbance and path shape.
+
+    Utilization is 0 or at least 0.05: below about 0.02 the padded stream
+    alone over-loads a 20 Mbit/s link and the scenario is refused.
+    """
+    family = draw(st.sampled_from(("cit",) + _VIT_FAMILIES))
+    if family == "cit":
+        policy = cit_policy()
+    else:
+        sigma_t = draw(st.floats(min_value=1e-4, max_value=5e-3))
+        policy = vit_policy(sigma_t=sigma_t, family=family)
+    n_hops = draw(st.integers(min_value=0, max_value=3))
+    utilization = 0.0
+    if n_hops > 0:
+        utilization = draw(st.one_of(st.just(0.0), st.floats(min_value=0.05, max_value=0.5)))
+    return ScenarioConfig(
+        policy=policy,
+        disturbance=draw(st.sampled_from((InterruptDisturbance(), None))),
+        n_hops=n_hops,
+        link_rate_bps=20e6,
+        cross_utilization=utilization,
+        warmup_time=0.5,
+    )
+
+
+class TestKernelMatchesTheEventEngine:
+    """The property that lets the runtime take the kernel with no fallback."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        scenario=_routed_scenarios(),
+        n=st.integers(min_value=20, max_value=150),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        with_network=st.booleans(),
+    )
+    def test_random_scenarios_are_bit_identical(self, scenario, n, seed, with_network):
+        event = _capture(scenario, "event", n=n, seed=seed, with_network=with_network)
+        vectorized = _capture(scenario, "vectorized", n=n, seed=seed, with_network=with_network)
+        for label in ("low", "high"):
+            assert np.array_equal(event[label], vectorized[label]), label
+
+
 class TestFifoDepartures:
     def test_exact_ties_force_the_sequential_fallback(self, monkeypatch):
         service = 0.1
@@ -207,48 +255,58 @@ class TestKernelSelection:
         assert resolve_kernel_mode("vectorized") == "vectorized"
         assert resolve_kernel_mode() == "event"
         monkeypatch.delenv(KERNEL_ENV_VAR)
-        assert resolve_kernel_mode() == "auto"
+        assert resolve_kernel_mode() == "vectorized"
 
-    def test_resolve_rejects_unknown_modes(self):
-        with pytest.raises(ConfigurationError):
-            resolve_kernel_mode("turbo")
+    def test_only_the_kernel_and_its_reference_are_modes(self):
+        assert KERNEL_MODES == ("vectorized", "event")
 
-    def test_networked_paths_are_ineligible(self):
-        """Routed paths are eligible; only a disturbance subclass is not."""
-        assert vectorized_capture_eligible(ScenarioConfig(n_hops=3, cross_utilization=0.2))
+    @pytest.mark.parametrize("mode", ["turbo", "auto"])
+    def test_resolve_rejects_unknown_modes(self, mode, monkeypatch):
+        with pytest.raises(ConfigurationError, match=KERNEL_ENV_VAR):
+            resolve_kernel_mode(mode)
+        monkeypatch.setenv(KERNEL_ENV_VAR, mode)
+        with pytest.raises(ConfigurationError, match=KERNEL_ENV_VAR):
+            resolve_kernel_mode()
+
+    @pytest.mark.parametrize(
+        "n_hops, utilization, with_network",
+        [(0, 0.0, False), (2, 0.2, True)],
+        ids=["gateway", "routed"],
+    )
+    def test_kernel_refuses_a_disturbance_subclass(
+        self, n_hops, utilization, with_network, monkeypatch
+    ):
+        monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
         scenario = ScenarioConfig(
-            n_hops=3, cross_utilization=0.2, disturbance=_CustomDisturbance()
+            n_hops=n_hops, cross_utilization=utilization, disturbance=_CustomDisturbance()
         )
-        assert not vectorized_capture_eligible(scenario)
+        for kernel_mode in (None, "vectorized"):
+            with pytest.raises(ConfigurationError) as excinfo:
+                simulate_gateway_capture(
+                    scenario, 10.0, 50, RandomStreams(1), "low",
+                    with_network=with_network, kernel=kernel_mode,
+                )
+            assert "_CustomDisturbance" in str(excinfo.value)
+            assert f"{KERNEL_ENV_VAR}=event" in str(excinfo.value)
 
-    def test_disturbance_subclasses_are_ineligible(self):
-        scenario = ScenarioConfig(disturbance=_CustomDisturbance())
-        assert not vectorized_capture_eligible(scenario)
-        assert vectorized_capture_eligible(ScenarioConfig(disturbance=None))
-
-    def test_strict_vectorized_raises_when_ineligible(self):
-        scenario = ScenarioConfig(
-            n_hops=2, cross_utilization=0.2, disturbance=_CustomDisturbance()
-        )
-        streams = RandomStreams(1)
-        with pytest.raises(ConfigurationError):
-            simulate_gateway_capture(
-                scenario, 10.0, 50, streams, "low", with_network=True, kernel="vectorized"
-            )
-
-    def test_auto_falls_back_to_the_event_engine(self, monkeypatch):
+    def test_event_reference_accepts_a_disturbance_subclass(self, monkeypatch):
         scenario = ScenarioConfig(
             n_hops=1, cross_utilization=0.1, disturbance=_CustomDisturbance()
         )
 
         def forbidden(**kwargs):
-            raise AssertionError("an ineligible capture reached the vectorized kernel")
+            raise AssertionError("the event reference reached the vectorized kernel")
 
         monkeypatch.setattr(base_module, "simulate_padded_capture", forbidden)
         intervals = simulate_gateway_capture(
-            scenario, 10.0, 50, RandomStreams(1), "low", with_network=True, kernel="auto"
+            scenario, 10.0, 50, RandomStreams(1), "low", with_network=True, kernel="event"
         )
         assert intervals.shape == (50,)
+        monkeypatch.setenv(KERNEL_ENV_VAR, "event")
+        from_env = simulate_gateway_capture(
+            scenario, 10.0, 50, RandomStreams(1), "low", with_network=True
+        )
+        assert np.array_equal(from_env, intervals)
 
 
 class TestMirroredConstants:

@@ -356,6 +356,27 @@ class TestBenchCommand:
         assert result.notes["captures_identical"] is True
 
 
+class TestCaptureKernel:
+    """REPRO_SIM_KERNEL picks the kernel or its event reference, nothing else."""
+
+    FIG8_QUICK = ["run", "fig8", "--preset", "quick", "--backend", "serial"]
+
+    def test_auto_is_refused_naming_the_variable(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_SIM_KERNEL", "auto")
+        assert main(self.FIG8_QUICK) == 2
+        assert "REPRO_SIM_KERNEL" in capsys.readouterr().err
+
+    def test_event_reference_reproduces_shared_hybrid_captures(self, monkeypatch, capsys):
+        # fig8 quick shares one gateway capture per network among its cells:
+        # the kernel's gateway-only path must match the event engine there.
+        monkeypatch.delenv("REPRO_SIM_KERNEL", raising=False)
+        assert main(self.FIG8_QUICK) == 0
+        kernel_report = capsys.readouterr().out
+        monkeypatch.setenv("REPRO_SIM_KERNEL", "event")
+        assert main(self.FIG8_QUICK) == 0
+        assert capsys.readouterr().out == kernel_report
+
+
 class TestCacheIndexCommand:
     def test_index_builds_and_reports_counts(self, tmp_path, capsys):
         from repro.runner import ResultsStore
