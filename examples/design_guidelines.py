@@ -19,16 +19,17 @@ well under a second — the point of having closed forms.
 
 from __future__ import annotations
 
-from repro.core import (
-    GaussianPIATModel,
+from repro.core.guidelines import (
     padding_bandwidth_overhead,
     recommend_policy,
     safe_observation_budget,
-    sample_size_for_detection,
 )
-from repro.experiments import format_table
+from repro.core.model import GaussianPIATModel
+from repro.core.sample_size import sample_size_for_detection
+from repro.experiments.report import format_table
 from repro.network.delay_models import path_piat_variance
-from repro.padding import InterruptDisturbance, cit_policy, vit_policy
+from repro.padding.disturbance import InterruptDisturbance
+from repro.padding.policies import cit_policy, vit_policy
 from repro.units import PAPER_HIGH_RATE_PPS, PAPER_LOW_RATE_PPS
 
 

@@ -7,26 +7,22 @@ scenario (10 / 20 / 40 / 80 pps), trains the KDE Bayes classifier on padded
 captures of each rate, and prints the confusion matrix and per-rate detection
 rates under CIT and VIT padding.
 
-The captures are produced by the event simulator (one sender gateway per
-payload rate), so the payload-rate-dependent gateway jitter the attack relies
-on is mechanistic, not assumed.
+The captures are simulated by the capture kernel (one sender gateway per
+payload rate, tap at the gateway's output), so the payload-rate-dependent
+gateway jitter the attack relies on is mechanistic, not assumed.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.adversary import (
-    Tap,
-    VarianceFeature,
-    empirical_detection_rate,
-    train_classifier,
-)
+from repro.adversary.detection import empirical_detection_rate, train_classifier
+from repro.adversary.features import VarianceFeature
 from repro.adversary.multiclass import random_guessing_rate
-from repro.experiments import format_table
-from repro.padding import InterruptDisturbance, PaddingPolicy, SenderGateway, cit_policy, vit_policy
-from repro.sim import RandomStreams, Simulator
-from repro.traffic import PoissonSource
+from repro.experiments.base import ScenarioConfig, simulate_gateway_capture
+from repro.experiments.report import format_table
+from repro.padding.policies import PaddingPolicy, cit_policy, vit_policy
+from repro.sim.random import RandomStreams
 
 RATES_PPS = (10.0, 20.0, 40.0, 80.0)
 SAMPLE_SIZE = 1000
@@ -36,30 +32,21 @@ SEED = 99
 
 def capture(policy: PaddingPolicy, seed_offset: str) -> dict:
     """Simulate the padded link once per payload rate and return PIAT captures."""
+    scenario = ScenarioConfig(
+        policy=policy, low_rate_pps=min(RATES_PPS), high_rate_pps=max(RATES_PPS)
+    )
     streams = RandomStreams(seed=SEED)
-    captures = {}
-    needed = SAMPLE_SIZE * TRIALS
-    for rate in RATES_PPS:
-        simulator = Simulator()
-        tap = Tap(simulator)
-        gateway = SenderGateway(
-            simulator,
-            policy.make_timer(),
-            output=tap,
-            rng=streams.get(f"gw-{seed_offset}-{rate}"),
-            disturbance=InterruptDisturbance(),
+    return {
+        f"{rate:.0f}pps": simulate_gateway_capture(
+            scenario,
+            payload_rate_pps=rate,
+            n_intervals=SAMPLE_SIZE * TRIALS,
+            streams=streams,
+            label=f"{seed_offset}-{rate:.0f}pps",
+            with_network=False,
         )
-        source = PoissonSource(
-            simulator,
-            gateway.accept_payload,
-            rate=rate,
-            rng=streams.get(f"payload-{seed_offset}-{rate}"),
-        )
-        gateway.start()
-        source.start()
-        simulator.run(until=2.0 + (needed + 20) * policy.mean_interval)
-        captures[f"{rate:.0f}pps"] = tap.intervals(since=2.0)[:needed]
-    return captures
+        for rate in RATES_PPS
+    }
 
 
 def evaluate(policy: PaddingPolicy) -> None:

@@ -14,9 +14,10 @@ needed to keep the adversary near coin-flipping even at the quietest hour?
 
 from __future__ import annotations
 
-from repro.core import recommend_policy, safe_observation_budget
-from repro.experiments import CollectionMode, Fig8Config, Fig8Experiment
-from repro.padding import cit_policy
+from repro.core.guidelines import recommend_policy, safe_observation_budget
+from repro.experiments.base import CollectionMode
+from repro.experiments.fig8 import Fig8Config, Fig8Experiment
+from repro.padding.policies import cit_policy
 
 
 def main() -> None:

@@ -8,8 +8,6 @@ Bayes decision rules — trained off-line on labelled samples with Gaussian
 kernel density estimates — to decide which payload rate is currently being
 sent.
 
-* :mod:`repro.adversary.tap` — passive capture of packet timings at any
-  observation point.
 * :mod:`repro.adversary.features` — the feature statistics.
 * :mod:`repro.adversary.bayes` — KDE-based Bayes classifier (off-line
   training + run-time classification).
@@ -17,6 +15,10 @@ sent.
   detection-rate measurement.
 * :mod:`repro.adversary.multiclass` — confusion matrices and the extension to
   more than two payload rates discussed in Section 6.
+
+:mod:`repro.adversary.tap` — passive capture of packet timings at any
+observation point — is part of the event-engine reference
+(``REPRO_SIM_KERNEL=event``) and is not re-exported here.
 """
 
 from repro.adversary.bayes import KDEBayesClassifier
@@ -43,10 +45,8 @@ from repro.adversary.multiclass import (
     evaluate_multiclass_attack,
     per_class_detection_rates,
 )
-from repro.adversary.tap import Tap
 
 __all__ = [
-    "Tap",
     "FeatureStatistic",
     "MeanFeature",
     "VarianceFeature",

@@ -163,8 +163,7 @@ class GaussianPIATModel:
 
         Used for fast, simulator-free validation of the adversary pipeline
         and for property-based tests; intervals are clipped at a tiny
-        positive floor exactly like
-        :func:`repro.traffic.traces.generate_piat_trace`.
+        positive floor (1 ns) so that every draw is a valid interval.
         """
         if n_intervals < 1:
             raise AnalysisError("n_intervals must be >= 1")

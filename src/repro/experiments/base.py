@@ -47,20 +47,14 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.adversary.tap import Tap
 from repro.core.model import GaussianPIATModel
 from repro.exceptions import ConfigurationError
 from repro.network.delay_models import path_piat_variance
-from repro.network.path import HOP_PROPAGATION_DELAY_S, UnprotectedPath
-from repro.network.crosstraffic import cross_traffic_rate_for_utilization
+from repro.network.topology import HOP_PROPAGATION_DELAY_S, cross_traffic_rate_for_utilization
 from repro.padding.disturbance import InterruptDisturbance
-from repro.padding.gateway import SenderGateway
 from repro.padding.policies import PaddingPolicy, cit_policy
-from repro.padding.receiver import ReceiverGateway
-from repro.sim.engine import Simulator
 from repro.sim.kernel import simulate_padded_capture, tandem_fifo_exit_times
 from repro.sim.random import RandomStreams
-from repro.traffic.sources import PoissonSource
 from repro.units import (
     PAPER_HIGH_RATE_PPS,
     PAPER_LOW_RATE_PPS,
@@ -131,6 +125,14 @@ class ScenarioConfig:
     warmup_time: float = 2.0
 
     def __post_init__(self) -> None:
+        if not self.low_rate_pps >= 0.0:
+            raise ConfigurationError(f"low_rate_pps={self.low_rate_pps!r} must be >= 0")
+        if not self.packet_size_bytes > 0:
+            raise ConfigurationError(
+                f"packet_size_bytes={self.packet_size_bytes!r} must be > 0"
+            )
+        if not self.link_rate_bps > 0.0:
+            raise ConfigurationError(f"link_rate_bps={self.link_rate_bps!r} must be > 0")
         if self.high_rate_pps <= self.low_rate_pps:
             raise ConfigurationError(
                 f"high_rate_pps={self.high_rate_pps!r} must exceed "
@@ -346,7 +348,18 @@ def _simulate_gateway_capture_events(
     cross_rate: float,
     duration: float,
 ) -> np.ndarray:
-    """The event-engine capture path (reference implementation)."""
+    """The event-engine capture path (reference implementation).
+
+    Its modules are imported here, so only the ``event`` kernel loads the
+    event engine.
+    """
+    from repro.adversary.tap import Tap
+    from repro.network.path import UnprotectedPath
+    from repro.padding.gateway import SenderGateway
+    from repro.padding.receiver import ReceiverGateway
+    from repro.sim.engine import Simulator
+    from repro.traffic.sources import PoissonSource
+
     simulator = Simulator()
     tap = Tap(simulator, name=f"tap-{label}")
     receiver = ReceiverGateway(simulator)

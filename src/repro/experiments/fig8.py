@@ -48,10 +48,18 @@ from repro.experiments.report import (
 )
 from repro.network.topology import TopologySpec, campus_topology, wan_topology
 from repro.padding.policies import cit_policy
-from repro.traffic.schedule import DiurnalProfile
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.runner import GridSpec, SweepCell, SweepRunner
+
+#: Relative cross-traffic load for each hour of the day (00:00 first): a
+#: campus/WAN shape with a night-time trough and a mid-afternoon peak.
+DIURNAL_MULTIPLIERS: Tuple[float, ...] = (
+    0.25, 0.18, 0.15, 0.16, 0.20, 0.30,  # 00:00 - 05:00
+    0.45, 0.65, 0.85, 1.00, 1.10, 1.15,  # 06:00 - 11:00
+    1.10, 1.15, 1.20, 1.15, 1.05, 0.95,  # 12:00 - 17:00
+    0.85, 0.75, 0.65, 0.55, 0.42, 0.32,  # 18:00 - 23:00
+)
 
 
 @dataclass(frozen=True)
@@ -82,7 +90,7 @@ class Fig8Config:
         default_factory=lambda: ScenarioConfig(policy=cit_policy())
     )
     entropy_bin_width: Optional[float] = None
-    hourly_multipliers: Tuple[float, ...] = DiurnalProfile.DEFAULT_MULTIPLIERS
+    hourly_multipliers: Tuple[float, ...] = DIURNAL_MULTIPLIERS
 
     def __post_init__(self) -> None:
         if not self.networks:

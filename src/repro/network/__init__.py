@@ -7,24 +7,27 @@ inter-arrival times; this is the ``delta_net`` term of the paper's model and
 the mechanism behind the Figure 6 (lab cross traffic) and Figure 8
 (campus/WAN) results.
 
+The runtime loads two modules, and this package re-exports only them:
+
+* :mod:`repro.network.topology` — the paper's three evaluation environments
+  (laboratory, campus, wide-area) as ready-made presets, the per-hop
+  propagation delay and the cross-traffic rate that reaches a target link
+  utilization.
+* :mod:`repro.network.delay_models` — analytic M/M/1 and M/D/1 waiting-time
+  moments used to predict ``sigma_net`` without running the simulator.
+
+The event-engine reference of a routed capture (``REPRO_SIM_KERNEL=event``)
+loads the rest:
+
 * :mod:`repro.network.link` — propagation/serialisation links and simple
   sinks (null, counting, kind-based demultiplexer).
 * :mod:`repro.network.router` — a FIFO output-queued router.
-* :mod:`repro.network.crosstraffic` — cross-traffic generators parameterised
-  by target link utilization or by a diurnal load profile.
+* :mod:`repro.network.crosstraffic` — the constant-rate Poisson
+  cross-traffic generator.
 * :mod:`repro.network.path` — wiring helpers that chain routers into an
   end-to-end unprotected path with per-hop cross traffic.
-* :mod:`repro.network.topology` — the paper's three evaluation environments
-  (laboratory, campus, wide-area) as ready-made presets.
-* :mod:`repro.network.delay_models` — analytic M/M/1 and M/D/1 waiting-time
-  moments used to predict ``sigma_net`` without running the simulator.
 """
 
-from repro.network.crosstraffic import (
-    CrossTrafficGenerator,
-    attach_diurnal_cross_traffic,
-    cross_traffic_rate_for_utilization,
-)
 from repro.network.delay_models import (
     md1_waiting_time_moments,
     mg1_waiting_time_moments,
@@ -32,26 +35,18 @@ from repro.network.delay_models import (
     path_piat_variance,
     piat_variance_from_waiting,
 )
-from repro.network.link import CountingSink, Demux, Link, NullSink
-from repro.network.path import UnprotectedPath
-from repro.network.router import Router
 from repro.network.topology import (
+    HOP_PROPAGATION_DELAY_S,
     TopologySpec,
     campus_topology,
+    cross_traffic_rate_for_utilization,
     lab_topology,
     wan_topology,
 )
 
 __all__ = [
-    "Link",
-    "NullSink",
-    "CountingSink",
-    "Demux",
-    "Router",
-    "CrossTrafficGenerator",
-    "attach_diurnal_cross_traffic",
+    "HOP_PROPAGATION_DELAY_S",
     "cross_traffic_rate_for_utilization",
-    "UnprotectedPath",
     "TopologySpec",
     "lab_topology",
     "campus_topology",

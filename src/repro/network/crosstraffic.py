@@ -1,63 +1,27 @@
-"""Cross-traffic generation.
+"""Cross-traffic generation for the event-engine reference.
 
 In the laboratory experiment (Figure 6) a workstation in subnet C sends
 traffic through the shared router toward subnet D; the x-axis of the figure
-is the resulting utilization of the shared output link.  In the campus and
-WAN experiments (Figure 8) the cross traffic is whatever the campus/Internet
-carries, which rises and falls over the day.
-
-This module provides both: constant-utilization generators for the Figure 6
-sweep and diurnal-profile generators for the Figure 8 runs.  Cross traffic is
-Poisson by default (aggregated traffic from many independent sources), with a
-CBR option for the ablation benchmarks.
+is the resulting utilization of the shared output link.  The reference
+replays that load as constant-rate Poisson traffic (aggregated traffic from
+many independent sources) at every router; the rate that reaches a target
+utilization is :func:`repro.network.topology.cross_traffic_rate_for_utilization`.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from repro.exceptions import NetworkError
 from repro.sim.engine import Simulator
 from repro.traffic.packet import PacketKind
-from repro.traffic.schedule import DiurnalProfile, RateSchedule
-from repro.traffic.sources import CBRSource, PacketSink, PoissonSource, TrafficSource
-from repro.units import PAPER_PACKET_SIZE_BYTES, rate_for_utilization
-
-
-def cross_traffic_rate_for_utilization(
-    target_utilization: float,
-    link_rate_bps: float,
-    packet_size_bytes: int = PAPER_PACKET_SIZE_BYTES,
-    padded_rate_pps: float = 0.0,
-) -> float:
-    """Cross-traffic packet rate that drives a shared link to ``target_utilization``.
-
-    The padded stream itself consumes part of the link; its contribution
-    (``padded_rate_pps`` packets/s of the same size) is subtracted so that the
-    *total* utilization, padded plus cross, matches the target — mirroring how
-    the paper reports "link utilization" on the Figure 6 x-axis.
-
-    Raises
-    ------
-    NetworkError
-        If the padded stream alone already exceeds the target utilization.
-    """
-    if not 0.0 <= target_utilization < 1.0:
-        raise NetworkError("target utilization must lie in [0, 1)")
-    total_rate = rate_for_utilization(target_utilization, packet_size_bytes, link_rate_bps)
-    cross_rate = total_rate - padded_rate_pps
-    if cross_rate < 0.0:
-        raise NetworkError(
-            "padded traffic alone exceeds the requested utilization "
-            f"({padded_rate_pps:.1f} pps > {total_rate:.1f} pps)"
-        )
-    return cross_rate
+from repro.traffic.sources import PacketSink, PoissonSource
+from repro.units import PAPER_PACKET_SIZE_BYTES
 
 
 class CrossTrafficGenerator:
-    """A cross-traffic source attached to a router's input.
+    """A Poisson cross-traffic source attached to a router's input.
 
     Parameters
     ----------
@@ -66,13 +30,9 @@ class CrossTrafficGenerator:
     sink:
         Where cross packets are injected — normally ``router.receive``.
     rate:
-        Packet rate in packets/second, or any
-        :class:`~repro.traffic.schedule.RateSchedule` (e.g. a
-        :class:`~repro.traffic.schedule.DiurnalProfile`).
+        Packet rate in packets/second.
     rng:
         Random stream for the arrival process.
-    process:
-        ``"poisson"`` (default) or ``"cbr"``.
     packet_size_bytes:
         Size of cross packets (defaults to the padded packet size so that
         utilization arithmetic matches the paper's setup).
@@ -84,18 +44,12 @@ class CrossTrafficGenerator:
         self,
         simulator: Simulator,
         sink: PacketSink,
-        rate: Union[float, RateSchedule],
+        rate: float,
         rng: Optional[np.random.Generator] = None,
-        process: str = "poisson",
         packet_size_bytes: int = PAPER_PACKET_SIZE_BYTES,
         flow_id: str = "cross",
     ) -> None:
-        process = process.lower()
-        if process not in ("poisson", "cbr"):
-            raise NetworkError(f"unknown cross-traffic process {process!r}")
-        source_cls = PoissonSource if process == "poisson" else CBRSource
-        self.process = process
-        self.source: TrafficSource = source_cls(
+        self.source = PoissonSource(
             simulator,
             sink,
             rate=rate,
@@ -119,44 +73,4 @@ class CrossTrafficGenerator:
         return self.source.packets_emitted
 
 
-def attach_diurnal_cross_traffic(
-    simulator: Simulator,
-    sink: PacketSink,
-    peak_utilization: float,
-    link_rate_bps: float,
-    rng: Optional[np.random.Generator] = None,
-    packet_size_bytes: int = PAPER_PACKET_SIZE_BYTES,
-    hourly_multipliers=DiurnalProfile.DEFAULT_MULTIPLIERS,
-    flow_id: str = "diurnal-cross",
-) -> CrossTrafficGenerator:
-    """Create (and return, not yet started) a day-shaped cross-traffic source.
-
-    ``peak_utilization`` is the utilization the cross traffic alone reaches at
-    the profile's busiest hour; other hours scale down according to
-    ``hourly_multipliers``.
-    """
-    if not 0.0 <= peak_utilization < 1.0:
-        raise NetworkError("peak utilization must lie in [0, 1)")
-    multipliers = np.asarray(hourly_multipliers, dtype=float)
-    peak_multiplier = float(np.max(multipliers))
-    if peak_multiplier <= 0.0:
-        raise NetworkError("diurnal profile must have at least one positive hour")
-    peak_rate = rate_for_utilization(peak_utilization, packet_size_bytes, link_rate_bps)
-    base_rate = peak_rate / peak_multiplier
-    profile = DiurnalProfile(base_rate_pps=base_rate, hourly_multipliers=multipliers)
-    return CrossTrafficGenerator(
-        simulator,
-        sink,
-        rate=profile,
-        rng=rng,
-        process="poisson",
-        packet_size_bytes=packet_size_bytes,
-        flow_id=flow_id,
-    )
-
-
-__all__ = [
-    "cross_traffic_rate_for_utilization",
-    "CrossTrafficGenerator",
-    "attach_diurnal_cross_traffic",
-]
+__all__ = ["CrossTrafficGenerator"]

@@ -22,16 +22,12 @@ from repro.exceptions import NetworkError
 from repro.network.crosstraffic import CrossTrafficGenerator
 from repro.network.link import Demux, Link, NullSink, PacketSink
 from repro.network.router import Router
+from repro.network.topology import HOP_PROPAGATION_DELAY_S
 from repro.sim.engine import Simulator
 from repro.traffic.packet import Packet
-from repro.traffic.schedule import RateSchedule
 from repro.units import PAPER_PACKET_SIZE_BYTES
 
 Observer = Callable[[Packet], None]
-RateLike = Union[float, RateSchedule]
-
-#: One-way propagation delay of each hop's output link, in seconds.
-HOP_PROPAGATION_DELAY_S = 0.5e-3
 
 
 class _HopEgress:
@@ -163,12 +159,11 @@ class UnprotectedPath:
     def attach_cross_traffic(
         self,
         hop_index: int,
-        rate: RateLike,
+        rate: float,
         rng: Optional[np.random.Generator] = None,
-        process: str = "poisson",
         flow_id: Optional[str] = None,
     ) -> CrossTrafficGenerator:
-        """Attach (and return, not yet started) a cross-traffic source at a hop."""
+        """Attach (and return, not yet started) a Poisson cross-traffic source at a hop."""
         if not 0 <= hop_index < self.n_hops:
             raise NetworkError(
                 f"hop_index must be in [0, {self.n_hops - 1}], got {hop_index}"
@@ -178,7 +173,6 @@ class UnprotectedPath:
             self.routers[hop_index].receive,
             rate=rate,
             rng=rng,
-            process=process,
             packet_size_bytes=self.packet_size_bytes,
             flow_id=flow_id or f"{self.name}-cross-hop{hop_index}",
         )
@@ -221,4 +215,4 @@ class UnprotectedPath:
         return [router.measured_utilization() for router in self.routers]
 
 
-__all__ = ["HOP_PROPAGATION_DELAY_S", "UnprotectedPath"]
+__all__ = ["UnprotectedPath"]

@@ -12,7 +12,10 @@ The paper evaluates three environments (Figures 3 and 7):
   modelled as a long chain with heavier diurnal load (Figure 8(b)).
 
 A :class:`TopologySpec` captures the knobs (hop count, link rates, cross
-load).
+load).  The per-hop propagation delay and the cross-traffic rate for a
+target utilization, which the capture kernel and its event-engine
+reference share, live here too, so the runtime reads them without loading
+the reference.
 """
 
 from __future__ import annotations
@@ -21,8 +24,40 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.exceptions import NetworkError
-from repro.network.crosstraffic import cross_traffic_rate_for_utilization
-from repro.units import PAPER_PACKET_SIZE_BYTES, PAPER_TIMER_INTERVAL_S
+from repro.units import PAPER_PACKET_SIZE_BYTES, PAPER_TIMER_INTERVAL_S, rate_for_utilization
+
+#: One-way propagation delay of each hop's output link, in seconds.
+HOP_PROPAGATION_DELAY_S = 0.5e-3
+
+
+def cross_traffic_rate_for_utilization(
+    target_utilization: float,
+    link_rate_bps: float,
+    packet_size_bytes: int = PAPER_PACKET_SIZE_BYTES,
+    padded_rate_pps: float = 0.0,
+) -> float:
+    """Cross-traffic packet rate that drives a shared link to ``target_utilization``.
+
+    The padded stream itself consumes part of the link; its contribution
+    (``padded_rate_pps`` packets/s of the same size) is subtracted so that the
+    *total* utilization, padded plus cross, matches the target — mirroring how
+    the paper reports "link utilization" on the Figure 6 x-axis.
+
+    Raises
+    ------
+    NetworkError
+        If the padded stream alone already exceeds the target utilization.
+    """
+    if not 0.0 <= target_utilization < 1.0:
+        raise NetworkError("target utilization must lie in [0, 1)")
+    total_rate = rate_for_utilization(target_utilization, packet_size_bytes, link_rate_bps)
+    cross_rate = total_rate - padded_rate_pps
+    if cross_rate < 0.0:
+        raise NetworkError(
+            "padded traffic alone exceeds the requested utilization "
+            f"({padded_rate_pps:.1f} pps > {total_rate:.1f} pps)"
+        )
+    return cross_rate
 
 
 @dataclass(frozen=True)
@@ -43,8 +78,9 @@ class TopologySpec:
         Constant cross-traffic utilization applied at every hop.  Ignored
         when ``diurnal_peak_utilization`` is set.
     diurnal_peak_utilization:
-        If set, cross traffic follows the default diurnal profile and reaches
-        this utilization at the busiest hour of the day.
+        If set, cross traffic follows a diurnal profile (Figure 8's
+        :data:`repro.experiments.fig8.DIURNAL_MULTIPLIERS`) and reaches this
+        utilization at the busiest hour of the day.
     packet_size_bytes:
         Packet size used for utilization arithmetic.
     padded_rate_pps:
@@ -55,7 +91,7 @@ class TopologySpec:
     name: str
     n_hops: int
     link_rate_bps: float = 80e6
-    propagation_delay: float = 0.5e-3
+    propagation_delay: float = HOP_PROPAGATION_DELAY_S
     cross_utilization: float = 0.0
     diurnal_peak_utilization: Optional[float] = None
     packet_size_bytes: int = PAPER_PACKET_SIZE_BYTES
@@ -133,6 +169,8 @@ def wan_topology(
 
 
 __all__ = [
+    "HOP_PROPAGATION_DELAY_S",
+    "cross_traffic_rate_for_utilization",
     "TopologySpec",
     "lab_topology",
     "campus_topology",

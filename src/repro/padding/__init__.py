@@ -13,18 +13,21 @@ payload if available, otherwise a dummy — every time its padding timer fires:
   operating-system jitter on the timer interrupt plus the payload-dependent
   blocking delays that make the padded stream's PIAT variance grow with the
   payload rate (the effect the adversary exploits).
+* :mod:`repro.padding.policies` — convenience constructors bundling a timer
+  with the metadata the experiments need.
+
+The package re-exports those three runtime modules.  The event-engine
+reference (``REPRO_SIM_KERNEL=event``) also loads the gateways, which this
+package does not re-export:
+
 * :mod:`repro.padding.gateway` — the sender gateway (queue + timer + dummy
   injection) and an adaptive-masking variant used as a baseline.
 * :mod:`repro.padding.receiver` — the receiver gateway (GW2), which strips
   dummies and forwards payload to the protected destination.
-* :mod:`repro.padding.policies` — convenience constructors bundling a timer
-  with the metadata the experiments need.
 """
 
 from repro.padding.disturbance import InterruptDisturbance
-from repro.padding.gateway import AdaptiveMaskingGateway, SenderGateway
 from repro.padding.policies import PaddingPolicy, cit_policy, vit_policy
-from repro.padding.receiver import ReceiverGateway
 from repro.padding.timer import (
     ConstantInterval,
     ExponentialInterval,
@@ -44,9 +47,6 @@ __all__ = [
     "LognormalInterval",
     "make_interval_generator",
     "InterruptDisturbance",
-    "SenderGateway",
-    "AdaptiveMaskingGateway",
-    "ReceiverGateway",
     "PaddingPolicy",
     "cit_policy",
     "vit_policy",

@@ -1,34 +1,27 @@
-"""Discrete-event simulation kernel.
+"""Simulation machinery: the capture kernel and its event-engine reference.
 
-This subpackage provides the minimal but complete event-driven simulation
-machinery on which the traffic sources, padding gateways and network elements
-are built:
+The runtime loads only the first two modules:
 
-* :class:`repro.sim.engine.Simulator` — the event loop (a time-ordered heap of
-  scheduled callbacks) with deterministic tie-breaking.
-* :class:`repro.sim.events.Event` — a schedulable, cancellable callback.
+* :mod:`repro.sim.kernel` — the vectorized capture kernel, which computes a
+  padded capture (gateway, and optionally a chain of FIFO routers with
+  Poisson cross traffic) in closed form.
 * :class:`repro.sim.random.RandomStreams` — named, independent random number
   streams derived from a single master seed, so that experiments are
   reproducible and substreams (payload, cross traffic, gateway jitter, ...)
   are statistically independent.
+
+The event-driven reference the kernel is proven byte-identical to is loaded
+only under ``REPRO_SIM_KERNEL=event``:
+
+* :class:`repro.sim.engine.Simulator` — the event loop (a time-ordered heap of
+  scheduled callbacks) with deterministic tie-breaking.
+* :class:`repro.sim.events.Event` — a schedulable, cancellable callback.
 * :mod:`repro.sim.monitor` — probes that record counters and time series
   during a run.
-* :mod:`repro.sim.process` — small helpers for writing generator-style
-  processes on top of the callback scheduler.
+* :class:`repro.sim.process.PeriodicProcess` — a self-rescheduling activity
+  on top of the callback scheduler.
 """
 
-from repro.sim.engine import Simulator
-from repro.sim.events import Event
-from repro.sim.monitor import CounterMonitor, TimeSeriesMonitor
-from repro.sim.process import PeriodicProcess, delayed_call
 from repro.sim.random import RandomStreams
 
-__all__ = [
-    "Simulator",
-    "Event",
-    "RandomStreams",
-    "CounterMonitor",
-    "TimeSeriesMonitor",
-    "PeriodicProcess",
-    "delayed_call",
-]
+__all__ = ["RandomStreams"]

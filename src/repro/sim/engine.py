@@ -18,9 +18,7 @@ Event-ordering contract (relied on by the vectorized fast path)
 ---------------------------------------------------------------
 Events are totally ordered by ``(time, priority, sequence)`` where
 ``sequence`` is a global creation counter, so simultaneous events always fire
-in the order they were scheduled — *including* events inserted through
-:meth:`Simulator.schedule_batch`, which assigns sequence numbers in list
-order before (possibly) re-heapifying.  :mod:`repro.sim.kernel` computes
+in the order they were scheduled.  :mod:`repro.sim.kernel` computes
 capture timestamps in closed form instead of replaying the event loop; its
 byte-for-byte equivalence proof assumes exactly this deterministic ordering
 plus the fact that ``run(until=h)`` fires every event with ``time <= h`` and
@@ -40,7 +38,7 @@ silently breaks that equivalence and therefore cached capture fingerprints:
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional
 
 from repro.exceptions import SchedulingError, SimulationError
 from repro.sim.events import Event
@@ -124,68 +122,6 @@ class Simulator:
         event = Event(time=time, priority=priority, callback=callback, args=args)
         heapq.heappush(self._heap, event)
         return event
-
-    def schedule_batch(
-        self,
-        times: Sequence[float],
-        callback: Callable[..., None],
-        args_list: Optional[Sequence[Tuple[Any, ...]]] = None,
-        priority: int = 0,
-    ) -> List[Event]:
-        """Bulk-insert many events for one callback at absolute times.
-
-        Semantically identical to calling :meth:`schedule_at` once per entry
-        of ``times`` (same validation, same tie-breaking order), but the heap
-        is rebuilt with a single :func:`heapq.heapify` when the batch is large
-        relative to the pending-event count — O(n + m) instead of
-        O(m log n) — which is what makes scheduling a whole trace or a
-        precomputed timer epoch cheap.
-
-        Parameters
-        ----------
-        times:
-            Absolute simulation times, each finite and ``>= now``.
-        callback:
-            Callable fired for every event.
-        args_list:
-            Optional per-event positional arguments; must match ``times`` in
-            length.  Omitted means every callback fires with no arguments.
-        priority:
-            Priority shared by all events in the batch.
-        """
-        if not callable(callback):
-            raise TypeError(f"callback must be callable, got {callback!r}")
-        stamps = [float(t) for t in times]
-        if args_list is not None and len(args_list) != len(stamps):
-            raise SchedulingError(
-                f"args_list has {len(args_list)} entries for {len(stamps)} times"
-            )
-        for time in stamps:
-            if not time == time or time in (float("inf"), float("-inf")):
-                raise SchedulingError(f"event time must be finite, got {time!r}")
-            if time < self._now:
-                raise SchedulingError(
-                    f"cannot schedule event in the past: t={time:.9f} < now={self._now:.9f}"
-                )
-        events = [
-            Event(
-                time=time,
-                priority=priority,
-                callback=callback,
-                args=() if args_list is None else tuple(args_list[i]),
-            )
-            for i, time in enumerate(stamps)
-        ]
-        # Rebuilding the heap is cheaper than m pushes once the batch is of
-        # the same order as the pending set; Event's total ordering (time,
-        # priority, sequence) makes heapify preserve the firing order.
-        if len(events) >= 16 and len(events) >= len(self._heap) // 2:
-            self._heap.extend(events)
-            heapq.heapify(self._heap)
-        else:
-            for event in events:
-                heapq.heappush(self._heap, event)
-        return events
 
     @staticmethod
     def cancel(event: Event) -> None:

@@ -9,25 +9,11 @@ happens per activation rather than on the rescheduling bookkeeping.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from repro.exceptions import SimulationError
 from repro.sim.engine import Simulator
 from repro.sim.events import Event
-
-
-def delayed_call(
-    simulator: Simulator,
-    delay: float,
-    callback: Callable[..., None],
-    *args: Any,
-) -> Event:
-    """Schedule a one-shot ``callback(*args)`` after ``delay`` seconds.
-
-    Thin convenience wrapper over :meth:`Simulator.schedule`; exists so call
-    sites read as intent ("fire once later") rather than mechanism.
-    """
-    return simulator.schedule(delay, callback, *args)
 
 
 class PeriodicProcess:
@@ -117,4 +103,4 @@ class PeriodicProcess:
             self._pending = self._simulator.schedule(self._draw(), self._activate)
 
 
-__all__ = ["PeriodicProcess", "delayed_call"]
+__all__ = ["PeriodicProcess"]

@@ -1,57 +1,12 @@
-"""Traffic substrate: packets, payload sources and rate schedules.
+"""Traffic substrate of the event-engine reference: packets and sources.
 
-The paper's sender workstation emits *payload* packets at one of a small set
-of discrete rates (10 pps or 40 pps in the evaluation).  This subpackage
-provides:
+Only the event-engine reference (``REPRO_SIM_KERNEL=event``) loads this
+subpackage; the capture kernel (:mod:`repro.sim.kernel`) draws the same
+arrival processes without packet objects.
 
-* :class:`repro.traffic.packet.Packet` — the unit moved through gateways,
-  links and routers.
-* :mod:`repro.traffic.sources` — payload generators (constant bit rate,
-  Poisson, on/off, Markov-modulated) that push packets into a sink such as a
-  padding gateway or a router port.
-* :mod:`repro.traffic.schedule` — payload-rate and load schedules, including
-  the piecewise-constant two-rate schedule of the evaluation and the diurnal
-  profile used for the 24-hour campus/WAN experiments (Figure 8).
-* :mod:`repro.traffic.traces` — synthetic trace generation and simple
-  (de)serialisation, standing in for the packet captures the authors took
-  with a hardware analyser.
+* :mod:`repro.traffic.packet` — :class:`~repro.traffic.packet.Packet`, the
+  unit moved through gateways, links and routers.
+* :mod:`repro.traffic.sources` — the Poisson payload and cross-traffic
+  source, and a constant-bit-rate source, that push packets into a sink
+  such as a padding gateway or a router port.
 """
-
-from repro.traffic.packet import Packet, PacketKind
-from repro.traffic.schedule import (
-    ConstantRateSchedule,
-    DiurnalProfile,
-    PiecewiseConstantSchedule,
-    TwoRateSchedule,
-)
-from repro.traffic.sources import (
-    CBRSource,
-    MMPPSource,
-    OnOffSource,
-    PoissonSource,
-    TraceReplaySource,
-)
-from repro.traffic.traces import (
-    generate_piat_trace,
-    load_trace,
-    save_trace,
-    trace_from_timestamps,
-)
-
-__all__ = [
-    "Packet",
-    "PacketKind",
-    "CBRSource",
-    "PoissonSource",
-    "OnOffSource",
-    "MMPPSource",
-    "TraceReplaySource",
-    "ConstantRateSchedule",
-    "TwoRateSchedule",
-    "PiecewiseConstantSchedule",
-    "DiurnalProfile",
-    "generate_piat_trace",
-    "save_trace",
-    "load_trace",
-    "trace_from_timestamps",
-]

@@ -99,8 +99,8 @@ class Packet:
     def copy_for_retransmission(self, at_time: float) -> "Packet":
         """Create a fresh packet with the same classification attributes.
 
-        Used by trace replay and by tests; the copy receives a new
-        ``packet_id`` so identity-based bookkeeping stays correct.
+        The copy receives a new ``packet_id`` so identity-based bookkeeping
+        stays correct.
         """
         return Packet(
             created_at=at_time,

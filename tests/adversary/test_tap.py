@@ -5,11 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.adversary import Tap
+from repro.adversary.tap import Tap
 from repro.exceptions import AnalysisError
 from repro.network.link import CountingSink
-from repro.padding import ConstantInterval, SenderGateway
-from repro.traffic import Packet
+from repro.padding.gateway import SenderGateway
+from repro.padding.timer import ConstantInterval
+from repro.traffic.packet import Packet
 
 
 class TestTapBasics:

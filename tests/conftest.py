@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.exceptions import AnalysisError
-from repro.sim import RandomStreams, Simulator
+from repro.sim import RandomStreams
+from repro.sim.engine import Simulator
 from repro.sim.random import derived_rng
 from repro.stats.bootstrap import BootstrapResult
 

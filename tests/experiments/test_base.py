@@ -56,6 +56,27 @@ class TestScenarioConfig:
         for fragment in fragments:
             assert fragment in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        "kwargs, fragment",
+        [
+            (dict(packet_size_bytes=0), "packet_size_bytes=0"),
+            (dict(packet_size_bytes=-512), "packet_size_bytes=-512"),
+            (dict(link_rate_bps=0.0), "link_rate_bps=0.0"),
+            (dict(link_rate_bps=-20e6), "link_rate_bps=-20000000.0"),
+            (dict(link_rate_bps=float("nan")), "link_rate_bps=nan"),
+            (dict(low_rate_pps=-5.0), "low_rate_pps=-5.0"),
+            (dict(low_rate_pps=float("nan")), "low_rate_pps=nan"),
+        ],
+    )
+    def test_degenerate_inputs_rejected(self, kwargs, fragment):
+        """Regression: the kernel ran these silently; the reference raised late."""
+        with pytest.raises(ConfigurationError) as excinfo:
+            ScenarioConfig(**kwargs)
+        assert fragment in str(excinfo.value)
+
+    def test_zero_low_rate_is_allowed(self):
+        assert ScenarioConfig(low_rate_pps=0.0).rate_labels["low"] == 0.0
+
     def test_net_variance_zero_without_hops(self):
         assert ScenarioConfig().net_piat_variance() == 0.0
 

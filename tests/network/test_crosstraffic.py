@@ -5,14 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import NetworkError
-from repro.network import (
-    CountingSink,
-    CrossTrafficGenerator,
-    attach_diurnal_cross_traffic,
-    cross_traffic_rate_for_utilization,
-)
-from repro.traffic import PacketKind
-from repro.units import HOUR, serialization_delay
+from repro.network.crosstraffic import CrossTrafficGenerator
+from repro.network.link import CountingSink
+from repro.network.topology import cross_traffic_rate_for_utilization
+from repro.traffic.packet import PacketKind
+from repro.units import serialization_delay
 
 
 class TestRateForUtilization:
@@ -55,77 +52,3 @@ class TestCrossTrafficGenerator:
         generator.start()
         simulator.run(until=20.0)
         assert sink.total / 20.0 == pytest.approx(1000.0, rel=0.05)
-
-    def test_cbr_process(self, simulator, rng):
-        sink = CountingSink(keep_packets=False)
-        generator = CrossTrafficGenerator(simulator, sink, rate=100.0, rng=rng, process="cbr")
-        generator.start()
-        simulator.run(until=5.0)
-        assert sink.total == pytest.approx(500, abs=2)
-
-    def test_unknown_process_rejected(self, simulator, rng):
-        with pytest.raises(NetworkError):
-            CrossTrafficGenerator(simulator, CountingSink(), rate=10.0, rng=rng, process="pareto")
-
-
-class TestDiurnalCrossTraffic:
-    # The default profile peaks mid-afternoon, which would require simulating
-    # ~14 hours of traffic.  Tests use a compressed profile with a flat trough
-    # in hours 0-1 and a flat peak in hours 2-3 so the whole check fits in a
-    # few simulated hours at a low packet rate.
-    COMPRESSED_PROFILE = [0.1, 0.1, 1.0, 1.0] + [0.1] * 20
-
-    def test_quiet_vs_busy_hour_difference(self, simulator, rng):
-        sink = CountingSink(keep_packets=False)
-        generator = attach_diurnal_cross_traffic(
-            simulator,
-            sink,
-            peak_utilization=0.25,
-            link_rate_bps=1e6,
-            rng=rng,
-            hourly_multipliers=self.COMPRESSED_PROFILE,
-        )
-        generator.start()
-        # Quiet hour: 00:00-01:00 (multiplier 0.1 throughout)
-        simulator.run(until=1.0 * HOUR)
-        quiet_packets = sink.total
-        # Busy hour: 02:00-03:00 (multiplier 1.0 throughout)
-        simulator.run(until=2.0 * HOUR)
-        before_busy = sink.total
-        simulator.run(until=3.0 * HOUR)
-        busy_packets = sink.total - before_busy
-        generator.stop()
-        assert busy_packets > 3 * quiet_packets
-
-    def test_peak_utilization_not_exceeded_substantially(self, simulator, rng):
-        sink = CountingSink(keep_packets=False)
-        generator = attach_diurnal_cross_traffic(
-            simulator,
-            sink,
-            peak_utilization=0.2,
-            link_rate_bps=1e6,
-            rng=rng,
-            hourly_multipliers=self.COMPRESSED_PROFILE,
-        )
-        generator.start()
-        simulator.run(until=2.0 * HOUR)
-        before = sink.total
-        simulator.run(until=3.0 * HOUR)
-        peak_rate = (sink.total - before) / HOUR
-        generator.stop()
-        implied_utilization = peak_rate * float(serialization_delay(512, 1e6))
-        assert implied_utilization < 0.25
-        assert implied_utilization > 0.1
-
-    def test_validation(self, simulator, rng):
-        with pytest.raises(NetworkError):
-            attach_diurnal_cross_traffic(simulator, CountingSink(), 1.5, 50e6, rng=rng)
-        with pytest.raises(NetworkError):
-            attach_diurnal_cross_traffic(
-                simulator,
-                CountingSink(),
-                0.3,
-                50e6,
-                rng=rng,
-                hourly_multipliers=[0.0] * 24,
-            )

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro.exceptions import NetworkError
-from repro.network import CountingSink, Demux, Link, NullSink
-from repro.traffic import Packet, PacketKind
+from repro.network.link import CountingSink, Demux, Link, NullSink
+from repro.traffic.packet import Packet, PacketKind
 
 
 class TestLink:

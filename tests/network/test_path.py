@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import NetworkError
-from repro.network import CountingSink, UnprotectedPath
-from repro.traffic import Packet, PacketKind
+from repro.network.link import CountingSink
+from repro.network.path import UnprotectedPath
+from repro.traffic.packet import Packet, PacketKind
 
 
 def inject_periodic_padded_stream(simulator, entry, n_packets=500, interval=0.01, start=0.0):

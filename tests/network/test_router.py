@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from repro.exceptions import NetworkError
-from repro.network import CountingSink, Router
-from repro.traffic import Packet, PacketKind, PoissonSource
+from repro.network.link import CountingSink
+from repro.network.router import Router
+from repro.traffic.packet import Packet, PacketKind
+from repro.traffic.sources import PoissonSource
 from repro.units import serialization_delay
 
 

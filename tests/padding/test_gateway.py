@@ -7,14 +7,11 @@ import pytest
 
 from repro.exceptions import PaddingError
 from repro.network.link import CountingSink
-from repro.padding import (
-    AdaptiveMaskingGateway,
-    ConstantInterval,
-    InterruptDisturbance,
-    NormalInterval,
-    SenderGateway,
-)
-from repro.traffic import CBRSource, PacketKind, PoissonSource
+from repro.padding.disturbance import InterruptDisturbance
+from repro.padding.gateway import AdaptiveMaskingGateway, SenderGateway
+from repro.padding.timer import ConstantInterval, NormalInterval
+from repro.traffic.packet import PacketKind
+from repro.traffic.sources import CBRSource, PoissonSource
 
 
 def make_gateway(simulator, sink, rng, interval=ConstantInterval(0.01), disturbance=None, **kwargs):

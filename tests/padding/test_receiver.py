@@ -6,8 +6,11 @@ import pytest
 
 from repro.exceptions import PaddingError
 from repro.network.link import CountingSink
-from repro.padding import ConstantInterval, ReceiverGateway, SenderGateway
-from repro.traffic import CBRSource, Packet, PacketKind
+from repro.padding.gateway import SenderGateway
+from repro.padding.receiver import ReceiverGateway
+from repro.padding.timer import ConstantInterval
+from repro.traffic.packet import Packet, PacketKind
+from repro.traffic.sources import CBRSource
 
 
 class TestReceiverGateway:

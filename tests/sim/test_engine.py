@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import SchedulingError, SimulationError
-from repro.sim import Simulator
+from repro.sim.engine import Simulator
 
 
 class TestScheduling:
@@ -221,56 +221,3 @@ class TestPropertyBased:
             sim.schedule(delay, lambda: clock_samples.append(sim.now))
         sim.run()
         assert all(b >= a for a, b in zip(clock_samples, clock_samples[1:]))
-
-
-class TestScheduleBatch:
-    """Bulk insertion must be observationally identical to per-event pushes."""
-
-    def test_batch_fires_in_time_order(self, simulator):
-        fired = []
-        simulator.schedule_batch([3.0, 1.0, 2.0], fired.append, args_list=[("c",), ("a",), ("b",)])
-        simulator.run()
-        assert fired == ["a", "b", "c"]
-
-    def test_batch_ties_break_by_insertion_order(self, simulator):
-        """Equal times and priorities fire in batch order (sequence numbers)."""
-        fired = []
-        simulator.schedule(1.0, fired.append, "push-first")
-        simulator.schedule_batch([1.0, 1.0], fired.append, args_list=[("batch-0",), ("batch-1",)])
-        simulator.run()
-        assert fired == ["push-first", "batch-0", "batch-1"]
-
-    def test_large_batch_matches_individual_pushes(self):
-        times = [((i * 7919) % 1000) / 10.0 for i in range(500)]
-        batched, pushed = Simulator(), Simulator()
-        order_a, order_b = [], []
-        batched.schedule_batch(times, order_a.append, args_list=[(t,) for t in times])
-        for t in times:
-            pushed.schedule_at(t, order_b.append, t)
-        batched.run()
-        pushed.run()
-        assert order_a == order_b == sorted(times)
-
-    def test_small_batch_takes_the_push_path(self, simulator):
-        events = simulator.schedule_batch([1.0, 2.0], lambda: None)
-        assert len(events) == 2
-        assert simulator.pending_events == 2
-
-    def test_batch_validates_like_schedule_at(self, simulator):
-        with pytest.raises(SchedulingError):
-            simulator.schedule_batch([1.0, float("nan")], lambda: None)
-        with pytest.raises(SchedulingError):
-            simulator.schedule_batch([-1.0], lambda: None)
-        with pytest.raises(SchedulingError):
-            simulator.schedule_batch([1.0], lambda: None, args_list=[(1,), (2,)])
-        with pytest.raises(TypeError):
-            simulator.schedule_batch([1.0], "not callable")
-        # A failed batch must not leave partial state behind.
-        assert simulator.pending_events == 0
-
-    def test_batch_events_are_cancellable(self, simulator):
-        fired = []
-        events = simulator.schedule_batch([1.0, 2.0, 3.0], fired.append, args_list=[(1,), (2,), (3,)])
-        events[1].cancel()
-        simulator.run()
-        assert fired == [1, 3]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.sim import CounterMonitor, TimeSeriesMonitor
+from repro.sim.monitor import CounterMonitor, TimeSeriesMonitor
 
 
 class TestCounterMonitor:

@@ -5,16 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import SimulationError
-from repro.sim import PeriodicProcess, delayed_call
-
-
-class TestDelayedCall:
-    def test_fires_once_after_delay(self, simulator):
-        fired = []
-        delayed_call(simulator, 2.0, fired.append, "x")
-        simulator.run()
-        assert fired == ["x"]
-        assert simulator.now == 2.0
+from repro.sim.process import PeriodicProcess
 
 
 class TestPeriodicProcess:

@@ -9,6 +9,7 @@ import pytest
 from scipy import stats as sps
 
 from repro.exceptions import AnalysisError
+from repro.experiments.base import CollectionMode, ScenarioConfig, collect_labelled_intervals
 from repro.stats import jarque_bera_normality, normality_report, qq_deviation
 from repro.stats.normality import _normal_quantiles
 
@@ -109,13 +110,23 @@ class TestNormalityReport:
         assert report.skewness > 1.0
         assert_moments_match_scipy(data, report)
 
-    def test_simulated_padded_piat_looks_normal(self, rng):
-        """The Gaussian PIAT assumption of Section 4 holds for our traces."""
-        from repro.traffic import generate_piat_trace
+    @pytest.mark.parametrize("seed", range(8))
+    def test_simulated_padded_piat_is_symmetric_and_leptokurtic(self, seed):
+        """Simulated padded PIATs are bell-shaped but heavier-tailed than Gaussian.
 
-        trace = generate_piat_trace(5000, mean_interval=0.01, jitter_std=3e-5, rng=rng)
-        report = normality_report(trace.intervals())
-        assert report.looks_normal
+        Section 4 assumes a Gaussian PIAT.  Real SIMULATION captures (CIT,
+        paper rates, tap at the gateway) are symmetric, but the gateway's
+        interrupt disturbance gives them an excess kurtosis of 1.2-3.9 over
+        these seeds, and ``looks_normal`` fails for some of them.  The test
+        pins that shape instead of the assumption.
+        """
+        capture = collect_labelled_intervals(
+            ScenarioConfig(), 2000, CollectionMode.SIMULATION, seed=seed
+        )
+        for label, intervals in capture.intervals.items():
+            report = normality_report(intervals)
+            assert abs(report.skewness) < 0.2, (label, report.skewness)
+            assert 1.0 < report.excess_kurtosis < 5.0, (label, report.excess_kurtosis)
 
     def test_non_finite_rejected(self):
         with pytest.raises(AnalysisError):

@@ -237,6 +237,27 @@ class TestScenarioCli:
         assert main(["run", "--scenario", str(tmp_path / "nope.toml")]) == 2
         assert "does not exist" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, fragment",
+        [
+            ("packet_size_bytes = 0", "packet_size_bytes=0"),
+            ("link_rate_bps = 0.0", "link_rate_bps=0.0"),
+            ("low_rate_pps = -5.0", "low_rate_pps=-5.0"),
+        ],
+    )
+    def test_degenerate_scenario_file_exits_cleanly(self, tmp_path, capsys, line, fragment):
+        """Regression: a zero packet size used to print a full simulated report."""
+        path = tmp_path / "degenerate.toml"
+        path.write_text(
+            'name = "degenerate"\ntitle = "degenerate"\n\n'
+            f"[base]\n{line}\n\n"
+            '[run]\nmode = "simulation"\nsample_sizes = [100]\ntrials = 2\n'
+        )
+        assert main(["run", "--scenario", str(path), "--backend", "serial"]) == 2
+        captured = capsys.readouterr()
+        assert fragment in captured.err
+        assert "sweep summary:" not in captured.out
+
     def test_explicit_seed_overrides_the_scenario_seed(self, scenario_path, capsys):
         """--seed is not silently swallowed: it reseeds the scenario's cells."""
         assert main(["run", "--scenario", str(scenario_path)]) == 0
@@ -494,10 +515,27 @@ class TestServeCommand:
 class TestStartup:
     """Neither networkx nor scipy is a runtime dependency; nothing may load them."""
 
+    #: The event-engine reference: only ``REPRO_SIM_KERNEL=event`` loads these
+    #: (``repro.traffic`` covers every ``repro.traffic.*`` module).
+    EVENT_MODULES = (
+        "repro.sim.engine",
+        "repro.sim.events",
+        "repro.sim.process",
+        "repro.sim.monitor",
+        "repro.network.router",
+        "repro.network.link",
+        "repro.network.path",
+        "repro.network.crosstraffic",
+        "repro.padding.gateway",
+        "repro.padding.receiver",
+        "repro.traffic",
+        "repro.adversary.tap",
+    )
+
     @staticmethod
-    def run_python(code: str) -> str:
+    def run_python(code: str, **environment: str) -> str:
         src = str(Path(repro.__file__).resolve().parent.parent)
-        env = dict(os.environ)
+        env = dict(os.environ, **environment)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         completed = subprocess.run(
             [sys.executable, "-c", code],
@@ -522,3 +560,33 @@ class TestStartup:
             "print(status, sorted(k for k in sys.modules if k.startswith('scipy')))"
         )
         assert self.run_python(code) == "0 []"
+
+    @needs_toml
+    def test_routed_scenario_loads_the_event_reference_only_on_request(self, tmp_path):
+        """The runtime never imports the event engine; ``REPRO_SIM_KERNEL=event`` does,
+        and both produce the same report to the byte."""
+        scenario = (
+            Path(repro.__file__).resolve().parents[2]
+            / "examples" / "scenarios" / "routed_smoke.toml"
+        )
+        loaded, reports = {}, {}
+        for kernel in ("vectorized", "event"):
+            output = tmp_path / f"{kernel}.txt"
+            argv = ["run", "--scenario", str(scenario), "--backend", "serial",
+                    "--output", str(output)]
+            code = (
+                "import contextlib, io, sys\n"
+                "from repro.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    status = main({argv!r})\n"
+                f"print(status, sorted(k for k in sys.modules if k.startswith({self.EVENT_MODULES!r})))"
+            )
+            status, _, modules = self.run_python(code, REPRO_SIM_KERNEL=kernel).partition(" ")
+            assert status == "0"
+            loaded[kernel] = modules
+            reports[kernel] = output.read_bytes()
+        assert loaded["vectorized"] == "[]"
+        for module in self.EVENT_MODULES:
+            assert repr(module) in loaded["event"], module
+        assert reports["vectorized"] == reports["event"]
+        assert b"hops=3/utilization=0.45" in reports["vectorized"]

@@ -19,19 +19,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.adversary import Tap, VarianceFeature, evaluate_attack
+from repro.adversary import VarianceFeature, evaluate_attack
+from repro.adversary.tap import Tap
 from repro.core import GaussianPIATModel, detection_rate_variance
-from repro.network import CountingSink, UnprotectedPath
-from repro.network.crosstraffic import cross_traffic_rate_for_utilization
-from repro.padding import (
-    InterruptDisturbance,
-    ReceiverGateway,
-    SenderGateway,
-    cit_policy,
-    vit_policy,
-)
-from repro.sim import RandomStreams, Simulator
-from repro.traffic import PacketKind, PoissonSource
+from repro.network.link import CountingSink
+from repro.network.path import UnprotectedPath
+from repro.network.topology import cross_traffic_rate_for_utilization
+from repro.padding import InterruptDisturbance, cit_policy, vit_policy
+from repro.padding.gateway import SenderGateway
+from repro.padding.receiver import ReceiverGateway
+from repro.sim import RandomStreams
+from repro.sim.engine import Simulator
+from repro.traffic.packet import PacketKind
+from repro.traffic.sources import PoissonSource
 from repro.units import PAPER_PACKET_SIZE_BYTES
 
 

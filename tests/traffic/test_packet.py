@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.traffic import Packet, PacketKind
+from repro.traffic.packet import Packet, PacketKind
 
 
 class TestPacket:

@@ -6,16 +6,8 @@ import numpy as np
 import pytest
 
 from repro.exceptions import TrafficError
-from repro.sim import Simulator
-from repro.traffic import (
-    CBRSource,
-    MMPPSource,
-    OnOffSource,
-    PacketKind,
-    PiecewiseConstantSchedule,
-    PoissonSource,
-    TraceReplaySource,
-)
+from repro.traffic.packet import PacketKind
+from repro.traffic.sources import CBRSource, PoissonSource
 
 
 class Collector:
@@ -64,25 +56,13 @@ class TestCBRSource:
         assert len(sink.packets) == count
         assert not source.active
 
-    def test_follows_piecewise_schedule(self, simulator, rng):
-        schedule = PiecewiseConstantSchedule([(0.0, 10.0), (10.0, 40.0)])
+    def test_zero_rate_idles_without_emitting(self, simulator, rng):
         sink = Collector()
-        source = CBRSource(simulator, sink, rate=schedule, rng=rng)
+        source = CBRSource(simulator, sink, rate=0.0, rng=rng, idle_poll_interval=0.05)
         source.start()
-        simulator.run(until=20.0)
-        first_half = np.sum(sink.times < 10.0)
-        second_half = np.sum(sink.times >= 10.0)
-        assert first_half == pytest.approx(100, abs=2)
-        assert second_half == pytest.approx(400, abs=3)
-
-    def test_zero_rate_idles_then_resumes(self, simulator, rng):
-        schedule = PiecewiseConstantSchedule([(0.0, 0.0), (5.0, 10.0)])
-        sink = Collector()
-        source = CBRSource(simulator, sink, rate=schedule, rng=rng, idle_poll_interval=0.05)
-        source.start()
-        simulator.run(until=10.0)
-        assert np.all(sink.times >= 5.0)
-        assert len(sink.packets) == pytest.approx(50, abs=2)
+        simulator.run(until=1.0)
+        assert sink.packets == []
+        assert source.active
 
     def test_non_callable_sink_rejected(self, simulator, rng):
         with pytest.raises(TrafficError):
@@ -122,83 +102,7 @@ class TestPoissonSource:
         assert len(sink.packets) == 0
 
 
-class TestOnOffSource:
-    def test_average_rate_reflects_duty_cycle(self, simulator, rng):
-        sink = Collector()
-        source = OnOffSource(
-            simulator,
-            sink,
-            rate=400.0,
-            mean_on_time=1.0,
-            mean_off_time=1.0,
-            rng=rng,
-        )
-        source.start()
-        simulator.run(until=200.0)
-        observed = len(sink.packets) / 200.0
-        assert observed == pytest.approx(source.average_rate_pps, rel=0.2)
-        assert source.average_rate_pps == pytest.approx(200.0)
-
-    def test_validation(self, simulator, rng):
-        with pytest.raises(TrafficError):
-            OnOffSource(simulator, lambda p: None, 10.0, mean_on_time=0.0, mean_off_time=1.0, rng=rng)
-
-
-class TestMMPPSource:
-    def test_long_run_rate_between_state_rates(self, simulator, rng):
-        sink = Collector()
-        source = MMPPSource(
-            simulator,
-            sink,
-            state_rates_pps=[50.0, 400.0],
-            mean_holding_times=[1.0, 1.0],
-            rng=rng,
-        )
-        source.start()
-        simulator.run(until=100.0)
-        observed = len(sink.packets) / 100.0
-        assert 50.0 < observed < 400.0
-
-    def test_state_advances(self, simulator, rng):
-        source = MMPPSource(
-            simulator,
-            lambda p: None,
-            state_rates_pps=[100.0, 100.0, 100.0],
-            mean_holding_times=[0.1, 0.1, 0.1],
-            rng=rng,
-        )
-        source.start()
-        simulator.run(until=5.0)
-        assert source.state in (0, 1, 2)
-
-    def test_validation(self, simulator, rng):
-        with pytest.raises(TrafficError):
-            MMPPSource(simulator, lambda p: None, [10.0], [1.0], rng=rng)
-        with pytest.raises(TrafficError):
-            MMPPSource(simulator, lambda p: None, [10.0, -1.0], [1.0, 1.0], rng=rng)
-
-
-class TestTraceReplaySource:
-    def test_replays_exact_timestamps(self, simulator):
-        sink = Collector()
-        stamps = [0.5, 1.0, 1.25, 4.0]
-        source = TraceReplaySource(simulator, sink, stamps)
-        source.start()
-        simulator.run()
-        assert np.allclose(sink.times, stamps)
-        assert source.packets_emitted == 4
-
-    def test_rejects_decreasing_timestamps(self, simulator):
-        with pytest.raises(TrafficError):
-            TraceReplaySource(simulator, lambda p: None, [1.0, 0.5])
-
-    def test_rejects_timestamps_in_past(self):
-        sim = Simulator(start_time=10.0)
-        with pytest.raises(TrafficError):
-            TraceReplaySource(sim, lambda p: None, [1.0, 2.0])
-
-    def test_cannot_start_twice(self, simulator):
-        source = TraceReplaySource(simulator, lambda p: None, [1.0])
-        source.start()
-        with pytest.raises(TrafficError):
-            source.start()
+@pytest.mark.parametrize("source_cls", [CBRSource, PoissonSource])
+def test_negative_rate_rejected(simulator, rng, source_cls):
+    with pytest.raises(TrafficError, match="rate must be >= 0"):
+        source_cls(simulator, Collector(), rate=-5.0, rng=rng)
