@@ -77,7 +77,8 @@ class Fig8Config:
     trials:
         Training and test samples per class per hour.
     hourly_multipliers:
-        Diurnal load shape shared by both environments.
+        Diurnal load shape shared by both environments: 24 finite values
+        ``>= 0`` with a positive peak.
     """
 
     networks: Tuple[str, ...] = ("campus", "wan")
@@ -104,6 +105,13 @@ class Fig8Config:
             raise ConfigurationError("sample_size and trials must be >= 2")
         if len(self.hourly_multipliers) != 24:
             raise ConfigurationError("hourly_multipliers must contain 24 values")
+        multipliers = np.asarray(self.hourly_multipliers, dtype=float)
+        if not (np.all(np.isfinite(multipliers)) and np.all(multipliers >= 0.0)):
+            raise ConfigurationError(
+                f"hourly_multipliers must be finite and >= 0, got {self.hourly_multipliers!r}"
+            )
+        if not np.max(multipliers) > 0.0:
+            raise ConfigurationError("hourly_multipliers must have a positive peak")
 
     def topology(self, network: str) -> TopologySpec:
         """The topology preset for a network name."""

@@ -31,6 +31,7 @@ applies the identical ``np.maximum``.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -55,7 +56,7 @@ class TrafficSource:
     sink:
         Callable receiving each emitted packet.
     rate:
-        Emission rate in packets/second (``>= 0``).
+        Emission rate in packets/second (finite, ``>= 0``).
     rng:
         Random generator for stochastic gap distributions.  Deterministic
         sources ignore it but still accept it for interface uniformity.
@@ -83,10 +84,12 @@ class TrafficSource:
     ) -> None:
         if not callable(sink):
             raise TrafficError("sink must be callable")
-        if not rate >= 0.0:
-            raise TrafficError(f"rate must be >= 0, got {rate!r}")
-        if idle_poll_interval <= 0.0:
-            raise TrafficError("idle_poll_interval must be positive")
+        if not 0.0 <= rate < math.inf:
+            raise TrafficError(f"rate must be >= 0 and finite, got {rate!r}")
+        if not 0.0 < idle_poll_interval < math.inf:
+            raise TrafficError(
+                f"idle_poll_interval must be positive and finite, got {idle_poll_interval!r}"
+            )
         self.simulator = simulator
         self.sink = sink
         self.rate = float(rate)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.experiments.fig8 import DIURNAL_MULTIPLIERS
 from repro.experiments import (
     CollectionMode,
     Fig4Config,
@@ -245,6 +246,39 @@ class TestFig8:
             Fig8Config(hours=(25,))
         with pytest.raises(ConfigurationError):
             Fig8Config(hourly_multipliers=(1.0,) * 23)
+
+    def test_diurnal_multipliers_keep_their_values(self):
+        """Fig8 fingerprints include the profile: its values may not drift."""
+        assert DIURNAL_MULTIPLIERS == (
+            0.25, 0.18, 0.15, 0.16, 0.20, 0.30,
+            0.45, 0.65, 0.85, 1.00, 1.10, 1.15,
+            1.10, 1.15, 1.20, 1.15, 1.05, 0.95,
+            0.85, 0.75, 0.65, 0.55, 0.42, 0.32,
+        )
+        assert Fig8Config().hourly_multipliers is DIURNAL_MULTIPLIERS
+
+    def test_diurnal_profile_dips_at_night_and_peaks_in_the_afternoon(self):
+        hourly = list(DIURNAL_MULTIPLIERS)
+        assert 0 <= hourly.index(min(hourly)) <= 5
+        assert 12 <= hourly.index(max(hourly)) <= 17
+
+    @pytest.mark.parametrize(
+        "multipliers",
+        [(1.0,) * 23 + (-0.5,), (0.0,) * 24, (1.0,) * 23 + (float("nan"),)],
+        ids=["negative", "all-zero", "nan"],
+    )
+    def test_degenerate_multipliers_rejected(self, multipliers):
+        """Regression: these gave NaN utilizations, or ones below the padded stream's own."""
+        with pytest.raises(ConfigurationError, match="hourly_multipliers"):
+            Fig8Config(hourly_multipliers=multipliers)
+
+    @pytest.mark.parametrize("network", ["campus", "wan"])
+    def test_peak_hour_reaches_the_topology_peak_utilization(self, network):
+        config = Fig8Config()
+        peak_hour = DIURNAL_MULTIPLIERS.index(max(DIURNAL_MULTIPLIERS))
+        peak = config.topology(network).diurnal_peak_utilization
+        assert config.utilization_at(network, peak_hour) == pytest.approx(peak)
+        assert all(config.utilization_at(network, hour) <= peak + 1e-12 for hour in range(24))
 
     def test_utilization_at_hour_helper(self):
         config = Fig8Config()

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.exceptions import NetworkError
+from repro.exceptions import NetworkError, TrafficError
 from repro.network.crosstraffic import CrossTrafficGenerator
 from repro.network.link import CountingSink
 from repro.network.topology import cross_traffic_rate_for_utilization
@@ -52,3 +53,36 @@ class TestCrossTrafficGenerator:
         generator.start()
         simulator.run(until=20.0)
         assert sink.total / 20.0 == pytest.approx(1000.0, rel=0.05)
+
+    def test_arrivals_are_poisson(self, simulator, rng):
+        """Cross traffic is Poisson only: exponential gaps, std ~= mean."""
+        sink = CountingSink()
+        CrossTrafficGenerator(simulator, sink, rate=200.0, rng=rng).start()
+        simulator.run(until=50.0)
+        gaps = np.diff([p.created_at for p in sink.packets])
+        assert np.std(gaps) == pytest.approx(np.mean(gaps), rel=0.1)
+
+    def test_stop_halts_injection(self, simulator, rng):
+        sink = CountingSink(keep_packets=False)
+        generator = CrossTrafficGenerator(simulator, sink, rate=500.0, rng=rng)
+        generator.start()
+        simulator.run(until=1.0)
+        generator.stop()
+        injected = sink.total
+        simulator.run(until=3.0)
+        assert injected > 0
+        assert sink.total == injected == generator.packets_emitted
+
+    def test_packets_carry_size_and_flow_label(self, simulator, rng):
+        sink = CountingSink()
+        CrossTrafficGenerator(
+            simulator, sink, rate=100.0, rng=rng, packet_size_bytes=1500, flow_id="hop-2"
+        ).start()
+        simulator.run(until=1.0)
+        assert sink.total > 0
+        assert {(p.size_bytes, p.flow_id) for p in sink.packets} == {(1500, "hop-2")}
+
+    @pytest.mark.parametrize("rate", [-1.0, float("nan"), float("inf")])
+    def test_invalid_rate_rejected(self, simulator, rng, rate):
+        with pytest.raises(TrafficError):
+            CrossTrafficGenerator(simulator, CountingSink(), rate=rate, rng=rng)

@@ -91,6 +91,19 @@ class TestByteIdentity:
         for label in ("low", "high"):
             assert np.array_equal(event[label], vectorized[label])
 
+    @pytest.mark.parametrize("rate", [10.0, 20.0, 40.0, 80.0])
+    def test_every_rate_under_the_padded_rate_matches(self, rate):
+        """The multi-rate example's rates: one gateway capture each, kernel == event."""
+        scenario = ScenarioConfig(low_rate_pps=10.0, high_rate_pps=80.0)
+        captures = [
+            simulate_gateway_capture(
+                scenario, rate, 400, RandomStreams(99), f"{rate:.0f}pps",
+                with_network=False, kernel=kernel_mode,
+            )
+            for kernel_mode in ("event", "vectorized")
+        ]
+        assert np.array_equal(captures[0], captures[1])
+
     def test_extreme_vit_exercises_the_spacing_clamp(self):
         """sigma_T near the mean makes tiny interval draws: the clamp fires."""
         scenario = ScenarioConfig(policy=vit_policy(sigma_t=9e-3))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import os
 import subprocess
 import sys
@@ -15,6 +16,9 @@ from repro.api import TOML_AVAILABLE
 from repro.cli import LEGACY_FIGURES, PRESETS, build_parser, main
 
 needs_toml = pytest.mark.skipif(not TOML_AVAILABLE, reason="no TOML parser available")
+
+#: The example scripts; CI runs them too.
+EXAMPLES = sorted((Path(repro.__file__).resolve().parents[2] / "examples").glob("*.py"))
 
 SCENARIO_TOML = """\
 name = "cli_wan"
@@ -560,6 +564,59 @@ class TestStartup:
             "print(status, sorted(k for k in sys.modules if k.startswith('scipy')))"
         )
         assert self.run_python(code) == "0 []"
+
+    @pytest.mark.parametrize(
+        "module",
+        [
+            "repro",
+            "repro.cli",
+            "repro.api",
+            "repro.experiments",
+            "repro.runner",
+            "repro.population",
+            "repro.store",
+            "repro.sim",
+            "repro.sim.kernel",
+            "repro.network",
+            "repro.padding",
+            "repro.adversary",
+        ],
+    )
+    def test_runtime_import_loads_no_event_module(self, module):
+        code = (
+            f"import importlib, sys; importlib.import_module({module!r}); "
+            f"print(sorted(k for k in sys.modules if k.startswith({self.EVENT_MODULES!r})))"
+        )
+        assert self.run_python(code) == "[]"
+
+    @pytest.mark.parametrize(
+        "package", ["repro.sim", "repro.network", "repro.padding", "repro.adversary"]
+    )
+    def test_package_exports_no_event_class(self, package):
+        """Reference classes are imported from their own modules, not re-exported."""
+        module = importlib.import_module(package)
+        assert module.__all__
+        for name in module.__all__:
+            origin = getattr(getattr(module, name), "__module__", None) or ""
+            assert not origin.startswith(self.EVENT_MODULES), (name, origin)
+
+    @pytest.mark.parametrize("script", EXAMPLES, ids=lambda path: path.stem)
+    def test_example_runs_without_the_event_reference(self, script, tmp_path, monkeypatch):
+        """Each example script prints its report and never loads the reference."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("REPRO_SIM_KERNEL", raising=False)
+        code = (
+            "import contextlib, io, runpy, sys\n"
+            f"sys.argv = [{str(script)!r}]\n"
+            "output = io.StringIO()\n"
+            "with contextlib.redirect_stdout(output):\n"
+            f"    runpy.run_path({str(script)!r}, run_name='__main__')\n"
+            "print(len(output.getvalue().splitlines()), "
+            f"sorted(k for k in sys.modules if k.startswith({self.EVENT_MODULES!r})))"
+        )
+        lines, _, modules = self.run_python(code).rpartition("\n")[2].partition(" ")
+        assert int(lines) > 0
+        assert modules == "[]"
 
     @needs_toml
     def test_routed_scenario_loads_the_event_reference_only_on_request(self, tmp_path):

@@ -106,3 +106,39 @@ class TestPoissonSource:
 def test_negative_rate_rejected(simulator, rng, source_cls):
     with pytest.raises(TrafficError, match="rate must be >= 0"):
         source_cls(simulator, Collector(), rate=-5.0, rng=rng)
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("source_cls", [CBRSource, PoissonSource])
+def test_non_finite_rate_rejected(simulator, rng, source_cls, rate):
+    """Regression: an infinite rate used to pass and flood (or stall) the engine."""
+    with pytest.raises(TrafficError, match="rate must be >= 0 and finite"):
+        source_cls(simulator, Collector(), rate=rate, rng=rng)
+
+
+@pytest.mark.parametrize("interval", [0.0, -0.1, float("nan"), float("inf")])
+def test_bad_idle_poll_interval_rejected(simulator, rng, interval):
+    with pytest.raises(TrafficError, match="idle_poll_interval"):
+        CBRSource(simulator, Collector(), rate=0.0, rng=rng, idle_poll_interval=interval)
+
+
+def test_fractional_rate_keeps_exact_gaps(simulator, rng):
+    """Sources take any float rate: 12.5 pps emits every 80 ms."""
+    sink = Collector()
+    CBRSource(simulator, sink, rate=12.5, rng=rng).start(initial_delay=0.08)
+    simulator.run(until=8.04)  # half a gap past the 100th emission
+    assert len(sink.packets) == 100
+    assert np.allclose(np.diff(sink.times), 0.08)
+
+
+@pytest.mark.parametrize("rate", [10.0, 200.0])
+def test_poisson_gaps_are_one_draw_each_from_the_stream(simulator, rate):
+    """The RNG-stream contract the capture kernel replays: one exponential per gap."""
+    sink = Collector()
+    PoissonSource(simulator, sink, rate=rate, rng=np.random.default_rng(5)).start()
+    simulator.run(until=5.0)
+    expected = np.cumsum(
+        np.maximum(np.random.default_rng(5).exponential(1.0 / rate, len(sink.packets)), 1e-12)
+    )
+    assert len(sink.packets) > 0
+    assert np.array_equal(sink.times, expected)
