@@ -15,8 +15,7 @@ which the paper's two contributions are implemented:
 
 The :mod:`repro.experiments` subpackage wires everything together to
 regenerate each figure of the paper's evaluation; ``README.md`` at the
-repository root shows how to run them, and the ``benchmarks/`` suite
-regenerates each figure and checks the shape the paper reports.
+repository root shows how to run them.
 """
 
 from repro._version import __version__

@@ -4,8 +4,9 @@ Section 3.3 step (1): the adversary selects a statistical feature of the
 packet inter-arrival time to use for classification.  The paper studies three
 — sample mean, sample variance and sample entropy — and this module adds two
 robust dispersion statistics (median absolute deviation and interquartile
-range) used by the extension benchmarks to ask whether an adversary could do
-better than the paper's feature set under heavy cross traffic.
+range), which an experiment's ``features`` can name to ask whether an
+adversary could do better than the paper's feature set under heavy cross
+traffic.
 """
 
 from __future__ import annotations

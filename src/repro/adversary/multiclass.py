@@ -4,7 +4,7 @@ The paper evaluates the simple two-rate case and notes in Section 6 that the
 technique "can be easily extended to multiple [rates] by performing more
 off-line training".  The classifier in :mod:`repro.adversary.bayes` is already
 label-count agnostic; this module adds the bookkeeping that multi-class
-evaluation needs and a high-level driver used by the multi-class benchmark
+evaluation needs and a high-level driver used by the multi-class grid cells
 and example.
 """
 
@@ -107,8 +107,8 @@ def evaluate_multiclass_attack(
     """Train and evaluate the attack for an arbitrary number of payload rates.
 
     Identical to :func:`repro.adversary.detection.evaluate_attack`; it exists
-    as a named entry point for the Section 6 extension so that examples and
-    benchmarks read naturally, and it validates that the caller really passed
+    as a named entry point for the Section 6 extension so that callers read
+    naturally, and it validates that the caller really passed
     more than two classes.
     """
     if len(training_intervals) < 3:

@@ -2,8 +2,9 @@
 
 Registering the ablations makes them runnable from the CLI for the first
 time (``repro run ablation_tap --preset fast``) and lets ``repro sweep``
-pool their cells with the figures'.  The ``paper`` presets reproduce the
-historical benchmark settings; ``fast`` keeps the full grids on cheaper
+pool their cells with the figures'.  The ``paper`` presets are the
+settings ``tests/experiments/test_ablations.py`` checks the paper's shape
+at; ``fast`` keeps the full grids on cheaper
 collection modes; ``quick``/``smoke`` shrink the grids to seconds for CLI
 tests and CI.
 """

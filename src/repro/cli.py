@@ -57,6 +57,7 @@ from repro.api import (
     run_experiment,
 )
 from repro.exceptions import ConfigurationError, ReproError
+from repro.experiments.base import resolve_kernel_mode
 from repro.runner import (
     BACKEND_NAMES,
     DEFAULT_MAX_REGRESSION,
@@ -795,6 +796,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     _validate_args(parser, args)
     try:
+        if args.command in ("run", "sweep", "worker", *LEGACY_FIGURES) or (
+            args.command == "queue" and args.action == "drain"
+        ):
+            # A bad $REPRO_SIM_KERNEL is a one-line error before any work,
+            # not a worker traceback out of the first capture.
+            resolve_kernel_mode()
         if args.command == "list":
             report = _render_list()
         elif args.command == "bench":

@@ -234,8 +234,8 @@ class PaddedStreamCapture:
 # --------------------------------------------------------------------------- collection
 #: Environment variable selecting the capture kernel: ``vectorized`` (the
 #: default, and the only path the runtime takes) or ``event`` (replay the
-#: event loop — the reference the equivalence tests, CI and the benchmark
-#: harness compare the kernel against).
+#: event loop — the reference the equivalence tests, CI and ``repro bench``
+#: compare the kernel against).
 KERNEL_ENV_VAR = "REPRO_SIM_KERNEL"
 
 KERNEL_MODES = ("vectorized", "event")
@@ -356,22 +356,16 @@ def _simulate_gateway_capture_events(
     from repro.adversary.tap import Tap
     from repro.network.path import UnprotectedPath
     from repro.padding.gateway import SenderGateway
-    from repro.padding.receiver import ReceiverGateway
     from repro.sim.engine import Simulator
     from repro.traffic.sources import PoissonSource
 
     simulator = Simulator()
     tap = Tap(simulator, name=f"tap-{label}")
-    receiver = ReceiverGateway(simulator)
-
-    def exit_sink(packet) -> None:
-        tap.observe(packet)
-        receiver.accept(packet)
 
     if n_hops > 0:
         path = UnprotectedPath(
             simulator,
-            exit_sink=exit_sink,
+            exit_sink=tap.observe,
             n_hops=n_hops,
             link_rate_bps=scenario.link_rate_bps,
             propagation_delay=HOP_PROPAGATION_DELAY_S,
@@ -386,7 +380,7 @@ def _simulate_gateway_capture_events(
             path.start_cross_traffic()
         gateway_output = path.entry
     else:
-        gateway_output = exit_sink
+        gateway_output = tap.observe
 
     gateway = SenderGateway(
         simulator,

@@ -1,4 +1,4 @@
-"""Plain-text reporting helpers shared by the experiments and benchmarks."""
+"""Plain-text reporting helpers shared by the experiments and examples."""
 
 from __future__ import annotations
 
@@ -11,8 +11,8 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> st
     """Render a fixed-width text table.
 
     Numbers are formatted with four significant digits; everything else with
-    ``str``.  Used by the experiment ``to_text`` methods and by the benchmark
-    harness when it prints the regenerated figure data.
+    ``str``.  Used by the experiment ``to_text`` methods and by the example
+    scripts that print tables of their own.
     """
     header_list = [str(h) for h in headers]
     if not header_list:

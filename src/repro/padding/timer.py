@@ -147,7 +147,7 @@ class UniformInterval(IntervalGenerator):
 
     The half-width ``w`` is derived from the requested standard deviation
     (``w = std * sqrt(3)``), so generators of different families with the
-    same ``(mean, std)`` are directly comparable in the ablation benchmarks.
+    same ``(mean, std)`` are directly comparable in the VIT-family ablation.
     """
 
     family = "uniform"

@@ -10,12 +10,17 @@ from repro.adversary import (
     evaluate_multiclass_attack,
     per_class_detection_rates,
 )
+from repro.adversary.detection import empirical_detection_rate, train_classifier
 from repro.adversary.multiclass import (
     overall_detection_rate,
     random_guessing_rate,
     sorted_labels,
 )
+from repro.core.model import GaussianPIATModel
 from repro.exceptions import AnalysisError
+from repro.padding.disturbance import InterruptDisturbance
+from repro.padding.policies import cit_policy, vit_policy
+from repro.sim.random import RandomStreams
 
 
 class TestConfusionMatrix:
@@ -80,6 +85,10 @@ class TestRandomGuessing:
 
 
 class TestMulticlassAttack:
+    RATES_PPS = (10.0, 20.0, 40.0, 80.0)
+    SAMPLE_SIZE = 2000
+    TRIALS = 25
+
     def test_four_rate_extension(self, rng):
         """Section 6: the technique extends to m > 2 rates via more training."""
         # Build four classes with increasing PIAT variance (more payload ->
@@ -94,6 +103,49 @@ class TestMulticlassAttack:
         # Better than random guessing among four classes, but harder than two.
         assert result.detection_rate > 2.0 * random_guessing_rate(4)
         assert set(result.per_class_rates) == set(sigmas)
+
+    def _captures(self, policy, seed_offset: str) -> dict:
+        """One capture per payload rate from the calibrated Gaussian model: the
+        gateway disturbance variance as a function of the payload rate."""
+        disturbance = InterruptDisturbance()
+        streams = RandomStreams(seed=31)
+        captures = {}
+        for rate in self.RATES_PPS:
+            gw_variance = disturbance.piat_variance(rate)
+            model = GaussianPIATModel.from_components(
+                gw_variance_low=gw_variance,
+                gw_variance_high=gw_variance,
+                timer_variance=policy.timer_variance,
+                tau=policy.mean_interval,
+            )
+            rng = streams.get(f"{seed_offset}-{rate}")
+            captures[f"{rate:.0f}pps"] = model.sample_intervals(
+                "low", self.SAMPLE_SIZE * self.TRIALS, rng=rng
+            )
+        return captures
+
+    def _detection_rate(self, policy) -> float:
+        feature = VarianceFeature()
+        classifier = train_classifier(
+            self._captures(policy, "train"),
+            feature,
+            self.SAMPLE_SIZE,
+            max_samples_per_class=self.TRIALS,
+        )
+        return empirical_detection_rate(
+            classifier,
+            self._captures(policy, "test"),
+            feature,
+            self.SAMPLE_SIZE,
+            max_samples_per_class=self.TRIALS,
+        ).detection_rate
+
+    def test_cit_leaks_and_vit_hides_among_four_rates(self):
+        """CIT leaks even among four candidate rates; VIT pins the adversary
+        near four-way random guessing."""
+        guessing = random_guessing_rate(len(self.RATES_PPS))
+        assert self._detection_rate(cit_policy()) > 2.5 * guessing
+        assert self._detection_rate(vit_policy(sigma_t=1e-3)) < 1.6 * guessing
 
     def test_rejects_two_class_input(self, rng):
         data = {

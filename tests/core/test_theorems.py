@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 from repro.core import (
     detection_rate_entropy,
     detection_rate_mean,
+    detection_rate_mean_exact,
     detection_rate_variance,
+    detection_rate_variance_exact,
     entropy_constant,
     variance_constant,
 )
@@ -110,6 +113,27 @@ class TestDispatch:
     def test_unknown_feature_rejected(self):
         with pytest.raises(AnalysisError):
             detection_rate("mad", 2.0, 100)
+
+
+class TestTheoremSurfaces:
+    def test_theorem_surfaces(self):
+        """Theorems 1-3 next to the exact Bayes rates over a grid of r and n."""
+        values = np.array(
+            [
+                (
+                    detection_rate_mean(r),
+                    detection_rate_mean_exact(r),
+                    detection_rate_variance(r, n),
+                    detection_rate_variance_exact(r, n),
+                    detection_rate_entropy(r, n),
+                )
+                for r in (1.0, 1.2, 1.5, 2.0, 3.0, 5.0)
+                for n in (10, 100, 1000, 10_000)
+            ]
+        )
+        assert np.all(values >= 0.5) and np.all(values <= 1.0)
+        # The approximations never exceed the exact Bayes rate by a wide margin.
+        assert np.all(values[:, 2] <= values[:, 3] + 0.05)
 
 
 class TestProperties:

@@ -1,14 +1,16 @@
 """Integration tests for the figure experiments.
 
-These use small configurations (analytic or short simulation captures) so the
-whole module runs in tens of seconds; the benchmarks exercise the larger,
-figure-fidelity configurations.
+Most tests share one small configuration per figure (analytic or short
+simulation captures).  Each class's ``test_paper_shape*`` tests run the
+larger, figure-fidelity configurations and assert the shape the paper
+reports: who wins, and roughly by how much.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.api import get_experiment
 from repro.exceptions import ConfigurationError
 from repro.experiments.fig8 import DIURNAL_MULTIPLIERS
 from repro.experiments import (
@@ -65,6 +67,32 @@ class TestFig4:
         rows = list(result.rows())
         assert len(rows) == 3 * 3  # features x sample sizes
 
+    def test_paper_shape_simulation(self):
+        """Both Figure 4 panels from full simulated captures: the mean stays
+        near the 50 % floor, variance and entropy reach ~100 % by n = 1000."""
+        config = Fig4Config(
+            sample_sizes=(10, 50, 100, 200, 500, 1000, 2000),
+            trials=20,
+            mode=CollectionMode.SIMULATION,
+            seed=2003,
+        )
+        result = Fig4Experiment(config).run()
+        assert result.empirical_detection_rate["variance"][1000] > 0.9
+        assert result.empirical_detection_rate["entropy"][1000] > 0.9
+        assert result.empirical_detection_rate["mean"][2000] < 0.75
+        assert result.r_model > 1.3
+
+    def test_paper_shape_analytic(self):
+        """The same experiment on the Gaussian-model (ANALYTIC) path."""
+        config = Fig4Config(
+            sample_sizes=(10, 100, 1000),
+            trials=30,
+            mode=CollectionMode.ANALYTIC,
+            seed=2003,
+        )
+        result = Fig4Experiment(config).run()
+        assert result.empirical_detection_rate["variance"][1000] > 0.9
+
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             Fig4Config(sample_sizes=())
@@ -103,6 +131,21 @@ class TestFig5:
     def test_report_renders(self, result):
         text = result.to_text()
         assert "Figure 5(a)" in text and "Figure 5(b)" in text
+
+    def test_paper_shape(self):
+        """The paper preset (``repro run fig5 --preset paper --set trials=15``):
+        the CIT point is detectable, the largest sigma_T is not, and the
+        sample size 99 % detection needs grows without practical bound."""
+        result = get_experiment(
+            "fig5", preset="paper", seed=2003, overrides={"trials": 15}
+        ).run()
+        # Thresholds allow for the sampling noise of a 15-trial empirical point.
+        assert result.empirical_detection_rate["variance"][0.0] > 0.9
+        assert result.empirical_detection_rate["entropy"][0.0] > 0.75
+        for feature in ("variance", "entropy"):
+            assert result.empirical_detection_rate[feature][1e-3] < 0.65
+        assert result.required_sample_for_target["variance"][1e-3] > 1e8
+        assert result.required_sample_for_target["entropy"][1e-2] > 1e12
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
@@ -189,6 +232,38 @@ class TestFig6:
     def test_report_renders(self, result):
         assert "Figure 6" in result.to_text()
 
+    def test_paper_shape_simulation(self):
+        """Simulated captures at three representative utilizations: the
+        variance ratio falls with load, and both features detect at u = 0.05."""
+        config = Fig6Config(
+            utilizations=(0.05, 0.2, 0.4),
+            sample_size=500,
+            trials=8,
+            mode=CollectionMode.SIMULATION,
+            seed=2003,
+        )
+        result = Fig6Experiment(config).run()
+        assert result.variance_ratios[0.4] < result.variance_ratios[0.05]
+        for feature in ("variance", "entropy"):
+            assert result.empirical_detection_rate[feature][0.05] > 0.75
+
+    def test_paper_shape_hybrid_full_sweep(self):
+        """The figure's whole utilization axis under HYBRID: detection falls with
+        load, and the mean stays near the 50 % floor throughout."""
+        config = Fig6Config(
+            utilizations=(0.05, 0.1, 0.2, 0.3, 0.4, 0.5),
+            sample_size=1000,
+            trials=20,
+            mode=CollectionMode.HYBRID,
+            seed=2003,
+        )
+        result = Fig6Experiment(config).run()
+        for feature in ("variance", "entropy"):
+            rates = result.empirical_detection_rate[feature]
+            assert rates[0.05] > 0.9
+            assert rates[0.5] < rates[0.05]
+        assert all(rate < 0.75 for rate in result.empirical_detection_rate["mean"].values())
+
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             Fig6Config(utilizations=())
@@ -236,6 +311,24 @@ class TestFig8:
 
     def test_report_renders(self, result):
         assert "Figure 8" in result.to_text()
+
+    def test_paper_shape_day(self):
+        """Every other hour of the day on both paths: the campus stays effective
+        all day, and the WAN still detects at night and dips at midday."""
+        config = Fig8Config(
+            networks=("campus", "wan"),
+            hours=tuple(range(0, 24, 2)),
+            sample_size=1000,
+            trials=20,
+            mode=CollectionMode.HYBRID,
+            seed=2003,
+        )
+        result = Fig8Experiment(config).run()
+        campus_variance = result.empirical_detection_rate["campus"]["variance"]
+        assert min(campus_variance.values()) > 0.6
+        wan_variance = result.empirical_detection_rate["wan"]["variance"]
+        assert wan_variance[2] > 0.65
+        assert result.nightly_minus_midday("wan", "variance") > 0.05
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):

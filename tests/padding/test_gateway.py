@@ -5,11 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.adversary.detection import evaluate_attack
+from repro.adversary.features import MeanFeature
+from repro.adversary.tap import Tap
 from repro.exceptions import PaddingError
 from repro.network.link import CountingSink
 from repro.padding.disturbance import InterruptDisturbance
 from repro.padding.gateway import AdaptiveMaskingGateway, SenderGateway
 from repro.padding.timer import ConstantInterval, NormalInterval
+from repro.sim.engine import Simulator
+from repro.sim.random import RandomStreams
 from repro.traffic.packet import PacketKind
 from repro.traffic.sources import CBRSource, PoissonSource
 
@@ -230,6 +235,10 @@ class TestQueueAndErrors:
 
 
 class TestAdaptiveMaskingGateway:
+    SAMPLE_SIZE = 300
+    TRIALS = 12
+    RATES = {"low": 10.0, "high": 40.0}
+
     def test_padded_rate_tracks_payload_rate(self, simulator, rng):
         """The adaptive baseline leaks the payload rate by design."""
         rates = {}
@@ -254,6 +263,72 @@ class TestAdaptiveMaskingGateway:
             source.stop()
             rates[rate] = sink.total / 30.0
         assert rates[40.0] > rates[10.0] * 1.5
+
+    @staticmethod
+    def _cit_gateway(simulator, tap, rng):
+        return SenderGateway(
+            simulator, ConstantInterval(0.01), output=tap, rng=rng, disturbance=InterruptDisturbance()
+        )
+
+    @staticmethod
+    def _adaptive_gateway(simulator, tap, rng):
+        return AdaptiveMaskingGateway(
+            simulator,
+            ConstantInterval(0.01),
+            output=tap,
+            rng=rng,
+            disturbance=InterruptDisturbance(),
+            headroom=1.5,
+            min_interval=2e-3,
+            max_interval=0.05,
+        )
+
+    def _capture(self, gateway_factory, seed_offset: str):
+        """Padded-stream intervals and the mean padded rate per payload class."""
+        streams = RandomStreams(seed=41)
+        intervals = {}
+        padded_rates = {}
+        for label, rate in self.RATES.items():
+            simulator = Simulator()
+            tap = Tap(simulator)
+            gateway = gateway_factory(simulator, tap, streams.get(f"gw-{seed_offset}-{label}"))
+            source = PoissonSource(
+                simulator, gateway.accept_payload, rate=rate, rng=streams.get(f"pl-{seed_offset}-{label}")
+            )
+            gateway.start()
+            source.start()
+            needed_seconds = (self.SAMPLE_SIZE * self.TRIALS) * 0.01 * 1.3 + 5.0
+            simulator.run(until=needed_seconds)
+            captured = tap.intervals(since=2.0)
+            intervals[label] = captured[: self.SAMPLE_SIZE * self.TRIALS]
+            padded_rates[label] = tap.observed_rate_pps()
+        return intervals, padded_rates
+
+    def test_adaptive_masking_leaks_rate(self):
+        """Against the CIT gateway on the same payload classes, even the sample
+        mean detects adaptive masking, because its padded rate tracks the payload."""
+        results = {}
+        for name, factory in (("CIT", self._cit_gateway), ("adaptive", self._adaptive_gateway)):
+            train, _ = self._capture(factory, "train")
+            test, padded_rates = self._capture(factory, "test")
+            mean = evaluate_attack(
+                train, test, MeanFeature(), self.SAMPLE_SIZE, max_samples_per_class=self.TRIALS
+            )
+            results[name] = {
+                "mean": mean.detection_rate,
+                "padded_rate_low": padded_rates["low"],
+                "padded_rate_high": padded_rates["high"],
+            }
+
+        # CIT hides the rate from the sample mean; adaptive masking hands it over.
+        assert results["CIT"]["mean"] < 0.75
+        assert results["adaptive"]["mean"] > 0.8
+        # The bandwidth saving is real: the adaptive scheme's padded rate tracks
+        # the payload (well below CIT's constant 100 pps at the low rate, and well
+        # above it at the high rate), which is exactly the leak.
+        assert results["adaptive"]["padded_rate_low"] < 90.0
+        assert results["adaptive"]["padded_rate_high"] > 150.0
+        assert results["CIT"]["padded_rate_low"] > 95.0
 
     def test_validation(self, simulator, rng):
         with pytest.raises(PaddingError):

@@ -386,10 +386,35 @@ class TestCaptureKernel:
 
     FIG8_QUICK = ["run", "fig8", "--preset", "quick", "--backend", "serial"]
 
-    def test_auto_is_refused_naming_the_variable(self, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            FIG8_QUICK,
+            ["run", "fig6", "--preset", "smoke"],
+            ["fig6", "--preset", "smoke"],
+            ["sweep", "--preset", "smoke"],
+            ["worker", "--cache-dir", "{store}", "--max-idle", "0"],
+            ["queue", "drain", "--cache-dir", "{store}"],
+        ],
+        ids=["run-fig8-quick", "run-fig6-smoke-analytic", "alias", "sweep", "worker", "queue-drain"],
+    )
+    def test_auto_is_refused_before_any_work(self, argv, tmp_path, monkeypatch, capsys):
+        """A bad value is one config error line naming the variable, also for
+        all-analytic runs that never capture, and no runner, worker or drain
+        is started first."""
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the kernel was checked")
+
+        monkeypatch.setattr("repro.cli.SweepRunner", no_work)
+        monkeypatch.setattr("repro.runner.backends.queue.run_worker", no_work)
+        monkeypatch.setattr("repro.runner.backends.queue.drain_queue", no_work)
         monkeypatch.setenv("REPRO_SIM_KERNEL", "auto")
-        assert main(self.FIG8_QUICK) == 2
-        assert "REPRO_SIM_KERNEL" in capsys.readouterr().err
+        assert main([arg.format(store=tmp_path) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("repro: error:") and "REPRO_SIM_KERNEL" in line
 
     def test_event_reference_reproduces_shared_hybrid_captures(self, monkeypatch, capsys):
         # fig8 quick shares one gateway capture per network among its cells:
@@ -519,8 +544,9 @@ class TestServeCommand:
 class TestStartup:
     """Neither networkx nor scipy is a runtime dependency; nothing may load them."""
 
-    #: The event-engine reference: only ``REPRO_SIM_KERNEL=event`` loads these
-    #: (``repro.traffic`` covers every ``repro.traffic.*`` module).
+    #: Event-engine modules the runtime must never load; ``REPRO_SIM_KERNEL=event``
+    #: loads all of them but ``repro.padding.receiver`` (``repro.traffic``
+    #: covers every ``repro.traffic.*`` module).
     EVENT_MODULES = (
         "repro.sim.engine",
         "repro.sim.events",
@@ -644,6 +670,7 @@ class TestStartup:
             reports[kernel] = output.read_bytes()
         assert loaded["vectorized"] == "[]"
         for module in self.EVENT_MODULES:
-            assert repr(module) in loaded["event"], module
+            if module != "repro.padding.receiver":
+                assert repr(module) in loaded["event"], module
         assert reports["vectorized"] == reports["event"]
         assert b"hops=3/utilization=0.45" in reports["vectorized"]
