@@ -21,7 +21,13 @@ back to its scenario without the code that produced it); ``result`` is the
 :meth:`repro.runner.cells.CellResult.to_json_dict` (or
 :meth:`repro.runner.capture.CaptureResult.to_json_dict`) payload; ``kind``
 distinguishes ordinary sweep cells from shared gateway captures (a record
-without one counts as a cell).
+without one counts as a cell).  A capture record's ``result`` holds each
+interval array as one base64 string of its little-endian float64 bytes::
+
+    {"schema": 1, "kind": "capture", ..., "result": {"intervals": {"train": {"low": "AAAA…", ...}}, ...}}
+
+Capture records written as lists of floats by earlier releases are still
+read; only :mod:`repro.runner.capture` knows either form.
 
 Sharding keeps lookups O(1) file reads — a warm sweep never loads the whole
 store — and keeps any one directory small enough for ordinary tooling once

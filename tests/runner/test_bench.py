@@ -227,6 +227,28 @@ class TestRunBench:
         with pytest.raises(ConfigurationError, match="different captures"):
             run_bench("test", capture_intervals=100, repeats=1)
 
+    def test_warm_sweep_reads_every_shard_from_disk(self, monkeypatch):
+        """The warm side must time shard reads, not the cold run's index."""
+        from repro.runner import bench
+        from repro.runner.store import ResultsStore
+
+        read_back = []
+        real = ResultsStore.shard_winner.__func__
+
+        def counting(cls, path):
+            record = real(cls, path)
+            if record is not None:
+                read_back.append(path)
+            return record
+
+        monkeypatch.setattr(bench, "SWEEP_SEEDS", 2)
+        monkeypatch.setattr(ResultsStore, "shard_winner", classmethod(counting))
+        cold, warm, n_cells = bench._time_sweep(11, repeats=2)
+        assert n_cells == 4
+        # only warm lookups find a record on disk: every cell, every repeat
+        assert len(read_back) == 2 * n_cells
+        assert cold > warm > 0.0
+
     def test_artifact_round_trips(self, result, tmp_path):
         path = tmp_path / "BENCH_test.json"
         result.save(path)

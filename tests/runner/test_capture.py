@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
@@ -87,13 +89,33 @@ class TestCaptureSpec:
     def test_result_round_trips_through_json(self):
         spec = CaptureSpec(key="a", scenario=lab_scenario(), n_intervals=10, seed=11)
         result = run_capture(spec)
-        restored = CaptureResult.from_json_dict(
-            result.key, result.fingerprint, result.to_json_dict()
-        )
+        extremes = np.array([0.25, -0.0, 5e-324, 1.7976931348623157e308, 1e-3])
+        result.intervals["train"]["low"] = extremes
+        payload = json.loads(json.dumps(result.to_json_dict()))
+        restored = CaptureResult.from_json_dict(result.key, result.fingerprint, payload)
         assert restored.from_cache
         for offset, per_label in result.intervals.items():
             for label, values in per_label.items():
-                assert restored.intervals[offset][label].tolist() == values.tolist()
+                assert isinstance(payload["intervals"][offset][label], str)
+                decoded = restored.intervals[offset][label]
+                assert decoded.tobytes() == values.tobytes()
+                assert decoded.dtype == np.float64
+                assert decoded.flags.writeable
+
+    @pytest.mark.parametrize(
+        "corrupt, reason",
+        [
+            ("not base64!", "not valid base64"),
+            ("AAAA", "not a whole number of float64 values"),  # 3 bytes
+        ],
+    )
+    def test_corrupt_payload_raises_configuration_error(self, corrupt, reason):
+        spec = CaptureSpec(key="a", scenario=lab_scenario(), n_intervals=10, seed=11)
+        payload = run_capture(spec).to_json_dict()
+        payload["intervals"]["test"]["high"] = corrupt
+        with pytest.raises(ConfigurationError, match=reason) as excinfo:
+            CaptureResult.from_json_dict("a", spec.fingerprint(), payload)
+        assert spec.fingerprint() in str(excinfo.value)
 
 
 class TestChildCellValidation:
@@ -248,6 +270,35 @@ class TestCaptureCaching:
                 warm[cell.key].empirical_detection_rate
                 == cold[cell.key].empirical_detection_rate
             )
+
+    def test_legacy_capture_record_serves_a_warm_child(self, tmp_path, monkeypatch):
+        """A store written before the bytes encoding keeps its captures warm."""
+        child = two_level_cell(0.3)
+        cold = SweepRunner(store=ResultsStore(tmp_path / "cold")).run([child])
+
+        legacy = ResultsStore(tmp_path / "legacy")
+        spec = child.capture
+        intervals = run_capture(spec).intervals
+        legacy_result = {  # the float-list form earlier releases wrote
+            "intervals": {
+                offset: {label: values.tolist() for label, values in per_label.items()}
+                for offset, per_label in intervals.items()
+            },
+            "elapsed_seconds": 0.0,
+        }
+        legacy.put(spec.fingerprint(), spec.config_dict(), legacy_result, kind="capture")
+
+        import repro.runner.capture as capture_module
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("gateway simulation ran despite a cached capture")
+
+        monkeypatch.setattr(capture_module, "simulate_gateway_capture", forbidden)
+        warm = SweepRunner(store=ResultsStore(tmp_path / "legacy")).run([child])
+        assert (warm.captures_simulated, warm.capture_hits) == (0, 1)
+        assert replace(warm[child.key], elapsed_seconds=0.0) == replace(
+            cold[child.key], elapsed_seconds=0.0
+        )
 
     def test_fully_warm_run_needs_neither_captures_nor_cells(self, tmp_path):
         children = [two_level_cell(u) for u in (0.1, 0.4)]
