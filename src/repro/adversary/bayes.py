@@ -10,19 +10,21 @@ for all ``j`` (equation (2)).
 
 At run time each feature value computed from a captured PIAT sample is
 pushed through the rules; :meth:`KDEBayesClassifier.decide` does so for a
-whole array of values at once.  The classifier below is agnostic to the
-number of classes, so the two-rate evaluation and the Section 6 multi-rate
-extension use the same code.
+whole array of values at once.  Training keeps the classes stacked, one
+``(classes, samples)`` matrix and one bandwidth vector, so every class's
+bandwidth and log-density come from one call each.  The classifier is
+agnostic to the number of classes, so the two-rate evaluation and the
+Section 6 multi-rate extension use the same code.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.exceptions import AnalysisError, NotFittedError, TrainingError
-from repro.stats.kde import GaussianKDE
+from repro.stats.kde import kde_log_densities, rule_bandwidths
 
 
 class KDEBayesClassifier:
@@ -31,15 +33,18 @@ class KDEBayesClassifier:
     Parameters
     ----------
     bandwidth:
-        Bandwidth rule or value forwarded to
-        :class:`repro.stats.kde.GaussianKDE` ("silverman" by default, the
-        estimator referenced by the paper).
+        Bandwidth rule (``"silverman"`` by default, the estimator referenced
+        by the paper, or ``"scott"``) or one positive bandwidth for every
+        class; see :func:`repro.stats.kde.rule_bandwidths`.
     """
 
     def __init__(self, bandwidth="silverman") -> None:
         self.bandwidth = bandwidth
-        self._densities: Dict[str, GaussianKDE] = {}
-        self._log_priors: Dict[str, float] = {}
+        # (samples matrix, bandwidths) groups whose rows follow ``_labels``:
+        # one group when every class has the same size (the sweep paths,
+        # where ``trials`` caps every class), else one ``(1, n)`` row each.
+        self._groups: List[Tuple[np.ndarray, np.ndarray]] = []
+        self._log_priors = np.empty(0)
         self._labels: List[str] = []
 
     # ------------------------------------------------------------- training
@@ -81,26 +86,35 @@ class KDEBayesClassifier:
             if not np.isclose(total, 1.0, atol=1e-9):
                 raise TrainingError(f"priors must sum to 1, got {total}")
 
-        densities: Dict[str, GaussianKDE] = {}
+        samples: Dict[str, np.ndarray] = {}
         for label, values in training_features.items():
-            sample = np.asarray(list(values), dtype=float)
+            sample = np.asarray(
+                values if isinstance(values, np.ndarray) else list(values), dtype=float
+            )
+            if sample.ndim != 1:
+                raise TrainingError(f"class {label!r} training features must be one-dimensional")
             if sample.size < 2:
                 raise TrainingError(
                     f"class {label!r} has only {sample.size} training samples; need >= 2"
                 )
             if not np.all(np.isfinite(sample)):
                 raise TrainingError(f"class {label!r} contains non-finite feature values")
-            densities[str(label)] = GaussianKDE(sample, bandwidth=self.bandwidth)
+            samples[str(label)] = sample
 
-        self._densities = densities
-        self._log_priors = {label: float(np.log(prior_map[label])) for label in labels}
         self._labels = sorted(labels)
+        rows = [samples[label] for label in self._labels]
+        if len({row.size for row in rows}) == 1:
+            matrices = [np.stack(rows)]
+        else:
+            matrices = [row[None, :] for row in rows]
+        self._groups = [(m, rule_bandwidths(m, self.bandwidth)) for m in matrices]
+        self._log_priors = np.log([prior_map[label] for label in self._labels])
         return self
 
     @property
     def is_fitted(self) -> bool:
         """Whether :meth:`fit` has been called."""
-        return bool(self._densities)
+        return bool(self._labels)
 
     @property
     def labels(self) -> List[str]:
@@ -118,17 +132,14 @@ class KDEBayesClassifier:
     ) -> np.ndarray:
         """``log f(s|omega) + log P(omega)`` as a ``(n_classes, n_values)`` matrix.
 
-        Rows follow :attr:`labels`; each class density is evaluated once, on
-        every value.
+        Rows follow :attr:`labels`; every class density is evaluated on every
+        value in one stacked call (one per class when class sizes differ).
         """
         self._require_fitted()
         values = np.asarray(feature_values, dtype=float).reshape(-1)
-        return np.stack(
-            [
-                self._densities[label].logpdf(values) + self._log_priors[label]
-                for label in self._labels
-            ]
-        )
+        blocks = [kde_log_densities(m, h, values) for m, h in self._groups]
+        log_densities = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        return log_densities + self._log_priors[:, None]
 
     def decide(self, feature_values: Union[Sequence[float], np.ndarray]) -> np.ndarray:
         """Index into :attr:`labels` of the Bayes decision for every feature value.
@@ -182,18 +193,16 @@ class KDEBayesClassifier:
         """
         self._require_fitted()
         for label in (label_a, label_b):
-            if label not in self._densities:
+            if label not in self._labels:
                 raise TrainingError(f"unknown class label {label!r}")
-        lows, highs = [], []
-        for label in (label_a, label_b):
-            grid = self._densities[label].grid(64)
-            lows.append(grid[0])
-            highs.append(grid[-1])
-        grid = np.linspace(min(lows), max(highs), grid_points)
-        diff = (
-            self._densities[label_a].logpdf(grid) + self._log_priors[label_a]
-            - self._densities[label_b].logpdf(grid) - self._log_priors[label_b]
-        )
+        rows = [self._labels.index(label) for label in (label_a, label_b)]
+        classes = [pair for matrix, h in self._groups for pair in zip(matrix, h)]
+        # Both classes' samples plus three bandwidths on either side.
+        low = min(classes[r][0].min() - 3.0 * classes[r][1] for r in rows)
+        high = max(classes[r][0].max() + 3.0 * classes[r][1] for r in rows)
+        grid = np.linspace(low, high, grid_points)
+        scores = self.log_posterior_matrix(grid)
+        diff = scores[rows[0]] - scores[rows[1]]
         sign_changes = np.where(np.diff(np.sign(diff)) != 0)[0]
         if sign_changes.size == 0:
             raise TrainingError(

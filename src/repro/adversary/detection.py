@@ -202,22 +202,20 @@ def empirical_detection_rate(
         values_per_class.append(values)
     decisions = classifier.decide(np.concatenate(values_per_class))
     classes = classifier.labels
+    sizes = [values.size for values in values_per_class]
+    truth = [classes.index(label) if label in classes else -1 for label in labels]
+    correct = decisions == np.repeat(truth, sizes)
     confusion: Dict[str, Dict[str, int]] = {}
-    correct_flags: List[bool] = []
+    per_class: Dict[str, float] = {}
     start = 0
-    for label, values in zip(labels, values_per_class):
-        predicted = decisions[start : start + values.size]
-        start += values.size
-        counts = np.bincount(predicted, minlength=len(classes))
-        confusion[label] = {name: int(count) for name, count in zip(classes, counts)}
-        truth = classes.index(label) if label in classes else -1
-        correct_flags.extend((predicted == truth).tolist())
-    per_class = {}
-    for label in labels:
-        total = sum(confusion[label].values())
-        per_class[label] = confusion[label].get(label, 0) / total if total else float("nan")
-    trials = len(correct_flags)
-    rate = float(np.mean(correct_flags)) if trials else float("nan")
+    for label, size in zip(labels, sizes):
+        counts = np.bincount(decisions[start : start + size], minlength=len(classes))
+        confusion[label] = dict(zip(classes, counts.tolist()))
+        per_class[label] = int(np.count_nonzero(correct[start : start + size])) / size
+        start += size
+    trials = int(correct.size)
+    # count / trials is exactly the mean of the 0/1 flags.
+    rate = int(np.count_nonzero(correct)) / trials if trials else float("nan")
     return DetectionResult(
         feature_name=feature.name,
         sample_size=sample_size,
@@ -225,7 +223,7 @@ def empirical_detection_rate(
         per_class_rates=per_class,
         confusion=confusion,
         trials=trials,
-        correct_flags=correct_flags,
+        correct_flags=correct.tolist(),
     )
 
 

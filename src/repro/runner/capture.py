@@ -126,8 +126,15 @@ class CaptureSpec:
         }
 
     def fingerprint(self) -> str:
-        """Content hash of :meth:`config_dict`; the capture's cache key."""
-        return fingerprint_payload(self.config_dict())
+        """Content hash of :meth:`config_dict`; the capture's cache key.
+
+        Hashed once per instance (every field is frozen) and kept in ``__dict__``.
+        """
+        cached = self.__dict__.get("_fingerprint")
+        if cached is None:
+            cached = fingerprint_payload(self.config_dict())
+            object.__setattr__(self, "_fingerprint", cached)
+        return cached
 
 
 def _encode_intervals(values: np.ndarray) -> str:

@@ -227,10 +227,17 @@ class ResultsStore:
             "config": config,
             "result": result,
         }
+        line = json.dumps(record, sort_keys=True) + "\n"
         path = self.shard_path(fingerprint)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+        try:
+            handle = path.open("a", encoding="utf-8")
+        except FileNotFoundError:
+            # First record of this shard directory (or the directory was
+            # removed since): create it once instead of before every put.
+            path.parent.mkdir(parents=True, exist_ok=True)
+            handle = path.open("a", encoding="utf-8")
+        with handle:
+            handle.write(line)
         self._index[fingerprint] = record
 
     # ------------------------------------------------------------- compaction

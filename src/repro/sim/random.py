@@ -22,7 +22,7 @@ instead of once per draw.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union, cast
 
 import numpy as np
 # By name, so numpy.random loads with this module (start-up), not on the first draw.
@@ -81,9 +81,19 @@ def derived_rng(component: str, seed: int = 0) -> np.random.Generator:
     """
     if not isinstance(component, str) or not component:
         raise ValueError(f"component must be a non-empty string, got {component!r}")
-    digest = np.frombuffer(component.encode("utf-8"), dtype=np.uint8)
-    child = SeedSequence(entropy=seed, spawn_key=tuple(int(b) for b in digest))
-    return default_rng(child)
+    return default_rng(_named_child(seed, component))
+
+
+def _named_child(entropy: Union[int, Sequence[int], None], name: str) -> SeedSequence:
+    """The child ``SeedSequence`` of ``entropy`` keyed by the UTF-8 bytes of ``name``.
+
+    The spawn key is one uint32 array of the bytes: numpy flattens it to the
+    same words as a tuple of one int per byte, so the state is identical, and
+    it skips converting every byte to a Python int.
+    """
+    digest = np.frombuffer(name.encode("utf-8"), dtype=np.uint8)
+    spawn_key = cast("Sequence[int]", (digest.astype(np.uint32),))
+    return SeedSequence(entropy=entropy, spawn_key=spawn_key)
 
 
 class RandomStreams:
@@ -108,7 +118,6 @@ class RandomStreams:
         self._seed = seed
         self._root = SeedSequence(seed)
         self._generators: Dict[str, np.random.Generator] = {}
-        self._children: Dict[str, np.random.SeedSequence] = {}
 
     @property
     def seed(self) -> Optional[int]:
@@ -125,15 +134,10 @@ class RandomStreams:
         if not isinstance(name, str) or not name:
             raise ValueError(f"stream name must be a non-empty string, got {name!r}")
         if name not in self._generators:
-            # Derive the child from the master entropy plus a stable hash of
-            # the name.  Using the name (not the creation order) keeps streams
-            # stable when new components are added to an experiment.
-            digest = np.frombuffer(name.encode("utf-8"), dtype=np.uint8)
-            child = SeedSequence(
-                entropy=self._root.entropy, spawn_key=tuple(int(b) for b in digest)
-            )
-            self._children[name] = child
-            self._generators[name] = default_rng(child)
+            # Derive the child from the master entropy plus the name's bytes.
+            # Using the name (not the creation order) keeps streams stable
+            # when new components are added to an experiment.
+            self._generators[name] = default_rng(_named_child(self._root.entropy, name))
         return self._generators[name]
 
     def spawn(self, name: str, count: int) -> List[np.random.Generator]:

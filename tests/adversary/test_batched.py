@@ -5,8 +5,10 @@ and the classifier decides every test value in one batched call.  These
 property tests pin both to the one-sample-at-a-time definitions bit for bit:
 the 1-D statistics (``sample_mean``, ``sample_variance``,
 ``moddemeijer_entropy`` and the median/percentile forms of MAD and IQR) over
-an explicit slicing loop, and the strict ``>`` Bayes rule over per-value KDE
-evaluations.
+an explicit slicing loop, the strict ``>`` Bayes rule over per-value KDE
+evaluations, the row-wise bandwidth rules over ``np.std``/``np.percentile``,
+the stacked class scores over a per-class log-density loop, and
+``evaluate_attack`` over list bookkeeping.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from repro.adversary import (
     MedianAbsoluteDeviationFeature,
     VarianceFeature,
     empirical_detection_rate,
+    evaluate_attack,
     extract_feature_samples,
     slice_into_samples,
     train_classifier,
@@ -33,7 +36,14 @@ from repro.adversary import (
 from repro.exceptions import AnalysisError
 from repro.stats.descriptive import sample_mean, sample_variance
 from repro.stats.entropy import moddemeijer_entropy, moddemeijer_entropy_rows
-from repro.stats.kde import GaussianKDE
+from repro.stats.kde import (
+    GaussianKDE,
+    kde_log_densities,
+    scott_bandwidth,
+    scott_bandwidths,
+    silverman_bandwidth,
+    silverman_bandwidths,
+)
 
 BIN_WIDTH = 5e-5
 
@@ -304,3 +314,235 @@ class TestBatchedDecisions:
         assert list(result.confusion["low"]) == sorted(train)
         assert result.correct_flags == flags
         assert same_bits(result.detection_rate, float(np.mean(flags)))
+
+
+def reference_silverman(sample) -> float:
+    """The 1-D Silverman rule as first written: ``np.std`` and ``np.percentile``."""
+    array = np.asarray(sample, dtype=float)
+    std = float(np.std(array, ddof=1))
+    q75, q25 = np.percentile(array, [75.0, 25.0])
+    candidates = [value for value in (std, float(q75 - q25) / 1.34) if value > 0.0]
+    if not candidates:
+        return 1e-12 * max(abs(float(np.mean(array))), 1.0)
+    return 0.9 * min(candidates) * array.size ** (-0.2)
+
+
+def reference_scott(sample) -> float:
+    array = np.asarray(sample, dtype=float)
+    std = float(np.std(array, ddof=1))
+    if std == 0.0:
+        return 1e-12 * max(abs(float(np.mean(array))), 1.0)
+    return 1.06 * std * array.size ** (-0.2)
+
+
+REFERENCE_RULES = {"silverman": reference_silverman, "scott": reference_scott}
+
+
+def reference_logpdf(sample, bandwidth, points) -> np.ndarray:
+    """One class's log-density as first written: a (points, sample) log-mean-exp."""
+    z = (np.asarray(points, dtype=float)[:, None] - sample[None, :]) / bandwidth
+    log_kernels = -0.5 * z**2 - 0.5 * np.log(2.0 * np.pi) - np.log(bandwidth)
+    max_log = np.max(log_kernels, axis=1, keepdims=True)
+    return max_log[:, 0] + np.log(np.mean(np.exp(log_kernels - max_log), axis=1))
+
+
+def reference_posteriors(training, bandwidth, points, priors=None) -> np.ndarray:
+    """The per-class oracle: one density per class, rows in sorted-label order."""
+    labels = sorted(training)
+    rows = []
+    for label in labels:
+        sample = np.asarray(training[label], dtype=float)
+        if isinstance(bandwidth, str):
+            h = REFERENCE_RULES[bandwidth](sample)
+        else:
+            h = float(bandwidth)
+        prior = 1.0 / len(labels) if priors is None else priors[label]
+        rows.append(reference_logpdf(sample, h, points) + float(np.log(prior)))
+    return np.stack(rows)
+
+
+@st.composite
+def bandwidth_stacks(draw):
+    """``(rows, n)`` stacks: normal rows, ties, constant rows, scales 1e-8..1e2."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 40))
+    rows = draw(st.integers(1, 6))
+    scale = 10.0 ** draw(st.integers(-8, 2))
+    kind = draw(st.sampled_from(["normal", "ties", "constant", "mixed"]))
+    matrix = rng.normal(float(rng.normal(0.0, 10.0)), scale, (rows, n))
+    if kind == "ties":
+        matrix = np.round(matrix / scale * 2.0) * scale / 2.0
+    elif kind == "constant":
+        matrix[:] = matrix[:, :1]
+    elif kind == "mixed":
+        matrix[0] = matrix[0, 0]
+        matrix[-1, : n // 2 + 1] = matrix[-1, 0]
+    return matrix
+
+
+class TestRowWiseBandwidths:
+    @given(matrix=bandwidth_stacks())
+    @settings(max_examples=300, deadline=None)
+    def test_rows_match_the_one_dimensional_rules(self, matrix):
+        assert same_bits(
+            silverman_bandwidths(matrix), [reference_silverman(row) for row in matrix]
+        )
+        assert same_bits(scott_bandwidths(matrix), [reference_scott(row) for row in matrix])
+        assert same_bits(
+            [silverman_bandwidth(row) for row in matrix],
+            [reference_silverman(row) for row in matrix],
+        )
+        assert same_bits(
+            [scott_bandwidth(row) for row in matrix], [reference_scott(row) for row in matrix]
+        )
+
+    @pytest.mark.parametrize(
+        "row",
+        [[1.0, 2.0], [3.0, 3.0], [0.0, 0.0], [-5.0, -5.0, -5.0], [1.0, 1.0, 1.0, 9.0],
+         [1e-8, 2e-8, 2e-8, 2e-8, 3e-8], [100.0, 100.0, 250.0, 250.0]],
+    )
+    def test_small_and_degenerate_rows(self, row):
+        matrix = np.array([row])
+        assert same_bits(silverman_bandwidths(matrix), [reference_silverman(row)])
+        assert same_bits(scott_bandwidths(matrix), [reference_scott(row)])
+        assert silverman_bandwidths(matrix)[0] > 0.0
+
+    def test_a_row_needs_two_observations(self):
+        with pytest.raises(AnalysisError):
+            silverman_bandwidths(np.zeros((3, 1)))
+        with pytest.raises(AnalysisError):
+            scott_bandwidth([1.0])
+
+
+@st.composite
+def stacked_training_sets(draw):
+    """Two to five classes, equal or unequal sizes, with a bandwidth choice."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = draw(
+        st.lists(st.sampled_from(["a", "b", "c", "d", "e", "10", "2"]), min_size=2,
+                 max_size=5, unique=True)
+    )
+    equal = draw(st.booleans())
+    n = draw(st.integers(2, 30))
+    scale = 10.0 ** draw(st.integers(-6, 1))
+    training = {}
+    for label in labels:
+        size = n if equal else draw(st.integers(2, 30))
+        training[label] = rng.normal(float(rng.normal(0.0, 3.0)) * scale, scale, size)
+    bandwidth = draw(st.sampled_from(["silverman", "scott", 0.5, 2.0]))
+    if not isinstance(bandwidth, str):
+        bandwidth *= scale
+    points = rng.normal(0.0, 4.0 * scale, draw(st.integers(1, 40)))
+    return training, bandwidth, points
+
+
+class TestStackedClassifier:
+    @given(case=stacked_training_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_stacked_scores_match_the_per_class_oracle(self, case):
+        training, bandwidth, points = case
+        classifier = KDEBayesClassifier(bandwidth=bandwidth).fit(training)
+        expected = reference_posteriors(training, bandwidth, points)
+        assert same_bits(classifier.log_posterior_matrix(points), expected)
+        kde_loop = np.stack(
+            [
+                GaussianKDE(training[label], bandwidth=bandwidth).logpdf(points)
+                + float(np.log(1.0 / len(training)))
+                for label in sorted(training)
+            ]
+        )
+        assert same_bits(kde_loop, expected)
+        winners = np.argmax(np.where(np.isnan(expected), -np.inf, expected), axis=0)
+        assert np.array_equal(classifier.decide(points), winners)
+
+    @given(case=stacked_training_sets())
+    @settings(max_examples=40, deadline=None)
+    def test_stacked_helper_rows_are_the_one_row_calls(self, case):
+        training, _, points = case
+        n = min(values.size for values in training.values())
+        matrix = np.stack([training[label][:n] for label in sorted(training)])
+        bandwidths = silverman_bandwidths(matrix)
+        stacked = kde_log_densities(matrix, bandwidths, points)
+        for row, sample, h in zip(stacked, matrix, bandwidths):
+            assert same_bits(row, kde_log_densities(sample[None, :], [h], points)[0])
+
+    def test_priors_enter_every_row(self):
+        rng = np.random.default_rng(12)
+        training = {label: rng.normal(i, 1.0, 25) for i, label in enumerate("abc")}
+        priors = {"a": 0.2, "b": 0.5, "c": 0.3}
+        points = np.linspace(-3.0, 5.0, 50)
+        classifier = KDEBayesClassifier().fit(training, priors=priors)
+        expected = reference_posteriors(training, "silverman", points, priors)
+        assert same_bits(classifier.log_posterior_matrix(points), expected)
+
+    def test_block_bound_does_not_change_values(self, monkeypatch):
+        import repro.stats.kde as kde
+
+        rng = np.random.default_rng(13)
+        matrix = rng.normal(0.0, 1.0, (3, 40))
+        points = rng.normal(0.0, 2.0, 500)
+        bandwidths = scott_bandwidths(matrix)
+        whole = kde_log_densities(matrix, bandwidths, points)
+        monkeypatch.setattr(kde, "_BLOCK_KERNELS", 7 * matrix.size)
+        assert same_bits(kde_log_densities(matrix, bandwidths, points), whole)
+
+
+def reference_detection(train, test, name, sample_size, trials):
+    """``evaluate_attack`` as first written: oracle scores, list bookkeeping."""
+    training = {
+        label: reference_features(train[label], name, sample_size, max_samples=trials)
+        for label in train
+    }
+    classes = sorted(training)
+    labels = sorted(test)
+    confusion, flags = {}, []
+    for label in labels:
+        values = reference_features(test[label], name, sample_size, max_samples=trials)
+        scores = reference_posteriors(training, "silverman", values)
+        predicted = np.argmax(np.where(np.isnan(scores), -np.inf, scores), axis=0)
+        counts = np.bincount(predicted, minlength=len(classes))
+        confusion[label] = {c: int(k) for c, k in zip(classes, counts)}
+        truth = classes.index(label) if label in classes else -1
+        flags.extend((predicted == truth).tolist())
+    per_class = {
+        label: confusion[label].get(label, 0) / sum(confusion[label].values())
+        for label in labels
+    }
+    return float(np.mean(flags)), per_class, confusion, flags
+
+
+class TestEvaluateAttack:
+    @pytest.mark.parametrize("name", ["mean", "variance", "entropy"])
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_classes=st.integers(2, 4),
+        sample_size=st.integers(5, 40),
+        trials=st.integers(2, 12),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_result_matches_the_reference_pipeline(
+        self, name, seed, n_classes, sample_size, trials
+    ):
+        rng = np.random.default_rng(seed)
+        feature, _ = FEATURES[name]
+        labels = ["high", "low", "mid", "x"][:n_classes]
+        scales = {label: 1e-4 * (1.0 + 0.3 * i) for i, label in enumerate(labels)}
+        size = sample_size * trials
+
+        def capture(label):
+            draws = rng.normal(0.0, scales[label], size)
+            return 0.01 + np.round(draws / BIN_WIDTH * 4) * BIN_WIDTH / 4
+
+        train = {label: capture(label) for label in labels}
+        test = {label: capture(label) for label in reversed(labels)}
+        result = evaluate_attack(train, test, feature, sample_size, max_samples_per_class=trials)
+        rate, per_class, confusion, flags = reference_detection(
+            train, test, name, sample_size, trials
+        )
+        assert same_bits(result.detection_rate, rate)
+        assert result.per_class_rates == per_class
+        assert all(same_bits(result.per_class_rates[k], v) for k, v in per_class.items())
+        assert result.confusion == confusion
+        assert result.correct_flags == flags
+        assert all(type(flag) is bool for flag in result.correct_flags)
+        assert result.trials == len(flags)

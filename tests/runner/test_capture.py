@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro.runner import (
     run_capture,
     run_cell,
 )
+from repro.runner.fingerprint import fingerprint_payload
 
 
 def lab_scenario(utilization: float = 0.2) -> ScenarioConfig:
@@ -74,6 +76,16 @@ class TestCaptureSpec:
         base = dict(key="a", scenario=lab_scenario(), n_intervals=100, seed=11)
         changed = {**base, **overrides}
         assert CaptureSpec(**base).fingerprint() != CaptureSpec(**changed).fingerprint()
+
+    def test_fingerprint_is_cached_per_instance(self):
+        spec = CaptureSpec(key="a", scenario=lab_scenario(), n_intervals=100, seed=11)
+        first = spec.fingerprint()
+        assert first == fingerprint_payload(spec.config_dict())
+        assert spec.fingerprint() is first
+        restored = pickle.loads(pickle.dumps(spec))
+        assert restored == spec and restored.fingerprint() == first
+        changed = replace(spec, n_intervals=101)
+        assert changed.fingerprint() == fingerprint_payload(changed.config_dict()) != first
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

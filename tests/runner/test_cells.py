@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import pickle
+from dataclasses import replace
+
 import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.experiments import CollectionMode, ScenarioConfig
 from repro.runner import CellResult, SweepCell, run_cell
+from repro.runner.fingerprint import fingerprint_payload
 
 
 def make_cell(**overrides) -> SweepCell:
@@ -128,6 +132,35 @@ class TestFingerprint:
             make_cell(kde_bandwidth="scott").fingerprint()
             != make_cell(kde_bandwidth=2.0).fingerprint()
         )
+
+
+class TestFingerprintCache:
+    def test_cached_value_equals_a_fresh_computation(self):
+        cell = make_cell(kde_bandwidth=2.0)
+        first = cell.fingerprint()
+        assert first == fingerprint_payload(cell.config_dict())
+        assert cell.fingerprint() is first
+
+    def test_cache_survives_a_pickle_round_trip(self):
+        cell = make_cell()
+        expected = cell.fingerprint()
+        restored = pickle.loads(pickle.dumps(cell))
+        assert restored == cell
+        assert restored.fingerprint() == expected == fingerprint_payload(restored.config_dict())
+
+    def test_replace_yields_the_new_fingerprint(self):
+        cell = make_cell()
+        cell.fingerprint()
+        changed = replace(cell, seed=8)
+        assert changed.fingerprint() == fingerprint_payload(changed.config_dict())
+        assert changed.fingerprint() == make_cell(seed=8).fingerprint() != cell.fingerprint()
+        assert replace(cell, key="other").fingerprint() == cell.fingerprint()
+
+    def test_cache_stays_out_of_equality_and_fields(self):
+        cold, warm = make_cell(), make_cell()
+        warm.fingerprint()
+        assert cold == warm and hash(cold) == hash(warm)
+        assert "_fingerprint" not in repr(warm)
 
 
 class TestKdeBandwidthOverride:

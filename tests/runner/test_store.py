@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 
@@ -54,6 +55,21 @@ class TestResultsStore:
         record = json.loads(store.shard_path("abcd01").read_text())
         assert record["schema"] == SCHEMA_VERSION
         assert record["kind"] == "cell"
+
+    def test_put_recreates_a_shard_directory_deleted_between_puts(self, store):
+        store.put("abcd01", {}, RESULT)
+        shutil.rmtree(store.root / "ab")
+        store.put("abff02", {"seed": 2}, RESULT)
+        assert store.shard_path("abff02").is_file()
+        reopened = ResultsStore(store.root)
+        assert reopened.get("abff02")["config"] == {"seed": 2}
+        assert reopened.get("abcd01") is None
+
+    def test_put_creates_a_missing_store_root(self, tmp_path):
+        store = ResultsStore(tmp_path / "absent" / "cache")
+        assert not (tmp_path / "absent").exists()
+        store.put("abcd01", {}, RESULT)
+        assert ResultsStore(store.root).get("abcd01")["result"] == RESULT
 
     def test_lookup_reads_only_one_shard(self, store):
         """Point lookups never load the whole store (the sharding payoff)."""
