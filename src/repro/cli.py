@@ -58,19 +58,11 @@ from repro.api import (
 )
 from repro.exceptions import ConfigurationError, ReproError
 from repro.experiments.base import resolve_kernel_mode
-from repro.runner import (
+from repro.runner import ResultsStore, SweepRunner, resolve_jobs, seed_range
+from repro.runner.defaults import (
     BACKEND_NAMES,
-    DEFAULT_MAX_REGRESSION,
-    BenchResult,
-    ResultsStore,
-    SweepRunner,
-    compare,
-    resolve_jobs,
-    run_bench,
-    seed_range,
-)
-from repro.runner.backends.queue import (
     DEFAULT_LEASE_TIMEOUT,
+    DEFAULT_MAX_REGRESSION,
     DEFAULT_POLL_INTERVAL,
 )
 
@@ -591,7 +583,7 @@ def _run_bench_command(args: argparse.Namespace) -> int:
     names the JSON artifact (not a text report) and a regression must map to
     a non-zero exit code for CI, not to usage error 2.
     """
-    from repro.runner import RATIO_METRICS
+    from repro.runner.bench import RATIO_METRICS, BenchResult, compare, run_bench
 
     if args.bench_command == "compare":
         comparison = compare(

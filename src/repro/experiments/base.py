@@ -42,8 +42,9 @@ from __future__ import annotations
 
 import enum
 import os
-from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Sequence
+from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
+from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -159,6 +160,20 @@ class ScenarioConfig:
             raise ConfigurationError(f"warmup_time={self.warmup_time!r} must be >= 0")
 
     # ------------------------------------------------------------- utilities
+    @cached_property
+    def fingerprint_dict(self) -> Dict[str, Any]:
+        """This scenario as JSON-able data, as cell and capture fingerprints embed it.
+
+        ``dataclasses.asdict`` minus the policy's ``name``: a display label
+        (report text only), kept out so that renaming a policy does not cold
+        the cache.  Built once per instance (every field is frozen) and
+        shared by every config dict that embeds it, so callers must never
+        mutate it.
+        """
+        config = asdict(self)
+        config["policy"].pop("name", None)
+        return config
+
     @property
     def rate_labels(self) -> Dict[str, float]:
         """Mapping from class label to payload rate in pps."""

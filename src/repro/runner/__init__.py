@@ -13,36 +13,21 @@ many network conditions factor the expensive event simulation into shared,
 cacheable gateway captures (:mod:`repro.runner.capture`).  See
 ``docs/running.md`` for the CLI, the cache layout and how CI exercises
 warm-cache sweeps.
+
+The process pool, the work queue and ``repro bench`` load only when used;
+import them from :mod:`repro.runner.backends.process`,
+:mod:`repro.runner.backends.queue` and :mod:`repro.runner.bench`.
 """
 
 from repro.exceptions import SweepError
 from repro.runner.backends import (
     BACKEND_NAMES,
-    DrainReport,
     ExecutionBackend,
-    ProcessBackend,
-    QueueBackend,
     SerialBackend,
     TaskFailure,
-    WorkQueue,
     available_cpu_count,
     create_backend,
-    default_worker_id,
-    drain_queue,
     resolve_jobs,
-    run_worker,
-)
-from repro.runner.bench import (
-    BENCH_SCHEMA_VERSION,
-    DEFAULT_MAX_REGRESSION,
-    RATIO_METRICS,
-    BenchComparison,
-    BenchResult,
-    MetricComparison,
-    collect_machine_info,
-    compare,
-    metric_direction,
-    run_bench,
 )
 from repro.runner.capture import (
     CaptureResult,
@@ -76,30 +61,13 @@ from repro.runner.store import CompactionStats, ResultsStore, StoreStats
 
 __all__ = [
     "BACKEND_NAMES",
-    "BENCH_SCHEMA_VERSION",
-    "DrainReport",
     "ExecutionBackend",
-    "ProcessBackend",
-    "QueueBackend",
     "SerialBackend",
     "TaskFailure",
-    "WorkQueue",
     "available_cpu_count",
     "create_backend",
-    "default_worker_id",
-    "drain_queue",
     "resolve_jobs",
-    "run_worker",
-    "BenchComparison",
-    "BenchResult",
     "DEFAULT_FEATURES",
-    "DEFAULT_MAX_REGRESSION",
-    "MetricComparison",
-    "RATIO_METRICS",
-    "collect_machine_info",
-    "compare",
-    "metric_direction",
-    "run_bench",
     "KDE_BANDWIDTH_RULES",
     "SCHEMA_VERSION",
     "SEED_TAG",

@@ -4,7 +4,10 @@ One contract (:class:`~repro.runner.backends.base.ExecutionBackend`), three
 strategies: ``serial`` (in-process fast path), ``process`` (a
 ``ProcessPoolExecutor`` over local workers) and ``queue`` (a filesystem work
 queue drained by pull-based workers — see ``docs/distributed.md``).  :func:`create_backend` is the single factory the
-runner and CLI go through.
+runner and CLI go through.  The ``process`` and ``queue`` modules (and
+:mod:`multiprocessing`) load only when one of them is named; import their
+classes from :mod:`repro.runner.backends.process` and
+:mod:`repro.runner.backends.queue`.
 """
 
 from __future__ import annotations
@@ -24,20 +27,9 @@ from repro.runner.backends.base import (
     task_key,
     task_unit,
 )
-from repro.runner.backends.process import ProcessBackend, default_mp_context
-from repro.runner.backends.queue import (
-    DrainReport,
-    QueueBackend,
-    WorkQueue,
-    default_worker_id,
-    drain_queue,
-    run_worker,
-)
 from repro.runner.backends.serial import SerialBackend
+from repro.runner.defaults import BACKEND_NAMES
 from repro.runner.store import ResultsStore
-
-#: The ``--backend`` vocabulary, in documentation order.
-BACKEND_NAMES = ("serial", "process", "queue")
 
 
 def create_backend(
@@ -59,9 +51,13 @@ def create_backend(
         _reject_options("serial", options)
         return SerialBackend(retries=retries, progress=progress)
     if name == "process":
+        from repro.runner.backends.process import ProcessBackend
+
         _reject_options("process", options)
         return ProcessBackend(jobs=jobs, retries=retries, progress=progress)
     if name == "queue":
+        from repro.runner.backends.queue import QueueBackend
+
         try:
             return QueueBackend(
                 store,
@@ -87,24 +83,16 @@ def _reject_options(name: str, options: dict) -> None:
 
 __all__ = [
     "BACKEND_NAMES",
-    "DrainReport",
     "ExecutionBackend",
-    "ProcessBackend",
     "ProgressFn",
-    "QueueBackend",
     "SerialBackend",
     "Task",
     "TaskFailure",
     "TaskOutcome",
-    "WorkQueue",
     "available_cpu_count",
     "create_backend",
-    "default_mp_context",
-    "default_worker_id",
-    "drain_queue",
     "execute_task",
     "resolve_jobs",
-    "run_worker",
     "task_key",
     "task_unit",
 ]

@@ -22,7 +22,6 @@ backend runs the serial loop instead of paying for a one-worker pool.
 
 from __future__ import annotations
 
-import multiprocessing
 import sys
 from functools import partial
 from typing import Iterator, List, Optional
@@ -87,8 +86,9 @@ class ProcessBackend(ExecutionBackend):
                 tasks, captures
             )
             return
-        # Imported on first use: ``concurrent.futures.process`` costs the
-        # CLI's start-up ~7 ms that serial and cached runs never need back.
+        # Imported on first use: the pool modules cost start-up time that
+        # serial, one-worker and cached runs never need back.
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(

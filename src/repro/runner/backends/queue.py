@@ -69,6 +69,7 @@ from repro.runner.backends.codec import (
 from repro.runner.backends.process import default_mp_context
 from repro.runner.capture import CaptureResult
 from repro.runner.cells import CellResult
+from repro.runner.defaults import DEFAULT_LEASE_TIMEOUT, DEFAULT_POLL_INTERVAL
 from repro.runner.store import _FINGERPRINT_RE, ResultsStore
 
 #: Version of the queue entry / result-shard record layout.
@@ -76,13 +77,6 @@ QUEUE_SCHEMA_VERSION = 1
 
 #: Directory name of the queue, under the results-store root.
 QUEUE_DIRNAME = "queue"
-
-#: Seconds of heartbeat silence after which a worker is presumed dead and
-#: its leases become stealable.
-DEFAULT_LEASE_TIMEOUT = 30.0
-
-#: Seconds idle workers (and the merging parent) sleep between scans.
-DEFAULT_POLL_INTERVAL = 0.05
 
 _WORKER_ID_BAD_CHARS = re.compile(r"[^A-Za-z0-9_.-]+")
 

@@ -48,12 +48,10 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import ConfigurationError
+from repro.runner.defaults import DEFAULT_MAX_REGRESSION
 
 #: Version of the ``BENCH_*.json`` schema; bump on incompatible layout changes.
 BENCH_SCHEMA_VERSION = 1
-
-#: Default tolerated relative regression before :func:`compare` fails (20%).
-DEFAULT_MAX_REGRESSION = 0.2
 
 #: Metrics that are ratios of same-run timings, hence machine-independent.
 #: CI compares only these against the committed baseline; absolute timings

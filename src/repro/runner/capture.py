@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import base64
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
@@ -62,13 +62,14 @@ GATEWAY_SCENARIO_FIELDS: Tuple[str, ...] = (
 
 
 def gateway_config_dict(scenario: ScenarioConfig) -> Dict[str, Any]:
-    """The gateway-affecting subset of a scenario as JSON-able data."""
-    full = asdict(scenario)
-    subset = {name: full[name] for name in GATEWAY_SCENARIO_FIELDS}
-    # The policy name is a display label; renaming must not cold the cache
-    # (mirrors SweepCell.config_dict).
-    subset["policy"].pop("name", None)
-    return subset
+    """The gateway-affecting subset of a scenario as JSON-able data.
+
+    A new dict over the values of the scenario's shared
+    :attr:`~repro.experiments.base.ScenarioConfig.fingerprint_dict` (so the
+    policy's display name stays out); the nested values must not be mutated.
+    """
+    full = scenario.fingerprint_dict
+    return {name: full[name] for name in GATEWAY_SCENARIO_FIELDS}
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ parent before scheduling the children.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
@@ -278,15 +278,14 @@ class SweepCell:
 
         Optional fields introduced after the first release are serialised
         only when set, so fingerprints of plain cells — and therefore every
-        record in existing stores — are unchanged by their existence.
+        record in existing stores — are unchanged by their existence.  The
+        top-level dict is new on every call; the nested ``scenario`` dict is
+        the scenario's shared :attr:`~ScenarioConfig.fingerprint_dict` and
+        must not be mutated.
         """
-        scenario = asdict(self.scenario)
-        # The policy's name is a display label (report text only); keep it out
-        # of the fingerprint so renaming a policy does not cold the cache.
-        scenario["policy"].pop("name", None)
         config = {
             "schema": SCHEMA_VERSION,
-            "scenario": scenario,
+            "scenario": self.scenario.fingerprint_dict,
             "sample_sizes": list(self.sample_sizes),
             "trials": self.trials,
             "mode": self.mode.value,

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.exceptions import AnalysisError
 from repro.sim.random import derived_rng
+from repro.stats.descriptive import linear_quantile
 
 #: Master seed of the fallback resampling stream used when no ``rng`` is
 #: passed.  Bootstrap resampling is part of reported confidence intervals, so
@@ -106,8 +107,12 @@ def bootstrap_ci(
         stop = min(start + block_rows, resamples)
         indices = generator.integers(0, n, size=(stop - start, n))
         estimates[start:stop] = _reduce_rows(statistic, array[indices])
+    # np.percentile(estimates, [100 * alpha, 100 * (1 - alpha)]) from one
+    # in-place sort; the quantiles are the ones numpy derives from percents.
+    estimates.sort()
     alpha = (1.0 - confidence) / 2.0
-    lower, upper = np.percentile(estimates, [100.0 * alpha, 100.0 * (1.0 - alpha)])
+    lower = linear_quantile(estimates, 100.0 * alpha / 100.0)
+    upper = linear_quantile(estimates, 100.0 * (1.0 - alpha) / 100.0)
     return BootstrapResult(
         estimate=float(statistic(array)),
         lower=float(lower),

@@ -9,8 +9,9 @@ same definitions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -69,6 +70,37 @@ def coefficient_of_variation(sample: np.ndarray) -> float:
     return float(np.std(array, ddof=1) / mean)
 
 
+def linear_quantile(ordered: np.ndarray, q: float) -> Union[np.ndarray, np.floating]:
+    """``np.quantile(x, q)`` along the last axis, given ``ordered = np.sort(x)``.
+
+    numpy's default (linear) method written out over a sort the caller
+    already holds, so it equals numpy bit for bit: the virtual index
+    ``(n - 1) * q`` splits into a floor and a fraction ``t``, and the lerp
+    runs from the nearer end.  An index at or past the last element takes
+    the last element, with ``t`` measured from index -1 as numpy does, and a
+    slice whose last element is NaN (a sort puts NaNs last) is NaN.  For
+    ``np.percentile(x, p)`` pass ``q = p / 100``, the quantile numpy derives:
+    ``100 * q / 100`` is not always ``q``.
+    """
+    n = ordered.shape[-1]
+    virtual = (n - 1) * q
+    if virtual >= n - 1:
+        below = above = n - 1
+        t = virtual + 1.0
+    else:
+        below = math.floor(virtual)
+        above = below + 1
+        t = virtual - below
+    a, b = ordered[..., below], ordered[..., above]
+    diff = b - a
+    result = b - diff * (1.0 - t) if t >= 0.5 else a + diff * t
+    last = ordered[..., -1]
+    has_nan = np.isnan(last)
+    if has_nan.any():
+        return np.where(has_nan, last, result)
+    return result
+
+
 @dataclass(frozen=True)
 class SampleSummary:
     """A compact numeric summary of one observed sample."""
@@ -107,6 +139,7 @@ def summarize(sample: np.ndarray) -> SampleSummary:
 
 
 __all__ = [
+    "linear_quantile",
     "sample_mean",
     "sample_variance",
     "sample_moments",

@@ -15,6 +15,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from repro.exceptions import AnalysisError
+from repro.stats.descriptive import linear_quantile
 
 #: Most kernel evaluations held in memory at once by :func:`kde_log_densities`.
 _BLOCK_KERNELS = 1 << 18
@@ -41,21 +42,6 @@ def _scaled_or_degenerate(matrix: np.ndarray, spread: np.ndarray, factor: float)
     return np.where(positive, bandwidths, degenerate)
 
 
-def _linear_quantile(ordered: np.ndarray, q: float) -> np.ndarray:
-    """``np.percentile(row, 100 * q)`` of every row of a row-sorted matrix.
-
-    numpy's linear method: the virtual index ``(n - 1) * q`` splits into a
-    floor and a fraction ``t``, and the lerp runs from the nearer end.
-    """
-    virtual = (ordered.shape[1] - 1) * q
-    below = int(np.floor(virtual))
-    t = virtual - below
-    a, b = ordered[:, below], ordered[:, below + 1]
-    if t >= 0.5:
-        return b - (b - a) * (1 - t)
-    return a + (b - a) * t
-
-
 def silverman_bandwidths(samples: np.ndarray) -> np.ndarray:
     """Silverman's rule-of-thumb bandwidth of every row of ``samples``.
 
@@ -68,7 +54,7 @@ def silverman_bandwidths(samples: np.ndarray) -> np.ndarray:
     matrix = _bandwidth_rows(samples)
     std = np.std(matrix, axis=1, ddof=1)
     ordered = np.sort(matrix, axis=1)
-    q75, q25 = (_linear_quantile(ordered, q) for q in (0.75, 0.25))
+    q75, q25 = (linear_quantile(ordered, q) for q in (0.75, 0.25))
     iqr = (q75 - q25) / 1.34
     # A zero spread drops out of the minimum (NaN, which fmin skips).
     spread = np.fmin(np.where(std > 0.0, std, np.nan), np.where(iqr > 0.0, iqr, np.nan))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -71,3 +73,80 @@ def _reference_bootstrap_ci(
 def reference_bootstrap_ci():
     """The per-resample bootstrap loop, the reference for batched resampling."""
     return _reference_bootstrap_ci
+
+
+def _reference_scenario_dict(scenario):
+    """A scenario's fingerprinted form rebuilt with plain ``asdict``."""
+    data = asdict(scenario)
+    data["policy"].pop("name", None)
+    return data
+
+
+def _reference_capture_config(spec):
+    """``CaptureSpec.config_dict`` as it was before scenario dicts were cached."""
+    from repro.runner.capture import GATEWAY_SCENARIO_FIELDS
+    from repro.runner.cells import SCHEMA_VERSION
+
+    scenario = _reference_scenario_dict(spec.scenario)
+    return {
+        "schema": SCHEMA_VERSION,
+        "kind": "gateway-capture",
+        "scenario": {name: scenario[name] for name in GATEWAY_SCENARIO_FIELDS},
+        "n_intervals": spec.n_intervals,
+        "seed": spec.seed,
+        "seed_offsets": list(spec.seed_offsets),
+    }
+
+
+def _reference_cell_config(cell):
+    """``SweepCell.config_dict`` as it was before scenario dicts were cached."""
+    from repro.runner.cells import SCHEMA_VERSION
+
+    config = {
+        "schema": SCHEMA_VERSION,
+        "scenario": _reference_scenario_dict(cell.scenario),
+        "sample_sizes": list(cell.sample_sizes),
+        "trials": cell.trials,
+        "mode": cell.mode.value,
+        "seed": cell.seed,
+        "features": list(cell.features),
+        "entropy_bin_width": cell.entropy_bin_width,
+        "seed_offsets": list(cell.seed_offsets),
+        "collect_piat_stats": cell.collect_piat_stats,
+    }
+    if cell.capture is not None:
+        config["capture"] = _reference_capture_config(cell.capture)
+    if cell.noise_offsets is not None:
+        config["noise_offsets"] = list(cell.noise_offsets)
+    if cell.kde_bandwidth is not None:
+        config["kde_bandwidth"] = cell.kde_bandwidth
+    if cell.rate_classes is not None:
+        config["rate_classes"] = list(cell.rate_classes)
+    return config
+
+
+@pytest.fixture(scope="session")
+def reference_cell_config():
+    """Cell config built with plain ``asdict``, the reference for cached dicts."""
+    return _reference_cell_config
+
+
+@pytest.fixture(scope="session")
+def reference_capture_config():
+    """Capture config built with plain ``asdict``, the reference for cached dicts."""
+    return _reference_capture_config
+
+
+@pytest.fixture(scope="session")
+def registered_cells():
+    """Every cell of every registered experiment at the smoke and fast presets,
+    at the default seed and fanned out over two seeds."""
+    from repro.api import get_experiment, list_experiments
+
+    return [
+        cell
+        for preset in ("smoke", "fast")
+        for name in list_experiments()
+        for seeds in (None, (2003, 2004))
+        for cell in get_experiment(name, preset).cells(seeds)
+    ]

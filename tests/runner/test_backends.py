@@ -21,13 +21,13 @@ from repro.experiments import CollectionMode, ScenarioConfig
 from repro.runner import SweepCell, SweepRunner
 from repro.runner.backends import (
     BACKEND_NAMES,
-    ProcessBackend,
     SerialBackend,
     available_cpu_count,
     create_backend,
     resolve_jobs,
 )
 from repro.runner.backends.base import TaskFailure
+from repro.runner.backends.process import ProcessBackend
 
 
 def grid(n_cells: int = 4, **overrides) -> list:

@@ -87,6 +87,36 @@ class TestCaptureSpec:
         changed = replace(spec, n_intervals=101)
         assert changed.fingerprint() == fingerprint_payload(changed.config_dict()) != first
 
+    def test_every_registered_capture_fingerprint_equals_the_asdict_oracle(
+        self, registered_cells, reference_capture_config
+    ):
+        specs = [cell.capture for cell in registered_cells if cell.capture is not None]
+        assert len(specs) > 50
+        for spec in specs:
+            expected = reference_capture_config(spec)
+            assert spec.fingerprint() == fingerprint_payload(expected), spec.key
+            assert spec.config_dict() == expected, spec.key
+
+    def test_gateway_dict_is_new_and_leaves_the_scenario_dict_alone(self):
+        from repro.runner.capture import gateway_config_dict
+
+        scenario = lab_scenario()
+        first = gateway_config_dict(scenario)
+        first.pop("policy")
+        second = gateway_config_dict(scenario)
+        assert "policy" in second and second is not first
+        assert second["policy"] is scenario.fingerprint_dict["policy"]
+        assert set(scenario.fingerprint_dict) > set(second)
+
+    def test_replace_on_a_gateway_field_builds_a_new_fingerprint(self):
+        scenario = lab_scenario()
+        spec = CaptureSpec(key="a", scenario=scenario, n_intervals=100, seed=11)
+        before = spec.fingerprint()
+        changed = replace(scenario, warmup_time=1.0)
+        assert changed.fingerprint_dict is not scenario.fingerprint_dict
+        assert replace(spec, scenario=changed).fingerprint() != before
+        assert CaptureSpec(key="b", scenario=scenario, n_intervals=100, seed=11).fingerprint() == before
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             CaptureSpec(key="", scenario=lab_scenario(), n_intervals=100)
@@ -174,6 +204,39 @@ class TestChildCellValidation:
                 seed_offsets=("train-x", "test-x"), capture=capture,
             )
         assert "gateway configuration" in str(excinfo.value)
+
+    def test_mismatch_raises_with_both_scenario_dicts_already_built(self):
+        scenario = lab_scenario()
+        other = replace(scenario, low_rate_pps=5.0)
+        for built in (scenario, other):
+            assert "name" not in built.fingerprint_dict["policy"]
+        capture = CaptureSpec(
+            key="p", scenario=other, n_intervals=241, seed=11,
+            seed_offsets=("train-x", "test-x"),
+        )
+        capture.fingerprint()
+        with pytest.raises(ConfigurationError, match="gateway configuration"):
+            SweepCell(
+                key="c", scenario=scenario, sample_sizes=(60,), trials=4,
+                mode=CollectionMode.HYBRID, seed=11,
+                seed_offsets=("train-x", "test-x"), capture=capture,
+            )
+
+    def test_policy_display_name_does_not_count_as_a_mismatch(self):
+        from repro.padding import cit_policy
+
+        renamed = replace(lab_scenario(), policy=cit_policy(name="CIT-renamed"))
+        capture = CaptureSpec(
+            key="p", scenario=renamed, n_intervals=241, seed=11,
+            seed_offsets=("train-x", "test-x"),
+        )
+        child = SweepCell(
+            key="c", scenario=lab_scenario(), sample_sizes=(60,), trials=4,
+            mode=CollectionMode.HYBRID, seed=11,
+            seed_offsets=("train-x", "test-x"), capture=capture,
+        )
+        assert renamed.policy.name == "CIT-renamed"
+        assert child.capture.fingerprint() == replace(capture, scenario=lab_scenario()).fingerprint()
 
     def test_running_a_child_without_its_capture_fails_loudly(self):
         with pytest.raises(ConfigurationError) as excinfo:

@@ -163,6 +163,49 @@ class TestFingerprintCache:
         assert "_fingerprint" not in repr(warm)
 
 
+class TestScenarioDictCache:
+    """Each scenario's JSON dict is built once and shared; no hash moves."""
+
+    def test_every_registered_fingerprint_equals_the_asdict_oracle(
+        self, registered_cells, reference_cell_config
+    ):
+        assert len(registered_cells) > 100
+        for cell in registered_cells:
+            expected = fingerprint_payload(reference_cell_config(cell))
+            assert cell.fingerprint() == expected, cell.key
+            assert cell.config_dict() == reference_cell_config(cell), cell.key
+
+    def test_config_dict_is_new_at_the_top_and_shares_the_scenario(self):
+        cell = make_cell()
+        first, second = cell.config_dict(), cell.config_dict()
+        assert first == second and first is not second
+        assert first["scenario"] is second["scenario"] is cell.scenario.fingerprint_dict
+        first.pop("seed")
+        assert "seed" in cell.config_dict()
+
+    def test_replace_on_a_scenario_builds_a_new_dict_and_fingerprint(self):
+        scenario = ScenarioConfig()
+        cell = make_cell(scenario=scenario)
+        before = cell.fingerprint()
+        changed = replace(scenario, n_hops=1)
+        assert changed.fingerprint_dict is not scenario.fingerprint_dict
+        assert changed.fingerprint_dict["n_hops"] == 1
+        assert scenario.fingerprint_dict["n_hops"] == 0
+        moved = make_cell(scenario=changed)
+        assert moved.fingerprint() != before
+        assert make_cell(scenario=scenario).fingerprint() == before
+
+    def test_pickled_cell_keeps_its_fingerprint(self, reference_cell_config):
+        cell = make_cell(scenario=ScenarioConfig(n_hops=2, cross_utilization=0.3))
+        expected = fingerprint_payload(reference_cell_config(cell))
+        cold = pickle.loads(pickle.dumps(cell))
+        assert cell.fingerprint() == expected
+        warm = pickle.loads(pickle.dumps(cell))
+        for restored in (cold, warm):
+            assert restored.fingerprint() == expected
+            assert restored.config_dict() == reference_cell_config(restored)
+
+
 class TestKdeBandwidthOverride:
     def test_rejects_unknown_rule_and_nonpositive_multiplier(self):
         with pytest.raises(ConfigurationError):

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import AnalysisError
@@ -168,6 +168,64 @@ class TestBatchedResampling:
         )
         result = bootstrap_ci(np.arange(50.0), statistic=np.median, seed=7)
         assert (result.lower, result.upper) == (18.0, 31.0)
+
+
+def spread_ratio(values, axis=None):
+    """Where the mean sits between min and max: NaN when they are equal."""
+    low, high = np.min(values, axis=axis), np.max(values, axis=axis)
+    with np.errstate(invalid="ignore"):
+        return (np.mean(values, axis=axis) - low) / (high - low)
+
+
+class TestBoundsFromOneSort:
+    """The bounds read from one sort equal ``np.percentile`` of the same estimates."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=3000),
+        confidence=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        exponent=st.floats(min_value=-8.0, max_value=8.0),
+        distinct=st.one_of(st.none(), st.integers(min_value=0, max_value=4)),
+        statistic=st.sampled_from([np.mean, np.median, spread_ratio]),
+        resamples=st.integers(min_value=10, max_value=300),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(n=3, confidence=0.9999999999999999, exponent=0.0, distinct=None,
+             statistic=np.mean, resamples=2000, seed=0)
+    @example(n=2, confidence=0.95, exponent=0.0, distinct=1,
+             statistic=spread_ratio, resamples=50, seed=1)
+    def test_bounds_equal_numpy_percentile_bit_for_bit(
+        self, n, confidence, exponent, distinct, statistic, resamples, seed
+    ):
+        """Any confidence (one whose upper quantile rounds to 1.0 included),
+        ties (``distinct`` values per sample), scales 1e-8..1e8, and NaN
+        estimates.  Samples hold no -0.0: a sort and numpy's partition may
+        order equal zeros of opposite sign differently."""
+        data_rng = np.random.default_rng(seed)
+        if distinct is None:
+            sample = data_rng.normal(1.0, 1.0, size=n)
+        else:
+            sample = data_rng.integers(-distinct, distinct + 1, size=n).astype(float)
+        sample = sample * 10.0**exponent + 0.0
+        rows = []
+
+        def recording(values, axis=None):
+            reduced = statistic(values, axis=axis)
+            if axis is not None:
+                rows.append(np.array(reduced, dtype=float))
+            return reduced
+
+        result = bootstrap_ci(
+            sample, statistic=recording, confidence=confidence,
+            resamples=resamples, seed=seed,
+        )
+        estimates = np.concatenate(rows)
+        alpha = (1.0 - confidence) / 2.0
+        expected = np.percentile(estimates, [100.0 * alpha, 100.0 * (1.0 - alpha)])
+        assert estimates.size == resamples
+        assert (result.lower.hex(), result.upper.hex()) == tuple(
+            float(bound).hex() for bound in expected
+        )
 
 
 class TestDetectionRateCI:

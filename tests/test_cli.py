@@ -331,7 +331,7 @@ class TestBenchCommand:
     MINI = ["bench", "run", "--intervals", "400", "--repeats", "1"]
 
     def test_run_writes_the_artifact_and_gates_on_speedup(self, tmp_path, capsys):
-        from repro.runner import BenchResult
+        from repro.runner.bench import BenchResult
 
         artifact = tmp_path / "BENCH_test.json"
         code = main(self.MINI + ["--pr", "test", "--output", str(artifact), "--min-speedup", "1"])
@@ -349,7 +349,7 @@ class TestBenchCommand:
     def test_compare_detects_a_synthetic_regression(self, tmp_path, capsys):
         import json
 
-        from repro.runner import BenchResult, collect_machine_info
+        from repro.runner.bench import BenchResult, collect_machine_info
 
         current = BenchResult(
             pr="t", created_utc="2026-08-07T00:00:00Z",
@@ -373,7 +373,7 @@ class TestBenchCommand:
         """The repo's own BENCH_pr6.json parses and records the >=3x speedup."""
         from pathlib import Path
 
-        from repro.runner import BenchResult
+        from repro.runner.bench import BenchResult
 
         artifact = Path(__file__).resolve().parents[1] / "BENCH_pr6.json"
         result = BenchResult.load(artifact)
@@ -542,7 +542,8 @@ class TestServeCommand:
 
 
 class TestStartup:
-    """Neither networkx nor scipy is a runtime dependency; nothing may load them."""
+    """Neither networkx nor scipy is a runtime dependency; nothing may load them,
+    and start-up loads only the serial execution path."""
 
     #: Event-engine modules the runtime must never load; ``REPRO_SIM_KERNEL=event``
     #: loads all of them but ``repro.padding.receiver`` (``repro.traffic``
@@ -580,6 +581,43 @@ class TestStartup:
     def test_cli_import_does_not_load(self, library):
         code = f"import sys, repro.cli; print({library!r} in sys.modules)"
         assert self.run_python(code) == "False"
+
+    #: What no serial run executes: the process pool, the work queue and its
+    #: config codec, ``repro bench``, and :mod:`multiprocessing`.
+    SCALE_OUT_MODULES = (
+        "repro.runner.backends.process",
+        "repro.runner.backends.queue",
+        "repro.runner.backends.codec",
+        "repro.runner.bench",
+        "multiprocessing",
+    )
+
+    @pytest.mark.parametrize(
+        "code",
+        [
+            "import repro.cli\nfrom repro.api import ScenarioSpec\n",
+            "import contextlib, io\nfrom repro.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['sweep', '--preset', 'smoke', '--backend', 'serial']) == 0\n",
+        ],
+        ids=["start-up", "serial-sweep"],
+    )
+    def test_serial_path_loads_no_scale_out_module(self, code):
+        code += (
+            "import sys\n"
+            f"print(sorted(k for k in sys.modules if k.startswith({self.SCALE_OUT_MODULES!r})))"
+        )
+        assert self.run_python(code) == "[]"
+
+    @pytest.mark.parametrize("backend", ["process", "queue"])
+    def test_naming_a_backend_loads_its_module(self, backend, tmp_path):
+        code = (
+            "import sys\n"
+            "from repro.runner import ResultsStore, create_backend\n"
+            f"create_backend({backend!r}, store=ResultsStore({str(tmp_path)!r}))\n"
+            f"print('repro.runner.backends.{backend}' in sys.modules)"
+        )
+        assert self.run_python(code) == "True"
 
     def test_smoke_sweep_loads_no_scipy(self):
         code = (
