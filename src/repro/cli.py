@@ -787,6 +787,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _validate_args(parser, args)
+    accounting: Optional[str] = None
     try:
         if args.command in ("run", "sweep", "worker", *LEGACY_FIGURES) or (
             args.command == "queue" and args.action == "drain"
@@ -872,11 +873,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     overrides=overrides,
                 )
                 report = outcome.to_text()
+                if store is not None:
+                    # Cache accounting on stderr: the report bytes (and an
+                    # --output file) stay those of a storeless run.
+                    accounting = runner.summary()
     except ReproError as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
 
     print(report)
+    if accounting is not None:
+        print(accounting, file=sys.stderr)
     output = getattr(args, "output", None)
     if output is not None:
         output.parent.mkdir(parents=True, exist_ok=True)

@@ -8,14 +8,14 @@ decreases with utilization because queueing noise (``sigma_net``) dilutes the
 gateway's payload-dependent jitter; sample entropy degrades more gracefully
 than sample variance (outlier sensitivity); the sample mean stays near 50 %.
 
-The utilization sweep is the *utilization axis* of a
-:class:`~repro.runner.grid.GridSpec` product; running it over several seeds
-reports mean ± bootstrap CI per grid point.
+The utilization sweep is one :class:`~repro.runner.grid.GridSpec` point per
+utilization; running it over several seeds reports mean ± bootstrap CI per
+grid point.  In hybrid mode the points share one gateway capture per seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.theorems import (
@@ -141,21 +141,38 @@ class Fig6Experiment:
     def point_key(utilization: float) -> str:
         """The grid-point key of one utilization value.
 
-        Coerced to float first: ``GridSpec.product`` normalises the
-        utilization axis the same way, so e.g. an integer ``0`` in the config
-        and the generated cell key agree.
+        Coerced to float first, as ``GridSpec.product`` keys a utilization
+        axis, so e.g. an integer ``0`` in the config gives the same key as
+        ``0.0``.
         """
         return f"fig6/utilization={float(utilization)!r}"
 
     def grid(self, seeds: Optional[Sequence[int]] = None) -> "GridSpec":
-        """The utilization sweep as a grid product."""
-        from repro.runner import GridSpec
+        """The utilization sweep: one grid point per utilization.
+
+        Only the shared router's cross traffic changes along the axis, so in
+        hybrid mode every point shares one gateway capture per seed
+        (``shared_capture``; the capture fingerprint ignores utilization).
+        The points keep the default seed offsets and no ``noise_offsets``,
+        so their network noise is drawn from exactly the streams a
+        self-contained hybrid cell uses and the numbers are unchanged.
+        """
+        from repro.runner import GridPoint, GridSpec
 
         config = self.config
-        return GridSpec.product(
+        shared = config.mode is CollectionMode.HYBRID
+        points = [
+            GridPoint(
+                key=self.point_key(utilization),
+                scenario=replace(config.scenario, cross_utilization=float(utilization)),
+                shared_capture=shared,
+                capture_key="fig6/gateway-capture",
+            )
+            for utilization in config.utilizations
+        ]
+        return GridSpec.from_points(
             "fig6",
-            config.scenario,
-            utilizations=config.utilizations,
+            points,
             seeds=resolve_seeds(config.seed, seeds),
             sample_sizes=(config.sample_size,),
             trials=config.trials,

@@ -882,7 +882,7 @@ def _outstanding_entries(
                 ) from None
             entry = _verified_entry(path, entry)
             fingerprint = entry["fingerprint"]
-            if store.get(fingerprint, kind=entry["unit"]) is not None:
+            if store.has(fingerprint, kind=entry["unit"]):
                 already_cached += 1
                 queue.discard_queued(fingerprint)
                 continue
@@ -906,7 +906,7 @@ def _outstanding_entries(
         done.add(fingerprint)
         if fingerprint in entries:
             continue
-        if store.get(fingerprint, kind=str(record.get("unit"))) is not None:
+        if store.has(fingerprint, kind=str(record.get("unit"))):
             continue
         entries[fingerprint] = _queue_entry(_verified_entry(shard, record))
 
@@ -926,7 +926,7 @@ def _outstanding_entries(
                 entries[fingerprint] = dict(entry, attempt=next_attempt(fingerprint))
                 republish.append(entries[fingerprint])
             continue
-        if store.get(fingerprint, kind=str(record.get("unit"))) is not None:
+        if store.has(fingerprint, kind=str(record.get("unit"))):
             continue
         entry = _queue_entry(_verified_entry(shard, record))
         entries[fingerprint] = dict(entry, attempt=next_attempt(fingerprint))
@@ -940,7 +940,7 @@ def _outstanding_entries(
             raise ConfigurationError(f"queue entry {fingerprint}: {exc}") from None
         assert capture is not None
         capture_fp = capture.fingerprint()
-        if capture_fp in entries or store.get(capture_fp, kind="capture") is not None:
+        if capture_fp in entries or store.has(capture_fp, kind="capture"):
             continue
         entries[capture_fp] = entry_from_task(
             ("capture", capture), attempt=next_attempt(capture_fp)

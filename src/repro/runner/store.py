@@ -34,6 +34,13 @@ store — and keeps any one directory small enough for ordinary tooling once
 stores grow to many thousands of records.  :meth:`compact` drops superseded
 duplicate records.
 
+A :class:`ResultsStore` instance keeps an in-memory index of every shard it
+has parsed or written: the winning record of each cell, and only the kind of
+every other record.  A capture's payload is never held there; ``get(...,
+kind="capture")`` reads it back from the shard, while existence checks
+(``in``, :meth:`~ResultsStore.has`, :meth:`~ResultsStore.fingerprints`)
+answer from the index, so each shard is parsed at most once for them.
+
 The format is deliberately boring: appends are a single ``write`` call, a
 half-written last line (from a killed run) is skipped on load, duplicate
 fingerprints resolve to the *last* record, and the files diff/merge cleanly
@@ -123,6 +130,8 @@ class ResultsStore:
                 f"convert it into shards with 'repro cache compact' from an earlier "
                 f"release that still reads that layout"
             )
+        # fingerprint -> winning cell record, or a payload-free {"kind": ...}
+        # entry for any other kind (see :meth:`_remember`).
         self._index: Dict[str, Dict[str, Any]] = {}
 
     # ----------------------------------------------------------------- layout
@@ -185,12 +194,35 @@ class ResultsStore:
         records = [r for r in cls.read_records(path) if r["fingerprint"] == path.stem]
         return records[-1] if records else None
 
+    def _remember(self, fingerprint: str, record: Dict[str, Any]) -> None:
+        """Index ``record``: a cell in full, any other kind by its kind alone.
+
+        Cells are small and read back often; a capture's interval payload is
+        large and read once per sweep, so only a payload-free ``{"kind": ...}``
+        entry stays resident and :meth:`get` re-reads the shard for it.
+        """
+        kind = record.get("kind", "cell")
+        self._index[fingerprint] = record if kind == "cell" else {"kind": kind}
+
+    def _load(self, fingerprint: str) -> Optional[Dict[str, Any]]:
+        """Parse the shard winner of ``fingerprint`` and index it; ``None`` if absent."""
+        try:
+            record = self.shard_winner(self.shard_path(fingerprint))
+        except ConfigurationError:
+            return None  # not a hash-like token, so never stored
+        if record is not None:
+            self._remember(fingerprint, record)
+        return record
+
     def get(self, fingerprint: str, kind: str = "cell") -> Optional[Dict[str, Any]]:
         """The record for ``fingerprint``, or ``None`` on a cache miss.
 
         Within a shard the last record wins.  ``kind`` filters out records
         of the other record family (a record without ``kind`` counts as a
-        cell).
+        cell).  A cell is served from the in-memory index after its first
+        read; any other kind is read from its shard on every call (see the
+        module docstring), so callers that only ask whether a record exists
+        should use :meth:`has`.
 
         The kind filter applies *after* the winner is resolved: when a shard
         holds a winning record of the wrong ``kind``, the lookup returns
@@ -200,17 +232,24 @@ class ResultsStore:
         caller is asking for a record family that fingerprint no longer is
         (pinned by tests in ``tests/runner/test_store.py``).
         """
-        record = self._index.get(fingerprint)
-        if record is None:
-            try:
-                record = self.shard_winner(self.shard_path(fingerprint))
-            except ConfigurationError:
-                return None  # not a hash-like token, so never stored
-            if record is not None:
-                self._index[fingerprint] = record
+        entry = self._index.get(fingerprint)
+        if entry is not None and entry.get("kind", "cell") != kind:
+            return None
+        record = entry if entry is not None and "result" in entry else self._load(fingerprint)
         if record is None or record.get("kind", "cell") != kind:
             return None
         return record
+
+    def has(self, fingerprint: str, kind: str = "cell") -> bool:
+        """Whether a ``kind`` record is stored for ``fingerprint``.
+
+        Answers from the in-memory index once the shard has been parsed, and
+        never keeps a capture's payload in memory.
+        """
+        entry = self._index.get(fingerprint)
+        if entry is None:
+            entry = self._load(fingerprint)
+        return entry is not None and entry.get("kind", "cell") == kind
 
     def put(
         self,
@@ -238,7 +277,7 @@ class ResultsStore:
             handle = path.open("a", encoding="utf-8")
         with handle:
             handle.write(line)
-        self._index[fingerprint] = record
+        self._remember(fingerprint, record)
 
     # ------------------------------------------------------------- compaction
     def _shard_files(self) -> List[Path]:
@@ -363,9 +402,9 @@ class ResultsStore:
     def fingerprints(self) -> Iterator[str]:
         """All cached fingerprints, in shard path order.
 
-        Each shard is parsed at most once per store instance (the winning
-        record is cached in the in-memory index), so repeated listings of a
-        large store cost one directory scan plus dictionary lookups.
+        Each shard is parsed at most once per store instance (its winner is
+        indexed, payload-free for captures), so repeated listings of a large
+        store cost one directory scan plus dictionary lookups.
         """
         seen: List[str] = []
         seen_set = set()
@@ -373,21 +412,17 @@ class ResultsStore:
             fingerprint = path.stem
             if fingerprint in seen_set:
                 continue
-            record = self._index.get(fingerprint)
-            if record is None:
+            if fingerprint not in self._index:
                 record = self.shard_winner(path)
-                if record is not None:
-                    self._index[fingerprint] = record
-            if record is not None:
-                seen.append(fingerprint)
-                seen_set.add(fingerprint)
+                if record is None:
+                    continue
+                self._remember(fingerprint, record)
+            seen.append(fingerprint)
+            seen_set.add(fingerprint)
         return iter(seen)
 
     def __contains__(self, fingerprint: str) -> bool:
-        return (
-            self.get(fingerprint, kind="cell") is not None
-            or self.get(fingerprint, kind="capture") is not None
-        )
+        return self.has(fingerprint, kind="cell") or self.has(fingerprint, kind="capture")
 
     def __len__(self) -> int:
         return sum(1 for _ in self.fingerprints())

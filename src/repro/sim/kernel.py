@@ -91,10 +91,12 @@ def _event_times_until(
 ) -> np.ndarray:
     """Cumulative-sum event times for draws generated chunk-by-chunk.
 
-    Returns every event time ``<= horizon``.  The cumulative sum is always
-    recomputed over the full concatenated draw array so the additions happen
-    in exactly the sequential order of the event path (``np.cumsum`` is a
-    sequential accumulation).
+    Returns every event time ``<= horizon``.  ``draw_chunk`` must return a
+    new array of non-negative draws, which this function overwrites.  The
+    cumulative sum runs once over the concatenated draws, so the additions
+    happen in exactly the sequential order of the event path (``np.cumsum``
+    is a sequential accumulation), and the sorted times are cut with one
+    binary search.
     """
     if horizon < 0.0:
         raise SimulationError(f"horizon must be >= 0, got {horizon!r}")
@@ -104,14 +106,17 @@ def _event_times_until(
     while approx_total <= horizon:
         chunks.append(draw_chunk(chunk))
         approx_total += float(np.sum(chunks[-1]))
-    times = np.cumsum(np.concatenate(chunks) if len(chunks) > 1 else chunks[0])
+    times = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
+    np.cumsum(times, out=times)
     # The per-chunk guard total is a pairwise sum and can differ from the
     # sequential cumsum in the last bits; top up in the (astronomically rare)
-    # case the exact final time still lies inside the horizon.
+    # case the exact final time still lies inside the horizon.  Accumulating
+    # [last time, new draws...] continues the same sequential sum.
     while times.size and times[-1] <= horizon:
-        chunks.append(draw_chunk(chunk))
-        times = np.cumsum(np.concatenate(chunks))
-    return times[times <= horizon]
+        more = np.concatenate((times[-1:], draw_chunk(chunk)))
+        np.cumsum(more, out=more)
+        times = np.concatenate((times, more[1:]))
+    return times[: np.searchsorted(times, horizon, side="right")]
 
 
 def timer_due_times(
@@ -131,7 +136,8 @@ def timer_due_times(
         raise SimulationError("interval generator must have a positive mean")
     expected = int(horizon / mean) + 1
     return _event_times_until(
-        lambda size: np.asarray(interval_generator.sample_batch(rng, size), dtype=float),
+        # A copy: a custom generator may hand back an array it still holds.
+        lambda size: np.array(interval_generator.sample_batch(rng, size), dtype=float),
         horizon,
         expected,
     )
@@ -154,11 +160,12 @@ def poisson_arrival_times(
         return np.empty(0, dtype=float)
     scale = 1.0 / rate_pps
     expected = int(horizon * rate_pps) + 1
-    return _event_times_until(
-        lambda size: np.maximum(rng.exponential(scale, size=size), MIN_PAYLOAD_GAP_S),
-        horizon,
-        expected,
-    )
+
+    def gaps(size: int) -> np.ndarray:
+        draws = rng.exponential(scale, size=size)
+        return np.maximum(draws, MIN_PAYLOAD_GAP_S, out=draws)
+
+    return _event_times_until(gaps, horizon, expected)
 
 
 def blocking_counts(

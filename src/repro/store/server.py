@@ -363,11 +363,11 @@ class _Handler(BaseHTTPRequestHandler):
         queue = WorkQueue(store.root)
         counts = {"requested": len(cells), "cached": 0, "enqueued": 0, "already_queued": 0}
         for cell in cells:
-            if store.get(cell.fingerprint()) is not None:
+            if store.has(cell.fingerprint()):
                 counts["cached"] += 1
                 continue
             capture = cell.capture
-            if capture is not None and store.get(capture.fingerprint(), kind="capture") is None:
+            if capture is not None and not store.has(capture.fingerprint(), kind="capture"):
                 queue.enqueue(entry_from_task(("capture", capture)))
             if queue.enqueue(entry_from_task(("cell", cell))):
                 counts["enqueued"] += 1

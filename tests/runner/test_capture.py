@@ -10,10 +10,19 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.experiments import CollectionMode, Fig8Config, Fig8Experiment, ScenarioConfig
+from repro.api import get_experiment
+from repro.experiments import (
+    CollectionMode,
+    Fig6Config,
+    Fig6Experiment,
+    Fig8Config,
+    Fig8Experiment,
+    ScenarioConfig,
+)
 from repro.runner import (
     CaptureResult,
     CaptureSpec,
+    GridSpec,
     ResultsStore,
     SweepCell,
     SweepRunner,
@@ -282,6 +291,62 @@ class TestBitForBitEquivalence:
             a, b = two_level[cell.key], one_level[cell.key]
             assert a.empirical_detection_rate == b.empirical_detection_rate
             assert a.measured_variance_ratio == b.measured_variance_ratio
+
+    @pytest.mark.parametrize("preset", ["fast", "quick"])
+    def test_fig6_hybrid_presets_share_one_capture_per_seed(self, preset):
+        experiment = get_experiment("fig6", preset, 5)
+        assert experiment.config.mode is CollectionMode.HYBRID
+        seeds = (5, 6, 7)
+        cells = experiment.cells(seeds)
+        by_seed = {}
+        for cell in cells:
+            assert cell.capture is not None
+            assert cell.capture.key == "fig6/gateway-capture"
+            assert cell.capture.seed == cell.seed
+            assert cell.noise_offsets is None
+            by_seed.setdefault(cell.seed, set()).add(cell.capture.fingerprint())
+        assert sorted(by_seed) == list(seeds)
+        assert all(len(fingerprints) == 1 for fingerprints in by_seed.values())
+        assert len(set().union(*by_seed.values())) == len(seeds)
+        utilizations = len(experiment.config.utilizations)
+        assert len(cells) == utilizations * len(seeds)
+
+    @pytest.mark.parametrize("preset", ["smoke", "paper"])
+    def test_fig6_other_presets_keep_self_contained_cells(self, preset):
+        cells = get_experiment("fig6", preset, 5).cells((5, 6))
+        assert all(cell.capture is None for cell in cells)
+
+    def test_fig6_two_level_matches_self_contained_hybrid_cells(self):
+        """Figure 6's shared capture leaves every number of the old
+        self-contained grid unchanged, seed by seed."""
+        config = Fig6Config(
+            utilizations=(0.05, 0.3, 0.5),
+            sample_size=80,
+            trials=4,
+            mode=CollectionMode.HYBRID,
+            seed=11,
+        )
+        seeds = (11, 12)
+        cells = Fig6Experiment(config).cells(seeds)
+        flat = GridSpec.product(
+            "fig6",
+            config.scenario,
+            utilizations=config.utilizations,
+            seeds=seeds,
+            sample_sizes=(config.sample_size,),
+            trials=config.trials,
+            mode=config.mode,
+        ).cells()
+        assert [cell.key for cell in flat] == [cell.key for cell in cells]
+        assert [replace(cell, capture=None) for cell in cells] == flat
+        report = SweepRunner().run(cells)
+        assert report.captures_simulated == len(seeds)
+        one_level = SweepRunner().run(flat)
+        for cell in cells:
+            a, b = report[cell.key], one_level[cell.key]
+            assert replace(a, fingerprint="", elapsed_seconds=0.0) == replace(
+                b, fingerprint="", elapsed_seconds=0.0
+            )
 
     def test_shared_capture_points_draw_independent_noise(self):
         """Points sharing a gateway capture are salted per point: the same

@@ -263,3 +263,84 @@ class TestKindFilterPrecedence:
         reopened = ResultsStore(store.root)
         assert reopened.get("abc", kind="cell") is None
         assert reopened.get("abc", kind="capture") is not None
+
+
+CAPTURE = {"intervals": {"train": {"low": "AAAAAAAA8D8="}}, "elapsed_seconds": 0.5}
+
+
+class TestCapturePayloadsStayOnDisk:
+    """The in-memory index keeps cell records whole and captures by kind only."""
+
+    @staticmethod
+    def count_shard_reads(monkeypatch):
+        reads = []
+        original = ResultsStore.read_records
+
+        def spy(path):
+            reads.append(path.stem)
+            return original(path)
+
+        monkeypatch.setattr(ResultsStore, "read_records", staticmethod(spy))
+        return reads
+
+    @staticmethod
+    def assert_no_payload_indexed(store):
+        for fingerprint, entry in store._index.items():
+            if entry.get("kind", "cell") != "cell":
+                assert entry == {"kind": entry["kind"]}, fingerprint
+
+    def test_put_indexes_a_capture_by_kind_alone(self, store):
+        store.put("cafe01", {"seed": 1}, CAPTURE, kind="capture")
+        store.put("abcd01", {"seed": 2}, RESULT)
+        assert store._index["cafe01"] == {"kind": "capture"}
+        assert store._index["abcd01"]["result"] == RESULT
+        self.assert_no_payload_indexed(store)
+
+    def test_get_returns_the_full_capture_record_without_indexing_it(self, store):
+        store.put("cafe01", {"seed": 1}, CAPTURE, kind="capture")
+        record = store.get("cafe01", kind="capture")
+        assert record["result"] == CAPTURE
+        assert record["config"] == {"seed": 1}
+        assert record["kind"] == "capture"
+        self.assert_no_payload_indexed(store)
+        fresh = ResultsStore(store.root)
+        assert fresh.get("cafe01", kind="capture")["result"] == CAPTURE
+        assert fresh.get("cafe01") is None
+        self.assert_no_payload_indexed(fresh)
+
+    def test_existence_checks_parse_a_capture_shard_once(self, store, monkeypatch):
+        store.put("cafe01", {}, CAPTURE, kind="capture")
+        store.put("abcd01", {}, RESULT)
+        fresh = ResultsStore(store.root)
+        reads = self.count_shard_reads(monkeypatch)
+        for _ in range(3):
+            assert "cafe01" in fresh
+            assert fresh.has("cafe01", kind="capture")
+            assert not fresh.has("cafe01")
+            assert sorted(fresh.fingerprints()) == ["abcd01", "cafe01"]
+            assert len(fresh) == 2
+        assert sorted(reads) == ["abcd01", "cafe01"]
+        self.assert_no_payload_indexed(fresh)
+
+    def test_existence_checks_after_put_read_no_shard(self, store, monkeypatch):
+        store.put("cafe01", {}, CAPTURE, kind="capture")
+        reads = self.count_shard_reads(monkeypatch)
+        assert "cafe01" in store and store.has("cafe01", kind="capture")
+        assert reads == []
+        # Only a payload read goes back to the shard.
+        assert store.get("cafe01", kind="capture")["result"] == CAPTURE
+        assert reads == ["cafe01"]
+
+    def test_cells_are_served_from_the_index_after_the_first_read(self, store, monkeypatch):
+        store.put("abcd01", {}, RESULT)
+        fresh = ResultsStore(store.root)
+        reads = self.count_shard_reads(monkeypatch)
+        assert fresh.get("abcd01")["result"] == RESULT
+        assert fresh.get("abcd01")["result"] == RESULT
+        assert fresh.has("abcd01") and "abcd01" in fresh
+        assert reads == ["abcd01"]
+
+    def test_has_misses_unknown_and_malformed_fingerprints(self, store):
+        assert not store.has("deadbeef")
+        assert not store.has("a/../b", kind="capture")
+        assert "a b" not in store

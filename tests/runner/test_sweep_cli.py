@@ -101,6 +101,39 @@ class TestSweepCommand:
         assert list(tmp_path.glob("??/*.jsonl"))  # sharded layout on disk
 
 
+class TestRunCacheAccounting:
+    """``repro run NAME --cache-dir`` reports its cache outcome on stderr."""
+
+    def test_cold_fig6_fast_simulates_one_capture_per_seed(self, tmp_path, capsys):
+        argv = [
+            "run", "fig6", "--preset", "fast", "--seeds", "3",
+            "--backend", "serial", "--cache-dir", str(tmp_path),
+        ]
+        assert main(argv) == 0
+        cold = capsys.readouterr()
+        assert cold.err.splitlines() == [
+            "sweep summary: 18 cells, 18 simulated, 0 cache hits, "
+            "3 gateway captures simulated, 0 capture cache hits, jobs=1, backend=serial"
+        ]
+        assert "sweep summary" not in cold.out
+        assert main(argv) == 0
+        warm = capsys.readouterr()
+        assert "18 cells, 0 simulated, 18 cache hits" in warm.err
+        assert warm.out == cold.out
+
+    def test_report_and_output_file_match_a_storeless_run(self, tmp_path, capsys):
+        base = ["run", "fig6", "--preset", "smoke", "--backend", "serial"]
+        assert main(base + ["--output", str(tmp_path / "plain.txt")]) == 0
+        plain = capsys.readouterr()
+        assert plain.err == ""
+        cached = base + ["--cache-dir", str(tmp_path / "store")]
+        assert main(cached + ["--output", str(tmp_path / "cached.txt")]) == 0
+        with_store = capsys.readouterr()
+        assert "sweep summary:" in with_store.err
+        assert with_store.out.replace("cached.txt", "plain.txt") == plain.out
+        assert (tmp_path / "cached.txt").read_bytes() == (tmp_path / "plain.txt").read_bytes()
+
+
 class TestMultiSeedCli:
     """``--seeds N --ci``: mean ± bootstrap CI per grid point, from the CLI."""
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError, SimulationError
@@ -399,3 +399,95 @@ class TestSampleBatchContract:
         scalar_rng = np.random.default_rng(7)
         scalars = np.array([generator.sample(scalar_rng) for _ in range(500)])
         assert np.array_equal(batch, scalars)
+
+
+def _event_times_oracle(draw_chunk, horizon, expected_count):
+    """The straightforward formulation of ``kernel._event_times_until``:
+    re-sum every draw after each top-up and cut with a boolean mask."""
+    chunk = max(256, int(expected_count * 1.05) + 16)
+    chunks = [draw_chunk(chunk)]
+    approx_total = float(np.sum(chunks[-1]))
+    while approx_total <= horizon:
+        chunks.append(draw_chunk(chunk))
+        approx_total += float(np.sum(chunks[-1]))
+    times = np.cumsum(np.concatenate(chunks))
+    while times.size and times[-1] <= horizon:
+        chunks.append(draw_chunk(chunk))
+        times = np.cumsum(np.concatenate(chunks))
+    return times[times <= horizon]
+
+
+class TestEventTimesUntil:
+    """The chunked event-time sums equal the straightforward oracle bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        rate=st.floats(min_value=0.5, max_value=5000.0),
+        horizon=st.floats(min_value=0.0, max_value=3.0),
+    )
+    def test_poisson_arrivals_match_the_oracle(self, seed, rate, horizon):
+        rng = np.random.default_rng(seed)
+        times = kernel.poisson_arrival_times(rng, rate, horizon)
+        oracle_rng = np.random.default_rng(seed)
+        expected = _event_times_oracle(
+            lambda size: np.maximum(
+                oracle_rng.exponential(1.0 / rate, size=size), kernel.MIN_PAYLOAD_GAP_S
+            ),
+            horizon,
+            int(horizon * rate) + 1,
+        )
+        assert times.dtype == expected.dtype
+        assert np.array_equal(times, expected)
+        # Same number of draws taken: the stream continues identically.
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        horizon=st.floats(min_value=0.0, max_value=5.0),
+    )
+    def test_timer_due_times_match_the_oracle(self, seed, horizon):
+        generator = vit_policy(sigma_t=1e-3).make_timer()
+        rng = np.random.default_rng(seed)
+        times = kernel.timer_due_times(generator, rng, horizon)
+        oracle_rng = np.random.default_rng(seed)
+        expected = _event_times_oracle(
+            lambda size: generator.sample_batch(oracle_rng, size),
+            horizon,
+            int(horizon / generator.mean) + 1,
+        )
+        assert np.array_equal(times, expected)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_top_up_continues_the_sequential_sum(self, seed):
+        # The first chunk's pairwise sum lands above its sequential total,
+        # and the horizon lies between the two: the guard stops after one
+        # chunk, yet the last exact time is inside the horizon, so the
+        # top-up branch must run.  Its draws are about one ulp each, so some of
+        # the topped-up times fall inside the horizon and their rounding
+        # shows whether the sum continued in sequential order.
+        first = np.random.default_rng(seed).exponential(1e-3, size=256)
+        total = float(np.cumsum(first)[-1])
+        horizon = float(np.nextafter(np.sum(first), -np.inf))
+        assume(horizon > total)
+        ulp = float(np.spacing(total))
+
+        def chunks(calls):
+            rng = np.random.default_rng(seed)
+
+            def draw(size):
+                calls.append(size)
+                if len(calls) == 1:
+                    return rng.exponential(1e-3, size=size)
+                return rng.uniform(0.55, 1.0, size=size) * ulp
+
+            return draw
+
+        calls, oracle_calls = [], []
+        times = kernel._event_times_until(chunks(calls), horizon, 0)
+        expected = _event_times_oracle(chunks(oracle_calls), horizon, 0)
+        assert len(calls) == len(oracle_calls) >= 2
+        assert times.size > first.size
+        assert np.array_equal(times, expected)
