@@ -59,12 +59,7 @@ from repro.api import (
 from repro.exceptions import ConfigurationError, ReproError
 from repro.experiments.base import resolve_kernel_mode
 from repro.runner import ResultsStore, SweepRunner, resolve_jobs, seed_range
-from repro.runner.defaults import (
-    BACKEND_NAMES,
-    DEFAULT_LEASE_TIMEOUT,
-    DEFAULT_MAX_REGRESSION,
-    DEFAULT_POLL_INTERVAL,
-)
+from repro.runner.defaults import BACKEND_NAMES, DEFAULT_MAX_REGRESSION
 
 #: Confidence level of the ``--ci`` bootstrap bands.
 CI_CONFIDENCE = 0.95
@@ -140,11 +135,9 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
         "--backend",
         choices=BACKEND_NAMES,
         default="process",
-        help="execution backend: 'process' (worker pool, the default), "
+        help="execution backend: 'process' (worker pool, the default) or "
         "'serial' (inline, no pool/pickle overhead — fastest for warm or "
-        "small sweeps) or 'queue' (filesystem work queue under --cache-dir, "
-        "executed by --jobs local workers and any external 'repro worker' "
-        "processes; docs/distributed.md)",
+        "small sweeps)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -398,117 +391,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="the results store to maintain",
     )
 
-    worker = subcommands.add_parser(
-        "worker",
-        help="run a pull-based queue worker against a shared results store "
-        "(claims work from <cache-dir>/queue/ until stopped; "
-        "docs/distributed.md)",
-    )
-    worker.add_argument(
-        "--cache-dir",
-        type=Path,
-        required=True,
-        help="the results store whose queue/ directory this worker drains; "
-        "must be the same directory (or mount) the sweep parent uses",
-    )
-    worker.add_argument(
-        "--worker-id",
-        default=None,
-        metavar="ID",
-        help="stable identifier for heartbeat and lease files "
-        "(default: <hostname>-<pid>)",
-    )
-    worker.add_argument(
-        "--poll-interval",
-        type=float,
-        default=DEFAULT_POLL_INTERVAL,
-        metavar="SEC",
-        help=f"seconds to sleep when the queue is empty (default: {DEFAULT_POLL_INTERVAL})",
-    )
-    worker.add_argument(
-        "--lease-timeout",
-        type=float,
-        default=DEFAULT_LEASE_TIMEOUT,
-        metavar="SEC",
-        help="heartbeat silence after which a sibling worker is presumed dead "
-        f"and its leases are stolen (default: {DEFAULT_LEASE_TIMEOUT:g}; must "
-        "match the sweep parent's setting)",
-    )
-    worker.add_argument(
-        "--max-idle",
-        type=float,
-        default=None,
-        metavar="SEC",
-        help="exit after this many seconds without claimable work "
-        "(default: run until interrupted)",
-    )
-    worker.add_argument(
-        "--max-cells",
-        type=int,
-        default=None,
-        metavar="N",
-        help="exit after executing N queue entries (default: unlimited)",
-    )
-
-    queue_cmd = subcommands.add_parser(
-        "queue",
-        help="inspect or drain the filesystem work queue of a results store "
-        "('drain' merges every entry the queue owes — from POST /enqueue or "
-        "an interrupted queue-backed sweep — into the store; "
-        "docs/distributed.md)",
-    )
-    queue_cmd.add_argument(
-        "action",
-        choices=("drain", "status"),
-        help="drain: fingerprint-verify every queued, leased and unmerged "
-        "entry and merge worker results into the store; status: print queue "
-        "counters",
-    )
-    queue_cmd.add_argument(
-        "--cache-dir",
-        type=Path,
-        required=True,
-        help="the results store whose queue to use",
-    )
-    queue_cmd.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="local worker processes to spawn for the drain (default: 0 — "
-        "rely on externally started 'repro worker' processes)",
-    )
-    queue_cmd.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        metavar="N",
-        help="extra attempts granted to a failing cell before the drain "
-        "aborts (default: 0)",
-    )
-    queue_cmd.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SEC",
-        help="abort the drain if entries are still outstanding after this "
-        "many seconds (default: wait forever; set this when relying on "
-        "external workers so an empty fleet fails loudly)",
-    )
-    queue_cmd.add_argument(
-        "--lease-timeout",
-        type=float,
-        default=DEFAULT_LEASE_TIMEOUT,
-        metavar="SEC",
-        help="heartbeat silence after which a worker is presumed dead and its "
-        f"leases are requeued (default: {DEFAULT_LEASE_TIMEOUT:g})",
-    )
-
     serve = subcommands.add_parser(
         "serve",
         help="serve an indexed results store over a read-only JSON HTTP API "
         "(GET /experiments, /points, /point/<key>, /report/<name>; "
-        "POST /enqueue; docs/serving.md)",
+        "docs/serving.md)",
     )
     serve.add_argument(
         "--cache-dir",
@@ -675,50 +562,6 @@ def _run_cache_command(args: argparse.Namespace) -> str:
     return f"cache stats: {store.stats()}"
 
 
-def _run_worker_command(args: argparse.Namespace) -> int:
-    """``repro worker``; blocks until stopped, idle-timeout or task budget."""
-    from repro.runner.backends.queue import run_worker
-
-    try:
-        executed = run_worker(
-            args.cache_dir,
-            worker_id=args.worker_id,
-            poll_interval=args.poll_interval,
-            lease_timeout=args.lease_timeout,
-            max_idle=args.max_idle,
-            max_tasks=args.max_cells,
-            progress=print,
-        )
-    except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
-        return 0
-    print(f"worker done: {executed} task(s) executed")
-    return 0
-
-
-def _run_queue_command(args: argparse.Namespace) -> int:
-    """``repro queue drain`` / ``repro queue status``."""
-    from repro.runner.backends.queue import WorkQueue, drain_queue
-
-    store = ResultsStore(args.cache_dir)
-    if args.action == "status":
-        counters = WorkQueue(store.root).status(args.lease_timeout)
-        print(
-            "queue status: "
-            + ", ".join(f"{name}={value}" for name, value in counters.items())
-        )
-        return 0
-    report = drain_queue(
-        store.root,
-        workers=args.workers,
-        retries=args.retries,
-        timeout=args.timeout,
-        lease_timeout=args.lease_timeout,
-        progress=print,
-    )
-    print(f"queue drain: {report}")
-    return 0
-
-
 def _run_serve_command(args: argparse.Namespace) -> int:
     """``repro serve``; blocks until interrupted (returns 0 on Ctrl-C)."""
     from repro.store import DEFAULT_HOST, DEFAULT_PORT, StoreIndex, create_server
@@ -789,9 +632,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     _validate_args(parser, args)
     accounting: Optional[str] = None
     try:
-        if args.command in ("run", "sweep", "worker", *LEGACY_FIGURES) or (
-            args.command == "queue" and args.action == "drain"
-        ):
+        if args.command in ("run", "sweep", *LEGACY_FIGURES):
             # A bad $REPRO_SIM_KERNEL is a one-line error before any work,
             # not a worker traceback out of the first capture.
             resolve_kernel_mode()
@@ -805,10 +646,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             report = _run_cache_command(args)
         elif args.command == "serve":
             return _run_serve_command(args)
-        elif args.command == "worker":
-            return _run_worker_command(args)
-        elif args.command == "queue":
-            return _run_queue_command(args)
         else:
             preset = args.preset if args.preset is not None else DEFAULT_PRESET
             seed = args.seed if args.seed is not None else DEFAULT_SEED

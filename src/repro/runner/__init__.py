@@ -14,9 +14,8 @@ cacheable gateway captures (:mod:`repro.runner.capture`).  See
 ``docs/running.md`` for the CLI, the cache layout and how CI exercises
 warm-cache sweeps.
 
-The process pool, the work queue and ``repro bench`` load only when used;
-import them from :mod:`repro.runner.backends.process`,
-:mod:`repro.runner.backends.queue` and :mod:`repro.runner.bench`.
+The process pool and ``repro bench`` load only when used; import them from
+:mod:`repro.runner.backends.process` and :mod:`repro.runner.bench`.
 """
 
 from repro.exceptions import SweepError

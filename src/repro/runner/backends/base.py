@@ -10,16 +10,13 @@ marker naming the task that kept failing.  Outcomes may arrive in any order;
 the runner re-orders results by cell key, which is what makes every backend
 byte-identical at any worker count.
 
-Three backends ship with the package:
+Two backends ship with the package:
 
 * ``serial`` (:mod:`repro.runner.backends.serial`) — in-process, zero
   pool/pickle overhead; the fast path for warm sweeps and small grids.
 * ``process`` (:mod:`repro.runner.backends.process`) — a
   :class:`~concurrent.futures.ProcessPoolExecutor` over ``jobs`` local
   worker processes.
-* ``queue`` (:mod:`repro.runner.backends.queue`) — a filesystem work queue at
-  the store root, drained by pull-based ``repro worker`` processes on any
-  host sharing the store (see ``docs/distributed.md``).
 """
 
 from __future__ import annotations
@@ -96,8 +93,8 @@ def task_unit(task: Task) -> str:
 def execute_task(task: Task, captures: Captures) -> TaskOutcome:
     """Run one task, converting any exception to a :class:`TaskFailure`.
 
-    The entry point every backend funnels work through — pool workers,
-    queue workers and the in-process serial loop alike.  A two-level cell
+    The entry point every backend funnels work through — pool workers and
+    the in-process serial loop alike.  A two-level cell
     takes its gateway capture from ``captures``.  ``run_cell`` and
     ``run_capture`` are resolved through :mod:`repro.runner.runner` at call
     time (not import time) so a patched ``repro.runner.runner.run_cell``

@@ -8,8 +8,8 @@
   backend runs;
 * a worker that dies (OOM killer, SIGKILL) breaks the pool, and the tasks
   it held yield a failure saying a pool worker died: the sweep aborts
-  instead of waiting for a result that will never come.  The ``queue``
-  backend is the fault-tolerant path — its leases survive dead workers.
+  instead of waiting for a result that will never come.  Re-running the
+  sweep computes only what the store still lacks.
 
 The resolved gateway captures reach each worker once, through the
 executor's ``initializer``: under ``fork`` the worker inherits them without

@@ -262,7 +262,11 @@ class SweepCell:
                 f"cell {self.key!r}: capture holds {capture.n_intervals} intervals per "
                 f"class; the cell needs {self.intervals_per_class + 1}"
             )
-        if gateway_config_dict(capture.scenario) != gateway_config_dict(self.scenario):
+        # ``GridSpec.cells`` hands a child and its capture the same scenario
+        # object; only distinct objects need their gateway fields compared.
+        if capture.scenario is not self.scenario and gateway_config_dict(
+            capture.scenario
+        ) != gateway_config_dict(self.scenario):
             raise ConfigurationError(
                 f"cell {self.key!r}: the capture's gateway configuration differs from "
                 f"the cell scenario's (policy/rates/disturbance/packet size/warmup)"

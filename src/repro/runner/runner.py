@@ -3,8 +3,7 @@
 :class:`SweepRunner` executes a grid of :class:`~repro.runner.cells.SweepCell`
 objects, delegating *how* cache misses run to a pluggable
 :class:`~repro.runner.backends.base.ExecutionBackend` — ``serial`` (inline,
-zero pool overhead), ``process`` (a process pool over local workers) or
-``queue`` (a filesystem work queue drained by ``repro worker`` processes) —
+zero pool overhead) or ``process`` (a process pool over local workers) —
 and streaming every computed result into an optional
 :class:`~repro.runner.store.ResultsStore` so that repeated sweeps skip the
 simulation entirely.  Two-level cells (a shared gateway capture feeding
@@ -33,7 +32,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.exceptions import ConfigurationError, SweepError
 from repro.runner.backends import create_backend
@@ -84,27 +83,21 @@ class SweepRunner:
     Parameters
     ----------
     jobs:
-        Worker processes (``process`` backend) or local queue workers
-        (``queue`` backend).  ``1`` (the default) runs every cell inline in
-        the parent process — no pool, easiest to debug, and the reference
-        for the bit-identical-at-any-jobs guarantee.
+        Worker processes of the ``process`` backend.  ``1`` (the default)
+        runs every cell inline in the parent process — no pool, easiest to
+        debug, and the reference for the bit-identical-at-any-jobs
+        guarantee.
     store:
         Optional persistent cache.  Cells whose fingerprint is already stored
-        are returned from the cache without simulating.  Required by the
-        ``queue`` backend (workers resolve shared captures through it).
+        are returned from the cache without simulating.
     progress:
         Optional callable invoked with one line per completed cell.
     retries:
         Extra attempts granted to a failing cell before the sweep aborts
         with a :class:`~repro.exceptions.SweepError`.
     backend:
-        Execution strategy: ``"process"`` (default, a process pool),
-        ``"serial"`` (inline fast path) or ``"queue"`` (filesystem work
-        queue; see ``docs/distributed.md``).
-    backend_options:
-        Extra keyword options forwarded to the backend factory — the queue
-        backend's ``lease_timeout``, ``poll_interval``, ``wait_timeout`` and
-        ``spawn_workers``.
+        Execution strategy: ``"process"`` (default, a process pool) or
+        ``"serial"`` (inline fast path).
     """
 
     def __init__(
@@ -114,7 +107,6 @@ class SweepRunner:
         progress: Optional[Callable[[str], None]] = None,
         retries: int = 0,
         backend: str = "process",
-        backend_options: Optional[Dict[str, Any]] = None,
     ) -> None:
         self.jobs = jobs
         self.store = store
@@ -122,15 +114,9 @@ class SweepRunner:
         self.retries = retries
         self.backend_name = backend
         # Built eagerly so a misconfiguration (unknown backend, bad jobs or
-        # retries, queue without a store) fails at construction, not
-        # mid-sweep.
+        # retries) fails at construction, not mid-sweep.
         self._backend = create_backend(
-            backend,
-            jobs=jobs,
-            store=store,
-            retries=retries,
-            progress=progress,
-            **(backend_options or {}),
+            backend, jobs=jobs, retries=retries, progress=progress
         )
         # Accumulated across run() calls so a multi-figure sweep can print one
         # overall summary (the CLI's ``sweep summary:`` line).
@@ -253,9 +239,8 @@ class SweepRunner:
         capture is computed at most once per sweep and persisted like a cell
         result (``kind="capture"``), so later sweeps — and other cells of
         this one — reuse it without touching the event simulator.  Captures
-        are resolved (and stored) *before* any cell task is dispatched, which
-        is what lets queue workers on other hosts find them in the shared
-        store.
+        are resolved *before* any cell task is dispatched, so the backend
+        hands every two-level cell its capture alongside the task.
         """
         specs: Dict[str, CaptureSpec] = {}
         for cell in cells:

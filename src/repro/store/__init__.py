@@ -12,9 +12,8 @@ append-optimised *write* side of the results pipeline.  This package is the
   labelled grid points per experiment and per-point CI bands
   (byte-identical to ``repro sweep --ci`` output).
 * :func:`~repro.store.server.create_server` /
-  :class:`~repro.store.server.ResultsServer` — the ``repro serve`` JSON HTTP
-  API over a store, including ``POST /enqueue``, which puts a grid's missing
-  cells on the store's work queue for ``repro worker`` processes.
+  :class:`~repro.store.server.ResultsServer` — the ``repro serve`` read-only
+  JSON HTTP API over a store.
 
 The sqlite file is always a cache of the JSONL truth: deleting it loses
 nothing, and every refresh re-derives rows through the store's own parsing

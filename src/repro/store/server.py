@@ -17,16 +17,13 @@ the store and a sweep can keep appending while the server runs.  Endpoints:
                                   assembled purely from cached records
                                   (optional ``preset=`` / ``seed=`` / ``seeds=``
                                   / ``confidence=``; 409 lists missing cells)
-``POST /enqueue``                 diff an experiment grid (or explicit cells)
-                                  against the store and enqueue the missing
-                                  cells on the store's work queue
 ================================  ==============================================
 
-``POST /enqueue`` writes one entry per missing cell (and per missing gateway
-capture behind one) under ``<store>/queue/queued/`` — the content-addressed
-filesystem queue ``repro worker`` processes claim from and
-``repro queue drain`` merges into the store.  This server names the work; it
-never executes it.
+The server only reads: it never computes a cell or writes to the store.  A
+report whose cells the store lacks answers 409 with the missing cell keys;
+``repro run NAME --preset P --cache-dir DIR`` fills them.  A method without
+a handler (``POST`` included) is answered by :mod:`http.server` itself with
+501.
 
 See ``docs/serving.md`` for the index schema and worked examples.
 """
@@ -40,7 +37,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from urllib.parse import parse_qs, unquote, urlparse
 
 from repro.exceptions import ConfigurationError, ReproError
-from repro.runner.cells import CellResult, SweepCell
+from repro.runner.cells import CellResult
 from repro.runner.grid import seed_range
 from repro.runner.store import ResultsStore
 from repro.store.query import StoreQuery
@@ -55,7 +52,6 @@ _ENDPOINTS = {
     "GET /points?experiment=NAME": "grid-point records (preset=, seed=, policy= filters)",
     "GET /point/<point-key>": "per-seed records of one point (confidence= adds a CI band)",
     "GET /report/<experiment>": "rendered report from cache (preset=, seed=, seeds=, confidence=)",
-    "POST /enqueue": "enqueue an experiment's (or explicit) missing cells on the work queue",
 }
 
 
@@ -116,15 +112,6 @@ class _Handler(BaseHTTPRequestHandler):
             ) from None
 
     @staticmethod
-    def _int_field(body: Dict[str, Any], name: str, default: int) -> int:
-        """``body[name]`` as an int (``default`` when absent), else a 400."""
-        value = body.get(name, default)
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            raise _HTTPError(400, f"JSON field {name}={value!r} is not an integer") from None
-
-    @staticmethod
     def _float_param(params: Dict[str, str], name: str) -> Optional[float]:
         if name not in params:
             return None
@@ -145,17 +132,6 @@ class _Handler(BaseHTTPRequestHandler):
             payload, status = {"error": str(exc)}, 400
         except ReproError as exc:  # pragma: no cover - defensive
             payload, status = {"error": str(exc)}, 500
-        self._send_json(payload, status)
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server spelling
-        try:
-            if urlparse(self.path).path.rstrip("/") != "/enqueue":
-                raise _HTTPError(404, f"unknown endpoint {self.path!r}")
-            payload, status = self._enqueue()
-        except _HTTPError as exc:
-            payload, status = {"error": str(exc)}, exc.status
-        except ConfigurationError as exc:
-            payload, status = {"error": str(exc)}, 400
         self._send_json(payload, status)
 
     def _route_get(self) -> Tuple[Dict[str, Any], int]:
@@ -267,7 +243,8 @@ class _Handler(BaseHTTPRequestHandler):
             return (
                 {
                     "error": f"store is missing {len(missing)} of {len(cells)} cells "
-                    f"for {name!r} (preset {preset!r}); enqueue them via POST /enqueue",
+                    f"for {name!r} (preset {preset!r}); compute them with "
+                    f"repro run NAME --preset P --cache-dir DIR",
                     "experiment": name,
                     "preset": preset,
                     "missing": missing,
@@ -286,94 +263,6 @@ class _Handler(BaseHTTPRequestHandler):
             },
             200,
         )
-
-    def _enqueue(self) -> Tuple[Dict[str, Any], int]:
-        header = self.headers.get("Content-Length") or "0"
-        try:
-            length = int(header)
-        except ValueError:
-            length = -1
-        if length < 0:
-            raise _HTTPError(
-                400, f"Content-Length header {header!r} is not a non-negative integer"
-            )
-        raw = self.rfile.read(length) if length else b""
-        try:
-            body = json.loads(raw.decode("utf-8")) if raw else {}
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            raise _HTTPError(400, "request body is not valid JSON") from None
-        if isinstance(body, dict) and "cells" in body:
-            return self._enqueue_cells(body)
-        if not isinstance(body, dict) or not body.get("experiment"):
-            raise _HTTPError(
-                400, "JSON body with an 'experiment' or 'cells' field is required"
-            )
-        name = str(body["experiment"])
-        preset = str(body.get("preset", "fast"))
-        seed = self._int_field(body, "seed", _default_seed())
-        count = self._int_field(body, "seeds", 1)
-        experiment = self._resolve_experiment(name, preset, seed)
-        seeds = seed_range(seed, count) if count > 1 else None
-        counts = self._enqueue_missing(experiment.cells(seeds))
-        return {"experiment": name, "preset": preset, **counts}, 200
-
-    def _enqueue_cells(self, body: Dict[str, Any]) -> Tuple[Dict[str, Any], int]:
-        """``POST /enqueue`` with explicit cell payloads.
-
-        Each entry must carry ``cell_key``, ``fingerprint`` and ``config``,
-        and the fingerprint must hash from the config *exactly* — a payload
-        whose claimed fingerprint does not match is rejected with 400 naming
-        the mismatch, because accepting it would let a tampered (or stale)
-        client alias a record onto the wrong cache key when the queue is
-        drained.
-        """
-        from repro.runner.backends.codec import cell_from_config, verify_fingerprint
-
-        payloads = body.get("cells")
-        if not isinstance(payloads, list) or not payloads:
-            raise _HTTPError(400, "'cells' must be a non-empty list of objects")
-        cells: List[SweepCell] = []
-        for position, payload in enumerate(payloads):
-            if not isinstance(payload, dict) or not all(
-                key in payload for key in ("cell_key", "fingerprint", "config")
-            ):
-                raise _HTTPError(
-                    400,
-                    f"cells[{position}] needs cell_key, fingerprint and "
-                    f"config fields",
-                )
-            try:
-                key = str(payload["cell_key"])
-                verify_fingerprint(key, payload["config"], str(payload["fingerprint"]))
-                cells.append(cell_from_config(key, payload["config"]))
-            except ConfigurationError as exc:
-                raise _HTTPError(400, f"cells[{position}]: {exc}") from None
-        return self._enqueue_missing(cells), 200
-
-    def _enqueue_missing(self, cells: List[SweepCell]) -> Dict[str, int]:
-        """Enqueue every cell the store lacks, with its gateway capture.
-
-        "Lacks" is the rule ``/report`` uses (a fresh ``ResultsStore.get``),
-        and the queue's content addressing dedupes: an entry already queued
-        or leased counts as ``already_queued``.
-        """
-        from repro.runner.backends.queue import WorkQueue, entry_from_task
-
-        store = ResultsStore(self.server.store_root)
-        queue = WorkQueue(store.root)
-        counts = {"requested": len(cells), "cached": 0, "enqueued": 0, "already_queued": 0}
-        for cell in cells:
-            if store.has(cell.fingerprint()):
-                counts["cached"] += 1
-                continue
-            capture = cell.capture
-            if capture is not None and not store.has(capture.fingerprint(), kind="capture"):
-                queue.enqueue(entry_from_task(("capture", capture)))
-            if queue.enqueue(entry_from_task(("cell", cell))):
-                counts["enqueued"] += 1
-            else:
-                counts["already_queued"] += 1
-        return counts
 
 
 def _default_seed() -> int:

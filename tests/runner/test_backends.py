@@ -2,7 +2,7 @@
 
 The backend contract is what keeps every execution strategy byte-identical:
 these tests pin the serial/process parity at several worker counts, the
-backend factory's validation (unknown names and options are named), the
+backend factory's validation (an unknown name is named), the
 ``--jobs auto`` resolution, and the pool's failure semantics exercised
 through an explicitly constructed backend rather than through the runner's
 wiring.
@@ -83,12 +83,9 @@ class TestCpuAutodetect:
 
 
 class TestFactory:
-    def test_every_advertised_backend_constructs(self, tmp_path):
-        from repro.runner import ResultsStore
-
-        store = ResultsStore(tmp_path)
+    def test_every_advertised_backend_constructs(self):
         for name in BACKEND_NAMES:
-            backend = create_backend(name, jobs=1, store=store)
+            backend = create_backend(name, jobs=1)
             assert backend.name == name
 
     def test_unknown_backend_is_named_in_the_error(self):
@@ -97,26 +94,6 @@ class TestFactory:
         assert "threads" in str(excinfo.value)
         for name in BACKEND_NAMES:
             assert name in str(excinfo.value)
-
-    def test_queue_requires_a_store(self):
-        with pytest.raises(ConfigurationError) as excinfo:
-            create_backend("queue", store=None)
-        assert "--cache-dir" in str(excinfo.value)
-
-    def test_unknown_options_are_rejected_per_backend(self):
-        with pytest.raises(ConfigurationError) as excinfo:
-            create_backend("serial", lease_timeout=1.0)
-        assert "lease_timeout" in str(excinfo.value)
-        with pytest.raises(ConfigurationError):
-            create_backend("process", spawn_workers=False)
-
-    @pytest.mark.parametrize("name", BACKEND_NAMES)
-    def test_no_backend_takes_a_timeout(self, name, tmp_path):
-        from repro.runner import ResultsStore
-
-        with pytest.raises(ConfigurationError) as excinfo:
-            create_backend(name, store=ResultsStore(tmp_path), timeout=5.0)
-        assert "timeout" in str(excinfo.value)
 
     def test_process_validations_are_unchanged(self):
         with pytest.raises(ConfigurationError):

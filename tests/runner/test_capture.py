@@ -247,6 +247,47 @@ class TestChildCellValidation:
         assert renamed.policy.name == "CIT-renamed"
         assert child.capture.fingerprint() == replace(capture, scenario=lab_scenario()).fingerprint()
 
+    def test_equal_but_distinct_scenario_is_compared_field_by_field(self):
+        def child_over(capture_scenario):
+            capture = CaptureSpec(
+                key="p", scenario=capture_scenario, n_intervals=241, seed=11,
+                seed_offsets=("train-x", "test-x"),
+            )
+            return SweepCell(
+                key="c", scenario=lab_scenario(), sample_sizes=(60,), trials=4,
+                mode=CollectionMode.HYBRID, seed=11,
+                seed_offsets=("train-x", "test-x"), capture=capture,
+            )
+
+        child = child_over(lab_scenario())  # accepted
+        assert child.capture.scenario is not child.scenario
+        assert child.capture.scenario == child.scenario
+        with pytest.raises(ConfigurationError, match="gateway configuration"):
+            child_over(replace(lab_scenario(), packet_size_bytes=1000))
+
+    def test_shared_scenario_object_skips_the_gateway_comparison(self, monkeypatch):
+        import repro.runner.cells as cells_module
+
+        calls = []
+        real = cells_module.gateway_config_dict
+
+        def counting(scenario):
+            calls.append(scenario)
+            return real(scenario)
+
+        monkeypatch.setattr(cells_module, "gateway_config_dict", counting)
+        scenario = lab_scenario()
+        capture = CaptureSpec(
+            key="p", scenario=scenario, n_intervals=241, seed=11,
+            seed_offsets=("train-x", "test-x"),
+        )
+        SweepCell(
+            key="c", scenario=scenario, sample_sizes=(60,), trials=4,
+            mode=CollectionMode.HYBRID, seed=11,
+            seed_offsets=("train-x", "test-x"), capture=capture,
+        )
+        assert calls == []
+
     def test_running_a_child_without_its_capture_fails_loudly(self):
         with pytest.raises(ConfigurationError) as excinfo:
             run_cell(two_level_cell())

@@ -111,6 +111,28 @@ class TestResultsStore:
             with pytest.raises(ConfigurationError):
                 store.put(bad, {}, RESULT)
 
+    @pytest.mark.parametrize(
+        "token, valid",
+        [
+            ("", False),
+            ("ab", False),
+            ("a/../b", False),
+            ("a b", False),
+            ("ab.c", False),
+            ("x" * 129, False),
+            ("abc", True),
+            ("A1b2C3", True),
+            ("f" * 128, True),
+        ],
+    )
+    def test_only_hashlike_tokens_become_shard_paths(self, store, token, valid):
+        """Fingerprints become file names: 3-128 ASCII letters and digits."""
+        if valid:
+            assert store.shard_path(token).name == f"{token}.jsonl"
+        else:
+            with pytest.raises(ConfigurationError):
+                store.shard_path(token)
+
     def test_root_that_is_a_file_is_rejected(self, tmp_path):
         target = tmp_path / "not-a-dir"
         target.touch()

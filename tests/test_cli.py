@@ -393,24 +393,19 @@ class TestCaptureKernel:
             ["run", "fig6", "--preset", "smoke"],
             ["fig6", "--preset", "smoke"],
             ["sweep", "--preset", "smoke"],
-            ["worker", "--cache-dir", "{store}", "--max-idle", "0"],
-            ["queue", "drain", "--cache-dir", "{store}"],
         ],
-        ids=["run-fig8-quick", "run-fig6-smoke-analytic", "alias", "sweep", "worker", "queue-drain"],
+        ids=["run-fig8-quick", "run-fig6-smoke-analytic", "alias", "sweep"],
     )
-    def test_auto_is_refused_before_any_work(self, argv, tmp_path, monkeypatch, capsys):
+    def test_auto_is_refused_before_any_work(self, argv, monkeypatch, capsys):
         """A bad value is one config error line naming the variable, also for
-        all-analytic runs that never capture, and no runner, worker or drain
-        is started first."""
+        all-analytic runs that never capture, and no runner is started first."""
 
         def no_work(*args, **kwargs):
             raise AssertionError("work started before the kernel was checked")
 
         monkeypatch.setattr("repro.cli.SweepRunner", no_work)
-        monkeypatch.setattr("repro.runner.backends.queue.run_worker", no_work)
-        monkeypatch.setattr("repro.runner.backends.queue.drain_queue", no_work)
         monkeypatch.setenv("REPRO_SIM_KERNEL", "auto")
-        assert main([arg.format(store=tmp_path) for arg in argv]) == 2
+        assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         [line] = captured.err.splitlines()
@@ -473,52 +468,34 @@ class TestCacheIndexCommand:
         assert not (tmp_path / INDEX_FILENAME).exists()
 
 
-class TestQueueCommand:
-    def test_drain_with_one_local_worker_fills_the_store(self, tmp_path, capsys):
-        from repro.experiments import CollectionMode, ScenarioConfig
-        from repro.runner import CaptureSpec, ResultsStore, SweepCell, SweepRunner
-        from repro.runner.backends.queue import WorkQueue, entry_from_task
+class TestBackendChoices:
+    """``serial`` and ``process`` are the only backends; nothing else parses."""
 
-        capture = CaptureSpec(
-            key="cli/parent",
-            scenario=ScenarioConfig(n_hops=3, cross_utilization=0.1),
-            n_intervals=241,
-            seed=12,
-        )
-        cells = [
-            SweepCell(
-                key=f"cli/child/util={utilization}",
-                scenario=ScenarioConfig(n_hops=3, cross_utilization=utilization),
-                sample_sizes=(60,),
-                trials=4,
-                mode=CollectionMode.HYBRID,
-                seed=12,
-                capture=capture,
-            )
-            for utilization in (0.1, 0.3)
-        ]
-        reference = SweepRunner(backend="serial").run(cells)
-        queue = WorkQueue(tmp_path)
-        queue.enqueue(entry_from_task(("capture", capture)))
-        for cell in cells:
-            queue.enqueue(entry_from_task(("cell", cell)))
+    def test_queue_backend_is_an_invalid_choice(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "fig6", "--backend", "queue"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [error] = [line for line in captured.err.splitlines() if "error:" in line]
+        assert "argument --backend: invalid choice: 'queue'" in error
+        assert "'serial'" in error and "'process'" in error
 
-        cache = ["--cache-dir", str(tmp_path)]
-        assert main(["queue", "drain", *cache, "--workers", "1", "--timeout", "120"]) == 0
-        assert (
-            "queue drain: 3 outstanding entr(ies): 2 cells computed "
-            "(1 gateway captures), 0 already cached"
-        ) in capsys.readouterr().out
-        store = ResultsStore(tmp_path)
-        for cell in cells:
-            stored = store.get(cell.fingerprint())["result"]
-            expected = reference[cell.key].to_json_dict()
-            stored.pop("elapsed_seconds"), expected.pop("elapsed_seconds")
-            assert stored == expected
-        assert main(["queue", "status", *cache]) == 0
-        status = capsys.readouterr().out
-        assert "queued=0," in status
-        assert "leased=0," in status
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["worker", "--cache-dir", "store", "--max-idle", "0"],
+            ["queue", "drain", "--cache-dir", "store", "--timeout", "1"],
+        ],
+        ids=["worker", "queue-drain"],
+    )
+    def test_queue_commands_are_unknown(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"invalid choice: {argv[0]!r}" in capsys.readouterr().err
+        assert not (tmp_path / "store").exists()
 
 
 class TestServeCommand:
@@ -582,12 +559,10 @@ class TestStartup:
         code = f"import sys, repro.cli; print({library!r} in sys.modules)"
         assert self.run_python(code) == "False"
 
-    #: What no serial run executes: the process pool, the work queue and its
-    #: config codec, ``repro bench``, and :mod:`multiprocessing`.
+    #: What no serial run executes: the process pool, ``repro bench``, and
+    #: :mod:`multiprocessing`.
     SCALE_OUT_MODULES = (
         "repro.runner.backends.process",
-        "repro.runner.backends.queue",
-        "repro.runner.backends.codec",
         "repro.runner.bench",
         "multiprocessing",
     )
@@ -609,12 +584,12 @@ class TestStartup:
         )
         assert self.run_python(code) == "[]"
 
-    @pytest.mark.parametrize("backend", ["process", "queue"])
-    def test_naming_a_backend_loads_its_module(self, backend, tmp_path):
+    @pytest.mark.parametrize("backend", ["process"])
+    def test_naming_a_backend_loads_its_module(self, backend):
         code = (
             "import sys\n"
-            "from repro.runner import ResultsStore, create_backend\n"
-            f"create_backend({backend!r}, store=ResultsStore({str(tmp_path)!r}))\n"
+            "from repro.runner import create_backend\n"
+            f"create_backend({backend!r})\n"
             f"print('repro.runner.backends.{backend}' in sys.modules)"
         )
         assert self.run_python(code) == "True"
