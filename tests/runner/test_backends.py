@@ -1,7 +1,8 @@
 """Tests for the execution-backend layer: factory, parity, CPU autodetection.
 
 The backend contract is what keeps every execution strategy byte-identical:
-these tests pin the serial/process parity at several worker counts, the
+these tests pin the serial/process parity at several worker counts, for
+every registered experiment and for store-backed cold and warm runs, the
 backend factory's validation (an unknown name is named), the
 ``--jobs auto`` resolution, and the pool's failure semantics exercised
 through an explicitly constructed backend rather than through the runner's
@@ -16,9 +17,10 @@ import signal
 
 import pytest
 
-from repro.exceptions import ConfigurationError
+from repro.api import get_experiment, list_experiments
+from repro.exceptions import ConfigurationError, SweepError
 from repro.experiments import CollectionMode, ScenarioConfig
-from repro.runner import SweepCell, SweepRunner
+from repro.runner import CaptureSpec, ResultsStore, SweepCell, SweepRunner, seed_range
 from repro.runner.backends import (
     BACKEND_NAMES,
     SerialBackend,
@@ -44,6 +46,33 @@ def grid(n_cells: int = 4, **overrides) -> list:
         )
         params.update(overrides)
         cells.append(SweepCell(**params))
+    return cells
+
+
+def two_level_cells(n: int = 2) -> list:
+    """Hybrid children sharing one gateway capture (the fig8 shape)."""
+    cells = []
+    for i in range(n):
+        scenario = ScenarioConfig(n_hops=3, cross_utilization=0.1 + 0.2 * i)
+        capture = CaptureSpec(
+            key="parent",
+            scenario=scenario,
+            n_intervals=241,
+            seed=11,
+            seed_offsets=("train-x", "test-x"),
+        )
+        cells.append(
+            SweepCell(
+                key=f"child/util={0.1 + 0.2 * i:.1f}",
+                scenario=scenario,
+                sample_sizes=(60,),
+                trials=4,
+                mode=CollectionMode.HYBRID,
+                seed=11,
+                seed_offsets=("train-x", "test-x"),
+                capture=capture,
+            )
+        )
     return cells
 
 
@@ -95,6 +124,26 @@ class TestFactory:
         for name in BACKEND_NAMES:
             assert name in str(excinfo.value)
 
+    def test_unknown_options_are_rejected_per_backend(self):
+        """The factory takes a name, a worker count, retries and progress only."""
+        for name in BACKEND_NAMES:
+            for option in ("store", "lease_timeout", "poll_interval", "spawn_workers"):
+                with pytest.raises(TypeError) as excinfo:
+                    create_backend(name, jobs=1, **{option: None})
+                assert option in str(excinfo.value)
+
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    def test_no_backend_takes_a_timeout(self, name):
+        with pytest.raises(TypeError) as excinfo:
+            create_backend(name, jobs=1, timeout=5.0)
+        assert "timeout" in str(excinfo.value)
+
+    @pytest.mark.parametrize("module", ["queue", "codec"])
+    def test_retired_backend_modules_are_gone(self, module):
+        import importlib.util
+
+        assert importlib.util.find_spec(f"repro.runner.backends.{module}") is None
+
     def test_process_validations_are_unchanged(self):
         with pytest.raises(ConfigurationError):
             ProcessBackend(jobs=0)
@@ -121,6 +170,117 @@ class TestBackendParity:
         default = SweepRunner(jobs=2)
         default.run(grid(1))
         assert default.summary().endswith("jobs=2, backend=process")
+
+
+#: Every backend, at the worker counts a store-backed sweep is run with.
+BACKEND_RUNS = [("serial", 1), ("process", 1), ("process", 2)]
+BACKEND_RUN_IDS = ["serial", "process-1", "process-2"]
+
+
+def stored_result(store: ResultsStore, cell) -> dict:
+    """A stored cell result without its wall-clock field."""
+    result = dict(store.get(cell.fingerprint())["result"])
+    result.pop("elapsed_seconds")
+    return result
+
+
+def reference_result(report, cell) -> dict:
+    result = report[cell.key].to_json_dict()
+    result.pop("elapsed_seconds")
+    return result
+
+
+@pytest.mark.parametrize("backend, jobs", BACKEND_RUNS, ids=BACKEND_RUN_IDS)
+class TestStoreBackedRuns:
+    """A sweep with a results store behaves alike on every backend.
+
+    Cold runs fill the store with the storeless serial results, warm runs
+    simulate nothing, and a failure aborts the sweep naming its cell.
+    """
+
+    def runner(self, backend, jobs, root, **options) -> SweepRunner:
+        return SweepRunner(
+            jobs=jobs, store=ResultsStore(root), backend=backend, **options
+        )
+
+    def test_cold_run_stores_the_serial_results(self, backend, jobs, tmp_path):
+        cells = grid(3)
+        reference = SweepRunner(backend="serial").run(cells)
+        report = self.runner(backend, jobs, tmp_path).run(cells)
+        assert (report.hits, report.misses) == (0, 3)
+        store = ResultsStore(tmp_path)
+        for cell in cells:
+            assert stored_result(store, cell) == reference_result(reference, cell)
+
+    def test_warm_run_hits_the_cache(self, backend, jobs, tmp_path):
+        cells = grid(3)
+        SweepRunner(backend="serial", store=ResultsStore(tmp_path)).run(cells)
+        warm = self.runner(backend, jobs, tmp_path).run(cells)
+        assert (warm.hits, warm.misses) == (3, 0)
+
+    def test_already_cached_cells_are_skipped(self, backend, jobs, tmp_path):
+        cells = grid(2)
+        SweepRunner(backend="serial", store=ResultsStore(tmp_path)).run([cells[0]])
+        report = self.runner(backend, jobs, tmp_path).run(cells)
+        assert (report.hits, report.misses) == (1, 1)
+
+    def test_two_level_cells_get_their_capture(self, backend, jobs, tmp_path):
+        cells = two_level_cells(2)
+        reference = SweepRunner(backend="serial").run(cells)
+        report = self.runner(backend, jobs, tmp_path).run(cells)
+        assert report.captures_simulated == 1
+        store = ResultsStore(tmp_path)
+        assert store.get(cells[0].capture.fingerprint(), kind="capture") is not None
+        for cell in cells:
+            assert stored_result(store, cell) == reference_result(reference, cell)
+
+    def test_warm_two_level_run_simulates_no_capture(self, backend, jobs, tmp_path):
+        cells = two_level_cells(2)
+        SweepRunner(backend="serial", store=ResultsStore(tmp_path)).run(cells)
+        warm = self.runner(backend, jobs, tmp_path).run(cells)
+        assert (warm.hits, warm.misses, warm.captures_simulated) == (2, 0, 0)
+
+    def test_failure_aborts_naming_the_cell(self, backend, jobs, tmp_path):
+        cells = grid(1, features=("bogus",))
+        with pytest.raises(SweepError) as excinfo:
+            self.runner(backend, jobs, tmp_path / "store").run(cells)
+        message = str(excinfo.value)
+        assert cells[0].key in message
+        assert "worker traceback" in message
+        assert list(ResultsStore(tmp_path / "store").fingerprints()) == []
+
+    def test_transient_failures_are_retried(
+        self, backend, jobs, tmp_path, monkeypatch
+    ):
+        import repro.runner.runner as runner_module
+
+        cells = grid(2)
+        flaky, attempts = flaky_run_cell(tmp_path, cells[0].key, fail_times=1)
+        monkeypatch.setattr(runner_module, "run_cell", flaky)
+        report = self.runner(backend, jobs, tmp_path / "store", retries=1).run(cells)
+        assert (report.hits, report.misses) == (0, 2)
+        assert [attempts(c) for c in cells] == [2, 1]
+
+
+@pytest.mark.parametrize("name", list_experiments())
+def test_reports_are_byte_identical_across_backends(name, tmp_path):
+    """Every experiment's report, at two seeds, cold and warm, on every backend."""
+    experiment = get_experiment(name, "fast", 2003)
+    seeds = seed_range(2003, 2)
+    cells = experiment.cells(seeds)
+
+    def render(report) -> str:
+        return experiment.assemble(report, seeds=seeds).to_text()
+
+    reference = render(SweepRunner(backend="serial").run(cells))
+    for backend, jobs in BACKEND_RUNS:
+        assert render(SweepRunner(jobs=jobs, backend=backend).run(cells)) == reference
+    root = tmp_path / "store"
+    cold = SweepRunner(jobs=2, backend="process", store=ResultsStore(root))
+    assert render(cold.run(cells)) == reference
+    warm = SweepRunner(backend="serial", store=ResultsStore(root))
+    assert render(warm.run(cells)) == reference
+    assert warm.cache_misses == 0
 
 
 def _send_outcome(sender, function, args) -> None:

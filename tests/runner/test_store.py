@@ -120,8 +120,16 @@ class TestResultsStore:
             ("a b", False),
             ("ab.c", False),
             ("x" * 129, False),
+            ("...", False),
+            ("abc\n", False),
+            ("ab_c", False),
+            ("ab-c", False),
+            ("abc/", False),
+            ("\u00e9\u00e9\u00e9", False),
+            ("\uff11\uff12\uff13", False),
             ("abc", True),
             ("A1b2C3", True),
+            ("000", True),
             ("f" * 128, True),
         ],
     )
@@ -132,6 +140,11 @@ class TestResultsStore:
         else:
             with pytest.raises(ConfigurationError):
                 store.shard_path(token)
+
+    @pytest.mark.parametrize("token", [None, 123, b"abc"], ids=["none", "int", "bytes"])
+    def test_non_string_fingerprints_are_refused(self, store, token):
+        with pytest.raises(ConfigurationError):
+            store.shard_path(token)
 
     def test_root_that_is_a_file_is_rejected(self, tmp_path):
         target = tmp_path / "not-a-dir"

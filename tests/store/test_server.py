@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import get_experiment
+from repro.api import get_experiment, list_experiments
 from repro.runner import ResultsStore, SweepRunner
 from repro.store import StoreIndex, create_server
 
@@ -111,6 +111,28 @@ class TestEndpoints:
         expected = experiment.assemble(report).to_text()
         assert body["report"] == expected
 
+    @pytest.mark.parametrize("name", ["fig4", "fig5", "fig6", "fig8"])
+    def test_every_cached_experiment_serves_its_warm_report(self, served, name):
+        root, base = served
+        status, body = get_json(base, f"/report/{name}?preset=smoke")
+        assert status == 200
+        experiment = get_experiment(name, "smoke", 2003)
+        runner = SweepRunner(store=ResultsStore(root), backend="serial")
+        report = runner.run(experiment.cells())
+        assert runner.cache_misses == 0
+        assert body["report"] == experiment.assemble(report).to_text()
+
+    @pytest.mark.parametrize("name", list_experiments())
+    def test_uncached_report_is_409_naming_repro_run(self, served, name):
+        _, base = served
+        status, body = error_of(lambda: get_json(base, f"/report/{name}?preset=paper"))
+        assert status == 409
+        cells = get_experiment(name, "paper", 2003).cells()
+        assert body["missing"] == [cell.key for cell in cells]
+        assert (body["experiment"], body["preset"]) == (name, "paper")
+        assert "repro run NAME --preset P --cache-dir DIR" in body["error"]
+        assert "enqueue" not in body["error"]
+
     def test_report_on_uncached_grid_is_409_with_missing_cells(self, served):
         _, base = served
         status, body = error_of(lambda: get_json(base, "/report/fig6?preset=fast"))
@@ -147,6 +169,24 @@ class TestErrorPaths:
         status, _ = error_of(lambda: get_json(base, "/points?experiment=fig6&seed=x"))
         assert status == 400
 
+    @pytest.mark.parametrize(
+        "path, parameter",
+        [
+            ("/points?experiment=fig6&seed=1.5", "seed"),
+            ("/report/fig6?preset=smoke&seed=x", "seed"),
+            ("/report/fig6?preset=smoke&seeds=two", "seeds"),
+            ("/report/fig6?preset=smoke&confidence=high", "confidence"),
+            ("/point/fig6%2Futilization%3D0.05?confidence=high", "confidence"),
+        ],
+        ids=["points-seed", "report-seed", "report-seeds", "report-confidence",
+             "point-confidence"],
+    )
+    def test_non_numeric_query_parameter_is_400_naming_it(self, served, path, parameter):
+        _, base = served
+        status, body = error_of(lambda: get_json(base, path))
+        assert status == 400
+        assert f"query parameter {parameter}=" in body["error"]
+
     def test_single_seed_ci_band_is_400(self, served):
         _, base = served
         key = urllib.parse.quote("fig6/utilization=0.05", safe="")
@@ -159,6 +199,15 @@ class TestErrorPaths:
 
 def store_files(root: Path) -> list:
     return sorted(str(path.relative_to(root)) for path in root.rglob("*"))
+
+
+def store_snapshot(root: Path) -> dict:
+    """Every file under ``root`` with its size and modification time."""
+    return {
+        str(path.relative_to(root)): (path.stat().st_size, path.stat().st_mtime_ns)
+        for path in root.rglob("*")
+        if path.is_file()
+    }
 
 
 class TestReadOnly:
@@ -181,6 +230,27 @@ class TestReadOnly:
             urllib.request.urlopen(request)
         assert not 200 <= excinfo.value.code < 300
         assert store_files(root) == before
+
+    @pytest.mark.parametrize("method", ["POST", "PUT", "PATCH", "DELETE"])
+    @pytest.mark.parametrize(
+        "path",
+        ["/", "/experiments", "/report/fig6?preset=smoke", "/enqueue"],
+        ids=["root", "experiments", "report", "enqueue"],
+    )
+    def test_write_methods_are_501_and_write_nothing(self, served, method, path):
+        """No route answers a method other than GET; the store is untouched."""
+        root, base = served
+        before = store_snapshot(root)
+        request = urllib.request.Request(
+            base + path,
+            data=json.dumps({"experiment": "fig6", "preset": "fast"}).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+            method=method,
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request)
+        assert excinfo.value.code == 501
+        assert store_snapshot(root) == before
 
     def test_store_with_an_old_queue_subtree_serves_the_same_report(self, tmp_path):
         """A ``queue/`` directory left by an earlier release is never read.

@@ -486,8 +486,9 @@ class TestBackendChoices:
         [
             ["worker", "--cache-dir", "store", "--max-idle", "0"],
             ["queue", "drain", "--cache-dir", "store", "--timeout", "1"],
+            ["queue", "status", "--cache-dir", "store"],
         ],
-        ids=["worker", "queue-drain"],
+        ids=["worker", "queue-drain", "queue-status"],
     )
     def test_queue_commands_are_unknown(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -497,6 +498,27 @@ class TestBackendChoices:
         assert f"invalid choice: {argv[0]!r}" in capsys.readouterr().err
         assert not (tmp_path / "store").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["sweep", "--figures", "fig6"], ["fig6"]],
+        ids=["sweep", "alias"],
+    )
+    def test_every_experiment_command_refuses_the_queue_backend(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--backend", "queue"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --backend: invalid choice: 'queue'" in captured.err
+
+    def test_help_lists_no_queue_command(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--help"])
+        usage = capsys.readouterr().out
+        assert "serve" in usage
+        for retired in ("worker", "queue", "distributed.md"):
+            assert retired not in usage
+
 
 class TestServeCommand:
     def test_parser_accepts_serve_options(self):
@@ -505,6 +527,13 @@ class TestServeCommand:
         )
         assert args.command == "serve"
         assert args.port == 0
+
+    def test_serve_help_names_no_write_endpoint(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--help"])
+        usage = capsys.readouterr().out
+        assert "read-only" in usage
+        assert "POST" not in usage and "enqueue" not in usage
 
     def test_serve_requires_a_cache_dir(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
