@@ -3,12 +3,18 @@
 :class:`~repro.runner.runner.SweepRunner` owns *what* to run — cache
 partitioning, capture resolution, accounting, the single-writer store — and
 delegates *how* to run it to an :class:`ExecutionBackend`.  A backend receives
-a list of tasks (cells or gateway captures) and yields exactly one terminal
+a stream of tasks (cells or gateway captures) and yields exactly one terminal
 outcome per task: the computed :class:`~repro.runner.cells.CellResult` /
 :class:`~repro.runner.capture.CaptureResult`, or a :class:`TaskFailure`
 marker naming the task that kept failing.  Outcomes may arrive in any order;
 the runner re-orders results by cell key, which is what makes every backend
 byte-identical at any worker count.
+
+A task is self-contained: a two-level cell's task carries its resolved
+gateway capture, so whatever runs the task needs nothing else, and the
+capture lives only as long as some task or the runner still refers to it.
+Backends pull tasks from the stream only as they have room for them, which
+is what lets the runner resolve each capture just before its first child.
 
 Two backends ship with the package:
 
@@ -30,10 +36,10 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     ClassVar,
+    Deque,
     Dict,
+    Iterable,
     Iterator,
-    List,
-    Mapping,
     Optional,
     Tuple,
     Union,
@@ -46,16 +52,14 @@ from repro.runner.cells import CellResult, SweepCell
 if TYPE_CHECKING:
     from concurrent.futures import Future
 
-#: A schedulable unit of work: a cell or a gateway capture.  Plain tuples
-#: keep pool payloads boring and picklable.
+#: A schedulable unit of work: a cell, a two-level cell with its resolved
+#: gateway capture, or a gateway capture to simulate.  Plain tuples keep pool
+#: payloads boring and picklable.
 Task = Union[
     Tuple[str, SweepCell],  # ("cell", cell)
+    Tuple[str, SweepCell, CaptureResult],  # ("cell", child, its capture)
     Tuple[str, CaptureSpec],  # ("capture", spec)
 ]
-
-#: Resolved gateway captures by fingerprint: what a two-level cell's task
-#: needs besides the cell itself.
-Captures = Mapping[str, CaptureResult]
 
 ProgressFn = Optional[Callable[[str], None]]
 
@@ -90,12 +94,12 @@ def task_unit(task: Task) -> str:
     return "gateway capture" if task[0] == "capture" else "cell"
 
 
-def execute_task(task: Task, captures: Captures) -> TaskOutcome:
+def execute_task(task: Task) -> TaskOutcome:
     """Run one task, converting any exception to a :class:`TaskFailure`.
 
     The entry point every backend funnels work through — pool workers and
-    the in-process serial loop alike.  A two-level cell
-    takes its gateway capture from ``captures``.  ``run_cell`` and
+    the in-process serial loop alike.  A two-level cell takes its gateway
+    capture from the task's third element.  ``run_cell`` and
     ``run_capture`` are resolved through :mod:`repro.runner.runner` at call
     time (not import time) so a patched ``repro.runner.runner.run_cell``
     — the seam the fault-injection tests use — is honoured by every
@@ -106,11 +110,7 @@ def execute_task(task: Task, captures: Captures) -> TaskOutcome:
     try:
         if task[0] == "capture":
             return _runner.run_capture(task[1])
-        cell = task[1]
-        capture = None
-        if cell.capture is not None:
-            capture = captures.get(cell.capture.fingerprint())
-        return _runner.run_cell(cell, capture=capture)
+        return _runner.run_cell(task[1], capture=task[2] if len(task) > 2 else None)
     except Exception as exc:
         return TaskFailure(
             key=task_key(task),
@@ -121,7 +121,7 @@ def execute_task(task: Task, captures: Captures) -> TaskOutcome:
 
 
 def run_with_retries(
-    tasks: List[Task],
+    tasks: Iterable[Task],
     submit: Callable[[Task], "Future[TaskOutcome]"],
     retries: int,
     progress: ProgressFn,
@@ -129,10 +129,11 @@ def run_with_retries(
 ) -> Iterator[TaskOutcome]:
     """The bounded-retry loop of the serial and process backends.
 
-    Keeps at most ``window`` submitted tasks unfinished and yields each
-    terminal outcome as its future completes.  A task whose outcome is a
-    :class:`TaskFailure` goes to the back of the line until it has had
-    ``retries + 1`` attempts.  A future that raises
+    Pulls a task from ``tasks`` only when fewer than ``window`` submitted
+    tasks are unfinished, and yields each terminal outcome as its future
+    completes.  A task whose outcome is a :class:`TaskFailure` goes to the
+    back of the line, behind every task still in the stream, until it has
+    had ``retries + 1`` attempts.  A future that raises
     :class:`~concurrent.futures.BrokenExecutor` means a pool worker died
     (OOM killer, SIGKILL): the pool cannot run anything more, so that task,
     and every task submitted after it, yields its failure at once rather
@@ -156,19 +157,22 @@ def run_with_retries(
             unit=task_unit(task),
         )
 
-    max_attempts = retries + 1
-    waiting = deque((task, 1) for task in tasks)
-    running: Dict["Future[TaskOutcome]", Tuple[Task, int]] = {}
-    while waiting or running:
-        while waiting and len(running) < window:
-            task, attempt = waiting.popleft()
+    def fill() -> Iterator[TaskFailure]:
+        while len(running) < window:
+            task = next(fresh, None)
+            if task is not None:
+                attempt = 1
+            elif retrying:
+                task, attempt = retrying.popleft()
+            else:
+                return
             try:
                 running[submit(task)] = (task, attempt)
             except BrokenExecutor as exc:
                 # A broken pool refuses new work at submission time.
                 yield worker_died(task, exc)
-        if not running:
-            continue
+
+    def reap() -> Iterator[TaskOutcome]:
         done, _ = wait(running, return_when=FIRST_COMPLETED)
         for future in done:
             task, attempt = running.pop(future)
@@ -183,9 +187,22 @@ def run_with_retries(
                         f"{outcome.unit} {outcome.key}: failed, retrying "
                         f"(attempt {attempt + 1}/{max_attempts})"
                     )
-                waiting.append((task, attempt + 1))
+                retrying.append((task, attempt + 1))
             else:
                 yield outcome
+
+    max_attempts = retries + 1
+    fresh = iter(tasks)
+    retrying: Deque[Tuple[Task, int]] = deque()
+    running: Dict["Future[TaskOutcome]", Tuple[Task, int]] = {}
+    # Each phase keeps its tasks in its own frame, which is gone before the
+    # next pull from the stream: a finished task's capture is already freed
+    # when the stream resolves the next one.
+    while True:
+        yield from fill()
+        if not running:
+            return
+        yield from reap()
 
 
 def available_cpu_count() -> int:
@@ -230,7 +247,7 @@ class ExecutionBackend(ABC):
     The contract:
 
     * :meth:`execute` yields exactly one terminal outcome per task, in any
-      order.  A task that keeps failing yields a :class:`TaskFailure` rather
+      order, and holds no task longer than it takes to reach its outcome.  A task that keeps failing yields a :class:`TaskFailure` rather
       than raising, so the caller can name the cell in its error.
     * Task execution goes through :func:`execute_task`: cells and captures
       are pure functions of their configuration, so *where* they run never
@@ -243,13 +260,11 @@ class ExecutionBackend(ABC):
     name: ClassVar[str] = "abstract"
 
     @abstractmethod
-    def execute(
-        self, tasks: List[Task], captures: Optional[Captures] = None
-    ) -> Iterator[TaskOutcome]:
+    def execute(self, tasks: Iterable[Task]) -> Iterator[TaskOutcome]:
         """Run every task, yielding one terminal outcome per task.
 
-        ``captures`` holds the resolved gateway captures the tasks' two-level
-        cells reference; each backend decides how they reach its workers.
+        ``tasks`` may be a lazy stream; it is pulled no further ahead than
+        the backend has room to run.
         """
 
 
@@ -260,7 +275,6 @@ def validate_retries(retries: int) -> int:
 
 
 __all__ = [
-    "Captures",
     "ExecutionBackend",
     "ProgressFn",
     "Task",

@@ -11,10 +11,10 @@
   instead of waiting for a result that will never come.  Re-running the
   sweep computes only what the store still lacks.
 
-The resolved gateway captures reach each worker once, through the
-executor's ``initializer``: under ``fork`` the worker inherits them without
-pickling, under ``spawn`` they are pickled once per worker rather than once
-per task.
+A two-level cell's gateway capture reaches its worker inside the task, so
+it is pickled with each task that needs it, under ``fork`` and ``spawn``
+alike, and a worker holds it only while it runs that task.  One pool serves
+the whole stream of tasks.
 
 When there is nothing to parallelise (``jobs == 1`` or a single task), the
 backend runs the serial loop instead of paying for a one-worker pool.
@@ -23,12 +23,13 @@ backend runs the serial loop instead of paying for a one-worker pool.
 from __future__ import annotations
 
 import sys
+from collections import deque
 from functools import partial
-from typing import Iterator, List, Optional
+from itertools import islice
+from typing import Iterable, Iterator
 
 from repro.exceptions import ConfigurationError
 from repro.runner.backends.base import (
-    Captures,
     ExecutionBackend,
     ProgressFn,
     Task,
@@ -50,19 +51,6 @@ def default_mp_context() -> str:
     return "fork" if sys.platform == "linux" else "spawn"
 
 
-#: The captures installed in this worker process by :func:`_install_captures`.
-_worker_captures: Captures = {}
-
-
-def _install_captures(captures: Captures) -> None:
-    global _worker_captures
-    _worker_captures = captures
-
-
-def _execute_in_worker(task: Task) -> TaskOutcome:
-    return execute_task(task, _worker_captures)
-
-
 class ProcessBackend(ExecutionBackend):
     """Pool-based execution with bounded retries."""
 
@@ -77,14 +65,20 @@ class ProcessBackend(ExecutionBackend):
         self.retries = validate_retries(retries)
         self._progress = progress
 
-    def execute(
-        self, tasks: List[Task], captures: Optional[Captures] = None
-    ) -> Iterator[TaskOutcome]:
-        workers = min(self.jobs, len(tasks))
+    def execute(self, tasks: Iterable[Task]) -> Iterator[TaskOutcome]:
+        rest = iter(tasks)
+        # Peek at most ``jobs`` tasks to size the pool: min(jobs, task count).
+        head = deque(islice(rest, self.jobs))
+        workers = len(head)
+
+        def stream() -> Iterator[Task]:
+            # Popped, not iterated: a peeked task is not kept alive past its turn.
+            while head:
+                yield head.popleft()
+            yield from rest
+
         if workers <= 1:
-            yield from SerialBackend(self.retries, self._progress).execute(
-                tasks, captures
-            )
+            yield from SerialBackend(self.retries, self._progress).execute(stream())
             return
         # Imported on first use: the pool modules cost start-up time that
         # serial, one-worker and cached runs never need back.
@@ -92,14 +86,11 @@ class ProcessBackend(ExecutionBackend):
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(
-            workers,
-            multiprocessing.get_context(default_mp_context()),
-            initializer=_install_captures,
-            initargs=(captures or {},),
+            workers, multiprocessing.get_context(default_mp_context())
         ) as executor:
             yield from run_with_retries(
-                tasks,
-                partial(executor.submit, _execute_in_worker),
+                stream(),
+                partial(executor.submit, execute_task),
                 self.retries,
                 self._progress,
                 window=workers,

@@ -12,10 +12,9 @@ backend.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import Iterable, Iterator
 
 from repro.runner.backends.base import (
-    Captures,
     ExecutionBackend,
     ProgressFn,
     Task,
@@ -35,14 +34,12 @@ class SerialBackend(ExecutionBackend):
         self.retries = validate_retries(retries)
         self._progress = progress
 
-    def execute(
-        self, tasks: List[Task], captures: Optional[Captures] = None
-    ) -> Iterator[TaskOutcome]:
+    def execute(self, tasks: Iterable[Task]) -> Iterator[TaskOutcome]:
         from concurrent.futures import Future
 
         def run_now(task: Task) -> "Future[TaskOutcome]":
             future: "Future[TaskOutcome]" = Future()
-            future.set_result(execute_task(task, captures or {}))
+            future.set_result(execute_task(task))
             return future
 
         yield from run_with_retries(tasks, run_now, self.retries, self._progress)

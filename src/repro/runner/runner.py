@@ -7,10 +7,14 @@ zero pool overhead) or ``process`` (a process pool over local workers) —
 and streaming every computed result into an optional
 :class:`~repro.runner.store.ResultsStore` so that repeated sweeps skip the
 simulation entirely.  Two-level cells (a shared gateway capture feeding
-per-scenario children, :mod:`repro.runner.capture`) are resolved in a first
-pass: each distinct capture fingerprint is served from the store or
-simulated once, then handed to the backend with the child cells, and the
-backend decides how it reaches their workers.
+per-scenario children, :mod:`repro.runner.capture`) give each capture a
+lifetime: the backend pulls cell tasks from a lazy stream in grid order, the
+runner resolves a capture (served from the store, or simulated once and
+stored) when the stream reaches its first pending child, every child's task
+carries the capture to wherever it runs, and the runner drops its reference
+once the capture's last child has a terminal outcome.  When a capture's
+children are contiguous in the grid, as every registered experiment's are,
+the serial backend holds one capture at a time.
 
 Guarantees:
 
@@ -32,10 +36,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 from repro.exceptions import ConfigurationError, SweepError
-from repro.runner.backends import create_backend
+from repro.runner.backends import SerialBackend, create_backend
 from repro.runner.backends.base import Task, TaskFailure
 from repro.runner.capture import CaptureResult, CaptureSpec, run_capture
 from repro.runner.cells import CellResult, SweepCell, run_cell
@@ -162,25 +166,47 @@ class SweepRunner:
                 pending[fingerprint] = cell
         store_fingerprints = set(resolved)
 
-        captures = self._resolve_captures(list(pending.values()))
-        tasks: List[Task] = [("cell", cell) for cell in pending.values()]
-        shared = {fingerprint: result for fingerprint, (result, _) in captures.items()}
-        for outcome in self._backend.execute(tasks, shared):
+        # Each capture lives from its first pending child's pull to its last
+        # pending child's terminal outcome.
+        children_left: Dict[str, int] = {}  # capture fingerprint -> cells to go
+        for cell in pending.values():
+            if cell.capture is not None:
+                fingerprint = cell.capture.fingerprint()
+                children_left[fingerprint] = children_left.get(fingerprint, 0) + 1
+        live: Dict[str, CaptureResult] = {}
+        capture_from_cache: List[bool] = []
+
+        def tasks() -> Iterator[Task]:
+            for cell in pending.values():
+                if cell.capture is None:
+                    yield ("cell", cell)
+                    continue
+                fingerprint = cell.capture.fingerprint()
+                if fingerprint not in live:
+                    live[fingerprint] = self._resolve_capture(cell.capture)
+                    capture_from_cache.append(live[fingerprint].from_cache)
+                yield ("cell", cell, live[fingerprint])
+
+        for outcome in self._backend.execute(tasks()):
             if isinstance(outcome, TaskFailure):
                 raise SweepError(
                     f"sweep cell {outcome.key!r} failed: {outcome.error}\n"
                     f"--- worker traceback ---\n{outcome.worker_traceback}"
                 )
             resolved[outcome.fingerprint] = outcome
+            cell = pending[outcome.fingerprint]
             if self.store is not None:
                 self.store.put(
-                    outcome.fingerprint,
-                    pending[outcome.fingerprint].config_dict(),
-                    outcome.to_json_dict(),
+                    outcome.fingerprint, cell.config_dict(), outcome.to_json_dict()
                 )
             self._report(
                 f"cell {outcome.key}: simulated in {outcome.elapsed_seconds:.2f}s"
             )
+            if cell.capture is not None:
+                fingerprint = cell.capture.fingerprint()
+                children_left[fingerprint] -= 1
+                if not children_left[fingerprint]:
+                    del live[fingerprint]
 
         hits = misses = deduplicated = 0
         for cell in cell_list:
@@ -191,8 +217,8 @@ class SweepRunner:
                 misses += 1
             else:
                 deduplicated += 1
-        run_hits = sum(1 for _, from_cache in captures.values() if from_cache)
-        run_captures = sum(1 for _, from_cache in captures.values() if not from_cache)
+        run_hits = sum(capture_from_cache)
+        run_captures = len(capture_from_cache) - run_hits
         self.cells_seen += len(cell_list)
         self.cache_hits += hits
         self.cache_misses += misses
@@ -230,63 +256,40 @@ class SweepRunner:
         return line + f", jobs={self.jobs}, backend={self.backend_name}"
 
     # -------------------------------------------------------------- internals
-    def _resolve_captures(
-        self, cells: List[SweepCell]
-    ) -> Dict[str, Tuple[CaptureResult, bool]]:
-        """Serve or simulate every distinct gateway capture the cells need.
+    def _resolve_capture(self, spec: CaptureSpec) -> CaptureResult:
+        """Serve a gateway capture from the store, or simulate and store it.
 
-        Returns fingerprint → (result, served_from_store).  Each distinct
-        capture is computed at most once per sweep and persisted like a cell
-        result (``kind="capture"``), so later sweeps — and other cells of
-        this one — reuse it without touching the event simulator.  Captures
-        are resolved *before* any cell task is dispatched, so the backend
-        hands every two-level cell its capture alongside the task.
+        Persisted like a cell result (``kind="capture"``), so later sweeps
+        reuse it without touching the gateway simulator.  The simulation
+        runs inline, with the same bounded retries as a cell.
         """
-        specs: Dict[str, CaptureSpec] = {}
-        for cell in cells:
-            if cell.capture is not None:
-                specs.setdefault(cell.capture.fingerprint(), cell.capture)
-        if not specs:
-            return {}
-
-        resolved: Dict[str, Tuple[CaptureResult, bool]] = {}
-        to_run: List[CaptureSpec] = []
-        for fingerprint, spec in specs.items():
-            record = (
-                self.store.get(fingerprint, kind="capture")
-                if self.store is not None
-                else None
+        fingerprint = spec.fingerprint()
+        record = (
+            self.store.get(fingerprint, kind="capture")
+            if self.store is not None
+            else None
+        )
+        if record is not None:
+            self._report(f"gateway capture {spec.key}: cache hit")
+            return CaptureResult.from_json_dict(
+                spec.key, fingerprint, record["result"], from_cache=True
             )
-            if record is not None:
-                resolved[fingerprint] = (
-                    CaptureResult.from_json_dict(
-                        spec.key, fingerprint, record["result"], from_cache=True
-                    ),
-                    True,
-                )
-                self._report(f"gateway capture {spec.key}: cache hit")
-            else:
-                to_run.append(spec)
-
-        capture_tasks: List[Task] = [("capture", spec) for spec in to_run]
-        for outcome in self._backend.execute(capture_tasks):
-            if isinstance(outcome, TaskFailure):
-                raise SweepError(
-                    f"{outcome.unit} {outcome.key!r} failed: {outcome.error}\n"
-                    f"--- worker traceback ---\n{outcome.worker_traceback}"
-                )
-            resolved[outcome.fingerprint] = (outcome, False)
-            if self.store is not None:
-                self.store.put(
-                    outcome.fingerprint,
-                    specs[outcome.fingerprint].config_dict(),
-                    outcome.to_json_dict(),
-                    kind="capture",
-                )
-            self._report(
-                f"gateway capture {outcome.key}: simulated in {outcome.elapsed_seconds:.2f}s"
+        (outcome,) = SerialBackend(self.retries, self._progress).execute(
+            [("capture", spec)]
+        )
+        if isinstance(outcome, TaskFailure):
+            raise SweepError(
+                f"{outcome.unit} {outcome.key!r} failed: {outcome.error}\n"
+                f"--- worker traceback ---\n{outcome.worker_traceback}"
             )
-        return resolved
+        if self.store is not None:
+            self.store.put(
+                fingerprint, spec.config_dict(), outcome.to_json_dict(), kind="capture"
+            )
+        self._report(
+            f"gateway capture {outcome.key}: simulated in {outcome.elapsed_seconds:.2f}s"
+        )
+        return outcome
 
     def _report(self, line: str) -> None:
         if self._progress is not None:

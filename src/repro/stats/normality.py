@@ -55,7 +55,9 @@ def jarque_bera_normality(sample: np.ndarray) -> tuple[float, float]:
 def _standard_normal_quantiles(size: int) -> np.ndarray:
     """Standard normal quantiles at the Q–Q plotting positions ``(i - 0.5)/n``."""
     inv_cdf = NormalDist().inv_cdf
-    quantiles = np.array([inv_cdf((i - 0.5) / size) for i in range(1, size + 1)])
+    quantiles = np.fromiter(
+        (inv_cdf((i - 0.5) / size) for i in range(1, size + 1)), dtype=float, count=size
+    )
     quantiles.flags.writeable = False
     return quantiles
 

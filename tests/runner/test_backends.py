@@ -49,26 +49,30 @@ def grid(n_cells: int = 4, **overrides) -> list:
     return cells
 
 
-def two_level_cells(n: int = 2) -> list:
-    """Hybrid children sharing one gateway capture (the fig8 shape)."""
+def two_level_cells(n: int = 2, seed: int = 11) -> list:
+    """Hybrid children sharing one gateway capture (the fig8 shape).
+
+    Each ``seed`` is a distinct capture; keys name it, so the children of
+    several captures can share one grid.
+    """
     cells = []
     for i in range(n):
         scenario = ScenarioConfig(n_hops=3, cross_utilization=0.1 + 0.2 * i)
         capture = CaptureSpec(
-            key="parent",
+            key=f"parent-{seed}",
             scenario=scenario,
             n_intervals=241,
-            seed=11,
+            seed=seed,
             seed_offsets=("train-x", "test-x"),
         )
         cells.append(
             SweepCell(
-                key=f"child/util={0.1 + 0.2 * i:.1f}",
+                key=f"child-{seed}/util={0.1 + 0.2 * i:.1f}",
                 scenario=scenario,
                 sample_sizes=(60,),
                 trials=4,
                 mode=CollectionMode.HYBRID,
-                seed=11,
+                seed=seed,
                 seed_offsets=("train-x", "test-x"),
                 capture=capture,
             )
@@ -260,6 +264,76 @@ class TestStoreBackedRuns:
         report = self.runner(backend, jobs, tmp_path / "store", retries=1).run(cells)
         assert (report.hits, report.misses) == (0, 2)
         assert [attempts(c) for c in cells] == [2, 1]
+
+    def test_a_capture_is_freed_after_its_last_child(
+        self, backend, jobs, tmp_path, monkeypatch
+    ):
+        """The runner resolves a capture at its first child and lets it go
+        after its last: when the stream resolves the next capture, only the
+        tasks still in flight can hold an earlier one, and none outlives the
+        run."""
+        import weakref
+
+        import repro.runner.runner as runner_module
+        from repro.runner.capture import run_capture as real_run_capture
+
+        cells = [cell for seed in (11, 12, 13) for cell in two_level_cells(3, seed)]
+        reference = SweepRunner(backend="serial").run(cells)
+        captures = []
+        alive_at_resolution = []
+
+        def tracked(spec):
+            alive_at_resolution.append(sum(ref() is not None for ref in captures))
+            result = real_run_capture(spec)
+            captures.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(runner_module, "run_capture", tracked)
+        report = self.runner(backend, jobs, tmp_path).run(cells)
+        assert report.captures_simulated == len(captures) == 3
+        # A pool's result thread may hold the task it has just completed for
+        # an instant longer than the runner does.
+        in_flight = jobs if backend == "process" and jobs > 1 else 0
+        assert max(alive_at_resolution) <= in_flight
+        assert [ref() for ref in captures] == [None] * 3
+        for cell in cells:
+            assert reference_result(report, cell) == reference_result(reference, cell)
+
+    def test_interleaved_captures_match_the_grouped_run(self, backend, jobs, tmp_path):
+        """Children of two captures in alternating order: each capture is
+        still resolved once, and every child gets its own."""
+        first, second = two_level_cells(3, 11), two_level_cells(3, 12)
+        grouped = SweepRunner(backend="serial").run(first + second)
+        interleaved = [cell for pair in zip(first, second) for cell in pair]
+        report = self.runner(backend, jobs, tmp_path).run(interleaved)
+        assert (report.misses, report.captures_simulated) == (6, 2)
+        assert list(report.results) == [cell.key for cell in interleaved]
+        for cell in interleaved:
+            assert reference_result(report, cell) == reference_result(grouped, cell)
+
+    def test_a_failed_child_gets_its_capture_on_the_retry(
+        self, backend, jobs, tmp_path, monkeypatch
+    ):
+        import repro.runner.runner as runner_module
+        from repro.runner.capture import run_capture as real_run_capture
+
+        cells = two_level_cells(3)
+        reference = SweepRunner(backend="serial").run(cells)
+        flaky, attempts = flaky_run_cell(tmp_path, cells[0].key, fail_times=1)
+        simulated = []
+
+        def counted(spec):
+            simulated.append(spec.key)
+            return real_run_capture(spec)
+
+        monkeypatch.setattr(runner_module, "run_cell", flaky)
+        monkeypatch.setattr(runner_module, "run_capture", counted)
+        report = self.runner(backend, jobs, tmp_path / "store", retries=1).run(cells)
+        assert (report.misses, report.captures_simulated) == (3, 1)
+        assert simulated == [cells[0].capture.key]
+        assert [attempts(c) for c in cells] == [2, 1, 1]
+        for cell in cells:
+            assert reference_result(report, cell) == reference_result(reference, cell)
 
 
 @pytest.mark.parametrize("name", list_experiments())

@@ -481,6 +481,39 @@ class TestCaptureCaching:
             cold[child.key], elapsed_seconds=0.0
         )
 
+    def test_serial_run_holds_one_capture_at_a_time(self, tmp_path, monkeypatch):
+        """Three captures, each with a contiguous group of children: a capture
+        is freed once its last child is done, so while a group runs its
+        capture is the only one alive."""
+        import weakref
+
+        import repro.runner.runner as runner_module
+
+        children = [
+            two_level_cell(u, seed=seed, key=f"seed={seed}/util={u!r}")
+            for seed in (11, 12, 13)
+            for u in (0.1, 0.2, 0.4)
+        ]
+        captures = []  # weakrefs, in resolution order
+        alive_per_child = []
+
+        def tracked_capture(spec):
+            result = run_capture(spec)
+            captures.append(weakref.ref(result))
+            return result
+
+        def tracked_cell(cell, capture=None):
+            alive_per_child.append([i for i, ref in enumerate(captures) if ref() is not None])
+            return run_cell(cell, capture=capture)
+
+        monkeypatch.setattr(runner_module, "run_capture", tracked_capture)
+        monkeypatch.setattr(runner_module, "run_cell", tracked_cell)
+        runner = SweepRunner(backend="serial", store=ResultsStore(tmp_path))
+        report = runner.run(children)
+        assert report.captures_simulated == 3
+        assert alive_per_child == [[0]] * 3 + [[1]] * 3 + [[2]] * 3
+        assert [ref() for ref in captures] == [None] * 3
+
     def test_fully_warm_run_needs_neither_captures_nor_cells(self, tmp_path):
         children = [two_level_cell(u) for u in (0.1, 0.4)]
         SweepRunner(store=ResultsStore(tmp_path)).run(children)
@@ -501,7 +534,7 @@ class TestCaptureCaching:
 
     def test_spawned_workers_receive_the_shared_capture(self, monkeypatch):
         """Under ``spawn`` (the macOS default) no parent state is inherited:
-        the pool's initializer must deliver the resolved capture itself."""
+        each child's task must carry its resolved capture to the worker."""
         import repro.runner.backends.process as process_module
 
         started = []

@@ -11,7 +11,7 @@ from scipy import stats as sps
 from repro.exceptions import AnalysisError
 from repro.experiments.base import CollectionMode, ScenarioConfig, collect_labelled_intervals
 from repro.stats import jarque_bera_normality, normality_report, qq_deviation
-from repro.stats.normality import _normal_quantiles
+from repro.stats.normality import _normal_quantiles, _standard_normal_quantiles
 
 
 def assert_moments_match_scipy(data, report):
@@ -89,6 +89,18 @@ class TestQQDeviation:
         for _ in range(2):  # the second call is served from the cache
             got = _normal_quantiles(size, mean, std)
             assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("size", [1, 2, 8, 40_001])
+    def test_standard_quantiles_equal_the_list_form_and_are_read_only(self, size):
+        """Built without a list of floats, yet the same ``inv_cdf`` calls and bits."""
+        inv_cdf = NormalDist().inv_cdf
+        expected = np.array([inv_cdf((i - 0.5) / size) for i in range(1, size + 1)])
+        got = _standard_normal_quantiles(size)
+        assert got.dtype == np.float64 and got.shape == (size,)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0] = 1.0
 
 
 class TestNormalityReport:
