@@ -18,7 +18,8 @@ sent.
 
 :mod:`repro.adversary.tap` — passive capture of packet timings at any
 observation point — is part of the event-engine reference
-(``REPRO_SIM_KERNEL=event``) and is not re-exported here.
+(:func:`repro.experiments.base.simulate_gateway_capture_events`) and is not
+re-exported here.
 """
 
 from repro.adversary.bayes import KDEBayesClassifier

@@ -99,24 +99,6 @@ class Tap:
             stamps = np.sort(stamps)
         return np.diff(stamps)
 
-    def piat_sample(self, sample_size: int, since: Optional[float] = None) -> np.ndarray:
-        """The most recent ``sample_size`` PIATs (what the run-time attack uses).
-
-        Raises
-        ------
-        AnalysisError
-            If fewer than ``sample_size`` intervals have been captured.
-        """
-        if sample_size < 1:
-            raise AnalysisError("sample_size must be >= 1")
-        intervals = self.intervals(since=since)
-        if intervals.size < sample_size:
-            raise AnalysisError(
-                f"tap {self.name!r} captured only {intervals.size} intervals; "
-                f"{sample_size} requested"
-            )
-        return intervals[-sample_size:]
-
     def observed_rate_pps(self) -> float:
         """Average packet rate seen at the tap (sanity check: the padded rate)."""
         stamps = self.timestamps

@@ -57,7 +57,6 @@ from repro.api import (
     run_experiment,
 )
 from repro.exceptions import ConfigurationError, ReproError
-from repro.experiments.base import resolve_kernel_mode
 from repro.runner import ResultsStore, SweepRunner, resolve_jobs, seed_range
 from repro.runner.defaults import BACKEND_NAMES, DEFAULT_MAX_REGRESSION
 
@@ -632,10 +631,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     _validate_args(parser, args)
     accounting: Optional[str] = None
     try:
-        if args.command in ("run", "sweep", *LEGACY_FIGURES):
-            # A bad $REPRO_SIM_KERNEL is a one-line error before any work,
-            # not a worker traceback out of the first capture.
-            resolve_kernel_mode()
         if args.command == "list":
             report = _render_list()
         elif args.command == "bench":

@@ -41,10 +41,9 @@ analytical model and of the paper's testbed traffic generator.
 from __future__ import annotations
 
 import enum
-import os
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -247,37 +246,37 @@ class PaddedStreamCapture:
 
 
 # --------------------------------------------------------------------------- collection
-#: Environment variable selecting the capture kernel: ``vectorized`` (the
-#: default, and the only path the runtime takes) or ``event`` (replay the
-#: event loop — the reference the equivalence tests, CI and ``repro bench``
-#: compare the kernel against).
-KERNEL_ENV_VAR = "REPRO_SIM_KERNEL"
+def _capture_horizon(
+    scenario: ScenarioConfig, n_intervals: int, with_network: bool
+) -> Tuple[float, int, float]:
+    """``(duration, n_hops, cross_rate)`` of one capture, shared by both paths.
 
-KERNEL_MODES = ("vectorized", "event")
-
-
-def resolve_kernel_mode(kernel: Optional[str] = None) -> str:
-    """Normalise the capture-kernel selection (argument beats environment)."""
-    mode = kernel if kernel is not None else os.environ.get(KERNEL_ENV_VAR, "vectorized")
-    mode = str(mode).strip().lower()
-    if mode not in KERNEL_MODES:
-        raise ConfigurationError(
-            f"kernel={mode!r} is not a capture kernel; choose one of {KERNEL_MODES} "
-            f"(set explicitly or via ${KERNEL_ENV_VAR})"
+    ``cross_rate`` is the per-hop cross-traffic rate (pps) that loads each
+    router to the scenario's utilization.
+    """
+    # Enough simulated time to capture warmup + the requested intervals, with
+    # a small margin for the packets still in flight across the path.
+    duration = scenario.warmup_time + (n_intervals + 20) * scenario.policy.mean_interval + 0.5
+    n_hops = scenario.n_hops if with_network else 0
+    cross_rate = 0.0
+    if n_hops > 0 and scenario.cross_utilization != 0.0:
+        cross_rate = cross_traffic_rate_for_utilization(
+            scenario.cross_utilization,
+            scenario.link_rate_bps,
+            scenario.packet_size_bytes,
+            padded_rate_pps=scenario.policy.padded_rate_pps,
         )
-    return mode
+    return duration, n_hops, cross_rate
 
 
-def _cross_traffic_rate(scenario: ScenarioConfig) -> float:
-    """Per-hop cross-traffic rate (pps) that loads each router to the target."""
-    if scenario.cross_utilization == 0.0:
-        return 0.0
-    return cross_traffic_rate_for_utilization(
-        scenario.cross_utilization,
-        scenario.link_rate_bps,
-        scenario.packet_size_bytes,
-        padded_rate_pps=scenario.policy.padded_rate_pps,
-    )
+def _first_intervals(intervals: np.ndarray, n_intervals: int, label: str) -> np.ndarray:
+    """The first ``n_intervals`` captured intervals, refused if there are fewer."""
+    if intervals.size < n_intervals:
+        raise ConfigurationError(
+            f"capture for class {label!r} produced only {intervals.size} intervals; "
+            f"{n_intervals} requested (increase the horizon margin)"
+        )
+    return intervals[:n_intervals]
 
 
 def simulate_gateway_capture(
@@ -287,38 +286,25 @@ def simulate_gateway_capture(
     streams: RandomStreams,
     label: str,
     with_network: bool,
-    kernel: Optional[str] = None,
 ) -> np.ndarray:
     """Simulate one payload rate's padded capture and return tap intervals.
 
     ``with_network`` sends the padded stream through the scenario's
     ``n_hops`` shared routers before the tap (simulation mode); without it
     the tap sits at the gateway's output (hybrid mode).  The capture runs
-    through the vectorized closed-form kernel (:mod:`repro.sim.kernel`).
-    ``kernel="event"`` (or ``REPRO_SIM_KERNEL=event``) replays the event
-    engine instead: that is the reference the kernel is proven
-    byte-identical to, run by the equivalence tests, CI and ``repro bench``.
-    The kernel covers the standard :class:`InterruptDisturbance` (or none);
-    any other disturbance raises :class:`ConfigurationError` and needs the
-    event engine.
+    through the vectorized closed-form kernel (:mod:`repro.sim.kernel`),
+    which is byte-identical to the event-engine replay
+    :func:`simulate_gateway_capture_events`.  The kernel covers the standard
+    :class:`InterruptDisturbance` (or none); any other disturbance raises
+    :class:`ConfigurationError`, and only the reference replays it.
     """
-    mode = resolve_kernel_mode(kernel)
-    # Enough simulated time to capture warmup + the requested intervals, with
-    # a small margin for the packets still in flight across the path.
-    duration = scenario.warmup_time + (n_intervals + 20) * scenario.policy.mean_interval + 0.5
-    n_hops = scenario.n_hops if with_network else 0
-    cross_rate = _cross_traffic_rate(scenario) if n_hops > 0 else 0.0
-    if mode == "event":
-        return _simulate_gateway_capture_events(
-            scenario, payload_rate_pps, n_intervals, streams, label, n_hops, cross_rate, duration
-        )
-
+    duration, n_hops, cross_rate = _capture_horizon(scenario, n_intervals, with_network)
     disturbance = scenario.disturbance
     if disturbance is not None and type(disturbance) is not InterruptDisturbance:
         raise ConfigurationError(
             f"the capture kernel covers InterruptDisturbance only, not "
-            f"{type(disturbance).__name__}; replay it on the event engine with "
-            f"kernel='event' or {KERNEL_ENV_VAR}=event"
+            f"{type(disturbance).__name__}; the event reference "
+            f"simulate_gateway_capture_events replays it"
         )
     stamps = simulate_padded_capture(
         interval_generator=scenario.policy.make_timer(),
@@ -345,28 +331,23 @@ def simulate_gateway_capture(
         )
     stamps = stamps[stamps >= scenario.warmup_time]
     intervals = np.diff(stamps) if stamps.size >= 2 else np.empty(0, dtype=float)
-    if intervals.size < n_intervals:
-        raise ConfigurationError(
-            f"capture for class {label!r} produced only {intervals.size} intervals; "
-            f"{n_intervals} requested (increase the horizon margin)"
-        )
-    return intervals[:n_intervals]
+    return _first_intervals(intervals, n_intervals, label)
 
 
-def _simulate_gateway_capture_events(
+def simulate_gateway_capture_events(
     scenario: ScenarioConfig,
     payload_rate_pps: float,
     n_intervals: int,
     streams: RandomStreams,
     label: str,
-    n_hops: int,
-    cross_rate: float,
-    duration: float,
+    with_network: bool,
 ) -> np.ndarray:
-    """The event-engine capture path (reference implementation).
+    """The event-engine replay of :func:`simulate_gateway_capture` (the reference).
 
-    Its modules are imported here, so only the ``event`` kernel loads the
-    event engine.
+    Same arguments, same streams, same intervals to the bit; the equivalence
+    tests and ``repro bench`` call it by name.  It also accepts a disturbance
+    subclass the kernel refuses.  Its modules are imported here, so nothing
+    else loads the event engine.
     """
     from repro.adversary.tap import Tap
     from repro.network.path import UnprotectedPath
@@ -374,6 +355,7 @@ def _simulate_gateway_capture_events(
     from repro.sim.engine import Simulator
     from repro.traffic.sources import PoissonSource
 
+    duration, n_hops, cross_rate = _capture_horizon(scenario, n_intervals, with_network)
     simulator = Simulator()
     tap = Tap(simulator, name=f"tap-{label}")
 
@@ -419,14 +401,7 @@ def _simulate_gateway_capture_events(
     simulator.run(until=duration)
     gateway.stop()
     source.stop()
-
-    intervals = tap.intervals(since=scenario.warmup_time)
-    if intervals.size < n_intervals:
-        raise ConfigurationError(
-            f"capture for class {label!r} produced only {intervals.size} intervals; "
-            f"{n_intervals} requested (increase the horizon margin)"
-        )
-    return intervals[:n_intervals]
+    return _first_intervals(tap.intervals(since=scenario.warmup_time), n_intervals, label)
 
 
 def apply_analytic_network_noise(
@@ -580,11 +555,9 @@ def collect_multiclass_intervals(
 
 __all__ = [
     "CollectionMode",
-    "KERNEL_ENV_VAR",
-    "KERNEL_MODES",
-    "resolve_kernel_mode",
     "resolve_seeds",
     "simulate_gateway_capture",
+    "simulate_gateway_capture_events",
     "ScenarioConfig",
     "PaddedStreamCapture",
     "collect_labelled_intervals",

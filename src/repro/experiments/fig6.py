@@ -83,7 +83,6 @@ class Fig6Result:
     empirical_detection_rate: Dict[str, Dict[float, float]]
     theoretical_detection_rate: Dict[str, Dict[float, float]]
     variance_ratios: Dict[float, float]
-    measured_utilizations: Dict[float, float]
     empirical_ci: Optional[Dict[str, Dict[float, Tuple[float, float]]]] = None
     n_seeds: int = 1
     confidence: Optional[float] = None
@@ -215,16 +214,11 @@ class Fig6Experiment:
         has_ci = False
         result_confidence: Optional[float] = None
         ratios: Dict[float, float] = {}
-        measured_utils: Dict[float, float] = {}
         for utilization in config.utilizations:
             cell = view[self.point_key(utilization)]
             cell_ci = getattr(cell, "detection_rate_ci", None)
             scenario = config.scenario.with_cross_utilization(utilization)
             ratios[utilization] = scenario.variance_ratio()
-            # The padded stream's rate never changes, so the realised padded +
-            # cross load equals the target by construction; record it for the
-            # report anyway (useful when a caller overrides the link rate).
-            measured_utils[utilization] = utilization
             for name in empirical:
                 empirical[name][utilization] = cell.empirical_detection_rate[name][
                     config.sample_size
@@ -248,7 +242,6 @@ class Fig6Experiment:
             empirical_detection_rate=empirical,
             theoretical_detection_rate=theoretical,
             variance_ratios=ratios,
-            measured_utilizations=measured_utils,
             empirical_ci=empirical_ci if has_ci else None,
             n_seeds=len(resolved),
             confidence=result_confidence,

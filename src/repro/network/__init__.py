@@ -16,11 +16,12 @@ The runtime loads two modules, and this package re-exports only them:
 * :mod:`repro.network.delay_models` — analytic M/M/1 and M/D/1 waiting-time
   moments used to predict ``sigma_net`` without running the simulator.
 
-The event-engine reference of a routed capture (``REPRO_SIM_KERNEL=event``)
-loads the rest:
+The event-engine reference of a routed capture
+(:func:`repro.experiments.base.simulate_gateway_capture_events`) loads the
+rest:
 
-* :mod:`repro.network.link` — propagation/serialisation links and simple
-  sinks (null, counting, kind-based demultiplexer).
+* :mod:`repro.network.link` — propagation-delay links and simple sinks
+  (null, counting, kind-based demultiplexer).
 * :mod:`repro.network.router` — a FIFO output-queued router.
 * :mod:`repro.network.crosstraffic` — the constant-rate Poisson
   cross-traffic generator.

@@ -7,19 +7,15 @@ from typing import Callable, Dict, List, Optional
 from repro.exceptions import NetworkError
 from repro.sim.engine import Simulator
 from repro.traffic.packet import Packet, PacketKind
-from repro.units import serialization_delay
 
 PacketSink = Callable[[Packet], None]
 
 
 class Link:
-    """A point-to-point link with propagation delay and optional capacity.
+    """A point-to-point link with propagation delay only.
 
-    Serialisation (transmission) delay is usually modelled inside the
-    upstream :class:`~repro.network.router.Router`, which owns the output
-    queue.  A :class:`Link` therefore defaults to pure propagation delay; a
-    capacity can be given for links fed directly by a gateway (no router in
-    front) so that back-to-back packets cannot overlap on the wire.
+    Serialisation (transmission) delay is modelled inside the upstream
+    :class:`~repro.network.router.Router`, which owns the output queue.
 
     Parameters
     ----------
@@ -29,9 +25,6 @@ class Link:
         Downstream packet consumer.
     propagation_delay:
         One-way latency in seconds.
-    rate_bps:
-        Optional link capacity in bits per second; when given, packets are
-        serialised FIFO before propagating.
     name:
         Label used in reports and errors.
     """
@@ -41,34 +34,23 @@ class Link:
         simulator: Simulator,
         sink: PacketSink,
         propagation_delay: float = 0.0,
-        rate_bps: Optional[float] = None,
         name: str = "link",
     ) -> None:
         if not callable(sink):
             raise NetworkError(f"{name}: sink must be callable")
         if propagation_delay < 0.0:
             raise NetworkError(f"{name}: propagation delay must be >= 0")
-        if rate_bps is not None and rate_bps <= 0.0:
-            raise NetworkError(f"{name}: rate_bps must be positive or None")
         self.simulator = simulator
         self.sink = sink
         self.propagation_delay = float(propagation_delay)
-        self.rate_bps = rate_bps
         self.name = name
         self.packets_carried = 0
-        self._wire_free_at = 0.0
 
     def send(self, packet: Packet) -> None:
         """Accept a packet for transmission toward the sink."""
         self.packets_carried += 1
         now = self.simulator.now
-        if self.rate_bps is None:
-            depart = now
-        else:
-            start = max(now, self._wire_free_at)
-            depart = start + float(serialization_delay(packet.size_bytes, self.rate_bps))
-            self._wire_free_at = depart
-        arrival = depart + self.propagation_delay
+        arrival = now + self.propagation_delay
         if arrival <= now:
             self.sink(packet)
         else:

@@ -114,7 +114,6 @@ class UnprotectedPath:
                 simulator,
                 sink=demux,
                 propagation_delay=propagation_delay,
-                rate_bps=None,
                 name=f"{name}-hop{hop}-link",
             )
             router = Router(
@@ -191,14 +190,6 @@ class UnprotectedPath:
             for generator in generators:
                 generator.stop()
 
-    @property
-    def cross_generators(self) -> List[CrossTrafficGenerator]:
-        """All attached cross-traffic generators in hop order."""
-        result: List[CrossTrafficGenerator] = []
-        for hop in sorted(self._cross_generators):
-            result.extend(self._cross_generators[hop])
-        return result
-
     # ------------------------------------------------------------ statistics
     def padded_packets_delivered(self) -> int:
         """Padded-stream packets that reached the exit sink side of the last hop."""
@@ -209,10 +200,6 @@ class UnprotectedPath:
     def total_drops(self) -> int:
         """Packets dropped at any router on the path."""
         return sum(router.packets_dropped for router in self.routers)
-
-    def hop_utilizations(self) -> List[float]:
-        """Measured output-port utilization of every router."""
-        return [router.measured_utilization() for router in self.routers]
 
 
 __all__ = ["UnprotectedPath"]

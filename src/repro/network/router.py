@@ -171,9 +171,5 @@ class Router:
             busy += self.simulator.now - self._service_started_at
         return min(busy / horizon, 1.0)
 
-    def service_time_for(self, packet_size_bytes: int) -> float:
-        """Serialisation delay of a packet of the given size on the output port."""
-        return float(serialization_delay(packet_size_bytes, self.output_rate_bps))
-
 
 __all__ = ["Router"]

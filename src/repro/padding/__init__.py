@@ -17,8 +17,9 @@ payload if available, otherwise a dummy — every time its padding timer fires:
   with the metadata the experiments need.
 
 The package re-exports those three runtime modules.  The event-engine
-reference (``REPRO_SIM_KERNEL=event``) also loads the gateways, which this
-package does not re-export:
+reference (:func:`repro.experiments.base.simulate_gateway_capture_events`)
+also loads the sender gateway, and this package re-exports neither gateway
+module:
 
 * :mod:`repro.padding.gateway` — the sender gateway (queue + timer + dummy
   injection) and an adaptive-masking variant used as a baseline.

@@ -14,8 +14,8 @@ Three design rules keep the artifact honest across machines:
 * **The headline speedups are measured within one run.**
   ``cold_capture_speedup`` (gateway only) and ``routed_capture_speedup``
   (gateway plus shared routers with cross traffic) divide the event-engine
-  capture time by the vectorized-kernel time for the *same* capture (forced
-  via the ``kernel`` argument of
+  capture time by the vectorized-kernel time for the *same* capture
+  (:func:`repro.experiments.base.simulate_gateway_capture_events` against
   :func:`repro.experiments.base.simulate_gateway_capture`), and
   ``sweep_warm_speedup`` divides a cold sweep by its warm re-run, which
   reads the cold run's shards back from disk through a fresh store.
@@ -313,17 +313,20 @@ def _best_of(repeats: int, fn: Callable[[], Any]) -> Tuple[float, Any]:
 
 
 def _time_capture(
-    scenario, n_intervals: int, seed: int, kernel: str, repeats: int, with_network: bool
+    capture: Callable[..., np.ndarray],
+    scenario,
+    n_intervals: int,
+    seed: int,
+    repeats: int,
+    with_network: bool,
 ):
-    from repro.experiments.base import simulate_gateway_capture
     from repro.sim.random import RandomStreams
 
     def one_run() -> Dict[str, np.ndarray]:
         streams = RandomStreams(seed)
         return {
-            label: simulate_gateway_capture(
-                scenario, rate, n_intervals, streams, label,
-                with_network=with_network, kernel=kernel,
+            label: capture(
+                scenario, rate, n_intervals, streams, label, with_network=with_network
             )
             for label, rate in scenario.rate_labels.items()
         }
@@ -335,11 +338,16 @@ def _time_kernels(
     scenario, n_intervals: int, seed: int, repeats: int, with_network: bool
 ) -> Tuple[float, float, Dict[str, np.ndarray]]:
     """Event and vectorized timings of one capture, refused unless identical."""
+    from repro.experiments.base import (
+        simulate_gateway_capture,
+        simulate_gateway_capture_events,
+    )
+
     event_seconds, event_captures = _time_capture(
-        scenario, n_intervals, seed, "event", repeats, with_network
+        simulate_gateway_capture_events, scenario, n_intervals, seed, repeats, with_network
     )
     vectorized_seconds, vectorized_captures = _time_capture(
-        scenario, n_intervals, seed, "vectorized", repeats, with_network
+        simulate_gateway_capture, scenario, n_intervals, seed, repeats, with_network
     )
     if not all(
         np.array_equal(event_captures[label], vectorized_captures[label])
@@ -400,8 +408,8 @@ def run_bench(
     """Measure the hot paths and return the benchmark artifact.
 
     The capture benchmarks run the same two-class capture — at the gateway,
-    and behind two shared routers with cross traffic — under the forced
-    ``event`` and ``vectorized`` kernels from identical seeds, check the
+    and behind two shared routers with cross traffic — through the event
+    reference and the vectorized kernel from identical seeds, check the
     outputs are byte-identical (the kernel contract), and cross-check the
     measured variance ratio against the closed forms in
     :mod:`repro.core.exact`.

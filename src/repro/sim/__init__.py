@@ -11,7 +11,7 @@ The runtime loads only the first two modules:
   are statistically independent.
 
 The event-driven reference the kernel is proven byte-identical to is loaded
-only under ``REPRO_SIM_KERNEL=event``:
+only by :func:`repro.experiments.base.simulate_gateway_capture_events`:
 
 * :class:`repro.sim.engine.Simulator` — the event loop (a time-ordered heap of
   scheduled callbacks) with deterministic tie-breaking.

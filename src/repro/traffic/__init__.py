@@ -1,6 +1,7 @@
 """Traffic substrate of the event-engine reference: packets and sources.
 
-Only the event-engine reference (``REPRO_SIM_KERNEL=event``) loads this
+Only the event-engine reference
+(:func:`repro.experiments.base.simulate_gateway_capture_events`) loads this
 subpackage; the capture kernel (:mod:`repro.sim.kernel`) draws the same
 arrival processes without packet objects.
 

@@ -35,22 +35,15 @@ class TestTapBasics:
         simulator.run()
         assert np.allclose(tap.intervals(since=10.0), [1.0, 1.0])
 
-    def test_piat_sample_returns_most_recent(self, simulator):
+    def test_intervals_need_two_observations(self, simulator):
         tap = Tap(simulator)
-        for t in np.arange(0.0, 1.01, 0.01):
-            simulator.schedule_at(float(t), tap.observe, Packet(created_at=0.0))
-        simulator.run()
-        sample = tap.piat_sample(10)
-        assert sample.shape == (10,)
-        assert np.allclose(sample, 0.01)
-
-    def test_piat_sample_too_large_raises(self, simulator):
-        tap = Tap(simulator)
+        assert tap.intervals().size == 0
         tap(Packet(created_at=0.0))
-        with pytest.raises(AnalysisError):
-            tap.piat_sample(5)
-        with pytest.raises(AnalysisError):
-            tap.piat_sample(0)
+        assert tap.intervals().size == 0
+        simulator.schedule_at(2.0, tap.observe, Packet(created_at=0.0))
+        simulator.run()
+        assert tap.intervals(since=1.0).size == 0
+        assert np.array_equal(tap.intervals(), [2.0])
 
     def test_observed_rate(self, simulator):
         tap = Tap(simulator)

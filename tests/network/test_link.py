@@ -25,19 +25,14 @@ class TestLink:
         link.send(Packet(created_at=0.0))
         assert sink.total == 1
 
-    def test_capacity_serialises_back_to_back_packets(self, simulator):
-        sink = CountingSink()
-        # 512-byte packets on a 1 Mbit/s link: 4.096 ms each.
-        link = Link(simulator, sink, rate_bps=1e6)
+    def test_back_to_back_packets_are_not_serialised(self, simulator):
+        """A link only delays: serialisation belongs to the router in front."""
         arrivals = []
-        sink_wrapper = lambda p: arrivals.append(simulator.now) or None  # noqa: E731
-        link.sink = lambda p: (arrivals.append(simulator.now), sink(p))
+        link = Link(simulator, lambda packet: arrivals.append(simulator.now), 0.005)
         link.send(Packet(created_at=0.0))
         link.send(Packet(created_at=0.0))
         simulator.run()
-        assert arrivals[0] == pytest.approx(0.004096)
-        assert arrivals[1] == pytest.approx(0.008192)
-        del sink_wrapper
+        assert arrivals == [0.005, 0.005]
 
     def test_counts_carried_packets(self, simulator):
         link = Link(simulator, NullSink())
@@ -50,8 +45,6 @@ class TestLink:
             Link(simulator, "nope")
         with pytest.raises(NetworkError):
             Link(simulator, NullSink(), propagation_delay=-1.0)
-        with pytest.raises(NetworkError):
-            Link(simulator, NullSink(), rate_bps=0.0)
 
 
 class TestSinks:

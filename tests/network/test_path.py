@@ -8,6 +8,7 @@ from repro.exceptions import NetworkError
 from repro.network.link import CountingSink
 from repro.network.path import UnprotectedPath
 from repro.traffic.packet import Packet, PacketKind
+from repro.units import serialization_delay
 
 
 def inject_periodic_padded_stream(simulator, entry, n_packets=500, interval=0.01, start=0.0):
@@ -47,6 +48,17 @@ class TestConstruction:
         assert exit_sink.total == 1
         # Each hop: serialization (~4.1 us at 1 Gbit/s) + 1 ms propagation.
         assert simulator.now == pytest.approx(n_hops * 1e-3, rel=0.05)
+
+    def test_a_hop_delays_by_one_service_time_plus_propagation(self, simulator):
+        """The tandem-FIFO kernel's per-hop step: serialise once, then propagate."""
+        exit_sink = CountingSink()
+        path = UnprotectedPath(
+            simulator, exit_sink, n_hops=1, propagation_delay=1e-3, link_rate_bps=20e6
+        )
+        path.entry(Packet(created_at=0.0, size_bytes=512))
+        simulator.run()
+        assert exit_sink.total == 1
+        assert simulator.now == float(serialization_delay(512, 20e6)) + 1e-3
 
     def test_per_hop_link_rates(self, simulator):
         path = UnprotectedPath(
@@ -125,19 +137,17 @@ class TestCrossTrafficIntegration:
             results[label] = path.routers[0].measured_utilization(over_time=5.5)
         assert results["loaded"] > results["idle"] + 0.1
 
-    def test_cross_generators_property_and_bad_hop(self, simulator, streams):
+    def test_cross_traffic_on_a_missing_hop_is_refused(self, simulator, streams):
         path = UnprotectedPath(simulator, CountingSink(), n_hops=2)
         path.attach_cross_traffic(1, 100.0, rng=streams.get("x"))
-        assert len(path.cross_generators) == 1
         with pytest.raises(NetworkError):
             path.attach_cross_traffic(5, 100.0, rng=streams.get("y"))
 
-    def test_hop_utilizations_reported_per_router(self, simulator, streams):
+    def test_cross_traffic_loads_only_its_own_hop(self, simulator, streams):
         path = UnprotectedPath(simulator, CountingSink(keep_packets=False), n_hops=2)
         path.attach_cross_traffic(0, 2000.0, rng=streams.get("z"))
         path.start_cross_traffic()
         inject_periodic_padded_stream(simulator, path.entry, n_packets=100)
         simulator.run(until=2.0)
-        utilizations = path.hop_utilizations()
-        assert len(utilizations) == 2
-        assert utilizations[0] > utilizations[1]
+        first, second = (router.measured_utilization() for router in path.routers)
+        assert first > second

@@ -78,7 +78,7 @@ class TestRouterUtilization:
     def test_measured_utilization_tracks_offered_load(self, simulator, rng):
         sink = CountingSink(keep_packets=False)
         router = Router(simulator, sink, output_rate_bps=10e6)
-        service = router.service_time_for(512)
+        service = float(serialization_delay(512, 10e6))
         target_utilization = 0.3
         rate = target_utilization / service
         source = PoissonSource(simulator, router.receive, rate=rate, rng=rng)

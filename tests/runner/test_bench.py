@@ -204,7 +204,7 @@ class TestRunBench:
 
         def skewed(*args, **kwargs):
             intervals = real(*args, **kwargs)
-            if kwargs.get("kernel") == "vectorized" and kwargs.get("with_network"):
+            if kwargs.get("with_network"):
                 intervals = intervals + 1e-12
             return intervals
 
@@ -219,7 +219,7 @@ class TestRunBench:
 
         def skewed(*args, **kwargs):
             intervals = real(*args, **kwargs)
-            if kwargs.get("kernel") == "vectorized" and not kwargs.get("with_network"):
+            if not kwargs.get("with_network"):
                 intervals = intervals + 1e-12
             return intervals
 

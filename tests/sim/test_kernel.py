@@ -7,11 +7,14 @@ fingerprinted on configuration and silently switching kernels must never
 change a figure.  These tests pin that guarantee across every timer family,
 the disturbance on/off matrix, routed paths (hop count x utilization), a
 property over random scenarios, the FIFO primitive's sequential fallback,
-the kernel-selection plumbing, and the constants the kernel mirrors from the
-gateway and source modules.
+the kernel's refusal of a disturbance it does not cover, and the constants
+the kernel mirrors from the gateway and source modules.  The event engine's
+side of every comparison is :func:`simulate_gateway_capture_events`.
 """
 
 from __future__ import annotations
+
+import inspect
 
 import numpy as np
 import pytest
@@ -21,11 +24,9 @@ from hypothesis import strategies as st
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.experiments import base as base_module
 from repro.experiments.base import (
-    KERNEL_ENV_VAR,
-    KERNEL_MODES,
     ScenarioConfig,
-    resolve_kernel_mode,
     simulate_gateway_capture,
+    simulate_gateway_capture_events,
 )
 from repro.padding.disturbance import InterruptDisturbance
 from repro.padding.gateway import _MIN_TX_SPACING_S
@@ -36,22 +37,20 @@ from repro.sim.random import RandomStreams
 
 def _capture(
     scenario: ScenarioConfig,
-    kernel_mode: str,
+    capture,
     n: int = 800,
     seed: int = 42,
     with_network: bool = False,
 ):
     streams = RandomStreams(seed)
     return {
-        label: simulate_gateway_capture(
-            scenario, rate, n, streams, label, with_network=with_network, kernel=kernel_mode
-        )
+        label: capture(scenario, rate, n, streams, label, with_network=with_network)
         for label, rate in scenario.rate_labels.items()
     }
 
 
 class _CustomDisturbance(InterruptDisturbance):
-    """A disturbance subclass: outside the kernel's proof, event engine only."""
+    """A disturbance subclass: outside the kernel's proof, event reference only."""
 
 
 def _scalar_departures(arrivals, service):
@@ -79,15 +78,15 @@ class TestByteIdentity:
     )
     def test_every_timer_family_matches(self, policy):
         scenario = ScenarioConfig(policy=policy)
-        event = _capture(scenario, "event")
-        vectorized = _capture(scenario, "vectorized")
+        event = _capture(scenario, simulate_gateway_capture_events)
+        vectorized = _capture(scenario, simulate_gateway_capture)
         for label in ("low", "high"):
             assert np.array_equal(event[label], vectorized[label]), label
 
     def test_disturbance_free_gateway_matches(self):
         scenario = ScenarioConfig(disturbance=None)
-        event = _capture(scenario, "event")
-        vectorized = _capture(scenario, "vectorized")
+        event = _capture(scenario, simulate_gateway_capture_events)
+        vectorized = _capture(scenario, simulate_gateway_capture)
         for label in ("low", "high"):
             assert np.array_equal(event[label], vectorized[label])
 
@@ -96,19 +95,16 @@ class TestByteIdentity:
         """The multi-rate example's rates: one gateway capture each, kernel == event."""
         scenario = ScenarioConfig(low_rate_pps=10.0, high_rate_pps=80.0)
         captures = [
-            simulate_gateway_capture(
-                scenario, rate, 400, RandomStreams(99), f"{rate:.0f}pps",
-                with_network=False, kernel=kernel_mode,
-            )
-            for kernel_mode in ("event", "vectorized")
+            capture(scenario, rate, 400, RandomStreams(99), f"{rate:.0f}pps", with_network=False)
+            for capture in (simulate_gateway_capture_events, simulate_gateway_capture)
         ]
         assert np.array_equal(captures[0], captures[1])
 
     def test_extreme_vit_exercises_the_spacing_clamp(self):
         """sigma_T near the mean makes tiny interval draws: the clamp fires."""
         scenario = ScenarioConfig(policy=vit_policy(sigma_t=9e-3))
-        event = _capture(scenario, "event", n=600)
-        vectorized = _capture(scenario, "vectorized", n=600)
+        event = _capture(scenario, simulate_gateway_capture_events, n=600)
+        vectorized = _capture(scenario, simulate_gateway_capture, n=600)
         for label in ("low", "high"):
             assert np.array_equal(event[label], vectorized[label])
 
@@ -137,8 +133,10 @@ class TestRoutedByteIdentity:
             cross_utilization=utilization,
             warmup_time=0.5,
         )
-        event = _capture(scenario, "event", n=200, seed=7, with_network=True)
-        vectorized = _capture(scenario, "vectorized", n=200, seed=7, with_network=True)
+        event = _capture(
+            scenario, simulate_gateway_capture_events, n=200, seed=7, with_network=True
+        )
+        vectorized = _capture(scenario, simulate_gateway_capture, n=200, seed=7, with_network=True)
         for label in ("low", "high"):
             assert np.array_equal(event[label], vectorized[label]), label
 
@@ -146,9 +144,9 @@ class TestRoutedByteIdentity:
         """Without the network, a routed scenario is the zero-hop capture."""
         routed = ScenarioConfig(n_hops=2, cross_utilization=0.3)
         bare = ScenarioConfig()
-        for mode in ("event", "vectorized"):
-            with_hops = _capture(routed, mode, n=200)
-            without = _capture(bare, mode, n=200)
+        for capture in (simulate_gateway_capture_events, simulate_gateway_capture):
+            with_hops = _capture(routed, capture, n=200)
+            without = _capture(bare, capture, n=200)
             for label in ("low", "high"):
                 assert np.array_equal(with_hops[label], without[label])
 
@@ -194,8 +192,12 @@ class TestKernelMatchesTheEventEngine:
         with_network=st.booleans(),
     )
     def test_random_scenarios_are_bit_identical(self, scenario, n, seed, with_network):
-        event = _capture(scenario, "event", n=n, seed=seed, with_network=with_network)
-        vectorized = _capture(scenario, "vectorized", n=n, seed=seed, with_network=with_network)
+        event = _capture(
+            scenario, simulate_gateway_capture_events, n=n, seed=seed, with_network=with_network
+        )
+        vectorized = _capture(
+            scenario, simulate_gateway_capture, n=n, seed=seed, with_network=with_network
+        )
         for label in ("low", "high"):
             assert np.array_equal(event[label], vectorized[label]), label
 
@@ -262,45 +264,54 @@ class TestFifoDepartures:
         assert np.array_equal(exit_times, times)
 
 
-class TestKernelSelection:
-    def test_resolve_prefers_argument_over_environment(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "event")
-        assert resolve_kernel_mode("vectorized") == "vectorized"
-        assert resolve_kernel_mode() == "event"
-        monkeypatch.delenv(KERNEL_ENV_VAR)
-        assert resolve_kernel_mode() == "vectorized"
+class TestOneContract:
+    """The kernel and its reference take the same arguments and the same horizon."""
 
-    def test_only_the_kernel_and_its_reference_are_modes(self):
-        assert KERNEL_MODES == ("vectorized", "event")
+    def test_the_reference_takes_the_kernels_arguments(self):
+        assert inspect.signature(simulate_gateway_capture_events) == inspect.signature(
+            simulate_gateway_capture
+        )
 
-    @pytest.mark.parametrize("mode", ["turbo", "auto"])
-    def test_resolve_rejects_unknown_modes(self, mode, monkeypatch):
-        with pytest.raises(ConfigurationError, match=KERNEL_ENV_VAR):
-            resolve_kernel_mode(mode)
-        monkeypatch.setenv(KERNEL_ENV_VAR, mode)
-        with pytest.raises(ConfigurationError, match=KERNEL_ENV_VAR):
-            resolve_kernel_mode()
+    @pytest.mark.parametrize("with_network", [False, True], ids=["gateway", "routed"])
+    def test_both_paths_refuse_a_horizon_too_short_alike(self, with_network, monkeypatch):
+        """Both read the horizon from one helper: shortened there, both come up
+        short of the requested intervals and say so in the same words."""
+        horizon = base_module._capture_horizon
 
+        def short_horizon(scenario, n_intervals, network):
+            duration, n_hops, cross_rate = horizon(scenario, n_intervals, network)
+            return duration / 2, n_hops, cross_rate
+
+        monkeypatch.setattr(base_module, "_capture_horizon", short_horizon)
+        scenario = ScenarioConfig(
+            n_hops=2, link_rate_bps=20e6, cross_utilization=0.2, warmup_time=0.5
+        )
+        messages = []
+        for capture in (simulate_gateway_capture_events, simulate_gateway_capture):
+            with pytest.raises(ConfigurationError, match="produced only") as excinfo:
+                capture(scenario, 10.0, 200, RandomStreams(3), "low", with_network=with_network)
+            messages.append(str(excinfo.value))
+        assert messages[0] == messages[1]
+
+
+class TestDisturbanceSubclass:
     @pytest.mark.parametrize(
         "n_hops, utilization, with_network",
         [(0, 0.0, False), (2, 0.2, True)],
         ids=["gateway", "routed"],
     )
-    def test_kernel_refuses_a_disturbance_subclass(
-        self, n_hops, utilization, with_network, monkeypatch
-    ):
-        monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
+    def test_kernel_refuses_a_disturbance_subclass(self, n_hops, utilization, with_network):
         scenario = ScenarioConfig(
             n_hops=n_hops, cross_utilization=utilization, disturbance=_CustomDisturbance()
         )
-        for kernel_mode in (None, "vectorized"):
-            with pytest.raises(ConfigurationError) as excinfo:
-                simulate_gateway_capture(
-                    scenario, 10.0, 50, RandomStreams(1), "low",
-                    with_network=with_network, kernel=kernel_mode,
-                )
-            assert "_CustomDisturbance" in str(excinfo.value)
-            assert f"{KERNEL_ENV_VAR}=event" in str(excinfo.value)
+        with pytest.raises(ConfigurationError) as excinfo:
+            simulate_gateway_capture(
+                scenario, 10.0, 50, RandomStreams(1), "low", with_network=with_network
+            )
+        message = str(excinfo.value)
+        assert "_CustomDisturbance" in message
+        assert "simulate_gateway_capture_events" in message
+        assert "REPRO_SIM_KERNEL" not in message
 
     def test_event_reference_accepts_a_disturbance_subclass(self, monkeypatch):
         scenario = ScenarioConfig(
@@ -311,15 +322,10 @@ class TestKernelSelection:
             raise AssertionError("the event reference reached the vectorized kernel")
 
         monkeypatch.setattr(base_module, "simulate_padded_capture", forbidden)
-        intervals = simulate_gateway_capture(
-            scenario, 10.0, 50, RandomStreams(1), "low", with_network=True, kernel="event"
-        )
-        assert intervals.shape == (50,)
-        monkeypatch.setenv(KERNEL_ENV_VAR, "event")
-        from_env = simulate_gateway_capture(
+        intervals = simulate_gateway_capture_events(
             scenario, 10.0, 50, RandomStreams(1), "low", with_network=True
         )
-        assert np.array_equal(from_env, intervals)
+        assert intervals.shape == (50,)
 
 
 class TestMirroredConstants:

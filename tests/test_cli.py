@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import importlib
+import io
+import json
 import os
 import subprocess
 import sys
@@ -19,6 +22,11 @@ needs_toml = pytest.mark.skipif(not TOML_AVAILABLE, reason="no TOML parser avail
 
 #: The example scripts; CI runs them too.
 EXAMPLES = sorted((Path(repro.__file__).resolve().parents[2] / "examples").glob("*.py"))
+
+#: The routed simulation-mode scenario file (hops {1, 3} x utilization {0.05, 0.45}).
+ROUTED_SMOKE = (
+    Path(repro.__file__).resolve().parents[2] / "examples" / "scenarios" / "routed_smoke.toml"
+)
 
 SCENARIO_TOML = """\
 name = "cli_wan"
@@ -381,45 +389,74 @@ class TestBenchCommand:
         assert result.notes["captures_identical"] is True
 
 
-class TestCaptureKernel:
-    """REPRO_SIM_KERNEL picks the kernel or its event reference, nothing else."""
+@pytest.fixture
+def through_both_paths(monkeypatch):
+    """``through_both_paths(render)`` calls ``render()`` on the kernel, then
+    again on the event reference, and returns both outputs.
 
-    FIG8_QUICK = ["run", "fig8", "--preset", "quick", "--backend", "serial"]
+    The second call swaps ``simulate_gateway_capture_events`` in for
+    ``simulate_gateway_capture`` at both runtime call sites,
+    ``experiments/base.py`` and ``runner/capture.py``.  The kernel's gateway
+    step, which every kernel capture calls once whoever calls it, counts the
+    run's gateway captures; the reference must run for each of them, and the
+    kernel for none, so a call site that bypasses the swap fails the test
+    instead of comparing the kernel with itself.
+    """
+    from repro.experiments import base
+    from repro.runner import capture
+
+    calls = {"kernel": 0, "reference": 0}
+    kernel_step = base.simulate_padded_capture
+
+    def counted_kernel_step(*args, **kwargs):
+        calls["kernel"] += 1
+        return kernel_step(*args, **kwargs)
+
+    def reference(*args, **kwargs):
+        calls["reference"] += 1
+        return base.simulate_gateway_capture_events(*args, **kwargs)
+
+    def render_both(render):
+        monkeypatch.setattr(base, "simulate_padded_capture", counted_kernel_step)
+        kernel_output = render()
+        captures, calls["kernel"] = calls["kernel"], 0
+        assert captures > 0
+        for module in (base, capture):
+            monkeypatch.setattr(module, "simulate_gateway_capture", reference)
+        reference_output = render()
+        assert calls == {"kernel": 0, "reference": captures}
+        return kernel_output, reference_output
+
+    return render_both
+
+
+class TestCaptureKernel:
+    """The kernel renders the same reports as its event reference."""
 
     @pytest.mark.parametrize(
-        "argv",
+        "experiment, preset",
         [
-            FIG8_QUICK,
-            ["run", "fig6", "--preset", "smoke"],
-            ["fig6", "--preset", "smoke"],
-            ["sweep", "--preset", "smoke"],
+            ("fig8", "quick"),
+            ("fig6", "quick"),
+            ("ablation_vit", "quick"),
+            ("ablation_tap", "fast"),
         ],
-        ids=["run-fig8-quick", "run-fig6-smoke-analytic", "alias", "sweep"],
+        ids=["fig8-quick", "fig6-quick", "ablation_vit-quick", "ablation_tap-fast"],
     )
-    def test_auto_is_refused_before_any_work(self, argv, monkeypatch, capsys):
-        """A bad value is one config error line naming the variable, also for
-        all-analytic runs that never capture, and no runner is started first."""
+    def test_event_reference_renders_the_same_report(
+        self, experiment, preset, through_both_paths, capsys
+    ):
+        """Every experiment whose report needs gateway captures, at a preset
+        the event engine renders in about a second; fig8 quick shares one
+        gateway capture per network among its cells."""
+        argv = ["run", experiment, "--preset", preset, "--backend", "serial"]
 
-        def no_work(*args, **kwargs):
-            raise AssertionError("work started before the kernel was checked")
+        def render():
+            assert main(argv) == 0
+            return capsys.readouterr().out
 
-        monkeypatch.setattr("repro.cli.SweepRunner", no_work)
-        monkeypatch.setenv("REPRO_SIM_KERNEL", "auto")
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        [line] = captured.err.splitlines()
-        assert line.startswith("repro: error:") and "REPRO_SIM_KERNEL" in line
-
-    def test_event_reference_reproduces_shared_hybrid_captures(self, monkeypatch, capsys):
-        # fig8 quick shares one gateway capture per network among its cells:
-        # the kernel's gateway-only path must match the event engine there.
-        monkeypatch.delenv("REPRO_SIM_KERNEL", raising=False)
-        assert main(self.FIG8_QUICK) == 0
-        kernel_report = capsys.readouterr().out
-        monkeypatch.setenv("REPRO_SIM_KERNEL", "event")
-        assert main(self.FIG8_QUICK) == 0
-        assert capsys.readouterr().out == kernel_report
+        kernel_report, reference_report = through_both_paths(render)
+        assert reference_report == kernel_report
 
 
 class TestCacheIndexCommand:
@@ -551,9 +588,10 @@ class TestStartup:
     """Neither networkx nor scipy is a runtime dependency; nothing may load them,
     and start-up loads only the serial execution path."""
 
-    #: Event-engine modules the runtime must never load; ``REPRO_SIM_KERNEL=event``
-    #: loads all of them but ``repro.padding.receiver`` (``repro.traffic``
-    #: covers every ``repro.traffic.*`` module).
+    #: Event-engine modules the runtime must never load; only
+    #: ``simulate_gateway_capture_events`` imports them, all but
+    #: ``repro.padding.receiver`` (``repro.traffic`` covers every
+    #: ``repro.traffic.*`` module).
     EVENT_MODULES = (
         "repro.sim.engine",
         "repro.sim.events",
@@ -672,7 +710,6 @@ class TestStartup:
     def test_example_runs_without_the_event_reference(self, script, tmp_path, monkeypatch):
         """Each example script prints its report and never loads the reference."""
         monkeypatch.chdir(tmp_path)
-        monkeypatch.delenv("REPRO_SIM_KERNEL", raising=False)
         code = (
             "import contextlib, io, runpy, sys\n"
             f"sys.argv = [{str(script)!r}]\n"
@@ -687,32 +724,57 @@ class TestStartup:
         assert modules == "[]"
 
     @needs_toml
-    def test_routed_scenario_loads_the_event_reference_only_on_request(self, tmp_path):
-        """The runtime never imports the event engine; ``REPRO_SIM_KERNEL=event`` does,
-        and both produce the same report to the byte."""
-        scenario = (
-            Path(repro.__file__).resolve().parents[2]
-            / "examples" / "scenarios" / "routed_smoke.toml"
+    def test_routed_scenario_matches_the_event_reference(self, tmp_path, through_both_paths):
+        """The runtime never imports the event engine, and the reference renders
+        the same routed report to the byte."""
+        def argv(name):
+            return ["run", "--scenario", str(ROUTED_SMOKE), "--backend", "serial",
+                    "--output", str(tmp_path / name)]
+
+        code = (
+            "import contextlib, io, sys\n"
+            "from repro.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    status = main({argv('runtime.txt')!r})\n"
+            f"print(status, sorted(k for k in sys.modules if k.startswith({self.EVENT_MODULES!r})))"
         )
-        loaded, reports = {}, {}
-        for kernel in ("vectorized", "event"):
-            output = tmp_path / f"{kernel}.txt"
-            argv = ["run", "--scenario", str(scenario), "--backend", "serial",
-                    "--output", str(output)]
-            code = (
-                "import contextlib, io, sys\n"
-                "from repro.cli import main\n"
-                "with contextlib.redirect_stdout(io.StringIO()):\n"
-                f"    status = main({argv!r})\n"
-                f"print(status, sorted(k for k in sys.modules if k.startswith({self.EVENT_MODULES!r})))"
-            )
-            status, _, modules = self.run_python(code, REPRO_SIM_KERNEL=kernel).partition(" ")
-            assert status == "0"
-            loaded[kernel] = modules
-            reports[kernel] = output.read_bytes()
-        assert loaded["vectorized"] == "[]"
-        for module in self.EVENT_MODULES:
-            if module != "repro.padding.receiver":
-                assert repr(module) in loaded["event"], module
-        assert reports["vectorized"] == reports["event"]
-        assert b"hops=3/utilization=0.45" in reports["vectorized"]
+        assert self.run_python(code) == "0 []"
+
+        def render():
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv("report.txt")) == 0
+            return (tmp_path / "report.txt").read_bytes()
+
+        kernel_report, reference_report = through_both_paths(render)
+        assert kernel_report == (tmp_path / "runtime.txt").read_bytes()
+        assert reference_report == kernel_report
+        assert b"hops=3/utilization=0.45" in kernel_report
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "fig8", "--preset", "quick", "--backend", "serial"],
+            pytest.param(
+                ["run", "--scenario", str(ROUTED_SMOKE), "--backend", "serial"],
+                marks=needs_toml,
+            ),
+        ],
+        ids=["fig8-quick", "routed-smoke"],
+    )
+    @pytest.mark.parametrize("value", ["event", "auto"])
+    def test_runtime_ignores_the_retired_kernel_variable(self, argv, value, monkeypatch):
+        """``REPRO_SIM_KERNEL`` no longer picks a capture path: any value gives
+        the unset run's exit status and bytes, and loads no event module."""
+        monkeypatch.delenv("REPRO_SIM_KERNEL", raising=False)
+        code = (
+            "import contextlib, io, json, sys\n"
+            "from repro.cli import main\n"
+            "output = io.StringIO()\n"
+            "with contextlib.redirect_stdout(output):\n"
+            f"    status = main({argv!r})\n"
+            "print(json.dumps([status, output.getvalue(), "
+            f"sorted(k for k in sys.modules if k.startswith({self.EVENT_MODULES!r}))]))"
+        )
+        unset = json.loads(self.run_python(code))
+        assert unset[0] == 0 and unset[1] and unset[2] == []
+        assert json.loads(self.run_python(code, REPRO_SIM_KERNEL=value)) == unset

@@ -39,12 +39,3 @@ class TestPacket:
             _ = packet.latency
         packet.received_at = 1.5
         assert packet.latency == pytest.approx(0.5)
-
-    def test_copy_for_retransmission_preserves_class_but_not_identity(self):
-        original = Packet(created_at=0.0, kind=PacketKind.CROSS, flow_id="x", size_bytes=200)
-        clone = original.copy_for_retransmission(at_time=3.0)
-        assert clone.kind is PacketKind.CROSS
-        assert clone.flow_id == "x"
-        assert clone.size_bytes == 200
-        assert clone.created_at == 3.0
-        assert clone.packet_id != original.packet_id
