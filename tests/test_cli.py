@@ -723,6 +723,22 @@ class TestStartup:
         assert int(lines) > 0
         assert modules == "[]"
 
+    def test_event_modules_are_what_the_reference_loads(self):
+        """One routed reference capture loads every listed module but
+        ``repro.padding.receiver``, so no entry of ``EVENT_MODULES`` is stale
+        and the tests that find none of them loaded mean something."""
+        code = (
+            "import sys\n"
+            "from repro.experiments.base import ScenarioConfig, "
+            "simulate_gateway_capture_events\n"
+            "from repro.sim.random import RandomStreams\n"
+            "scenario = ScenarioConfig(n_hops=2, cross_utilization=0.2)\n"
+            "simulate_gateway_capture_events(scenario, 10.0, 20, RandomStreams(1), 'low', "
+            "with_network=True)\n"
+            f"print(sorted(m for m in {self.EVENT_MODULES!r} if m not in sys.modules))"
+        )
+        assert self.run_python(code) == "['repro.padding.receiver']"
+
     @needs_toml
     def test_routed_scenario_matches_the_event_reference(self, tmp_path, through_both_paths):
         """The runtime never imports the event engine, and the reference renders
@@ -761,8 +777,7 @@ class TestStartup:
         ],
         ids=["fig8-quick", "routed-smoke"],
     )
-    @pytest.mark.parametrize("value", ["event", "auto"])
-    def test_runtime_ignores_the_retired_kernel_variable(self, argv, value, monkeypatch):
+    def test_runtime_ignores_the_retired_kernel_variable(self, argv, monkeypatch):
         """``REPRO_SIM_KERNEL`` no longer picks a capture path: any value gives
         the unset run's exit status and bytes, and loads no event module."""
         monkeypatch.delenv("REPRO_SIM_KERNEL", raising=False)
@@ -777,4 +792,5 @@ class TestStartup:
         )
         unset = json.loads(self.run_python(code))
         assert unset[0] == 0 and unset[1] and unset[2] == []
-        assert json.loads(self.run_python(code, REPRO_SIM_KERNEL=value)) == unset
+        for value in ("event", "auto"):
+            assert json.loads(self.run_python(code, REPRO_SIM_KERNEL=value)) == unset, value
