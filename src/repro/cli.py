@@ -17,8 +17,7 @@ python -m repro sweep --experiments fig6 ablation_vit --scenario my_wan.toml
 python -m repro sweep --preset fast --seeds 5 --ci    # mean ± 95% CI per point
 python -m repro cache stats --cache-dir .sweep-cache  # store health counters
 python -m repro cache compact --cache-dir .sweep-cache
-python -m repro cache index --cache-dir .sweep-cache  # build/refresh the sqlite query index
-python -m repro serve --cache-dir .sweep-cache        # JSON HTTP API over the indexed store
+python -m repro serve --cache-dir .sweep-cache        # read-only JSON HTTP API over the store
 python -m repro bench run --pr pr6 --output BENCH_pr6.json
 python -m repro bench compare BENCH_new.json BENCH_pr6.json --max-regression 0.2
 ```
@@ -377,11 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache.add_argument(
         "action",
-        choices=("compact", "stats", "index"),
-        help="compact: drop superseded duplicate records (also refreshes an "
-        "existing sqlite index); stats: report record/shard counts, store "
-        "size and schema versions; index: build or incrementally refresh "
-        "the store's sqlite query index (index.sqlite, used by 'repro serve')",
+        choices=("compact", "stats"),
+        help="compact: drop superseded duplicate records; stats: report "
+        "record/shard counts, store size and schema versions",
     )
     cache.add_argument(
         "--cache-dir",
@@ -392,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = subcommands.add_parser(
         "serve",
-        help="serve an indexed results store over a read-only JSON HTTP API "
+        help="serve a results store over a read-only JSON HTTP API "
         "(GET /experiments, /points, /point/<key>, /report/<name>; "
         "docs/serving.md)",
     )
@@ -400,8 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir",
         type=Path,
         required=True,
-        help="the results store to serve; its sqlite index is built "
-        "automatically when missing",
+        help="the results store to serve; its grid-point labels are built "
+        "in memory at start-up and every request reads the store's shards",
     )
     serve.add_argument(
         "--host",
@@ -544,30 +541,16 @@ def _run_check_command(args: argparse.Namespace) -> int:
 
 
 def _run_cache_command(args: argparse.Namespace) -> str:
-    from repro.store import StoreIndex
-
     store = ResultsStore(args.cache_dir)
-    if args.action == "index":
-        return f"cache index: {StoreIndex(args.cache_dir).refresh()}"
     if args.action == "compact":
-        report = f"cache compact: {store.compact()}"
-        index = StoreIndex(args.cache_dir)
-        if index.path.exists():
-            # Compaction rewrites shard files; an existing index would be
-            # stale (every rewritten file re-scans), so refresh it in the
-            # same maintenance pass.
-            report += f"\ncache index: {index.refresh()}"
-        return report
+        return f"cache compact: {store.compact()}"
     return f"cache stats: {store.stats()}"
 
 
 def _run_serve_command(args: argparse.Namespace) -> int:
     """``repro serve``; blocks until interrupted (returns 0 on Ctrl-C)."""
-    from repro.store import DEFAULT_HOST, DEFAULT_PORT, StoreIndex, create_server
+    from repro.store import DEFAULT_HOST, DEFAULT_PORT, create_server
 
-    index = StoreIndex(args.cache_dir)
-    if not index.path.exists():
-        print(f"cache index: {index.refresh()}")
     server = create_server(
         args.cache_dir,
         host=args.host if args.host is not None else DEFAULT_HOST,

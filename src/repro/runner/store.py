@@ -161,7 +161,7 @@ class ResultsStore:
         foreign schema version and records missing a string ``fingerprint``
         or dict ``result`` are skipped; complete records before them are
         still usable.  This is the one parsing contract shared by lookups,
-        compaction and the sqlite index (:mod:`repro.store.index`).
+        listings and compaction.
         """
         records: List[Dict[str, Any]] = []
         if not path.exists():
@@ -188,8 +188,8 @@ class ResultsStore:
         """The last valid record in shard ``path`` for the fingerprint it is named after.
 
         Lines carrying any other fingerprint (a doctored or foreign-tool
-        shard) are skipped, never served for an unrelated lookup.  Lookups,
-        listings and the sqlite index all resolve a shard through this rule.
+        shard) are skipped, never served for an unrelated lookup.  Lookups
+        and listings both resolve a shard through this rule.
         """
         records = [r for r in cls.read_records(path) if r["fingerprint"] == path.stem]
         return records[-1] if records else None
@@ -281,22 +281,14 @@ class ResultsStore:
 
     # ------------------------------------------------------------- compaction
     def _shard_files(self) -> List[Path]:
-        if not self._root.is_dir():
-            return []
-        return sorted(
-            path
-            for path in self._root.glob("??/*.jsonl")
-            if path.is_file()
-        )
-
-    def shard_files(self) -> List[Path]:
         """Every shard file in the store, in sorted (deterministic) order.
 
-        Public for maintenance tooling — compaction, ``repro cache stats``
-        and the sqlite index (:mod:`repro.store.index`) all walk the same
+        Compaction, :meth:`stats` and :meth:`fingerprints` all walk this
         listing.
         """
-        return self._shard_files()
+        if not self._root.is_dir():
+            return []
+        return sorted(path for path in self._root.glob("??/*.jsonl") if path.is_file())
 
     @staticmethod
     def _count_data_lines(path: Path) -> int:

@@ -1,9 +1,8 @@
-"""Typed queries against an indexed results store.
+"""Typed queries over a results store, answered from its JSON-lines shards.
 
-:class:`StoreQuery` is the read side of the store subsystem: given a store
-root whose ``index.sqlite`` has been built (``repro cache index``), it
-answers the questions a results consumer — the ``repro serve`` HTTP API, a
-notebook, a scheduler — would otherwise need a full sweep replay for:
+:class:`StoreQuery` is the read side of the store subsystem: it answers the
+questions a results consumer — the ``repro serve`` HTTP API, a notebook —
+would otherwise need a full sweep replay for:
 
 * :meth:`points` — every labelled grid point of an experiment, with the full
   JSON result payload exactly as stored.
@@ -11,26 +10,33 @@ notebook, a scheduler — would otherwise need a full sweep replay for:
 * :meth:`ci_band` — mean ± percentile-bootstrap interval per feature/sample
   size across the seeds of one grid point.  Reuses
   :func:`repro.runner.grid.mean_and_ci` with the aggregation layer's exact
-  per-feature stream keys, so a band served from the index is byte-identical
-  to the one a ``repro sweep --ci`` report prints for the same data.
+  per-feature stream keys, so a served band is byte-identical to the one a
+  ``repro sweep --ci`` report prints for the same data.
 
-Connections are opened read-only (sqlite URI ``mode=ro``) and per-thread, so
-one :class:`StoreQuery` is safe to share across server threads while a sweep
-appends to the store — the index is refreshed explicitly, never by readers.
+Labels are built once, at construction: every registered experiment × preset
+is expanded at every distinct cell seed in the store, and each cell's
+fingerprint is mapped to its experiment, preset, grid-point key and seed.
+Fingerprints hash the seed-inclusive configuration, so a label is an exact
+identity; records no expansion produces (scenario files, foreign tools) stay
+unlabelled.
+
+Records are read per query through a fresh
+:class:`~repro.runner.store.ResultsStore`, so every answer reflects the
+shards as they are now: a cell stored after start-up at a known seed is
+served, and a rewritten cell serves its newest record.  The label map is
+never mutated after construction, so one :class:`StoreQuery` is safe to
+share across server threads while a sweep appends to the store.
 """
 
 from __future__ import annotations
 
-import json
-import sqlite3
-import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
-from repro.exceptions import ConfigurationError
-from repro.runner.grid import mean_and_ci
-from repro.store.index import StoreIndex
+from repro.exceptions import ConfigurationError, ReproError
+from repro.runner.grid import mean_and_ci, split_seed_key
+from repro.runner.store import ResultsStore
 
 
 @dataclass(frozen=True)
@@ -48,16 +54,7 @@ class PointRecord:
 
     def to_json_dict(self) -> Dict[str, Any]:
         """JSON-able form (the server's ``/points`` payload element)."""
-        return {
-            "experiment": self.experiment,
-            "preset": self.preset,
-            "point_key": self.point_key,
-            "seed": self.seed,
-            "fingerprint": self.fingerprint,
-            "policy_kind": self.policy_kind,
-            "variance_ratio": self.variance_ratio,
-            "result": self.result,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -90,58 +87,119 @@ class CIBand:
         }
 
 
+class _Label(NamedTuple):
+    """Where one fingerprint sits in a registered grid.
+
+    Field order is the :meth:`StoreQuery.points` listing order.
+    """
+
+    experiment: str
+    point_key: str
+    seed: int
+    fingerprint: str
+    preset: str
+
+
+def _scalar(value: Any, kind: type) -> Any:
+    """``value`` coerced to ``kind``, or ``None`` for a bool, ``None`` or non-number."""
+    if isinstance(value, bool) or value is None:
+        return None
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def _expand_labels(store: ResultsStore) -> Tuple[List[_Label], Tuple[int, ...]]:
+    """Every registered grid cell's label, expanded at the store's cell seeds.
+
+    Returns the labels in :meth:`StoreQuery.points` order and the distinct
+    cell seeds they were expanded at.  An experiment whose expansion rejects
+    a seed or preset is skipped, not fatal.
+    """
+    # Imported here: repro.api pulls in every experiment module.
+    from repro.api import PRESETS, get_experiment, list_experiments
+
+    seeds = set()
+    for fingerprint in store.fingerprints():
+        record = store.get(fingerprint)
+        if record is not None:
+            seed = _scalar((record.get("config") or {}).get("seed"), int)
+            if seed is not None:
+                seeds.add(seed)
+    labels: Dict[Tuple[str, str, str], _Label] = {}
+    for name in list_experiments():
+        for preset in PRESETS:
+            for seed in sorted(seeds):
+                try:
+                    cells = get_experiment(name, preset, seed).cells()
+                except ReproError:
+                    continue
+                for cell in cells:
+                    fingerprint = cell.fingerprint()
+                    point_key, _ = split_seed_key(cell.key)
+                    labels[(fingerprint, name, preset)] = _Label(
+                        name, point_key, cell.seed, fingerprint, preset
+                    )
+    return sorted(labels.values()), tuple(sorted(seeds))
+
+
+def _point_record(label: _Label, record: Dict[str, Any]) -> PointRecord:
+    scenario = (record.get("config") or {}).get("scenario") or {}
+    policy_kind = (scenario.get("policy") or {}).get("kind")
+    return PointRecord(
+        experiment=label.experiment,
+        preset=label.preset,
+        point_key=label.point_key,
+        seed=label.seed,
+        fingerprint=label.fingerprint,
+        policy_kind=policy_kind if isinstance(policy_kind, str) else None,
+        variance_ratio=_scalar(record["result"].get("measured_variance_ratio"), float),
+        result=record["result"],
+    )
+
+
 class StoreQuery:
-    """Read-only queries against one indexed results store."""
+    """Read-only queries against one results store."""
 
-    def __init__(
-        self,
-        store_root: Union[str, Path],
-        index_path: Optional[Union[str, Path]] = None,
-    ) -> None:
-        self._index = StoreIndex(store_root, path=index_path)
-        if not self._index.path.exists():
-            raise ConfigurationError(
-                f"no index at {str(self._index.path)!r}; build one with "
-                f"'repro cache index --cache-dir {self._index.store.root}'"
-            )
-        self._local = threading.local()
-
-    @property
-    def index_path(self) -> Path:
-        """The sqlite index being queried."""
-        return self._index.path
+    def __init__(self, store_root: Union[str, Path]) -> None:
+        store = ResultsStore(store_root)
+        self._root = store.root
+        self._labels, self._seeds = _expand_labels(store)
 
     @property
     def store_root(self) -> Path:
-        """The indexed store's root directory."""
-        return self._index.store.root
+        """The queried store's root directory."""
+        return self._root
 
-    def _connection(self) -> sqlite3.Connection:
-        connection = getattr(self._local, "connection", None)
-        if connection is None:
-            connection = self._index.connect_readonly()
-            self._local.connection = connection
-        return connection
+    @property
+    def seeds(self) -> Tuple[int, ...]:
+        """The distinct cell seeds the labels were expanded at, ascending."""
+        return self._seeds
+
+    def _stored(self, labels: Iterable[_Label]) -> Iterator[Tuple[_Label, Dict[str, Any]]]:
+        """Each label whose fingerprint has a cell record now, with that record."""
+        store = ResultsStore(self._root)
+        for label in labels:
+            record = store.get(label.fingerprint)
+            if record is not None:
+                yield label, record
 
     # ---------------------------------------------------------------- queries
     def experiments(self) -> List[Dict[str, Any]]:
-        """Per-experiment label summary: points, records and seeds indexed."""
-        rows = self._connection().execute(
-            "SELECT experiment, COUNT(DISTINCT point_key) AS points, "
-            "COUNT(DISTINCT fingerprint) AS records, "
-            "COUNT(DISTINCT seed) AS seeds, "
-            "GROUP_CONCAT(DISTINCT preset) AS presets "
-            "FROM labels GROUP BY experiment ORDER BY experiment"
-        ).fetchall()
+        """Per-experiment label summary: points, records and seeds stored."""
+        stored: Dict[str, List[_Label]] = {}
+        for label, _ in self._stored(self._labels):
+            stored.setdefault(label.experiment, []).append(label)
         return [
             {
-                "experiment": row["experiment"],
-                "points": row["points"],
-                "records": row["records"],
-                "seeds": row["seeds"],
-                "presets": sorted((row["presets"] or "").split(",")),
+                "experiment": name,
+                "points": len({label.point_key for label in labels}),
+                "records": len({label.fingerprint for label in labels}),
+                "seeds": len({label.seed for label in labels}),
+                "presets": sorted({label.preset for label in labels}),
             }
-            for row in rows
+            for name, labels in sorted(stored.items())
         ]
 
     def points(
@@ -151,7 +209,7 @@ class StoreQuery:
         policy: Optional[str] = None,
         seed: Optional[int] = None,
     ) -> List[PointRecord]:
-        """Labelled grid-point records, newest-label-first deduplicated.
+        """Labelled grid-point records, ordered by experiment, point key and seed.
 
         Filters are conjunctive; ``policy`` matches the scenario's policy
         kind case-insensitively (``"cit"`` / ``"vit"``).  One stored record
@@ -160,77 +218,39 @@ class StoreQuery:
         fingerprint)`` is reported once, under its alphabetically first
         preset — the physical record is the same either way.
         """
-        clauses = ["r.kind = 'cell'"]
-        parameters: List[Any] = []
-        if experiment is not None:
-            clauses.append("l.experiment = ?")
-            parameters.append(experiment)
-        if preset is not None:
-            clauses.append("l.preset = ?")
-            parameters.append(preset)
-        if policy is not None:
-            clauses.append("LOWER(r.policy_kind) = LOWER(?)")
-            parameters.append(policy)
-        if seed is not None:
-            clauses.append("l.seed = ?")
-            parameters.append(int(seed))
-        rows = self._connection().execute(
-            "SELECT l.experiment, l.preset, l.point_key, l.seed, l.fingerprint, "
-            "r.policy_kind, r.variance_ratio, r.result_json "
-            "FROM labels l JOIN records r ON r.fingerprint = l.fingerprint "
-            f"WHERE {' AND '.join(clauses)} "
-            "ORDER BY l.experiment, l.point_key, l.seed, l.fingerprint, l.preset",
-            parameters,
-        ).fetchall()
+        labels = (
+            label
+            for label in self._labels
+            if (experiment is None or label.experiment == experiment)
+            and (preset is None or label.preset == preset)
+            and (seed is None or label.seed == int(seed))
+        )
         points: List[PointRecord] = []
         seen = set()
-        for row in rows:
-            identity = (row["experiment"], row["point_key"], row["seed"], row["fingerprint"])
-            if preset is None and identity in seen:
+        for label, record in self._stored(labels):
+            point = _point_record(label, record)
+            if policy is not None and (
+                point.policy_kind is None or point.policy_kind.lower() != policy.lower()
+            ):
                 continue
-            seen.add(identity)
-            points.append(
-                PointRecord(
-                    experiment=row["experiment"],
-                    preset=row["preset"],
-                    point_key=row["point_key"],
-                    seed=row["seed"],
-                    fingerprint=row["fingerprint"],
-                    policy_kind=row["policy_kind"],
-                    variance_ratio=row["variance_ratio"],
-                    result=json.loads(row["result_json"]) if row["result_json"] else {},
-                )
-            )
+            if preset is None and label[:4] in seen:
+                continue
+            seen.add(label[:4])
+            points.append(point)
         return points
 
     def point(self, point_key: str) -> List[PointRecord]:
         """Every per-seed record behind one grid-point key (any experiment)."""
-        rows = self._connection().execute(
-            "SELECT l.experiment, l.preset, l.point_key, l.seed, l.fingerprint, "
-            "r.policy_kind, r.variance_ratio, r.result_json "
-            "FROM labels l JOIN records r ON r.fingerprint = l.fingerprint "
-            "WHERE l.point_key = ? AND r.kind = 'cell' "
-            "ORDER BY l.seed, l.fingerprint, l.experiment, l.preset",
-            (point_key,),
-        ).fetchall()
+        labels = sorted(
+            (label for label in self._labels if label.point_key == point_key),
+            key=lambda label: (label.seed, label.fingerprint, label.experiment, label.preset),
+        )
         points: List[PointRecord] = []
         seen = set()
-        for row in rows:
-            if row["fingerprint"] in seen:
-                continue
-            seen.add(row["fingerprint"])
-            points.append(
-                PointRecord(
-                    experiment=row["experiment"],
-                    preset=row["preset"],
-                    point_key=row["point_key"],
-                    seed=row["seed"],
-                    fingerprint=row["fingerprint"],
-                    policy_kind=row["policy_kind"],
-                    variance_ratio=row["variance_ratio"],
-                    result=json.loads(row["result_json"]) if row["result_json"] else {},
-                )
-            )
+        for label, record in self._stored(labels):
+            if label.fingerprint not in seen:
+                seen.add(label.fingerprint)
+                points.append(_point_record(label, record))
         return points
 
     def ci_band(self, point_key: str, confidence: float = 0.95) -> CIBand:

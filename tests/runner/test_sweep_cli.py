@@ -226,7 +226,6 @@ class TestCacheCommand:
         [
             ["cache", "stats"],
             ["cache", "compact"],
-            ["cache", "index"],
             ["sweep", "--figures", "fig6", "--preset", "smoke"],
         ],
     )
@@ -241,6 +240,17 @@ class TestCacheCommand:
         assert "repro cache compact" in captured.err
         assert captured.out == ""
         assert sorted(path.name for path in tmp_path.iterdir()) == ["results.jsonl"]
+
+    def test_index_is_not_a_cache_action(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cache", "index", "--cache-dir", str(tmp_path)])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [error] = [line for line in captured.err.splitlines() if "error:" in line]
+        assert "argument action: invalid choice: 'index'" in error
+        assert "'compact'" in error and "'stats'" in error
+        assert list(tmp_path.iterdir()) == []
 
     def test_cache_dir_is_required(self, capsys):
         import pytest

@@ -1,4 +1,4 @@
-"""Tests of the typed StoreQuery API against an indexed fixture store."""
+"""Tests of the typed StoreQuery API against the fixture store."""
 
 from __future__ import annotations
 
@@ -13,33 +13,45 @@ from repro.exceptions import ConfigurationError
 from repro.runner import aggregate_cells
 from repro.runner.cells import CellResult
 from repro.runner.store import ResultsStore
-from repro.store import StoreIndex, StoreQuery
+from repro.store import StoreQuery
 
 FIXTURE_CACHE = Path(__file__).resolve().parent.parent / "fixtures" / "sweep_cache"
 
 
 @pytest.fixture(scope="module")
-def indexed_store(tmp_path_factory) -> Path:
-    """One indexed copy of the fixture store, shared by the read-only tests."""
+def shared_store(tmp_path_factory) -> Path:
+    """One copy of the fixture store, shared by the read-only tests."""
     root = tmp_path_factory.mktemp("store") / "cache"
     shutil.copytree(FIXTURE_CACHE, root)
-    StoreIndex(root).refresh()
     return root
 
 
 @pytest.fixture(scope="module")
-def query(indexed_store) -> StoreQuery:
-    return StoreQuery(indexed_store)
+def query(shared_store) -> StoreQuery:
+    return StoreQuery(shared_store)
+
+
+@pytest.fixture
+def fixture_store(tmp_path) -> Path:
+    """A throwaway copy of the fixture store, for tests that write to it."""
+    root = tmp_path / "cache"
+    shutil.copytree(FIXTURE_CACHE, root)
+    return root
+
+
+def fig6_fingerprints() -> list:
+    return [cell.fingerprint() for cell in get_experiment("fig6", "smoke", 2003).cells()]
 
 
 class TestPoints:
-    def test_missing_index_is_a_configuration_error(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="repro cache index"):
-            StoreQuery(tmp_path)
+    def test_empty_store_serves_nothing(self, tmp_path):
+        query = StoreQuery(tmp_path)
+        assert query.seeds == ()
+        assert query.points() == [] and query.experiments() == []
 
-    def test_points_match_the_jsonl_records_byte_for_byte(self, query, indexed_store):
+    def test_points_match_the_jsonl_records_byte_for_byte(self, query, shared_store):
         """The acceptance criterion: served values == stored values."""
-        store = ResultsStore(indexed_store)
+        store = ResultsStore(shared_store)
         points = query.points(experiment="fig6")
         assert len(points) == 2
         for point in points:
@@ -84,6 +96,14 @@ class TestPoints:
         assert records[0].seed == 2003
         assert query.point("fig6/utilization=0.99") == []
 
+    def test_labels_point_at_registered_experiments(self, query):
+        counts = {
+            name: len(query.points(experiment=name, preset="smoke"))
+            for name in ("fig4", "fig5", "fig6", "fig8")
+        }
+        assert counts == {"fig4": 1, "fig5": 2, "fig6": 2, "fig8": 4}
+        assert query.seeds == (2003,)
+
     def test_experiments_summary(self, query):
         summary = {entry["experiment"]: entry for entry in query.experiments()}
         assert set(summary) == {"fig4", "fig5", "fig6", "fig8"}
@@ -92,13 +112,72 @@ class TestPoints:
         assert "smoke" in summary["fig6"]["presets"]
 
 
+class TestShardPrecedence:
+    """Queries resolve every shard through the store's own parsing contract."""
+
+    def test_last_shard_record_wins(self, fixture_store):
+        query = StoreQuery(fixture_store)
+        store = ResultsStore(fixture_store)
+        fingerprint = fig6_fingerprints()[0]
+        record = store.get(fingerprint)
+        store.put(
+            fingerprint,
+            record["config"],
+            dict(record["result"], measured_variance_ratio=99.0),
+        )
+        [served] = [p for p in query.points(experiment="fig6") if p.fingerprint == fingerprint]
+        assert served.variance_ratio == 99.0
+        assert served.result["measured_variance_ratio"] == 99.0
+
+    def test_shard_lines_for_other_fingerprints_are_ignored(self, fixture_store):
+        """A cell's record copied into another cell's shard is never served."""
+        store = ResultsStore(fixture_store)
+        moved, host = fig6_fingerprints()
+        record = store.get(moved)
+        host_result = store.get(host)["result"]
+        store.shard_path(moved).unlink()
+        with store.shard_path(host).open("a", encoding="utf-8") as handle:
+            handle.write(json.dumps(dict(record, result=dict(record["result"], x=1))) + "\n")
+        points = StoreQuery(fixture_store).points(experiment="fig6")
+        assert [point.fingerprint for point in points] == [host]
+        assert points[0].result == host_result
+
+    def test_foreign_schema_records_are_skipped(self, fixture_store):
+        store = ResultsStore(fixture_store)
+        fingerprint = fig6_fingerprints()[0]
+        record = store.get(fingerprint)
+        result = dict(record["result"], measured_variance_ratio=7.0)
+        foreign = dict(record, schema=99, result=result)
+        with store.shard_path(fingerprint).open("a", encoding="utf-8") as handle:
+            handle.write(json.dumps(foreign) + "\n")
+        [served] = StoreQuery(fixture_store).point("fig6/utilization=0.05")
+        assert served.result == record["result"]
+
+    def test_capture_records_are_never_served_as_points(self, fixture_store):
+        """A capture winning a shard hides the cell record before it."""
+        query = StoreQuery(fixture_store)
+        fingerprint = fig6_fingerprints()[0]
+        ResultsStore(fixture_store).put(
+            fingerprint,
+            {"kind": "gateway-capture", "seed": 2003, "scenario": {}},
+            {"intervals": {"train": {"low": [0.1] * 10}}},
+            kind="capture",
+        )
+        assert [p.fingerprint for p in query.points(experiment="fig6")] == [
+            fig6_fingerprints()[1]
+        ]
+        assert query.point("fig6/utilization=0.05") == []
+        summary = {entry["experiment"]: entry for entry in query.experiments()}
+        assert summary["fig6"]["records"] == 1
+
+
 class TestCIBand:
     @pytest.fixture()
     def two_seed_store(self, tmp_path):
         """A store holding fig6 smoke cells at two seeds, with fake results.
 
         Results are synthetic (cheap) but structurally real; what matters is
-        that the bands served from sqlite match :func:`aggregate_cells` on
+        that the served bands match :func:`aggregate_cells` on
         the identical values exactly.
         """
         root = tmp_path / "cache"
@@ -118,7 +197,6 @@ class TestCIBand:
             )
             store.put(cell.fingerprint(), cell.config_dict(), result.to_json_dict())
             report[cell.key] = result
-        StoreIndex(root).refresh()
         return root, cells, report
 
     def test_band_matches_the_aggregation_layer_byte_for_byte(self, two_seed_store):
@@ -136,12 +214,10 @@ class TestCIBand:
                     assert served[0] == mean
                     assert served[1:] == expected.detection_rate_ci[feature][n]
 
-    def test_single_seed_point_is_rejected(self, indexed_store):
-        query = StoreQuery(indexed_store)
+    def test_single_seed_point_is_rejected(self, query):
         with pytest.raises(ConfigurationError, match="at least two"):
             query.ci_band("fig6/utilization=0.05", confidence=0.95)
 
-    def test_confidence_is_validated(self, indexed_store):
-        query = StoreQuery(indexed_store)
+    def test_confidence_is_validated(self, query):
         with pytest.raises(ConfigurationError, match="confidence"):
             query.ci_band("fig6/utilization=0.05", confidence=1.5)

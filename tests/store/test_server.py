@@ -14,17 +14,17 @@ from pathlib import Path
 
 import pytest
 
+import repro.store.server as server_module
 from repro.api import get_experiment, list_experiments
 from repro.runner import ResultsStore, SweepRunner
-from repro.store import StoreIndex, create_server
+from repro.store import create_server
 
 FIXTURE_CACHE = Path(__file__).resolve().parent.parent / "fixtures" / "sweep_cache"
 
 
 @contextmanager
 def serving(root: Path):
-    """Index ``root`` and serve it on an ephemeral port; yields the base URL."""
-    StoreIndex(root).refresh()
+    """Serve ``root`` on an ephemeral port; yields the base URL."""
     server = create_server(root, port=0, quiet=True)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -38,7 +38,7 @@ def serving(root: Path):
 
 @pytest.fixture(scope="module")
 def served(tmp_path_factory):
-    """An indexed fixture-store copy served on an ephemeral port."""
+    """A fixture-store copy served on an ephemeral port."""
     root = tmp_path_factory.mktemp("served") / "cache"
     shutil.copytree(FIXTURE_CACHE, root)
     with serving(root) as base:
@@ -65,7 +65,7 @@ class TestEndpoints:
         assert "GET /points?experiment=NAME" in body["endpoints"]
         assert body["store"] == str(root)
 
-    def test_experiments_lists_registry_and_index(self, served):
+    def test_experiments_lists_registry_and_labels(self, served):
         _, base = served
         status, body = get_json(base, "/experiments")
         assert status == 200
@@ -170,22 +170,33 @@ class TestErrorPaths:
         assert status == 400
 
     @pytest.mark.parametrize(
-        "path, parameter",
+        "path, status, parameter",
         [
-            ("/points?experiment=fig6&seed=1.5", "seed"),
-            ("/report/fig6?preset=smoke&seed=x", "seed"),
-            ("/report/fig6?preset=smoke&seeds=two", "seeds"),
-            ("/report/fig6?preset=smoke&confidence=high", "confidence"),
-            ("/point/fig6%2Futilization%3D0.05?confidence=high", "confidence"),
+            ("/points?experiment=fig6&seed=1.5", 400, "seed"),
+            ("/report/fig6?preset=smoke&seed=x", 400, "seed"),
+            ("/report/fig6?preset=smoke&seeds=two", 400, "seeds"),
+            ("/report/fig6?preset=smoke&seeds=0", 400, "seeds"),
+            ("/report/fig6?preset=smoke&seeds=-3", 400, "seeds"),
+            ("/report/fig6?preset=smoke&seeds=2", 409, "seeds"),
+            ("/report/fig6?preset=smoke&confidence=high", 400, "confidence"),
+            ("/point/fig6%2Futilization%3D0.05?confidence=high", 400, "confidence"),
         ],
-        ids=["points-seed", "report-seed", "report-seeds", "report-confidence",
+        ids=["points-seed", "report-seed", "report-seeds", "report-seeds-zero",
+             "report-seeds-negative", "report-seeds-beyond-store", "report-confidence",
              "point-confidence"],
     )
-    def test_non_numeric_query_parameter_is_400_naming_it(self, served, path, parameter):
+    def test_bad_query_parameter_is_refused_naming_it(
+        self, served, monkeypatch, path, status, parameter
+    ):
+        """Refused before any report grid is expanded: the fixture store holds
+        one seed, so ``seeds=2`` can never be served."""
+        expanded = []
+        monkeypatch.setattr(server_module, "seed_range", lambda *args: expanded.append(args))
         _, base = served
-        status, body = error_of(lambda: get_json(base, path))
-        assert status == 400
+        code, body = error_of(lambda: get_json(base, path))
+        assert code == status
         assert f"query parameter {parameter}=" in body["error"]
+        assert expanded == []
 
     def test_single_seed_ci_band_is_400(self, served):
         _, base = served
@@ -252,27 +263,37 @@ class TestReadOnly:
         assert excinfo.value.code == 501
         assert store_snapshot(root) == before
 
-    def test_store_with_an_old_queue_subtree_serves_the_same_report(self, tmp_path):
-        """A ``queue/`` directory left by an earlier release is never read.
+    @pytest.mark.parametrize("leftover", ["queue", "index.sqlite"])
+    def test_store_with_files_of_an_earlier_release_serves_the_same_report(
+        self, tmp_path, leftover
+    ):
+        """A ``queue/`` directory or an ``index.sqlite`` left by an earlier
+        release is never read.
 
-        Its result shard holds a record for a fixture cell with a different
-        result, so a store that read it would serve a different report.
+        The queue's result shard holds a record for a fixture cell with a
+        different result, so a store that read it would serve a different
+        report; the index is garbage bytes.
         """
         clean, legacy = tmp_path / "clean", tmp_path / "legacy"
         shutil.copytree(FIXTURE_CACHE, clean)
         shutil.copytree(FIXTURE_CACHE, legacy)
-        cell = get_experiment("fig6", "smoke", 2003).cells()[0]
-        record = ResultsStore(clean).get(cell.fingerprint())
-        forged = dict(record, result=dict(record["result"], measured_variance_ratio=99.0))
-        queue = legacy / "queue"
-        for name in ("queued", "leased", "results", "workers", "tmp"):
-            (queue / name).mkdir(parents=True)
-        entry = {"unit": "cell", "key": cell.key, "config": record["config"]}
-        (queue / "queued" / f"{cell.fingerprint()}.json").write_text(json.dumps(entry))
-        (queue / "leased" / f"{cell.fingerprint()}.host-1.json").write_text(json.dumps(entry))
-        (queue / "results" / "host-1.jsonl").write_text(json.dumps(forged) + "\n")
-        (queue / "workers" / "host-1.heartbeat").touch()
-        (queue / "clock").touch()
+        if leftover == "index.sqlite":
+            (legacy / "index.sqlite").write_bytes(b"SQLite format 3\x00\xff\x00garbage")
+        else:
+            cell = get_experiment("fig6", "smoke", 2003).cells()[0]
+            record = ResultsStore(clean).get(cell.fingerprint())
+            forged = dict(record, result=dict(record["result"], measured_variance_ratio=99.0))
+            queue = legacy / "queue"
+            for name in ("queued", "leased", "results", "workers", "tmp"):
+                (queue / name).mkdir(parents=True)
+            entry = {"unit": "cell", "key": cell.key, "config": record["config"]}
+            (queue / "queued" / f"{cell.fingerprint()}.json").write_text(json.dumps(entry))
+            (queue / "leased" / f"{cell.fingerprint()}.host-1.json").write_text(
+                json.dumps(entry)
+            )
+            (queue / "results" / "host-1.jsonl").write_text(json.dumps(forged) + "\n")
+            (queue / "workers" / "host-1.heartbeat").touch()
+            (queue / "clock").touch()
 
         assert ResultsStore(legacy).stats() == ResultsStore(clean).stats()
         assert sorted(ResultsStore(legacy).fingerprints()) == sorted(
@@ -289,6 +310,27 @@ class TestReadOnly:
         runner = SweepRunner(store=ResultsStore(legacy), backend="serial")
         runner.run(get_experiment("fig6", "smoke", 2003).cells())
         assert runner.cache_misses == 0
+
+
+class TestFreshReads:
+    def test_a_cell_stored_after_start_up_is_served(self, tmp_path):
+        """Every request reads the shards: a cell rewritten while the server
+        runs is served with its new result."""
+        root = tmp_path / "cache"
+        shutil.copytree(FIXTURE_CACHE, root)
+        cell = get_experiment("fig6", "smoke", 2003).cells()[0]
+        key = urllib.parse.quote(cell.key, safe="")
+        with serving(root) as base:
+            store = ResultsStore(root)
+            record = store.get(cell.fingerprint())
+            changed = dict(record["result"], measured_variance_ratio=99.0)
+            store.put(cell.fingerprint(), record["config"], changed)
+            _, points = get_json(base, "/points?experiment=fig6")
+            _, point = get_json(base, f"/point/{key}")
+        [served] = [p for p in points["points"] if p["fingerprint"] == cell.fingerprint()]
+        assert served["result"] == changed
+        assert served["variance_ratio"] == 99.0
+        assert [r["result"] for r in point["records"]] == [changed]
 
 
 class TestConcurrency:

@@ -459,52 +459,6 @@ class TestCaptureKernel:
         assert reference_report == kernel_report
 
 
-class TestCacheIndexCommand:
-    def test_index_builds_and_reports_counts(self, tmp_path, capsys):
-        from repro.runner import ResultsStore
-        from repro.store import INDEX_FILENAME
-
-        store = ResultsStore(tmp_path)
-        store.put("aaaa11", {"seed": 1}, {"measured_variance_ratio": 1.0})
-        assert main(["cache", "index", "--cache-dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "cache index:" in out
-        assert "1 records written" in out
-        assert (tmp_path / INDEX_FILENAME).exists()
-
-    def test_second_index_run_writes_zero_rows(self, tmp_path, capsys):
-        from repro.runner import ResultsStore
-
-        store = ResultsStore(tmp_path)
-        store.put("aaaa11", {"seed": 1}, {"measured_variance_ratio": 1.0})
-        assert main(["cache", "index", "--cache-dir", str(tmp_path)]) == 0
-        capsys.readouterr()
-        assert main(["cache", "index", "--cache-dir", str(tmp_path)]) == 0
-        assert "0 records written" in capsys.readouterr().out
-
-    def test_compact_refreshes_an_existing_index(self, tmp_path, capsys):
-        from repro.runner import ResultsStore
-
-        store = ResultsStore(tmp_path)
-        store.put("aaaa11", {"seed": 1}, {"measured_variance_ratio": 1.0})
-        store.put("aaaa11", {"seed": 1}, {"measured_variance_ratio": 2.0})
-        assert main(["cache", "index", "--cache-dir", str(tmp_path)]) == 0
-        capsys.readouterr()
-        assert main(["cache", "compact", "--cache-dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "cache compact:" in out
-        assert "cache index:" in out  # refreshed in the same pass
-
-    def test_compact_without_an_index_does_not_create_one(self, tmp_path, capsys):
-        from repro.runner import ResultsStore
-        from repro.store import INDEX_FILENAME
-
-        ResultsStore(tmp_path).put("aaaa11", {}, {"measured_variance_ratio": 1.0})
-        assert main(["cache", "compact", "--cache-dir", str(tmp_path)]) == 0
-        assert "cache index:" not in capsys.readouterr().out
-        assert not (tmp_path / INDEX_FILENAME).exists()
-
-
 class TestBackendChoices:
     """``serial`` and ``process`` are the only backends; nothing else parses."""
 
