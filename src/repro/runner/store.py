@@ -281,14 +281,22 @@ class ResultsStore:
 
     # ------------------------------------------------------------- compaction
     def _shard_files(self) -> List[Path]:
-        """Every shard file in the store, in sorted (deterministic) order.
-
-        Compaction, :meth:`stats` and :meth:`fingerprints` all walk this
-        listing.
-        """
         if not self._root.is_dir():
             return []
-        return sorted(path for path in self._root.glob("??/*.jsonl") if path.is_file())
+        return sorted(
+            path
+            for path in self._root.glob("??/*.jsonl")
+            if path.is_file()
+        )
+
+    def shard_files(self) -> List[Path]:
+        """Every shard file in the store, in sorted (deterministic) order.
+
+        Public for read-side tooling — compaction, ``repro cache stats``,
+        :class:`~repro.store.query.StoreQuery` and ``repro serve`` all walk
+        the same listing.
+        """
+        return self._shard_files()
 
     @staticmethod
     def _count_data_lines(path: Path) -> int:

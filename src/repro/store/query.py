@@ -30,7 +30,7 @@ share across server threads while a sweep appends to the store.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
@@ -54,7 +54,16 @@ class PointRecord:
 
     def to_json_dict(self) -> Dict[str, Any]:
         """JSON-able form (the server's ``/points`` payload element)."""
-        return asdict(self)
+        return {
+            "experiment": self.experiment,
+            "preset": self.preset,
+            "point_key": self.point_key,
+            "seed": self.seed,
+            "fingerprint": self.fingerprint,
+            "policy_kind": self.policy_kind,
+            "variance_ratio": self.variance_ratio,
+            "result": self.result,
+        }
 
 
 @dataclass(frozen=True)
@@ -110,12 +119,11 @@ def _scalar(value: Any, kind: type) -> Any:
         return None
 
 
-def _expand_labels(store: ResultsStore) -> Tuple[List[_Label], Tuple[int, ...]]:
+def _expand_labels(store: ResultsStore) -> List[_Label]:
     """Every registered grid cell's label, expanded at the store's cell seeds.
 
-    Returns the labels in :meth:`StoreQuery.points` order and the distinct
-    cell seeds they were expanded at.  An experiment whose expansion rejects
-    a seed or preset is skipped, not fatal.
+    Returns the labels in :meth:`StoreQuery.points` order.  An experiment
+    whose expansion rejects a seed or preset is skipped, not fatal.
     """
     # Imported here: repro.api pulls in every experiment module.
     from repro.api import PRESETS, get_experiment, list_experiments
@@ -141,7 +149,7 @@ def _expand_labels(store: ResultsStore) -> Tuple[List[_Label], Tuple[int, ...]]:
                     labels[(fingerprint, name, preset)] = _Label(
                         name, point_key, cell.seed, fingerprint, preset
                     )
-    return sorted(labels.values()), tuple(sorted(seeds))
+    return sorted(labels.values())
 
 
 def _point_record(label: _Label, record: Dict[str, Any]) -> PointRecord:
@@ -165,17 +173,12 @@ class StoreQuery:
     def __init__(self, store_root: Union[str, Path]) -> None:
         store = ResultsStore(store_root)
         self._root = store.root
-        self._labels, self._seeds = _expand_labels(store)
+        self._labels = _expand_labels(store)
 
     @property
     def store_root(self) -> Path:
         """The queried store's root directory."""
         return self._root
-
-    @property
-    def seeds(self) -> Tuple[int, ...]:
-        """The distinct cell seeds the labels were expanded at, ascending."""
-        return self._seeds
 
     def _stored(self, labels: Iterable[_Label]) -> Iterator[Tuple[_Label, Dict[str, Any]]]:
         """Each label whose fingerprint has a cell record now, with that record."""
@@ -188,8 +191,11 @@ class StoreQuery:
     # ---------------------------------------------------------------- queries
     def experiments(self) -> List[Dict[str, Any]]:
         """Per-experiment label summary: points, records and seeds stored."""
+        # Every label is asked about, and most (other presets' and seeds'
+        # cells) have no shard: one listing skips them without a lookup each.
+        present = {path.stem for path in ResultsStore(self._root).shard_files()}
         stored: Dict[str, List[_Label]] = {}
-        for label, _ in self._stored(self._labels):
+        for label, _ in self._stored(l for l in self._labels if l.fingerprint in present):
             stored.setdefault(label.experiment, []).append(label)
         return [
             {

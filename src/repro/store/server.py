@@ -3,16 +3,30 @@
 The server is deliberately stdlib-only: a
 :class:`http.server.ThreadingHTTPServer` whose handler answers every request
 from the store's JSON-lines shards, labelled by the grid-point map that
-:class:`~repro.store.query.StoreQuery` builds at start-up.  No request takes
-a lock on the store, so a sweep can keep appending while the server runs.
-The endpoints are listed in :data:`_ENDPOINTS`, which ``GET /`` serves, and
-in ``docs/serving.md`` with worked examples.
+:class:`~repro.store.query.StoreQuery` builds at start-up, so no request
+ever takes a lock on the store and a sweep can keep appending while the
+server runs.  Endpoints:
+
+================================  ==============================================
+``GET /``                         endpoint listing (this table, as JSON)
+``GET /experiments``              registered experiments + indexed label summary
+``GET /points?experiment=NAME``   labelled grid-point records with full results
+                                  (optional ``preset=`` / ``seed=`` / ``policy=``)
+``GET /point/<point-key>``        every per-seed record behind one grid point
+                                  (optional ``confidence=`` adds the CI band)
+``GET /report/<experiment>``      the experiment's rendered report text,
+                                  assembled purely from cached records
+                                  (optional ``preset=`` / ``seed=`` / ``seeds=``
+                                  / ``confidence=``; 409 lists missing cells)
+================================  ==============================================
 
 The server only reads: it never computes a cell or writes to the store.  A
 report whose cells the store lacks answers 409 with the missing cell keys;
 ``repro run NAME --preset P --cache-dir DIR`` fills them.  A method without
 a handler (``POST`` included) is answered by :mod:`http.server` itself with
 501.
+
+See ``docs/serving.md`` for worked examples.
 """
 
 from __future__ import annotations
@@ -20,7 +34,7 @@ from __future__ import annotations
 import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Dict, List, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 from urllib.parse import parse_qs, unquote, urlparse
 
 from repro.exceptions import ConfigurationError, ReproError
@@ -62,6 +76,7 @@ class ResultsServer(ThreadingHTTPServer):
         quiet: bool = False,
     ) -> None:
         self.query = query
+        self.store_root = query.store_root
         self.quiet = quiet
         super().__init__(address, _Handler)
 
@@ -87,16 +102,25 @@ class _Handler(BaseHTTPRequestHandler):
         return {name: values[-1] for name, values in parsed.items()}
 
     @staticmethod
-    def _number_param(params: Dict[str, str], name: str, kind: type) -> Any:
-        """Parameter ``name`` as an ``int`` or ``float``; ``None`` when absent."""
+    def _int_param(params: Dict[str, str], name: str) -> Optional[int]:
         if name not in params:
             return None
         try:
-            return kind(params[name])
+            return int(params[name])
         except ValueError:
-            noun = "an integer" if kind is int else "a number"
             raise _HTTPError(
-                400, f"query parameter {name}={params[name]!r} is not {noun}"
+                400, f"query parameter {name}={params[name]!r} is not an integer"
+            ) from None
+
+    @staticmethod
+    def _float_param(params: Dict[str, str], name: str) -> Optional[float]:
+        if name not in params:
+            return None
+        try:
+            return float(params[name])
+        except ValueError:
+            raise _HTTPError(
+                400, f"query parameter {name}={params[name]!r} is not a number"
             ) from None
 
     # --------------------------------------------------------------- routing
@@ -114,7 +138,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _route_get(self) -> Tuple[Dict[str, Any], int]:
         path = unquote(urlparse(self.path).path)
         if path in ("", "/"):
-            return {"endpoints": _ENDPOINTS, "store": str(self.server.query.store_root)}, 200
+            return {"endpoints": _ENDPOINTS, "store": str(self.server.store_root)}, 200
         if path.rstrip("/") == "/experiments":
             return self._experiments(), 200
         if path.rstrip("/") == "/points":
@@ -130,16 +154,15 @@ class _Handler(BaseHTTPRequestHandler):
         from repro.api import describe_experiment, list_experiments
 
         indexed = {entry["experiment"]: entry for entry in self.server.query.experiments()}
-        return {
-            "experiments": [
-                {
-                    "experiment": name,
-                    "description": describe_experiment(name),
-                    "indexed": indexed.get(name),
-                }
-                for name in list_experiments()
-            ]
-        }
+        experiments = []
+        for name in list_experiments():
+            entry: Dict[str, Any] = {
+                "experiment": name,
+                "description": describe_experiment(name),
+                "indexed": indexed.pop(name, None),
+            }
+            experiments.append(entry)
+        return {"experiments": experiments}
 
     def _points(self) -> Dict[str, Any]:
         from repro.api import list_experiments
@@ -154,7 +177,7 @@ class _Handler(BaseHTTPRequestHandler):
             experiment=experiment,
             preset=params.get("preset"),
             policy=params.get("policy"),
-            seed=self._number_param(params, "seed", int),
+            seed=self._int_param(params, "seed"),
         )
         return {
             "experiment": experiment,
@@ -173,46 +196,51 @@ class _Handler(BaseHTTPRequestHandler):
             "count": len(records),
             "records": [record.to_json_dict() for record in records],
         }
-        confidence = self._number_param(params, "confidence", float)
+        confidence = self._float_param(params, "confidence")
         if confidence is not None:
             payload["ci_band"] = self.server.query.ci_band(key, confidence).to_json_dict()
         return payload, 200
 
-    def _report(self, name: str) -> Tuple[Dict[str, Any], int]:
-        from repro.api import DEFAULT_SEED, get_experiment, list_experiments
+    def _resolve_experiment(self, name: str, preset: str, seed: int) -> Any:
+        from repro.api import get_experiment, list_experiments
 
+        if name not in list_experiments():
+            raise _HTTPError(404, f"unknown experiment {name!r}")
+        return get_experiment(name, preset, seed)
+
+    def _report(self, name: str) -> Tuple[Dict[str, Any], int]:
         params = self._query_params()
         name = name.rstrip("/")
         preset = params.get("preset", "fast")
-        seed = self._number_param(params, "seed", int)
-        seed = seed if seed is not None else int(DEFAULT_SEED)
-        count = self._number_param(params, "seeds", int)
+        seed = self._int_param(params, "seed")
+        seed = seed if seed is not None else _default_seed()
+        count = self._int_param(params, "seeds")
         if count is not None and count < 1:
             raise _HTTPError(400, f"query parameter seeds={count} must be at least 1")
-        confidence = self._number_param(params, "confidence", float)
-        if name not in list_experiments():
-            raise _HTTPError(404, f"unknown experiment {name!r}")
-        experiment = get_experiment(name, preset, seed)
-        stored_seeds = len(self.server.query.seeds)
-        if count is not None and count > stored_seeds:
-            # Checked before the grid is expanded: a huge count would
-            # otherwise build count x cells in memory just to report them.
+        confidence = self._float_param(params, "confidence")
+        experiment = self._resolve_experiment(name, preset, seed)
+
+        # A fresh store per request, so records appended since start-up are
+        # served.
+        store = ResultsStore(self.server.store_root)
+        shards = len(store.shard_files())
+        if count is not None and count > max(shards, 1):
+            # Every stored seed has at least one shard, so this count can
+            # never be served; refused before count x cells are expanded.
             return (
                 {
                     "error": f"query parameter seeds={count} asks for more seeds than "
-                    f"the {stored_seeds} distinct cell seed(s) the store held when the "
-                    f"server started",
+                    f"the store can hold: each seed needs a shard file and it has "
+                    f"{shards}; compute them with "
+                    f"repro run NAME --preset P --seeds N --cache-dir DIR",
                     "experiment": name,
                     "preset": preset,
+                    "missing": None,
                 },
                 409,
             )
         seeds = seed_range(seed, count) if count is not None and count > 1 else None
         cells = experiment.cells(seeds)
-
-        # A fresh store per request, so records appended since start-up are
-        # served.
-        store = ResultsStore(self.server.query.store_root)
         report: Dict[str, CellResult] = {}
         missing: List[str] = []
         for cell in cells:
@@ -249,6 +277,12 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
 
+def _default_seed() -> int:
+    from repro.api import DEFAULT_SEED
+
+    return int(DEFAULT_SEED)
+
+
 def create_server(
     store_root: Union[str, Path],
     host: str = DEFAULT_HOST,
@@ -260,7 +294,8 @@ def create_server(
     Builds the query's label map before binding, so the first request is
     answered without expanding the registered grids.
     """
-    return ResultsServer((host, port), StoreQuery(store_root), quiet=quiet)
+    query = StoreQuery(store_root)
+    return ResultsServer((host, port), query, quiet=quiet)
 
 
 __all__ = [

@@ -46,7 +46,6 @@ def fig6_fingerprints() -> list:
 class TestPoints:
     def test_empty_store_serves_nothing(self, tmp_path):
         query = StoreQuery(tmp_path)
-        assert query.seeds == ()
         assert query.points() == [] and query.experiments() == []
 
     def test_points_match_the_jsonl_records_byte_for_byte(self, query, shared_store):
@@ -102,7 +101,6 @@ class TestPoints:
             for name in ("fig4", "fig5", "fig6", "fig8")
         }
         assert counts == {"fig4": 1, "fig5": 2, "fig6": 2, "fig8": 4}
-        assert query.seeds == (2003,)
 
     def test_experiments_summary(self, query):
         summary = {entry["experiment"]: entry for entry in query.experiments()}

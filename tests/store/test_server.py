@@ -20,6 +20,8 @@ from repro.runner import ResultsStore, SweepRunner
 from repro.store import create_server
 
 FIXTURE_CACHE = Path(__file__).resolve().parent.parent / "fixtures" / "sweep_cache"
+#: More seeds than the fixture store has shard files, so never servable.
+BEYOND_STORE = len(list(FIXTURE_CACHE.glob("??/*.jsonl"))) + 1
 
 
 @contextmanager
@@ -177,7 +179,7 @@ class TestErrorPaths:
             ("/report/fig6?preset=smoke&seeds=two", 400, "seeds"),
             ("/report/fig6?preset=smoke&seeds=0", 400, "seeds"),
             ("/report/fig6?preset=smoke&seeds=-3", 400, "seeds"),
-            ("/report/fig6?preset=smoke&seeds=2", 409, "seeds"),
+            (f"/report/fig6?preset=smoke&seeds={BEYOND_STORE}", 409, "seeds"),
             ("/report/fig6?preset=smoke&confidence=high", 400, "confidence"),
             ("/point/fig6%2Futilization%3D0.05?confidence=high", 400, "confidence"),
         ],
@@ -188,8 +190,9 @@ class TestErrorPaths:
     def test_bad_query_parameter_is_refused_naming_it(
         self, served, monkeypatch, path, status, parameter
     ):
-        """Refused before any report grid is expanded: the fixture store holds
-        one seed, so ``seeds=2`` can never be served."""
+        """Refused before any report grid is expanded: every stored seed has a
+        shard file, so more seeds than the store has shards can never be
+        served."""
         expanded = []
         monkeypatch.setattr(server_module, "seed_range", lambda *args: expanded.append(args))
         _, base = served
@@ -331,6 +334,25 @@ class TestFreshReads:
         assert served["result"] == changed
         assert served["variance_ratio"] == 99.0
         assert [r["result"] for r in point["records"]] == [changed]
+
+    def test_a_seed_stored_after_start_up_serves_its_multi_seed_report(self, tmp_path):
+        """The one-seed store cannot serve ``seeds=2`` at start-up; once the
+        second seed's cells are stored, the next request serves it."""
+        root = tmp_path / "cache"
+        shutil.copytree(FIXTURE_CACHE, root)
+        path = "/report/fig6?preset=smoke&seeds=2"
+        with serving(root) as base:
+            status, body = error_of(lambda: get_json(base, path))
+            assert status == 409 and body["missing"]
+            store = ResultsStore(root)
+            first = get_experiment("fig6", "smoke", 2003).cells()
+            second = get_experiment("fig6", "smoke", 2004).cells()
+            for old, new in zip(first, second):
+                record = store.get(old.fingerprint())
+                store.put(new.fingerprint(), record["config"], record["result"])
+            status, body = get_json(base, path)
+        assert status == 200
+        assert body["seeds"] == [2003, 2004]
 
 
 class TestConcurrency:
