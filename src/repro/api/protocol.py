@@ -11,7 +11,7 @@ the sweep runner identically.
 
 :func:`run_experiment` is the one-call entry point: expand the experiment's
 cells, execute them through a :class:`~repro.runner.runner.SweepRunner`
-(parallelism, caching, retries), assemble the experiment-specific result,
+(parallelism, caching), assemble the experiment-specific result,
 and wrap everything in an :class:`ExperimentResult` carrying the raw cell
 results and full provenance (seeds, confidence, preset, cell fingerprints).
 """

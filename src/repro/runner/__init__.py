@@ -14,20 +14,12 @@ cacheable gateway captures (:mod:`repro.runner.capture`).  See
 ``docs/running.md`` for the CLI, the cache layout and how CI exercises
 warm-cache sweeps.
 
-The process pool and ``repro bench`` load only when used; import them from
-:mod:`repro.runner.backends.process` and :mod:`repro.runner.bench`.
+The process pool (:mod:`multiprocessing`, :mod:`concurrent.futures`) loads
+only when a run has cells for two or more workers, and ``repro bench`` only
+when used; import it from :mod:`repro.runner.bench`.
 """
 
 from repro.exceptions import SweepError
-from repro.runner.backends import (
-    BACKEND_NAMES,
-    ExecutionBackend,
-    SerialBackend,
-    TaskFailure,
-    available_cpu_count,
-    create_backend,
-    resolve_jobs,
-)
 from repro.runner.capture import (
     CaptureResult,
     CaptureSpec,
@@ -42,6 +34,8 @@ from repro.runner.cells import (
     SweepCell,
     run_cell,
 )
+from repro.runner.defaults import BACKEND_NAMES
+from repro.runner.execute import TaskFailure, available_cpu_count, resolve_jobs
 from repro.runner.grid import (
     SEED_TAG,
     AggregatedCellResult,
@@ -60,11 +54,8 @@ from repro.runner.store import CompactionStats, ResultsStore, StoreStats
 
 __all__ = [
     "BACKEND_NAMES",
-    "ExecutionBackend",
-    "SerialBackend",
     "TaskFailure",
     "available_cpu_count",
-    "create_backend",
     "resolve_jobs",
     "DEFAULT_FEATURES",
     "KDE_BANDWIDTH_RULES",

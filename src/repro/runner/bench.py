@@ -85,7 +85,7 @@ def collect_machine_info() -> Dict[str, Any]:
     """
     import os
 
-    from repro.runner.backends.base import available_cpu_count
+    from repro.runner.execute import available_cpu_count
 
     return {
         "platform": platform.platform(),

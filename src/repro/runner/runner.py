@@ -1,20 +1,19 @@
 """The sweep runner: cache partitioning, capture resolution, accounting.
 
 :class:`SweepRunner` executes a grid of :class:`~repro.runner.cells.SweepCell`
-objects, delegating *how* cache misses run to a pluggable
-:class:`~repro.runner.backends.base.ExecutionBackend` — ``serial`` (inline,
-zero pool overhead) or ``process`` (a process pool over local workers) —
-and streaming every computed result into an optional
-:class:`~repro.runner.store.ResultsStore` so that repeated sweeps skip the
-simulation entirely.  Two-level cells (a shared gateway capture feeding
-per-scenario children, :mod:`repro.runner.capture`) give each capture a
-lifetime: the backend pulls cell tasks from a lazy stream in grid order, the
-runner resolves a capture (served from the store, or simulated once and
-stored) when the stream reaches its first pending child, every child's task
-carries the capture to wherever it runs, and the runner drops its reference
-once the capture's last child has a terminal outcome.  When a capture's
-children are contiguous in the grid, as every registered experiment's are,
-the serial backend holds one capture at a time.
+objects, running the cache misses through
+:func:`~repro.runner.execute.execute` — inline in this process, or on a
+process pool over local workers — and streaming every computed result into
+an optional :class:`~repro.runner.store.ResultsStore` so that repeated
+sweeps skip the simulation entirely.  Two-level cells (a shared gateway
+capture feeding per-scenario children, :mod:`repro.runner.capture`) give
+each capture a lifetime: the executor pulls cell tasks from a lazy stream in
+grid order, the runner resolves a capture (served from the store, or
+simulated once and stored) when the stream reaches its first pending child,
+every child's task carries the capture to wherever it runs, and the runner
+drops its reference once the capture's last child has an outcome.  When a
+capture's children are contiguous in the grid, as every registered
+experiment's are, an inline run holds one capture at a time.
 
 Guarantees:
 
@@ -22,12 +21,10 @@ Guarantees:
   seeding via :class:`repro.sim.random.RandomStreams`), so the same grid and
   seeds produce bit-identical results on any backend at any ``jobs`` count,
   warm or cold.
-* **Loud failure** — a cell that keeps failing aborts the sweep with a
-  :class:`~repro.exceptions.SweepError` naming the cell and carrying the
-  worker traceback; so does a pool worker that dies, rather than leaving
-  the sweep to hang.
-* **Bounded retries** — ``retries=N`` re-runs a failing cell up to ``N``
-  extra times before aborting.
+* **Loud failure** — a cell or capture that fails aborts the sweep with a
+  :class:`~repro.exceptions.SweepError` naming it and carrying the worker
+  traceback; so does a pool worker that dies, rather than leaving the sweep
+  to hang.
 * **Single-writer cache** — only the parent process appends to the store, so
   workers never contend for the results file.
 """
@@ -35,14 +32,15 @@ Guarantees:
 from __future__ import annotations
 
 import time
+import traceback
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 from repro.exceptions import ConfigurationError, SweepError
-from repro.runner.backends import SerialBackend, create_backend
-from repro.runner.backends.base import Task, TaskFailure
 from repro.runner.capture import CaptureResult, CaptureSpec, run_capture
 from repro.runner.cells import CellResult, SweepCell, run_cell
+from repro.runner.defaults import BACKEND_NAMES
+from repro.runner.execute import Task, TaskFailure, execute
 from repro.runner.store import ResultsStore
 
 
@@ -82,7 +80,7 @@ class SweepReport:
 
 
 class SweepRunner:
-    """Runs sweep cells through an execution backend, with caching.
+    """Runs sweep cells inline or on a process pool, with caching.
 
     Parameters
     ----------
@@ -96,12 +94,9 @@ class SweepRunner:
         are returned from the cache without simulating.
     progress:
         Optional callable invoked with one line per completed cell.
-    retries:
-        Extra attempts granted to a failing cell before the sweep aborts
-        with a :class:`~repro.exceptions.SweepError`.
     backend:
-        Execution strategy: ``"process"`` (default, a process pool) or
-        ``"serial"`` (inline fast path).
+        ``"process"`` (default) runs cells on ``jobs`` pool workers;
+        ``"serial"`` runs every cell inline whatever ``jobs`` says.
     """
 
     def __init__(
@@ -109,19 +104,20 @@ class SweepRunner:
         jobs: int = 1,
         store: Optional[ResultsStore] = None,
         progress: Optional[Callable[[str], None]] = None,
-        retries: int = 0,
         backend: str = "process",
     ) -> None:
+        # Checked here, for every backend, so a misconfiguration fails at
+        # construction, not mid-sweep.
+        if backend not in BACKEND_NAMES:
+            raise ConfigurationError(
+                f"backend={backend!r} must be one of {', '.join(BACKEND_NAMES)}"
+            )
+        if jobs < 1:
+            raise ConfigurationError(f"jobs={jobs!r} must be >= 1")
         self.jobs = jobs
         self.store = store
         self._progress = progress
-        self.retries = retries
         self.backend_name = backend
-        # Built eagerly so a misconfiguration (unknown backend, bad jobs or
-        # retries) fails at construction, not mid-sweep.
-        self._backend = create_backend(
-            backend, jobs=jobs, retries=retries, progress=progress
-        )
         # Accumulated across run() calls so a multi-figure sweep can print one
         # overall summary (the CLI's ``sweep summary:`` line).
         self.cells_seen = 0
@@ -179,15 +175,16 @@ class SweepRunner:
         def tasks() -> Iterator[Task]:
             for cell in pending.values():
                 if cell.capture is None:
-                    yield ("cell", cell)
+                    yield cell, None
                     continue
                 fingerprint = cell.capture.fingerprint()
                 if fingerprint not in live:
                     live[fingerprint] = self._resolve_capture(cell.capture)
                     capture_from_cache.append(live[fingerprint].from_cache)
-                yield ("cell", cell, live[fingerprint])
+                yield cell, live[fingerprint]
 
-        for outcome in self._backend.execute(tasks()):
+        workers = 1 if self.backend_name == "serial" else self.jobs
+        for outcome in execute(tasks(), workers):
             if isinstance(outcome, TaskFailure):
                 raise SweepError(
                     f"sweep cell {outcome.key!r} failed: {outcome.error}\n"
@@ -261,7 +258,7 @@ class SweepRunner:
 
         Persisted like a cell result (``kind="capture"``), so later sweeps
         reuse it without touching the gateway simulator.  The simulation
-        runs inline, with the same bounded retries as a cell.
+        runs inline.
         """
         fingerprint = spec.fingerprint()
         record = (
@@ -274,14 +271,13 @@ class SweepRunner:
             return CaptureResult.from_json_dict(
                 spec.key, fingerprint, record["result"], from_cache=True
             )
-        (outcome,) = SerialBackend(self.retries, self._progress).execute(
-            [("capture", spec)]
-        )
-        if isinstance(outcome, TaskFailure):
+        try:
+            outcome = run_capture(spec)
+        except Exception as exc:
             raise SweepError(
-                f"{outcome.unit} {outcome.key!r} failed: {outcome.error}\n"
-                f"--- worker traceback ---\n{outcome.worker_traceback}"
-            )
+                f"gateway capture {spec.key!r} failed: {type(exc).__name__}: {exc}\n"
+                f"--- worker traceback ---\n{traceback.format_exc()}"
+            ) from None
         if self.store is not None:
             self.store.put(
                 fingerprint, spec.config_dict(), outcome.to_json_dict(), kind="capture"
@@ -296,7 +292,7 @@ class SweepRunner:
             self._progress(line)
 
 
-# ``run_cell`` / ``run_capture`` are re-exported here on purpose: backends
-# resolve them through this module's namespace at call time, which is the
-# seam the fault-injection tests monkeypatch.
+# ``run_cell`` / ``run_capture`` are re-exported here on purpose: the
+# executor and the runner resolve them through this module's namespace at
+# call time, which is the seam the fault-injection tests monkeypatch.
 __all__ = ["SweepRunner", "SweepReport", "run_capture", "run_cell"]

@@ -154,14 +154,13 @@ class ResultsStore:
 
     # ------------------------------------------------------------------ index
     @staticmethod
-    def read_records(path: Path) -> List[Dict[str, Any]]:
-        """Every valid record in ``path``, in file order.
+    def _raw_records(path: Path) -> List[Dict[str, Any]]:
+        """Every parseable JSON record in ``path`` with a string ``fingerprint``.
 
-        Blank lines, truncated final lines (killed writers), records with a
-        foreign schema version and records missing a string ``fingerprint``
-        or dict ``result`` are skipped; complete records before them are
-        still usable.  This is the one parsing contract shared by lookups,
-        listings and compaction.
+        Blank lines and truncated final lines (killed writers) are skipped;
+        complete records before them are still usable.  Foreign-schema
+        records are kept, so :meth:`stats` can report versions this code
+        cannot serve.
         """
         records: List[Dict[str, Any]] = []
         if not path.exists():
@@ -174,14 +173,24 @@ class ResultsStore:
                 record = json.loads(line)
             except json.JSONDecodeError:
                 continue
-            if (
-                isinstance(record, dict)
-                and record.get("schema") == SCHEMA_VERSION
-                and isinstance(record.get("fingerprint"), str)
-                and isinstance(record.get("result"), dict)
-            ):
+            if isinstance(record, dict) and isinstance(record.get("fingerprint"), str):
                 records.append(record)
         return records
+
+    @classmethod
+    def read_records(cls, path: Path) -> List[Dict[str, Any]]:
+        """Every valid record in ``path``, in file order.
+
+        The parseable records of :meth:`_raw_records` that carry this code's
+        schema version and a dict ``result``.  This is the one parsing
+        contract shared by lookups, listings and compaction.
+        """
+        return [
+            record
+            for record in cls._raw_records(path)
+            if record.get("schema") == SCHEMA_VERSION
+            and isinstance(record.get("result"), dict)
+        ]
 
     @classmethod
     def shard_winner(cls, path: Path) -> Optional[Dict[str, Any]]:
@@ -280,15 +289,6 @@ class ResultsStore:
         self._remember(fingerprint, record)
 
     # ------------------------------------------------------------- compaction
-    def _shard_files(self) -> List[Path]:
-        if not self._root.is_dir():
-            return []
-        return sorted(
-            path
-            for path in self._root.glob("??/*.jsonl")
-            if path.is_file()
-        )
-
     def shard_files(self) -> List[Path]:
         """Every shard file in the store, in sorted (deterministic) order.
 
@@ -296,7 +296,13 @@ class ResultsStore:
         :class:`~repro.store.query.StoreQuery` and ``repro serve`` all walk
         the same listing.
         """
-        return self._shard_files()
+        if not self._root.is_dir():
+            return []
+        return sorted(
+            path
+            for path in self._root.glob("??/*.jsonl")
+            if path.is_file()
+        )
 
     @staticmethod
     def _count_data_lines(path: Path) -> int:
@@ -314,7 +320,7 @@ class ResultsStore:
         """
         superseded = 0
         kept = 0
-        for path in self._shard_files():
+        for path in self.shard_files():
             records = self.read_records(path)
             if len(records) != self._count_data_lines(path):
                 # Foreign-schema or truncated lines present: not ours to drop.
@@ -342,35 +348,13 @@ class ResultsStore:
         return CompactionStats(records_kept=kept, superseded_dropped=superseded)
 
     # ------------------------------------------------------------------ stats
-    @staticmethod
-    def _raw_records(path: Path) -> List[Dict[str, Any]]:
-        """Every parseable JSON record in ``path``, regardless of schema.
-
-        Unlike :meth:`read_records` this keeps foreign-schema records, so
-        :meth:`stats` can report versions this code cannot serve.
-        """
-        records: List[Dict[str, Any]] = []
-        if not path.exists():
-            return records
-        for line in path.read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(record, dict) and isinstance(record.get("fingerprint"), str):
-                records.append(record)
-        return records
-
     def stats(self) -> StoreStats:
         """Aggregate store-health counters (see :class:`StoreStats`).
 
         Reads every file once; intended for maintenance commands and
         nightly-sweep logs, not the warm-sweep hot path.
         """
-        shard_files = self._shard_files()
+        shard_files = self.shard_files()
         winners: Dict[str, Dict[str, Any]] = {}
         superseded = 0
         total_bytes = 0
@@ -408,7 +392,7 @@ class ResultsStore:
         """
         seen: List[str] = []
         seen_set = set()
-        for path in self._shard_files():
+        for path in self.shard_files():
             fingerprint = path.stem
             if fingerprint in seen_set:
                 continue

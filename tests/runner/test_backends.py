@@ -1,16 +1,17 @@
-"""Tests for the execution-backend layer: factory, parity, CPU autodetection.
+"""Tests for the two execution paths: parity, options, CPU autodetection.
 
-The backend contract is what keeps every execution strategy byte-identical:
-these tests pin the serial/process parity at several worker counts, for
-every registered experiment and for store-backed cold and warm runs, the
-backend factory's validation (an unknown name is named), the
-``--jobs auto`` resolution, and the pool's failure semantics exercised
-through an explicitly constructed backend rather than through the runner's
-wiring.
+One executor (:func:`repro.runner.execute.execute`) runs a sweep's tasks
+inline or on a process pool, and both must be byte-identical: these tests
+pin the serial/process parity at several worker counts, for every
+registered experiment and for store-backed cold and warm runs, the
+runner's backend and ``jobs`` validation, the ``--jobs auto`` resolution,
+and the pool's failure semantics exercised on :func:`execute` itself
+rather than through the runner's wiring.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import multiprocessing
 import os
 import signal
@@ -21,15 +22,8 @@ from repro.api import get_experiment, list_experiments
 from repro.exceptions import ConfigurationError, SweepError
 from repro.experiments import CollectionMode, ScenarioConfig
 from repro.runner import CaptureSpec, ResultsStore, SweepCell, SweepRunner, seed_range
-from repro.runner.backends import (
-    BACKEND_NAMES,
-    SerialBackend,
-    available_cpu_count,
-    create_backend,
-    resolve_jobs,
-)
-from repro.runner.backends.base import TaskFailure
-from repro.runner.backends.process import ProcessBackend
+from repro.runner.defaults import BACKEND_NAMES
+from repro.runner.execute import TaskFailure, available_cpu_count, execute, resolve_jobs
 
 
 def grid(n_cells: int = 4, **overrides) -> list:
@@ -115,46 +109,34 @@ class TestCpuAutodetect:
             resolve_jobs("many")
 
 
-class TestFactory:
+class TestRunnerOptions:
+    """The backend name and ``jobs`` are checked once, by the runner."""
+
     def test_every_advertised_backend_constructs(self):
         for name in BACKEND_NAMES:
-            backend = create_backend(name, jobs=1)
-            assert backend.name == name
+            assert SweepRunner(backend=name).backend_name == name
 
     def test_unknown_backend_is_named_in_the_error(self):
         with pytest.raises(ConfigurationError) as excinfo:
-            create_backend("threads")
+            SweepRunner(backend="threads")
         assert "threads" in str(excinfo.value)
         for name in BACKEND_NAMES:
             assert name in str(excinfo.value)
 
-    def test_unknown_options_are_rejected_per_backend(self):
-        """The factory takes a name, a worker count, retries and progress only."""
-        for name in BACKEND_NAMES:
-            for option in ("store", "lease_timeout", "poll_interval", "spawn_workers"):
-                with pytest.raises(TypeError) as excinfo:
-                    create_backend(name, jobs=1, **{option: None})
-                assert option in str(excinfo.value)
-
     @pytest.mark.parametrize("name", BACKEND_NAMES)
-    def test_no_backend_takes_a_timeout(self, name):
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_is_rejected_on_every_backend(self, name, jobs):
+        with pytest.raises(ConfigurationError) as excinfo:
+            SweepRunner(jobs=jobs, backend=name)
+        assert str(excinfo.value) == f"jobs={jobs} must be >= 1"
+
+    @pytest.mark.parametrize(
+        "option", ["retries", "timeout", "lease_timeout", "poll_interval", "spawn_workers"]
+    )
+    def test_retired_options_are_rejected(self, option):
         with pytest.raises(TypeError) as excinfo:
-            create_backend(name, jobs=1, timeout=5.0)
-        assert "timeout" in str(excinfo.value)
-
-    @pytest.mark.parametrize("module", ["queue", "codec"])
-    def test_retired_backend_modules_are_gone(self, module):
-        import importlib.util
-
-        assert importlib.util.find_spec(f"repro.runner.backends.{module}") is None
-
-    def test_process_validations_are_unchanged(self):
-        with pytest.raises(ConfigurationError):
-            ProcessBackend(jobs=0)
-        with pytest.raises(ConfigurationError):
-            ProcessBackend(retries=-1)
-        with pytest.raises(ConfigurationError):
-            SerialBackend(retries=-1)
+            SweepRunner(**{option: 1})
+        assert option in str(excinfo.value)
 
 
 class TestBackendParity:
@@ -202,10 +184,8 @@ class TestStoreBackedRuns:
     simulate nothing, and a failure aborts the sweep naming its cell.
     """
 
-    def runner(self, backend, jobs, root, **options) -> SweepRunner:
-        return SweepRunner(
-            jobs=jobs, store=ResultsStore(root), backend=backend, **options
-        )
+    def runner(self, backend, jobs, root) -> SweepRunner:
+        return SweepRunner(jobs=jobs, store=ResultsStore(root), backend=backend)
 
     def test_cold_run_stores_the_serial_results(self, backend, jobs, tmp_path):
         cells = grid(3)
@@ -253,18 +233,6 @@ class TestStoreBackedRuns:
         assert "worker traceback" in message
         assert list(ResultsStore(tmp_path / "store").fingerprints()) == []
 
-    def test_transient_failures_are_retried(
-        self, backend, jobs, tmp_path, monkeypatch
-    ):
-        import repro.runner.runner as runner_module
-
-        cells = grid(2)
-        flaky, attempts = flaky_run_cell(tmp_path, cells[0].key, fail_times=1)
-        monkeypatch.setattr(runner_module, "run_cell", flaky)
-        report = self.runner(backend, jobs, tmp_path / "store", retries=1).run(cells)
-        assert (report.hits, report.misses) == (0, 2)
-        assert [attempts(c) for c in cells] == [2, 1]
-
     def test_a_capture_is_freed_after_its_last_child(
         self, backend, jobs, tmp_path, monkeypatch
     ):
@@ -311,29 +279,25 @@ class TestStoreBackedRuns:
         for cell in interleaved:
             assert reference_result(report, cell) == reference_result(grouped, cell)
 
-    def test_a_failed_child_gets_its_capture_on_the_retry(
+    def test_a_failed_capture_aborts_naming_it(
         self, backend, jobs, tmp_path, monkeypatch
     ):
         import repro.runner.runner as runner_module
-        from repro.runner.capture import run_capture as real_run_capture
 
-        cells = two_level_cells(3)
-        reference = SweepRunner(backend="serial").run(cells)
-        flaky, attempts = flaky_run_cell(tmp_path, cells[0].key, fail_times=1)
-        simulated = []
+        def broken(spec):
+            raise RuntimeError("no gateway today")
 
-        def counted(spec):
-            simulated.append(spec.key)
-            return real_run_capture(spec)
-
-        monkeypatch.setattr(runner_module, "run_cell", flaky)
-        monkeypatch.setattr(runner_module, "run_capture", counted)
-        report = self.runner(backend, jobs, tmp_path / "store", retries=1).run(cells)
-        assert (report.misses, report.captures_simulated) == (3, 1)
-        assert simulated == [cells[0].capture.key]
-        assert [attempts(c) for c in cells] == [2, 1, 1]
-        for cell in cells:
-            assert reference_result(report, cell) == reference_result(reference, cell)
+        monkeypatch.setattr(runner_module, "run_capture", broken)
+        cells = two_level_cells(2)
+        with pytest.raises(SweepError) as excinfo:
+            self.runner(backend, jobs, tmp_path / "store").run(cells)
+        message = str(excinfo.value)
+        assert message.startswith(
+            "gateway capture 'parent-11' failed: RuntimeError: no gateway today\n"
+            "--- worker traceback ---\n"
+        )
+        assert "in broken" in message
+        assert list(ResultsStore(tmp_path / "store").fingerprints()) == []
 
 
 @pytest.mark.parametrize("name", list_experiments())
@@ -391,56 +355,45 @@ def _run_process_sweep(cells) -> str:
     return "the sweep finished"
 
 
-def _process_outcomes(cells) -> list:
-    return list(ProcessBackend(jobs=2).execute([("cell", c) for c in cells]))
+def _pool_outcomes(cells) -> list:
+    return list(execute([(cell, None) for cell in cells], 2))
 
 
-def flaky_run_cell(tmp_path, failing_key: str, fail_times: int):
-    """A ``run_cell`` whose cell ``failing_key`` fails its first attempts.
-
-    Returns the wrapper and a function reading a cell's attempt count.  The
-    counters live on disk, one file per cell, so pool workers share them.
-    """
-    from repro.runner.cells import run_cell as real_run_cell
-
-    def counter_for(cell):
-        return tmp_path / f"attempts-{cell.fingerprint()[:12]}"
-
-    def attempts(cell) -> int:
-        counter = counter_for(cell)
-        return int(counter.read_text()) if counter.exists() else 0
-
-    def flaky(cell, capture=None):
-        made = attempts(cell)
-        counter_for(cell).write_text(str(made + 1))
-        if cell.key == failing_key and made < fail_times:
-            raise RuntimeError(f"transient failure #{made + 1}")
-        return real_run_cell(cell, capture=capture)
-
-    return flaky, attempts
+def tasks_of(cells) -> list:
+    return [(cell, None) for cell in cells]
 
 
-class TestProcessBackendSemantics:
-    """The pool loop's retry/failure behaviour, pinned on the backend itself."""
+class TestExecute:
+    """The executor's outcome and failure semantics, pinned on ``execute``."""
 
-    def _tasks(self, n=3):
-        return [("cell", cell) for cell in grid(n)]
-
-    def test_yields_one_outcome_per_task(self):
-        outcomes = list(ProcessBackend(jobs=2).execute(self._tasks(3)))
-        assert len(outcomes) == 3
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_yields_one_outcome_per_task(self, workers):
+        cells = grid(3)
+        outcomes = list(execute(tasks_of(cells), workers))
+        assert sorted(o.key for o in outcomes) == sorted(c.key for c in cells)
         assert not any(isinstance(o, TaskFailure) for o in outcomes)
 
-    def test_empty_task_list_is_a_noop(self):
-        assert list(ProcessBackend(jobs=2).execute([])) == []
-        assert list(SerialBackend().execute([])) == []
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_empty_task_list_is_a_noop(self, workers):
+        assert list(execute([], workers)) == []
 
     def test_failure_is_a_marker_not_an_exception(self):
-        tasks = [("cell", cell) for cell in grid(1, features=("bogus",))]
-        outcomes = list(SerialBackend().execute(tasks))
+        tasks = tasks_of(grid(1, features=("bogus",)))
+        outcomes = list(execute(tasks, 1))
         assert len(outcomes) == 1
         assert isinstance(outcomes[0], TaskFailure)
-        assert outcomes[0].key == tasks[0][1].key
+        assert outcomes[0].key == tasks[0][0].key
+
+    @pytest.mark.parametrize("workers, n_tasks", [(1, 3), (4, 1)])
+    def test_one_worker_or_one_task_runs_inline(self, workers, n_tasks, monkeypatch):
+        """No pool is started when there is nothing to run side by side."""
+        import repro.runner.runner as runner_module
+
+        def where(cell, capture=None):
+            return os.getpid()
+
+        monkeypatch.setattr(runner_module, "run_cell", where)
+        assert list(execute(tasks_of(grid(n_tasks)), workers)) == [os.getpid()] * n_tasks
 
     def test_a_killed_worker_aborts_the_sweep(self, monkeypatch):
         """A pool worker SIGKILLed mid-cell (the OOM killer's way) fails the sweep.
@@ -482,124 +435,94 @@ class TestProcessBackendSemantics:
             return real_run_cell(cell, capture=capture)
 
         monkeypatch.setattr(runner_module, "run_cell", die_on_the_first_cell)
-        outcomes = run_in_forked_child(_process_outcomes, cells)
+        outcomes = run_in_forked_child(_pool_outcomes, cells)
         assert isinstance(outcomes, list), outcomes
         assert sorted(o.key for o in outcomes) == sorted(c.key for c in cells)
         (died,) = [o for o in outcomes if o.key == cells[0].key]
         assert isinstance(died, TaskFailure)
         assert "a pool worker died" in died.error
 
-    def test_a_failed_task_is_retried_in_the_pool(self, tmp_path, monkeypatch):
-        import repro.runner.runner as runner_module
 
-        cells = grid(3)
-        flaky, attempts = flaky_run_cell(tmp_path, cells[0].key, fail_times=1)
-        monkeypatch.setattr(runner_module, "run_cell", flaky)
-        lines = []
-        backend = ProcessBackend(jobs=2, retries=1, progress=lines.append)
-        outcomes = list(backend.execute([("cell", c) for c in cells]))
-        assert sorted(o.key for o in outcomes) == sorted(c.key for c in cells)
-        assert not any(isinstance(o, TaskFailure) for o in outcomes)
-        assert [attempts(c) for c in cells] == [2, 1, 1]
-        assert lines == [f"cell {cells[0].key}: failed, retrying (attempt 2/2)"]
+class StandInPool:
+    """Takes ``ProcessPoolExecutor``'s place for the pool-loop tests."""
 
-    def test_exhausted_retries_yield_one_failure_marker(self, tmp_path, monkeypatch):
-        import repro.runner.runner as runner_module
+    def __init__(self, workers, mp_context):
+        self.workers = workers
 
-        cells = grid(3)
-        flaky, attempts = flaky_run_cell(tmp_path, cells[0].key, fail_times=100)
-        monkeypatch.setattr(runner_module, "run_cell", flaky)
-        lines = []
-        backend = ProcessBackend(jobs=2, retries=2, progress=lines.append)
-        outcomes = list(backend.execute([("cell", c) for c in cells]))
-        failures = [o for o in outcomes if isinstance(o, TaskFailure)]
-        assert len(outcomes) == 3
-        assert [f.key for f in failures] == [cells[0].key]
-        assert "transient failure #3" in failures[0].error
-        assert attempts(cells[0]) == 3
-        assert lines == [
-            f"cell {cells[0].key}: failed, retrying (attempt 2/3)",
-            f"cell {cells[0].key}: failed, retrying (attempt 3/3)",
-        ]
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return None
 
 
-class TestRetryLoop:
-    """``run_with_retries``, the loop the serial and process backends share."""
+class TestPoolLoop:
+    """The pool's window loop, on a stand-in pool that fails on demand."""
 
-    def test_a_failed_task_goes_to_the_back_of_the_line(self, monkeypatch):
-        import repro.runner.runner as runner_module
-        from repro.runner.cells import run_cell as real_run_cell
+    @pytest.fixture
+    def use_pool(self, monkeypatch):
+        def install(pool_class):
+            monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool_class)
 
-        cells = grid(3)
-        order = []
+        return install
 
-        def fail_first_attempt(cell, capture=None):
-            order.append(cell.key)
-            if order.count(cell.key) == 1 and cell.key == cells[0].key:
-                raise RuntimeError("first attempt")
-            return real_run_cell(cell, capture=capture)
-
-        monkeypatch.setattr(runner_module, "run_cell", fail_first_attempt)
-        outcomes = list(SerialBackend(retries=1).execute([("cell", c) for c in cells]))
-        assert not any(isinstance(o, TaskFailure) for o in outcomes)
-        assert order == [cells[0].key, cells[1].key, cells[2].key, cells[0].key]
-
-    def test_the_window_bounds_the_tasks_in_flight(self):
+    def test_the_window_bounds_the_tasks_in_flight(self, use_pool, monkeypatch):
         import time
-        from concurrent.futures import ThreadPoolExecutor
 
-        from repro.runner.backends.base import run_with_retries
+        import repro.runner.runner as runner_module
 
-        submitted = []
         in_flight = []
 
-        def slow(task):
+        class ThreadPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, workers, mp_context):
+                # More threads than the window: only the loop limits the
+                # tasks in flight.
+                super().__init__(4)
+                self.submitted = []
+
+            def submit(self, fn, *args):
+                in_flight.append(1 + sum(not f.done() for f in self.submitted))
+                self.submitted.append(super().submit(fn, *args))
+                return self.submitted[-1]
+
+        def slow(cell, capture=None):
             time.sleep(0.05)
-            return task[1]
+            return cell.key
 
-        with ThreadPoolExecutor(4) as executor:
-
-            def submit(task):
-                in_flight.append(1 + sum(not f.done() for f in submitted))
-                submitted.append(executor.submit(slow, task))
-                return submitted[-1]
-
-            tasks = [("cell", f"t{i}") for i in range(6)]
-            outcomes = list(run_with_retries(tasks, submit, 0, None, window=2))
-        assert sorted(outcomes) == [f"t{i}" for i in range(6)]
+        use_pool(ThreadPool)
+        monkeypatch.setattr(runner_module, "run_cell", slow)
+        cells = grid(6)
+        outcomes = list(execute(tasks_of(cells), 2))
+        assert sorted(outcomes) == sorted(c.key for c in cells)
         assert max(in_flight) == 2
 
-    def test_a_broken_pool_fails_each_task_without_retrying(self):
-        from concurrent.futures import BrokenExecutor, Future
+    def test_a_broken_pool_fails_each_task(self, use_pool):
+        class BrokenPool(StandInPool):
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_exception(
+                    concurrent.futures.BrokenExecutor("a worker exited")
+                )
+                return future
 
-        from repro.runner.backends.base import run_with_retries
-
-        def submit(task):
-            future = Future()
-            future.set_exception(BrokenExecutor("a worker exited"))
-            return future
-
-        lines = []
-        tasks = [("cell", cell) for cell in grid(3)]
-        outcomes = list(run_with_retries(tasks, submit, 3, lines.append, window=2))
-        assert sorted(o.key for o in outcomes) == sorted(t[1].key for t in tasks)
+        use_pool(BrokenPool)
+        tasks = tasks_of(grid(3))
+        outcomes = list(execute(tasks, 2))
+        assert sorted(o.key for o in outcomes) == sorted(t[0].key for t in tasks)
         for outcome in outcomes:
             assert isinstance(outcome, TaskFailure)
             assert "a pool worker died" in outcome.error
             assert "a worker exited" in outcome.error
-        assert lines == []
 
-    def test_a_pool_refusing_new_work_fails_the_refused_tasks(self):
-        from concurrent.futures import BrokenExecutor
+    def test_a_pool_refusing_new_work_fails_the_refused_tasks(self, use_pool):
+        class RefusingPool(StandInPool):
+            def submit(self, fn, *args):
+                raise concurrent.futures.BrokenExecutor("the pool is not usable anymore")
 
-        from repro.runner.backends.base import run_with_retries
-
-        def submit(task):
-            raise BrokenExecutor("the pool is not usable anymore")
-
-        tasks = [("cell", cell) for cell in grid(3)]
-        outcomes = list(run_with_retries(tasks, submit, 1, None, window=2))
-        assert [o.key for o in outcomes] == [t[1].key for t in tasks]
+        use_pool(RefusingPool)
+        tasks = tasks_of(grid(3))
+        outcomes = list(execute(tasks, 2))
+        assert [o.key for o in outcomes] == [t[0].key for t in tasks]
         assert all("a pool worker died" in o.error for o in outcomes)
 
 
@@ -628,6 +551,17 @@ class TestCliJobsParsing:
 
         assert main(["run", "fig4", "--jobs", "0"]) == 2
         assert "jobs=0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_two_on_every_backend(self, backend, jobs, capsys):
+        from repro.cli import main
+
+        argv = ["run", "fig4", "--preset", "smoke", "--backend", backend, "--jobs", jobs]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"repro: error: jobs={jobs} must be >= 1"]
 
     def test_backend_flag_round_trips(self):
         from repro.cli import build_parser

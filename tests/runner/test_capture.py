@@ -535,7 +535,7 @@ class TestCaptureCaching:
     def test_spawned_workers_receive_the_shared_capture(self, monkeypatch):
         """Under ``spawn`` (the macOS default) no parent state is inherited:
         each child's task must carry its resolved capture to the worker."""
-        import repro.runner.backends.process as process_module
+        import repro.runner.execute as execute_module
 
         started = []
 
@@ -543,7 +543,7 @@ class TestCaptureCaching:
             started.append("spawn")
             return "spawn"
 
-        monkeypatch.setattr(process_module, "default_mp_context", spawn)
+        monkeypatch.setattr(execute_module, "default_mp_context", spawn)
         children = [two_level_cell(u) for u in (0.1, 0.2, 0.3, 0.4)]
         serial = SweepRunner(backend="serial").run(children)
         spawned = SweepRunner(jobs=2, backend="process").run(children)

@@ -150,58 +150,12 @@ class TestFailurePropagation:
         assert poison.fingerprint() not in store
 
 
-class TestRetries:
-    def _flaky_run_cell(self, tmp_path, fail_times):
-        """A run_cell wrapper that fails each cell's first ``fail_times`` attempts.
-
-        Attempt counters live on disk, one file per cell, so the behaviour is
-        identical — and race-free — whether the cell runs inline or in a
-        forked pool worker.
-        """
-        from repro.runner.cells import run_cell as real_run_cell
-
-        def counter_for(cell):
-            return tmp_path / f"attempts-{cell.fingerprint()[:12]}"
-
-        def flaky(cell, capture=None):
-            counter = counter_for(cell)
-            attempts = int(counter.read_text()) if counter.exists() else 0
-            counter.write_text(str(attempts + 1))
-            if attempts < fail_times:
-                raise RuntimeError(f"transient failure #{attempts + 1}")
-            return real_run_cell(cell, capture=capture)
-
-        return flaky, counter_for
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_transient_failures_are_retried(self, tmp_path, monkeypatch, jobs):
-        import repro.runner.runner as runner_module
-
-        flaky, counter_for = self._flaky_run_cell(tmp_path, fail_times=1)
-        monkeypatch.setattr(runner_module, "run_cell", flaky)
-        lines = []
-        cells = grid(2)
-        report = SweepRunner(jobs=jobs, retries=2, progress=lines.append).run(cells)
-        assert len(report.results) == 2
-        for cell in cells:
-            assert int(counter_for(cell).read_text()) == 2  # 1 failure + 1 success
-        assert any("retrying" in line for line in lines)
-
-    def test_exhausted_retries_abort_with_the_cell_key(self, tmp_path, monkeypatch):
-        import repro.runner.runner as runner_module
-
-        flaky, _ = self._flaky_run_cell(tmp_path, fail_times=100)
-        monkeypatch.setattr(runner_module, "run_cell", flaky)
-        with pytest.raises(SweepError) as excinfo:
-            SweepRunner(retries=1).run(grid(1))
-        message = str(excinfo.value)
-        assert "grid/util=0.05" in message
-        assert "transient failure" in message
-
-    def test_zero_retries_keeps_the_historical_fail_fast_behaviour(self):
+class TestFailFast:
+    def test_a_failing_cell_aborts_the_sweep(self):
         cells = grid(1, features=("bogus",))
-        with pytest.raises(SweepError):
+        with pytest.raises(SweepError) as excinfo:
             SweepRunner().run(cells)
+        assert cells[0].key in str(excinfo.value)
 
 
 class TestValidation:
@@ -215,9 +169,9 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             SweepRunner(jobs=0)
 
-    def test_rejects_negative_retries(self):
-        with pytest.raises(ConfigurationError):
-            SweepRunner(retries=-1)
+    def test_takes_no_retries(self):
+        with pytest.raises(TypeError):
+            SweepRunner(retries=1)
 
     def test_takes_no_timeout(self):
         with pytest.raises(TypeError):

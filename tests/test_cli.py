@@ -580,10 +580,10 @@ class TestStartup:
         code = f"import sys, repro.cli; print({library!r} in sys.modules)"
         assert self.run_python(code) == "False"
 
-    #: What no serial run executes: the process pool, ``repro bench``, and
-    #: :mod:`multiprocessing`.
+    #: What no serial run executes: the process pool (:mod:`concurrent.futures`
+    #: and :mod:`multiprocessing`) and ``repro bench``.
     SCALE_OUT_MODULES = (
-        "repro.runner.backends.process",
+        "concurrent.futures",
         "repro.runner.bench",
         "multiprocessing",
     )
@@ -605,15 +605,35 @@ class TestStartup:
         )
         assert self.run_python(code) == "[]"
 
-    @pytest.mark.parametrize("backend", ["process"])
-    def test_naming_a_backend_loads_its_module(self, backend):
+    def test_a_two_worker_run_loads_multiprocessing(self):
+        """fig6 smoke has two pending cells: ``--jobs 2`` starts a pool."""
         code = (
-            "import sys\n"
-            "from repro.runner import create_backend\n"
-            f"create_backend({backend!r})\n"
-            f"print('repro.runner.backends.{backend}' in sys.modules)"
+            "import contextlib, io, sys\n"
+            "from repro.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    status = main(['run', 'fig6', '--preset', 'smoke', '--jobs', '2'])\n"
+            "print(status, 'multiprocessing' in sys.modules)"
         )
-        assert self.run_python(code) == "True"
+        assert self.run_python(code) == "0 True"
+
+    def test_the_serial_backend_ignores_jobs(self):
+        """``--backend serial`` runs every cell in the parent at any ``--jobs``,
+        and the summary still reports both."""
+        code = (
+            "import contextlib, io, sys\n"
+            "from repro.cli import main\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            "    status = main(['sweep', '--figures', 'fig6', '--preset', 'smoke',\n"
+            "                   '--backend', 'serial', '--jobs', '4'])\n"
+            "print(status, 'multiprocessing' in sys.modules)\n"
+            "print(out.getvalue().splitlines()[-1])"
+        )
+        status, summary = self.run_python(code).splitlines()
+        assert status == "0 False"
+        assert summary == (
+            "sweep summary: 2 cells, 2 simulated, 0 cache hits, jobs=4, backend=serial"
+        )
 
     def test_smoke_sweep_loads_no_scipy(self):
         code = (
