@@ -371,9 +371,9 @@ def _time_sweep(seed: int, repeats: int) -> Tuple[float, float, int]:
     """Best-of-``repeats`` cold and warm wall-clock of a representative sweep.
 
     Every cold run writes a fresh store.  Its warm re-run opens that
-    directory as a new :class:`~repro.runner.store.ResultsStore`, so it
-    reads each shard from disk as a second ``repro sweep`` invocation does,
-    instead of answering from the cold run's in-memory index.
+    directory as a new :class:`~repro.runner.store.ResultsStore`, as a
+    second ``repro sweep`` invocation does; the store's index holds record
+    kinds only, so every warm lookup reads its shard from disk.
     """
     from repro.api import get_experiment
     from repro.runner.grid import seed_range

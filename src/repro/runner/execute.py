@@ -205,7 +205,7 @@ def available_cpu_count() -> int:
     if hasattr(os, "sched_getaffinity"):
         try:
             affinity = os.sched_getaffinity(0)
-        except OSError:  # pragma: no cover - affinity query denied
+        except OSError:  # affinity query denied
             affinity = None
         if affinity:
             return len(affinity)

@@ -35,13 +35,14 @@ stores grow to many thousands of records.  :meth:`compact` drops superseded
 duplicate records.
 
 A :class:`ResultsStore` instance keeps an in-memory index of every shard it
-has parsed or written: the winning record of each cell, and only the kind of
-every other record.  A capture's payload is never held there; ``get(...,
-kind="capture")`` reads it back from the shard, while existence checks
-(``in``, :meth:`~ResultsStore.has`, :meth:`~ResultsStore.fingerprints`)
-answer from the index, so each shard is parsed at most once for them.
+has parsed or written: the kind of its winning record and nothing else.  No
+record payload is held there; :meth:`~ResultsStore.get` reads a record back
+from its shard on every call, while existence checks (``in``,
+:meth:`~ResultsStore.has`, :meth:`~ResultsStore.fingerprints`) answer from the
+index, so each shard is parsed at most once for them.
 
-The format is deliberately boring: appends are a single ``write`` call, a
+The format is deliberately boring: an append is one ``writev`` call of the
+record's line (finished by further calls only after a short write), a
 half-written last line (from a killed run) is skipped on load, duplicate
 fingerprints resolve to the *last* record, and the files diff/merge cleanly
 enough to commit a small fixture store for CI warm-cache runs.
@@ -61,6 +62,93 @@ from repro.runner.cells import SCHEMA_VERSION
 
 #: Fingerprints become file names; restrict them to boring hash-like tokens.
 _FINGERPRINT_RE = re.compile(r"[0-9a-zA-Z]{3,128}")
+
+#: Strings ``json.dumps`` writes verbatim between quotes: printable ASCII
+#: other than ``"`` and ``\``.
+_VERBATIM_STRING_RE = re.compile(r'[ !#-\[\]-~]*')
+
+#: A verbatim string at least this long (a capture's base64 intervals) is
+#: appended from a buffer of its own instead of being copied into the line.
+_OWN_BUFFER_CHARS = 1024
+
+#: ``json.dumps(value, sort_keys=True)`` without building an encoder per call.
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+#: Buffers per ``writev`` call (``IOV_MAX`` on Linux and macOS).
+_IOV_MAX = 1024
+
+
+def _line_pieces(record: Dict[str, Any]) -> List[bytes]:
+    """``json.dumps(record, sort_keys=True) + "\\n"``, encoded, as a list of buffers.
+
+    Joining the pieces gives exactly that line.  Dicts with string keys are
+    walked so that each long verbatim string becomes a buffer of its own,
+    encoded once and never quoted, joined or newline-copied; every other
+    value is serialised by ``json.dumps`` into the buffers between them, so
+    a record without long verbatim strings is a single buffer.
+    """
+    pieces: List[bytes] = []
+    text: List[str] = []
+    _emit(record, pieces, text)
+    text.append("\n")
+    pieces.append("".join(text).encode("ascii"))
+    return pieces
+
+
+def _emit(value: Any, pieces: List[bytes], text: List[str]) -> None:
+    """Serialise ``value`` onto ``text``, moving long verbatim strings to ``pieces``.
+
+    A module-level function, not a closure: a recursive closure is a
+    reference cycle, which would keep every buffer of a ``put`` alive until
+    the cyclic garbage collector runs.
+    """
+    if (
+        isinstance(value, str)
+        and len(value) >= _OWN_BUFFER_CHARS
+        and _VERBATIM_STRING_RE.fullmatch(value)
+    ):
+        text.append('"')
+        pieces.append("".join(text).encode("ascii"))
+        pieces.append(value.encode("ascii"))
+        text.clear()
+        text.append('"')
+    elif isinstance(value, dict) and all(isinstance(key, str) for key in value):
+        text.append("{")
+        for position, key in enumerate(sorted(value)):
+            if position:
+                text.append(", ")
+            text.append(_encode(key))
+            text.append(": ")
+            _emit(value[key], pieces, text)
+        text.append("}")
+    else:
+        text.append(_encode(value))
+
+
+def _append(path: Path, pieces: List[bytes]) -> None:
+    """Append ``pieces`` to ``path`` in one ``writev`` call.
+
+    Further calls happen only to finish a short write or to pass more than
+    ``_IOV_MAX`` buffers.
+    """
+    flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT
+    try:
+        fd = os.open(path, flags, 0o666)
+    except FileNotFoundError:
+        # First record of this shard directory (or the directory was
+        # removed since): create it once instead of before every put.
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(path, flags, 0o666)
+    try:
+        buffers = [memoryview(piece) for piece in pieces]
+        while buffers:
+            written = os.writev(fd, buffers[:_IOV_MAX])
+            while buffers and written >= len(buffers[0]):
+                written -= len(buffers.pop(0))
+            if written:
+                buffers[0] = buffers[0][written:]
+    finally:
+        os.close(fd)
 
 
 @dataclass(frozen=True)
@@ -130,9 +218,8 @@ class ResultsStore:
                 f"convert it into shards with 'repro cache compact' from an earlier "
                 f"release that still reads that layout"
             )
-        # fingerprint -> winning cell record, or a payload-free {"kind": ...}
-        # entry for any other kind (see :meth:`_remember`).
-        self._index: Dict[str, Dict[str, Any]] = {}
+        # fingerprint -> kind of its winning record; payloads stay on disk.
+        self._index: Dict[str, str] = {}
 
     # ----------------------------------------------------------------- layout
     @property
@@ -204,14 +291,8 @@ class ResultsStore:
         return records[-1] if records else None
 
     def _remember(self, fingerprint: str, record: Dict[str, Any]) -> None:
-        """Index ``record``: a cell in full, any other kind by its kind alone.
-
-        Cells are small and read back often; a capture's interval payload is
-        large and read once per sweep, so only a payload-free ``{"kind": ...}``
-        entry stays resident and :meth:`get` re-reads the shard for it.
-        """
-        kind = record.get("kind", "cell")
-        self._index[fingerprint] = record if kind == "cell" else {"kind": kind}
+        """Index ``record`` by its kind alone (a record without one is a cell)."""
+        self._index[fingerprint] = record.get("kind", "cell")
 
     def _load(self, fingerprint: str) -> Optional[Dict[str, Any]]:
         """Parse the shard winner of ``fingerprint`` and index it; ``None`` if absent."""
@@ -228,9 +309,9 @@ class ResultsStore:
 
         Within a shard the last record wins.  ``kind`` filters out records
         of the other record family (a record without ``kind`` counts as a
-        cell).  A cell is served from the in-memory index after its first
-        read; any other kind is read from its shard on every call (see the
-        module docstring), so callers that only ask whether a record exists
+        cell).  The record is read from its shard on every call (see the
+        module docstring) unless the index already knows the fingerprint is
+        of another kind, so callers that only ask whether a record exists
         should use :meth:`has`.
 
         The kind filter applies *after* the winner is resolved: when a shard
@@ -241,10 +322,10 @@ class ResultsStore:
         caller is asking for a record family that fingerprint no longer is
         (pinned by tests in ``tests/runner/test_store.py``).
         """
-        entry = self._index.get(fingerprint)
-        if entry is not None and entry.get("kind", "cell") != kind:
+        indexed = self._index.get(fingerprint)
+        if indexed is not None and indexed != kind:
             return None
-        record = entry if entry is not None and "result" in entry else self._load(fingerprint)
+        record = self._load(fingerprint)
         if record is None or record.get("kind", "cell") != kind:
             return None
         return record
@@ -253,12 +334,11 @@ class ResultsStore:
         """Whether a ``kind`` record is stored for ``fingerprint``.
 
         Answers from the in-memory index once the shard has been parsed, and
-        never keeps a capture's payload in memory.
+        keeps no record payload in memory.
         """
-        entry = self._index.get(fingerprint)
-        if entry is None:
-            entry = self._load(fingerprint)
-        return entry is not None and entry.get("kind", "cell") == kind
+        if fingerprint not in self._index:
+            self._load(fingerprint)
+        return self._index.get(fingerprint) == kind
 
     def put(
         self,
@@ -267,7 +347,12 @@ class ResultsStore:
         result: Dict[str, Any],
         kind: str = "cell",
     ) -> None:
-        """Append one record to its shard file and index it."""
+        """Append one record to its shard file and index its kind.
+
+        The line is ``json.dumps(record, sort_keys=True) + "\\n"`` to the
+        byte, written from its pieces (see :func:`_line_pieces`) so that a
+        capture's payload is never copied into one whole line.
+        """
         record = {
             "schema": SCHEMA_VERSION,
             "kind": kind,
@@ -275,17 +360,7 @@ class ResultsStore:
             "config": config,
             "result": result,
         }
-        line = json.dumps(record, sort_keys=True) + "\n"
-        path = self.shard_path(fingerprint)
-        try:
-            handle = path.open("a", encoding="utf-8")
-        except FileNotFoundError:
-            # First record of this shard directory (or the directory was
-            # removed since): create it once instead of before every put.
-            path.parent.mkdir(parents=True, exist_ok=True)
-            handle = path.open("a", encoding="utf-8")
-        with handle:
-            handle.write(line)
+        _append(self.shard_path(fingerprint), _line_pieces(record))
         self._remember(fingerprint, record)
 
     # ------------------------------------------------------------- compaction
@@ -386,8 +461,8 @@ class ResultsStore:
     def fingerprints(self) -> Iterator[str]:
         """All cached fingerprints, in shard path order.
 
-        Each shard is parsed at most once per store instance (its winner is
-        indexed, payload-free for captures), so repeated listings of a large
+        Each shard is parsed at most once per store instance (the kind of its
+        winner is indexed), so repeated listings of a large
         store cost one directory scan plus dictionary lookups.
         """
         seen: List[str] = []

@@ -129,8 +129,8 @@ def _expand_labels(store: ResultsStore) -> List[_Label]:
     from repro.api import PRESETS, get_experiment, list_experiments
 
     seeds = set()
-    for fingerprint in store.fingerprints():
-        record = store.get(fingerprint)
+    for path in store.shard_files():
+        record = store.get(path.stem)
         if record is not None:
             seed = _scalar((record.get("config") or {}).get("seed"), int)
             if seed is not None:

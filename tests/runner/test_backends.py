@@ -89,13 +89,37 @@ class TestCpuAutodetect:
         count = available_cpu_count()
         assert isinstance(count, int) and count >= 1
 
-    def test_affinity_mask_is_honoured_when_present(self):
+    @staticmethod
+    def pin_affinity(monkeypatch, affinity):
+        """An 8-CPU machine without ``process_cpu_count`` whose mask is ``affinity``.
+
+        ``affinity`` is a CPU set or an exception to raise; returns the list
+        of pids the mask was asked for.
+        """
         import os
 
-        if not hasattr(os, "sched_getaffinity"):
-            pytest.skip("platform has no affinity mask")
-        assert available_cpu_count() <= os.cpu_count()
-        assert available_cpu_count() >= len(os.sched_getaffinity(0)) or True
+        asked = []
+
+        def sched_getaffinity(pid):
+            asked.append(pid)
+            if isinstance(affinity, Exception):
+                raise affinity
+            return affinity
+
+        monkeypatch.delattr(os, "process_cpu_count", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", sched_getaffinity, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        return asked
+
+    def test_affinity_mask_is_honoured_when_present(self, monkeypatch):
+        asked = self.pin_affinity(monkeypatch, {3})
+        assert available_cpu_count() == 1
+        assert asked == [0]
+
+    def test_denied_affinity_query_falls_back_to_cpu_count(self, monkeypatch):
+        asked = self.pin_affinity(monkeypatch, OSError("affinity query denied"))
+        assert available_cpu_count() == 8
+        assert asked == [0]
 
     def test_resolve_jobs_passes_ints_through(self):
         assert resolve_jobs(3) == 3

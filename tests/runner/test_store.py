@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import base64
+import gc
 import json
+import os
 import shutil
+from pathlib import Path
 
 import pytest
 
+from repro.api import DEFAULT_SEED, get_experiment
 from repro.exceptions import ConfigurationError
-from repro.runner import SCHEMA_VERSION, ResultsStore
+from repro.runner import SCHEMA_VERSION, ResultsStore, SweepRunner
 
 
 @pytest.fixture
@@ -302,9 +307,11 @@ class TestKindFilterPrecedence:
 
 CAPTURE = {"intervals": {"train": {"low": "AAAAAAAA8D8="}}, "elapsed_seconds": 0.5}
 
+FIXTURE_CACHE = Path(__file__).resolve().parent.parent / "fixtures" / "sweep_cache"
+
 
 class TestCapturePayloadsStayOnDisk:
-    """The in-memory index keeps cell records whole and captures by kind only."""
+    """The in-memory index keeps the kind of each record and no payload."""
 
     @staticmethod
     def count_shard_reads(monkeypatch):
@@ -320,16 +327,21 @@ class TestCapturePayloadsStayOnDisk:
 
     @staticmethod
     def assert_no_payload_indexed(store):
-        for fingerprint, entry in store._index.items():
-            if entry.get("kind", "cell") != "cell":
-                assert entry == {"kind": entry["kind"]}, fingerprint
+        """Every index entry is the kind of a record, never a record."""
+        assert store._index
+        assert set(store._index.values()) <= {"cell", "capture"}
 
-    def test_put_indexes_a_capture_by_kind_alone(self, store):
+    def test_index_holds_no_payload_after_put_or_get(self, store):
         store.put("cafe01", {"seed": 1}, CAPTURE, kind="capture")
         store.put("abcd01", {"seed": 2}, RESULT)
-        assert store._index["cafe01"] == {"kind": "capture"}
-        assert store._index["abcd01"]["result"] == RESULT
-        self.assert_no_payload_indexed(store)
+        assert store._index == {"cafe01": "capture", "abcd01": "cell"}
+        assert store.get("abcd01")["result"] == RESULT
+        assert store.get("cafe01", kind="capture")["result"] == CAPTURE
+        assert store._index == {"cafe01": "capture", "abcd01": "cell"}
+        fresh = ResultsStore(store.root)
+        assert fresh.get("abcd01")["result"] == RESULT
+        assert fresh.get("cafe01", kind="capture")["result"] == CAPTURE
+        assert fresh._index == {"cafe01": "capture", "abcd01": "cell"}
 
     def test_get_returns_the_full_capture_record_without_indexing_it(self, store):
         store.put("cafe01", {"seed": 1}, CAPTURE, kind="capture")
@@ -366,16 +378,148 @@ class TestCapturePayloadsStayOnDisk:
         assert store.get("cafe01", kind="capture")["result"] == CAPTURE
         assert reads == ["cafe01"]
 
-    def test_cells_are_served_from_the_index_after_the_first_read(self, store, monkeypatch):
+    def test_cells_are_read_from_their_shard_on_every_get(self, store, monkeypatch):
         store.put("abcd01", {}, RESULT)
         fresh = ResultsStore(store.root)
         reads = self.count_shard_reads(monkeypatch)
         assert fresh.get("abcd01")["result"] == RESULT
         assert fresh.get("abcd01")["result"] == RESULT
         assert fresh.has("abcd01") and "abcd01" in fresh
-        assert reads == ["abcd01"]
+        assert fresh.get("abcd01", kind="capture") is None
+        assert reads == ["abcd01", "abcd01"]
+
+    def test_warm_sweep_leaves_the_index_payload_free(self, tmp_path):
+        cache = tmp_path / "cache"
+        shutil.copytree(FIXTURE_CACHE, cache)
+        store = ResultsStore(cache)
+        cells = [
+            cell
+            for name in ("fig4", "fig5", "fig6", "fig8")
+            for cell in get_experiment(name, "smoke", DEFAULT_SEED).cells()
+        ]
+        report = SweepRunner(store=store).run(cells)
+        assert report.misses == 0
+        assert len(store._index) == len(list(cache.glob("??/*.jsonl")))
+        self.assert_no_payload_indexed(store)
 
     def test_has_misses_unknown_and_malformed_fingerprints(self, store):
         assert not store.has("deadbeef")
         assert not store.has("a/../b", kind="capture")
         assert "a b" not in store
+
+
+#: A capture as ``CaptureResult.to_json_dict`` writes it: one base64 string
+#: per interval array, long enough to be appended from its own buffer.
+BASE64_CAPTURE = {
+    "intervals": {
+        offset: {
+            label: base64.b64encode(f"{offset}/{label}".encode() * 300).decode("ascii")
+            for label in ("low", "high")
+        }
+        for offset in ("train", "test")
+    },
+    "elapsed_seconds": 0.25,
+}
+
+#: A capture as earlier releases wrote it: lists of floats.
+LEGACY_CAPTURE = {
+    "intervals": {"train": {"low": [0.01 * i for i in range(300)], "high": [1e-3, 2.5]}},
+    "elapsed_seconds": 0.5,
+}
+
+#: Strings ``json.dumps`` must escape, short and long.
+ESCAPED_CELL = {
+    "label": 'a "quoted" \\ caf\u00e9 \n' * 200,
+    "tags": ["x" * 2000, "\u2603"],
+    "empty": {},
+    "nested": {"b": 1, "a": {"z": None, "y": True}},
+}
+
+
+class TestAppend:
+    """``put`` writes ``json.dumps(record, sort_keys=True)`` lines from pieces."""
+
+    @staticmethod
+    def spy_writev(monkeypatch, short=None):
+        """Record each ``os.writev`` call; the first writes only ``short`` bytes."""
+        calls = []
+        real = os.writev
+
+        def spy(fd, buffers):
+            buffers = [bytes(buffer) for buffer in buffers]
+            calls.append(buffers)
+            if short is not None and len(calls) == 1:
+                return os.write(fd, b"".join(buffers)[:short])
+            return real(fd, buffers)
+
+        monkeypatch.setattr(os, "writev", spy)
+        return calls
+
+    @staticmethod
+    def expected_line(fingerprint, config, result, kind):
+        record = {
+            "schema": SCHEMA_VERSION,
+            "kind": kind,
+            "fingerprint": fingerprint,
+            "config": config,
+            "result": result,
+        }
+        return (json.dumps(record, sort_keys=True) + "\n").encode("ascii")
+
+    @pytest.mark.parametrize(
+        "kind,config,result",
+        [
+            ("cell", {"seed": 3, "scenario": {"n_hops": 2}}, RESULT),
+            ("capture", {"seed": 4}, BASE64_CAPTURE),
+            ("capture", {"seed": 5}, LEGACY_CAPTURE),
+            ("cell", ESCAPED_CELL, RESULT),
+        ],
+        ids=["cell", "base64-capture", "legacy-capture", "escaped-strings"],
+    )
+    def test_put_writes_the_json_dumps_line_in_one_writev(
+        self, store, monkeypatch, kind, config, result
+    ):
+        store.put("abcd01", {}, RESULT)
+        calls = self.spy_writev(monkeypatch)
+        store.put("abcd01", config, result, kind=kind)
+        line = self.expected_line("abcd01", config, result, kind)
+        assert len(calls) == 1
+        assert b"".join(calls[0]) == line
+        assert store.shard_path("abcd01").read_bytes().splitlines(keepends=True)[1] == line
+        assert ResultsStore(store.root).get("abcd01", kind=kind)["result"] == result
+
+    def test_base64_payload_is_appended_from_its_own_buffers(self, store, monkeypatch):
+        calls = self.spy_writev(monkeypatch)
+        store.put("cafe01", {}, BASE64_CAPTURE, kind="capture")
+        intervals = BASE64_CAPTURE["intervals"]
+        payloads = [
+            intervals[offset][label].encode("ascii")
+            for offset in sorted(intervals)
+            for label in sorted(intervals[offset])
+        ]
+        assert calls[0][1::2] == payloads
+        assert len(calls[0]) == 2 * len(payloads) + 1
+
+    def test_put_passes_at_most_iov_max_buffers_per_writev(self, store, monkeypatch):
+        calls = self.spy_writev(monkeypatch)
+        result = {f"k{index:04d}": f"{index:04d}" * 300 for index in range(600)}
+        store.put("cafe01", {}, result, kind="capture")
+        assert [len(buffers) for buffers in calls] == [1024, 2 * 600 + 1 - 1024]
+        line = self.expected_line("cafe01", {}, result, "capture")
+        assert store.shard_path("cafe01").read_bytes() == line
+
+    def test_put_leaves_no_reference_cycle(self, store):
+        """A cycle would keep a capture's buffers alive until a collection."""
+        store.put("cafe01", {}, RESULT)
+        gc.collect()
+        store.put("cafe01", {"seed": 1}, BASE64_CAPTURE, kind="capture")
+        assert gc.collect() == 0
+
+    @pytest.mark.parametrize("short", [1, 40, 1100, 5000])
+    def test_put_finishes_a_short_write(self, store, monkeypatch, short):
+        calls = self.spy_writev(monkeypatch, short=short)
+        store.put("cafe01", {"seed": 1}, BASE64_CAPTURE, kind="capture")
+        line = self.expected_line("cafe01", {"seed": 1}, BASE64_CAPTURE, "capture")
+        assert len(calls) >= 2
+        assert store.shard_path("cafe01").read_bytes() == line
+        assert b"".join(calls[1]) == line[short:]

@@ -55,8 +55,8 @@ def get_json(base: str, path: str):
 def error_of(call):
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         call()
-    body = json.loads(excinfo.value.read().decode("utf-8"))
-    return excinfo.value.code, body
+    with excinfo.value as error:
+        return error.code, json.loads(error.read().decode("utf-8"))
 
 
 class TestEndpoints:
@@ -242,6 +242,7 @@ class TestReadOnly:
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request)
+        excinfo.value.close()
         assert not 200 <= excinfo.value.code < 300
         assert store_files(root) == before
 
@@ -263,6 +264,7 @@ class TestReadOnly:
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request)
+        excinfo.value.close()
         assert excinfo.value.code == 501
         assert store_snapshot(root) == before
 
