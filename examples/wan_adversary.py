@@ -14,6 +14,7 @@ needed to keep the adversary near coin-flipping even at the quietest hour?
 
 from __future__ import annotations
 
+from repro.api import run_experiment
 from repro.core.guidelines import recommend_policy, safe_observation_budget
 from repro.experiments.base import CollectionMode
 from repro.experiments.fig8 import Fig8Config, Fig8Experiment
@@ -29,7 +30,7 @@ def main() -> None:
         mode=CollectionMode.HYBRID,
     )
     print("Simulating 24 hours of observations over the campus and WAN paths...")
-    result = Fig8Experiment(config).run()
+    result = run_experiment(Fig8Experiment(config)).result
     print(result.to_text())
 
     for network in config.networks:

@@ -206,7 +206,7 @@ class ExperimentProtocolRule(ProjectRule):
     title = (
         "every *Experiment class in repro/api and repro/experiments provides "
         "the protocol surface parsed from api/protocol.py "
-        "(name, config, describe, cells, run, assemble)"
+        "(name, config, describe, cells, assemble)"
     )
 
     def check_project(

@@ -4,7 +4,8 @@ This package is the stable surface for defining and running evaluations:
 
 * :class:`~repro.api.protocol.Experiment` — the formal protocol every
   experiment satisfies (``name`` / ``describe()`` / ``cells(seeds)`` /
-  ``assemble(report, seeds, confidence)`` / ``run``).
+  ``assemble(report, seeds, confidence)``); :func:`~repro.api.protocol.run_experiment`
+  runs one.
 * the **registry** — :func:`~repro.api.registry.register_experiment`
   publishes an experiment under a name;
   :func:`~repro.api.registry.get_experiment` builds one from a preset plus

@@ -2,14 +2,14 @@
 
 Before this module existed the contract between the CLI, the sweep runner
 and the figure modules was informal: every ``FigNExperiment`` happened to
-expose ``cells()`` / ``run()`` / ``assemble()`` and a comment in
-``repro/cli.py`` said so.  :class:`Experiment` states that contract as a
+expose ``cells()`` / ``assemble()`` and a comment in ``repro/cli.py`` said
+so.  :class:`Experiment` states that contract as a
 :func:`typing.runtime_checkable` protocol, so anything that satisfies it —
 the figures, the ablations, a :class:`~repro.api.scenario.ScenarioExperiment`
 built from a TOML file, or user code — plugs into the registry, the CLI and
 the sweep runner identically.
 
-:func:`run_experiment` is the one-call entry point: expand the experiment's
+:func:`run_experiment` is the one way to run an experiment: expand its
 cells, execute them through a :class:`~repro.runner.runner.SweepRunner`
 (parallelism, caching), assemble the experiment-specific result,
 and wrap everything in an :class:`ExperimentResult` carrying the raw cell
@@ -56,8 +56,8 @@ class Experiment(Protocol):
     * ``assemble(report, seeds, confidence)`` reads only this experiment's
       cells from ``report``, so a report pooled across many experiments
       assembles per-experiment results independently.
-    * ``run(runner, seeds, confidence)`` is ``assemble(runner.run(cells(
-      seeds)))`` — a convenience, not a place for extra logic.
+
+    To run one experiment, call :func:`run_experiment`.
     """
 
     name: str
@@ -69,15 +69,6 @@ class Experiment(Protocol):
 
     def cells(self, seeds: Optional[Sequence[int]] = None) -> List[SweepCell]:
         """The experiment's grid as schedulable sweep cells."""
-        ...
-
-    def run(
-        self,
-        runner: Optional[SweepRunner] = None,
-        seeds: Optional[Sequence[int]] = None,
-        confidence: Optional[float] = None,
-    ) -> Any:
-        """Execute the cells and assemble the experiment-specific result."""
         ...
 
     def assemble(
@@ -148,10 +139,6 @@ class ExperimentResult:
             "confidence": self.confidence,
             "fingerprints": dict(self.fingerprints),
         }
-
-    def summary(self) -> str:
-        """The sweep's one-line cache accounting."""
-        return self.report.summary()
 
 
 def run_experiment(

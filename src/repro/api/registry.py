@@ -46,7 +46,9 @@ from repro.exceptions import ConfigurationError
 from repro.api.protocol import Experiment
 
 #: The named fidelity/run-time presets every registered experiment provides.
-#: ``paper`` uses full event simulation at figure-like sizes; ``fast``
+#: ``paper`` runs figure-sized grids through the capture kernels, in
+#: simulation mode or, where the points share one gateway capture (Figure 8,
+#: the tap ablation, population), in hybrid mode; ``fast``
 #: switches to the hybrid/analytic models; ``quick`` additionally shrinks the
 #: grids to seconds; ``smoke`` is a tiny all-analytic grid for CI.
 PRESETS: Tuple[str, ...] = ("paper", "fast", "quick", "smoke")

@@ -71,11 +71,7 @@ from typing import (
 )
 
 from repro.api.registry import DEFAULT_SEED
-from repro.core.theorems import (
-    detection_rate_entropy,
-    detection_rate_mean,
-    detection_rate_variance,
-)
+from repro.core.theorems import detection_rate_table
 from repro.exceptions import ConfigurationError
 from repro.experiments.base import CollectionMode, ScenarioConfig, resolve_seeds
 from repro.experiments.report import (
@@ -85,9 +81,10 @@ from repro.experiments.report import (
     with_ci_column,
 )
 from repro.padding.policies import PaddingPolicy, cit_policy, vit_policy
+from repro.runner.cells import DEFAULT_FEATURES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.runner import GridSpec, SweepCell, SweepRunner
+    from repro.runner import GridSpec, SweepCell
 
 try:  # Python 3.11+; 3.10 installs the tomli backport (see pyproject.toml).
     import tomllib as _toml
@@ -99,9 +96,6 @@ except ImportError:  # pragma: no cover - exercised only on Python 3.10
 
 #: Whether a TOML parser is available (guards :meth:`ScenarioSpec.from_toml`).
 TOML_AVAILABLE = _toml is not None
-
-#: Feature statistics evaluated by default (the paper's three).
-_DEFAULT_FEATURES: Tuple[str, ...] = ("mean", "variance", "entropy")
 
 #: ScenarioConfig fields a scenario file's ``[base]`` table may set.
 _BASE_FIELDS: Tuple[str, ...] = (
@@ -270,7 +264,7 @@ class ScenarioSpec:
     trials: int = 10
     mode: CollectionMode = CollectionMode.ANALYTIC
     seed: int = DEFAULT_SEED
-    features: Tuple[str, ...] = _DEFAULT_FEATURES
+    features: Tuple[str, ...] = DEFAULT_FEATURES
     entropy_bin_width: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -593,17 +587,6 @@ class ScenarioExperiment:
         """The spec's grid (see :meth:`ScenarioSpec.grid`)."""
         return self.spec.grid(seeds)
 
-    def run(
-        self,
-        runner: "Optional[SweepRunner]" = None,
-        seeds: Optional[Sequence[int]] = None,
-        confidence: Optional[float] = None,
-    ) -> ScenarioResult:
-        from repro.runner import SweepRunner
-
-        runner = runner if runner is not None else SweepRunner()
-        return self.assemble(runner.run(self.cells(seeds)), seeds=seeds, confidence=confidence)
-
     def assemble(
         self,
         report: Any,
@@ -614,47 +597,29 @@ class ScenarioExperiment:
         from repro.runner import experiment_view
 
         spec = self.spec
-        resolved = resolve_seeds(spec.seed, seeds)
-        grid = self.grid(resolved)
-        view = experiment_view(report, grid, confidence=confidence)
+        grid = self.grid(seeds)
+        view = experiment_view(report, grid.cells(), confidence=confidence)
         empirical: Dict[str, Dict[str, Dict[int, float]]] = {}
+        empirical_ci: Dict[str, Any] = {}
         theoretical: Dict[str, Dict[str, Dict[int, float]]] = {}
-        empirical_ci: Dict[str, Dict[str, Dict[int, Tuple[float, float]]]] = {}
         ratios: Dict[str, float] = {}
-        has_ci = False
-        result_confidence: Optional[float] = None
         for point in grid.points:
-            cell = view[point.key]
-            cell_ci = getattr(cell, "detection_rate_ci", None)
-            r = point.scenario.variance_ratio()
-            ratios[point.key] = r
-            empirical[point.key] = {name: {} for name in spec.features}
-            theoretical[point.key] = {name: {} for name in spec.features}
-            empirical_ci[point.key] = {name: {} for name in spec.features}
-            for name in spec.features:
-                for n in spec.sample_sizes:
-                    empirical[point.key][name][n] = cell.empirical_detection_rate[name][n]
-                    if cell_ci is not None:
-                        empirical_ci[point.key][name][n] = cell_ci[name][n]
-                        has_ci = True
-                        result_confidence = getattr(cell, "confidence", None)
-                    if name == "mean":
-                        theoretical[point.key][name][n] = detection_rate_mean(r)
-                    elif name == "variance":
-                        theoretical[point.key][name][n] = detection_rate_variance(r, n)
-                    elif name == "entropy":
-                        theoretical[point.key][name][n] = detection_rate_entropy(r, n)
-                    else:
-                        # Extension features have no closed form in the paper.
-                        theoretical[point.key][name][n] = float("nan")
+            ratios[point.key] = r = point.scenario.variance_ratio()
+            empirical[point.key], empirical_ci[point.key] = view.table(
+                {n: (point.key, n) for n in spec.sample_sizes}, spec.features
+            )
+            # Extension features have no closed form in the paper: NaN.
+            theoretical[point.key] = detection_rate_table(
+                {n: (r, n) for n in spec.sample_sizes}, spec.features
+            )
         return ScenarioResult(
             spec=spec,
             empirical_detection_rate=empirical,
             theoretical_detection_rate=theoretical,
             variance_ratios=ratios,
-            empirical_ci=empirical_ci if has_ci else None,
-            n_seeds=len(resolved),
-            confidence=result_confidence,
+            empirical_ci=empirical_ci if view.confidence is not None else None,
+            n_seeds=view.n_seeds,
+            confidence=view.confidence,
         )
 
 

@@ -19,6 +19,7 @@ points over the relevant range of ``r``.
 from __future__ import annotations
 
 import math
+from typing import Any, Dict, Mapping, Sequence, Tuple
 
 from repro.core.variance_ratio import check_ratio
 from repro.exceptions import AnalysisError
@@ -114,6 +115,28 @@ def detection_rate(feature: str, r: float, sample_size: float = 2) -> float:
     raise AnalysisError(f"no closed-form detection rate for feature {feature!r}")
 
 
+def detection_rate_table(
+    axis: Mapping[Any, Tuple[float, float]], features: Sequence[str]
+) -> Dict[str, Dict[Any, float]]:
+    """:func:`detection_rate` per feature along one axis of an experiment.
+
+    ``axis`` maps each axis value (a utilization, an hour, a sample size,
+    ...) to its ``(r, sample size)``.  A feature the theorems do not cover
+    (the extension features ``mad`` and ``iqr``) reads NaN.
+    """
+    return {
+        feature: {
+            value: (
+                detection_rate(feature, r, n)
+                if feature in ("mean", "variance", "entropy")
+                else math.nan
+            )
+            for value, (r, n) in axis.items()
+        }
+        for feature in features
+    }
+
+
 __all__ = [
     "DETECTION_FLOOR",
     "detection_rate_mean",
@@ -122,4 +145,5 @@ __all__ = [
     "entropy_constant",
     "detection_rate_entropy",
     "detection_rate",
+    "detection_rate_table",
 ]

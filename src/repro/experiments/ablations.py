@@ -3,8 +3,8 @@
 The paper fixes several knobs of the adversary and of the evaluation setup;
 these experiments sweep them to show the headline result is not an artefact
 of a lucky constant.  Each one implements the same protocol as the figure
-experiments (``cells(seeds)`` / ``assemble(report, seeds, confidence)`` /
-``run``), so they pool into the same sweep runner, cache into the same
+experiments (``cells(seeds)`` / ``assemble(report, seeds, confidence)``),
+so they pool into the same sweep runner, cache into the same
 results store, aggregate across seeds the same way — and, registered under
 :mod:`repro.api`, run from the CLI like any figure:
 
@@ -37,34 +37,7 @@ from repro.experiments.report import (
 from repro.padding.policies import PaddingPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.runner import GridSpec, SweepCell, SweepRunner
-
-#: Feature statistics reported by the tap and VIT-family ablations.
-_ABLATION_FEATURES: Tuple[str, ...] = ("mean", "variance", "entropy")
-
-
-def _experiment_view(cells, report, n_seeds: int, confidence: Optional[float]):
-    """Raw report for single-seed runs, per-point aggregation otherwise.
-
-    The cell-list twin of :func:`repro.runner.grid.experiment_view`, for
-    experiments whose grids are explicit cell lists rather than one
-    :class:`~repro.runner.grid.GridSpec`.
-    """
-    from repro.runner import aggregate_cells
-
-    if n_seeds > 1:
-        return aggregate_cells(cells, report, confidence=confidence)
-    return report
-
-
-def _seeded_key(key: str, seed: int, seeds: Sequence[int]) -> str:
-    """Bare point key for single-seed grids, ``@seed=N``-tagged otherwise."""
-    from repro.runner import SEED_TAG
-
-    if len(seeds) == 1:
-        return key
-    return f"{key}{SEED_TAG}{seed}"
-
+    from repro.runner import GridSpec, SweepCell
 
 # =====================================================================
 # Estimator settings
@@ -182,56 +155,45 @@ class EstimatorAblationExperiment:
         """The grid-point key of one KDE-bandwidth setting."""
         return f"ablation_estimators/bandwidth={bandwidth!r}"
 
-    def cells(self, seeds: Optional[Sequence[int]] = None) -> "List[SweepCell]":
-        """One cell per (estimator setting, seed).
+    def grids(self, seeds: Optional[Sequence[int]] = None) -> "List[GridSpec]":
+        """One single-point grid per estimator setting.
 
-        Not a :class:`~repro.runner.grid.GridSpec` product: the two knobs
-        vary *cell* options (``entropy_bin_width`` / ``kde_bandwidth``), not
-        scenario axes, so the cells are built directly.
+        The two knobs are cell options (``entropy_bin_width`` with the
+        entropy feature, ``kde_bandwidth`` with the variance feature), which
+        a :class:`~repro.runner.grid.GridSpec` applies to all of its points.
         """
-        from repro.runner import SweepCell
+        from repro.runner import GridPoint, GridSpec
 
         config = self.config
-        resolved = resolve_seeds(config.seed, seeds)
-        cells: List[SweepCell] = []
-        for seed in resolved:
-            common = dict(
-                scenario=config.scenario,
-                sample_sizes=(config.sample_size,),
-                trials=config.trials,
-                mode=config.mode,
-                seed=seed,
+        common = dict(
+            seeds=resolve_seeds(config.seed, seeds),
+            sample_sizes=(config.sample_size,),
+            trials=config.trials,
+            mode=config.mode,
+        )
+        return [
+            GridSpec.from_points(
+                self.name,
+                [GridPoint(key=self.bin_width_key(bin_width), scenario=config.scenario)],
+                features=("entropy",),
+                entropy_bin_width=bin_width,
+                **common,
             )
-            for bin_width in config.bin_widths:
-                cells.append(
-                    SweepCell(
-                        key=_seeded_key(self.bin_width_key(bin_width), seed, resolved),
-                        features=("entropy",),
-                        entropy_bin_width=bin_width,
-                        **common,
-                    )
-                )
-            for bandwidth in config.kde_bandwidths:
-                cells.append(
-                    SweepCell(
-                        key=_seeded_key(self.bandwidth_key(bandwidth), seed, resolved),
-                        features=("variance",),
-                        kde_bandwidth=bandwidth,
-                        **common,
-                    )
-                )
-        return cells
+            for bin_width in config.bin_widths
+        ] + [
+            GridSpec.from_points(
+                self.name,
+                [GridPoint(key=self.bandwidth_key(bandwidth), scenario=config.scenario)],
+                features=("variance",),
+                kde_bandwidth=bandwidth,
+                **common,
+            )
+            for bandwidth in config.kde_bandwidths
+        ]
 
-    def run(
-        self,
-        runner: "Optional[SweepRunner]" = None,
-        seeds: Optional[Sequence[int]] = None,
-        confidence: Optional[float] = None,
-    ) -> EstimatorAblationResult:
-        from repro.runner import SweepRunner
-
-        runner = runner if runner is not None else SweepRunner()
-        return self.assemble(runner.run(self.cells(seeds)), seeds=seeds, confidence=confidence)
+    def cells(self, seeds: Optional[Sequence[int]] = None) -> "List[SweepCell]":
+        """One cell per (estimator setting, seed)."""
+        return [cell for grid in self.grids(seeds) for cell in grid.cells()]
 
     def assemble(
         self,
@@ -240,42 +202,27 @@ class EstimatorAblationExperiment:
         confidence: Optional[float] = None,
     ) -> EstimatorAblationResult:
         """Build the ablation result from a sweep report containing its cells."""
+        from repro.runner import experiment_view
+
         config = self.config
-        resolved = resolve_seeds(config.seed, seeds)
-        view = _experiment_view(
-            self.cells(resolved), report, len(resolved), confidence
-        )
         n = config.sample_size
-        by_bin: Dict[float, float] = {}
-        by_bandwidth: Dict[Union[str, float], float] = {}
-        bin_ci: Dict[float, Tuple[float, float]] = {}
-        bandwidth_ci: Dict[Union[str, float], Tuple[float, float]] = {}
-        has_ci = False
-        result_confidence: Optional[float] = None
-        for bin_width in config.bin_widths:
-            cell = view[self.bin_width_key(bin_width)]
-            by_bin[bin_width] = cell.empirical_detection_rate["entropy"][n]
-            cell_ci = getattr(cell, "detection_rate_ci", None)
-            if cell_ci is not None:
-                bin_ci[bin_width] = cell_ci["entropy"][n]
-                has_ci = True
-                result_confidence = getattr(cell, "confidence", None)
-        for bandwidth in config.kde_bandwidths:
-            cell = view[self.bandwidth_key(bandwidth)]
-            by_bandwidth[bandwidth] = cell.empirical_detection_rate["variance"][n]
-            cell_ci = getattr(cell, "detection_rate_ci", None)
-            if cell_ci is not None:
-                bandwidth_ci[bandwidth] = cell_ci["variance"][n]
-                has_ci = True
-                result_confidence = getattr(cell, "confidence", None)
+        view = experiment_view(report, self.cells(seeds), confidence=confidence)
+        by_bin, bin_ci = view.table(
+            {width: (self.bin_width_key(width), n) for width in config.bin_widths},
+            ("entropy",),
+        )
+        by_bandwidth, bandwidth_ci = view.table(
+            {bandwidth: (self.bandwidth_key(bandwidth), n) for bandwidth in config.kde_bandwidths},
+            ("variance",),
+        )
         return EstimatorAblationResult(
             config=config,
-            detection_rate_by_bin_width=by_bin,
-            detection_rate_by_bandwidth=by_bandwidth,
-            bin_width_ci=bin_ci if has_ci else None,
-            bandwidth_ci=bandwidth_ci if has_ci else None,
-            n_seeds=len(resolved),
-            confidence=result_confidence,
+            detection_rate_by_bin_width=by_bin["entropy"],
+            detection_rate_by_bandwidth=by_bandwidth["variance"],
+            bin_width_ci=bin_ci["entropy"] if bin_ci is not None else None,
+            bandwidth_ci=bandwidth_ci["variance"] if bandwidth_ci is not None else None,
+            n_seeds=view.n_seeds,
+            confidence=view.confidence,
         )
 
 
@@ -407,17 +354,6 @@ class TapAblationExperiment:
         """One sweep-runner cell per (tap position, seed) grid point."""
         return self.grid(seeds).cells()
 
-    def run(
-        self,
-        runner: "Optional[SweepRunner]" = None,
-        seeds: Optional[Sequence[int]] = None,
-        confidence: Optional[float] = None,
-    ) -> TapAblationResult:
-        from repro.runner import SweepRunner
-
-        runner = runner if runner is not None else SweepRunner()
-        return self.assemble(runner.run(self.cells(seeds)), seeds=seeds, confidence=confidence)
-
     def assemble(
         self,
         report,
@@ -425,37 +361,23 @@ class TapAblationExperiment:
         confidence: Optional[float] = None,
     ) -> TapAblationResult:
         """Build the ablation result from a sweep report containing its cells."""
-        from repro.runner import experiment_view
+        from repro.runner import DEFAULT_FEATURES, experiment_view
 
         config = self.config
-        resolved = resolve_seeds(config.seed, seeds)
-        view = experiment_view(report, self.grid(resolved), confidence=confidence)
-        empirical: Dict[str, Dict[int, float]] = {name: {} for name in _ABLATION_FEATURES}
-        empirical_ci: Dict[str, Dict[int, Tuple[float, float]]] = {
-            name: {} for name in _ABLATION_FEATURES
-        }
-        ratios: Dict[int, float] = {}
-        has_ci = False
-        result_confidence: Optional[float] = None
-        for hops in config.hop_counts:
-            cell = view[self.point_key(hops)]
-            cell_ci = getattr(cell, "detection_rate_ci", None)
-            ratios[hops] = config.scenario_at(hops).variance_ratio()
-            for name in _ABLATION_FEATURES:
-                empirical[name][hops] = cell.empirical_detection_rate[name][
-                    config.sample_size
-                ]
-                if cell_ci is not None:
-                    empirical_ci[name][hops] = cell_ci[name][config.sample_size]
-                    has_ci = True
-                    result_confidence = getattr(cell, "confidence", None)
+        view = experiment_view(report, self.cells(seeds), confidence=confidence)
+        empirical, empirical_ci = view.table(
+            {hops: (self.point_key(hops), config.sample_size) for hops in config.hop_counts},
+            DEFAULT_FEATURES,
+        )
         return TapAblationResult(
             config=config,
             empirical_detection_rate=empirical,
-            variance_ratios=ratios,
-            empirical_ci=empirical_ci if has_ci else None,
-            n_seeds=len(resolved),
-            confidence=result_confidence,
+            variance_ratios={
+                hops: config.scenario_at(hops).variance_ratio() for hops in config.hop_counts
+            },
+            empirical_ci=empirical_ci,
+            n_seeds=view.n_seeds,
+            confidence=view.confidence,
         )
 
 
@@ -573,17 +495,6 @@ class VitFamilyAblationExperiment:
         """One sweep-runner cell per (family, seed) grid point."""
         return self.grid(seeds).cells()
 
-    def run(
-        self,
-        runner: "Optional[SweepRunner]" = None,
-        seeds: Optional[Sequence[int]] = None,
-        confidence: Optional[float] = None,
-    ) -> VitFamilyAblationResult:
-        from repro.runner import SweepRunner
-
-        runner = runner if runner is not None else SweepRunner()
-        return self.assemble(runner.run(self.cells(seeds)), seeds=seeds, confidence=confidence)
-
     def assemble(
         self,
         report,
@@ -591,34 +502,20 @@ class VitFamilyAblationExperiment:
         confidence: Optional[float] = None,
     ) -> VitFamilyAblationResult:
         """Build the ablation result from a sweep report containing its cells."""
-        from repro.runner import experiment_view
+        from repro.runner import DEFAULT_FEATURES, experiment_view
 
         config = self.config
-        resolved = resolve_seeds(config.seed, seeds)
-        view = experiment_view(report, self.grid(resolved), confidence=confidence)
-        empirical: Dict[str, Dict[str, float]] = {name: {} for name in _ABLATION_FEATURES}
-        empirical_ci: Dict[str, Dict[str, Tuple[float, float]]] = {
-            name: {} for name in _ABLATION_FEATURES
-        }
-        has_ci = False
-        result_confidence: Optional[float] = None
-        for family in config.families:
-            cell = view[self.point_key(family)]
-            cell_ci = getattr(cell, "detection_rate_ci", None)
-            for name in _ABLATION_FEATURES:
-                empirical[name][family] = cell.empirical_detection_rate[name][
-                    config.sample_size
-                ]
-                if cell_ci is not None:
-                    empirical_ci[name][family] = cell_ci[name][config.sample_size]
-                    has_ci = True
-                    result_confidence = getattr(cell, "confidence", None)
+        view = experiment_view(report, self.cells(seeds), confidence=confidence)
+        empirical, empirical_ci = view.table(
+            {family: (self.point_key(family), config.sample_size) for family in config.families},
+            DEFAULT_FEATURES,
+        )
         return VitFamilyAblationResult(
             config=config,
             empirical_detection_rate=empirical,
-            empirical_ci=empirical_ci if has_ci else None,
-            n_seeds=len(resolved),
-            confidence=result_confidence,
+            empirical_ci=empirical_ci,
+            n_seeds=view.n_seeds,
+            confidence=view.confidence,
         )
 
 

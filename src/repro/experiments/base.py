@@ -15,13 +15,16 @@ Three collection modes trade fidelity against run time:
     :func:`simulate_gateway_capture`).
 
 ``hybrid``
-    The gateway is simulated packet by packet (so the payload-dependent
+    The gateway capture comes from the same kernel (so the payload-dependent
     jitter is mechanistic, not assumed), but the network is applied
     analytically: each captured packet receives an independent queueing
     delay drawn from a normal distribution whose variance comes from the
-    M/D/1 model of :mod:`repro.network.delay_models`.  Used for the 24-hour,
-    15-hop WAN runs, where full simulation would take hours of CPU for no
-    change in the measured shape.
+    M/D/1 model of :mod:`repro.network.delay_models`.  Grids that evaluate
+    one gateway under many network conditions (Figure 8's hours, the tap
+    ablation's hop counts) share one gateway capture across their points in
+    this mode.  It keeps the path's ``sigma_net^2`` but not the shape of the
+    queueing delay, and the independent delays can reorder packets, which a
+    FIFO path never does.
 
 ``analytic``
     PIATs are drawn directly from the calibrated Gaussian model

@@ -25,11 +25,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.exact import detection_rate_mean_exact, detection_rate_variance_exact
-from repro.core.theorems import (
-    detection_rate_entropy,
-    detection_rate_mean,
-    detection_rate_variance,
-)
+from repro.core.theorems import detection_rate_table
 from repro.exceptions import ConfigurationError
 from repro.experiments.base import CollectionMode, ScenarioConfig, resolve_seeds
 from repro.experiments.report import (
@@ -41,7 +37,7 @@ from repro.experiments.report import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.runner import GridSpec, SweepCell, SweepRunner
+    from repro.runner import GridSpec, SweepCell
 
 
 @dataclass(frozen=True)
@@ -211,18 +207,6 @@ class Fig4Experiment:
         """The experiment's grid as sweep-runner cells."""
         return self.grid(seeds).cells()
 
-    def run(
-        self,
-        runner: "Optional[SweepRunner]" = None,
-        seeds: Optional[Sequence[int]] = None,
-        confidence: Optional[float] = None,
-    ) -> Fig4Result:
-        """Collect captures, run the attack at every sample size, compare with theory."""
-        from repro.runner import SweepRunner
-
-        runner = runner if runner is not None else SweepRunner()
-        return self.assemble(runner.run(self.cells(seeds)), seeds=seeds, confidence=confidence)
-
     def assemble(
         self,
         report,
@@ -230,41 +214,40 @@ class Fig4Experiment:
         confidence: Optional[float] = None,
     ) -> Fig4Result:
         """Build the figure result from a sweep report containing this grid's cells."""
-        from repro.runner import experiment_view
+        from repro.runner import DEFAULT_FEATURES, experiment_view
 
         config = self.config
-        resolved = resolve_seeds(config.seed, seeds)
-        view = experiment_view(report, self.grid(resolved), confidence=confidence)
+        view = experiment_view(report, self.cells(seeds), confidence=confidence)
         cell = view["fig4"]
-
         r_model = config.scenario.variance_ratio()
-        empirical = cell.empirical_detection_rate
-        theoretical: Dict[str, Dict[int, float]] = {name: {} for name in empirical}
-        exact: Dict[str, Dict[int, float]] = {name: {} for name in empirical}
-        for name in empirical:
-            for n in config.sample_sizes:
-                if name == "mean":
-                    theoretical[name][n] = detection_rate_mean(r_model)
-                    exact[name][n] = detection_rate_mean_exact(r_model)
-                elif name == "variance":
-                    theoretical[name][n] = detection_rate_variance(r_model, n)
-                    exact[name][n] = detection_rate_variance_exact(r_model, n)
-                else:
-                    theoretical[name][n] = detection_rate_entropy(r_model, n)
-                    exact[name][n] = detection_rate_variance_exact(r_model, n)
-        empirical_ci = getattr(cell, "detection_rate_ci", None)
+        empirical, empirical_ci = view.table(
+            {n: ("fig4", n) for n in config.sample_sizes}, DEFAULT_FEATURES
+        )
+        exact = {
+            name: {
+                n: (
+                    detection_rate_mean_exact(r_model)
+                    if name == "mean"
+                    else detection_rate_variance_exact(r_model, n)
+                )
+                for n in config.sample_sizes
+            }
+            for name in DEFAULT_FEATURES
+        }
         return Fig4Result(
             config=config,
             r_model=r_model,
             r_measured=cell.measured_variance_ratio,
             piat_stats=cell.piat_stats,
             empirical_detection_rate=empirical,
-            theoretical_detection_rate=theoretical,
+            theoretical_detection_rate=detection_rate_table(
+                {n: (r_model, n) for n in config.sample_sizes}, DEFAULT_FEATURES
+            ),
             exact_detection_rate=exact,
             empirical_ci=empirical_ci,
-            r_measured_ci=getattr(cell, "variance_ratio_ci", None),
-            n_seeds=len(resolved),
-            confidence=getattr(cell, "confidence", None),
+            r_measured_ci=cell.variance_ratio_ci if view.confidence is not None else None,
+            n_seeds=view.n_seeds,
+            confidence=view.confidence,
         )
 
 

@@ -21,11 +21,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.sample_size import sample_size_vs_sigma_t
-from repro.core.theorems import (
-    detection_rate_entropy,
-    detection_rate_mean,
-    detection_rate_variance,
-)
+from repro.core.theorems import detection_rate_table
 from repro.exceptions import ConfigurationError
 from repro.experiments.base import CollectionMode, ScenarioConfig, resolve_seeds
 from repro.experiments.report import (
@@ -37,7 +33,7 @@ from repro.experiments.report import (
 from repro.padding.policies import PaddingPolicy, cit_policy, vit_policy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.runner import GridSpec, SweepCell, SweepRunner
+    from repro.runner import GridSpec, SweepCell
 
 
 @dataclass(frozen=True)
@@ -207,17 +203,6 @@ class Fig5Experiment:
         """One sweep-runner cell per (``sigma_T``, seed) grid point."""
         return self.grid(seeds).cells()
 
-    def run(
-        self,
-        runner: "Optional[SweepRunner]" = None,
-        seeds: Optional[Sequence[int]] = None,
-        confidence: Optional[float] = None,
-    ) -> Fig5Result:
-        from repro.runner import SweepRunner
-
-        runner = runner if runner is not None else SweepRunner()
-        return self.assemble(runner.run(self.cells(seeds)), seeds=seeds, confidence=confidence)
-
     def assemble(
         self,
         report,
@@ -228,42 +213,20 @@ class Fig5Experiment:
         from repro.runner import experiment_view
 
         config = self.config
-        resolved = resolve_seeds(config.seed, seeds)
-        view = experiment_view(report, self.grid(resolved), confidence=confidence)
-        empirical: Dict[str, Dict[float, float]] = {name: {} for name in config.features}
-        theoretical: Dict[str, Dict[float, float]] = {name: {} for name in config.features}
-        ratios: Dict[float, float] = {}
-        empirical_ci: Dict[str, Dict[float, Tuple[float, float]]] = {
-            name: {} for name in config.features
+        n = config.sample_size
+        view = experiment_view(report, self.cells(seeds), confidence=confidence)
+        ratios = {
+            sigma_t: config.scenario_for(sigma_t).variance_ratio()
+            for sigma_t in config.sigma_t_values
         }
-        has_ci = False
-        result_confidence: Optional[float] = None
-        for sigma_t in config.sigma_t_values:
-            cell = view[self.point_key(sigma_t)]
-            cell_ci = getattr(cell, "detection_rate_ci", None)
-            ratios[sigma_t] = config.scenario_for(sigma_t).variance_ratio()
-            for name in config.features:
-                empirical[name][sigma_t] = cell.empirical_detection_rate[name][
-                    config.sample_size
-                ]
-                if cell_ci is not None:
-                    empirical_ci[name][sigma_t] = cell_ci[name][config.sample_size]
-                    has_ci = True
-                    result_confidence = getattr(cell, "confidence", None)
-                if name == "mean":
-                    theoretical[name][sigma_t] = detection_rate_mean(ratios[sigma_t])
-                elif name == "variance":
-                    theoretical[name][sigma_t] = detection_rate_variance(
-                        ratios[sigma_t], config.sample_size
-                    )
-                elif name == "entropy":
-                    theoretical[name][sigma_t] = detection_rate_entropy(
-                        ratios[sigma_t], config.sample_size
-                    )
-                else:
-                    # Extension features (mad, iqr) have no closed-form
-                    # prediction in the paper; report NaN, not a wrong theorem.
-                    theoretical[name][sigma_t] = float("nan")
+        empirical, empirical_ci = view.table(
+            {sigma_t: (self.point_key(sigma_t), n) for sigma_t in config.sigma_t_values},
+            config.features,
+        )
+        # Extension features (mad, iqr) have no closed form in the paper: NaN.
+        theoretical = detection_rate_table(
+            {sigma_t: (r, n) for sigma_t, r in ratios.items()}, config.features
+        )
 
         required: Dict[str, Dict[float, float]] = {}
         for feature_name in ("variance", "entropy"):
@@ -284,9 +247,9 @@ class Fig5Experiment:
             theoretical_detection_rate=theoretical,
             variance_ratios=ratios,
             required_sample_for_target=required,
-            empirical_ci=empirical_ci if has_ci else None,
-            n_seeds=len(resolved),
-            confidence=result_confidence,
+            empirical_ci=empirical_ci,
+            n_seeds=view.n_seeds,
+            confidence=view.confidence,
         )
 
 

@@ -18,11 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.theorems import (
-    detection_rate_entropy,
-    detection_rate_mean,
-    detection_rate_variance,
-)
+from repro.core.theorems import detection_rate_table
 from repro.exceptions import ConfigurationError
 from repro.experiments.base import CollectionMode, ScenarioConfig, resolve_seeds
 from repro.experiments.report import (
@@ -34,7 +30,7 @@ from repro.experiments.report import (
 from repro.padding.policies import cit_policy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.runner import GridSpec, SweepCell, SweepRunner
+    from repro.runner import GridSpec, SweepCell
 
 
 def _lab_scenario() -> ScenarioConfig:
@@ -183,17 +179,6 @@ class Fig6Experiment:
         """One sweep-runner cell per (utilization, seed) grid point."""
         return self.grid(seeds).cells()
 
-    def run(
-        self,
-        runner: "Optional[SweepRunner]" = None,
-        seeds: Optional[Sequence[int]] = None,
-        confidence: Optional[float] = None,
-    ) -> Fig6Result:
-        from repro.runner import SweepRunner
-
-        runner = runner if runner is not None else SweepRunner()
-        return self.assemble(runner.run(self.cells(seeds)), seeds=seeds, confidence=confidence)
-
     def assemble(
         self,
         report,
@@ -204,47 +189,26 @@ class Fig6Experiment:
         from repro.runner import DEFAULT_FEATURES, experiment_view
 
         config = self.config
-        resolved = resolve_seeds(config.seed, seeds)
-        view = experiment_view(report, self.grid(resolved), confidence=confidence)
-        empirical: Dict[str, Dict[float, float]] = {name: {} for name in DEFAULT_FEATURES}
-        theoretical: Dict[str, Dict[float, float]] = {name: {} for name in DEFAULT_FEATURES}
-        empirical_ci: Dict[str, Dict[float, Tuple[float, float]]] = {
-            name: {} for name in DEFAULT_FEATURES
+        n = config.sample_size
+        view = experiment_view(report, self.cells(seeds), confidence=confidence)
+        ratios = {
+            utilization: config.scenario.with_cross_utilization(utilization).variance_ratio()
+            for utilization in config.utilizations
         }
-        has_ci = False
-        result_confidence: Optional[float] = None
-        ratios: Dict[float, float] = {}
-        for utilization in config.utilizations:
-            cell = view[self.point_key(utilization)]
-            cell_ci = getattr(cell, "detection_rate_ci", None)
-            scenario = config.scenario.with_cross_utilization(utilization)
-            ratios[utilization] = scenario.variance_ratio()
-            for name in empirical:
-                empirical[name][utilization] = cell.empirical_detection_rate[name][
-                    config.sample_size
-                ]
-                if cell_ci is not None:
-                    empirical_ci[name][utilization] = cell_ci[name][config.sample_size]
-                    has_ci = True
-                    result_confidence = getattr(cell, "confidence", None)
-                if name == "mean":
-                    theoretical[name][utilization] = detection_rate_mean(ratios[utilization])
-                elif name == "variance":
-                    theoretical[name][utilization] = detection_rate_variance(
-                        ratios[utilization], config.sample_size
-                    )
-                else:
-                    theoretical[name][utilization] = detection_rate_entropy(
-                        ratios[utilization], config.sample_size
-                    )
+        empirical, empirical_ci = view.table(
+            {utilization: (self.point_key(utilization), n) for utilization in ratios},
+            DEFAULT_FEATURES,
+        )
         return Fig6Result(
             config=config,
             empirical_detection_rate=empirical,
-            theoretical_detection_rate=theoretical,
+            theoretical_detection_rate=detection_rate_table(
+                {utilization: (r, n) for utilization, r in ratios.items()}, DEFAULT_FEATURES
+            ),
             variance_ratios=ratios,
-            empirical_ci=empirical_ci if has_ci else None,
-            n_seeds=len(resolved),
-            confidence=result_confidence,
+            empirical_ci=empirical_ci,
+            n_seeds=view.n_seeds,
+            confidence=view.confidence,
         )
 
 

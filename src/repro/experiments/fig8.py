@@ -8,13 +8,15 @@ the small hours of the night and dips during the busy afternoon — and the
 WAN, with many more congested hops, sits well below the campus curve.
 
 The paper collected one full day per environment on real networks.  Here each
-(network, hour) grid point is an independent sweep cell: the gateway is
-simulated event-by-event and the per-hour network disturbance is applied
-analytically from the M/D/1 model — the ``hybrid`` collection mode.  Full
-event simulation of 15 routers for 24 hours is possible with the same code
-path (``CollectionMode.SIMULATION``) but takes hours of CPU; the hybrid mode
-preserves the quantity the analysis actually depends on (``sigma_net^2`` per
-hour) and is the documented substitution for the missing physical testbed.
+(network, hour) grid point is an independent sweep cell.  In the default
+``hybrid`` collection mode the gateway capture comes from the vectorized
+capture kernel and the per-hour network disturbance is applied analytically
+from the M/D/1 model; that keeps the quantity the theorems depend on
+(``sigma_net^2`` per hour) but not the shape of the queueing delay.
+``CollectionMode.SIMULATION`` runs every hop's FIFO queue and its cross
+traffic through the routed kernel instead: the ``fast`` preset then takes
+about 24 s serially on a 2-vCPU machine, against under a second in hybrid
+mode.
 
 In hybrid mode the hourly cells are **two-level**: the hour only changes the
 analytic network noise, so all of a network's hours share one cacheable
@@ -29,15 +31,11 @@ across the sweep runner's worker pool and is cached by content hash.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.theorems import (
-    detection_rate_entropy,
-    detection_rate_mean,
-    detection_rate_variance,
-)
+from repro.core.theorems import detection_rate_table
 from repro.exceptions import ConfigurationError
 from repro.experiments.base import CollectionMode, ScenarioConfig, resolve_seeds
 from repro.experiments.report import (
@@ -50,7 +48,7 @@ from repro.network.topology import TopologySpec, campus_topology, wan_topology
 from repro.padding.policies import cit_policy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.runner import GridSpec, SweepCell, SweepRunner
+    from repro.runner import GridSpec, SweepCell
 
 #: Relative cross-traffic load for each hour of the day (00:00 first): a
 #: campus/WAN shape with a night-time trough and a mid-afternoon peak.
@@ -264,17 +262,6 @@ class Fig8Experiment:
         """One sweep-runner cell per (network, hour, seed) grid point."""
         return self.grid(seeds).cells()
 
-    def run(
-        self,
-        runner: "Optional[SweepRunner]" = None,
-        seeds: Optional[Sequence[int]] = None,
-        confidence: Optional[float] = None,
-    ) -> Fig8Result:
-        from repro.runner import SweepRunner
-
-        runner = runner if runner is not None else SweepRunner()
-        return self.assemble(runner.run(self.cells(seeds)), seeds=seeds, confidence=confidence)
-
     def assemble(
         self,
         report,
@@ -285,56 +272,33 @@ class Fig8Experiment:
         from repro.runner import DEFAULT_FEATURES, experiment_view
 
         config = self.config
-        resolved = resolve_seeds(config.seed, seeds)
-        view = experiment_view(report, self.grid(resolved), confidence=confidence)
+        n = config.sample_size
+        view = experiment_view(report, self.cells(seeds), confidence=confidence)
         empirical: Dict[str, Dict[str, Dict[int, float]]] = {}
         theoretical: Dict[str, Dict[str, Dict[int, float]]] = {}
+        empirical_ci: Dict[str, Any] = {}
         ratios: Dict[str, Dict[int, float]] = {}
         utilizations: Dict[str, Dict[int, float]] = {}
-        empirical_ci: Dict[str, Dict[str, Dict[int, Tuple[float, float]]]] = {}
-        has_ci = False
-        result_confidence: Optional[float] = None
-
         for network in config.networks:
-            empirical[network] = {name: {} for name in DEFAULT_FEATURES}
-            theoretical[network] = {name: {} for name in DEFAULT_FEATURES}
-            empirical_ci[network] = {name: {} for name in DEFAULT_FEATURES}
-            ratios[network] = {}
-            utilizations[network] = {}
-            for hour in config.hours:
-                cell = view[self.point_key(network, hour)]
-                cell_ci = getattr(cell, "detection_rate_ci", None)
-                scenario = config.scenario_at(network, hour)
-                utilizations[network][hour] = scenario.cross_utilization
-                ratios[network][hour] = scenario.variance_ratio()
-                r = ratios[network][hour]
-                for name in DEFAULT_FEATURES:
-                    empirical[network][name][hour] = cell.empirical_detection_rate[name][
-                        config.sample_size
-                    ]
-                    if cell_ci is not None:
-                        empirical_ci[network][name][hour] = cell_ci[name][config.sample_size]
-                        has_ci = True
-                        result_confidence = getattr(cell, "confidence", None)
-                    if name == "mean":
-                        theoretical[network][name][hour] = detection_rate_mean(r)
-                    elif name == "variance":
-                        theoretical[network][name][hour] = detection_rate_variance(
-                            r, config.sample_size
-                        )
-                    else:
-                        theoretical[network][name][hour] = detection_rate_entropy(
-                            r, config.sample_size
-                        )
+            scenarios = {hour: config.scenario_at(network, hour) for hour in config.hours}
+            utilizations[network] = {h: s.cross_utilization for h, s in scenarios.items()}
+            ratios[network] = {h: s.variance_ratio() for h, s in scenarios.items()}
+            empirical[network], empirical_ci[network] = view.table(
+                {hour: (self.point_key(network, hour), n) for hour in config.hours},
+                DEFAULT_FEATURES,
+            )
+            theoretical[network] = detection_rate_table(
+                {hour: (r, n) for hour, r in ratios[network].items()}, DEFAULT_FEATURES
+            )
         return Fig8Result(
             config=config,
             empirical_detection_rate=empirical,
             theoretical_detection_rate=theoretical,
             variance_ratios=ratios,
             utilizations=utilizations,
-            empirical_ci=empirical_ci if has_ci else None,
-            n_seeds=len(resolved),
-            confidence=result_confidence,
+            empirical_ci=empirical_ci if view.confidence is not None else None,
+            n_seeds=view.n_seeds,
+            confidence=view.confidence,
         )
 
 

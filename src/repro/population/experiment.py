@@ -46,12 +46,10 @@ from repro.population.metrics import (
     identification_curve,
 )
 from repro.population.topology import ASGraphSpec, ASTopology, generate_as_topology
+from repro.runner.cells import DEFAULT_FEATURES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.runner import GridSpec, SweepCell, SweepRunner
-
-#: Feature statistics evaluated by the population experiment.
-_POPULATION_FEATURES: Tuple[str, ...] = ("mean", "variance", "entropy")
+    from repro.runner import GridSpec, SweepCell
 
 
 @dataclass(frozen=True)
@@ -186,9 +184,7 @@ class PopulationResult:
         n_max = max(config.sample_sizes)
         sections: List[Tuple[str, str]] = []
 
-        headers = ["AS", "depth", "utilization", "flows"] + [
-            f for f in _POPULATION_FEATURES
-        ]
+        headers = ["AS", "depth", "utilization", "flows"] + list(DEFAULT_FEATURES)
         rows = []
         for as_id in sorted(self.flows_per_as):
             rows.append(
@@ -201,7 +197,7 @@ class PopulationResult:
                     ]
                     + [
                         self.per_as_rates[feature][as_id][n_max]
-                        for feature in _POPULATION_FEATURES
+                        for feature in DEFAULT_FEATURES
                     ]
                 )
             )
@@ -232,7 +228,7 @@ class PopulationResult:
         )
 
         curve_rows = [
-            tuple([n] + [self.curve[feature][n] for feature in _POPULATION_FEATURES])
+            tuple([n] + [self.curve[feature][n] for feature in DEFAULT_FEATURES])
             for n in config.sample_sizes
         ]
         sections.append(
@@ -240,7 +236,7 @@ class PopulationResult:
                 "Fraction of population identified vs sample size"
                 + seed_suffix(self.n_seeds),
                 format_table(
-                    ["sample size"] + list(_POPULATION_FEATURES), curve_rows
+                    ["sample size"] + list(DEFAULT_FEATURES), curve_rows
                 ),
             )
         )
@@ -249,19 +245,19 @@ class PopulationResult:
             mix_rows = [
                 tuple(
                     [depth]
-                    + [self.mix_rates[feature][depth] for feature in _POPULATION_FEATURES]
+                    + [self.mix_rates[feature][depth] for feature in DEFAULT_FEATURES]
                 )
-                for depth in sorted(self.mix_rates[_POPULATION_FEATURES[0]])
+                for depth in sorted(self.mix_rates[DEFAULT_FEATURES[0]])
             ]
             sections.append(
                 (
                     f"Multi-rate mix detection ({len(config.rate_classes)} classes, "
                     f"n={n_max})" + seed_suffix(self.n_seeds),
-                    format_table(["AS-path depth"] + list(_POPULATION_FEATURES), mix_rows),
+                    format_table(["AS-path depth"] + list(DEFAULT_FEATURES), mix_rows),
                 )
             )
 
-        for feature in _POPULATION_FEATURES:
+        for feature in DEFAULT_FEATURES:
             matrix = self.confusion.get(feature, {}).get(n_max)
             if not matrix:
                 continue
@@ -356,18 +352,6 @@ class PopulationExperiment:
         """Every schedulable cell: per-AS binary plus multi-rate mix."""
         return self.hybrid_grid(seeds).cells() + self.mix_grid(seeds).cells()
 
-    # ------------------------------------------------------------------- run
-    def run(
-        self,
-        runner: "Optional[SweepRunner]" = None,
-        seeds: Optional[Sequence[int]] = None,
-        confidence: Optional[float] = None,
-    ) -> PopulationResult:
-        from repro.runner import SweepRunner
-
-        runner = runner if runner is not None else SweepRunner()
-        return self.assemble(runner.run(self.cells(seeds)), seeds=seeds, confidence=confidence)
-
     def assemble(
         self,
         report,
@@ -378,61 +362,50 @@ class PopulationExperiment:
         from repro.runner import experiment_view
 
         config = self.config
-        resolved = resolve_seeds(config.seed, seeds)
         population = self.population()
         topology = self.topology()
-        hybrid_grid = self.hybrid_grid(resolved)
-        mix_grid = self.mix_grid(resolved)
-        hybrid_view = experiment_view(report, hybrid_grid, confidence=confidence)
-        mix_view = experiment_view(report, mix_grid, confidence=confidence)
+        mix_grid = self.mix_grid(seeds)
+        mix_cells = mix_grid.cells()
+        view = experiment_view(
+            report, self.hybrid_grid(seeds).cells() + mix_cells, confidence=confidence
+        )
         n_max = max(config.sample_sizes)
+        sender_ases = population.sender_ases()
 
-        per_as_rates: Dict[str, Dict[int, Dict[int, float]]] = {
-            feature: {} for feature in _POPULATION_FEATURES
-        }
-        per_as_ci: Dict[str, Dict[int, Tuple[float, float]]] = {
-            feature: {} for feature in _POPULATION_FEATURES
-        }
-        as_depths: Dict[int, int] = {}
-        as_utilizations: Dict[int, float] = {}
-        has_ci = False
-        result_confidence: Optional[float] = None
-        for as_id in population.sender_ases():
-            cell = hybrid_view[self.as_point_key(as_id)]
-            cell_ci = getattr(cell, "detection_rate_ci", None)
-            as_depths[as_id] = topology.path_depth(as_id)
-            as_utilizations[as_id] = topology.path_utilization(as_id)
-            for feature in _POPULATION_FEATURES:
-                per_as_rates[feature][as_id] = {
-                    n: cell.empirical_detection_rate[feature][n]
+        per_as_rates = {
+            feature: {
+                as_id: {
+                    n: view[self.as_point_key(as_id)].empirical_detection_rate[feature][n]
                     for n in config.sample_sizes
                 }
-                if cell_ci is not None:
-                    per_as_ci[feature][as_id] = cell_ci[feature][n_max]
-                    has_ci = True
-                    result_confidence = getattr(cell, "confidence", None)
-
+                for as_id in sender_ases
+            }
+            for feature in DEFAULT_FEATURES
+        }
+        _, per_as_ci = view.table(
+            {as_id: (self.as_point_key(as_id), n_max) for as_id in sender_ases},
+            DEFAULT_FEATURES,
+        )
         curve = {
             feature: identification_curve(
                 population, per_as_rates[feature], config.sample_sizes
             )
-            for feature in _POPULATION_FEATURES
+            for feature in DEFAULT_FEATURES
         }
 
-        mix_rates: Dict[str, Dict[int, float]] = {
-            feature: {} for feature in _POPULATION_FEATURES
-        }
-        for point in mix_grid.points:
-            depth = int(point.key.rsplit("=", 1)[1])
-            cell = mix_view[point.key]
-            for feature in _POPULATION_FEATURES:
-                mix_rates[feature][depth] = cell.empirical_detection_rate[feature][n_max]
+        mix_rates, _ = view.table(
+            {
+                int(point.key.rsplit("=", 1)[1]): (point.key, n_max)
+                for point in mix_grid.points
+            },
+            DEFAULT_FEATURES,
+        )
 
         # Confusion matrices live only on raw multi-rate cell results (the
         # seed-aggregation layer reduces scalars, not count matrices), so sum
         # them straight off the report — across seeds and depths.
         mix_results = []
-        for mix_cell in mix_grid.cells():
+        for mix_cell in mix_cells:
             try:
                 mix_results.append(report[mix_cell.key])
             except KeyError:
@@ -443,8 +416,10 @@ class PopulationExperiment:
             config=config,
             n_edges=len(topology.edges),
             core_as=topology.core_as,
-            as_depths=as_depths,
-            as_utilizations=as_utilizations,
+            as_depths={as_id: topology.path_depth(as_id) for as_id in sender_ases},
+            as_utilizations={
+                as_id: topology.path_utilization(as_id) for as_id in sender_ases
+            },
             flows_per_as=population.flows_per_as(),
             per_as_rates=per_as_rates,
             curve=curve,
@@ -452,9 +427,9 @@ class PopulationExperiment:
             anonymity_stats=anonymity_summary(population),
             mix_rates=mix_rates,
             confusion=confusion,
-            per_as_ci=per_as_ci if has_ci else None,
-            n_seeds=len(resolved),
-            confidence=result_confidence,
+            per_as_ci=per_as_ci,
+            n_seeds=view.n_seeds,
+            confidence=view.confidence,
         )
 
 

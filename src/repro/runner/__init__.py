@@ -39,7 +39,7 @@ from repro.runner.execute import TaskFailure, available_cpu_count, resolve_jobs
 from repro.runner.grid import (
     SEED_TAG,
     AggregatedCellResult,
-    AggregatedSweepReport,
+    ExperimentView,
     GridPoint,
     GridSpec,
     aggregate_cells,
@@ -62,7 +62,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "SEED_TAG",
     "AggregatedCellResult",
-    "AggregatedSweepReport",
+    "ExperimentView",
     "CaptureResult",
     "CaptureSpec",
     "CellResult",

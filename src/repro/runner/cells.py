@@ -19,9 +19,9 @@ stores written before they existed stay warm.
 A cell may reference a shared gateway capture
 (:class:`~repro.runner.capture.CaptureSpec`) — the *two-level* form used by
 hybrid grids that evaluate one gateway under many network conditions.  Such a
-cell skips the event simulation and applies its scenario's analytic network
-noise to the parent capture instead; the runner resolves (and caches) the
-parent before scheduling the children.
+cell runs no gateway capture of its own: it applies its scenario's analytic
+network noise to the parent capture instead; the runner resolves (and
+caches) the parent before scheduling the children.
 """
 
 from __future__ import annotations

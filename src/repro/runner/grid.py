@@ -288,12 +288,6 @@ class GridSpec:
                 )
         return cells
 
-    def aggregate(
-        self, report: Mapping[str, CellResult], confidence: Optional[float] = None
-    ) -> "AggregatedSweepReport":
-        """Group this grid's results by point and reduce across seeds."""
-        return aggregate_cells(self.cells(), report, confidence=confidence)
-
 
 # ----------------------------------------------------------------- aggregation
 @dataclass
@@ -317,7 +311,6 @@ class AggregatedCellResult:
     piat_stats: Dict[str, Dict[str, float]] = field(default_factory=dict)
     detection_rate_ci: Optional[Dict[str, Dict[int, Tuple[float, float]]]] = None
     variance_ratio_ci: Optional[Tuple[float, float]] = None
-    confidence: Optional[float] = None
 
     @property
     def n_seeds(self) -> int:
@@ -326,37 +319,67 @@ class AggregatedCellResult:
 
 
 @dataclass
-class AggregatedSweepReport:
-    """Aggregated grid results keyed by seed-free point key."""
+class ExperimentView:
+    """One experiment's grid points, read back from a sweep report.
 
-    results: Dict[str, AggregatedCellResult]
-    confidence: Optional[float] = None
+    ``results`` maps each seed-free point key to its result: the raw
+    :class:`~repro.runner.cells.CellResult` of a single-seed run (whose cell
+    keys are the bare point keys) or the :class:`AggregatedCellResult` of a
+    multi-seed one.  ``confidence`` is set exactly when the results carry
+    bootstrap bands: two or more seeds and a requested confidence level.
+    """
 
-    def __getitem__(self, key: str) -> AggregatedCellResult:
+    results: Mapping[str, Any]
+    n_seeds: int
+    confidence: Optional[float]
+
+    def __getitem__(self, key: str) -> Any:
         return self.results[key]
 
-    def __contains__(self, key: str) -> bool:
-        return key in self.results
+    def table(
+        self, axis: Mapping[Any, Tuple[str, int]], features: Sequence[str]
+    ) -> Tuple[Dict[str, Dict[Any, float]], Optional[Dict[str, Dict[Any, Tuple[float, float]]]]]:
+        """Detection rates per feature along one axis, and their bands.
 
-    def __len__(self) -> int:
-        return len(self.results)
+        ``axis`` maps each axis value (a utilization, an hour, a sample
+        size, ...) to the ``(point key, sample size)`` it reads.  Returns
+        ``(rates, bands)``, each keyed ``[feature][axis value]``; ``bands``
+        is ``None`` unless the view carries bootstrap intervals.
+        """
+        rates = {
+            feature: {
+                value: self.results[key].empirical_detection_rate[feature][n]
+                for value, (key, n) in axis.items()
+            }
+            for feature in features
+        }
+        if self.confidence is None:
+            return rates, None
+        bands = {
+            feature: {
+                value: self.results[key].detection_rate_ci[feature][n]
+                for value, (key, n) in axis.items()
+            }
+            for feature in features
+        }
+        return rates, bands
 
 
 def experiment_view(
     report: Mapping[str, CellResult],
-    grid: GridSpec,
+    cells: Sequence[SweepCell],
     confidence: Optional[float] = None,
-):
+) -> ExperimentView:
     """The view an experiment's ``assemble`` reads its grid points from.
 
-    Single-seed grids read the raw sweep report (bare keys, historical
-    byte-identical results); multi-seed grids read the aggregated per-point
-    reduction.  Shared by every figure experiment so the seed-handling
-    convention lives in one place.
+    ``cells`` is the experiment's expanded cell list.  A single-seed run
+    reads the raw sweep report (bare keys, historical byte-identical
+    results); a multi-seed run reads the per-point reduction of
+    :func:`aggregate_cells`.
     """
-    if len(grid.seeds) > 1:
-        return grid.aggregate(report, confidence=confidence)
-    return report
+    if len({cell.seed for cell in cells}) > 1:
+        return aggregate_cells(cells, report, confidence=confidence)
+    return ExperimentView(report, n_seeds=1, confidence=None)
 
 
 def point_bootstrap_rng(point_key: str, confidence: float) -> np.random.Generator:
@@ -410,7 +433,7 @@ def aggregate_cells(
     cells: Sequence[SweepCell],
     report: Mapping[str, CellResult],
     confidence: Optional[float] = None,
-) -> AggregatedSweepReport:
+) -> ExperimentView:
     """Group cell results by everything-but-seed and reduce each group.
 
     ``cells`` is the expanded grid the sweep ran; ``report`` maps cell keys
@@ -482,15 +505,17 @@ def aggregate_cells(
             piat_stats=piat,
             detection_rate_ci=rate_cis if has_ci else None,
             variance_ratio_ci=ratio_ci if has_ci else None,
-            confidence=confidence if has_ci else None,
         )
-    return AggregatedSweepReport(results=results, confidence=confidence)
+    n_seeds = len({cell.seed for cell in cells})
+    return ExperimentView(
+        results, n_seeds=n_seeds, confidence=confidence if n_seeds >= 2 else None
+    )
 
 
 __all__ = [
     "SEED_TAG",
     "AggregatedCellResult",
-    "AggregatedSweepReport",
+    "ExperimentView",
     "GridPoint",
     "GridSpec",
     "aggregate_cells",

@@ -44,6 +44,26 @@ from repro.runner.execute import Task, TaskFailure, execute
 from repro.runner.store import ResultsStore
 
 
+def _accounting(
+    cells: int,
+    simulated: int,
+    hits: int,
+    deduplicated: int,
+    captures_simulated: int,
+    capture_hits: int,
+) -> str:
+    """The cache-accounting counts of one sweep, or of every sweep a runner ran."""
+    line = f"{cells} cells, {simulated} simulated, {hits} cache hits"
+    if deduplicated:
+        line += f", {deduplicated} deduplicated"
+    if captures_simulated or capture_hits:
+        line += (
+            f", {captures_simulated} gateway captures simulated, "
+            f"{capture_hits} capture cache hits"
+        )
+    return line
+
+
 @dataclass
 class SweepReport:
     """Outcome of one :meth:`SweepRunner.run` call.
@@ -68,15 +88,14 @@ class SweepReport:
 
     def summary(self) -> str:
         """One line of cache accounting, e.g. ``"6 cells, 2 simulated, 4 cache hits"``."""
-        line = f"{len(self.results)} cells, {self.misses} simulated, {self.hits} cache hits"
-        if self.deduplicated:
-            line += f", {self.deduplicated} deduplicated"
-        if self.captures_simulated or self.capture_hits:
-            line += (
-                f", {self.captures_simulated} gateway captures simulated, "
-                f"{self.capture_hits} capture cache hits"
-            )
-        return line
+        return _accounting(
+            len(self.results),
+            self.misses,
+            self.hits,
+            self.deduplicated,
+            self.captures_simulated,
+            self.capture_hits,
+        )
 
 
 class SweepRunner:
@@ -239,18 +258,15 @@ class SweepRunner:
 
     def summary(self) -> str:
         """Accumulated accounting across every sweep this runner has run."""
-        line = (
-            f"sweep summary: {self.cells_seen} cells, {self.cache_misses} simulated, "
-            f"{self.cache_hits} cache hits"
+        counts = _accounting(
+            self.cells_seen,
+            self.cache_misses,
+            self.cache_hits,
+            self.cells_deduplicated,
+            self.captures_simulated,
+            self.capture_hits,
         )
-        if self.cells_deduplicated:
-            line += f", {self.cells_deduplicated} deduplicated"
-        if self.captures_simulated or self.capture_hits:
-            line += (
-                f", {self.captures_simulated} gateway captures simulated, "
-                f"{self.capture_hits} capture cache hits"
-            )
-        return line + f", jobs={self.jobs}, backend={self.backend_name}"
+        return f"sweep summary: {counts}, jobs={self.jobs}, backend={self.backend_name}"
 
     # -------------------------------------------------------------- internals
     def _resolve_capture(self, spec: CaptureSpec) -> CaptureResult:

@@ -3,7 +3,7 @@
 from repro.api.registry import ExperimentDefinition, register_experiment
 
 
-class BrokenExperiment:  # EXP002: missing config, cells, run, assemble
+class BrokenExperiment:  # EXP002: missing config, cells, assemble
     name = "broken"
 
     def describe(self) -> str:

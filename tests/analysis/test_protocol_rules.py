@@ -15,7 +15,7 @@ from analysis_helpers import load_fixture, load_real_module, make_module, make_t
 class TestProtocolSurface:
     def test_surface_is_parsed_from_the_real_protocol(self):
         methods, attrs = extract_protocol_surface(load_real_module(PROTOCOL_MODULE))
-        assert methods == {"describe", "cells", "run", "assemble"}
+        assert methods == {"describe", "cells", "assemble"}
         assert attrs == {"name", "config"}
 
 
@@ -79,7 +79,7 @@ class TestExperimentProtocol:
         extra = load_fixture("protocol_bad", rel="repro/api/protocol_bad.py")
         findings = self._run(extra)
         assert len(findings) == 1
-        assert findings[0].context == "BrokenExperiment:assemble,cells,config,run"
+        assert findings[0].context == "BrokenExperiment:assemble,cells,config"
 
     def test_protocol_class_itself_is_not_flagged(self):
         assert self._run() == []

@@ -18,7 +18,7 @@ from repro.core import (
     entropy_constant,
     variance_constant,
 )
-from repro.core.theorems import DETECTION_FLOOR, detection_rate
+from repro.core.theorems import DETECTION_FLOOR, detection_rate, detection_rate_table
 from repro.exceptions import AnalysisError
 
 
@@ -113,6 +113,20 @@ class TestDispatch:
     def test_unknown_feature_rejected(self):
         with pytest.raises(AnalysisError):
             detection_rate("mad", 2.0, 100)
+
+    def test_table_follows_the_axis_in_order(self):
+        axis = {0.4: (1.2, 500), 0.1: (2.0, 100)}
+        table = detection_rate_table(axis, ("variance", "mean"))
+        assert list(table) == ["variance", "mean"]
+        assert list(table["variance"]) == [0.4, 0.1]
+        assert table["variance"][0.1] == detection_rate_variance(2.0, 100)
+        assert table["variance"][0.4] == detection_rate_variance(1.2, 500)
+        assert table["mean"][0.4] == detection_rate_mean(1.2)
+
+    def test_table_reads_nan_for_features_without_a_closed_form(self):
+        table = detection_rate_table({200: (2.0, 200)}, ("mad", "iqr", "entropy"))
+        assert math.isnan(table["mad"][200]) and math.isnan(table["iqr"][200])
+        assert table["entropy"][200] == detection_rate_entropy(2.0, 200)
 
 
 class TestTheoremSurfaces:

@@ -7,13 +7,14 @@ the ablation exists to show.
 
 from __future__ import annotations
 
-from repro.api import get_experiment
+from repro.api import get_experiment, run_experiment
 
 
 def test_estimator_settings_ablation():
     """Figure 4's scenario under other entropy bin widths and KDE bandwidth rules:
     variance/entropy succeeding is not an artefact of one estimator setting."""
-    result = get_experiment("ablation_estimators", preset="paper", seed=17).run()
+    experiment = get_experiment("ablation_estimators", preset="paper", seed=17)
+    result = run_experiment(experiment).result
 
     # The attack succeeds across a decade of bin widths and bandwidth choices.
     bin_rates = list(result.detection_rate_by_bin_width.values())
@@ -23,7 +24,7 @@ def test_estimator_settings_ablation():
 
 def test_tap_position_ablation():
     """Detection against the number of loaded hops between gateway and tap."""
-    result = get_experiment("ablation_tap", preset="paper", seed=23).run()
+    result = run_experiment(get_experiment("ablation_tap", preset="paper", seed=23)).result
 
     variance = result.empirical_detection_rate["variance"]
     # Detection is best right at the gateway and degrades with distance...
@@ -38,7 +39,7 @@ def test_vit_distribution_family_ablation():
     """Figure 5's sigma_T = 0.3 ms point under four VIT interval families at the
     same (tau, sigma_T): the defence needs variance, not a particular shape."""
     experiment = get_experiment("ablation_vit", preset="paper", seed=7)
-    result = experiment.run()
+    result = run_experiment(experiment).result
 
     # Every family with the same sigma_T suppresses the attack comparably.
     for family in experiment.config.families:

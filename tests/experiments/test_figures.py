@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import get_experiment
+from repro.api import get_experiment, run_experiment
 from repro.exceptions import ConfigurationError
 from repro.experiments.fig8 import DIURNAL_MULTIPLIERS
 from repro.experiments import (
@@ -35,7 +35,7 @@ class TestFig4:
             mode=CollectionMode.SIMULATION,
             seed=11,
         )
-        return Fig4Experiment(config).run()
+        return run_experiment(Fig4Experiment(config)).result
 
     def test_piat_distributions_match_figure_4a(self, result):
         """Same mean, wider under the high rate, approximately normal."""
@@ -76,7 +76,7 @@ class TestFig4:
             mode=CollectionMode.SIMULATION,
             seed=2003,
         )
-        result = Fig4Experiment(config).run()
+        result = run_experiment(Fig4Experiment(config)).result
         assert result.empirical_detection_rate["variance"][1000] > 0.9
         assert result.empirical_detection_rate["entropy"][1000] > 0.9
         assert result.empirical_detection_rate["mean"][2000] < 0.75
@@ -90,7 +90,7 @@ class TestFig4:
             mode=CollectionMode.ANALYTIC,
             seed=2003,
         )
-        result = Fig4Experiment(config).run()
+        result = run_experiment(Fig4Experiment(config)).result
         assert result.empirical_detection_rate["variance"][1000] > 0.9
 
     def test_config_validation(self):
@@ -112,7 +112,7 @@ class TestFig5:
             mode=CollectionMode.ANALYTIC,
             seed=11,
         )
-        return Fig5Experiment(config).run()
+        return run_experiment(Fig5Experiment(config)).result
 
     def test_vit_collapses_detection(self, result):
         """Figure 5(a): detection drops toward 50% as sigma_T grows."""
@@ -136,9 +136,9 @@ class TestFig5:
         """The paper preset (``repro run fig5 --preset paper --set trials=15``):
         the CIT point is detectable, the largest sigma_T is not, and the
         sample size 99 % detection needs grows without practical bound."""
-        result = get_experiment(
-            "fig5", preset="paper", seed=2003, overrides={"trials": 15}
-        ).run()
+        result = run_experiment(
+            get_experiment("fig5", preset="paper", seed=2003, overrides={"trials": 15})
+        ).result
         # Thresholds allow for the sampling noise of a 15-trial empirical point.
         assert result.empirical_detection_rate["variance"][0.0] > 0.9
         assert result.empirical_detection_rate["entropy"][0.0] > 0.75
@@ -174,7 +174,7 @@ class TestFig5:
         )
         cells = Fig5Experiment(config).cells()
         assert len({cell.key for cell in cells}) == 2
-        result = Fig5Experiment(config).run()
+        result = run_experiment(Fig5Experiment(config)).result
         assert set(result.variance_ratios) == {1e-3, 1.0004e-3}
 
     def test_extension_features_run_without_fake_theory(self):
@@ -189,7 +189,7 @@ class TestFig5:
             mode=CollectionMode.ANALYTIC,
             seed=11,
         )
-        result = Fig5Experiment(config).run()
+        result = run_experiment(Fig5Experiment(config)).result
         assert 0.0 <= result.empirical_detection_rate["mad"][0.0] <= 1.0
         assert math.isnan(result.theoretical_detection_rate["mad"][0.0])
         assert not math.isnan(result.theoretical_detection_rate["variance"][0.0])
@@ -205,7 +205,7 @@ class TestFig6:
             mode=CollectionMode.SIMULATION,
             seed=11,
         )
-        return Fig6Experiment(config).run()
+        return run_experiment(Fig6Experiment(config)).result
 
     def test_detection_decreases_with_utilization(self, result):
         for feature in ("variance", "entropy"):
@@ -226,7 +226,7 @@ class TestFig6:
             mode=CollectionMode.ANALYTIC,
             seed=11,
         )
-        result = Fig6Experiment(config).run()
+        result = run_experiment(Fig6Experiment(config)).result
         assert set(result.empirical_detection_rate["variance"]) == {0, 0.3}
 
     def test_report_renders(self, result):
@@ -242,7 +242,7 @@ class TestFig6:
             mode=CollectionMode.SIMULATION,
             seed=2003,
         )
-        result = Fig6Experiment(config).run()
+        result = run_experiment(Fig6Experiment(config)).result
         assert result.variance_ratios[0.4] < result.variance_ratios[0.05]
         for feature in ("variance", "entropy"):
             assert result.empirical_detection_rate[feature][0.05] > 0.75
@@ -257,7 +257,7 @@ class TestFig6:
             mode=CollectionMode.HYBRID,
             seed=2003,
         )
-        result = Fig6Experiment(config).run()
+        result = run_experiment(Fig6Experiment(config)).result
         for feature in ("variance", "entropy"):
             rates = result.empirical_detection_rate[feature]
             assert rates[0.05] > 0.9
@@ -284,7 +284,7 @@ class TestFig8:
             mode=CollectionMode.HYBRID,
             seed=11,
         )
-        return Fig8Experiment(config).run()
+        return run_experiment(Fig8Experiment(config)).result
 
     def test_campus_detection_exceeds_wan(self, result):
         """Figure 8: the campus path leaves the attack far more effective."""
@@ -323,7 +323,7 @@ class TestFig8:
             mode=CollectionMode.HYBRID,
             seed=2003,
         )
-        result = Fig8Experiment(config).run()
+        result = run_experiment(Fig8Experiment(config)).result
         campus_variance = result.empirical_detection_rate["campus"]["variance"]
         assert min(campus_variance.values()) > 0.6
         wan_variance = result.empirical_detection_rate["wan"]["variance"]
@@ -409,8 +409,10 @@ class TestMultiSeedExperiments:
             seed=11,
         )
         experiment = Fig6Experiment(config)
-        single = experiment.run()
-        multi = experiment.run(seeds=(11, 12, 13), confidence=0.95)
+        single = run_experiment(experiment).result
+        multi = run_experiment(
+            experiment, seeds=(11, 12, 13), confidence=0.95
+        ).result
         return single, multi
 
     def test_multi_seed_mean_is_the_seed_average(self, results):

@@ -12,6 +12,7 @@ from repro.runner import (
     GridSpec,
     SweepRunner,
     aggregate_cells,
+    experiment_view,
     seed_range,
     split_seed_key,
 )
@@ -183,7 +184,7 @@ class TestAggregation:
 
         grid = analytic_grid(seeds=(7, 8, 9))
         report = SweepRunner().run(grid.cells())
-        aggregated = grid.aggregate(report)
+        aggregated = aggregate_cells(grid.cells(), report)
         for point_key, point in aggregated.results.items():
             per_seed = [
                 report[f"{point_key}@seed={seed}"].empirical_detection_rate["variance"][50]
@@ -196,7 +197,7 @@ class TestAggregation:
     def test_single_seed_aggregation_has_no_ci(self):
         grid = analytic_grid(seeds=(7,))
         report = SweepRunner().run(grid.cells())
-        aggregated = grid.aggregate(report, confidence=0.95)
+        aggregated = aggregate_cells(grid.cells(), report, confidence=0.95)
         point = aggregated["g/utilization=0.1"]
         assert point.n_seeds == 1
         assert point.detection_rate_ci is None
@@ -205,8 +206,8 @@ class TestAggregation:
     def test_ci_brackets_the_mean_and_is_deterministic(self):
         grid = analytic_grid(seeds=(7, 8, 9, 10))
         report = SweepRunner(jobs=2).run(grid.cells())
-        first = grid.aggregate(report, confidence=0.95)
-        second = grid.aggregate(report, confidence=0.95)
+        first = aggregate_cells(grid.cells(), report, confidence=0.95)
+        second = aggregate_cells(grid.cells(), report, confidence=0.95)
         for point_key in first.results:
             a, b = first[point_key], second[point_key]
             assert a.detection_rate_ci == b.detection_rate_ci  # derived rng, no global state
@@ -228,7 +229,8 @@ class TestAggregation:
                 mode=CollectionMode.ANALYTIC,
             )
             report = SweepRunner(jobs=4).run(grid.cells())
-            point = grid.aggregate(report, confidence=0.95)["w/utilization=0.4"]
+            aggregated = aggregate_cells(grid.cells(), report, confidence=0.95)
+            point = aggregated["w/utilization=0.4"]
             lower, upper = point.detection_rate_ci["variance"][50]
             return upper - lower
 
@@ -238,7 +240,7 @@ class TestAggregation:
         grid = analytic_grid(seeds=(7, 8))
         report = SweepRunner().run(grid.cells())
         with pytest.raises(ConfigurationError):
-            grid.aggregate(report, confidence=1.5)
+            aggregate_cells(grid.cells(), report, confidence=1.5)
 
     def test_piat_stats_average_across_seeds(self):
         grid = GridSpec.product(
@@ -251,6 +253,44 @@ class TestAggregation:
             collect_piat_stats=True,
         )
         report = SweepRunner().run(grid.cells())
-        point = grid.aggregate(report)["p"]
+        point = aggregate_cells(grid.cells(), report)["p"]
         assert set(point.piat_stats) == {"low", "high"}
         assert 0.0 <= point.piat_stats["low"]["looks_normal"] <= 1.0
+
+
+class TestExperimentView:
+    def test_single_seed_view_reads_the_raw_report(self):
+        grid = analytic_grid(seeds=(7,))
+        cells = grid.cells()
+        report = SweepRunner().run(cells)
+        view = experiment_view(report, cells, confidence=0.95)
+        assert view.results is report  # nothing aggregated
+        assert view.n_seeds == 1 and view.confidence is None
+        rates, bands = view.table({0.1: ("g/utilization=0.1", 50)}, ("variance",))
+        assert rates == {
+            "variance": {0.1: report["g/utilization=0.1"].empirical_detection_rate["variance"][50]}
+        }
+        assert bands is None
+
+    def test_multi_seed_view_is_the_aggregation(self):
+        grid = analytic_grid(seeds=(7, 8, 9))
+        cells = grid.cells()
+        report = SweepRunner().run(cells)
+        view = experiment_view(report, cells, confidence=0.95)
+        expected = aggregate_cells(cells, report, confidence=0.95)
+        assert view.n_seeds == 3 and view.confidence == 0.95
+        axis = {u: (f"g/utilization={u}", 50) for u in (0.1, 0.4)}
+        rates, bands = view.table(axis, ("mean", "variance"))
+        for feature in ("mean", "variance"):
+            for u, (key, n) in axis.items():
+                point = expected[key]
+                assert rates[feature][u] == point.empirical_detection_rate[feature][n]
+                assert bands[feature][u] == point.detection_rate_ci[feature][n]
+
+    def test_multi_seed_view_without_a_confidence_has_no_bands(self):
+        grid = analytic_grid(seeds=(7, 8))
+        cells = grid.cells()
+        view = experiment_view(SweepRunner().run(cells), cells)
+        assert view.n_seeds == 2 and view.confidence is None
+        _, bands = view.table({0.1: ("g/utilization=0.1", 50)}, ("entropy",))
+        assert bands is None
