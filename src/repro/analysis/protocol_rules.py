@@ -1,15 +1,10 @@
 """Experiment protocol conformance, checked statically.
 
-The registry raises at *registration time* when a definition is malformed,
-and :class:`repro.api.protocol.Experiment` is ``runtime_checkable`` — but
-both only fire for code paths a test actually imports and instantiates.  A
-new experiment that forgets ``assemble`` fails the first time a user runs
-it, not in CI.  These rules close that gap:
+:class:`repro.api.protocol.Experiment` is ``runtime_checkable``, but that
+only fires for code paths a test actually imports and instantiates.  A new
+experiment that forgets ``assemble`` fails the first time a user runs it,
+not in CI.  This rule closes that gap:
 
-* EXP001 — every class decorated with ``@register_experiment`` defines (or
-  inherits from a non-stub base) ``config_cls``, ``preset_config`` and
-  ``build``, the full :class:`~repro.api.registry.ExperimentDefinition`
-  surface.
 * EXP002 — every ``*Experiment`` class in ``repro/experiments`` and
   ``repro/api`` satisfies the :class:`~repro.api.protocol.Experiment`
   protocol surface, with the required surface *parsed from protocol.py
@@ -30,10 +25,6 @@ PROTOCOL_MODULE = "repro/api/protocol.py"
 
 #: Packages whose ``*Experiment`` classes must satisfy the protocol.
 _EXPERIMENT_PACKAGES = ("api", "experiments")
-
-#: The definition base class whose members are raising stubs, not
-#: implementations — inheriting from it alone satisfies nothing.
-_DEFINITION_BASE = "ExperimentDefinition"
 
 
 class _ClassIndex:
@@ -143,62 +134,6 @@ def extract_protocol_surface(
 
 
 @register_rule
-class RegisteredDefinitionRule(ProjectRule):
-    """EXP001: ``@register_experiment`` classes carry the full definition surface."""
-
-    rule_id = "EXP001"
-    title = (
-        "every @register_experiment class defines config_cls, preset_config "
-        "and build (inherited stubs from ExperimentDefinition do not count)"
-    )
-
-    def check_project(
-        self, modules: Dict[str, ModuleContext], root: Path
-    ) -> List[Finding]:
-        index = _ClassIndex(modules)
-        findings: List[Finding] = []
-        for rel in sorted(modules):
-            module = modules[rel]
-            for node in module.tree.body:
-                if not isinstance(node, ast.ClassDef):
-                    continue
-                if not self._is_registered(module, node):
-                    continue
-                provided: Set[str] = set()
-                for owner_module, owner in index.mro(module, node):
-                    if owner.name == _DEFINITION_BASE:
-                        continue  # raising stubs and config_cls = None
-                    methods, attrs = _class_surface(owner)
-                    provided |= methods | attrs
-                missing = sorted(
-                    member
-                    for member in ("config_cls", "preset_config", "build")
-                    if member not in provided
-                )
-                if missing:
-                    findings.append(
-                        self.finding(
-                            module.rel,
-                            node.lineno,
-                            f"registered experiment definition {node.name} is "
-                            f"missing {', '.join(missing)}; the registry will "
-                            "reject or misbuild it the first time anything "
-                            "imports this module",
-                            context=f"{node.name}:{','.join(missing)}",
-                        )
-                    )
-        return findings
-
-    @staticmethod
-    def _is_registered(module: ModuleContext, class_def: ast.ClassDef) -> bool:
-        for dec in class_def.decorator_list:
-            target = dec.func if isinstance(dec, ast.Call) else dec
-            if resolve_name(target, module.imports).endswith("register_experiment"):
-                return True
-        return False
-
-
-@register_rule
 class ExperimentProtocolRule(ProjectRule):
     """EXP002: ``*Experiment`` classes satisfy the Experiment protocol surface."""
 
@@ -271,6 +206,5 @@ class ExperimentProtocolRule(ProjectRule):
 __all__ = [
     "PROTOCOL_MODULE",
     "ExperimentProtocolRule",
-    "RegisteredDefinitionRule",
     "extract_protocol_surface",
 ]

@@ -4,14 +4,14 @@ This package is the stable surface for defining and running evaluations:
 
 * :class:`~repro.api.protocol.Experiment` — the formal protocol every
   experiment satisfies (``name`` / ``describe()`` / ``cells(seeds)`` /
-  ``assemble(report, seeds, confidence)``); :func:`~repro.api.protocol.run_experiment`
-  runs one.
-* the **registry** — :func:`~repro.api.registry.register_experiment`
-  publishes an experiment under a name;
+  ``assemble(view)``); :func:`~repro.api.protocol.run_experiment` runs one,
+  registered or not.
+* the **registry** — one table of experiment classes, each carrying its
+  ``config_cls`` and a ``presets`` table;
   :func:`~repro.api.registry.get_experiment` builds one from a preset plus
   ``--set``-style overrides; :func:`~repro.api.registry.list_experiments`
   enumerates them.  The paper's figures (``fig4``–``fig8``), the three
-  ablations and the population experiment are pre-registered on import.
+  ablations and the population experiment are registered.
 * :class:`~repro.api.protocol.ExperimentResult` — a typed wrapper around
   one executed experiment: rendered tables, raw cell results, and full
   provenance (preset, seeds, confidence, cell fingerprints).
@@ -41,14 +41,11 @@ from repro.api.protocol import Experiment, ExperimentResult, run_experiment
 from repro.api.registry import (
     DEFAULT_SEED,
     PRESETS,
-    ExperimentDefinition,
     apply_overrides,
     describe_experiment,
-    experiment_definition,
     get_experiment,
     list_experiments,
     parse_set_options,
-    register_experiment,
 )
 from repro.api.scenario import (
     TOML_AVAILABLE,
@@ -59,17 +56,11 @@ from repro.api.scenario import (
     parse_policy,
 )
 
-# Importing the definition modules is what populates the registry.
-from repro.api import ablations as _ablations  # noqa: F401
-from repro.api import figures as _figures  # noqa: F401
-from repro.api import population as _population  # noqa: F401
-
 __all__ = [
     "DEFAULT_SEED",
     "PRESETS",
     "TOML_AVAILABLE",
     "Experiment",
-    "ExperimentDefinition",
     "ExperimentResult",
     "ScenarioExperiment",
     "ScenarioPoint",
@@ -77,11 +68,9 @@ __all__ = [
     "ScenarioSpec",
     "apply_overrides",
     "describe_experiment",
-    "experiment_definition",
     "get_experiment",
     "list_experiments",
     "parse_policy",
     "parse_set_options",
-    "register_experiment",
     "run_experiment",
 ]

@@ -1,19 +1,19 @@
 """The formal ``Experiment`` protocol and the typed ``ExperimentResult``.
 
-Before this module existed the contract between the CLI, the sweep runner
-and the figure modules was informal: every ``FigNExperiment`` happened to
-expose ``cells()`` / ``assemble()`` and a comment in ``repro/cli.py`` said
-so.  :class:`Experiment` states that contract as a
-:func:`typing.runtime_checkable` protocol, so anything that satisfies it —
-the figures, the ablations, a :class:`~repro.api.scenario.ScenarioExperiment`
-built from a TOML file, or user code — plugs into the registry, the CLI and
-the sweep runner identically.
+:class:`Experiment` states the contract between the CLI, the sweep runner
+and the experiments as a :func:`typing.runtime_checkable` protocol, so
+anything that satisfies it — the figures, the ablations, a
+:class:`~repro.api.scenario.ScenarioExperiment` built from a TOML file, or
+user code — plugs into the CLI and the sweep runner identically.  A
+registered experiment also carries ``config_cls`` and ``presets`` (see
+:mod:`repro.api.registry`); an unregistered one needs only this protocol.
 
 :func:`run_experiment` is the one way to run an experiment: expand its
-cells, execute them through a :class:`~repro.runner.runner.SweepRunner`
-(parallelism, caching), assemble the experiment-specific result,
-and wrap everything in an :class:`ExperimentResult` carrying the raw cell
-results and full provenance (seeds, confidence, preset, cell fingerprints).
+cells once, execute them through a :class:`~repro.runner.runner.SweepRunner`
+(parallelism, caching), build the :class:`~repro.runner.grid.ExperimentView`
+of those cells, assemble the experiment-specific result from it, and wrap
+everything in an :class:`ExperimentResult` carrying the raw cell results and
+full provenance (seeds, confidence, preset, cell fingerprints).
 """
 
 from __future__ import annotations
@@ -31,7 +31,14 @@ from typing import (
 )
 
 from repro.experiments.base import resolve_seeds
-from repro.runner import CellResult, SweepCell, SweepReport, SweepRunner
+from repro.runner import (
+    CellResult,
+    ExperimentView,
+    SweepCell,
+    SweepReport,
+    SweepRunner,
+    experiment_view,
+)
 
 
 @runtime_checkable
@@ -40,8 +47,8 @@ class Experiment(Protocol):
 
     An experiment is a *declarative* object: it owns a typed configuration,
     expands it into independent :class:`~repro.runner.cells.SweepCell` units,
-    and folds a sweep report back into a figure-style result object with
-    ``rows()``-like accessors and ``to_text()``.  It never executes cells
+    and folds the view of their results back into a figure-style result
+    object with ``rows()``-like accessors and ``to_text()``.  It never executes cells
     itself — that is the runner's job — which is what lets ``repro sweep``
     pool cells from any mix of experiments into one worker pool and one
     cache.
@@ -53,9 +60,11 @@ class Experiment(Protocol):
       cell key the experiment emits.
     * ``cells(seeds)`` is deterministic: two calls with equal configuration
       and seeds return cells with identical keys and fingerprints.
-    * ``assemble(report, seeds, confidence)`` reads only this experiment's
-      cells from ``report``, so a report pooled across many experiments
-      assembles per-experiment results independently.
+    * ``assemble(view)`` reads only the
+      :class:`~repro.runner.grid.ExperimentView` its caller built from this
+      experiment's cells (``experiment_view(report, cells, confidence)``),
+      so a report pooled across many experiments assembles per-experiment
+      results independently, and the cells are expanded once per run.
 
     To run one experiment, call :func:`run_experiment`.
     """
@@ -71,13 +80,8 @@ class Experiment(Protocol):
         """The experiment's grid as schedulable sweep cells."""
         ...
 
-    def assemble(
-        self,
-        report: Any,
-        seeds: Optional[Sequence[int]] = None,
-        confidence: Optional[float] = None,
-    ) -> Any:
-        """Fold a sweep report containing this experiment's cells into a result."""
+    def assemble(self, view: ExperimentView) -> Any:
+        """Fold the view of this experiment's cells into a result."""
         ...
 
 
@@ -157,7 +161,7 @@ def run_experiment(
     runner = runner if runner is not None else SweepRunner()
     cells = experiment.cells(seeds)
     report = runner.run(cells)
-    result = experiment.assemble(report, seeds=seeds, confidence=confidence)
+    result = experiment.assemble(experiment_view(report, cells, confidence))
     default_seed = getattr(experiment.config, "seed", 0)
     return ExperimentResult(
         name=experiment.name,

@@ -1,27 +1,22 @@
-"""The experiment registry: plugin-style registration and typed lookup.
+"""The experiment registry: one table of experiment classes.
 
-Experiments are published by registering a small *definition* class:
+Every registered experiment is a class that carries its own presets:
 
 .. code-block:: python
 
-    from repro.api import register_experiment, ExperimentDefinition
-
-    @register_experiment("fig6")
-    class Fig6Definition(ExperimentDefinition):
-        \"\"\"Figure 6: detection rate vs shared-link utilization.\"\"\"
-
+    class Fig6Experiment:
+        name = "fig6"
         config_cls = Fig6Config
-
-        def build(self, config):
-            return Fig6Experiment(config)
-
-        def preset_config(self, preset, seed):
+        presets = {
+            "paper": {},
+            "fast": dict(trials=15, mode=CollectionMode.HYBRID),
             ...
+        }
 
-A definition owns the mapping from a named *preset* (``paper`` / ``fast`` /
-``quick`` / ``smoke``) plus a master seed to a typed configuration, and the
-construction of the experiment object from that configuration.  Consumers
-never touch definitions directly:
+``presets`` maps each name in :data:`PRESETS` to the keyword arguments of
+``config_cls``; the master seed is added by :func:`get_experiment`.  A new
+experiment joins the registry by being added to the ``_EXPERIMENTS`` tuple
+below.  Consumers go through three functions:
 
 * :func:`get_experiment` — ``get_experiment("fig6", preset="fast",
   overrides={"trials": 30})`` builds a ready-to-run
@@ -40,10 +35,20 @@ from __future__ import annotations
 
 import enum
 from dataclasses import fields, is_dataclass, replace
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Type
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.api.protocol import Experiment
+from repro.experiments import (
+    EstimatorAblationExperiment,
+    Fig4Experiment,
+    Fig5Experiment,
+    Fig6Experiment,
+    Fig8Experiment,
+    TapAblationExperiment,
+    VitFamilyAblationExperiment,
+)
+from repro.population import PopulationExperiment
 
 #: The named fidelity/run-time presets every registered experiment provides.
 #: ``paper`` runs figure-sized grids through the capture kernels, in
@@ -56,95 +61,40 @@ PRESETS: Tuple[str, ...] = ("paper", "fast", "quick", "smoke")
 #: Default master seed of CLI runs (the paper's publication year).
 DEFAULT_SEED = 2003
 
-
-class ExperimentDefinition:
-    """Base class for registry entries.
-
-    Subclasses set :attr:`config_cls` and implement :meth:`preset_config`
-    and :meth:`build`.
-    """
-
-    #: Registry name; filled in by :func:`register_experiment`.
-    name: str = ""
-
-    #: The experiment's configuration dataclass.
-    config_cls: Optional[Type[Any]] = None
-
-    def preset_config(self, preset: str, seed: int) -> Any:
-        """The configuration realising ``preset`` at master seed ``seed``."""
-        raise NotImplementedError
-
-    def build(self, config: Any) -> Experiment:
-        """Construct the experiment object from a configuration."""
-        raise NotImplementedError
-
-    @property
-    def summary(self) -> str:
-        """One-line description shown by ``repro list``.
-
-        Delegates to the built experiment's ``describe()`` so there is a
-        single source of truth for every experiment's summary — a definition
-        docstring cannot drift from what the experiment says about itself.
-        """
-        return self.build(self.preset_config("smoke", DEFAULT_SEED)).describe()
-
-
-_REGISTRY: Dict[str, ExperimentDefinition] = {}
-
-
-def register_experiment(
-    name: str,
-) -> Callable[[Type[ExperimentDefinition]], Type[ExperimentDefinition]]:
-    """Class decorator registering an :class:`ExperimentDefinition` under ``name``.
-
-    Names must be unique; re-registering a name is almost always an import
-    mistake and raises loudly.
-    """
-    if not isinstance(name, str) or not name:
-        raise ConfigurationError(f"experiment name {name!r} must be a non-empty string")
-
-    def decorator(cls: Type[ExperimentDefinition]) -> Type[ExperimentDefinition]:
-        if not (isinstance(cls, type) and issubclass(cls, ExperimentDefinition)):
-            raise ConfigurationError(
-                f"@register_experiment({name!r}) must decorate an "
-                f"ExperimentDefinition subclass, got {cls!r}"
-            )
-        if name in _REGISTRY:
-            raise ConfigurationError(
-                f"experiment {name!r} is already registered "
-                f"(by {type(_REGISTRY[name]).__name__})"
-            )
-        definition = cls()
-        definition.name = name
-        if definition.config_cls is None or not is_dataclass(definition.config_cls):
-            raise ConfigurationError(
-                f"experiment {name!r}: config_cls must be a configuration dataclass"
-            )
-        _REGISTRY[name] = definition
-        return cls
-
-    return decorator
+_EXPERIMENTS: Dict[str, Any] = {
+    cls.name: cls
+    for cls in (
+        Fig4Experiment,
+        Fig5Experiment,
+        Fig6Experiment,
+        Fig8Experiment,
+        EstimatorAblationExperiment,
+        TapAblationExperiment,
+        VitFamilyAblationExperiment,
+        PopulationExperiment,
+    )
+}
 
 
 def list_experiments() -> List[str]:
     """The registered experiment names, sorted."""
-    return sorted(_REGISTRY)
+    return sorted(_EXPERIMENTS)
 
 
-def experiment_definition(name: str) -> ExperimentDefinition:
-    """The registry entry for ``name``; unknown names raise with the known set."""
+def _experiment_class(name: str) -> Any:
+    """The registered class for ``name``; unknown names raise with the known set."""
     try:
-        return _REGISTRY[name]
+        return _EXPERIMENTS[name]
     except KeyError:
-        known = ", ".join(sorted(_REGISTRY)) or "(none)"
         raise ConfigurationError(
-            f"unknown experiment {name!r}; registered experiments: {known}"
+            f"unknown experiment {name!r}; registered experiments: "
+            f"{', '.join(sorted(_EXPERIMENTS))}"
         ) from None
 
 
 def describe_experiment(name: str) -> str:
-    """One-line summary of a registered experiment."""
-    return experiment_definition(name).summary
+    """One-line summary of a registered experiment (its ``describe()``)."""
+    return get_experiment(name, "smoke").describe()
 
 
 def get_experiment(
@@ -154,15 +104,13 @@ def get_experiment(
     overrides: Optional[Mapping[str, Any]] = None,
 ) -> Experiment:
     """Build a registered experiment from a preset plus optional overrides."""
-    definition = experiment_definition(name)
+    cls = _experiment_class(name)
     if preset not in PRESETS:
         raise ConfigurationError(
             f"unknown preset {preset!r}; choose one of {', '.join(PRESETS)}"
         )
-    config = definition.preset_config(preset, seed)
-    if overrides:
-        config = apply_overrides(config, overrides)
-    return definition.build(config)
+    config = cls.config_cls(**cls.presets[preset], seed=seed)
+    return cls(apply_overrides(config, overrides) if overrides else config)
 
 
 # ------------------------------------------------------------------ overrides
@@ -261,12 +209,9 @@ def apply_overrides(config: Any, overrides: Mapping[str, Any]) -> Any:
 __all__ = [
     "DEFAULT_SEED",
     "PRESETS",
-    "ExperimentDefinition",
     "apply_overrides",
     "describe_experiment",
-    "experiment_definition",
     "get_experiment",
     "list_experiments",
     "parse_set_options",
-    "register_experiment",
 ]

@@ -84,7 +84,7 @@ from repro.padding.policies import PaddingPolicy, cit_policy, vit_policy
 from repro.runner.cells import DEFAULT_FEATURES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.runner import GridSpec, SweepCell
+    from repro.runner import ExperimentView, GridSpec, SweepCell
 
 try:  # Python 3.11+; 3.10 installs the tomli backport (see pyproject.toml).
     import tomllib as _toml
@@ -587,18 +587,10 @@ class ScenarioExperiment:
         """The spec's grid (see :meth:`ScenarioSpec.grid`)."""
         return self.spec.grid(seeds)
 
-    def assemble(
-        self,
-        report: Any,
-        seeds: Optional[Sequence[int]] = None,
-        confidence: Optional[float] = None,
-    ) -> ScenarioResult:
-        """Build the scenario result from a sweep report containing its cells."""
-        from repro.runner import experiment_view
-
+    def assemble(self, view: "ExperimentView") -> ScenarioResult:
+        """Build the scenario result from the view of its cells."""
         spec = self.spec
-        grid = self.grid(seeds)
-        view = experiment_view(report, grid.cells(), confidence=confidence)
+        grid = self.grid()
         empirical: Dict[str, Dict[str, Dict[int, float]]] = {}
         empirical_ci: Dict[str, Any] = {}
         theoretical: Dict[str, Dict[str, Dict[int, float]]] = {}

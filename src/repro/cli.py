@@ -11,7 +11,6 @@ python -m repro run fig6 --preset fast        # any registered experiment
 python -m repro run fig6 --set trials=30 --set utilizations=0.1,0.3
 python -m repro run ablation_tap --preset quick
 python -m repro run --scenario my_wan.toml --jobs 4   # no Python needed
-python -m repro fig4                          # legacy alias of 'run fig4'
 python -m repro sweep --preset smoke --jobs 2 --cache-dir .sweep-cache
 python -m repro sweep --experiments fig6 ablation_vit --scenario my_wan.toml
 python -m repro sweep --preset fast --seeds 5 --ci    # mean ± 95% CI per point
@@ -30,9 +29,6 @@ and report per-point means) and ``--ci`` (add a bootstrap confidence interval
 column; needs ``--seeds`` >= 2 — rejected at argument-parse time otherwise).
 ``--set key=value`` overrides any field of the preset's configuration
 dataclass; anything richer is done in Python against :mod:`repro.api`.
-
-The legacy per-figure spellings (``repro fig4`` … ``repro fig8``) are aliases
-of ``repro run <figure>`` and print byte-identical reports.
 """
 
 from __future__ import annotations
@@ -56,7 +52,13 @@ from repro.api import (
     run_experiment,
 )
 from repro.exceptions import ConfigurationError, ReproError
-from repro.runner import ResultsStore, SweepRunner, resolve_jobs, seed_range
+from repro.runner import (
+    ResultsStore,
+    SweepRunner,
+    experiment_view,
+    resolve_jobs,
+    seed_range,
+)
 from repro.runner.defaults import BACKEND_NAMES, DEFAULT_MAX_REGRESSION
 
 #: Confidence level of the ``--ci`` bootstrap bands.
@@ -65,8 +67,8 @@ CI_CONFIDENCE = 0.95
 #: Preset used when ``--preset`` is not given.
 DEFAULT_PRESET = "fast"
 
-#: The historical per-figure subcommands, kept as aliases of ``run <name>``.
-LEGACY_FIGURES = ("fig4", "fig5", "fig6", "fig8")
+#: The experiments ``repro sweep`` pools when ``--experiments`` is not given.
+DEFAULT_SWEEP = ("fig4", "fig5", "fig6", "fig8")
 
 
 def _parse_jobs_option(value: str):
@@ -159,8 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="command",
         required=True,
         help="'run' any registered experiment or scenario file, 'list' the "
-        "registry, 'sweep' several experiments at once, 'cache' for store "
-        "maintenance, or a legacy figure alias",
+        "registry, 'sweep' several experiments at once, or 'cache' for store "
+        "maintenance",
     )
 
     subcommands.add_parser(
@@ -197,12 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common_options(run_parser)
 
-    for name in LEGACY_FIGURES:
-        figure_parser = subcommands.add_parser(
-            name, help=f"regenerate {name} of the paper (alias of 'run {name}')"
-        )
-        _add_common_options(figure_parser)
-
     sweep = subcommands.add_parser(
         "sweep",
         help="run several experiment grids through one parallel sweep runner",
@@ -210,14 +206,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_options(sweep)
     sweep.add_argument(
         "--experiments",
-        "--figures",
+        # perfbench/workloads.py reads the parsed list as ``args.figures``.
         dest="figures",
         nargs="+",
         choices=names,
-        default=list(LEGACY_FIGURES),
+        default=list(DEFAULT_SWEEP),
         metavar="NAME",
         help="registered experiments to pool into the sweep "
-        f"(default: {' '.join(LEGACY_FIGURES)})",
+        f"(default: {' '.join(DEFAULT_SWEEP)})",
     )
     sweep.add_argument(
         "--scenario",
@@ -642,24 +638,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 # CLI seed for registered experiments, the spec's run.seed
                 # for scenario files (unless --seed was given explicitly) —
                 # so the --seeds fan-out never silently reseeds a scenario.
-                pooled: List = [
-                    (get_experiment(name, preset, seed), seeds)
-                    for name in args.figures
-                ]
+                pooled: List = []
+                for name in args.figures:
+                    experiment = get_experiment(name, preset, seed)
+                    pooled.append((experiment, experiment.cells(seeds)))
                 for path in _expand_scenario_paths(args.scenarios):
                     experiment = _load_scenario(path, args.seed)
-                    pooled.append((experiment, _scenario_seeds(experiment, args.seeds)))
-                all_cells = [
-                    cell
-                    for experiment, its_seeds in pooled
-                    for cell in experiment.cells(its_seeds)
-                ]
-                combined = runner.run(all_cells)
+                    its_seeds = _scenario_seeds(experiment, args.seeds)
+                    pooled.append((experiment, experiment.cells(its_seeds)))
+                combined = runner.run([cell for _, cells in pooled for cell in cells])
                 reports = [
                     experiment.assemble(
-                        combined, seeds=its_seeds, confidence=confidence
+                        experiment_view(combined, cells, confidence)
                     ).to_text()
-                    for experiment, its_seeds in pooled
+                    for experiment, cells in pooled
                 ]
                 report = "\n\n".join(reports) + "\n\n" + runner.summary()
             elif args.command == "run" and args.scenario is not None:
@@ -672,12 +664,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 )
                 report = outcome.to_text() + "\n" + runner.summary()
             else:
-                # 'run NAME' and the legacy figure aliases share one code
-                # path, which is what keeps their reports byte-identical.
-                name = args.experiment if args.command == "run" else args.command
-                overrides = parse_set_options(getattr(args, "overrides", []))
+                overrides = parse_set_options(args.overrides)
                 experiment = get_experiment(
-                    name, preset, seed, overrides=overrides or None
+                    args.experiment, preset, seed, overrides=overrides or None
                 )
                 outcome = run_experiment(
                     experiment,
@@ -716,6 +705,6 @@ __all__ = [
     "main",
     "CI_CONFIDENCE",
     "DEFAULT_PRESET",
-    "LEGACY_FIGURES",
+    "DEFAULT_SWEEP",
     "PRESETS",
 ]

@@ -1,10 +1,10 @@
 """Experiment harness: one module per figure of the paper's evaluation.
 
 Each experiment pairs a configuration dataclass with an ``Experiment`` class
-whose :meth:`run` method wires traffic sources, padding gateways, the
-unprotected network and the adversary together, measures empirical detection
-rates, evaluates the corresponding closed-form predictions, and returns a
-result object with ``rows()`` / ``to_text()`` for reporting.
+that carries its registry ``presets``, expands its grid into sweep cells,
+and assembles the measured detection rates and the corresponding
+closed-form predictions into a result object with ``rows()`` /
+``to_text()`` for reporting.
 
 ===========  =============================================================
 module       reproduces

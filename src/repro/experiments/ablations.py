@@ -3,7 +3,7 @@
 The paper fixes several knobs of the adversary and of the evaluation setup;
 these experiments sweep them to show the headline result is not an artefact
 of a lucky constant.  Each one implements the same protocol as the figure
-experiments (``cells(seeds)`` / ``assemble(report, seeds, confidence)``),
+experiments (``cells(seeds)`` / ``assemble(view)``),
 so they pool into the same sweep runner, cache into the same
 results store, aggregate across seeds the same way — and, registered under
 :mod:`repro.api`, run from the CLI like any figure:
@@ -37,7 +37,7 @@ from repro.experiments.report import (
 from repro.padding.policies import PaddingPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.runner import GridSpec, SweepCell
+    from repro.runner import ExperimentView, GridSpec, SweepCell
 
 # =====================================================================
 # Estimator settings
@@ -135,6 +135,28 @@ class EstimatorAblationExperiment:
 
     name = "ablation_estimators"
 
+    config_cls = EstimatorAblationConfig
+
+    #: Config keyword arguments per registry preset; the registry adds the seed.
+    presets = {
+        "paper": {},
+        "fast": dict(trials=10, mode=CollectionMode.ANALYTIC),
+        "quick": dict(
+            bin_widths=(2e-5, 2e-4),
+            kde_bandwidths=("silverman", 2.0),
+            sample_size=300,
+            trials=6,
+            mode=CollectionMode.ANALYTIC,
+        ),
+        "smoke": dict(
+            bin_widths=(2e-5,),
+            kde_bandwidths=("silverman", 2.0),
+            sample_size=100,
+            trials=4,
+            mode=CollectionMode.ANALYTIC,
+        ),
+    }
+
     def __init__(self, config: Optional[EstimatorAblationConfig] = None) -> None:
         self.config = config if config is not None else EstimatorAblationConfig()
 
@@ -195,18 +217,10 @@ class EstimatorAblationExperiment:
         """One cell per (estimator setting, seed)."""
         return [cell for grid in self.grids(seeds) for cell in grid.cells()]
 
-    def assemble(
-        self,
-        report,
-        seeds: Optional[Sequence[int]] = None,
-        confidence: Optional[float] = None,
-    ) -> EstimatorAblationResult:
-        """Build the ablation result from a sweep report containing its cells."""
-        from repro.runner import experiment_view
-
+    def assemble(self, view: "ExperimentView") -> EstimatorAblationResult:
+        """Build the ablation result from the view of its cells."""
         config = self.config
         n = config.sample_size
-        view = experiment_view(report, self.cells(seeds), confidence=confidence)
         by_bin, bin_ci = view.table(
             {width: (self.bin_width_key(width), n) for width in config.bin_widths},
             ("entropy",),
@@ -307,6 +321,18 @@ class TapAblationExperiment:
 
     name = "ablation_tap"
 
+    config_cls = TapAblationConfig
+
+    #: Config keyword arguments per registry preset; the registry adds the seed.
+    presets = {
+        "paper": {},
+        "fast": dict(sample_size=400, trials=8, mode=CollectionMode.HYBRID),
+        "quick": dict(
+            hop_counts=(0, 3, 15), sample_size=300, trials=6, mode=CollectionMode.ANALYTIC
+        ),
+        "smoke": dict(hop_counts=(0, 3), sample_size=100, trials=4, mode=CollectionMode.ANALYTIC),
+    }
+
     def __init__(self, config: Optional[TapAblationConfig] = None) -> None:
         self.config = config if config is not None else TapAblationConfig()
 
@@ -354,17 +380,11 @@ class TapAblationExperiment:
         """One sweep-runner cell per (tap position, seed) grid point."""
         return self.grid(seeds).cells()
 
-    def assemble(
-        self,
-        report,
-        seeds: Optional[Sequence[int]] = None,
-        confidence: Optional[float] = None,
-    ) -> TapAblationResult:
-        """Build the ablation result from a sweep report containing its cells."""
-        from repro.runner import DEFAULT_FEATURES, experiment_view
+    def assemble(self, view: "ExperimentView") -> TapAblationResult:
+        """Build the ablation result from the view of its cells."""
+        from repro.runner import DEFAULT_FEATURES
 
         config = self.config
-        view = experiment_view(report, self.cells(seeds), confidence=confidence)
         empirical, empirical_ci = view.table(
             {hops: (self.point_key(hops), config.sample_size) for hops in config.hop_counts},
             DEFAULT_FEATURES,
@@ -462,6 +482,28 @@ class VitFamilyAblationExperiment:
 
     name = "ablation_vit"
 
+    config_cls = VitFamilyAblationConfig
+
+    #: Config keyword arguments per registry preset; the registry adds the
+    #: seed.  The smoke preset's analytic model sees only sigma_T (not the
+    #: family), so it exercises the pipeline rather than the families.
+    presets = {
+        "paper": {},
+        "fast": dict(sample_size=400, trials=6, mode=CollectionMode.SIMULATION),
+        "quick": dict(
+            families=("normal", "uniform"),
+            sample_size=200,
+            trials=4,
+            mode=CollectionMode.SIMULATION,
+        ),
+        "smoke": dict(
+            families=("normal", "uniform"),
+            sample_size=100,
+            trials=4,
+            mode=CollectionMode.ANALYTIC,
+        ),
+    }
+
     def __init__(self, config: Optional[VitFamilyAblationConfig] = None) -> None:
         self.config = config if config is not None else VitFamilyAblationConfig()
 
@@ -495,17 +537,11 @@ class VitFamilyAblationExperiment:
         """One sweep-runner cell per (family, seed) grid point."""
         return self.grid(seeds).cells()
 
-    def assemble(
-        self,
-        report,
-        seeds: Optional[Sequence[int]] = None,
-        confidence: Optional[float] = None,
-    ) -> VitFamilyAblationResult:
-        """Build the ablation result from a sweep report containing its cells."""
-        from repro.runner import DEFAULT_FEATURES, experiment_view
+    def assemble(self, view: "ExperimentView") -> VitFamilyAblationResult:
+        """Build the ablation result from the view of its cells."""
+        from repro.runner import DEFAULT_FEATURES
 
         config = self.config
-        view = experiment_view(report, self.cells(seeds), confidence=confidence)
         empirical, empirical_ci = view.table(
             {family: (self.point_key(family), config.sample_size) for family in config.families},
             DEFAULT_FEATURES,

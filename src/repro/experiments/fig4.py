@@ -37,7 +37,7 @@ from repro.experiments.report import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.runner import GridSpec, SweepCell
+    from repro.runner import ExperimentView, GridSpec, SweepCell
 
 
 @dataclass(frozen=True)
@@ -171,6 +171,16 @@ class Fig4Experiment:
     #: Registry name; also the prefix of every cell key this experiment emits.
     name = "fig4"
 
+    config_cls = Fig4Config
+
+    #: Config keyword arguments per registry preset; the registry adds the seed.
+    presets = {
+        "paper": {},
+        "fast": dict(trials=20, mode=CollectionMode.ANALYTIC),
+        "quick": dict(sample_sizes=(50, 200, 1000), trials=10, mode=CollectionMode.ANALYTIC),
+        "smoke": dict(sample_sizes=(50, 200), trials=6, mode=CollectionMode.ANALYTIC),
+    }
+
     def __init__(self, config: Optional[Fig4Config] = None) -> None:
         self.config = config if config is not None else Fig4Config()
 
@@ -207,17 +217,11 @@ class Fig4Experiment:
         """The experiment's grid as sweep-runner cells."""
         return self.grid(seeds).cells()
 
-    def assemble(
-        self,
-        report,
-        seeds: Optional[Sequence[int]] = None,
-        confidence: Optional[float] = None,
-    ) -> Fig4Result:
-        """Build the figure result from a sweep report containing this grid's cells."""
-        from repro.runner import DEFAULT_FEATURES, experiment_view
+    def assemble(self, view: "ExperimentView") -> Fig4Result:
+        """Build the figure result from the view of this grid's cells."""
+        from repro.runner import DEFAULT_FEATURES
 
         config = self.config
-        view = experiment_view(report, self.cells(seeds), confidence=confidence)
         cell = view["fig4"]
         r_model = config.scenario.variance_ratio()
         empirical, empirical_ci = view.table(

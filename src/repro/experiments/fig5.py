@@ -33,7 +33,7 @@ from repro.experiments.report import (
 from repro.padding.policies import PaddingPolicy, cit_policy, vit_policy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.runner import GridSpec, SweepCell
+    from repro.runner import ExperimentView, GridSpec, SweepCell
 
 
 @dataclass(frozen=True)
@@ -156,6 +156,23 @@ class Fig5Experiment:
     #: Registry name; also the prefix of every cell key this experiment emits.
     name = "fig5"
 
+    config_cls = Fig5Config
+
+    #: Config keyword arguments per registry preset; the registry adds the seed.
+    presets = {
+        "paper": {},
+        "fast": dict(trials=12, mode=CollectionMode.ANALYTIC),
+        "quick": dict(
+            sigma_t_values=(0.0, 1e-4, 1e-3),
+            sample_size=500,
+            trials=8,
+            mode=CollectionMode.ANALYTIC,
+        ),
+        "smoke": dict(
+            sigma_t_values=(0.0, 1e-3), sample_size=200, trials=6, mode=CollectionMode.ANALYTIC
+        ),
+    }
+
     def __init__(self, config: Optional[Fig5Config] = None) -> None:
         self.config = config if config is not None else Fig5Config()
 
@@ -203,18 +220,10 @@ class Fig5Experiment:
         """One sweep-runner cell per (``sigma_T``, seed) grid point."""
         return self.grid(seeds).cells()
 
-    def assemble(
-        self,
-        report,
-        seeds: Optional[Sequence[int]] = None,
-        confidence: Optional[float] = None,
-    ) -> Fig5Result:
-        """Build the figure result from a sweep report containing this grid's cells."""
-        from repro.runner import experiment_view
-
+    def assemble(self, view: "ExperimentView") -> Fig5Result:
+        """Build the figure result from the view of this grid's cells."""
         config = self.config
         n = config.sample_size
-        view = experiment_view(report, self.cells(seeds), confidence=confidence)
         ratios = {
             sigma_t: config.scenario_for(sigma_t).variance_ratio()
             for sigma_t in config.sigma_t_values

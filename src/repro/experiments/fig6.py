@@ -30,7 +30,7 @@ from repro.experiments.report import (
 from repro.padding.policies import cit_policy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.runner import GridSpec, SweepCell
+    from repro.runner import ExperimentView, GridSpec, SweepCell
 
 
 def _lab_scenario() -> ScenarioConfig:
@@ -122,6 +122,20 @@ class Fig6Experiment:
     #: Registry name; also the prefix of every cell key this experiment emits.
     name = "fig6"
 
+    config_cls = Fig6Config
+
+    #: Config keyword arguments per registry preset; the registry adds the seed.
+    presets = {
+        "paper": {},
+        "fast": dict(trials=15, mode=CollectionMode.HYBRID),
+        "quick": dict(
+            utilizations=(0.05, 0.4), sample_size=400, trials=8, mode=CollectionMode.HYBRID
+        ),
+        "smoke": dict(
+            utilizations=(0.05, 0.3), sample_size=200, trials=6, mode=CollectionMode.ANALYTIC
+        ),
+    }
+
     def __init__(self, config: Optional[Fig6Config] = None) -> None:
         self.config = config if config is not None else Fig6Config()
 
@@ -179,18 +193,12 @@ class Fig6Experiment:
         """One sweep-runner cell per (utilization, seed) grid point."""
         return self.grid(seeds).cells()
 
-    def assemble(
-        self,
-        report,
-        seeds: Optional[Sequence[int]] = None,
-        confidence: Optional[float] = None,
-    ) -> Fig6Result:
-        """Build the figure result from a sweep report containing this grid's cells."""
-        from repro.runner import DEFAULT_FEATURES, experiment_view
+    def assemble(self, view: "ExperimentView") -> Fig6Result:
+        """Build the figure result from the view of this grid's cells."""
+        from repro.runner import DEFAULT_FEATURES
 
         config = self.config
         n = config.sample_size
-        view = experiment_view(report, self.cells(seeds), confidence=confidence)
         ratios = {
             utilization: config.scenario.with_cross_utilization(utilization).variance_ratio()
             for utilization in config.utilizations

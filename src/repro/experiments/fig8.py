@@ -48,7 +48,7 @@ from repro.network.topology import TopologySpec, campus_topology, wan_topology
 from repro.padding.policies import cit_policy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.runner import GridSpec, SweepCell
+    from repro.runner import ExperimentView, GridSpec, SweepCell
 
 #: Relative cross-traffic load for each hour of the day (00:00 first): a
 #: campus/WAN shape with a night-time trough and a mid-afternoon peak.
@@ -195,6 +195,16 @@ class Fig8Experiment:
     #: Registry name; also the prefix of every cell key this experiment emits.
     name = "fig8"
 
+    config_cls = Fig8Config
+
+    #: Config keyword arguments per registry preset; the registry adds the seed.
+    presets = {
+        "paper": {},
+        "fast": dict(trials=15, mode=CollectionMode.HYBRID),
+        "quick": dict(hours=(2, 14), sample_size=400, trials=8, mode=CollectionMode.HYBRID),
+        "smoke": dict(hours=(2, 14), sample_size=200, trials=6, mode=CollectionMode.ANALYTIC),
+    }
+
     def __init__(self, config: Optional[Fig8Config] = None) -> None:
         self.config = config if config is not None else Fig8Config()
 
@@ -262,18 +272,12 @@ class Fig8Experiment:
         """One sweep-runner cell per (network, hour, seed) grid point."""
         return self.grid(seeds).cells()
 
-    def assemble(
-        self,
-        report,
-        seeds: Optional[Sequence[int]] = None,
-        confidence: Optional[float] = None,
-    ) -> Fig8Result:
-        """Build the figure result from a sweep report containing this grid's cells."""
-        from repro.runner import DEFAULT_FEATURES, experiment_view
+    def assemble(self, view: "ExperimentView") -> Fig8Result:
+        """Build the figure result from the view of this grid's cells."""
+        from repro.runner import DEFAULT_FEATURES
 
         config = self.config
         n = config.sample_size
-        view = experiment_view(report, self.cells(seeds), confidence=confidence)
         empirical: Dict[str, Dict[str, Dict[int, float]]] = {}
         theoretical: Dict[str, Dict[str, Dict[int, float]]] = {}
         empirical_ci: Dict[str, Any] = {}

@@ -47,9 +47,10 @@ from repro.population.metrics import (
 )
 from repro.population.topology import ASGraphSpec, ASTopology, generate_as_topology
 from repro.runner.cells import DEFAULT_FEATURES
+from repro.runner.grid import split_seed_key
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.runner import GridSpec, SweepCell
+    from repro.runner import ExperimentView, GridSpec, SweepCell
 
 
 @dataclass(frozen=True)
@@ -282,6 +283,31 @@ class PopulationExperiment:
 
     name = "population"
 
+    config_cls = PopulationConfig
+
+    #: Config keyword arguments per registry preset; the registry adds the
+    #: seed.  The cost scales with the number of ASes, not of flows, so every
+    #: preset keeps the full flow population and shrinks only the graph, the
+    #: trials and the sample sizes.
+    presets = {
+        "paper": {},
+        "fast": dict(trials=8, mode=CollectionMode.ANALYTIC),
+        "quick": dict(
+            n_as=8,
+            sample_sizes=(100, 300),
+            trials=6,
+            mode=CollectionMode.ANALYTIC,
+            mix_depth_points=2,
+        ),
+        "smoke": dict(
+            n_as=5,
+            sample_sizes=(50, 100),
+            trials=4,
+            mode=CollectionMode.ANALYTIC,
+            mix_depth_points=2,
+        ),
+    }
+
     def __init__(self, config: Optional[PopulationConfig] = None) -> None:
         self.config = config if config is not None else PopulationConfig()
         self._topology: Optional[ASTopology] = None
@@ -352,23 +378,11 @@ class PopulationExperiment:
         """Every schedulable cell: per-AS binary plus multi-rate mix."""
         return self.hybrid_grid(seeds).cells() + self.mix_grid(seeds).cells()
 
-    def assemble(
-        self,
-        report,
-        seeds: Optional[Sequence[int]] = None,
-        confidence: Optional[float] = None,
-    ) -> PopulationResult:
-        """Build the population report from a sweep report containing its cells."""
-        from repro.runner import experiment_view
-
+    def assemble(self, view: "ExperimentView") -> PopulationResult:
+        """Build the population report from the view of its cells."""
         config = self.config
         population = self.population()
         topology = self.topology()
-        mix_grid = self.mix_grid(seeds)
-        mix_cells = mix_grid.cells()
-        view = experiment_view(
-            report, self.hybrid_grid(seeds).cells() + mix_cells, confidence=confidence
-        )
         n_max = max(config.sample_sizes)
         sender_ases = population.sender_ases()
 
@@ -393,11 +407,10 @@ class PopulationExperiment:
             for feature in DEFAULT_FEATURES
         }
 
+        mix_cells = [cell for cell in view.cells if cell.rate_classes is not None]
+        mix_keys = dict.fromkeys(split_seed_key(cell.key)[0] for cell in mix_cells)
         mix_rates, _ = view.table(
-            {
-                int(point.key.rsplit("=", 1)[1]): (point.key, n_max)
-                for point in mix_grid.points
-            },
+            {int(key.rsplit("=", 1)[1]): (key, n_max) for key in mix_keys},
             DEFAULT_FEATURES,
         )
 
@@ -407,7 +420,7 @@ class PopulationExperiment:
         mix_results = []
         for mix_cell in mix_cells:
             try:
-                mix_results.append(report[mix_cell.key])
+                mix_results.append(view.report[mix_cell.key])
             except KeyError:
                 continue
         confusion = aggregate_confusion(mix_results)

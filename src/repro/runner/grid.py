@@ -327,11 +327,16 @@ class ExperimentView:
     keys are the bare point keys) or the :class:`AggregatedCellResult` of a
     multi-seed one.  ``confidence`` is set exactly when the results carry
     bootstrap bands: two or more seeds and a requested confidence level.
+    ``cells`` and ``report`` are the expanded cells and the raw sweep report
+    the view was built from, for what the per-point reduction does not keep
+    (population's confusion matrices, summed over every seed).
     """
 
     results: Mapping[str, Any]
     n_seeds: int
     confidence: Optional[float]
+    cells: Sequence[SweepCell]
+    report: Mapping[str, CellResult]
 
     def __getitem__(self, key: str) -> Any:
         return self.results[key]
@@ -372,14 +377,14 @@ def experiment_view(
 ) -> ExperimentView:
     """The view an experiment's ``assemble`` reads its grid points from.
 
-    ``cells`` is the experiment's expanded cell list.  A single-seed run
-    reads the raw sweep report (bare keys, historical byte-identical
-    results); a multi-seed run reads the per-point reduction of
-    :func:`aggregate_cells`.
+    ``cells`` is the experiment's expanded cell list, the one its caller
+    ran.  A single-seed run reads the raw sweep report (bare keys,
+    historical byte-identical results); a multi-seed run reads the
+    per-point reduction of :func:`aggregate_cells`.
     """
     if len({cell.seed for cell in cells}) > 1:
         return aggregate_cells(cells, report, confidence=confidence)
-    return ExperimentView(report, n_seeds=1, confidence=None)
+    return ExperimentView(report, n_seeds=1, confidence=None, cells=cells, report=report)
 
 
 def point_bootstrap_rng(point_key: str, confidence: float) -> np.random.Generator:
@@ -508,7 +513,11 @@ def aggregate_cells(
         )
     n_seeds = len({cell.seed for cell in cells})
     return ExperimentView(
-        results, n_seeds=n_seeds, confidence=confidence if n_seeds >= 2 else None
+        results,
+        n_seeds=n_seeds,
+        confidence=confidence if n_seeds >= 2 else None,
+        cells=cells,
+        report=report,
     )
 
 

@@ -13,26 +13,42 @@ would otherwise need a full sweep replay for:
   per-feature stream keys, so a served band is byte-identical to the one a
   ``repro sweep --ci`` report prints for the same data.
 
-Labels are built once, at construction: every registered experiment × preset
-is expanded at every distinct cell seed in the store, and each cell's
-fingerprint is mapped to its experiment, preset, grid-point key and seed.
-Fingerprints hash the seed-inclusive configuration, so a label is an exact
-identity; records no expansion produces (scenario files, foreign tools) stay
-unlabelled.
+Labels map each cell fingerprint to its experiment, preset, grid-point key
+and seed: every registered experiment × preset is expanded at every distinct
+cell seed in the store.  Fingerprints hash the seed-inclusive configuration,
+so a label is an exact identity; records no expansion produces (scenario
+files, foreign tools) stay unlabelled.
 
-Records are read per query through a fresh
-:class:`~repro.runner.store.ResultsStore`, so every answer reflects the
-shards as they are now: a cell stored after start-up at a known seed is
-served, and a rewritten cell serves its newest record.  The label map is
-never mutated after construction, so one :class:`StoreQuery` is safe to
-share across server threads while a sweep appends to the store.
+Every query lists the store's shard files once.  Shards the query has not
+examined yet are read for their cell's seed (each shard once, when it first
+holds a valid record), and the labels are extended by the expansion of every
+seed not expanded before, so a cell stored while the query is alive is
+listed by the next call even at a seed that is new to the store.  Records
+are read per query through a fresh :class:`~repro.runner.store.ResultsStore`,
+so every answer reflects the shards as they are now, and a rewritten cell
+serves its newest record.  The label list is replaced, never mutated, under
+a lock, so one :class:`StoreQuery` is safe to share across server threads
+while a sweep appends to the store.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import (
+    AbstractSet,
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.exceptions import ConfigurationError, ReproError
 from repro.runner.grid import mean_and_ci, split_seed_key
@@ -119,22 +135,17 @@ def _scalar(value: Any, kind: type) -> Any:
         return None
 
 
-def _expand_labels(store: ResultsStore) -> List[_Label]:
-    """Every registered grid cell's label, expanded at the store's cell seeds.
+def _expand_labels(seeds: AbstractSet[int]) -> List[_Label]:
+    """Every registered grid cell's label, expanded at ``seeds``.
 
     Returns the labels in :meth:`StoreQuery.points` order.  An experiment
     whose expansion rejects a seed or preset is skipped, not fatal.
+    Fingerprints hash the seed, so labels expanded at disjoint seed sets
+    never collide and can be merged.
     """
     # Imported here: repro.api pulls in every experiment module.
     from repro.api import PRESETS, get_experiment, list_experiments
 
-    seeds = set()
-    for path in store.shard_files():
-        record = store.get(path.stem)
-        if record is not None:
-            seed = _scalar((record.get("config") or {}).get("seed"), int)
-            if seed is not None:
-                seeds.add(seed)
     labels: Dict[Tuple[str, str, str], _Label] = {}
     for name in list_experiments():
         for preset in PRESETS:
@@ -171,19 +182,56 @@ class StoreQuery:
     """Read-only queries against one results store."""
 
     def __init__(self, store_root: Union[str, Path]) -> None:
-        store = ResultsStore(store_root)
-        self._root = store.root
-        self._labels = _expand_labels(store)
+        self._root = ResultsStore(store_root).root
+        self._lock = threading.Lock()
+        self._examined: Set[str] = set()
+        self._seeds: Set[int] = set()
+        self._labels: List[_Label] = []
+        self._listing()
 
     @property
     def store_root(self) -> Path:
         """The queried store's root directory."""
         return self._root
 
-    def _stored(self, labels: Iterable[_Label]) -> Iterator[Tuple[_Label, Dict[str, Any]]]:
-        """Each label whose fingerprint has a cell record now, with that record."""
+    def _listing(self) -> Tuple[AbstractSet[str], List[_Label]]:
+        """The fingerprints with a shard now, and the labels covering them.
+
+        Reads the seed of each shard not examined before (a shard without a
+        valid record yet is looked at again next time) and expands labels
+        at every seed that is new.
+        """
+        store = ResultsStore(self._root)
+        paths = {path.stem: path for path in store.shard_files()}
+        with self._lock:
+            seeds = set()
+            for stem in sorted(paths.keys() - self._examined):
+                record = store.shard_winner(paths[stem])
+                if record is None:
+                    continue
+                self._examined.add(stem)
+                if record.get("kind", "cell") == "cell":
+                    seed = _scalar((record.get("config") or {}).get("seed"), int)
+                    if seed is not None:
+                        seeds.add(seed)
+            fresh = seeds - self._seeds
+            if fresh:
+                self._labels = sorted(self._labels + _expand_labels(fresh))
+                self._seeds |= fresh
+            return paths.keys(), self._labels
+
+    def _stored(
+        self, labels: Iterable[_Label], present: AbstractSet[str]
+    ) -> Iterator[Tuple[_Label, Dict[str, Any]]]:
+        """Each label whose fingerprint has a cell record now, with that record.
+
+        Labels without a shard in ``present`` (most of them: other presets'
+        and seeds' cells) are skipped without a lookup.
+        """
         store = ResultsStore(self._root)
         for label in labels:
+            if label.fingerprint not in present:
+                continue
             record = store.get(label.fingerprint)
             if record is not None:
                 yield label, record
@@ -191,11 +239,9 @@ class StoreQuery:
     # ---------------------------------------------------------------- queries
     def experiments(self) -> List[Dict[str, Any]]:
         """Per-experiment label summary: points, records and seeds stored."""
-        # Every label is asked about, and most (other presets' and seeds'
-        # cells) have no shard: one listing skips them without a lookup each.
-        present = {path.stem for path in ResultsStore(self._root).shard_files()}
+        present, labels = self._listing()
         stored: Dict[str, List[_Label]] = {}
-        for label, _ in self._stored(l for l in self._labels if l.fingerprint in present):
+        for label, _ in self._stored(labels, present):
             stored.setdefault(label.experiment, []).append(label)
         return [
             {
@@ -224,16 +270,17 @@ class StoreQuery:
         fingerprint)`` is reported once, under its alphabetically first
         preset — the physical record is the same either way.
         """
-        labels = (
+        present, labels = self._listing()
+        matching = (
             label
-            for label in self._labels
+            for label in labels
             if (experiment is None or label.experiment == experiment)
             and (preset is None or label.preset == preset)
             and (seed is None or label.seed == int(seed))
         )
         points: List[PointRecord] = []
         seen = set()
-        for label, record in self._stored(labels):
+        for label, record in self._stored(matching, present):
             point = _point_record(label, record)
             if policy is not None and (
                 point.policy_kind is None or point.policy_kind.lower() != policy.lower()
@@ -247,13 +294,14 @@ class StoreQuery:
 
     def point(self, point_key: str) -> List[PointRecord]:
         """Every per-seed record behind one grid-point key (any experiment)."""
-        labels = sorted(
-            (label for label in self._labels if label.point_key == point_key),
+        present, labels = self._listing()
+        matching = sorted(
+            (label for label in labels if label.point_key == point_key),
             key=lambda label: (label.seed, label.fingerprint, label.experiment, label.preset),
         )
         points: List[PointRecord] = []
         seen = set()
-        for label, record in self._stored(labels):
+        for label, record in self._stored(matching, present):
             if label.fingerprint not in seen:
                 seen.add(label.fingerprint)
                 points.append(_point_record(label, record))

@@ -39,7 +39,7 @@ from urllib.parse import parse_qs, unquote, urlparse
 
 from repro.exceptions import ConfigurationError, ReproError
 from repro.runner.cells import CellResult
-from repro.runner.grid import seed_range
+from repro.runner.grid import experiment_view, seed_range
 from repro.runner.store import ResultsStore
 from repro.store.query import StoreQuery
 
@@ -263,7 +263,7 @@ class _Handler(BaseHTTPRequestHandler):
                 },
                 409,
             )
-        result = experiment.assemble(report, seeds=seeds, confidence=confidence)
+        result = experiment.assemble(experiment_view(report, cells, confidence))
         return (
             {
                 "experiment": name,

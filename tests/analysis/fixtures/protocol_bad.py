@@ -1,6 +1,4 @@
-"""Fixture: contract gaps that must raise EXP001/EXP002."""
-
-from repro.api.registry import ExperimentDefinition, register_experiment
+"""Fixture: a contract gap that must raise EXP002."""
 
 
 class BrokenExperiment:  # EXP002: missing config, cells, assemble
@@ -8,8 +6,3 @@ class BrokenExperiment:  # EXP002: missing config, cells, assemble
 
     def describe(self) -> str:
         return "not actually runnable"
-
-
-@register_experiment("halfbaked")
-class HalfBakedDefinition(ExperimentDefinition):  # EXP001: missing preset_config, build
-    config_cls = dict

@@ -1,6 +1,4 @@
-"""Fixture: a definition and an experiment that satisfy both contracts."""
-
-from repro.api.registry import ExperimentDefinition, register_experiment
+"""Fixture: an experiment that satisfies the protocol contract."""
 
 
 class GoodConfig:
@@ -19,19 +17,5 @@ class GoodExperiment:
     def cells(self, seeds=None):
         return []
 
-    def run(self, runner=None, seeds=None, confidence=None):
-        return self.assemble(None, seeds=seeds, confidence=confidence)
-
-    def assemble(self, report, seeds=None, confidence=None):
-        return report
-
-
-@register_experiment("good")
-class GoodDefinition(ExperimentDefinition):
-    config_cls = GoodConfig
-
-    def preset_config(self, preset: str, seed: int) -> GoodConfig:
-        return GoodConfig()
-
-    def build(self, config: GoodConfig) -> GoodExperiment:
-        return GoodExperiment(config)
+    def assemble(self, view):
+        return view

@@ -4,22 +4,22 @@ from __future__ import annotations
 
 import pytest
 
+from dataclasses import is_dataclass
+
 from repro.api import (
     PRESETS,
     Experiment,
-    ExperimentDefinition,
     apply_overrides,
     describe_experiment,
-    experiment_definition,
     get_experiment,
     list_experiments,
     parse_set_options,
-    register_experiment,
     run_experiment,
 )
+from repro.api.registry import _EXPERIMENTS
 from repro.exceptions import ConfigurationError
-from repro.experiments import CollectionMode, Fig4Config
-from repro.runner import CellResult, SweepCell
+from repro.experiments import CollectionMode, Fig4Config, Fig4Experiment
+from repro.runner import CellResult, SweepCell, experiment_view
 
 ALL_EXPERIMENTS = list_experiments()
 
@@ -78,14 +78,17 @@ class TestRegistryContents:
         with pytest.raises(ConfigurationError, match="preset"):
             get_experiment("fig6", preset="warp")
 
-    def test_duplicate_registration_is_rejected(self):
-        with pytest.raises(ConfigurationError, match="already registered"):
+    @pytest.mark.parametrize("name", ALL_EXPERIMENTS)
+    def test_every_class_carries_a_config_class_and_every_preset(self, name):
+        cls = _EXPERIMENTS[name]
+        assert is_dataclass(cls.config_cls)
+        assert sorted(cls.presets) == sorted(PRESETS)
 
-            @register_experiment("fig4")
-            class Duplicate(ExperimentDefinition):
-                """Never registered."""
-
-                config_cls = Fig4Config
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_a_preset_is_the_config_built_from_its_row(self, preset):
+        experiment = get_experiment("fig4", preset=preset, seed=7)
+        assert isinstance(experiment, Fig4Experiment)
+        assert experiment.config == Fig4Config(**Fig4Experiment.presets[preset], seed=7)
 
     def test_descriptions_are_one_liners(self):
         for name in ALL_EXPERIMENTS:
@@ -126,7 +129,8 @@ class TestExperimentContract:
     @pytest.mark.parametrize("name", ALL_EXPERIMENTS)
     def test_assemble_round_trips_a_synthetic_report(self, name):
         experiment = get_experiment(name, preset="smoke")
-        result = experiment.assemble(synthetic_report(experiment.cells()))
+        cells = experiment.cells()
+        result = experiment.assemble(experiment_view(synthetic_report(cells), cells))
         text = result.to_text()
         assert text.strip()
         assert "0.75" in text
@@ -137,9 +141,7 @@ class TestExperimentContract:
         seeds = (11, 12)
         cells = experiment.cells(seeds)
         assert len(cells) == 2 * len(experiment.cells())
-        result = experiment.assemble(
-            synthetic_report(cells), seeds=seeds, confidence=0.9
-        )
+        result = experiment.assemble(experiment_view(synthetic_report(cells), cells, 0.9))
         assert "mean of 2 seeds" in result.to_text()
 
 
@@ -211,8 +213,3 @@ class TestRunExperiment:
         assert provenance["preset"] == "smoke"
         assert provenance["overrides"] == {"trials": 4}
         assert provenance["seeds"] == [experiment.config.seed]
-
-    def test_definition_lookup_exposes_config_cls(self):
-        definition = experiment_definition("fig4")
-        assert definition.config_cls is Fig4Config
-        assert definition.name == "fig4"

@@ -14,7 +14,7 @@ from repro.api import (
     run_experiment,
 )
 from repro.exceptions import ConfigurationError
-from repro.runner import ResultsStore, SweepRunner
+from repro.runner import ResultsStore, SweepRunner, experiment_view
 
 needs_toml = pytest.mark.skipif(not TOML_AVAILABLE, reason="no TOML parser available")
 
@@ -346,7 +346,8 @@ class TestScenarioExperiment:
         """A pooled report with foreign cells assembles the scenario cleanly."""
         spec = ScenarioSpec.from_dict(wan_spec_dict())
         experiment = ScenarioExperiment(spec)
-        report = SweepRunner().run(experiment.cells())
+        cells = experiment.cells()
+        report = SweepRunner().run(cells)
         report.results["foreign/cell"] = next(iter(report.results.values()))
-        result = experiment.assemble(report)
+        result = experiment.assemble(experiment_view(report, cells))
         assert "foreign" not in result.to_text()

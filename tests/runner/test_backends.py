@@ -21,7 +21,14 @@ import pytest
 from repro.api import get_experiment, list_experiments
 from repro.exceptions import ConfigurationError, SweepError
 from repro.experiments import CollectionMode, ScenarioConfig
-from repro.runner import CaptureSpec, ResultsStore, SweepCell, SweepRunner, seed_range
+from repro.runner import (
+    CaptureSpec,
+    ResultsStore,
+    SweepCell,
+    SweepRunner,
+    experiment_view,
+    seed_range,
+)
 from repro.runner.defaults import BACKEND_NAMES
 from repro.runner.execute import TaskFailure, available_cpu_count, execute, resolve_jobs
 
@@ -332,7 +339,7 @@ def test_reports_are_byte_identical_across_backends(name, tmp_path):
     cells = experiment.cells(seeds)
 
     def render(report) -> str:
-        return experiment.assemble(report, seeds=seeds).to_text()
+        return experiment.assemble(experiment_view(report, cells)).to_text()
 
     reference = render(SweepRunner(backend="serial").run(cells))
     for backend, jobs in BACKEND_RUNS:

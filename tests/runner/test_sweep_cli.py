@@ -27,12 +27,12 @@ class TestSweepParser:
         assert args.cache_dir is None
 
     def test_figure_selection(self):
-        args = build_parser().parse_args(["sweep", "--figures", "fig6", "fig8"])
+        args = build_parser().parse_args(["sweep", "--experiments", "fig6", "fig8"])
         assert args.figures == ["fig6", "fig8"]
 
-    def test_jobs_and_cache_dir_accepted_on_figure_commands(self):
+    def test_jobs_and_cache_dir_accepted_on_run(self):
         args = build_parser().parse_args(
-            ["fig6", "--jobs", "4", "--cache-dir", "/tmp/cache"]
+            ["run", "fig6", "--jobs", "4", "--cache-dir", "/tmp/cache"]
         )
         assert args.jobs == 4
         assert args.cache_dir == Path("/tmp/cache")
@@ -41,7 +41,7 @@ class TestSweepParser:
 class TestSweepCommand:
     def test_jobs_count_does_not_change_the_results(self, capsys):
         """The acceptance bar: fig6-style grid, bit-identical at --jobs 1 vs 4."""
-        argv = ["sweep", "--figures", "fig6", "--preset", "smoke"]
+        argv = ["sweep", "--experiments", "fig6", "--preset", "smoke"]
         assert main(argv + ["--jobs", "1"]) == 0
         serial = capsys.readouterr().out
         assert main(argv + ["--jobs", "4"]) == 0
@@ -51,7 +51,7 @@ class TestSweepCommand:
 
     def test_second_invocation_performs_zero_simulations(self, tmp_path, capsys):
         argv = [
-            "sweep", "--figures", "fig6", "--preset", "smoke",
+            "sweep", "--experiments", "fig6", "--preset", "smoke",
             "--jobs", "2", "--cache-dir", str(tmp_path),
         ]
         assert main(argv) == 0
@@ -64,7 +64,7 @@ class TestSweepCommand:
         assert strip_summary(cold) == strip_summary(warm)
 
     def test_cache_survives_jobs_count_changes(self, tmp_path, capsys):
-        base = ["sweep", "--figures", "fig5", "--preset", "smoke", "--cache-dir", str(tmp_path)]
+        base = ["sweep", "--experiments", "fig5", "--preset", "smoke", "--cache-dir", str(tmp_path)]
         main(base + ["--jobs", "2"])
         capsys.readouterr()
         main(base + ["--jobs", "1"])
@@ -74,7 +74,7 @@ class TestSweepCommand:
         target = tmp_path / "reports" / "sweep.txt"
         assert (
             main(
-                ["sweep", "--figures", "fig6", "--preset", "smoke", "--output", str(target)]
+                ["sweep", "--experiments", "fig6", "--preset", "smoke", "--output", str(target)]
             )
             == 0
         )
@@ -83,13 +83,13 @@ class TestSweepCommand:
 
     def test_configuration_errors_exit_cleanly(self, capsys):
         """No traceback for bad values that pass argparse but fail validation."""
-        assert main(["fig6", "--preset", "smoke", "--jobs", "0"]) == 2
+        assert main(["run", "fig6", "--preset", "smoke", "--jobs", "0"]) == 2
         captured = capsys.readouterr()
         assert "repro: error:" in captured.err
         assert "jobs=0" in captured.err
 
-    def test_figure_command_accepts_jobs_and_cache(self, tmp_path, capsys):
-        argv = ["fig6", "--preset", "smoke", "--jobs", "2", "--cache-dir", str(tmp_path)]
+    def test_run_accepts_jobs_and_cache(self, tmp_path, capsys):
+        argv = ["run", "fig6", "--preset", "smoke", "--jobs", "2", "--cache-dir", str(tmp_path)]
         assert main(argv) == 0
         first = capsys.readouterr().out
         assert main(argv) == 0
@@ -138,7 +138,7 @@ class TestMultiSeedCli:
     """``--seeds N --ci``: mean ± bootstrap CI per grid point, from the CLI."""
 
     def test_single_seed_output_is_unchanged_by_the_seeds_flag(self, capsys):
-        argv = ["sweep", "--figures", "fig6", "--preset", "smoke"]
+        argv = ["sweep", "--experiments", "fig6", "--preset", "smoke"]
         assert main(argv) == 0
         bare = capsys.readouterr().out
         assert main(argv + ["--seeds", "1"]) == 0
@@ -160,7 +160,7 @@ class TestMultiSeedCli:
         import pytest
 
         with pytest.raises(SystemExit) as excinfo:
-            main(["fig6", "--preset", "smoke", "--ci"])
+            main(["run", "fig6", "--preset", "smoke", "--ci"])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "repro: error:" in err
@@ -192,7 +192,7 @@ class TestMultiSeedCli:
 
     def test_multi_seed_cache_round_trip(self, tmp_path, capsys):
         argv = [
-            "sweep", "--figures", "fig5", "--preset", "smoke",
+            "sweep", "--experiments", "fig5", "--preset", "smoke",
             "--seeds", "2", "--ci", "--cache-dir", str(tmp_path),
         ]
         assert main(argv) == 0
@@ -226,7 +226,7 @@ class TestCacheCommand:
         [
             ["cache", "stats"],
             ["cache", "compact"],
-            ["sweep", "--figures", "fig6", "--preset", "smoke"],
+            ["sweep", "--experiments", "fig6", "--preset", "smoke"],
         ],
     )
     def test_pre_sharding_store_is_a_cli_error(self, tmp_path, capsys, command):

@@ -110,6 +110,24 @@ class TestPoints:
         assert "smoke" in summary["fig6"]["presets"]
 
 
+class TestNewSeeds:
+    def test_each_shard_is_read_for_its_seed_once(self, fixture_store, monkeypatch):
+        reads = []
+        original = ResultsStore.shard_winner.__func__
+
+        def counting(cls, path):
+            reads.append(path.stem)
+            return original(cls, path)
+
+        monkeypatch.setattr(ResultsStore, "shard_winner", classmethod(counting))
+        query = StoreQuery(fixture_store)
+        shards = len(ResultsStore(fixture_store).shard_files())
+        assert len(reads) == len(set(reads)) == shards
+        reads.clear()
+        query.points(experiment="nope")  # lists the shards, looks nothing up
+        assert reads == []
+
+
 class TestShardPrecedence:
     """Queries resolve every shard through the store's own parsing contract."""
 

@@ -16,7 +16,7 @@ import pytest
 
 import repro.store.server as server_module
 from repro.api import get_experiment, list_experiments
-from repro.runner import ResultsStore, SweepRunner
+from repro.runner import ResultsStore, SweepRunner, experiment_view
 from repro.store import create_server
 
 FIXTURE_CACHE = Path(__file__).resolve().parent.parent / "fixtures" / "sweep_cache"
@@ -109,8 +109,8 @@ class TestEndpoints:
         assert status == 200
         experiment = get_experiment("fig6", "smoke", 2003)
         runner = SweepRunner(store=ResultsStore(root))
-        report = runner.run(experiment.cells())
-        expected = experiment.assemble(report).to_text()
+        cells = experiment.cells()
+        expected = experiment.assemble(experiment_view(runner.run(cells), cells)).to_text()
         assert body["report"] == expected
 
     @pytest.mark.parametrize("name", ["fig4", "fig5", "fig6", "fig8"])
@@ -120,9 +120,10 @@ class TestEndpoints:
         assert status == 200
         experiment = get_experiment(name, "smoke", 2003)
         runner = SweepRunner(store=ResultsStore(root), backend="serial")
-        report = runner.run(experiment.cells())
+        cells = experiment.cells()
+        report = runner.run(cells)
         assert runner.cache_misses == 0
-        assert body["report"] == experiment.assemble(report).to_text()
+        assert body["report"] == experiment.assemble(experiment_view(report, cells)).to_text()
 
     @pytest.mark.parametrize("name", list_experiments())
     def test_uncached_report_is_409_naming_repro_run(self, served, name):
@@ -355,6 +356,31 @@ class TestFreshReads:
             status, body = get_json(base, path)
         assert status == 200
         assert body["seeds"] == [2003, 2004]
+
+    def test_a_cell_at_a_seed_new_after_start_up_is_listed(self, tmp_path):
+        """Labels grow with the store: fig6 smoke cells stored at seed 2004
+        into a served one-seed copy are listed without a restart."""
+        root = tmp_path / "cache"
+        shutil.copytree(FIXTURE_CACHE, root)
+        first = get_experiment("fig6", "smoke", 2003).cells()
+        second = get_experiment("fig6", "smoke", 2004).cells()
+        key = urllib.parse.quote(second[0].key, safe="")
+        path = "/points?experiment=fig6&seed=2004"
+        with serving(root) as base:
+            assert get_json(base, path)[1]["count"] == 0
+            store = ResultsStore(root)
+            for old, new in zip(first, second):
+                result = store.get(old.fingerprint())["result"]
+                store.put(new.fingerprint(), new.config_dict(), result)
+            _, points = get_json(base, path)
+            _, point = get_json(base, f"/point/{key}")
+            _, experiments = get_json(base, "/experiments")
+        assert sorted(p["fingerprint"] for p in points["points"]) == sorted(
+            cell.fingerprint() for cell in second
+        )
+        assert [record["seed"] for record in point["records"]] == [2003, 2004]
+        [fig6] = [e for e in experiments["experiments"] if e["experiment"] == "fig6"]
+        assert fig6["indexed"]["seeds"] == 2
 
 
 class TestConcurrency:

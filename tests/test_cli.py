@@ -16,7 +16,7 @@ import pytest
 import repro
 
 from repro.api import TOML_AVAILABLE
-from repro.cli import LEGACY_FIGURES, PRESETS, build_parser, main
+from repro.cli import PRESETS, build_parser, main
 
 needs_toml = pytest.mark.skipif(not TOML_AVAILABLE, reason="no TOML parser available")
 
@@ -59,21 +59,21 @@ class TestParser:
     def test_defaults(self):
         # Sentinel None defaults let scenario runs distinguish an explicit
         # --seed/--preset; main() resolves them to "fast" / 2003.
-        args = build_parser().parse_args(["fig4"])
+        args = build_parser().parse_args(["run", "fig4"])
         assert args.preset is None
         assert args.seed is None
         assert args.output is None
 
     def test_default_preset_and_seed_resolve_as_before(self, capsys):
         """Omitting --preset/--seed is identical to the historical defaults."""
-        assert main(["fig4", "--preset", "quick"]) == 0
+        assert main(["run", "fig4", "--preset", "quick"]) == 0
         explicit_seed = capsys.readouterr().out
-        assert main(["fig4", "--preset", "quick", "--seed", "2003"]) == 0
+        assert main(["run", "fig4", "--preset", "quick", "--seed", "2003"]) == 0
         assert capsys.readouterr().out == explicit_seed
 
     def test_presets_are_accepted(self):
         for preset in PRESETS:
-            args = build_parser().parse_args(["fig5", "--preset", preset])
+            args = build_parser().parse_args(["run", "fig5", "--preset", preset])
             assert args.preset == preset
 
     def test_version_flag(self, capsys):
@@ -86,7 +86,7 @@ class TestParser:
 class TestMain:
     @pytest.mark.parametrize("figure", ["fig4", "fig5", "fig6", "fig8"])
     def test_quick_preset_runs_every_figure(self, figure, capsys):
-        exit_code = main([figure, "--preset", "quick", "--seed", "5"])
+        exit_code = main(["run", figure, "--preset", "quick", "--seed", "5"])
         assert exit_code == 0
         out = capsys.readouterr().out
         assert "Figure" in out
@@ -94,24 +94,24 @@ class TestMain:
 
     def test_output_file_written(self, tmp_path, capsys):
         target = tmp_path / "reports" / "fig4.txt"
-        exit_code = main(["fig4", "--preset", "quick", "--output", str(target)])
+        exit_code = main(["run", "fig4", "--preset", "quick", "--output", str(target)])
         assert exit_code == 0
         assert target.exists()
         assert "Figure 4" in target.read_text()
         capsys.readouterr()
 
     def test_seed_changes_empirical_numbers_but_not_structure(self, capsys):
-        main(["fig4", "--preset", "quick", "--seed", "1"])
+        main(["run", "fig4", "--preset", "quick", "--seed", "1"])
         first = capsys.readouterr().out
-        main(["fig4", "--preset", "quick", "--seed", "2"])
+        main(["run", "fig4", "--preset", "quick", "--seed", "2"])
         second = capsys.readouterr().out
         assert first.splitlines()[0] == second.splitlines()[0]
         assert first != second
 
     def test_same_seed_is_reproducible(self, capsys):
-        main(["fig5", "--preset", "quick", "--seed", "3"])
+        main(["run", "fig5", "--preset", "quick", "--seed", "3"])
         first = capsys.readouterr().out
-        main(["fig5", "--preset", "quick", "--seed", "3"])
+        main(["run", "fig5", "--preset", "quick", "--seed", "3"])
         second = capsys.readouterr().out
         assert first == second
 
@@ -129,13 +129,14 @@ class TestListCommand:
 
 
 class TestRunCommand:
-    @pytest.mark.parametrize("figure", LEGACY_FIGURES)
-    def test_run_output_matches_the_legacy_alias_byte_for_byte(self, figure, capsys):
-        assert main(["run", figure, "--preset", "smoke", "--seed", "2003"]) == 0
-        via_run = capsys.readouterr().out
-        assert main([figure, "--preset", "smoke", "--seed", "2003"]) == 0
-        via_alias = capsys.readouterr().out
-        assert via_run == via_alias
+    @pytest.mark.parametrize("figure", ["fig4", "fig5", "fig6", "fig8"])
+    def test_a_bare_figure_name_is_not_a_command(self, figure, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([figure, "--preset", "smoke"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument command: invalid choice: {figure!r}" in captured.err
 
     def test_runs_an_ablation_from_the_registry(self, capsys):
         assert main(["run", "ablation_estimators", "--preset", "smoke"]) == 0
@@ -491,8 +492,8 @@ class TestBackendChoices:
 
     @pytest.mark.parametrize(
         "argv",
-        [["sweep", "--figures", "fig6"], ["fig6"]],
-        ids=["sweep", "alias"],
+        [["sweep", "--experiments", "fig6"], ["run", "fig6"]],
+        ids=["sweep", "run"],
     )
     def test_every_experiment_command_refuses_the_queue_backend(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -624,7 +625,7 @@ class TestStartup:
             "from repro.cli import main\n"
             "out = io.StringIO()\n"
             "with contextlib.redirect_stdout(out):\n"
-            "    status = main(['sweep', '--figures', 'fig6', '--preset', 'smoke',\n"
+            "    status = main(['sweep', '--experiments', 'fig6', '--preset', 'smoke',\n"
             "                   '--backend', 'serial', '--jobs', '4'])\n"
             "print(status, 'multiprocessing' in sys.modules)\n"
             "print(out.getvalue().splitlines()[-1])"
