@@ -2,24 +2,15 @@
 
 A custom AST-based pass that turns the repository's determinism contracts
 — seeded named RNG streams, no wall-clock in result paths, ordered
-iteration, frozen fingerprint schema, experiment protocol conformance —
-into machine-checkable rules.  ``repro check`` runs them all; CI requires
-a clean (or explicitly baselined) tree.  Rule table and baseline-bump
-procedure: ``docs/determinism.md``.
+iteration — into machine-checkable rules.  ``repro check`` runs them all;
+CI requires a clean (or explicitly baselined) tree.  Rule table and
+baseline: ``docs/determinism.md``.
 """
 
 from repro.analysis.baseline import BaselineEntry, apply_baseline, load_baseline
-from repro.analysis.checker import CheckReport, default_root, run_check
+from repro.analysis.checker import CheckReport, all_rules, default_root, run_check
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.rules import (
-    ModuleContext,
-    ModuleRule,
-    ProjectRule,
-    Rule,
-    all_rules,
-    register_rule,
-    rule_ids,
-)
+from repro.analysis.rules import ModuleContext, ModuleRule, ProjectRule, Rule
 
 __all__ = [
     "BaselineEntry",
@@ -34,7 +25,5 @@ __all__ = [
     "apply_baseline",
     "default_root",
     "load_baseline",
-    "register_rule",
-    "rule_ids",
     "run_check",
 ]

@@ -2,11 +2,11 @@
 
 :func:`run_check` is the whole engine behind ``repro check``: discover the
 package's modules under a root directory, parse each exactly once into a
-:class:`~repro.analysis.rules.ModuleContext`, run every registered rule
-(module rules per file, project rules over the whole tree), subtract the
-justified baseline, and return a :class:`CheckReport` that renders as
-human-readable text or machine-readable JSON and owns the exit-code
-decision.
+:class:`~repro.analysis.rules.ModuleContext`, run every rule in
+:data:`RULES` (module rules per file, project rules over the whole tree),
+subtract the justified baseline, and return a :class:`CheckReport` that
+renders as human-readable text or machine-readable JSON and owns the
+exit-code decision.
 
 Two pseudo-rules exist only here, because they are about the checking
 process rather than the checked code:
@@ -22,7 +22,7 @@ import ast
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.analysis.baseline import (
     BASELINE_FILENAME,
@@ -30,12 +30,39 @@ from repro.analysis.baseline import (
     apply_baseline,
     load_baseline,
 )
+from repro.analysis.clock_rules import (
+    UnorderedSetIterationRule,
+    UnsortedListingRule,
+    WallClockRule,
+)
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.rules import ModuleContext, ModuleRule, ProjectRule, all_rules
+from repro.analysis.rng_rules import (
+    LegacyGlobalRngRule,
+    StdlibEntropyRule,
+    UndeclaredStreamRule,
+    UnseededRngRule,
+)
+from repro.analysis.rules import AnyRule, ModuleContext, ModuleRule, ProjectRule
 from repro.exceptions import ConfigurationError
+
+#: Every rule ``repro check`` runs, one class each; ids must be unique.
+RULES: Tuple[Type[AnyRule], ...] = (
+    UnseededRngRule,
+    LegacyGlobalRngRule,
+    StdlibEntropyRule,
+    UndeclaredStreamRule,
+    WallClockRule,
+    UnorderedSetIterationRule,
+    UnsortedListingRule,
+)
 
 #: Directories never scanned (caches and scratch space inside a tree).
 _SKIP_DIRS = frozenset({"__pycache__"})
+
+
+def all_rules() -> List[AnyRule]:
+    """Fresh instances of every rule in :data:`RULES`, sorted by identifier."""
+    return sorted((cls() for cls in RULES), key=lambda rule: rule.rule_id)
 
 
 def default_root() -> Path:
@@ -199,7 +226,7 @@ def run_check(
             for rel in sorted(modules):
                 findings.extend(rule.check_module(modules[rel]))
         elif isinstance(rule, ProjectRule):
-            findings.extend(rule.check_project(modules, root))
+            findings.extend(rule.check_project(modules))
 
     suppressed: Dict[BaselineEntry, List[Finding]] = {}
     resolved_baseline: Optional[Path] = None
@@ -247,6 +274,8 @@ def run_check(
 
 __all__ = [
     "CheckReport",
+    "RULES",
+    "all_rules",
     "default_baseline",
     "default_root",
     "discover_modules",

@@ -21,7 +21,7 @@ import ast
 from typing import List
 
 from repro.analysis.findings import Finding
-from repro.analysis.rules import ModuleContext, ModuleRule, register_rule
+from repro.analysis.rules import ModuleContext, ModuleRule
 
 #: Call targets that read the wall clock or the calendar.
 _WALL_CLOCK_CALLS = frozenset(
@@ -69,7 +69,6 @@ def _inside_sorted(module: ModuleContext, node: ast.AST) -> bool:
     return False
 
 
-@register_rule
 class WallClockRule(ModuleRule):
     """CLK001: no wall-clock or calendar reads in result-affecting code."""
 
@@ -102,7 +101,6 @@ class WallClockRule(ModuleRule):
         return findings
 
 
-@register_rule
 class UnorderedSetIterationRule(ModuleRule):
     """ORD001: set order must never escape into iteration or a sequence."""
 
@@ -149,7 +147,6 @@ class UnorderedSetIterationRule(ModuleRule):
         return findings
 
 
-@register_rule
 class UnsortedListingRule(ModuleRule):
     """ORD002: directory listings are sorted before anything iterates them."""
 

@@ -16,16 +16,10 @@ from __future__ import annotations
 
 import ast
 from fnmatch import fnmatchcase
-from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.findings import Finding
-from repro.analysis.rules import (
-    ModuleContext,
-    ModuleRule,
-    ProjectRule,
-    register_rule,
-)
+from repro.analysis.rules import ModuleContext, ModuleRule, ProjectRule
 
 #: The one module allowed to construct generators and own stream names.
 RNG_HOME = "repro/sim/random.py"
@@ -43,7 +37,6 @@ _ENTROPY_CALLS = frozenset({"os.urandom", "os.getrandom", "uuid.uuid4", "uuid.uu
 _ENTROPY_MODULES = frozenset({"random", "secrets"})
 
 
-@register_rule
 class UnseededRngRule(ModuleRule):
     """RNG001: no unseeded generator construction outside ``sim/random.py``."""
 
@@ -101,7 +94,6 @@ class UnseededRngRule(ModuleRule):
         return findings
 
 
-@register_rule
 class LegacyGlobalRngRule(ModuleRule):
     """RNG002: no draws from the legacy global numpy RNG."""
 
@@ -131,7 +123,6 @@ class LegacyGlobalRngRule(ModuleRule):
         return findings
 
 
-@register_rule
 class StdlibEntropyRule(ModuleRule):
     """RNG003: no stdlib ``random``/``secrets`` or OS entropy in the package."""
 
@@ -242,7 +233,6 @@ def extract_declared_streams(module: ModuleContext) -> Optional[Tuple[str, ...]]
     return None
 
 
-@register_rule
 class UndeclaredStreamRule(ProjectRule):
     """RNG004: stream names fetched via ``streams.get`` match the registry.
 
@@ -257,9 +247,7 @@ class UndeclaredStreamRule(ProjectRule):
         "(typos become errors, additions are declared)"
     )
 
-    def check_project(
-        self, modules: Dict[str, ModuleContext], root: Path
-    ) -> List[Finding]:
+    def check_project(self, modules: Dict[str, ModuleContext]) -> List[Finding]:
         home = modules.get(RNG_HOME)
         if home is None:
             return []  # not a repro tree shaped like this package

@@ -1,4 +1,4 @@
-"""The rule registry and the AST plumbing every rule shares.
+"""The rule base classes and the AST plumbing every rule shares.
 
 A rule is a small class with an identifier, a severity, and a ``check``
 method producing :class:`~repro.analysis.findings.Finding` objects.  Two
@@ -6,12 +6,11 @@ granularities exist:
 
 * :class:`ModuleRule` — sees one parsed module at a time (RNG calls,
   wall-clock calls, unordered iteration).
-* :class:`ProjectRule` — sees the whole parsed tree at once (schema drift,
-  protocol conformance, the declared-stream registry), for contracts that
-  span files.
+* :class:`ProjectRule` — sees the whole parsed tree at once (the
+  declared-stream registry), for contracts that span files.
 
-Rules register themselves with :func:`register_rule`; the checker runs
-every registered rule unless told otherwise.  The registry is the single
+The rule table is ``RULES`` in :mod:`repro.analysis.checker`; the checker
+runs every rule in it unless told otherwise.  That tuple is the single
 source of the rule table in ``docs/determinism.md`` — ``repro check
 --list-rules`` renders it.
 """
@@ -21,10 +20,9 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Type, Union
+from typing import Dict, Iterator, List, Optional, Union
 
 from repro.analysis.findings import Finding, Severity
-from repro.exceptions import ConfigurationError
 
 
 @dataclass
@@ -37,12 +35,6 @@ class ModuleContext:
     source: str
     _imports: Optional[Dict[str, str]] = field(default=None, repr=False)
     _parents: Optional[Dict[int, ast.AST]] = field(default=None, repr=False)
-
-    @property
-    def package(self) -> str:
-        """First package segment under ``repro`` (``"sim"``, ``"runner"``, ...)."""
-        parts = Path(self.rel).parts
-        return parts[1] if len(parts) > 2 else ""
 
     @property
     def imports(self) -> Dict[str, str]:
@@ -147,45 +139,11 @@ class ModuleRule(Rule):
 class ProjectRule(Rule):
     """A rule that needs the whole parsed tree (cross-file contracts)."""
 
-    def check_project(
-        self, modules: Dict[str, ModuleContext], root: Path
-    ) -> List[Finding]:
+    def check_project(self, modules: Dict[str, ModuleContext]) -> List[Finding]:
         raise NotImplementedError
 
 
 AnyRule = Union[ModuleRule, ProjectRule]
-
-_RULES: Dict[str, Type[AnyRule]] = {}
-
-
-def register_rule(cls: Type[AnyRule]) -> Type[AnyRule]:
-    """Class decorator adding a rule to the registry (unique ``rule_id``)."""
-    if not cls.rule_id or not cls.title:
-        raise ConfigurationError(
-            f"rule {cls.__name__} must set a rule_id and a title"
-        )
-    if cls.rule_id in _RULES:
-        raise ConfigurationError(
-            f"rule id {cls.rule_id!r} is already registered "
-            f"(by {_RULES[cls.rule_id].__name__})"
-        )
-    _RULES[cls.rule_id] = cls
-    return cls
-
-
-def all_rules() -> List[AnyRule]:
-    """Fresh instances of every registered rule, sorted by identifier."""
-    # Import the rule modules here (not at package import) so the registry
-    # is populated exactly once however the package is entered.
-    from repro.analysis import clock_rules, protocol_rules, rng_rules, schema_rules  # noqa: F401
-
-    return [_RULES[rule_id]() for rule_id in sorted(_RULES)]
-
-
-def rule_ids() -> List[str]:
-    """The registered identifiers, sorted."""
-    all_rules()  # ensure the rule modules are imported
-    return sorted(_RULES)
 
 
 __all__ = [
@@ -194,8 +152,5 @@ __all__ = [
     "ModuleRule",
     "ProjectRule",
     "Rule",
-    "all_rules",
-    "register_rule",
     "resolve_name",
-    "rule_ids",
 ]

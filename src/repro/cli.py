@@ -322,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     check = subcommands.add_parser(
         "check",
         help="run the static determinism analysis (RNG discipline, wall-clock, "
-        "ordering, schema drift, protocol conformance; docs/determinism.md)",
+        "ordering; docs/determinism.md)",
     )
     check.add_argument(
         "--root",

@@ -2,9 +2,9 @@
 
 Fixture source files live in ``tests/analysis/fixtures/`` as real Python
 files (never imported — only parsed), one good/bad pair per rule family.
-Project rules additionally need the anchor modules they read contracts
-from (``sim/random.py``, ``api/protocol.py``, ...); tests assemble those
-from the real source tree via :func:`make_tree`.
+The project rule additionally needs the anchor module it reads its
+contract from (``sim/random.py``); tests assemble that from the real
+source tree via :func:`make_tree`.
 """
 
 from __future__ import annotations

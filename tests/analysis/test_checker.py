@@ -2,19 +2,21 @@
 
 from __future__ import annotations
 
+import re
 import shutil
 
 import pytest
 
-from repro.analysis.checker import discover_modules, run_check
+from repro.analysis.checker import RULES, all_rules, discover_modules, run_check
 from repro.exceptions import ConfigurationError
 
 from analysis_helpers import SRC_ROOT
 
-#: One violation per rule family, injected into the doctored tree.
+#: One violation per rule, injected into the doctored tree.
 _BAD_MODULE = '''\
-"""Doctored module: one violation per rule family."""
+"""Doctored module: one violation per rule."""
 
+import os
 import random
 import time
 
@@ -28,12 +30,15 @@ def undisciplined(streams):
     stream = streams.get("paylaod")
     for item in {1, 2, 3}:
         stamp += item
-    return rng, draw, stamp, stream
-
-
-class DoctoredExperiment:
-    name = "doctored"
+    names = os.listdir(".")
+    return rng, draw, stamp, stream, names
 '''
+
+#: Every rule id; the doctored tree fires each of them.
+_ALL_RULE_IDS = {"RNG001", "RNG002", "RNG003", "RNG004", "CLK001", "ORD001", "ORD002"}
+
+#: The rule table in the determinism guide, one backticked id per row.
+_DETERMINISM_DOC = SRC_ROOT.parent / "docs" / "determinism.md"
 
 
 @pytest.fixture
@@ -46,11 +51,28 @@ def doctored_root(tmp_path):
         ignore=shutil.ignore_patterns("__pycache__"),
     )
     (root / "repro" / "experiments" / "doctored_bad.py").write_text(_BAD_MODULE)
-    cells = root / "repro" / "runner" / "cells.py"
-    cells.write_text(
-        cells.read_text().replace("trials: int", "trials: int\n    sneaky: int = 0", 1)
-    )
     return root
+
+
+class TestRuleTable:
+    def test_rule_ids_are_unique(self):
+        ids = [cls.rule_id for cls in RULES]
+        assert len(ids) == len(set(ids))
+        assert set(ids) == _ALL_RULE_IDS
+
+    def test_every_rule_has_a_title(self):
+        assert all(cls.title for cls in RULES)
+
+    def test_all_rules_are_fresh_and_sorted(self):
+        first, second = all_rules(), all_rules()
+        assert [rule.rule_id for rule in first] == sorted(_ALL_RULE_IDS)
+        assert all(a is not b for a, b in zip(first, second))
+
+    def test_the_determinism_guide_lists_exactly_these_rules(self):
+        section = _DETERMINISM_DOC.read_text(encoding="utf-8").split("## The rules")[1]
+        table = section.split("\n## ")[0]
+        documented = re.findall(r"^\| `([A-Z]+[0-9]+)` \|", table, flags=re.MULTILINE)
+        assert sorted(documented) == [rule.rule_id for rule in all_rules()]
 
 
 class TestRunCheck:
@@ -69,16 +91,15 @@ class TestRunCheck:
     def test_doctored_tree_fails_per_family(self, doctored_root):
         report = run_check(root=doctored_root, use_baseline=False)
         assert report.exit_code == 1
-        fired = {f.rule for f in report.findings}
-        assert {"RNG001", "RNG002", "RNG003", "RNG004", "CLK001", "ORD001",
-                "SCH001", "EXP002"} <= fired
+        assert {f.rule for f in report.findings} == _ALL_RULE_IDS
 
-    def test_rule_filter_restricts_the_run(self, doctored_root):
+    @pytest.mark.parametrize("rule_id", sorted(_ALL_RULE_IDS))
+    def test_rule_filter_restricts_the_run(self, doctored_root, rule_id):
         report = run_check(
-            root=doctored_root, use_baseline=False, rule_filter=["SCH001"]
+            root=doctored_root, use_baseline=False, rule_filter=[rule_id]
         )
-        assert {f.rule for f in report.findings} == {"SCH001"}
-        assert report.rules_run == ["SCH001"]
+        assert {f.rule for f in report.findings} == {rule_id}
+        assert report.rules_run == [rule_id]
 
     def test_rule_filter_does_not_stale_unexercised_baseline_entries(self):
         # The shipped baseline excuses a CLK001 finding. A run restricted

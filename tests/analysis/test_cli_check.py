@@ -55,12 +55,12 @@ class TestCheckCommand:
     def test_list_rules_prints_the_registry(self, capsys):
         assert main(["check", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("RNG001", "RNG004", "CLK001", "ORD001", "SCH001", "EXP002"):
+        for rule_id in ("RNG001", "RNG002", "RNG003", "RNG004", "CLK001", "ORD001", "ORD002"):
             assert rule_id in out
 
     def test_rule_filter(self, violation_root, capsys):
         code = main(
-            ["check", "--root", str(violation_root), "--no-baseline", "--rule", "SCH001"]
+            ["check", "--root", str(violation_root), "--no-baseline", "--rule", "ORD002"]
         )
         assert code == 0  # only the RNG violation was seeded
         capsys.readouterr()

@@ -90,7 +90,7 @@ class TestUndeclaredStream:
         tree = make_tree(
             load_real_module(RNG_HOME), load_fixture(fixture_name)
         )
-        return UndeclaredStreamRule().check_project(tree, root=None)
+        return UndeclaredStreamRule().check_project(tree)
 
     def test_good_fixture_is_clean(self):
         assert self._run("streams_good") == []
@@ -107,9 +107,9 @@ class TestUndeclaredStream:
     def test_missing_registry_is_itself_a_finding(self):
         bare_home = make_module("x = 1\n", rel=RNG_HOME)
         tree = make_tree(bare_home, load_fixture("streams_good"))
-        findings = UndeclaredStreamRule().check_project(tree, root=None)
+        findings = UndeclaredStreamRule().check_project(tree)
         assert [f.context for f in findings] == ["DECLARED_STREAMS"]
 
     def test_absent_home_module_disables_the_rule(self):
         tree = make_tree(load_fixture("streams_bad"))
-        assert UndeclaredStreamRule().check_project(tree, root=None) == []
+        assert UndeclaredStreamRule().check_project(tree) == []

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import pickle
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.experiments import CollectionMode, ScenarioConfig
-from repro.runner import CellResult, SweepCell, run_cell
+from repro.runner import SCHEMA_VERSION, CaptureSpec, CellResult, SweepCell, run_cell
+from repro.runner.capture import GATEWAY_SCENARIO_FIELDS
 from repro.runner.fingerprint import fingerprint_payload
 
 
@@ -132,6 +133,75 @@ class TestFingerprint:
             make_cell(kde_bandwidth="scott").fingerprint()
             != make_cell(kde_bandwidth=2.0).fingerprint()
         )
+
+
+class TestFingerprintSchema:
+    """What a fingerprint hashes, pinned: cache keys change only on purpose.
+
+    ``SweepCell.fingerprint()`` and ``CaptureSpec.fingerprint()`` are the
+    keys of every record in every results store.  A field added, dropped
+    or renamed, or left out of ``config_dict``, either colds every store
+    or serves stale records under a changed meaning.  If this test fails
+    because you meant the change:
+
+    1. decide whether stored records stay valid; if their numbers would
+       differ, bump ``SCHEMA_VERSION`` in ``runner/cells.py`` so old
+       records are ignored rather than served;
+    2. update the literals below in the same PR as the field change, and
+       say in the PR what happens to existing stores;
+    3. if ``tests/fixtures/sweep_cache/`` went cold, regenerate it
+       (docs/running.md).
+    """
+
+    CELL_KEYS = {
+        "schema", "scenario", "sample_sizes", "trials", "mode", "seed",
+        "features", "entropy_bin_width", "seed_offsets", "collect_piat_stats",
+    }
+
+    def test_field_lists(self):
+        assert [f.name for f in fields(SweepCell)] == [
+            "key", "scenario", "sample_sizes", "trials", "mode", "seed",
+            "features", "entropy_bin_width", "seed_offsets",
+            "collect_piat_stats", "capture", "noise_offsets", "kde_bandwidth",
+            "rate_classes",
+        ]
+        assert [f.name for f in fields(CaptureSpec)] == [
+            "key", "scenario", "n_intervals", "seed", "seed_offsets",
+        ]
+
+    def test_cell_config_keys(self):
+        """Optional fields are serialised only when set.  ``rate_classes``
+        excludes the other three (it needs analytic mode, they hybrid), so
+        the optional keys are checked on two cells."""
+        scenario = ScenarioConfig(n_hops=1, cross_utilization=0.2)
+        capture = CaptureSpec(key="capture", scenario=scenario, n_intervals=201, seed=7)
+        hybrid = make_cell(
+            scenario=scenario, mode=CollectionMode.HYBRID, capture=capture,
+            noise_offsets=("na", "nb"), kde_bandwidth=2.0,
+        )
+        multirate = make_cell(rate_classes=(
+            scenario.low_rate_pps,
+            (scenario.low_rate_pps + scenario.high_rate_pps) / 2,
+            scenario.high_rate_pps,
+        ))
+        assert set(make_cell().config_dict()) == self.CELL_KEYS
+        assert set(hybrid.config_dict()) == self.CELL_KEYS | {
+            "capture", "noise_offsets", "kde_bandwidth",
+        }
+        assert set(multirate.config_dict()) == self.CELL_KEYS | {"rate_classes"}
+
+    def test_capture_config_keys(self):
+        capture = CaptureSpec(key="capture", scenario=ScenarioConfig(), n_intervals=10)
+        assert set(capture.config_dict()) == {
+            "schema", "kind", "scenario", "n_intervals", "seed", "seed_offsets",
+        }
+
+    def test_gateway_fields_and_version(self):
+        assert GATEWAY_SCENARIO_FIELDS == (
+            "policy", "low_rate_pps", "high_rate_pps", "disturbance",
+            "packet_size_bytes", "warmup_time",
+        )
+        assert SCHEMA_VERSION == 1
 
 
 class TestFingerprintCache:
