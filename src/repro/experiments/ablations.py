@@ -352,7 +352,7 @@ class TapAblationExperiment:
         """Explicit grid points (the 0-hop tap is not a pure axis product).
 
         In hybrid mode the points are two-level: every tap position shares
-        one cached gateway capture, with per-position noise salts.
+        one gateway capture, with per-position noise salts.
         """
         from repro.runner import GridPoint, GridSpec
 

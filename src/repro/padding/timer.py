@@ -29,7 +29,7 @@ same stream — that equivalence is what lets
 (:func:`firing_times`) instead of rescheduling timer events one at a time,
 without perturbing a single draw.  ``ConstantInterval`` consumes **zero**
 draws per sample; any refactor that makes a family consume a different number
-of draws per interval breaks cached captures and fingerprint stability tests.
+of draws per interval breaks cached results and fingerprint stability tests.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ configuration.  Grids are declared with :class:`~repro.runner.grid.GridSpec`
 (axis products fanned out over one or more seeds) and reduced across seeds by
 the aggregation layer (:func:`~repro.runner.grid.aggregate_cells`: mean ±
 bootstrap CI per grid point).  Hybrid grids that evaluate one gateway under
-many network conditions factor the expensive event simulation into shared,
-cacheable gateway captures (:mod:`repro.runner.capture`).  See
+many network conditions factor the gateway capture into one shared
+capture per sweep (:mod:`repro.runner.capture`).  See
 ``docs/running.md`` for the CLI, the cache layout and how CI exercises
 warm-cache sweeps.
 

@@ -370,10 +370,12 @@ SWEEP_SEEDS = 64
 def _time_sweep(seed: int, repeats: int) -> Tuple[float, float, int]:
     """Best-of-``repeats`` cold and warm wall-clock of a representative sweep.
 
-    Every cold run writes a fresh store.  Its warm re-run opens that
-    directory as a new :class:`~repro.runner.store.ResultsStore`, as a
-    second ``repro sweep`` invocation does; the store's index holds record
-    kinds only, so every warm lookup reads its shard from disk.
+    Every cold run simulates fig6's shared gateway capture once per seed and
+    writes the cell records, and nothing else, into a fresh store.  Its warm
+    re-run opens that directory as a new
+    :class:`~repro.runner.store.ResultsStore`, as a second ``repro sweep``
+    invocation does; the store keeps no records in memory, so every warm
+    lookup reads its shard from disk and no capture is simulated.
     """
     from repro.api import get_experiment
     from repro.runner.grid import seed_range

@@ -1,21 +1,20 @@
-"""Two-level sweep cells: a cacheable gateway capture feeding cheap children.
+"""Two-level sweep cells: a shared gateway capture feeding cheap children.
 
-In the ``hybrid`` collection mode the expensive part of a cell is the
-event-driven gateway simulation; the analytic (M/D/1) network noise applied
-afterwards costs microseconds.  Grids like Figure 8's 24-hour sweep evaluate
-the *same* gateway under many different network conditions, so re-simulating
-the gateway per grid point repeats identical work once per hour.
+In the ``hybrid`` collection mode a cell's gateway capture is the part that
+does not depend on the network; the analytic (M/D/1) network noise applied
+afterwards depends on it alone.  Grids like Figure 8's 24-hour sweep
+evaluate the *same* gateway under many different network conditions, so
+capturing the gateway per grid point repeats identical work once per hour.
 
 This module splits such cells in two:
 
-* :class:`CaptureSpec` — the *parent*: one event-simulated gateway capture
-  (both payload rates, both seed offsets), content-addressed by a fingerprint
-  over exactly the fields the gateway simulation reads (policy, payload
-  rates, disturbance, packet size, warmup, seed, offsets — **not** the hop
-  count, link rate or utilization, which only affect the analytic noise).
-  Capture results are cached in the :class:`~repro.runner.store.ResultsStore`
-  like any other record, so a warm store performs **zero** gateway
-  simulations.
+* :class:`CaptureSpec` — the *parent*: one gateway capture (both payload
+  rates, both seed offsets), keyed by a fingerprint over exactly the fields
+  the gateway simulation reads (policy, payload rates, disturbance, packet
+  size, warmup, seed, offsets — **not** the hop count, link rate or
+  utilization, which only affect the analytic noise).  The fingerprint
+  enters every child's fingerprint and is the key the runner shares one
+  capture under; a capture is simulated once per sweep and never stored.
 * the *children* — ordinary :class:`~repro.runner.cells.SweepCell` objects
   carrying a ``capture`` reference; executing one applies the per-scenario
   network noise to the parent's intervals and mounts the attack.
@@ -29,7 +28,6 @@ and the stream *name* only, never from creation order).
 
 from __future__ import annotations
 
-import base64
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
@@ -127,7 +125,7 @@ class CaptureSpec:
         }
 
     def fingerprint(self) -> str:
-        """Content hash of :meth:`config_dict`; the capture's cache key.
+        """Content hash of :meth:`config_dict`; the capture's sharing key.
 
         Hashed once per instance (every field is frozen) and kept in ``__dict__``.
         """
@@ -138,90 +136,18 @@ class CaptureSpec:
         return cached
 
 
-def _encode_intervals(values: np.ndarray) -> str:
-    """One interval array as base64 of its little-endian float64 bytes.
-
-    The bytes round-trip every float64 exactly (``-0.0``, subnormals and the
-    largest finite value included), as ``repr``-formatted JSON numbers did,
-    at a fraction of the size and encode time of a list of Python floats.
-    """
-    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
-
-
-def _decode_intervals(values: Any, fingerprint: str) -> np.ndarray:
-    """Inverse of :func:`_encode_intervals`; also reads the legacy float-list form.
-
-    Returns a writable native float64 array.  A payload that is not valid
-    base64, or whose byte length is not a multiple of 8, raises
-    :class:`~repro.exceptions.ConfigurationError` naming the capture.
-    """
-    if not isinstance(values, str):
-        return np.asarray(values, dtype=float)  # records written before the bytes form
-    try:
-        raw = base64.b64decode(values, validate=True)
-    except ValueError as exc:  # binascii.Error, or a non-ASCII str
-        raise ConfigurationError(
-            f"gateway capture {fingerprint} holds an interval payload that is "
-            f"not valid base64: {exc}"
-        ) from exc
-    if len(raw) % 8:
-        raise ConfigurationError(
-            f"gateway capture {fingerprint} holds an interval payload of "
-            f"{len(raw)} bytes, not a whole number of float64 values"
-        )
-    return np.frombuffer(bytearray(raw), dtype="<f8").astype(np.float64, copy=False)
-
-
 @dataclass
 class CaptureResult:
     """The gateway intervals produced by one executed :class:`CaptureSpec`.
 
-    ``intervals`` maps seed offset → class label → gateway-egress PIATs.  In
-    the JSON payload each array is one base64 string of its little-endian
-    float64 bytes (:func:`_encode_intervals`), about 11 bytes per interval:
-    roughly half a megabyte for a fast-preset figure capture, far larger
-    than a cell result, but amortised over every child that shares it.
-    Records that hold the arrays as lists of floats are still read.
+    ``intervals`` maps seed offset → class label → gateway-egress PIATs.
+    Held in memory only, from the first child that needs it to the last.
     """
 
     key: str
     fingerprint: str
     intervals: Dict[str, Dict[str, np.ndarray]]
     elapsed_seconds: float = 0.0
-    from_cache: bool = False
-
-    def to_json_dict(self) -> Dict[str, Any]:
-        """JSON-able payload for the results store."""
-        return {
-            "intervals": {
-                offset: {label: _encode_intervals(values) for label, values in per_label.items()}
-                for offset, per_label in self.intervals.items()
-            },
-            "elapsed_seconds": self.elapsed_seconds,
-        }
-
-    @classmethod
-    def from_json_dict(
-        cls,
-        key: str,
-        fingerprint: str,
-        payload: Dict[str, Any],
-        from_cache: bool = True,
-    ) -> "CaptureResult":
-        """Rebuild a capture from a store record (inverse of :meth:`to_json_dict`)."""
-        return cls(
-            key=key,
-            fingerprint=fingerprint,
-            intervals={
-                offset: {
-                    label: _decode_intervals(values, fingerprint)
-                    for label, values in per_label.items()
-                }
-                for offset, per_label in payload["intervals"].items()
-            },
-            elapsed_seconds=float(payload.get("elapsed_seconds", 0.0)),
-            from_cache=from_cache,
-        )
 
 
 def run_capture(spec: CaptureSpec) -> CaptureResult:
@@ -229,7 +155,7 @@ def run_capture(spec: CaptureSpec) -> CaptureResult:
 
     Pure function of the spec's fields, exactly like
     :func:`repro.runner.cells.run_cell` — which is what makes the capture
-    cacheable and shareable across workers.
+    shareable across cells and workers.
     """
     start = time.perf_counter()
     streams = RandomStreams(seed=spec.seed)

@@ -71,7 +71,7 @@ class GridPoint:
     """One seed-free point of a grid: a scenario plus its display key.
 
     ``shared_capture`` marks the point as a two-level hybrid cell: its
-    gateway capture is factored into a cacheable
+    gateway capture is factored into a
     :class:`~repro.runner.capture.CaptureSpec` shared with every other point
     that has the same gateway configuration and seed offsets.
 

@@ -8,10 +8,10 @@ an optional :class:`~repro.runner.store.ResultsStore` so that repeated
 sweeps skip the simulation entirely.  Two-level cells (a shared gateway
 capture feeding per-scenario children, :mod:`repro.runner.capture`) give
 each capture a lifetime: the executor pulls cell tasks from a lazy stream in
-grid order, the runner resolves a capture (served from the store, or
-simulated once and stored) when the stream reaches its first pending child,
-every child's task carries the capture to wherever it runs, and the runner
-drops its reference once the capture's last child has an outcome.  When a
+grid order, the runner simulates a capture when the stream reaches its first
+pending child, every child's task carries the capture to wherever it runs,
+and the runner drops its reference once the capture's last child has an
+outcome.  Captures are never stored: only cell results are.  When a
 capture's children are contiguous in the grid, as every registered
 experiment's are, an inline run holds one capture at a time.
 
@@ -34,7 +34,7 @@ from __future__ import annotations
 import time
 import traceback
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, Optional
 
 from repro.exceptions import ConfigurationError, SweepError
 from repro.runner.capture import CaptureResult, CaptureSpec, run_capture
@@ -45,22 +45,14 @@ from repro.runner.store import ResultsStore
 
 
 def _accounting(
-    cells: int,
-    simulated: int,
-    hits: int,
-    deduplicated: int,
-    captures_simulated: int,
-    capture_hits: int,
+    cells: int, simulated: int, hits: int, deduplicated: int, captures_simulated: int
 ) -> str:
     """The cache-accounting counts of one sweep, or of every sweep a runner ran."""
     line = f"{cells} cells, {simulated} simulated, {hits} cache hits"
     if deduplicated:
         line += f", {deduplicated} deduplicated"
-    if captures_simulated or capture_hits:
-        line += (
-            f", {captures_simulated} gateway captures simulated, "
-            f"{capture_hits} capture cache hits"
-        )
+    if captures_simulated:
+        line += f", {captures_simulated} gateway captures simulated"
     return line
 
 
@@ -71,15 +63,14 @@ class SweepReport:
     ``hits`` counts cells served from the persistent store, ``misses`` cells
     actually simulated, and ``deduplicated`` cells that shared a fingerprint
     with another cell in the same sweep and rode along with its result.
-    ``capture_hits`` / ``captures_simulated`` account the shared gateway
-    captures of two-level cells the same way.
+    ``captures_simulated`` counts the shared gateway captures of two-level
+    cells, one per distinct capture with a pending child.
     """
 
     results: Dict[str, CellResult] = field(default_factory=dict)
     hits: int = 0
     misses: int = 0
     deduplicated: int = 0
-    capture_hits: int = 0
     captures_simulated: int = 0
     elapsed_seconds: float = 0.0
 
@@ -94,7 +85,6 @@ class SweepReport:
             self.hits,
             self.deduplicated,
             self.captures_simulated,
-            self.capture_hits,
         )
 
 
@@ -143,7 +133,6 @@ class SweepRunner:
         self.cache_hits = 0
         self.cache_misses = 0
         self.cells_deduplicated = 0
-        self.capture_hits = 0
         self.captures_simulated = 0
 
     # ------------------------------------------------------------------- api
@@ -189,7 +178,6 @@ class SweepRunner:
                 fingerprint = cell.capture.fingerprint()
                 children_left[fingerprint] = children_left.get(fingerprint, 0) + 1
         live: Dict[str, CaptureResult] = {}
-        capture_from_cache: List[bool] = []
 
         def tasks() -> Iterator[Task]:
             for cell in pending.values():
@@ -199,7 +187,6 @@ class SweepRunner:
                 fingerprint = cell.capture.fingerprint()
                 if fingerprint not in live:
                     live[fingerprint] = self._resolve_capture(cell.capture)
-                    capture_from_cache.append(live[fingerprint].from_cache)
                 yield cell, live[fingerprint]
 
         workers = 1 if self.backend_name == "serial" else self.jobs
@@ -233,13 +220,11 @@ class SweepRunner:
                 misses += 1
             else:
                 deduplicated += 1
-        run_hits = sum(capture_from_cache)
-        run_captures = len(capture_from_cache) - run_hits
+        run_captures = len(children_left)  # each simulated once, at its first child
         self.cells_seen += len(cell_list)
         self.cache_hits += hits
         self.cache_misses += misses
         self.cells_deduplicated += deduplicated
-        self.capture_hits += run_hits
         self.captures_simulated += run_captures
 
         results = {
@@ -251,7 +236,6 @@ class SweepRunner:
             hits=hits,
             misses=misses,
             deduplicated=deduplicated,
-            capture_hits=run_hits,
             captures_simulated=run_captures,
             elapsed_seconds=time.perf_counter() - start,
         )
@@ -264,29 +248,12 @@ class SweepRunner:
             self.cache_hits,
             self.cells_deduplicated,
             self.captures_simulated,
-            self.capture_hits,
         )
         return f"sweep summary: {counts}, jobs={self.jobs}, backend={self.backend_name}"
 
     # -------------------------------------------------------------- internals
     def _resolve_capture(self, spec: CaptureSpec) -> CaptureResult:
-        """Serve a gateway capture from the store, or simulate and store it.
-
-        Persisted like a cell result (``kind="capture"``), so later sweeps
-        reuse it without touching the gateway simulator.  The simulation
-        runs inline.
-        """
-        fingerprint = spec.fingerprint()
-        record = (
-            self.store.get(fingerprint, kind="capture")
-            if self.store is not None
-            else None
-        )
-        if record is not None:
-            self._report(f"gateway capture {spec.key}: cache hit")
-            return CaptureResult.from_json_dict(
-                spec.key, fingerprint, record["result"], from_cache=True
-            )
+        """Simulate a gateway capture inline; a failure aborts the sweep naming it."""
         try:
             outcome = run_capture(spec)
         except Exception as exc:
@@ -294,10 +261,6 @@ class SweepRunner:
                 f"gateway capture {spec.key!r} failed: {type(exc).__name__}: {exc}\n"
                 f"--- worker traceback ---\n{traceback.format_exc()}"
             ) from None
-        if self.store is not None:
-            self.store.put(
-                fingerprint, spec.config_dict(), outcome.to_json_dict(), kind="capture"
-            )
         self._report(
             f"gateway capture {outcome.key}: simulated in {outcome.elapsed_seconds:.2f}s"
         )

@@ -14,34 +14,24 @@ Each line is a self-contained record::
 
     {"schema": 1, "kind": "cell", "fingerprint": "<sha256>", "config": {...}, "result": {...}}
 
-``fingerprint`` is the content hash of the cell (or capture) configuration
+``fingerprint`` is the content hash of the cell configuration
 (:meth:`repro.runner.cells.SweepCell.fingerprint`); ``config`` is the full
 configuration dict kept alongside for auditability (a record can be traced
 back to its scenario without the code that produced it); ``result`` is the
-:meth:`repro.runner.cells.CellResult.to_json_dict` (or
-:meth:`repro.runner.capture.CaptureResult.to_json_dict`) payload; ``kind``
-distinguishes ordinary sweep cells from shared gateway captures (a record
-without one counts as a cell).  A capture record's ``result`` holds each
-interval array as one base64 string of its little-endian float64 bytes::
-
-    {"schema": 1, "kind": "capture", ..., "result": {"intervals": {"train": {"low": "AAAA…", ...}}, ...}}
-
-Capture records written as lists of floats by earlier releases are still
-read; only :mod:`repro.runner.capture` knows either form.
+:meth:`repro.runner.cells.CellResult.to_json_dict` payload.  Only cell
+records are written.  Stores from earlier releases may also hold shared
+gateway captures (``"kind": "capture"``): :meth:`~ResultsStore.get` never
+serves one, :meth:`~ResultsStore.stats` counts them and
+:meth:`~ResultsStore.compact` keeps them.  A record without ``kind`` counts
+as a cell.
 
 Sharding keeps lookups O(1) file reads — a warm sweep never loads the whole
 store — and keeps any one directory small enough for ordinary tooling once
 stores grow to many thousands of records.  :meth:`compact` drops superseded
-duplicate records.
+duplicate records.  A :class:`ResultsStore` instance holds no records in
+memory: every :meth:`~ResultsStore.get` reads its shard.
 
-A :class:`ResultsStore` instance keeps an in-memory index of every shard it
-has parsed or written: the kind of its winning record and nothing else.  No
-record payload is held there; :meth:`~ResultsStore.get` reads a record back
-from its shard on every call, while existence checks (``in``,
-:meth:`~ResultsStore.has`, :meth:`~ResultsStore.fingerprints`) answer from the
-index, so each shard is parsed at most once for them.
-
-The format is deliberately boring: an append is one ``writev`` call of the
+The format is deliberately boring: an append is one ``write`` call of the
 record's line (finished by further calls only after a short write), a
 half-written last line (from a killed run) is skipped on load, duplicate
 fingerprints resolve to the *last* record, and the files diff/merge cleanly
@@ -55,7 +45,7 @@ import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.exceptions import ConfigurationError
 from repro.runner.cells import SCHEMA_VERSION
@@ -63,74 +53,9 @@ from repro.runner.cells import SCHEMA_VERSION
 #: Fingerprints become file names; restrict them to boring hash-like tokens.
 _FINGERPRINT_RE = re.compile(r"[0-9a-zA-Z]{3,128}")
 
-#: Strings ``json.dumps`` writes verbatim between quotes: printable ASCII
-#: other than ``"`` and ``\``.
-_VERBATIM_STRING_RE = re.compile(r'[ !#-\[\]-~]*')
 
-#: A verbatim string at least this long (a capture's base64 intervals) is
-#: appended from a buffer of its own instead of being copied into the line.
-_OWN_BUFFER_CHARS = 1024
-
-#: ``json.dumps(value, sort_keys=True)`` without building an encoder per call.
-_encode = json.JSONEncoder(sort_keys=True).encode
-
-#: Buffers per ``writev`` call (``IOV_MAX`` on Linux and macOS).
-_IOV_MAX = 1024
-
-
-def _line_pieces(record: Dict[str, Any]) -> List[bytes]:
-    """``json.dumps(record, sort_keys=True) + "\\n"``, encoded, as a list of buffers.
-
-    Joining the pieces gives exactly that line.  Dicts with string keys are
-    walked so that each long verbatim string becomes a buffer of its own,
-    encoded once and never quoted, joined or newline-copied; every other
-    value is serialised by ``json.dumps`` into the buffers between them, so
-    a record without long verbatim strings is a single buffer.
-    """
-    pieces: List[bytes] = []
-    text: List[str] = []
-    _emit(record, pieces, text)
-    text.append("\n")
-    pieces.append("".join(text).encode("ascii"))
-    return pieces
-
-
-def _emit(value: Any, pieces: List[bytes], text: List[str]) -> None:
-    """Serialise ``value`` onto ``text``, moving long verbatim strings to ``pieces``.
-
-    A module-level function, not a closure: a recursive closure is a
-    reference cycle, which would keep every buffer of a ``put`` alive until
-    the cyclic garbage collector runs.
-    """
-    if (
-        isinstance(value, str)
-        and len(value) >= _OWN_BUFFER_CHARS
-        and _VERBATIM_STRING_RE.fullmatch(value)
-    ):
-        text.append('"')
-        pieces.append("".join(text).encode("ascii"))
-        pieces.append(value.encode("ascii"))
-        text.clear()
-        text.append('"')
-    elif isinstance(value, dict) and all(isinstance(key, str) for key in value):
-        text.append("{")
-        for position, key in enumerate(sorted(value)):
-            if position:
-                text.append(", ")
-            text.append(_encode(key))
-            text.append(": ")
-            _emit(value[key], pieces, text)
-        text.append("}")
-    else:
-        text.append(_encode(value))
-
-
-def _append(path: Path, pieces: List[bytes]) -> None:
-    """Append ``pieces`` to ``path`` in one ``writev`` call.
-
-    Further calls happen only to finish a short write or to pass more than
-    ``_IOV_MAX`` buffers.
-    """
+def _append(path: Path, line: bytes) -> None:
+    """Append ``line`` to ``path`` in one ``write`` call, more only after a short write."""
     flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT
     try:
         fd = os.open(path, flags, 0o666)
@@ -140,13 +65,9 @@ def _append(path: Path, pieces: List[bytes]) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd = os.open(path, flags, 0o666)
     try:
-        buffers = [memoryview(piece) for piece in pieces]
-        while buffers:
-            written = os.writev(fd, buffers[:_IOV_MAX])
-            while buffers and written >= len(buffers[0]):
-                written -= len(buffers.pop(0))
-            if written:
-                buffers[0] = buffers[0][written:]
+        view = memoryview(line)
+        while view:
+            view = view[os.write(fd, view):]
     finally:
         os.close(fd)
 
@@ -156,8 +77,9 @@ class StoreStats:
     """Health snapshot of a results store (``repro cache stats``).
 
     ``records`` counts winning records (one per fingerprint); ``cells`` /
-    ``captures`` split them by record kind.  ``superseded`` counts lines
-    shadowed by a newer record for the same fingerprint — the waste a
+    ``captures`` split them by record kind (only earlier releases wrote
+    capture records).  ``superseded`` counts lines shadowed by a newer
+    record for the same fingerprint — the waste a
     compaction targets, though :meth:`ResultsStore.compact` deliberately
     leaves files it cannot fully interpret (foreign-schema or truncated
     lines) untouched, so the counter can stay non-zero after compacting.
@@ -218,8 +140,6 @@ class ResultsStore:
                 f"convert it into shards with 'repro cache compact' from an earlier "
                 f"release that still reads that layout"
             )
-        # fingerprint -> kind of its winning record; payloads stay on disk.
-        self._index: Dict[str, str] = {}
 
     # ----------------------------------------------------------------- layout
     @property
@@ -239,7 +159,7 @@ class ResultsStore:
                 f"fingerprint {fingerprint!r} is not a hash-like token"
             )
 
-    # ------------------------------------------------------------------ index
+    # ---------------------------------------------------------------- records
     @staticmethod
     def _raw_records(path: Path) -> List[Dict[str, Any]]:
         """Every parseable JSON record in ``path`` with a string ``fingerprint``.
@@ -290,78 +210,36 @@ class ResultsStore:
         records = [r for r in cls.read_records(path) if r["fingerprint"] == path.stem]
         return records[-1] if records else None
 
-    def _remember(self, fingerprint: str, record: Dict[str, Any]) -> None:
-        """Index ``record`` by its kind alone (a record without one is a cell)."""
-        self._index[fingerprint] = record.get("kind", "cell")
+    def get(self, fingerprint: str) -> Optional[Dict[str, Any]]:
+        """The cell record for ``fingerprint``, or ``None`` on a cache miss.
 
-    def _load(self, fingerprint: str) -> Optional[Dict[str, Any]]:
-        """Parse the shard winner of ``fingerprint`` and index it; ``None`` if absent."""
+        Read from its shard on every call.  Within a shard the last valid
+        record wins; a winner that is not a cell (a capture record from an
+        earlier release) is a miss, never a fallback to an older cell record
+        of the same shard.
+        """
         try:
             record = self.shard_winner(self.shard_path(fingerprint))
         except ConfigurationError:
             return None  # not a hash-like token, so never stored
-        if record is not None:
-            self._remember(fingerprint, record)
-        return record
-
-    def get(self, fingerprint: str, kind: str = "cell") -> Optional[Dict[str, Any]]:
-        """The record for ``fingerprint``, or ``None`` on a cache miss.
-
-        Within a shard the last record wins.  ``kind`` filters out records
-        of the other record family (a record without ``kind`` counts as a
-        cell).  The record is read from its shard on every call (see the
-        module docstring) unless the index already knows the fingerprint is
-        of another kind, so callers that only ask whether a record exists
-        should use :meth:`has`.
-
-        The kind filter applies *after* the winner is resolved: when a shard
-        holds a winning record of the wrong ``kind``, the lookup returns
-        ``None`` without falling back to an older same-kind record.  This is
-        deliberate last-record-wins semantics: the newest record for a
-        fingerprint is the truth about it, and a kind mismatch means the
-        caller is asking for a record family that fingerprint no longer is
-        (pinned by tests in ``tests/runner/test_store.py``).
-        """
-        indexed = self._index.get(fingerprint)
-        if indexed is not None and indexed != kind:
-            return None
-        record = self._load(fingerprint)
-        if record is None or record.get("kind", "cell") != kind:
+        if record is None or record.get("kind", "cell") != "cell":
             return None
         return record
 
-    def has(self, fingerprint: str, kind: str = "cell") -> bool:
-        """Whether a ``kind`` record is stored for ``fingerprint``.
+    def put(self, fingerprint: str, config: Dict[str, Any], result: Dict[str, Any]) -> None:
+        """Append one cell record to its shard file.
 
-        Answers from the in-memory index once the shard has been parsed, and
-        keeps no record payload in memory.
-        """
-        if fingerprint not in self._index:
-            self._load(fingerprint)
-        return self._index.get(fingerprint) == kind
-
-    def put(
-        self,
-        fingerprint: str,
-        config: Dict[str, Any],
-        result: Dict[str, Any],
-        kind: str = "cell",
-    ) -> None:
-        """Append one record to its shard file and index its kind.
-
-        The line is ``json.dumps(record, sort_keys=True) + "\\n"`` to the
-        byte, written from its pieces (see :func:`_line_pieces`) so that a
-        capture's payload is never copied into one whole line.
+        The line is ``json.dumps(record, sort_keys=True) + "\\n"``.
         """
         record = {
             "schema": SCHEMA_VERSION,
-            "kind": kind,
+            "kind": "cell",
             "fingerprint": fingerprint,
             "config": config,
             "result": result,
         }
-        _append(self.shard_path(fingerprint), _line_pieces(record))
-        self._remember(fingerprint, record)
+        line = json.dumps(record, sort_keys=True) + "\n"
+        _append(self.shard_path(fingerprint), line.encode("utf-8"))
 
     # ------------------------------------------------------------- compaction
     def shard_files(self) -> List[Path]:
@@ -457,37 +335,8 @@ class ResultsStore:
             ),
         )
 
-    # -------------------------------------------------------------- protocols
-    def fingerprints(self) -> Iterator[str]:
-        """All cached fingerprints, in shard path order.
-
-        Each shard is parsed at most once per store instance (the kind of its
-        winner is indexed), so repeated listings of a large
-        store cost one directory scan plus dictionary lookups.
-        """
-        seen: List[str] = []
-        seen_set = set()
-        for path in self.shard_files():
-            fingerprint = path.stem
-            if fingerprint in seen_set:
-                continue
-            if fingerprint not in self._index:
-                record = self.shard_winner(path)
-                if record is None:
-                    continue
-                self._remember(fingerprint, record)
-            seen.append(fingerprint)
-            seen_set.add(fingerprint)
-        return iter(seen)
-
-    def __contains__(self, fingerprint: str) -> bool:
-        return self.has(fingerprint, kind="cell") or self.has(fingerprint, kind="capture")
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.fingerprints())
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"ResultsStore(root={str(self._root)!r}, records={len(self)})"
+        return f"ResultsStore(root={str(self._root)!r})"
 
 
 __all__ = ["CompactionStats", "ResultsStore", "StoreStats"]

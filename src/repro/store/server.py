@@ -244,7 +244,7 @@ class _Handler(BaseHTTPRequestHandler):
         report: Dict[str, CellResult] = {}
         missing: List[str] = []
         for cell in cells:
-            record = store.get(cell.fingerprint(), kind="cell")
+            record = store.get(cell.fingerprint())
             if record is None:
                 missing.append(cell.key)
                 continue

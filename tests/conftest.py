@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import asdict
 
 import numpy as np
@@ -135,6 +136,30 @@ def reference_cell_config():
 def reference_capture_config():
     """Capture config built with plain ``asdict``, the reference for cached dicts."""
     return _reference_capture_config
+
+
+def _put_capture_record(store, fingerprint, config, result):
+    """Append a ``"kind": "capture"`` record to ``store`` byte for byte as
+    earlier releases wrote one; the store itself writes cell records only."""
+    from repro.runner.cells import SCHEMA_VERSION
+
+    record = {
+        "schema": SCHEMA_VERSION,
+        "kind": "capture",
+        "fingerprint": fingerprint,
+        "config": config,
+        "result": result,
+    }
+    path = store.shard_path(fingerprint)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("a", encoding="utf-8") as handle:
+        handle.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+@pytest.fixture(scope="session")
+def put_capture_record():
+    """Writes a capture record as a store from an earlier release holds one."""
+    return _put_capture_record
 
 
 @pytest.fixture(scope="session")

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import json
+import base64
 import pickle
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
@@ -20,7 +19,6 @@ from repro.experiments import (
     ScenarioConfig,
 )
 from repro.runner import (
-    CaptureResult,
     CaptureSpec,
     GridSpec,
     ResultsStore,
@@ -136,37 +134,6 @@ class TestCaptureSpec:
                 key="a", scenario=lab_scenario(), n_intervals=100,
                 seed_offsets=("same", "same"),
             )
-
-    def test_result_round_trips_through_json(self):
-        spec = CaptureSpec(key="a", scenario=lab_scenario(), n_intervals=10, seed=11)
-        result = run_capture(spec)
-        extremes = np.array([0.25, -0.0, 5e-324, 1.7976931348623157e308, 1e-3])
-        result.intervals["train"]["low"] = extremes
-        payload = json.loads(json.dumps(result.to_json_dict()))
-        restored = CaptureResult.from_json_dict(result.key, result.fingerprint, payload)
-        assert restored.from_cache
-        for offset, per_label in result.intervals.items():
-            for label, values in per_label.items():
-                assert isinstance(payload["intervals"][offset][label], str)
-                decoded = restored.intervals[offset][label]
-                assert decoded.tobytes() == values.tobytes()
-                assert decoded.dtype == np.float64
-                assert decoded.flags.writeable
-
-    @pytest.mark.parametrize(
-        "corrupt, reason",
-        [
-            ("not base64!", "not valid base64"),
-            ("AAAA", "not a whole number of float64 values"),  # 3 bytes
-        ],
-    )
-    def test_corrupt_payload_raises_configuration_error(self, corrupt, reason):
-        spec = CaptureSpec(key="a", scenario=lab_scenario(), n_intervals=10, seed=11)
-        payload = run_capture(spec).to_json_dict()
-        payload["intervals"]["test"]["high"] = corrupt
-        with pytest.raises(ConfigurationError, match=reason) as excinfo:
-            CaptureResult.from_json_dict("a", spec.fingerprint(), payload)
-        assert spec.fingerprint() in str(excinfo.value)
 
 
 class TestChildCellValidation:
@@ -418,68 +385,85 @@ class TestCaptureCaching:
         runner = SweepRunner(store=ResultsStore(tmp_path))
         report = runner.run(children)
         assert report.captures_simulated == 1
-        assert report.capture_hits == 0
         assert "1 gateway captures simulated" in report.summary()
+        stats = ResultsStore(tmp_path).stats()
+        assert (stats.cells, stats.captures) == (3, 0)  # captures are never stored
 
-    def test_warm_capture_performs_zero_gateway_simulations(self, tmp_path, monkeypatch):
-        """The acceptance bar: cached capture => the event simulator never runs."""
-        children = [two_level_cell(u) for u in (0.1, 0.4)]
-        cold = SweepRunner(store=ResultsStore(tmp_path)).run(children)
+    def test_legacy_capture_record_is_simulated_again(
+        self, tmp_path, put_capture_record, capsys
+    ):
+        """A store from an earlier release may hold a shared capture: the
+        sweep never reads it back, and the store keeps it untouched."""
+        from repro.cli import main
 
-        # Keep only the capture records: the children must recompute their
-        # noise, but the gateway must come from the cache.
-        capture_only = ResultsStore(tmp_path / "captures")
-        full = ResultsStore(tmp_path)
-        for fingerprint in full.fingerprints():
-            record = full.get(fingerprint, kind="capture")
-            if record is not None:
-                capture_only.put(fingerprint, record["config"], record["result"], kind="capture")
-
-        import repro.runner.capture as capture_module
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("gateway simulation ran despite a cached capture")
-
-        monkeypatch.setattr(capture_module, "simulate_gateway_capture", forbidden)
-        runner = SweepRunner(store=capture_only)  # jobs=1: children run inline
-        warm = runner.run(children)
-        assert warm.captures_simulated == 0
-        assert warm.capture_hits == 1
-        assert warm.misses == len(children)  # the cheap noise half recomputed
-        for cell in children:
-            assert (
-                warm[cell.key].empirical_detection_rate
-                == cold[cell.key].empirical_detection_rate
-            )
-
-    def test_legacy_capture_record_serves_a_warm_child(self, tmp_path, monkeypatch):
-        """A store written before the bytes encoding keeps its captures warm."""
-        child = two_level_cell(0.3)
-        cold = SweepRunner(store=ResultsStore(tmp_path / "cold")).run([child])
-
-        legacy = ResultsStore(tmp_path / "legacy")
-        spec = child.capture
+        cells = get_experiment("fig6", "quick").cells()
+        [spec] = {cell.capture.fingerprint(): cell.capture for cell in cells}.values()
+        store = ResultsStore(tmp_path / "legacy")
         intervals = run_capture(spec).intervals
-        legacy_result = {  # the float-list form earlier releases wrote
-            "intervals": {
-                offset: {label: values.tolist() for label, values in per_label.items()}
-                for offset, per_label in intervals.items()
+        put_capture_record(  # the payload form the last release to store captures wrote
+            store,
+            spec.fingerprint(),
+            spec.config_dict(),
+            {
+                "intervals": {
+                    offset: {
+                        label: base64.b64encode(values.astype("<f8").tobytes()).decode("ascii")
+                        for label, values in per_label.items()
+                    }
+                    for offset, per_label in intervals.items()
+                },
+                "elapsed_seconds": 0.01,
             },
-            "elapsed_seconds": 0.0,
-        }
-        legacy.put(spec.fingerprint(), spec.config_dict(), legacy_result, kind="capture")
-
-        import repro.runner.capture as capture_module
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("gateway simulation ran despite a cached capture")
-
-        monkeypatch.setattr(capture_module, "simulate_gateway_capture", forbidden)
-        warm = SweepRunner(store=ResultsStore(tmp_path / "legacy")).run([child])
-        assert (warm.captures_simulated, warm.capture_hits) == (0, 1)
-        assert replace(warm[child.key], elapsed_seconds=0.0) == replace(
-            cold[child.key], elapsed_seconds=0.0
         )
+        shard = store.shard_path(spec.fingerprint())
+        written = shard.read_bytes()
+
+        base = ["run", "fig6", "--preset", "quick", "--backend", "serial"]
+        assert main(base) == 0
+        storeless = capsys.readouterr().out
+        assert main(base + ["--cache-dir", str(store.root)]) == 0
+        cold = capsys.readouterr()
+        assert cold.out == storeless
+        assert "1 gateway captures simulated" in cold.err
+        assert ", 0 cache hits" in cold.err
+
+        assert store.get(spec.fingerprint()) is None
+        assert store.stats().captures == 1
+        store.compact()
+        assert shard.read_bytes() == written
+        assert store.stats().captures == 1
+
+    @pytest.mark.parametrize(
+        "backend", [["--backend", "serial"], ["--backend", "process", "--jobs", "2"]],
+        ids=["serial", "process-2"],
+    )
+    def test_a_partly_warm_store_simulates_the_missing_seeds_capture(
+        self, tmp_path, capsys, backend
+    ):
+        """Cells of one seed left in the store: the other seed's cells and
+        its shared capture are simulated again, and the report is unchanged."""
+        from repro.cli import main
+        from repro.runner import seed_range
+
+        argv = ["run", "fig6", "--preset", "fast", "--seeds", "2", *backend,
+                "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        cold = capsys.readouterr()
+        assert "2 gateway captures simulated" in cold.err
+        store = ResultsStore(tmp_path)
+        cells = get_experiment("fig6", "fast").cells(seed_range(2003, 2))
+        dropped = [cell for cell in cells if cell.seed == 2004]
+        assert 0 < len(dropped) < len(cells)
+        for cell in dropped:
+            store.shard_path(cell.fingerprint()).unlink()
+
+        assert main(argv) == 0
+        partial = capsys.readouterr()
+        assert partial.out == cold.out
+        assert (
+            f"{len(cells)} cells, {len(dropped)} simulated, "
+            f"{len(cells) - len(dropped)} cache hits, 1 gateway captures simulated"
+        ) in partial.err
 
     def test_serial_run_holds_one_capture_at_a_time(self, tmp_path, monkeypatch):
         """Three captures, each with a contiguous group of children: a capture
@@ -519,8 +503,24 @@ class TestCaptureCaching:
         SweepRunner(store=ResultsStore(tmp_path)).run(children)
         warm = SweepRunner(store=ResultsStore(tmp_path)).run(children)
         assert (warm.hits, warm.misses) == (2, 0)
+        assert warm.captures_simulated == 0  # warm cells never resolve their parent
+
+    def test_warm_capture_performs_zero_gateway_simulations(self, tmp_path, monkeypatch):
+        """With every child's cell in the store, the gateway simulator never runs."""
+        children = [two_level_cell(u) for u in (0.1, 0.4)]
+        cold = SweepRunner(store=ResultsStore(tmp_path)).run(children)
+
+        import repro.runner.capture as capture_module
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("gateway simulation ran for a warm child")
+
+        monkeypatch.setattr(capture_module, "simulate_gateway_capture", forbidden)
+        warm = SweepRunner(store=ResultsStore(tmp_path)).run(children)
         assert warm.captures_simulated == 0
-        assert warm.capture_hits == 0  # warm cells never resolve their parent
+        for cell in children:
+            assert warm[cell.key].from_cache
+            assert replace(warm[cell.key], from_cache=False) == cold[cell.key]
 
     def test_capture_results_are_deterministic_across_jobs(self):
         children = [two_level_cell(u) for u in (0.1, 0.2, 0.3, 0.4)]

@@ -147,7 +147,7 @@ class TestFailurePropagation:
         )
         with pytest.raises(SweepError):
             SweepRunner(store=store).run([poison])
-        assert poison.fingerprint() not in store
+        assert store.get(poison.fingerprint()) is None
 
 
 class TestFailFast:

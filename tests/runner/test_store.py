@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import base64
 import gc
 import json
 import os
@@ -33,8 +32,7 @@ def raw_record(fingerprint, result, schema=SCHEMA_VERSION):
 class TestResultsStore:
     def test_miss_returns_none(self, store):
         assert store.get("deadbeef") is None
-        assert "deadbeef" not in store
-        assert len(store) == 0
+        assert store.stats().records == 0
 
     def test_put_then_get(self, store):
         store.put("abc", {"seed": 1}, RESULT)
@@ -42,7 +40,7 @@ class TestResultsStore:
         assert record["result"] == RESULT
         assert record["config"] == {"seed": 1}
         assert record["schema"] == SCHEMA_VERSION
-        assert "abc" in store and len(store) == 1
+        assert record["kind"] == "cell"
 
     def test_persists_across_instances(self, store):
         store.put("abc", {}, RESULT)
@@ -105,11 +103,10 @@ class TestResultsStore:
         path.write_text(raw_record("xyz9", RESULT, schema=SCHEMA_VERSION + 1) + "\n")
         assert store.get("xyz9") is None
 
-    def test_kinds_are_separate_namespaces(self, store):
-        store.put("abc", {}, RESULT, kind="capture")
+    def test_capture_records_are_never_served(self, store, put_capture_record):
+        put_capture_record(store, "abc", {}, RESULT)
         assert store.get("abc") is None
-        assert store.get("abc", kind="capture")["result"] == RESULT
-        assert "abc" in store
+        assert ResultsStore.shard_winner(store.shard_path("abc"))["kind"] == "capture"
 
     def test_rejects_pathological_fingerprints_on_put(self, store):
         for bad in ("", "ab", "a/../b", "a b"):
@@ -203,13 +200,13 @@ class TestCompaction:
         assert (stats.records_kept, stats.superseded_dropped) == (1, 1)
         assert ResultsStore(store.root).get("abc456")["result"] == RESULT
 
-    def test_compact_preserves_capture_kind(self, store):
-        store.put("abc", {}, RESULT, kind="capture")
-        store.put("abc", {}, RESULT, kind="capture")
+    def test_compact_preserves_capture_kind(self, store, put_capture_record):
+        put_capture_record(store, "abc", {}, RESULT)
+        put_capture_record(store, "abc", {}, RESULT)
         store.compact()
-        reopened = ResultsStore(store.root)
-        assert reopened.get("abc", kind="capture") is not None
-        assert reopened.get("abc") is None
+        assert len(store.shard_path("abc").read_text().splitlines()) == 1
+        assert ResultsStore.shard_winner(store.shard_path("abc"))["kind"] == "capture"
+        assert ResultsStore(store.root).get("abc") is None
 
 
 class TestStoreStats:
@@ -222,10 +219,10 @@ class TestStoreStats:
         assert stats.schema_versions == ()
         assert "(empty store)" in str(stats)
 
-    def test_counts_winners_kinds_and_superseded(self, store):
+    def test_counts_winners_kinds_and_superseded(self, store, put_capture_record):
         store.put("aaa1", {}, RESULT)
         store.put("aaa1", {}, RESULT)  # superseded duplicate in the same shard
-        store.put("bbb2", {}, RESULT, kind="capture")
+        put_capture_record(store, "bbb2", {}, RESULT)
         stats = store.stats()
         assert stats.records == 2
         assert (stats.cells, stats.captures) == (1, 1)
@@ -277,7 +274,7 @@ class TestDoctoredShards:
         reopened = ResultsStore(store.root)
         # The keyless line is skipped; the good record still wins — no KeyError.
         assert reopened.get("abcd01")["result"] == RESULT
-        assert list(reopened.fingerprints()) == ["abcd01"]
+        assert reopened.stats().records == 1
 
     def test_non_string_fingerprint_is_skipped(self, store):
         store.put("abcd01", {}, RESULT)
@@ -293,28 +290,24 @@ class TestKindFilterPrecedence:
     """Pin the audited kind-filter semantics: precedence first, kind second.
 
     The winning record (the last line in a shard) is the truth about a
-    fingerprint; a kind mismatch on it is a miss, never a
-    fallback to an older same-kind record.
+    fingerprint; a winner that is not a cell is a miss, never a fallback to
+    an older cell record.
     """
 
-    def test_wrong_kind_shard_winner_hides_an_older_shard_record(self, store):
-        store.put("abc", {}, RESULT, kind="cell")
-        store.put("abc", {}, RESULT, kind="capture")  # last record wins
-        reopened = ResultsStore(store.root)
-        assert reopened.get("abc", kind="cell") is None
-        assert reopened.get("abc", kind="capture") is not None
+    def test_wrong_kind_shard_winner_hides_an_older_shard_record(
+        self, store, put_capture_record
+    ):
+        store.put("abc", {}, RESULT)
+        put_capture_record(store, "abc", {}, RESULT)  # last record wins
+        assert ResultsStore(store.root).get("abc") is None
 
 
-CAPTURE = {"intervals": {"train": {"low": "AAAAAAAA8D8="}}, "elapsed_seconds": 0.5}
+class TestLookups:
+    """A store holds no records in memory: every lookup reads its shard."""
 
-FIXTURE_CACHE = Path(__file__).resolve().parent.parent / "fixtures" / "sweep_cache"
-
-
-class TestCapturePayloadsStayOnDisk:
-    """The in-memory index keeps the kind of each record and no payload."""
-
-    @staticmethod
-    def count_shard_reads(monkeypatch):
+    def test_cells_are_read_from_their_shard_on_every_get(self, store, monkeypatch):
+        store.put("abcd01", {}, RESULT)
+        fresh = ResultsStore(store.root)
         reads = []
         original = ResultsStore.read_records
 
@@ -323,72 +316,15 @@ class TestCapturePayloadsStayOnDisk:
             return original(path)
 
         monkeypatch.setattr(ResultsStore, "read_records", staticmethod(spy))
-        return reads
-
-    @staticmethod
-    def assert_no_payload_indexed(store):
-        """Every index entry is the kind of a record, never a record."""
-        assert store._index
-        assert set(store._index.values()) <= {"cell", "capture"}
-
-    def test_index_holds_no_payload_after_put_or_get(self, store):
-        store.put("cafe01", {"seed": 1}, CAPTURE, kind="capture")
-        store.put("abcd01", {"seed": 2}, RESULT)
-        assert store._index == {"cafe01": "capture", "abcd01": "cell"}
-        assert store.get("abcd01")["result"] == RESULT
-        assert store.get("cafe01", kind="capture")["result"] == CAPTURE
-        assert store._index == {"cafe01": "capture", "abcd01": "cell"}
-        fresh = ResultsStore(store.root)
-        assert fresh.get("abcd01")["result"] == RESULT
-        assert fresh.get("cafe01", kind="capture")["result"] == CAPTURE
-        assert fresh._index == {"cafe01": "capture", "abcd01": "cell"}
-
-    def test_get_returns_the_full_capture_record_without_indexing_it(self, store):
-        store.put("cafe01", {"seed": 1}, CAPTURE, kind="capture")
-        record = store.get("cafe01", kind="capture")
-        assert record["result"] == CAPTURE
-        assert record["config"] == {"seed": 1}
-        assert record["kind"] == "capture"
-        self.assert_no_payload_indexed(store)
-        fresh = ResultsStore(store.root)
-        assert fresh.get("cafe01", kind="capture")["result"] == CAPTURE
-        assert fresh.get("cafe01") is None
-        self.assert_no_payload_indexed(fresh)
-
-    def test_existence_checks_parse_a_capture_shard_once(self, store, monkeypatch):
-        store.put("cafe01", {}, CAPTURE, kind="capture")
-        store.put("abcd01", {}, RESULT)
-        fresh = ResultsStore(store.root)
-        reads = self.count_shard_reads(monkeypatch)
-        for _ in range(3):
-            assert "cafe01" in fresh
-            assert fresh.has("cafe01", kind="capture")
-            assert not fresh.has("cafe01")
-            assert sorted(fresh.fingerprints()) == ["abcd01", "cafe01"]
-            assert len(fresh) == 2
-        assert sorted(reads) == ["abcd01", "cafe01"]
-        self.assert_no_payload_indexed(fresh)
-
-    def test_existence_checks_after_put_read_no_shard(self, store, monkeypatch):
-        store.put("cafe01", {}, CAPTURE, kind="capture")
-        reads = self.count_shard_reads(monkeypatch)
-        assert "cafe01" in store and store.has("cafe01", kind="capture")
-        assert reads == []
-        # Only a payload read goes back to the shard.
-        assert store.get("cafe01", kind="capture")["result"] == CAPTURE
-        assert reads == ["cafe01"]
-
-    def test_cells_are_read_from_their_shard_on_every_get(self, store, monkeypatch):
-        store.put("abcd01", {}, RESULT)
-        fresh = ResultsStore(store.root)
-        reads = self.count_shard_reads(monkeypatch)
         assert fresh.get("abcd01")["result"] == RESULT
         assert fresh.get("abcd01")["result"] == RESULT
-        assert fresh.has("abcd01") and "abcd01" in fresh
-        assert fresh.get("abcd01", kind="capture") is None
         assert reads == ["abcd01", "abcd01"]
 
-    def test_warm_sweep_leaves_the_index_payload_free(self, tmp_path):
+    def test_unknown_and_malformed_fingerprints_miss(self, store):
+        for fingerprint in ("deadbeef", "a/../b", "a b"):
+            assert store.get(fingerprint) is None
+
+    def test_warm_sweep_keeps_no_record_in_memory(self, tmp_path):
         cache = tmp_path / "cache"
         shutil.copytree(FIXTURE_CACHE, cache)
         store = ResultsStore(cache)
@@ -398,34 +334,11 @@ class TestCapturePayloadsStayOnDisk:
             for cell in get_experiment(name, "smoke", DEFAULT_SEED).cells()
         ]
         report = SweepRunner(store=store).run(cells)
-        assert report.misses == 0
-        assert len(store._index) == len(list(cache.glob("??/*.jsonl")))
-        self.assert_no_payload_indexed(store)
-
-    def test_has_misses_unknown_and_malformed_fingerprints(self, store):
-        assert not store.has("deadbeef")
-        assert not store.has("a/../b", kind="capture")
-        assert "a b" not in store
+        assert (report.hits, report.misses) == (len(cells), 0)
+        assert vars(store) == {"_root": cache}
 
 
-#: A capture as ``CaptureResult.to_json_dict`` writes it: one base64 string
-#: per interval array, long enough to be appended from its own buffer.
-BASE64_CAPTURE = {
-    "intervals": {
-        offset: {
-            label: base64.b64encode(f"{offset}/{label}".encode() * 300).decode("ascii")
-            for label in ("low", "high")
-        }
-        for offset in ("train", "test")
-    },
-    "elapsed_seconds": 0.25,
-}
-
-#: A capture as earlier releases wrote it: lists of floats.
-LEGACY_CAPTURE = {
-    "intervals": {"train": {"low": [0.01 * i for i in range(300)], "high": [1e-3, 2.5]}},
-    "elapsed_seconds": 0.5,
-}
+FIXTURE_CACHE = Path(__file__).resolve().parent.parent / "fixtures" / "sweep_cache"
 
 #: Strings ``json.dumps`` must escape, short and long.
 ESCAPED_CELL = {
@@ -436,30 +349,37 @@ ESCAPED_CELL = {
 }
 
 
+#: Floats whose shortest ``repr`` must survive the line unchanged.
+EXTREME_FLOATS = {
+    "values": [0.25, -0.0, 5e-324, 1.7976931348623157e308, 1e-3, 0.1 + 0.2],
+    "series": [0.01 * i for i in range(300)],
+}
+
+
 class TestAppend:
-    """``put`` writes ``json.dumps(record, sort_keys=True)`` lines from pieces."""
+    """``put`` appends ``json.dumps(record, sort_keys=True) + "\\n"``."""
 
     @staticmethod
-    def spy_writev(monkeypatch, short=None):
-        """Record each ``os.writev`` call; the first writes only ``short`` bytes."""
+    def spy_write(monkeypatch, short=None):
+        """Record each ``os.write`` call; the first writes only ``short`` bytes."""
         calls = []
-        real = os.writev
+        real = os.write
 
-        def spy(fd, buffers):
-            buffers = [bytes(buffer) for buffer in buffers]
-            calls.append(buffers)
+        def spy(fd, data):
+            data = bytes(data)
+            calls.append(data)
             if short is not None and len(calls) == 1:
-                return os.write(fd, b"".join(buffers)[:short])
-            return real(fd, buffers)
+                return real(fd, data[:short])
+            return real(fd, data)
 
-        monkeypatch.setattr(os, "writev", spy)
+        monkeypatch.setattr(os, "write", spy)
         return calls
 
     @staticmethod
-    def expected_line(fingerprint, config, result, kind):
+    def expected_line(fingerprint, config, result):
         record = {
             "schema": SCHEMA_VERSION,
-            "kind": kind,
+            "kind": "cell",
             "fingerprint": fingerprint,
             "config": config,
             "result": result,
@@ -467,59 +387,31 @@ class TestAppend:
         return (json.dumps(record, sort_keys=True) + "\n").encode("ascii")
 
     @pytest.mark.parametrize(
-        "kind,config,result",
-        [
-            ("cell", {"seed": 3, "scenario": {"n_hops": 2}}, RESULT),
-            ("capture", {"seed": 4}, BASE64_CAPTURE),
-            ("capture", {"seed": 5}, LEGACY_CAPTURE),
-            ("cell", ESCAPED_CELL, RESULT),
-        ],
-        ids=["cell", "base64-capture", "legacy-capture", "escaped-strings"],
+        "config",
+        [{"seed": 3, "scenario": {"n_hops": 2}}, ESCAPED_CELL, EXTREME_FLOATS],
+        ids=["cell", "escaped-strings", "extreme-floats"],
     )
-    def test_put_writes_the_json_dumps_line_in_one_writev(
-        self, store, monkeypatch, kind, config, result
-    ):
+    def test_put_writes_the_json_dumps_line_in_one_write(self, store, monkeypatch, config):
         store.put("abcd01", {}, RESULT)
-        calls = self.spy_writev(monkeypatch)
-        store.put("abcd01", config, result, kind=kind)
-        line = self.expected_line("abcd01", config, result, kind)
-        assert len(calls) == 1
-        assert b"".join(calls[0]) == line
+        calls = self.spy_write(monkeypatch)
+        store.put("abcd01", config, RESULT)
+        line = self.expected_line("abcd01", config, RESULT)
+        assert calls == [line]
         assert store.shard_path("abcd01").read_bytes().splitlines(keepends=True)[1] == line
-        assert ResultsStore(store.root).get("abcd01", kind=kind)["result"] == result
-
-    def test_base64_payload_is_appended_from_its_own_buffers(self, store, monkeypatch):
-        calls = self.spy_writev(monkeypatch)
-        store.put("cafe01", {}, BASE64_CAPTURE, kind="capture")
-        intervals = BASE64_CAPTURE["intervals"]
-        payloads = [
-            intervals[offset][label].encode("ascii")
-            for offset in sorted(intervals)
-            for label in sorted(intervals[offset])
-        ]
-        assert calls[0][1::2] == payloads
-        assert len(calls[0]) == 2 * len(payloads) + 1
-
-    def test_put_passes_at_most_iov_max_buffers_per_writev(self, store, monkeypatch):
-        calls = self.spy_writev(monkeypatch)
-        result = {f"k{index:04d}": f"{index:04d}" * 300 for index in range(600)}
-        store.put("cafe01", {}, result, kind="capture")
-        assert [len(buffers) for buffers in calls] == [1024, 2 * 600 + 1 - 1024]
-        line = self.expected_line("cafe01", {}, result, "capture")
-        assert store.shard_path("cafe01").read_bytes() == line
+        assert ResultsStore(store.root).get("abcd01")["config"] == config
 
     def test_put_leaves_no_reference_cycle(self, store):
-        """A cycle would keep a capture's buffers alive until a collection."""
+        """A cycle would keep a record's encoded line alive until a collection."""
         store.put("cafe01", {}, RESULT)
         gc.collect()
-        store.put("cafe01", {"seed": 1}, BASE64_CAPTURE, kind="capture")
+        store.put("cafe01", ESCAPED_CELL, RESULT)
         assert gc.collect() == 0
 
     @pytest.mark.parametrize("short", [1, 40, 1100, 5000])
     def test_put_finishes_a_short_write(self, store, monkeypatch, short):
-        calls = self.spy_writev(monkeypatch, short=short)
-        store.put("cafe01", {"seed": 1}, BASE64_CAPTURE, kind="capture")
-        line = self.expected_line("cafe01", {"seed": 1}, BASE64_CAPTURE, "capture")
-        assert len(calls) >= 2
+        calls = self.spy_write(monkeypatch, short=short)
+        store.put("cafe01", ESCAPED_CELL, RESULT)
+        line = self.expected_line("cafe01", ESCAPED_CELL, RESULT)
+        assert len(line) > 5000
+        assert calls[1] == line[short:]
         assert store.shard_path("cafe01").read_bytes() == line
-        assert b"".join(calls[1]) == line[short:]

@@ -97,7 +97,7 @@ class TestSweepCommand:
         assert first == second
         from repro.runner import ResultsStore
 
-        assert len(ResultsStore(tmp_path)) > 0
+        assert ResultsStore(tmp_path).stats().cells > 0
         assert list(tmp_path.glob("??/*.jsonl"))  # sharded layout on disk
 
 
@@ -113,7 +113,7 @@ class TestRunCacheAccounting:
         cold = capsys.readouterr()
         assert cold.err.splitlines() == [
             "sweep summary: 18 cells, 18 simulated, 0 cache hits, "
-            "3 gateway captures simulated, 0 capture cache hits, jobs=1, backend=serial"
+            "3 gateway captures simulated, jobs=1, backend=serial"
         ]
         assert "sweep summary" not in cold.out
         assert main(argv) == 0

@@ -169,15 +169,17 @@ class TestShardPrecedence:
         [served] = StoreQuery(fixture_store).point("fig6/utilization=0.05")
         assert served.result == record["result"]
 
-    def test_capture_records_are_never_served_as_points(self, fixture_store):
+    def test_capture_records_are_never_served_as_points(
+        self, fixture_store, put_capture_record
+    ):
         """A capture winning a shard hides the cell record before it."""
         query = StoreQuery(fixture_store)
         fingerprint = fig6_fingerprints()[0]
-        ResultsStore(fixture_store).put(
+        put_capture_record(
+            ResultsStore(fixture_store),
             fingerprint,
             {"kind": "gateway-capture", "seed": 2003, "scenario": {}},
             {"intervals": {"train": {"low": [0.1] * 10}}},
-            kind="capture",
         )
         assert [p.fingerprint for p in query.points(experiment="fig6")] == [
             fig6_fingerprints()[1]

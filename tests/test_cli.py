@@ -312,13 +312,13 @@ class TestScenarioCli:
 
 
 class TestCacheStats:
-    def test_stats_reports_store_health(self, tmp_path, capsys):
+    def test_stats_reports_store_health(self, tmp_path, capsys, put_capture_record):
         from repro.runner import ResultsStore
 
         store = ResultsStore(tmp_path)
         store.put("aaaa11", {}, {"x": 1})
         store.put("aaaa11", {}, {"x": 2})
-        store.put("bbbb22", {}, {"y": 1}, kind="capture")
+        put_capture_record(store, "bbbb22", {}, {"y": 1})
         assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "cache stats:" in out

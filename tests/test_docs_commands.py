@@ -1,10 +1,13 @@
 """Every ``repro`` command quoted in the docs parses at HEAD.
 
 Each fenced line of ``README.md`` and ``docs/*.md`` that runs ``repro`` (or
-``python -m repro``) is checked against :func:`repro.cli.build_parser`
-without being run.  Lines ending in ``\\`` are joined with the next.  Usage
-synopses (``[--preset paper|fast]``) and labels inside box-drawn diagrams are
-not commands and are skipped.
+``python -m repro``) is checked against :func:`repro.cli.build_parser`.
+Lines ending in ``\\`` are joined with the next.  Usage synopses
+(``[--preset paper|fast]``) and labels inside box-drawn diagrams are not
+commands and are skipped.  The commands without side effects
+(``--version``, ``list``, ``check``) are also run in-process from the repo
+root, since argparse accepts values (a ``check --rule`` id, a ``--root``
+path) that the command itself then refuses with exit status 2.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import List, Tuple
 
 import pytest
 
-from repro.cli import build_parser
+from repro.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 DOCS = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
@@ -71,6 +74,11 @@ def documented_commands() -> List[Tuple[str, List[str]]]:
 
 COMMANDS = documented_commands()
 
+#: Leading arguments of the documented commands that only read.
+SIDE_EFFECT_FREE = ("--version", "list", "check")
+
+RUNNABLE = [(where, argv) for where, argv in COMMANDS if argv[0] in SIDE_EFFECT_FREE]
+
 
 def test_the_docs_quote_commands():
     """Exact: a fenced block of commands that gains a box character is
@@ -81,3 +89,18 @@ def test_the_docs_quote_commands():
 @pytest.mark.parametrize("argv", [argv for _, argv in COMMANDS], ids=[i for i, _ in COMMANDS])
 def test_documented_command_parses(argv):
     build_parser().parse_args(argv)
+
+
+def test_the_docs_quote_runnable_commands():
+    assert len(RUNNABLE) == 9
+
+
+@pytest.mark.parametrize("argv", [argv for _, argv in RUNNABLE], ids=[i for i, _ in RUNNABLE])
+def test_documented_command_runs(argv, monkeypatch, capsys):
+    """Exit status 2 is a usage error; 0 and 1 (``check`` findings) are not."""
+    monkeypatch.chdir(ROOT)
+    try:
+        status = main(argv)
+    except SystemExit as exc:  # argparse's --version and usage errors
+        status = exc.code
+    assert status != 2, capsys.readouterr().err
