@@ -4,9 +4,9 @@ Simulation results must be a pure function of configuration and seed.  Two
 classic leaks break that purity without failing any test on the machine that
 introduced them:
 
-* reading the **wall clock** (``time.time``, ``datetime.now``) inside a
-  simulation or result path — fine for progress lines, fatal inside
-  anything fingerprinted (CLK001; duration-only clocks like
+* reading the **wall clock** (``time.time``, ``datetime.now``) anywhere
+  in the package — a date that can reach an artifact makes two runs of one
+  configuration differ (CLK001; duration-only clocks like
   ``perf_counter``/``monotonic`` stay legal, they time work that is
   explicitly excluded from reports);
 * iterating a **set** (hash order varies across processes under
@@ -70,7 +70,7 @@ def _inside_sorted(module: ModuleContext, node: ast.AST) -> bool:
 
 
 class WallClockRule(ModuleRule):
-    """CLK001: no wall-clock or calendar reads in result-affecting code."""
+    """CLK001: no wall-clock or calendar reads in package code."""
 
     rule_id = "CLK001"
     title = (
@@ -85,16 +85,14 @@ class WallClockRule(ModuleRule):
                 continue
             target = module.qualified_call(node)
             if target in _WALL_CLOCK_CALLS or target in _WALL_CLOCK_TAILS:
-                tail = target.rsplit(".", 1)[-1]
                 findings.append(
                     self.finding(
                         module.rel,
                         node.lineno,
                         f"{target}() reads the wall clock; results must be a "
                         "pure function of configuration and seed "
-                        f"(use perf_counter/monotonic for durations, or add a "
-                        f"justified baseline entry if {tail} never reaches a "
-                        "result)",
+                        "(use perf_counter/monotonic to time work, and stamp "
+                        "no date on any output)",
                         context=target,
                     )
                 )

@@ -2,27 +2,15 @@
 
 A :class:`Finding` is one violation of one rule at one source location.  It
 is deliberately a plain value object — rules produce findings, the checker
-filters them against the baseline, and the CLI renders whatever survives as
-human-readable text or machine-readable JSON.
+collects them, and the CLI renders them as human-readable text or
+machine-readable JSON.  Every finding is an error: a determinism contract
+that only warns is not enforced.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Any, Dict
-
-
-class Severity(str, enum.Enum):
-    """How a finding affects the exit code.
-
-    ``ERROR`` findings fail ``repro check``; ``WARNING`` findings are
-    reported but do not change the exit code.  Every shipped rule is an
-    error: a determinism contract that only warns is not enforced.
-    """
-
-    ERROR = "error"
-    WARNING = "warning"
 
 
 @dataclass(frozen=True)
@@ -33,8 +21,6 @@ class Finding:
     ----------
     rule:
         The rule identifier, e.g. ``"RNG001"``.
-    severity:
-        Whether the finding fails the check.
     path:
         POSIX path of the offending file, relative to the checked root
         (e.g. ``"repro/stats/bootstrap.py"``).
@@ -44,12 +30,10 @@ class Finding:
         Human-readable description of the violation and what to do instead.
     context:
         The offending construct (a call spelling, a stream name, a field
-        name).  Baseline entries match on substrings of this, so the match
-        survives line-number drift.
+        name); it orders findings that share a line.
     """
 
     rule: str
-    severity: Severity
     path: str
     line: int
     message: str
@@ -64,7 +48,6 @@ class Finding:
         """The finding as plain JSON-able data."""
         return {
             "rule": self.rule,
-            "severity": self.severity.value,
             "path": self.path,
             "line": self.line,
             "message": self.message,
@@ -72,4 +55,4 @@ class Finding:
         }
 
 
-__all__ = ["Finding", "Severity"]
+__all__ = ["Finding"]

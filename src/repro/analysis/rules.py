@@ -1,6 +1,6 @@
 """The rule base classes and the AST plumbing every rule shares.
 
-A rule is a small class with an identifier, a severity, and a ``check``
+A rule is a small class with an identifier, a title, and a ``check``
 method producing :class:`~repro.analysis.findings.Finding` objects.  Two
 granularities exist:
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
 
-from repro.analysis.findings import Finding, Severity
+from repro.analysis.findings import Finding
 
 
 @dataclass
@@ -107,21 +107,19 @@ def resolve_name(node: ast.AST, imports: Dict[str, str]) -> str:
 
 
 class Rule:
-    """Base class: identifier, severity, and the one-line contract."""
+    """Base class: identifier and the one-line contract."""
 
     #: Unique identifier, e.g. ``"RNG001"``.  Families group by prefix.
     rule_id: str = ""
     #: One-line statement of the enforced contract (docs and --list-rules).
     title: str = ""
-    severity: Severity = Severity.ERROR
 
     def finding(
         self, rel: str, line: int, message: str, context: str = ""
     ) -> Finding:
-        """Convenience constructor stamped with this rule's id/severity."""
+        """Convenience constructor stamped with this rule's id."""
         return Finding(
             rule=self.rule_id,
-            severity=self.severity,
             path=rel,
             line=line,
             message=message,

@@ -333,20 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: this installation's own source tree)",
     )
     check.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="justified-suppressions file (default: analysis-baseline.toml "
-        "next to the checked root)",
-    )
-    check.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="report raw findings, ignoring any baseline (CI uses this on "
-        "doctored trees to prove the rules still fire)",
-    )
-    check.add_argument(
         "--format",
         choices=("text", "json"),
         default="text",
@@ -526,12 +512,7 @@ def _run_check_command(args: argparse.Namespace) -> int:
         lines += [f"  {rule.rule_id.ljust(width)}  {rule.title}" for rule in rules]
         print("\n".join(lines))
         return 0
-    report = run_check(
-        root=args.root,
-        baseline_path=args.baseline,
-        use_baseline=not args.no_baseline,
-        rule_filter=args.rules or None,
-    )
+    report = run_check(root=args.root, rule_filter=args.rules or None)
     print(report.to_json() if args.format == "json" else report.to_text())
     return report.exit_code
 

@@ -41,7 +41,6 @@ import platform
 import tempfile
 import time
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -104,7 +103,6 @@ class BenchResult:
     """One benchmark run: metrics plus enough context to interpret them."""
 
     pr: str
-    created_utc: str
     machine: Dict[str, Any]
     metrics: Dict[str, float]
     notes: Dict[str, Any] = field(default_factory=dict)
@@ -125,7 +123,6 @@ class BenchResult:
         return {
             "schema": self.schema,
             "pr": self.pr,
-            "created_utc": self.created_utc,
             "machine": dict(self.machine),
             "metrics": {name: float(value) for name, value in self.metrics.items()},
             "notes": dict(self.notes),
@@ -133,6 +130,11 @@ class BenchResult:
 
     @classmethod
     def from_json_dict(cls, payload: Dict[str, Any]) -> "BenchResult":
+        """Inverse of :meth:`to_json_dict`; keys it does not read are ignored.
+
+        The committed ``BENCH_*.json`` artifacts also carry a
+        ``created_utc`` wall-clock stamp, which nothing reads.
+        """
         schema = payload.get("schema")
         if schema != BENCH_SCHEMA_VERSION:
             raise ConfigurationError(
@@ -142,7 +144,6 @@ class BenchResult:
         try:
             return cls(
                 pr=str(payload["pr"]),
-                created_utc=str(payload["created_utc"]),
                 machine=dict(payload["machine"]),
                 metrics={str(k): float(v) for k, v in payload["metrics"].items()},
                 notes=dict(payload.get("notes", {})),
@@ -166,7 +167,7 @@ class BenchResult:
 
     # ------------------------------------------------------------------ rendering
     def to_text(self) -> str:
-        lines = [f"benchmark {self.pr} ({self.created_utc})"]
+        lines = [f"benchmark {self.pr}"]
         width = max(len(name) for name in self.metrics)
         for name in sorted(self.metrics):
             value = self.metrics[name]
@@ -216,9 +217,14 @@ class BenchComparison:
             verdict = "REGRESSED" if row.regressed else (
                 "improved" if row.regression < -1e-9 else "ok"
             )
+            change = (
+                f"{-row.regression:.1%} better"
+                if row.regression < 0.0
+                else f"{row.regression:+.1%} worse"
+            )
             lines.append(
                 f"  {row.name.ljust(width)}  {row.baseline:>12.4f} -> {row.current:>12.4f}"
-                f"  ({row.regression:+.1%} worse)  {verdict}"
+                f"  ({change})  {verdict}"
             )
         for name in self.skipped:
             lines.append(f"  {name.ljust(width)}  present in only one result; skipped")
@@ -469,7 +475,6 @@ def run_bench(
     }
     return BenchResult(
         pr=pr,
-        created_utc=datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
         machine=collect_machine_info(),
         metrics=metrics,
         notes=notes,

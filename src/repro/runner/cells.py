@@ -325,9 +325,10 @@ class SweepCell:
 class CellResult:
     """The empirical measurements produced by one executed cell.
 
-    ``elapsed_seconds`` is wall-clock bookkeeping only; it is excluded from
-    report text so that cached and freshly computed sweeps render byte-for-
-    byte identically.
+    ``elapsed_seconds`` is wall-clock bookkeeping for progress lines only;
+    it is excluded from equality, report text and the stored record, so
+    cached and freshly computed sweeps render byte-for-byte identically and
+    two cold runs of one grid write identical shards.
     """
 
     key: str
@@ -337,7 +338,7 @@ class CellResult:
     measured_means: Dict[str, float] = field(default_factory=dict)
     piat_stats: Dict[str, Dict[str, float]] = field(default_factory=dict)
     confusion: Dict[str, Dict[int, Dict[str, Dict[str, int]]]] = field(default_factory=dict)
-    elapsed_seconds: float = 0.0
+    elapsed_seconds: float = field(default=0.0, compare=False)
     from_cache: bool = False
 
     def to_json_dict(self) -> Dict[str, Any]:
@@ -345,7 +346,9 @@ class CellResult:
 
         ``confusion`` (multi-rate cells only) is serialised only when
         non-empty, so records of binary cells are byte-identical to those
-        written before the field existed.
+        written before the field existed.  ``elapsed_seconds`` is not
+        written; records from earlier releases still carry it, and
+        :meth:`from_json_dict` reads it back.
         """
         payload = {
             "empirical_detection_rate": {
@@ -355,7 +358,6 @@ class CellResult:
             "measured_variance_ratio": self.measured_variance_ratio,
             "measured_means": dict(self.measured_means),
             "piat_stats": {label: dict(stats) for label, stats in self.piat_stats.items()},
-            "elapsed_seconds": self.elapsed_seconds,
         }
         if self.confusion:
             payload["confusion"] = {

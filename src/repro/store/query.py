@@ -20,11 +20,14 @@ so a label is an exact identity; records no expansion produces (scenario
 files, foreign tools) stay unlabelled.
 
 Every query lists the store's shard files once.  Shards the query has not
-examined yet are read for their cell's seed (each shard once, when it first
-holds a valid record), and the labels are extended by the expansion of every
-seed not expanded before, so a cell stored while the query is alive is
-listed by the next call even at a seed that is new to the store.  Records
-are read per query through a fresh :class:`~repro.runner.store.ResultsStore`,
+examined yet, or that have changed size since, are read for their winner's
+kind and cell seed (so each shard once, when it first holds a valid record,
+and again only after an append), and the labels are extended by the
+expansion of every seed not expanded before, so a cell stored while the
+query is alive is listed by the next call even at a seed that is new to the
+store.  The kinds remembered that way let :meth:`StoreQuery.experiments`
+count labels without reading any record.  The queries that return records
+read them per query through a fresh :class:`~repro.runner.store.ResultsStore`,
 so every answer reflects the shards as they are now, and a rewritten cell
 serves its newest record.  The label list is replaced, never mutated, under
 a lock, so one :class:`StoreQuery` is safe to share across server threads
@@ -184,7 +187,8 @@ class StoreQuery:
     def __init__(self, store_root: Union[str, Path]) -> None:
         self._root = ResultsStore(store_root).root
         self._lock = threading.Lock()
-        self._examined: Set[str] = set()
+        self._examined: Dict[str, int] = {}  # shard stem -> size when read
+        self._cells: Set[str] = set()
         self._seeds: Set[int] = set()
         self._labels: List[_Label] = []
         self._listing()
@@ -195,38 +199,47 @@ class StoreQuery:
         return self._root
 
     def _listing(self) -> Tuple[AbstractSet[str], List[_Label]]:
-        """The fingerprints with a shard now, and the labels covering them.
+        """The fingerprints whose shard holds a cell now, and the labels covering them.
 
-        Reads the seed of each shard not examined before (a shard without a
-        valid record yet is looked at again next time) and expands labels
-        at every seed that is new.
+        Reads the winner's kind and seed of each shard not examined at its
+        current size (a shard without a valid record yet is looked at again
+        next time) and expands labels at every seed that is new.
         """
         store = ResultsStore(self._root)
         paths = {path.stem: path for path in store.shard_files()}
         with self._lock:
             seeds = set()
-            for stem in sorted(paths.keys() - self._examined):
+            for stem in sorted(paths):
+                try:
+                    size = paths[stem].stat().st_size
+                except OSError:
+                    continue  # removed since the listing
+                if self._examined.get(stem) == size:
+                    continue
                 record = store.shard_winner(paths[stem])
                 if record is None:
                     continue
-                self._examined.add(stem)
-                if record.get("kind", "cell") == "cell":
-                    seed = _scalar((record.get("config") or {}).get("seed"), int)
-                    if seed is not None:
-                        seeds.add(seed)
+                self._examined[stem] = size
+                if record.get("kind", "cell") != "cell":
+                    self._cells.discard(stem)
+                    continue
+                self._cells.add(stem)
+                seed = _scalar((record.get("config") or {}).get("seed"), int)
+                if seed is not None:
+                    seeds.add(seed)
             fresh = seeds - self._seeds
             if fresh:
                 self._labels = sorted(self._labels + _expand_labels(fresh))
                 self._seeds |= fresh
-            return paths.keys(), self._labels
+            return paths.keys() & self._cells, self._labels
 
     def _stored(
         self, labels: Iterable[_Label], present: AbstractSet[str]
     ) -> Iterator[Tuple[_Label, Dict[str, Any]]]:
         """Each label whose fingerprint has a cell record now, with that record.
 
-        Labels without a shard in ``present`` (most of them: other presets'
-        and seeds' cells) are skipped without a lookup.
+        Labels without a cell shard in ``present`` (most of them: other
+        presets' and seeds' cells) are skipped without a lookup.
         """
         store = ResultsStore(self._root)
         for label in labels:
@@ -241,8 +254,9 @@ class StoreQuery:
         """Per-experiment label summary: points, records and seeds stored."""
         present, labels = self._listing()
         stored: Dict[str, List[_Label]] = {}
-        for label, _ in self._stored(labels, present):
-            stored.setdefault(label.experiment, []).append(label)
+        for label in labels:
+            if label.fingerprint in present:
+                stored.setdefault(label.experiment, []).append(label)
         return [
             {
                 "experiment": name,

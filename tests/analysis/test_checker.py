@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import re
 import shutil
 
@@ -76,39 +77,60 @@ class TestRuleTable:
 
 
 class TestRunCheck:
-    def test_real_tree_is_clean(self):
+    def test_real_tree_is_clean_with_nothing_suppressed(self):
         report = run_check(root=SRC_ROOT)
         assert report.findings == []
         assert report.ok and report.exit_code == 0
-        # The one justified exception is consumed, not reported.
-        assert report.suppressed_count == 1
+        assert report.rules_run == sorted(_ALL_RULE_IDS)
 
-    def test_real_tree_without_baseline_shows_the_justified_findings(self):
-        report = run_check(root=SRC_ROOT, use_baseline=False)
+    def test_no_suppression_file_is_read(self, tmp_path):
+        # A file in the old suppression format next to the tree changes
+        # nothing: every finding counts.
+        root = tmp_path / "tree"
+        (root / "repro").mkdir(parents=True)
+        (root / "repro" / "stamp.py").write_text(
+            "import time\nstamp = time.time()\n"
+        )
+        for where in (root, tmp_path):
+            (where / "analysis-baseline.toml").write_text(
+                '[[ignore]]\nrule = "CLK001"\npath = "repro/stamp.py"\n'
+                'reason = "ignored"\n'
+            )
+        report = run_check(root=root)
+        assert [f.rule for f in report.findings] == ["CLK001"]
         assert report.exit_code == 1
-        assert sorted(f.rule for f in report.findings) == ["CLK001"]
+
+    def test_a_wall_clock_stamp_in_bench_is_a_finding(self, tmp_path):
+        root = tmp_path / "tree"
+        shutil.copytree(
+            SRC_ROOT / "repro",
+            root / "repro",
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        bench = root / "repro" / "runner" / "bench.py"
+        bench.write_text(
+            bench.read_text(encoding="utf-8")
+            + "\n\ndef _stamp():\n"
+            "    from datetime import datetime, timezone\n\n"
+            "    return datetime.now(timezone.utc).isoformat()\n",
+            encoding="utf-8",
+        )
+        report = run_check(root=root)
+        assert [(f.rule, f.path) for f in report.findings] == [
+            ("CLK001", "repro/runner/bench.py")
+        ]
+        assert report.exit_code == 1
 
     def test_doctored_tree_fails_per_family(self, doctored_root):
-        report = run_check(root=doctored_root, use_baseline=False)
+        report = run_check(root=doctored_root)
         assert report.exit_code == 1
         assert {f.rule for f in report.findings} == _ALL_RULE_IDS
 
     @pytest.mark.parametrize("rule_id", sorted(_ALL_RULE_IDS))
     def test_rule_filter_restricts_the_run(self, doctored_root, rule_id):
-        report = run_check(
-            root=doctored_root, use_baseline=False, rule_filter=[rule_id]
-        )
+        report = run_check(root=doctored_root, rule_filter=[rule_id])
         assert {f.rule for f in report.findings} == {rule_id}
         assert report.rules_run == [rule_id]
-
-    def test_rule_filter_does_not_stale_unexercised_baseline_entries(self):
-        # The shipped baseline excuses a CLK001 finding. A run restricted
-        # to another rule must not flag that entry as stale (BASE001) — it
-        # was never exercised.
-        report = run_check(root=SRC_ROOT, rule_filter=["RNG004"])
-        assert report.findings == []
-        assert report.ok
-        assert report.suppressed_count == 0
 
     def test_unknown_rule_filter_raises(self):
         with pytest.raises(ConfigurationError, match="NOPE99"):
@@ -117,7 +139,7 @@ class TestRunCheck:
     def test_unparseable_module_is_a_parse_finding(self, tmp_path):
         (tmp_path / "repro").mkdir()
         (tmp_path / "repro" / "broken.py").write_text("def oops(:\n")
-        report = run_check(root=tmp_path, use_baseline=False)
+        report = run_check(root=tmp_path)
         assert [f.rule for f in report.findings if f.rule == "PARSE"] == ["PARSE"]
         assert report.exit_code == 1
 
@@ -125,26 +147,25 @@ class TestRunCheck:
         with pytest.raises(ConfigurationError, match="repro"):
             run_check(root=tmp_path)
 
-    def test_stale_baseline_entry_is_an_error(self, tmp_path):
-        baseline = tmp_path / "baseline.toml"
-        baseline.write_text(
-            '[[ignore]]\nrule = "RNG001"\npath = "repro/gone.py"\n'
-            'reason = "the module was deleted"\n'
-        )
-        report = run_check(root=SRC_ROOT, baseline_path=baseline)
-        rules = sorted(f.rule for f in report.findings)
-        # The real (normally baselined) finding resurfaces plus BASE001.
-        assert rules == ["BASE001", "CLK001"]
-        assert report.exit_code == 1
-
     def test_json_report_round_trips(self):
-        import json
-
         report = run_check(root=SRC_ROOT)
         payload = json.loads(report.to_json())
         assert payload["ok"] is True
         assert payload["modules_checked"] == report.modules_checked
-        assert len(payload["suppressed"]) == 1
+        assert sorted(payload) == ["findings", "modules_checked", "ok", "root", "rules"]
+
+    def test_findings_carry_no_severity(self, doctored_root):
+        payload = json.loads(run_check(root=doctored_root).to_json())
+        assert payload["ok"] is False
+        assert {f["rule"] for f in payload["findings"]} == _ALL_RULE_IDS
+        assert all(
+            sorted(f) == ["context", "line", "message", "path", "rule"]
+            for f in payload["findings"]
+        )
+        assert all(
+            line.startswith("error: ")
+            for line in run_check(root=doctored_root).to_text().splitlines()[:-2]
+        )
 
 
 class TestDiscoverModules:

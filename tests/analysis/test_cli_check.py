@@ -31,10 +31,11 @@ class TestCheckCommand:
     def test_clean_tree_exits_zero(self, capsys):
         assert main(["check"]) == 0
         out = capsys.readouterr().out
-        assert "OK" in out and "suppressed by baseline" in out
+        assert out.endswith(" 7 rules, 0 finding(s)\nOK\n")
+        assert "suppressed" not in out
 
     def test_violations_exit_one(self, violation_root, capsys):
-        assert main(["check", "--root", str(violation_root), "--no-baseline"]) == 1
+        assert main(["check", "--root", str(violation_root)]) == 1
         out = capsys.readouterr().out
         assert "RNG001" in out and "FAILED" in out
 
@@ -46,7 +47,7 @@ class TestCheckCommand:
 
     def test_json_format_carries_findings(self, violation_root, capsys):
         code = main(
-            ["check", "--root", str(violation_root), "--no-baseline", "--format", "json"]
+            ["check", "--root", str(violation_root), "--format", "json"]
         )
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
@@ -60,10 +61,17 @@ class TestCheckCommand:
 
     def test_rule_filter(self, violation_root, capsys):
         code = main(
-            ["check", "--root", str(violation_root), "--no-baseline", "--rule", "ORD002"]
+            ["check", "--root", str(violation_root), "--rule", "ORD002"]
         )
         assert code == 0  # only the RNG violation was seeded
         capsys.readouterr()
+
+    @pytest.mark.parametrize("option", [["--no-baseline"], ["--baseline", "x.toml"]])
+    def test_suppression_options_are_gone(self, option, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", *option])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_unknown_rule_is_a_usage_error(self, capsys):
         assert main(["check", "--rule", "NOPE99"]) == 2

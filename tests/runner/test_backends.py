@@ -195,16 +195,12 @@ BACKEND_RUN_IDS = ["serial", "process-1", "process-2"]
 
 
 def stored_result(store: ResultsStore, cell) -> dict:
-    """A stored cell result without its wall-clock field."""
-    result = dict(store.get(cell.fingerprint())["result"])
-    result.pop("elapsed_seconds")
-    return result
+    """A stored cell result (a record holds no wall-clock field)."""
+    return store.get(cell.fingerprint())["result"]
 
 
 def reference_result(report, cell) -> dict:
-    result = report[cell.key].to_json_dict()
-    result.pop("elapsed_seconds")
-    return result
+    return report[cell.key].to_json_dict()
 
 
 @pytest.mark.parametrize("backend, jobs", BACKEND_RUNS, ids=BACKEND_RUN_IDS)
@@ -330,6 +326,27 @@ class TestStoreBackedRuns:
         )
         assert "in broken" in message
         assert ResultsStore(tmp_path / "store").shard_files() == []
+
+
+def test_cold_runs_write_byte_identical_shards(tmp_path):
+    """Two cold runs of one smoke grid into empty stores write the same bytes."""
+    cells = [
+        cell
+        for name in list_experiments()
+        for cell in get_experiment(name, "smoke", 2003).cells(seed_range(2003, 1))
+    ]
+    trees = []
+    for run in ("first", "second"):
+        store = ResultsStore(tmp_path / run)
+        SweepRunner(backend="serial", store=store).run(cells)
+        trees.append(
+            {
+                path.relative_to(store.root).as_posix(): path.read_bytes()
+                for path in store.shard_files()
+            }
+        )
+    assert trees[0] and trees[0] == trees[1]
+    assert all(b"elapsed_seconds" not in shard for shard in trees[0].values())
 
 
 @pytest.mark.parametrize("name", list_experiments())

@@ -10,6 +10,7 @@ the measurement path itself honest.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -25,10 +26,13 @@ from repro.runner.bench import (
 )
 
 
+#: The benchmark artifacts committed at the repository root.
+COMMITTED_ARTIFACTS = sorted(Path(__file__).resolve().parents[2].glob("BENCH_*.json"))
+
+
 def make_result(metrics, pr="test"):
     return BenchResult(
         pr=pr,
-        created_utc="2026-08-07T00:00:00Z",
         machine={"platform": "test"},
         metrics=metrics,
     )
@@ -62,6 +66,21 @@ class TestBenchResultSchema:
         text = path.read_text()
         assert text.endswith("\n")
         assert json.loads(text)["schema"] == BENCH_SCHEMA_VERSION
+
+    def test_carries_no_wall_clock_stamp(self):
+        result = make_result({"a_seconds": 1.0})
+        assert sorted(result.to_json_dict()) == ["machine", "metrics", "notes", "pr", "schema"]
+        assert result.to_text().splitlines()[0] == "benchmark test"
+
+    @pytest.mark.parametrize("path", COMMITTED_ARTIFACTS, ids=lambda p: p.name)
+    def test_every_committed_artifact_loads(self, path):
+        # Older artifacts carry a created_utc stamp, which loading ignores.
+        loaded = BenchResult.load(path)
+        assert loaded.pr and loaded.metrics
+        assert "created_utc" not in loaded.to_json_dict()
+
+    def test_committed_artifacts_are_found(self):
+        assert len(COMMITTED_ARTIFACTS) >= 9
 
     def test_rejects_unknown_schema_versions(self, tmp_path):
         payload = make_result({"a_seconds": 1.0}).to_json_dict()
@@ -150,6 +169,21 @@ class TestCompare:
         baseline = make_result({"run_seconds": 1.0, "kernel_speedup": 10.0})
         text = compare(current, baseline).to_text()
         assert "REGRESSED" in text and "improved" in text and "FAIL" in text
+
+    def test_an_improved_ratio_reads_as_better(self):
+        # The committed BENCH_pr24.json cold_capture_speedup against a
+        # faster run: an improvement is a positive "better", never a
+        # negative "worse".
+        current = make_result({"cold_capture_speedup": 94.9495})
+        baseline = make_result({"cold_capture_speedup": 65.3252})
+        text = compare(current, baseline).to_text()
+        assert "(45.3% better)  improved" in text
+        assert "worse" not in text
+
+    def test_a_regression_reads_as_worse(self):
+        current = make_result({"run_seconds": 1.1})
+        baseline = make_result({"run_seconds": 1.0})
+        assert "(+10.0% worse)  ok" in compare(current, baseline).to_text()
 
 
 class TestRunBench:

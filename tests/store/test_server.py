@@ -78,6 +78,19 @@ class TestEndpoints:
         # Registered but uncached experiments still appear, unindexed.
         assert by_name["ablation_tap"]["indexed"] is None
 
+    def test_experiments_reads_no_record_after_start_up(self, tmp_path, monkeypatch):
+        root = tmp_path / "cache"
+        shutil.copytree(FIXTURE_CACHE, root)
+        with serving(root) as base:
+            before = get_json(base, "/experiments")
+
+            def no_read(*args):
+                raise AssertionError(f"/experiments read a record: {args[1:]}")
+
+            monkeypatch.setattr(ResultsStore, "get", no_read)
+            monkeypatch.setattr(ResultsStore, "shard_winner", classmethod(no_read))
+            assert get_json(base, "/experiments") == before
+
     def test_points_payload_matches_the_jsonl_records(self, served):
         """Acceptance: served values byte-identical to the stored records."""
         root, base = served

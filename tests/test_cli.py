@@ -361,12 +361,12 @@ class TestBenchCommand:
         from repro.runner.bench import BenchResult, collect_machine_info
 
         current = BenchResult(
-            pr="t", created_utc="2026-08-07T00:00:00Z",
+            pr="t",
             machine=collect_machine_info(),
             metrics={"cold_capture_speedup": 10.0},
         )
         doctored = BenchResult(
-            pr="t", created_utc="2026-08-07T00:00:00Z",
+            pr="t",
             machine=collect_machine_info(),
             metrics={"cold_capture_speedup": 100.0},
         )
