@@ -16,7 +16,9 @@ Every registered experiment is a class that carries its own presets:
 ``presets`` maps each name in :data:`PRESETS` to the keyword arguments of
 ``config_cls``; the master seed is added by :func:`get_experiment`.  A new
 experiment joins the registry by being added to the ``_EXPERIMENTS`` tuple
-below.  Consumers go through three functions:
+below, and its name to :data:`repro.defaults.EXPERIMENT_NAMES`, which the CLI
+parses with before it imports any experiment.  Consumers go through three
+functions:
 
 * :func:`get_experiment` — ``get_experiment("fig6", preset="fast",
   overrides={"trials": 30})`` builds a ready-to-run
@@ -35,10 +37,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import fields, is_dataclass, replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from repro.exceptions import ConfigurationError
 from repro.api.protocol import Experiment
+from repro.defaults import DEFAULT_SEED, PRESETS
+from repro.exceptions import ConfigurationError
 from repro.experiments import (
     EstimatorAblationExperiment,
     Fig4Experiment,
@@ -49,17 +52,6 @@ from repro.experiments import (
     VitFamilyAblationExperiment,
 )
 from repro.population import PopulationExperiment
-
-#: The named fidelity/run-time presets every registered experiment provides.
-#: ``paper`` runs figure-sized grids through the capture kernels, in
-#: simulation mode or, where the points share one gateway capture (Figure 8,
-#: the tap ablation, population), in hybrid mode; ``fast``
-#: switches to the hybrid/analytic models; ``quick`` additionally shrinks the
-#: grids to seconds; ``smoke`` is a tiny all-analytic grid for CI.
-PRESETS: Tuple[str, ...] = ("paper", "fast", "quick", "smoke")
-
-#: Default master seed of CLI runs (the paper's publication year).
-DEFAULT_SEED = 2003
 
 _EXPERIMENTS: Dict[str, Any] = {
     cls.name: cls

@@ -56,6 +56,7 @@ the paper provides one.
 
 from __future__ import annotations
 
+import importlib.util
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import (
@@ -70,8 +71,8 @@ from typing import (
     Union,
 )
 
-from repro.api.registry import DEFAULT_SEED
 from repro.core.theorems import detection_rate_table
+from repro.defaults import DEFAULT_SEED
 from repro.exceptions import ConfigurationError
 from repro.experiments.base import CollectionMode, ScenarioConfig, resolve_seeds
 from repro.experiments.report import (
@@ -86,16 +87,10 @@ from repro.runner.cells import DEFAULT_FEATURES
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.runner import ExperimentView, GridSpec, SweepCell
 
-try:  # Python 3.11+; 3.10 installs the tomli backport (see pyproject.toml).
-    import tomllib as _toml
-except ImportError:  # pragma: no cover - exercised only on Python 3.10
-    try:
-        import tomli as _toml  # type: ignore[no-redef]
-    except ImportError:
-        _toml = None
-
-#: Whether a TOML parser is available (guards :meth:`ScenarioSpec.from_toml`).
-TOML_AVAILABLE = _toml is not None
+#: Whether a TOML parser is available (guards :meth:`ScenarioSpec.from_toml`):
+#: ``tomllib`` on Python 3.11+, the ``tomli`` backport on 3.10 (see
+#: pyproject.toml).  Looked up without importing it; only ``from_toml`` loads it.
+TOML_AVAILABLE = any(importlib.util.find_spec(name) for name in ("tomllib", "tomli"))
 
 #: ScenarioConfig fields a scenario file's ``[base]`` table may set.
 _BASE_FIELDS: Tuple[str, ...] = (
@@ -404,19 +399,24 @@ class ScenarioSpec:
     @classmethod
     def from_toml(cls, path: Union[str, Path]) -> "ScenarioSpec":
         """Load a scenario file (``repro run --scenario my_wan.toml``)."""
-        if _toml is None:  # pragma: no cover - Python 3.10 without tomli
-            raise ConfigurationError(
-                "reading TOML scenario files needs Python >= 3.11 (tomllib) "
-                "or the 'tomli' package; build the spec with "
-                "ScenarioSpec.from_dict instead"
-            )
+        try:
+            import tomllib as toml
+        except ImportError:  # pragma: no cover - exercised only on Python 3.10
+            try:
+                import tomli as toml  # type: ignore[no-redef]
+            except ImportError:
+                raise ConfigurationError(
+                    "reading TOML scenario files needs Python >= 3.11 (tomllib) "
+                    "or the 'tomli' package; build the spec with "
+                    "ScenarioSpec.from_dict instead"
+                ) from None
         path = Path(path)
         if not path.is_file():
             raise ConfigurationError(f"scenario file {str(path)!r} does not exist")
         try:
             with path.open("rb") as handle:
-                data = _toml.load(handle)
-        except _toml.TOMLDecodeError as exc:
+                data = toml.load(handle)
+        except toml.TOMLDecodeError as exc:
             raise ConfigurationError(
                 f"scenario file {str(path)!r} is not valid TOML: {exc}"
             ) from None

@@ -35,31 +35,21 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro._version import __version__
-from repro.api import (
+from repro.defaults import (
+    BACKEND_NAMES,
+    DEFAULT_MAX_REGRESSION,
     DEFAULT_SEED,
+    EXPERIMENT_NAMES,
     PRESETS,
-    ScenarioExperiment,
-    ScenarioSpec,
-    describe_experiment,
-    get_experiment,
-    list_experiments,
-    parse_set_options,
-    run_experiment,
 )
 from repro.exceptions import ConfigurationError, ReproError
-from repro.runner import (
-    ResultsStore,
-    SweepRunner,
-    experiment_view,
-    resolve_jobs,
-    seed_range,
-)
-from repro.runner.defaults import BACKEND_NAMES, DEFAULT_MAX_REGRESSION
+
+if TYPE_CHECKING:  # pragma: no cover - types only; handlers import what they run
+    from repro.api import ScenarioExperiment
 
 #: Confidence level of the ``--ci`` bootstrap bands.
 CI_CONFIDENCE = 0.95
@@ -155,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Regenerate figures of Fu et al., ICPP 2003 (link-padding countermeasures).",
     )
     parser.add_argument("--version", action="version", version=f"repro {__version__}")
-    names = list_experiments()
+    names = EXPERIMENT_NAMES
     subcommands = parser.add_subparsers(
         dest="command",
         metavar="command",
@@ -429,6 +419,8 @@ def _validate_args(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
 
 
 def _render_list() -> str:
+    from repro.api import describe_experiment, list_experiments
+
     names = list_experiments()
     width = max(len(name) for name in names)
     lines = ["registered experiments (repro run <name> [--preset ...]):", ""]
@@ -518,6 +510,8 @@ def _run_check_command(args: argparse.Namespace) -> int:
 
 
 def _run_cache_command(args: argparse.Namespace) -> str:
+    from repro.runner import ResultsStore
+
     store = ResultsStore(args.cache_dir)
     if args.action == "compact":
         return f"cache compact: {store.compact()}"
@@ -550,6 +544,10 @@ def _load_scenario(path: Path, explicit_seed: Optional[int]) -> ScenarioExperime
     Scenario files own their run settings, so the spec's ``run.seed`` wins
     unless the user explicitly passed ``--seed`` on the command line.
     """
+    from dataclasses import replace
+
+    from repro.api import ScenarioExperiment, ScenarioSpec
+
     spec = ScenarioSpec.from_toml(path)
     if explicit_seed is not None:
         spec = replace(spec, seed=explicit_seed)
@@ -579,13 +577,84 @@ def _expand_scenario_paths(paths: Sequence[Path]) -> List[Path]:
 
 def _scenario_seeds(experiment: ScenarioExperiment, count: int):
     """A scenario's multi-seed fan-out, based on its own (resolved) seed."""
+    from repro.runner import seed_range
+
     if count > 1:
         return seed_range(experiment.spec.seed, count)
     return None
 
 
+def _run_experiments(args: argparse.Namespace) -> Tuple[str, Optional[str]]:
+    """``repro run`` / ``repro sweep``: the report and the stderr accounting line."""
+    from repro.api import get_experiment, parse_set_options, run_experiment
+    from repro.runner import (
+        ResultsStore,
+        SweepRunner,
+        experiment_view,
+        resolve_jobs,
+        seed_range,
+    )
+
+    preset = args.preset if args.preset is not None else DEFAULT_PRESET
+    seed = args.seed if args.seed is not None else DEFAULT_SEED
+    seeds = seed_range(seed, args.seeds) if args.seeds > 1 else None
+    confidence = CI_CONFIDENCE if args.ci else None
+    store = ResultsStore(args.cache_dir) if args.cache_dir is not None else None
+    runner = SweepRunner(jobs=resolve_jobs(args.jobs), store=store, backend=args.backend)
+
+    if args.command == "sweep":
+        # One combined runner call: every selected experiment's cells share
+        # the worker pool, so e.g. fig4's single cell runs alongside fig8's
+        # 24-hour grid instead of serialising per experiment.  Each
+        # experiment keeps its own seed base — the CLI seed for registered
+        # experiments, the spec's run.seed for scenario files (unless --seed
+        # was given explicitly) — so the --seeds fan-out never silently
+        # reseeds a scenario.
+        pooled: List = []
+        for name in args.figures:
+            experiment = get_experiment(name, preset, seed)
+            pooled.append((experiment, experiment.cells(seeds)))
+        for path in _expand_scenario_paths(args.scenarios):
+            experiment = _load_scenario(path, args.seed)
+            its_seeds = _scenario_seeds(experiment, args.seeds)
+            pooled.append((experiment, experiment.cells(its_seeds)))
+        combined = runner.run([cell for _, cells in pooled for cell in cells])
+        reports = [
+            experiment.assemble(experiment_view(combined, cells, confidence)).to_text()
+            for experiment, cells in pooled
+        ]
+        return "\n\n".join(reports) + "\n\n" + runner.summary(), None
+    if args.scenario is not None:
+        experiment = _load_scenario(args.scenario, args.seed)
+        outcome = run_experiment(
+            experiment,
+            runner=runner,
+            seeds=_scenario_seeds(experiment, args.seeds),
+            confidence=confidence,
+        )
+        return outcome.to_text() + "\n" + runner.summary(), None
+    overrides = parse_set_options(args.overrides)
+    experiment = get_experiment(args.experiment, preset, seed, overrides=overrides or None)
+    outcome = run_experiment(
+        experiment,
+        runner=runner,
+        seeds=seeds,
+        confidence=confidence,
+        preset=preset,
+        overrides=overrides,
+    )
+    # Cache accounting on stderr: the report bytes (and an --output file)
+    # stay those of a storeless run.
+    return outcome.to_text(), runner.summary() if store is not None else None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run the CLI; returns a process exit code."""
+    """Run the CLI; returns a process exit code.
+
+    Parsing needs only :mod:`repro.defaults`; each command's handler imports
+    the library code it runs, so ``--version``, ``--help`` and argument
+    errors load no numpy.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     _validate_args(parser, args)
@@ -602,66 +671,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         elif args.command == "serve":
             return _run_serve_command(args)
         else:
-            preset = args.preset if args.preset is not None else DEFAULT_PRESET
-            seed = args.seed if args.seed is not None else DEFAULT_SEED
-            seeds = seed_range(seed, args.seeds) if args.seeds > 1 else None
-            confidence = CI_CONFIDENCE if args.ci else None
-            store = ResultsStore(args.cache_dir) if args.cache_dir is not None else None
-            runner = SweepRunner(
-                jobs=resolve_jobs(args.jobs), store=store, backend=args.backend
-            )
-
-            if args.command == "sweep":
-                # One combined runner call: every selected experiment's cells
-                # share the worker pool, so e.g. fig4's single cell runs
-                # alongside fig8's 24-hour grid instead of serialising per
-                # experiment.  Each experiment keeps its own seed base — the
-                # CLI seed for registered experiments, the spec's run.seed
-                # for scenario files (unless --seed was given explicitly) —
-                # so the --seeds fan-out never silently reseeds a scenario.
-                pooled: List = []
-                for name in args.figures:
-                    experiment = get_experiment(name, preset, seed)
-                    pooled.append((experiment, experiment.cells(seeds)))
-                for path in _expand_scenario_paths(args.scenarios):
-                    experiment = _load_scenario(path, args.seed)
-                    its_seeds = _scenario_seeds(experiment, args.seeds)
-                    pooled.append((experiment, experiment.cells(its_seeds)))
-                combined = runner.run([cell for _, cells in pooled for cell in cells])
-                reports = [
-                    experiment.assemble(
-                        experiment_view(combined, cells, confidence)
-                    ).to_text()
-                    for experiment, cells in pooled
-                ]
-                report = "\n\n".join(reports) + "\n\n" + runner.summary()
-            elif args.command == "run" and args.scenario is not None:
-                experiment = _load_scenario(args.scenario, args.seed)
-                outcome = run_experiment(
-                    experiment,
-                    runner=runner,
-                    seeds=_scenario_seeds(experiment, args.seeds),
-                    confidence=confidence,
-                )
-                report = outcome.to_text() + "\n" + runner.summary()
-            else:
-                overrides = parse_set_options(args.overrides)
-                experiment = get_experiment(
-                    args.experiment, preset, seed, overrides=overrides or None
-                )
-                outcome = run_experiment(
-                    experiment,
-                    runner=runner,
-                    seeds=seeds,
-                    confidence=confidence,
-                    preset=preset,
-                    overrides=overrides,
-                )
-                report = outcome.to_text()
-                if store is not None:
-                    # Cache accounting on stderr: the report bytes (and an
-                    # --output file) stay those of a storeless run.
-                    accounting = runner.summary()
+            report, accounting = _run_experiments(args)
     except ReproError as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2

@@ -34,7 +34,6 @@ from repro.runner.cells import (
     SweepCell,
     run_cell,
 )
-from repro.runner.defaults import BACKEND_NAMES
 from repro.runner.execute import TaskFailure, available_cpu_count, resolve_jobs
 from repro.runner.grid import (
     SEED_TAG,
@@ -53,7 +52,6 @@ from repro.runner.runner import SweepReport, SweepRunner
 from repro.runner.store import CompactionStats, ResultsStore, StoreStats
 
 __all__ = [
-    "BACKEND_NAMES",
     "TaskFailure",
     "available_cpu_count",
     "resolve_jobs",

@@ -46,8 +46,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.defaults import DEFAULT_MAX_REGRESSION
 from repro.exceptions import ConfigurationError
-from repro.runner.defaults import DEFAULT_MAX_REGRESSION
 
 #: Version of the ``BENCH_*.json`` schema; bump on incompatible layout changes.
 BENCH_SCHEMA_VERSION = 1

@@ -36,10 +36,10 @@ import traceback
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, Iterator, Optional
 
+from repro.defaults import BACKEND_NAMES
 from repro.exceptions import ConfigurationError, SweepError
 from repro.runner.capture import CaptureResult, CaptureSpec, run_capture
 from repro.runner.cells import CellResult, SweepCell, run_cell
-from repro.runner.defaults import BACKEND_NAMES
 from repro.runner.execute import Task, TaskFailure, execute
 from repro.runner.store import ResultsStore
 

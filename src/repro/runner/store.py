@@ -72,6 +72,12 @@ def _append(path: Path, line: bytes) -> None:
         os.close(fd)
 
 
+def _sorted_entries(path: Union[str, Path]) -> List[os.DirEntry]:
+    """The entries of directory ``path``, sorted by name (``sorted`` exhausts
+    the iterator, which closes it)."""
+    return sorted(os.scandir(path), key=lambda entry: entry.name)
+
+
 @dataclass(frozen=True)
 class StoreStats:
     """Health snapshot of a results store (``repro cache stats``).
@@ -247,15 +253,22 @@ class ResultsStore:
 
         Public for read-side tooling — compaction, ``repro cache stats``,
         :class:`~repro.store.query.StoreQuery` and ``repro serve`` all walk
-        the same listing.
+        the same listing: every ``*.jsonl`` file in a directory with a
+        two-character name at the root.  Each ``DirEntry`` knows its own
+        type, so the walk stats no shard (symbolic links are followed, as by
+        ``Path.is_file``).
         """
         if not self._root.is_dir():
             return []
-        return sorted(
-            path
-            for path in self._root.glob("??/*.jsonl")
-            if path.is_file()
-        )
+        shards: List[Path] = []
+        for directory in _sorted_entries(self._root):
+            if len(directory.name) == 2 and directory.is_dir():
+                shards.extend(
+                    Path(entry.path)
+                    for entry in _sorted_entries(directory.path)
+                    if entry.name.endswith(".jsonl") and entry.is_file()
+                )
+        return shards
 
     @staticmethod
     def _count_data_lines(path: Path) -> int:

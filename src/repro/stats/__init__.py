@@ -14,11 +14,6 @@
   empirical detection-rate estimates reported by the experiments.
 """
 
-# np.percentile (bootstrap bands, descriptive summaries, the Silverman and
-# IQR statistics) imports numpy.ma on its first call.  Load it with the
-# package so that one-off cost stays in start-up, not in the first attack.
-import numpy.ma  # noqa: F401
-
 from repro.stats.bootstrap import bootstrap_ci, bootstrap_detection_rate_ci
 from repro.stats.descriptive import (
     coefficient_of_variation,

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from statistics import NormalDist
 
 import numpy as np
 
@@ -54,6 +53,9 @@ def jarque_bera_normality(sample: np.ndarray) -> tuple[float, float]:
 @lru_cache(maxsize=8)
 def _standard_normal_quantiles(size: int) -> np.ndarray:
     """Standard normal quantiles at the Q–Q plotting positions ``(i - 0.5)/n``."""
+    # statistics (with fractions and decimal) loads only for a Q–Q test.
+    from statistics import NormalDist
+
     inv_cdf = NormalDist().inv_cdf
     quantiles = np.fromiter(
         (inv_cdf((i - 0.5) / size) for i in range(1, size + 1)), dtype=float, count=size

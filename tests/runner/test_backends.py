@@ -29,7 +29,7 @@ from repro.runner import (
     experiment_view,
     seed_range,
 )
-from repro.runner.defaults import BACKEND_NAMES
+from repro.defaults import BACKEND_NAMES
 from repro.runner.execute import TaskFailure, available_cpu_count, execute, resolve_jobs
 
 

@@ -59,6 +59,40 @@ class TestResultsStore:
         assert record["schema"] == SCHEMA_VERSION
         assert record["kind"] == "cell"
 
+    def test_shard_listing_is_the_glob_rule(self, store):
+        """The listing is ``sorted(p for p in root.glob("??/*.jsonl") if
+        p.is_file())``, stray files and shard-named directories included."""
+        for fingerprint in ("c0ffee", "abff02", "abcd01", "ab0003", "ffee04"):
+            store.put(fingerprint, {}, RESULT)
+        root = store.root
+        (root / "ab" / "notes.txt").write_text("stray\n")
+        (root / "ab" / "abdir5.jsonl").mkdir()  # a directory named like a shard
+        (root / "ab" / ".hidden.jsonl").write_text("\n")
+        (root / "zz").write_text("a file named like a shard directory\n")
+        (root / "abc").mkdir()
+        (root / "abc" / "abc006.jsonl").write_text("\n")  # three-letter directory
+        (root / "stray.jsonl").write_text("\n")
+        (root / ".q").mkdir()
+        (root / ".q" / "q00007.jsonl").write_text("\n")  # a hidden two-letter directory
+        expected = sorted(path for path in root.glob("??/*.jsonl") if path.is_file())
+        assert store.shard_files() == expected
+        assert expected[:3] == [
+            root / ".q" / "q00007.jsonl",
+            root / "ab" / ".hidden.jsonl",
+            root / "ab" / "ab0003.jsonl",
+        ]
+        assert len(expected) == 7
+
+    def test_shard_listing_of_a_relative_root_matches_the_glob_rule(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        store = ResultsStore(".")
+        store.put("abcd01", {}, RESULT)
+        listing = store.shard_files()
+        assert listing == sorted(p for p in Path(".").glob("??/*.jsonl") if p.is_file())
+        assert listing == [Path("ab/abcd01.jsonl")]
+
     def test_put_recreates_a_shard_directory_deleted_between_puts(self, store):
         store.put("abcd01", {}, RESULT)
         shutil.rmtree(store.root / "ab")

@@ -18,7 +18,7 @@ import inspect
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError, SimulationError
@@ -421,6 +421,25 @@ def _event_times_oracle(draw_chunk, horizon, expected_count):
     return times[times <= horizon]
 
 
+def _top_up_case(seed):
+    """The first exponential chunk of ``seed``, its sequential total and a
+    horizon one ulp below its pairwise sum."""
+    first = np.random.default_rng(seed).exponential(1e-3, size=256)
+    total = float(np.cumsum(first)[-1])
+    horizon = float(np.nextafter(np.sum(first), -np.inf))
+    return first, total, horizon
+
+
+def _horizon_above_total(seed):
+    _, total, horizon = _top_up_case(seed)
+    return horizon > total
+
+
+#: Seeds whose horizon lies above the sequential total (about a quarter of
+#: all seeds), found once at collection so that no drawn example is rejected.
+TOP_UP_SEEDS = tuple(filter(_horizon_above_total, range(1000)))
+
+
 class TestEventTimesUntil:
     """The chunked event-time sums equal the straightforward oracle bit for bit."""
 
@@ -464,7 +483,7 @@ class TestEventTimesUntil:
         assert np.array_equal(times, expected)
 
     @settings(max_examples=50, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @given(seed=st.sampled_from(TOP_UP_SEEDS))
     def test_top_up_continues_the_sequential_sum(self, seed):
         # The first chunk's pairwise sum lands above its sequential total,
         # and the horizon lies between the two: the guard stops after one
@@ -472,10 +491,8 @@ class TestEventTimesUntil:
         # top-up branch must run.  Its draws are about one ulp each, so some of
         # the topped-up times fall inside the horizon and their rounding
         # shows whether the sum continued in sequential order.
-        first = np.random.default_rng(seed).exponential(1e-3, size=256)
-        total = float(np.cumsum(first)[-1])
-        horizon = float(np.nextafter(np.sum(first), -np.inf))
-        assume(horizon > total)
+        first, total, horizon = _top_up_case(seed)
+        assert horizon > total
         ulp = float(np.spacing(total))
 
         def chunks(calls):

@@ -581,6 +581,43 @@ class TestStartup:
         code = f"import sys, repro.cli; print({library!r} in sys.modules)"
         assert self.run_python(code) == "False"
 
+    def test_start_up_loads_no_module_that_only_some_runs_use(self):
+        """``numpy.ma`` serves no run; ``statistics`` loads with fig4's Q–Q
+        test and ``tomllib`` with a scenario file, not at start-up."""
+        code = (
+            "import sys, repro.cli\nfrom repro.api import ScenarioSpec\n"
+            "print([m for m in ('numpy.ma', 'statistics', 'tomllib') if m in sys.modules])"
+        )
+        assert self.run_python(code) == "[]"
+
+    @pytest.mark.parametrize(
+        "argv, status",
+        [(["--version"], 0), (["--help"], 0), (["run", "nosuch"], 2)],
+        ids=["version", "help", "usage-error"],
+    )
+    def test_parsing_alone_loads_no_library(self, argv, status):
+        """What argparse answers by itself (the version, the help text, a
+        usage error) needs only ``repro.defaults``: no numpy, no experiment."""
+        code = (
+            "import contextlib, io, sys\n"
+            "from repro.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "    try:\n"
+            f"        main({argv!r})\n"
+            "    except SystemExit as exit:\n"
+            "        status = exit.code\n"
+            "print(status, sorted(m for m in sys.modules "
+            "if m.partition('.')[0] == 'numpy' or m.startswith('repro.experiments')))"
+        )
+        assert self.run_python(code) == f"{status} []"
+
+    def test_parse_time_experiment_names_are_the_registry(self):
+        from repro.api import list_experiments
+        from repro.defaults import EXPERIMENT_NAMES
+
+        assert list(EXPERIMENT_NAMES) == list_experiments()
+
     #: What no serial run executes: the process pool (:mod:`concurrent.futures`
     #: and :mod:`multiprocessing`) and ``repro bench``.
     SCALE_OUT_MODULES = (
