@@ -9,12 +9,12 @@ Gaussian kernel estimator, and derives Bayes decision rules
 for all ``j`` (equation (2)).
 
 At run time each feature value computed from a captured PIAT sample is
-pushed through the rules; :meth:`KDEBayesClassifier.decide` does so for a
-whole array of values at once.  Training keeps the classes stacked, one
-``(classes, samples)`` matrix and one bandwidth vector, so every class's
-bandwidth and log-density come from one call each.  The classifier is
-agnostic to the number of classes, so the two-rate evaluation and the
-Section 6 multi-rate extension use the same code.
+pushed through the rules.  :func:`training_rows` (the checks of ``fit``)
+and :func:`bayes_decisions` (the rule on stacked log posteriors) are
+shared with the per-cell attack of
+:func:`repro.adversary.detection.detection_rates`, which scores many
+classifiers at once; :class:`KDEBayesClassifier` is the one-classifier
+form, agnostic to the number of classes (two rates or Section 6's many).
 """
 
 from __future__ import annotations
@@ -25,6 +25,60 @@ import numpy as np
 
 from repro.exceptions import AnalysisError, NotFittedError, TrainingError
 from repro.stats.kde import kde_log_densities, rule_bandwidths
+
+
+def training_rows(
+    training_features: Mapping[str, Sequence[float]],
+    priors: Optional[Mapping[str, float]] = None,
+) -> Tuple[List[str], List[np.ndarray], np.ndarray]:
+    """Sorted labels, their training rows and log priors, as checked by ``fit``."""
+    if len(training_features) < 2:
+        raise TrainingError("need at least two classes to train a classifier")
+    labels = [str(label) for label in training_features]
+    if len(set(labels)) != len(labels):
+        raise TrainingError("duplicate class labels in training data")
+
+    if priors is None:
+        prior_map = {label: 1.0 / len(labels) for label in labels}
+    else:
+        prior_map = {str(label): float(p) for label, p in priors.items()}
+        if set(prior_map) != set(labels):
+            raise TrainingError("priors must be given for exactly the training classes")
+        if any(p <= 0.0 for p in prior_map.values()):
+            raise TrainingError("priors must be strictly positive")
+        total = sum(prior_map.values())
+        if not np.isclose(total, 1.0, atol=1e-9):
+            raise TrainingError(f"priors must sum to 1, got {total}")
+    samples: Dict[str, np.ndarray] = {}
+    for label, values in training_features.items():
+        sample = np.asarray(values if isinstance(values, np.ndarray) else list(values), float)
+        if sample.ndim != 1:
+            raise TrainingError(f"class {label!r} training features must be one-dimensional")
+        if sample.size < 2:
+            raise TrainingError(
+                f"class {label!r} has only {sample.size} training samples; need >= 2"
+            )
+        if not np.isfinite(sample).all():
+            raise TrainingError(f"class {label!r} contains non-finite feature values")
+        samples[str(label)] = sample
+
+    ordered = sorted(labels)
+    return ordered, [samples[label] for label in ordered], np.log([prior_map[k] for k in ordered])
+
+
+def bayes_decisions(scores: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Index of the first largest of the ``(..., classes, values)`` log posteriors.
+
+    A NaN never wins; the first of ``values`` (``scores`` without the class
+    axis) with no finite posterior raises :class:`AnalysisError`.
+    """
+    scores = np.where(np.isnan(scores), -np.inf, scores)
+    winners = np.argmax(scores, axis=-2)
+    undecided = scores.max(axis=-2, initial=-np.inf) == -np.inf
+    if undecided.any():
+        value = float(values[undecided][0])
+        raise AnalysisError(f"feature value {value!r} has no finite posterior under any class")
+    return winners
 
 
 class KDEBayesClassifier:
@@ -68,47 +122,12 @@ class KDEBayesClassifier:
         -------
         self, to allow ``classifier = KDEBayesClassifier().fit(...)``.
         """
-        if len(training_features) < 2:
-            raise TrainingError("need at least two classes to train a classifier")
-        labels = [str(label) for label in training_features]
-        if len(set(labels)) != len(labels):
-            raise TrainingError("duplicate class labels in training data")
-
-        if priors is None:
-            prior_map = {label: 1.0 / len(labels) for label in labels}
-        else:
-            prior_map = {str(label): float(p) for label, p in priors.items()}
-            if set(prior_map) != set(labels):
-                raise TrainingError("priors must be given for exactly the training classes")
-            if any(p <= 0.0 for p in prior_map.values()):
-                raise TrainingError("priors must be strictly positive")
-            total = sum(prior_map.values())
-            if not np.isclose(total, 1.0, atol=1e-9):
-                raise TrainingError(f"priors must sum to 1, got {total}")
-
-        samples: Dict[str, np.ndarray] = {}
-        for label, values in training_features.items():
-            sample = np.asarray(
-                values if isinstance(values, np.ndarray) else list(values), dtype=float
-            )
-            if sample.ndim != 1:
-                raise TrainingError(f"class {label!r} training features must be one-dimensional")
-            if sample.size < 2:
-                raise TrainingError(
-                    f"class {label!r} has only {sample.size} training samples; need >= 2"
-                )
-            if not np.all(np.isfinite(sample)):
-                raise TrainingError(f"class {label!r} contains non-finite feature values")
-            samples[str(label)] = sample
-
-        self._labels = sorted(labels)
-        rows = [samples[label] for label in self._labels]
+        self._labels, rows, self._log_priors = training_rows(training_features, priors)
         if len({row.size for row in rows}) == 1:
             matrices = [np.stack(rows)]
         else:
             matrices = [row[None, :] for row in rows]
         self._groups = [(m, rule_bandwidths(m, self.bandwidth)) for m in matrices]
-        self._log_priors = np.log([prior_map[label] for label in self._labels])
         return self
 
     @property
@@ -137,7 +156,7 @@ class KDEBayesClassifier:
         """
         self._require_fitted()
         values = np.asarray(feature_values, dtype=float).reshape(-1)
-        blocks = [kde_log_densities(m, h, values) for m, h in self._groups]
+        blocks = [kde_log_densities(m[None], h[None], values)[0] for m, h in self._groups]
         log_densities = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
         return log_densities + self._log_priors[:, None]
 
@@ -150,16 +169,7 @@ class KDEBayesClassifier:
         identical.
         """
         values = np.asarray(feature_values, dtype=float).reshape(-1)
-        scores = self.log_posterior_matrix(values)
-        scores[np.isnan(scores)] = -np.inf
-        winners = np.argmax(scores, axis=0)
-        undecided = scores.max(axis=0, initial=-np.inf) == -np.inf
-        if undecided.any():
-            value = values[undecided][0]
-            raise AnalysisError(
-                f"feature value {float(value)!r} has no finite posterior under any class"
-            )
-        return winners
+        return bayes_decisions(self.log_posterior_matrix(values), values)
 
     def log_posteriors(self, feature_value: float) -> Dict[str, float]:
         """Unnormalised log posteriors ``log f(s|omega) + log P(omega)`` per class."""
@@ -213,4 +223,4 @@ class KDEBayesClassifier:
         return float(0.5 * (grid[index] + grid[index + 1]))
 
 
-__all__ = ["KDEBayesClassifier"]
+__all__ = ["KDEBayesClassifier", "bayes_decisions", "training_rows"]

@@ -10,22 +10,24 @@ This module turns raw PIAT captures into the numbers the paper plots:
    feature values.
 3. :func:`train_classifier` — off-line training of the KDE Bayes classifier.
 4. :func:`empirical_detection_rate` — batched run-time classification of
-   held-out samples and measurement of the detection rate (the paper's security
-   metric: the probability that the adversary identifies the payload rate
-   correctly).
+   held-out samples and the detection rate (the paper's security metric: the
+   probability that the adversary identifies the payload rate correctly).
+5. :func:`detection_rates` — a sweep cell's attacks, every (feature, sample
+   size) classifier scored in one batched pass with the same results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.adversary.bayes import KDEBayesClassifier
+from repro.adversary.bayes import KDEBayesClassifier, bayes_decisions, training_rows
 from repro.adversary.features import FeatureStatistic
 from repro.exceptions import AnalysisError
 from repro.stats.bootstrap import BootstrapResult, bootstrap_detection_rate_ci
+from repro.stats.kde import kde_log_densities, rule_bandwidths, silverman_bandwidths
 
 
 def slice_into_samples(
@@ -255,6 +257,83 @@ def evaluate_attack(
     )
 
 
+def detection_rates(
+    training_intervals: Mapping[str, np.ndarray],
+    test_intervals: Mapping[str, np.ndarray],
+    features: Mapping[str, FeatureStatistic],
+    sample_sizes: Sequence[int],
+    max_samples_per_class: Optional[int] = None,
+    kde_bandwidth: Union[str, float] = "silverman",
+) -> Dict[Tuple[str, int], float]:
+    """The detection rate of every (feature, sample size) attack on one pair of captures.
+
+    Each rate is, bit for bit, that of one ``KDEBayesClassifier(bandwidth)``
+    per pair (:func:`evaluate_attack` for ``"silverman"``); a number
+    multiplies the Silverman bandwidth of each pair's pooled training
+    features.  After extraction in (feature, sample size, label) order,
+    classifiers with equal class and test sizes share one bandwidth and one
+    :func:`kde_log_densities` call (one per class if class sizes differ).
+    The first failing pair raises its error, as a per-pair loop would.
+    """
+    pairs: List[Tuple[str, int]] = []
+    classes: List[List[np.ndarray]] = []
+    tests: List[List[np.ndarray]] = []
+    failure: Optional[AnalysisError] = None
+    test_labels = sorted(str(label) for label in test_intervals)
+    try:
+        for name, feature in features.items():
+            for n in sample_sizes:
+                trained = training_features(training_intervals, feature, n, max_samples_per_class)
+                labels, rows, log_priors = training_rows(trained)
+                tests.append([
+                    extract_feature_samples(test_intervals[t], feature, n, max_samples_per_class)
+                    for t in test_labels
+                ])
+                classes.append(rows)
+                pairs.append((name, n))
+    except AnalysisError as exc:
+        # An earlier pair may still fail first, when its values are decided.
+        failure = exc
+    if not pairs:
+        if failure is not None:
+            raise failure
+        return {}
+    multiplier = None if isinstance(kde_bandwidth, str) else float(kde_bandwidth)
+    if multiplier is not None and not multiplier > 0.0:
+        raise AnalysisError("bandwidth must be positive")
+    groups: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], List[int]] = {}
+    for k, (rows, values) in enumerate(zip(classes, tests)):
+        key = (tuple(row.size for row in rows), tuple(v.size for v in values))
+        groups.setdefault(key, []).append(k)
+    counts = [sum(v.size for v in values) for values in tests]
+    points = np.empty((len(pairs), max(counts)))
+    truth = np.full(points.shape, -1)
+    scores = np.empty((len(pairs), len(labels), points.shape[1]))
+    index = [labels.index(label) if label in labels else -1 for label in test_labels]
+    for (sizes, test_sizes), ks in groups.items():
+        count = sum(test_sizes)
+        points[ks, :count] = np.concatenate([v for k in ks for v in tests[k]]).reshape(len(ks), -1)
+        # Padding repeats a real value: it decides nothing new and is never counted.
+        points[ks, count:] = points[ks, count - 1 : count]
+        truth[ks, :count] = np.repeat(index, test_sizes)
+        if multiplier is not None:
+            pooled_h = multiplier * silverman_bandwidths([np.concatenate(classes[k]) for k in ks])
+        # All classes in one block when their sizes are equal, else one block each.
+        cs = [slice(None)] if len(set(sizes)) == 1 else [slice(c, c + 1) for c in range(len(sizes))]
+        for c in cs:
+            block = np.array([classes[k][c] for k in ks])
+            if multiplier is None:
+                h = rule_bandwidths(block.reshape(-1, block.shape[2]), kde_bandwidth)
+            else:
+                h = np.repeat(pooled_h, block.shape[1])
+            scores[ks, c] = kde_log_densities(block, h.reshape(block.shape[:2]), points[ks])
+    scores += log_priors[:, None]
+    correct = bayes_decisions(scores, points) == truth
+    if failure is not None:
+        raise failure
+    return {pair: np.count_nonzero(hit) / count for pair, hit, count in zip(pairs, correct, counts)}
+
+
 __all__ = [
     "slice_into_samples",
     "extract_feature_samples",
@@ -263,4 +342,5 @@ __all__ = [
     "DetectionResult",
     "empirical_detection_rate",
     "evaluate_attack",
+    "detection_rates",
 ]

@@ -32,12 +32,7 @@ from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.adversary.bayes import KDEBayesClassifier
-from repro.adversary.detection import (
-    empirical_detection_rate,
-    evaluate_attack,
-    training_features,
-)
+from repro.adversary.detection import detection_rates
 from repro.adversary.features import get_feature
 from repro.adversary.multiclass import evaluate_multiclass_attack
 from repro.exceptions import AnalysisError, ConfigurationError
@@ -54,7 +49,6 @@ from repro.runner.capture import (
     hybrid_captures_from_gateway,
 )
 from repro.runner.fingerprint import fingerprint_payload
-from repro.stats.kde import silverman_bandwidth
 from repro.stats.normality import normality_report
 
 #: Bumped whenever the cell execution or result layout changes in a way that
@@ -405,40 +399,6 @@ class CellResult:
         )
 
 
-def _measure_detection_rate(
-    cell: SweepCell,
-    train_intervals: Dict[str, np.ndarray],
-    test_intervals: Dict[str, np.ndarray],
-    feature,
-    sample_size: int,
-) -> float:
-    """One (feature, sample size) point, honouring the cell's bandwidth override."""
-    if cell.kde_bandwidth is None:
-        result = evaluate_attack(
-            train_intervals,
-            test_intervals,
-            feature,
-            sample_size=sample_size,
-            max_samples_per_class=cell.trials,
-        )
-        return float(result.detection_rate)
-    features = training_features(
-        train_intervals, feature, sample_size, max_samples_per_class=cell.trials
-    )
-    if isinstance(cell.kde_bandwidth, str):
-        bandwidth: Union[str, float] = cell.kde_bandwidth
-    else:
-        # Numeric overrides are multiples of the Silverman bandwidth of the
-        # pooled training features — a scale that survives feature rescaling.
-        pooled = np.concatenate([features[label] for label in sorted(features)])
-        bandwidth = float(cell.kde_bandwidth) * silverman_bandwidth(pooled)
-    classifier = KDEBayesClassifier(bandwidth=bandwidth).fit(features)
-    result = empirical_detection_rate(
-        classifier, test_intervals, feature, sample_size, max_samples_per_class=cell.trials
-    )
-    return float(result.detection_rate)
-
-
 def _collect_piat_stats(test_intervals: Dict[str, np.ndarray]) -> Dict[str, Dict[str, float]]:
     """Per-class normality statistics of a test capture (Figure 4(a))."""
     piat_stats: Dict[str, Dict[str, float]] = {}
@@ -578,12 +538,11 @@ def run_cell(cell: SweepCell, capture: Optional[CaptureResult] = None) -> CellRe
             noise_offset=noise_offsets[1],
         )
 
-    empirical: Dict[str, Dict[int, float]] = {name: {} for name in features}
-    for name, feature in features.items():
-        for n in cell.sample_sizes:
-            empirical[name][n] = _measure_detection_rate(
-                cell, train.intervals, test.intervals, feature, n
-            )
+    bandwidth = "silverman" if cell.kde_bandwidth is None else cell.kde_bandwidth
+    rates = detection_rates(
+        train.intervals, test.intervals, features, cell.sample_sizes, cell.trials, bandwidth
+    )
+    empirical = {name: {n: rates[name, n] for n in cell.sample_sizes} for name in features}
 
     piat_stats = _collect_piat_stats(test.intervals) if cell.collect_piat_stats else {}
 

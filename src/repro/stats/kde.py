@@ -18,7 +18,7 @@ from repro.exceptions import AnalysisError
 from repro.stats.descriptive import linear_quantile
 
 #: Most kernel evaluations held in memory at once by :func:`kde_log_densities`.
-_BLOCK_KERNELS = 1 << 18
+_BLOCK_KERNELS = 1 << 13
 
 
 def _bandwidth_rows(samples: np.ndarray) -> np.ndarray:
@@ -96,32 +96,43 @@ def rule_bandwidths(samples: np.ndarray, bandwidth: Union[str, float]) -> np.nda
 
 def kde_log_densities(
     samples: np.ndarray,
-    bandwidths: Union[Sequence[float], np.ndarray],
+    bandwidths: Union[Sequence[Sequence[float]], np.ndarray],
     points: Union[float, Sequence[float], np.ndarray],
 ) -> np.ndarray:
-    """Gaussian-KDE log-densities of every row of ``samples`` at every point.
+    """Gaussian-KDE log-densities of ``K`` classifiers' classes at their points.
 
-    ``samples`` is a ``(rows, n)`` matrix of training observations and
-    ``bandwidths`` holds one bandwidth per row; the result is ``(rows,
-    points)``.  Each value is a stable log-sum-exp over its row's kernels,
-    so Bayes comparisons stay meaningful even when a point lies many
-    bandwidths away from every observation.  Point blocks bound the
-    ``(rows, points, n)`` kernel tensor; a value does not depend on the
-    block it lands in.
+    ``samples`` is ``(K, C, n)``: ``C`` classes of ``n`` training values per
+    classifier; ``bandwidths`` is ``(K, C)`` and ``points`` ``(K, P)``.  The
+    result is ``(K, C, P)``, each value a stable log-sum-exp over its class's
+    kernels, so a point many bandwidths from every observation still
+    compares.  Classifier blocks (point blocks, when one classifier exceeds
+    the budget) bound the kernel tensor.  Every reduction runs along the
+    contiguous training axis, so a value does not depend on its block or on
+    how many classifiers share the call.
     """
-    points = np.asarray(points, dtype=float).reshape(-1)
-    scale = np.asarray(bandwidths, dtype=float)[:, None, None]
+    classifiers, classes, n = samples.shape
+    points = np.asarray(points, dtype=float).reshape(classifiers, -1)
+    scale = np.asarray(bandwidths, dtype=float)[:, :, None, None]
     log_scale = np.log(scale)
-    log_density = np.empty((samples.shape[0], points.size))
-    block = max(1, _BLOCK_KERNELS // samples.size)
-    for start in range(0, points.size, block):
-        z = (points[None, start : start + block, None] - samples[:, None, :]) / scale
-        log_kernels = -0.5 * z**2 - 0.5 * np.log(2.0 * np.pi) - log_scale
-        # log mean exp over the kernel axis
-        max_log = np.max(log_kernels, axis=2, keepdims=True)
-        log_density[:, start : start + block] = (
-            max_log[..., 0] + np.log(np.mean(np.exp(log_kernels - max_log), axis=2))
-        )
+    log_density = np.empty((classifiers, classes, points.shape[1]))
+    k_block = max(1, _BLOCK_KERNELS // max(1, classes * n * points.shape[1]))
+    p_block = max(1, _BLOCK_KERNELS // (k_block * classes * n))
+    for k in range(0, classifiers, k_block):
+        for p in range(0, points.shape[1], p_block):
+            ks, ps = slice(k, k + k_block), slice(p, p + p_block)
+            # One kernel tensor per block, updated in place in the order
+            # z = (x - s) / h, -0.5 * z**2 - 0.5 * log(2 pi) - log h.
+            kernels = points[ks, None, ps, None] - samples[ks, :, None, :]
+            kernels /= scale[ks]
+            np.square(kernels, out=kernels)
+            kernels *= -0.5
+            kernels -= 0.5 * np.log(2.0 * np.pi)
+            kernels -= log_scale[ks]
+            # log mean exp over the kernel axis (numpy's mean: sum / n)
+            max_log = kernels.max(axis=3, keepdims=True)
+            kernels -= max_log
+            np.exp(kernels, out=kernels)
+            log_density[ks, :, ps] = max_log[..., 0] + np.log(kernels.sum(axis=3) / n)
     return log_density
 
 
@@ -166,7 +177,7 @@ class GaussianKDE:
         Bayes comparisons meaningful even when a test feature lies many
         bandwidths away from every training point.
         """
-        log_density = kde_log_densities(self.sample[None, :], [self.bandwidth], x)[0]
+        log_density = kde_log_densities(self.sample[None, None, :], [[self.bandwidth]], x)[0, 0]
         if np.isscalar(x) or np.ndim(x) == 0:
             return float(log_density[0])
         return log_density

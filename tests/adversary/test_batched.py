@@ -8,7 +8,9 @@ the 1-D statistics (``sample_mean``, ``sample_variance``,
 an explicit slicing loop, the strict ``>`` Bayes rule over per-value KDE
 evaluations, the row-wise bandwidth rules over ``np.std``/``np.percentile``,
 the stacked class scores over a per-class log-density loop, and
-``evaluate_attack`` over list bookkeeping.
+``evaluate_attack`` over list bookkeeping, the classifier-batched KDE kernel
+over one call per classifier, and the per-cell ``detection_rates`` pass over
+a loop of one classifier per (feature, sample size).
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.adversary.bayes as bayes_module
+import repro.adversary.detection as detection_module
+import repro.stats.kde as kde_module
 from repro.adversary import (
     EntropyFeature,
     InterquartileRangeFeature,
@@ -33,7 +38,10 @@ from repro.adversary import (
     slice_into_samples,
     train_classifier,
 )
+from repro.adversary.detection import detection_rates, training_features
+from repro.api import get_experiment
 from repro.exceptions import AnalysisError
+from repro.runner import run_cell
 from repro.stats.descriptive import sample_mean, sample_variance
 from repro.stats.entropy import moddemeijer_entropy, moddemeijer_entropy_rows
 from repro.stats.kde import (
@@ -462,9 +470,9 @@ class TestStackedClassifier:
         n = min(values.size for values in training.values())
         matrix = np.stack([training[label][:n] for label in sorted(training)])
         bandwidths = silverman_bandwidths(matrix)
-        stacked = kde_log_densities(matrix, bandwidths, points)
+        stacked = kde_log_densities(matrix[None], bandwidths[None], points)[0]
         for row, sample, h in zip(stacked, matrix, bandwidths):
-            assert same_bits(row, kde_log_densities(sample[None, :], [h], points)[0])
+            assert same_bits(row, kde_log_densities(sample[None, None, :], [[h]], points)[0, 0])
 
     def test_priors_enter_every_row(self):
         rng = np.random.default_rng(12)
@@ -481,10 +489,10 @@ class TestStackedClassifier:
         rng = np.random.default_rng(13)
         matrix = rng.normal(0.0, 1.0, (3, 40))
         points = rng.normal(0.0, 2.0, 500)
-        bandwidths = scott_bandwidths(matrix)
-        whole = kde_log_densities(matrix, bandwidths, points)
+        bandwidths = scott_bandwidths(matrix)[None]
+        whole = kde_log_densities(matrix[None], bandwidths, points)
         monkeypatch.setattr(kde, "_BLOCK_KERNELS", 7 * matrix.size)
-        assert same_bits(kde_log_densities(matrix, bandwidths, points), whole)
+        assert same_bits(kde_log_densities(matrix[None], bandwidths, points), whole)
 
 
 def reference_detection(train, test, name, sample_size, trials):
@@ -546,3 +554,183 @@ class TestEvaluateAttack:
         assert result.correct_flags == flags
         assert all(type(flag) is bool for flag in result.correct_flags)
         assert result.trials == len(flags)
+
+
+@st.composite
+def classifier_stacks(draw):
+    """``(K, C, n)`` training stacks with rule bandwidths and ``(K, P)`` points."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(st.integers(2, 40)))
+    scale = 10.0 ** draw(st.integers(-6, 1))
+    samples = rng.normal(0.0, scale, shape)
+    if draw(st.booleans()):
+        samples = np.round(samples / scale * 4.0) * scale / 4.0
+    rule = draw(st.sampled_from([silverman_bandwidths, scott_bandwidths]))
+    bandwidths = rule(samples.reshape(-1, shape[2])).reshape(shape[:2])
+    points = rng.normal(0.0, 3.0 * scale, (shape[0], draw(st.integers(1, 50))))
+    return samples, bandwidths, points
+
+
+class TestClassifierBatchedKernel:
+    @given(case=classifier_stacks(), budget=st.sampled_from([1, 7, 97, 1 << 13, 1 << 20]))
+    @settings(max_examples=200, deadline=None)
+    def test_batched_values_are_the_single_classifier_calls(self, case, budget):
+        samples, bandwidths, points = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kde_module, "_BLOCK_KERNELS", budget)
+            batched = kde_log_densities(samples, bandwidths, points)
+        assert batched.shape == samples.shape[:2] + points.shape[1:]
+        for k in range(samples.shape[0]):
+            single = kde_log_densities(samples[k : k + 1], bandwidths[k : k + 1], points[k])
+            assert same_bits(batched[k], single[0])
+            for c in range(samples.shape[1]):
+                oracle = reference_logpdf(samples[k, c], bandwidths[k, c], points[k])
+                assert same_bits(batched[k, c], oracle)
+
+
+def loop_rates(train, test, features, sample_sizes, trials, bandwidth):
+    """The per-pair loop the batched pass replaces: one classifier per pair."""
+    rates = {}
+    for name, feature in features.items():
+        for n in sample_sizes:
+            if bandwidth == "silverman":
+                result = evaluate_attack(train, test, feature, n, max_samples_per_class=trials)
+            else:
+                trained = training_features(train, feature, n, max_samples_per_class=trials)
+                h = bandwidth
+                if not isinstance(bandwidth, str):
+                    pooled = np.concatenate([trained[label] for label in sorted(trained)])
+                    h = bandwidth * silverman_bandwidth(pooled)
+                classifier = KDEBayesClassifier(bandwidth=h).fit(trained)
+                result = empirical_detection_rate(
+                    classifier, test, feature, n, max_samples_per_class=trials
+                )
+            rates[name, n] = result.detection_rate
+    return rates
+
+
+def outcome(function, *args):
+    """The rates, or the type and message of the error raised."""
+    try:
+        return function(*args)
+    except AnalysisError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(train, test, features, sample_sizes, trials, bandwidth):
+    args = (train, test, features, sample_sizes, trials, bandwidth)
+    expected = outcome(loop_rates, *args)
+    got = outcome(detection_rates, *args)
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert list(got) == list(expected)
+        assert all(same_bits(got[key], expected[key]) for key in expected)
+    return got
+
+
+@st.composite
+def cell_cases(draw):
+    """Captures of two or three rates, some short, some tied, and the attack's settings."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = draw(
+        st.lists(st.sampled_from(["high", "low", "mid", "2", "10"]), min_size=2, max_size=3,
+                 unique=True)
+    )
+    names = draw(st.lists(st.sampled_from(sorted(FEATURES)), min_size=1, max_size=3, unique=True))
+    sample_sizes = draw(st.lists(st.integers(3, 30), min_size=1, max_size=3))
+    trials = draw(st.integers(2, 8))
+    full = max(sample_sizes) * trials
+
+    def capture(index):
+        # Most captures give every pair ``trials`` samples; some give fewer
+        # (unequal class sizes), one or none (errors).
+        length = draw(st.sampled_from([full, full, full + 7, full // 2 + 1, full // 5 + 2]))
+        draws = rng.normal(0.0, 1e-4 * (1.0 + 0.4 * index), length)
+        return 0.01 + np.round(draws / BIN_WIDTH * 4) * BIN_WIDTH / 4
+
+    train = {label: capture(i) for i, label in enumerate(labels)}
+    if draw(st.booleans()):
+        train[labels[1]] = train[labels[0]].copy()  # exact ties everywhere
+    test = {label: capture(i) for i, label in reversed(list(enumerate(labels)))}
+    features = {name: FEATURES[name][0] for name in names}
+    bandwidth = draw(st.sampled_from(["silverman", "scott", 0.5, 2.0]))
+    return train, test, features, sample_sizes, trials, bandwidth
+
+
+class TestDetectionRates:
+    @given(case=cell_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_rates_and_errors_match_the_per_pair_loop(self, case):
+        assert_same_outcome(*case)
+
+    @pytest.mark.parametrize("bandwidth", ["silverman", "scott", 0.5, 2.0])
+    def test_unequal_class_sizes(self, bandwidth):
+        rng = np.random.default_rng(21)
+        train = {"low": rng.normal(0.01, 1e-4, 400), "high": rng.normal(0.01, 2e-4, 150)}
+        test = {"low": rng.normal(0.01, 1e-4, 90), "high": rng.normal(0.01, 2e-4, 400)}
+        features = {"variance": VarianceFeature(), "mean": MeanFeature()}
+        rates = assert_same_outcome(train, test, features, (10, 20, 40), 12, bandwidth)
+        assert len(rates) == 6
+
+    def test_exact_ties_go_to_the_smallest_label(self):
+        rng = np.random.default_rng(22)
+        capture = rng.normal(0.01, 1e-4, 600)
+        train = {"low": capture, "high": capture.copy()}
+        test = {"low": rng.normal(0.01, 1e-4, 300), "high": rng.normal(0.01, 1e-4, 600)}
+        rates = assert_same_outcome(train, test, {"mean": MeanFeature()}, (10, 30), 20, "silverman")
+        # Every value ties and goes to "high": its 20 samples are right, the
+        # 20 (n=10) or 10 (n=30) of "low" are wrong.
+        assert rates == {("mean", 10): 20 / 40, ("mean", 30): 20 / 30}
+
+    @pytest.mark.parametrize("order", [("mad", "mean"), ("mean", "mad")])
+    def test_the_first_failing_pair_raises(self, order):
+        # A NaN in the test capture leaves MAD with a value that has no
+        # finite posterior (at decision time) and makes the mean refuse its
+        # sample (at extraction time); whichever pair comes first wins.
+        rng = np.random.default_rng(23)
+        train = {"low": rng.normal(0.01, 1e-4, 400), "high": rng.normal(0.01, 2e-4, 400)}
+        test = {"low": rng.normal(0.01, 1e-4, 400), "high": rng.normal(0.01, 2e-4, 400)}
+        test["high"][5] = np.nan
+        features = {name: FEATURES[name][0] for name in order}
+        got = assert_same_outcome(train, test, features, (10, 20), 15, "silverman")
+        assert got[0] is AnalysisError
+        assert ("no finite posterior" in got[1]) == (order[0] == "mad")
+
+    def test_a_class_with_fewer_than_two_training_samples(self):
+        rng = np.random.default_rng(24)
+        train = {"low": rng.normal(0.01, 1e-4, 400), "high": rng.normal(0.01, 2e-4, 45)}
+        test = {"low": rng.normal(0.01, 1e-4, 400), "high": rng.normal(0.01, 2e-4, 400)}
+        features = {"variance": VarianceFeature()}
+        got = assert_same_outcome(train, test, features, (10, 30), 10, "silverman")
+        assert got == (
+            AnalysisError,
+            "class 'high': only 1 training samples of size 30 could be formed; "
+            "capture more traffic",
+        )
+
+    def test_a_non_positive_multiplier_is_refused(self):
+        rng = np.random.default_rng(25)
+        train = {"low": rng.normal(0.01, 1e-4, 100), "high": rng.normal(0.01, 2e-4, 100)}
+        with pytest.raises(AnalysisError, match="bandwidth must be positive"):
+            detection_rates(train, train, {"mean": MeanFeature()}, (10,), 5, 0.0)
+
+
+class TestOnePassPerCell:
+    def test_a_fig4_cell_scores_every_classifier_in_one_kde_call(self, monkeypatch):
+        calls = []
+        kernel = kde_module.kde_log_densities
+
+        def counting(samples, bandwidths, points):
+            calls.append(samples.shape)
+            return kernel(samples, bandwidths, points)
+
+        for module in (kde_module, bayes_module, detection_module):
+            monkeypatch.setattr(module, "kde_log_densities", counting)
+        [cell] = get_experiment("fig4", "smoke", 2003).cells()
+        result = run_cell(cell)
+        pairs = len(cell.features) * len(cell.sample_sizes)
+        assert pairs == 6
+        assert sum(len(by_n) for by_n in result.empirical_detection_rate.values()) == pairs
+        # One class-size group, so one call holding all six classifiers.
+        assert calls == [(pairs, 2, cell.trials)]
