@@ -70,10 +70,14 @@ def slice_into_samples(
     n_samples = (array.size - sample_size) // step + 1
     if max_samples is not None:
         n_samples = min(n_samples, max(max_samples, 1))
-    stride = array.strides[0]
-    return np.lib.stride_tricks.as_strided(
-        array, shape=(n_samples, sample_size), strides=(step * stride, stride), writeable=False
-    )
+    if step == sample_size:
+        samples = array[: n_samples * sample_size].reshape(n_samples, sample_size)
+    else:
+        stride = array.strides[0]
+        strides = (step * stride, stride)
+        samples = np.lib.stride_tricks.as_strided(array, (n_samples, sample_size), strides)
+    samples.flags.writeable = False
+    return samples
 
 
 def extract_feature_samples(

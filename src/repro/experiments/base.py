@@ -421,10 +421,13 @@ def apply_analytic_network_noise(
         return intervals
     # net_variance is the PIAT variance (2 Var(W)); per-packet delays need Var(W).
     per_packet_std = float(np.sqrt(net_variance / 2.0))
-    timestamps = np.concatenate(([0.0], np.cumsum(intervals)))
-    delays = rng.normal(0.0, per_packet_std, size=timestamps.size)
-    perturbed = np.sort(timestamps + delays)
-    return np.diff(perturbed)
+    timestamps = np.zeros(len(intervals) + 1)
+    np.cumsum(intervals, out=timestamps[1:])
+    # In place, the draws and bits of rng.normal(0.0, per_packet_std, size).
+    delays = rng.standard_normal(timestamps.size)
+    timestamps += np.multiply(delays, per_packet_std, out=delays)
+    timestamps.sort(kind="stable")  # nearly sorted: long merge runs
+    return np.diff(timestamps)
 
 
 def collect_labelled_intervals(

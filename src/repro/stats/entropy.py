@@ -20,9 +20,6 @@ import numpy as np
 
 from repro.exceptions import AnalysisError
 
-#: Bin index given to values above a sample's last histogram edge.
-_DROPPED = np.iinfo(np.int64).max
-
 
 def normal_differential_entropy(variance: float) -> float:
     """Differential entropy (nats) of ``N(mu, variance)``: ``0.5 log(2 pi e sigma^2)``."""
@@ -115,74 +112,70 @@ def moddemeijer_entropy_rows(samples: np.ndarray, bin_width: float) -> np.ndarra
       floor-division guess ``(x - low) // bin_width`` can miss that bin by
       one near an edge, so every guess is corrected against the same edge
       expression the 1-D path evaluates.
-    * **Summation order.**  ``-sum(p log p)`` is summed pairwise by numpy, so
-      its bits depend on how many terms are summed together.  Rows are
-      therefore reduced in groups that share their occupied-bin count; each
-      group is a dense matrix whose row sums match the 1-D sums exactly.
+    * **Summation order.**  ``np.sum`` adds a row's ``p log p`` terms pairwise
+      onto its identity ``0.0``; ``np.add.reduceat`` adds a segment's later
+      elements pairwise onto its first.  So each row's terms follow a ``0.0``
+      slot, and one ``reduceat`` call gives every row the 1-D sum's bits.
     """
     rows = np.asarray(samples, dtype=float)
     if rows.ndim != 2:
         raise AnalysisError("moddemeijer_entropy_rows expects a 2-D matrix of samples")
     if rows.shape[1] < 2:
         raise AnalysisError("histogram_entropy needs at least 2 observations")
-    if not np.isfinite(rows).all():
+    # NaN reaches both row extremes and an infinity one of them.
+    low = rows.min(axis=1, keepdims=True)
+    high = rows.max(axis=1, keepdims=True)
+    if not (np.isfinite(low).all() and np.isfinite(high).all()):
         raise AnalysisError("histogram_entropy received non-finite values")
     if bin_width <= 0.0:
         raise AnalysisError("bin_width must be positive")
     n_rows, size = rows.shape
     if n_rows == 0:
         return np.empty(0)
-    low = rows.min(axis=1, keepdims=True)
-    high = rows.max(axis=1, keepdims=True)
     n_bins = np.ceil((high - low) / bin_width)
 
     # The last k with low + bin_width * k <= x.  The guess lies in [0, n_bins]
     # and the edges never decrease in k, so the correction walks
-    # monotonically to that k (a value above the last edge may step past
-    # n_bins; it is dropped below).
-    bins = np.floor((rows - low) / bin_width)
+    # monotonically to that k.  Both checks evaluate edges into one buffer.
+    bins = np.subtract(rows, low)
+    np.floor(np.divide(bins, bin_width, out=bins), out=bins)
+    edge = np.empty_like(rows)
+    down, up = np.empty((2, n_rows, size), dtype=bool)
     while True:
-        down = low + bin_width * bins > rows
-        up = low + bin_width * (bins + 1.0) <= rows
+        np.greater(np.add(np.multiply(bins, bin_width, out=edge), low, out=edge), rows, out=down)
+        np.multiply(np.add(bins, 1.0, out=edge), bin_width, out=edge)
+        np.less_equal(np.add(edge, low, out=edge), rows, out=up)
         if not (down.any() or up.any()):
             break
         bins -= down
         bins += up
-    dropped = rows > low + bin_width * n_bins
-    bins = np.minimum(bins, np.maximum(n_bins - 1.0, 0.0)).astype(np.int64)
-    if dropped.any():
-        bins[dropped] = _DROPPED
+    # Only a k >= n_bins is past the final bin: it joins that bin, or is
+    # dropped (as +inf) when the value lies above the last edge.
+    over = np.flatnonzero(np.greater_equal(bins, n_bins, out=up))
+    if over.size:
+        last = n_bins[over // size, 0]
+        above = rows.ravel()[over] > low[over // size, 0] + bin_width * last
+        bins.ravel()[over] = np.where(above, np.inf, np.maximum(last - 1.0, 0.0))
     bins.sort(axis=1)
 
-    # Runs of equal bin indices, ordered by row then bin, are the occupied bins.
+    # Runs of equal bins, by row then bin, are the occupied bins.  Each row's
+    # first run starts at its first column and holds its minimum, on edge 0.
     flat = bins.ravel()
-    boundary = np.empty(flat.size, dtype=bool)
-    boundary[0] = True
+    boundary = down.ravel()
     np.not_equal(flat[1:], flat[:-1], out=boundary[1:])
     boundary[::size] = True
     starts = np.flatnonzero(boundary)
-    counts = np.empty_like(starts)
-    counts[:-1] = starts[1:] - starts[:-1]
-    counts[-1] = flat.size - starts[-1]
-    occupied = flat[starts] != _DROPPED
+    counts = np.append(starts[1:], flat.size) - starts
+    occupied = flat[starts] != np.inf
+    starts = starts[occupied]
     probabilities = counts[occupied] / size
-    terms = probabilities * np.log(probabilities)
-    widths = np.bincount(starts[occupied] // size, minlength=n_rows)
 
-    # Regroup the rows by occupied-bin count: each group's terms become one
-    # contiguous (rows, width) block, summed row-wise.
-    order = np.argsort(widths, kind="stable")
-    sorted_widths = widths[order]
-    shift = (np.cumsum(widths) - widths)[order] - (np.cumsum(sorted_widths) - sorted_widths)
-    grouped = terms[np.arange(terms.size) + np.repeat(shift, sorted_widths)]
-    entropy = np.empty(n_rows)
-    row_start = term_start = 0
-    for width, n_members in zip(*np.unique(sorted_widths, return_counts=True)):
-        term_stop = term_start + width * n_members
-        block = grouped[term_start:term_stop].reshape(n_members, width)
-        entropy[order[row_start : row_start + n_members]] = -block.sum(axis=1)
-        row_start += n_members
-        term_start = term_stop
+    # Term i of row r sits in slot i + r + 1, after that row's 0.0 slot.
+    row_of = starts // size
+    terms = np.zeros(starts.size + n_rows)
+    terms[np.arange(1, starts.size + 1) + row_of] = probabilities * np.log(probabilities)
+    segments = np.arange(n_rows)
+    entropy = -np.add.reduceat(terms, segments + np.searchsorted(row_of, segments))
     # Degenerate rows (all values equal): all mass in one bin, entropy +0.0.
     entropy[(high == low)[:, 0]] = 0.0
     return entropy

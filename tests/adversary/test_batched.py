@@ -178,13 +178,25 @@ class TestBatchedFeatures:
         expected = [moddemeijer_entropy(r, BIN_WIDTH) for r in rows]
         assert same_bits(moddemeijer_entropy_rows(rows, BIN_WIDTH), expected)
 
-    def test_samples_are_read_only_views_of_the_capture(self):
-        capture = np.arange(100.0)
-        samples = slice_into_samples(capture, 10, overlap=True)
-        assert samples.shape == (19, 10)
+    @pytest.mark.parametrize(
+        "overlap, max_samples, every, shape",
+        [
+            (True, None, 1, (20, 10)),
+            (False, None, 1, (10, 10)),
+            (False, 4, 1, (4, 10)),
+            # A capture that is itself a strided view still slices without a copy.
+            (False, None, 3, (10, 10)),
+        ],
+    )
+    def test_samples_are_read_only_views_of_the_capture(self, overlap, max_samples, every, shape):
+        capture = np.arange(105.0 * every)[::every]
+        samples = slice_into_samples(capture, 10, max_samples=max_samples, overlap=overlap)
+        assert samples.shape == shape
         assert np.shares_memory(samples, capture)
         assert not samples.flags.writeable
-        expected = reference_samples(capture, 10, overlap=True)
+        assert capture.flags.writeable
+        expected = reference_samples(capture, 10, max_samples=max_samples, overlap=overlap)
+        assert len(expected) == shape[0]
         assert all(np.array_equal(row, ref) for row, ref in zip(samples, expected))
 
 

@@ -170,3 +170,28 @@ class TestAnalyticNetworkNoise:
         scenario = ScenarioConfig()
         intervals = np.full(100, 0.01)
         assert np.array_equal(apply_analytic_network_noise(intervals, scenario, rng), intervals)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2003, 987654321])
+    @pytest.mark.parametrize("std", [1e-6, 3.7e-4, 0.01, 2.5])
+    @pytest.mark.parametrize("size", [1, 7, 1000, 40001])
+    def test_scaled_standard_normal_is_rng_normal_bit_for_bit(self, seed, std, size):
+        scaled = np.random.default_rng(seed)
+        reference = np.random.default_rng(seed)
+        delays = scaled.standard_normal(size)
+        delays *= std
+        expected = reference.normal(0.0, std, size)
+        assert np.array_equal(delays.view(np.int64), expected.view(np.int64))
+        # Both draw the same count, so later draws from the generator agree too.
+        assert scaled.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 5, 2003])
+    @pytest.mark.parametrize("n_hops, utilization", [(1, 0.1), (3, 0.3), (8, 0.6)])
+    def test_matches_the_sort_of_the_noisy_timestamps(self, seed, n_hops, utilization):
+        scenario = ScenarioConfig(n_hops=n_hops, cross_utilization=utilization)
+        intervals = np.random.default_rng(seed).exponential(0.01, 3000)
+        got = apply_analytic_network_noise(intervals, scenario, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        timestamps = np.concatenate(([0.0], np.cumsum(intervals)))
+        std = float(np.sqrt(scenario.net_piat_variance() / 2.0))
+        expected = np.diff(np.sort(timestamps + rng.normal(0.0, std, size=timestamps.size)))
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
