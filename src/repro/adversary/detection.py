@@ -4,7 +4,7 @@ This module turns raw PIAT captures into the numbers the paper plots:
 
 1. :func:`slice_into_samples` — cut a long captured interval stream into
    samples of the size the adversary will use at run time, as the rows of
-   one strided matrix.
+   one view of the capture.
 2. :func:`extract_feature_samples` — summarise every sample with a feature
    statistic in one row-wise call, producing the labelled training/test
    feature values.
@@ -34,13 +34,11 @@ def slice_into_samples(
     intervals: np.ndarray,
     sample_size: int,
     max_samples: Optional[int] = None,
-    overlap: bool = False,
 ) -> np.ndarray:
     """Cut an interval stream into consecutive samples of ``sample_size``.
 
     The samples are the rows of a read-only ``(n_samples, sample_size)``
-    strided view of the capture: no interval is copied, overlapping samples
-    share memory.
+    view of the capture: no interval is copied.
 
     Parameters
     ----------
@@ -51,11 +49,6 @@ def slice_into_samples(
     max_samples:
         Optional cap on the number of samples returned (at least one sample
         is always returned).
-    overlap:
-        When ``True``, samples are taken with 50 % overlap, which doubles the
-        number of samples extractable from a capture at the price of
-        correlation between them.  The experiments default to non-overlapping
-        samples.
     """
     array = np.asarray(intervals, dtype=float)
     if array.ndim != 1:
@@ -66,16 +59,10 @@ def slice_into_samples(
         raise AnalysisError(
             f"capture holds {array.size} intervals; cannot form a sample of {sample_size}"
         )
-    step = sample_size // 2 if overlap and sample_size > 1 else sample_size
-    n_samples = (array.size - sample_size) // step + 1
+    n_samples = array.size // sample_size
     if max_samples is not None:
         n_samples = min(n_samples, max(max_samples, 1))
-    if step == sample_size:
-        samples = array[: n_samples * sample_size].reshape(n_samples, sample_size)
-    else:
-        stride = array.strides[0]
-        strides = (step * stride, stride)
-        samples = np.lib.stride_tricks.as_strided(array, (n_samples, sample_size), strides)
+    samples = array[: n_samples * sample_size].reshape(n_samples, sample_size)
     samples.flags.writeable = False
     return samples
 
@@ -85,10 +72,9 @@ def extract_feature_samples(
     feature: FeatureStatistic,
     sample_size: int,
     max_samples: Optional[int] = None,
-    overlap: bool = False,
 ) -> np.ndarray:
     """Feature values of consecutive samples cut from an interval stream."""
-    samples = slice_into_samples(intervals, sample_size, max_samples=max_samples, overlap=overlap)
+    samples = slice_into_samples(intervals, sample_size, max_samples=max_samples)
     return feature.compute_rows(samples)
 
 
@@ -97,7 +83,6 @@ def training_features(
     feature: FeatureStatistic,
     sample_size: int,
     max_samples_per_class: Optional[int] = None,
-    overlap: bool = False,
 ) -> Dict[str, np.ndarray]:
     """Labelled training feature values, one array per class label.
 
@@ -106,7 +91,7 @@ def training_features(
     features_per_class: Dict[str, np.ndarray] = {}
     for label, intervals in training_intervals.items():
         values = extract_feature_samples(
-            intervals, feature, sample_size, max_samples=max_samples_per_class, overlap=overlap
+            intervals, feature, sample_size, max_samples=max_samples_per_class
         )
         if values.size < 2:
             raise AnalysisError(
@@ -123,7 +108,6 @@ def train_classifier(
     sample_size: int,
     priors: Optional[Mapping[str, float]] = None,
     max_samples_per_class: Optional[int] = None,
-    overlap: bool = False,
     bandwidth="silverman",
 ) -> KDEBayesClassifier:
     """Off-line training from labelled interval captures.
@@ -137,7 +121,6 @@ def train_classifier(
         feature,
         sample_size,
         max_samples_per_class=max_samples_per_class,
-        overlap=overlap,
     )
     return KDEBayesClassifier(bandwidth=bandwidth).fit(features_per_class, priors=priors)
 
@@ -186,7 +169,6 @@ def empirical_detection_rate(
     feature: FeatureStatistic,
     sample_size: int,
     max_samples_per_class: Optional[int] = None,
-    overlap: bool = False,
 ) -> DetectionResult:
     """Run-time classification of held-out captures and detection-rate measurement.
 
@@ -201,7 +183,6 @@ def empirical_detection_rate(
             feature,
             sample_size,
             max_samples=max_samples_per_class,
-            overlap=overlap,
         )
         if values.size == 0:
             raise AnalysisError(f"class {label!r}: no test samples could be formed")
@@ -240,7 +221,6 @@ def evaluate_attack(
     sample_size: int,
     priors: Optional[Mapping[str, float]] = None,
     max_samples_per_class: Optional[int] = None,
-    overlap: bool = False,
 ) -> DetectionResult:
     """Convenience wrapper: train on one set of captures, evaluate on another."""
     classifier = train_classifier(
@@ -249,7 +229,6 @@ def evaluate_attack(
         sample_size,
         priors=priors,
         max_samples_per_class=max_samples_per_class,
-        overlap=overlap,
     )
     return empirical_detection_rate(
         classifier,
@@ -257,7 +236,6 @@ def evaluate_attack(
         feature,
         sample_size,
         max_samples_per_class=max_samples_per_class,
-        overlap=overlap,
     )
 
 

@@ -344,11 +344,6 @@ class PopulationExperiment:
         """The grid-point key of one inhabited AS."""
         return f"population/as={as_id}"
 
-    @staticmethod
-    def mix_point_key(depth: int) -> str:
-        """The grid-point key of one multi-rate depth point."""
-        return f"population/mix/depth={depth}"
-
     # ----------------------------------------------------------------- grids
     def hybrid_grid(self, seeds: Optional[Sequence[int]] = None) -> "GridSpec":
         """The per-AS binary grid (one shared gateway capture in hybrid mode)."""

@@ -11,8 +11,8 @@ the aggregation layer (:func:`~repro.runner.grid.aggregate_cells`: mean ±
 bootstrap CI per grid point).  Hybrid grids that evaluate one gateway under
 many network conditions factor the gateway capture into one shared
 capture per sweep (:mod:`repro.runner.capture`).  See
-``docs/running.md`` for the CLI, the cache layout and how CI exercises
-warm-cache sweeps.
+``docs/running.md`` for the CLI, the cache layout and how the tests
+exercise warm-cache sweeps.
 
 The process pool (:mod:`multiprocessing`, :mod:`concurrent.futures`) loads
 only when a run has cells for two or more workers, and ``repro bench`` only

@@ -75,24 +75,23 @@ FEATURES = {
 }
 
 
-def reference_samples(intervals, sample_size, max_samples=None, overlap=False):
-    """The slicing loop the strided sample matrix replaces."""
+def reference_samples(intervals, sample_size, max_samples=None):
+    """The slicing loop the sample matrix replaces."""
     array = np.asarray(intervals, dtype=float)
-    step = sample_size // 2 if overlap and sample_size > 1 else sample_size
     samples = []
     start = 0
     while start + sample_size <= array.size:
         samples.append(array[start : start + sample_size].copy())
-        start += step
+        start += sample_size
         if max_samples is not None and len(samples) >= max_samples:
             break
     return samples
 
 
-def reference_features(intervals, name, sample_size, max_samples=None, overlap=False):
+def reference_features(intervals, name, sample_size, max_samples=None):
     _, statistic = FEATURES[name]
     return np.array(
-        [statistic(s) for s in reference_samples(intervals, sample_size, max_samples, overlap)]
+        [statistic(s) for s in reference_samples(intervals, sample_size, max_samples)]
     )
 
 
@@ -129,19 +128,14 @@ class TestBatchedFeatures:
         capture=captures(),
         sample_size=st.integers(4, 64),
         max_samples=st.none() | st.integers(1, 12),
-        overlap=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_rows_match_the_per_sample_reference(
-        self, name, capture, sample_size, max_samples, overlap
-    ):
+    def test_rows_match_the_per_sample_reference(self, name, capture, sample_size, max_samples):
         if capture.size < sample_size:
             sample_size = capture.size
         feature, _ = FEATURES[name]
-        got = extract_feature_samples(
-            capture, feature, sample_size, max_samples=max_samples, overlap=overlap
-        )
-        expected = reference_features(capture, name, sample_size, max_samples, overlap)
+        got = extract_feature_samples(capture, feature, sample_size, max_samples=max_samples)
+        expected = reference_features(capture, name, sample_size, max_samples)
         assert same_bits(got, expected)
 
     @pytest.mark.parametrize("name", sorted(FEATURES))
@@ -179,23 +173,22 @@ class TestBatchedFeatures:
         assert same_bits(moddemeijer_entropy_rows(rows, BIN_WIDTH), expected)
 
     @pytest.mark.parametrize(
-        "overlap, max_samples, every, shape",
+        "max_samples, every, shape",
         [
-            (True, None, 1, (20, 10)),
-            (False, None, 1, (10, 10)),
-            (False, 4, 1, (4, 10)),
+            (None, 1, (10, 10)),
+            (4, 1, (4, 10)),
             # A capture that is itself a strided view still slices without a copy.
-            (False, None, 3, (10, 10)),
+            (None, 3, (10, 10)),
         ],
     )
-    def test_samples_are_read_only_views_of_the_capture(self, overlap, max_samples, every, shape):
+    def test_samples_are_read_only_views_of_the_capture(self, max_samples, every, shape):
         capture = np.arange(105.0 * every)[::every]
-        samples = slice_into_samples(capture, 10, max_samples=max_samples, overlap=overlap)
+        samples = slice_into_samples(capture, 10, max_samples=max_samples)
         assert samples.shape == shape
         assert np.shares_memory(samples, capture)
         assert not samples.flags.writeable
         assert capture.flags.writeable
-        expected = reference_samples(capture, 10, max_samples=max_samples, overlap=overlap)
+        expected = reference_samples(capture, 10, max_samples=max_samples)
         assert len(expected) == shape[0]
         assert all(np.array_equal(row, ref) for row, ref in zip(samples, expected))
 

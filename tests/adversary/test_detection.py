@@ -42,10 +42,6 @@ class TestSlicing:
         assert np.array_equal(samples[0], np.arange(30.0))
         assert np.array_equal(samples[2], np.arange(60.0, 90.0))
 
-    def test_overlapping_slices_double_the_count(self):
-        intervals = np.arange(100.0)
-        assert len(slice_into_samples(intervals, 20, overlap=True)) == 9
-
     def test_max_samples_cap(self):
         assert len(slice_into_samples(np.arange(100.0), 10, max_samples=4)) == 4
 

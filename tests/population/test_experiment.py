@@ -108,6 +108,17 @@ class TestRegistryIntegration:
         result = run_experiment(experiment)
         assert "Population-scale anonymity" in result.to_text()
 
+    def test_smoke_reports_alike_on_both_backends_through_the_cli(self, tmp_path, capsys):
+        from repro.cli import main
+
+        base = ["run", "population", "--preset", "smoke"]
+        serial, process = tmp_path / "serial.txt", tmp_path / "process.txt"
+        assert main(base + ["--backend", "serial", "--output", str(serial)]) == 0
+        assert main(base + ["--backend", "process", "--jobs", "2", "--output", str(process)]) == 0
+        capsys.readouterr()
+        assert serial.read_bytes() == process.read_bytes()
+        assert "Confusion matrix" in serial.read_text()
+
     def test_set_overrides_apply(self):
         experiment = get_experiment(
             "population", "smoke", 2003, overrides={"trials": 6}

@@ -12,6 +12,7 @@ rather than through the runner's wiring.
 from __future__ import annotations
 
 import concurrent.futures
+import json
 import multiprocessing
 import os
 import signal
@@ -349,6 +350,10 @@ def test_cold_runs_write_byte_identical_shards(tmp_path):
     assert all(b"elapsed_seconds" not in shard for shard in trees[0].values())
 
 
+#: The experiments whose fast-preset cells share gateway captures.
+SHARED_CAPTURE_EXPERIMENTS = {"fig6", "fig8", "ablation_tap"}
+
+
 @pytest.mark.parametrize("name", list_experiments())
 def test_reports_are_byte_identical_across_backends(name, tmp_path):
     """Every experiment's report, at two seeds, cold and warm, on every backend."""
@@ -363,9 +368,16 @@ def test_reports_are_byte_identical_across_backends(name, tmp_path):
     for backend, jobs in BACKEND_RUNS:
         assert render(SweepRunner(jobs=jobs, backend=backend).run(cells)) == reference
     root = tmp_path / "store"
-    cold = SweepRunner(jobs=2, backend="process", store=ResultsStore(root))
-    assert render(cold.run(cells)) == reference
-    warm = SweepRunner(backend="serial", store=ResultsStore(root))
+    cold = SweepRunner(jobs=2, backend="process", store=ResultsStore(root)).run(cells)
+    assert render(cold) == reference
+    # Each shared gateway capture is simulated once, and none is stored.
+    captures = {cell.capture.fingerprint() for cell in cells if cell.capture is not None}
+    assert bool(captures) == (name in SHARED_CAPTURE_EXPERIMENTS)
+    assert cold.captures_simulated == len(captures)
+    store = ResultsStore(root)
+    records = [line for shard in store.shard_files() for line in shard.read_text().splitlines()]
+    assert [json.loads(line)["kind"] for line in records] == ["cell"] * len(cells)
+    warm = SweepRunner(backend="serial", store=store)
     assert render(warm.run(cells)) == reference
     assert warm.cache_misses == 0
 

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import json
+import re
 import shutil
 from pathlib import Path
 
 import pytest
 
+from repro.api import TOML_AVAILABLE, list_experiments
 from repro.cli import build_parser, main
 
 FIXTURE_CACHE = Path(__file__).resolve().parent.parent / "fixtures" / "sweep_cache"
@@ -17,6 +20,27 @@ def strip_summary(output: str) -> str:
     return "\n".join(
         line for line in output.splitlines() if not line.startswith("sweep summary:")
     )
+
+
+def summary_line(output: str) -> str:
+    """The one ``sweep summary:`` line of a report."""
+    [line] = [line for line in output.splitlines() if line.startswith("sweep summary:")]
+    return line
+
+
+def cold_cell_count(output: str, tail: str) -> int:
+    """The cell count of a cold sweep's summary: every cell simulated, no hit."""
+    match = re.fullmatch(
+        rf"sweep summary: ([1-9][0-9]*) cells, \1 simulated, 0 cache hits, {tail}",
+        summary_line(output),
+    )
+    assert match, summary_line(output)
+    return int(match.group(1))
+
+
+def warm_summary(cells: int, tail: str) -> str:
+    """The summary of a sweep that served all ``cells`` from its store."""
+    return f"sweep summary: {cells} cells, 0 simulated, {cells} cache hits, {tail}"
 
 
 class TestSweepParser:
@@ -50,17 +74,22 @@ class TestSweepCommand:
         assert "jobs=1" in serial and "jobs=4" in parallel
 
     def test_second_invocation_performs_zero_simulations(self, tmp_path, capsys):
-        argv = [
-            "sweep", "--experiments", "fig6", "--preset", "smoke",
-            "--jobs", "2", "--cache-dir", str(tmp_path),
-        ]
+        """The default smoke sweep on two workers, cold into an empty sharded
+        store, then warm from it: the same report, nothing simulated."""
+        argv = ["sweep", "--preset", "smoke", "--jobs", "2", "--cache-dir", str(tmp_path)]
         assert main(argv) == 0
         cold = capsys.readouterr().out
-        assert "2 simulated" in cold
+        cells = cold_cell_count(cold, "jobs=2, backend=process")
+        shards = [path.relative_to(tmp_path) for path in tmp_path.rglob("*") if path.is_file()]
+        assert len(shards) == cells
+        assert all(
+            len(shard.parts) == 2 and shard.suffix == ".jsonl"
+            and shard.parent.name == shard.stem[:2]
+            for shard in shards
+        )
         assert main(argv) == 0
         warm = capsys.readouterr().out
-        assert "0 simulated" in warm
-        assert "2 cache hits" in warm
+        assert summary_line(warm) == warm_summary(cells, "jobs=2, backend=process")
         assert strip_summary(cold) == strip_summary(warm)
 
     def test_cache_survives_jobs_count_changes(self, tmp_path, capsys):
@@ -191,17 +220,67 @@ class TestMultiSeedCli:
         assert strip_summary(batched) == strip_summary(looped)
 
     def test_multi_seed_cache_round_trip(self, tmp_path, capsys):
+        """The ``--ci`` bands a warm store serves equal those of the run that
+        simulated the cells, for every registered experiment in one sweep."""
         argv = [
-            "sweep", "--experiments", "fig5", "--preset", "smoke",
-            "--seeds", "2", "--ci", "--cache-dir", str(tmp_path),
+            "sweep", "--experiments", *list_experiments(), "--preset", "smoke",
+            "--seeds", "3", "--ci", "--cache-dir", str(tmp_path),
         ]
         assert main(argv) == 0
         cold = capsys.readouterr().out
-        assert "4 cells, 4 simulated" in cold
+        assert "ci95%" in cold
+        cells = cold_cell_count(cold, "jobs=1, backend=process")
         assert main(argv) == 0
         warm = capsys.readouterr().out
-        assert "0 simulated" in warm
-        assert strip_summary(cold) == strip_summary(warm)
+        assert summary_line(warm) == warm_summary(cells, "jobs=1, backend=process")
+        assert strip_summary(warm) == strip_summary(cold)
+
+
+GALLERY = Path(__file__).resolve().parents[2] / "examples" / "scenarios"
+
+
+@pytest.mark.skipif(not TOML_AVAILABLE, reason="no TOML parser available")
+class TestScenarioGallery:
+    """The scenario files under ``examples/scenarios`` through the sweep
+    runner and its store."""
+
+    @pytest.mark.parametrize("name", ["wan_smoke", "population_smoke"])
+    def test_scenario_replays_from_the_store(self, name, tmp_path, capsys):
+        """Cold on two workers simulates every cell, warm none, and both
+        print the same report; the store holds one record per cell."""
+        argv = [
+            "run", "--scenario", str(GALLERY / f"{name}.toml"),
+            "--jobs", "2", "--cache-dir", str(tmp_path),
+        ]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        cells = cold_cell_count(cold, "jobs=2, backend=process")
+        assert main(argv) == 0
+        warm = capsys.readouterr().out
+        assert summary_line(warm) == warm_summary(cells, "jobs=2, backend=process")
+        assert strip_summary(warm) == strip_summary(cold)
+        assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.startswith(
+            f"cache stats: {cells} records ({cells} cells, 0 captures)"
+        )
+
+    def test_a_directory_pools_the_whole_gallery(self, tmp_path, capsys):
+        """A directory given to ``--scenario`` adds every file in it to the sweep."""
+        argv = [
+            "sweep", "--experiments", "fig4", "--scenario", str(GALLERY),
+            "--cache-dir", str(tmp_path),
+        ]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        cold_cell_count(out, "jobs=1, backend=process")
+        for title in (
+            "Figure 4 — CIT padding, no cross traffic",
+            "Named defence configurations",
+            "Per-AS detection on a generated 5-AS topology",
+            "CIT across a loaded WAN path",
+            "CIT behind shared routers",
+        ):
+            assert title in out
 
 
 class TestCacheCommand:
@@ -261,7 +340,16 @@ class TestCacheCommand:
 
 
 class TestCommittedFixture:
-    """The mini store committed for the CI warm-cache smoke job stays warm."""
+    """The mini store committed for the warm-cache smoke sweep stays warm."""
+
+    #: The default smoke sweep on two workers, as CI's installed-package
+    #: job runs it against a copy of the fixture.
+    ARGV = ["sweep", "--preset", "smoke", "--jobs", "2"]
+    TAIL = "jobs=2, backend=process"
+
+    def sweep(self, capsys, *options: str) -> str:
+        assert main(self.ARGV + list(options)) == 0
+        return capsys.readouterr().out
 
     def test_fixture_exists(self):
         shards = sorted(FIXTURE_CACHE.glob("??/*.jsonl"))
@@ -281,12 +369,38 @@ class TestCommittedFixture:
         """
         cache = tmp_path / "cache"
         shutil.copytree(FIXTURE_CACHE, cache)
-        assert main(["sweep", "--preset", "smoke", "--jobs", "2", "--cache-dir", str(cache)]) == 0
-        replayed = capsys.readouterr().out
-        assert "0 simulated" in replayed
+        replayed = self.sweep(capsys, "--cache-dir", str(cache))
 
         # The replayed numbers must match a fresh simulation — "0 simulated"
         # alone would also pass for a stale fixture.
-        assert main(["sweep", "--preset", "smoke", "--jobs", "2"]) == 0
-        fresh = capsys.readouterr().out
+        fresh = self.sweep(capsys)
+        cells = cold_cell_count(fresh, self.TAIL)
+        assert summary_line(replayed) == warm_summary(cells, self.TAIL)
         assert strip_summary(replayed) == strip_summary(fresh)
+
+    def test_compaction_keeps_what_the_store_serves(self, tmp_path, capsys):
+        """A fixture copy whose every shard holds a stale record before its
+        winner: compaction drops exactly the stale records, and the warm
+        sweep after it still equals a cold one."""
+        cold = self.sweep(capsys)
+        cells = cold_cell_count(cold, self.TAIL)
+        cache = tmp_path / "cache"
+        shutil.copytree(FIXTURE_CACHE, cache)
+        for shard in cache.glob("??/*.jsonl"):
+            [winner] = shard.read_text(encoding="utf-8").splitlines()
+            stale = json.loads(winner)
+            stale["result"]["empirical_detection_rate"] = {
+                feature: dict.fromkeys(rates, -1.0)
+                for feature, rates in stale["result"]["empirical_detection_rate"].items()
+            }
+            shard.write_text(f"{json.dumps(stale, sort_keys=True)}\n{winner}\n", encoding="utf-8")
+
+        assert main(["cache", "compact", "--cache-dir", str(cache)]) == 0
+        assert capsys.readouterr().out == (
+            f"cache compact: {cells} records kept, {cells} superseded duplicates dropped\n"
+        )
+        assert main(["cache", "stats", "--cache-dir", str(cache)]) == 0
+        assert f"{cells} shard files, 0 superseded duplicates" in capsys.readouterr().out
+        compacted = self.sweep(capsys, "--cache-dir", str(cache))
+        assert summary_line(compacted) == warm_summary(cells, self.TAIL)
+        assert strip_summary(compacted) == strip_summary(cold)

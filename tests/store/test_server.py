@@ -396,6 +396,59 @@ class TestFreshReads:
         assert fig6["indexed"]["seeds"] == 2
 
 
+class TestServeCommand:
+    def test_repro_serve_answers_from_the_store_as_it_stands(self, tmp_path, monkeypatch, capsys):
+        """``repro serve`` on a fixture copy, with no preparation step: it lists
+        the figures, serves fig6's points with their results, and each point's
+        records hold the result its ``/points`` entry shows."""
+        import repro.store
+        from repro.cli import main
+
+        root = tmp_path / "cache"
+        shutil.copytree(FIXTURE_CACHE, root)
+        servers = []
+        ready = threading.Event()
+
+        def create(*args, **kwargs):
+            servers.append(create_server(*args, **kwargs))
+            ready.set()
+            return servers[-1]
+
+        monkeypatch.setattr(repro.store, "create_server", create)
+        exits = []
+        argv = ["serve", "--cache-dir", str(root), "--port", "0"]
+        thread = threading.Thread(target=lambda: exits.append(main(argv)), daemon=True)
+        thread.start()
+        try:
+            assert ready.wait(timeout=30)
+            port = servers[0].server_address[1]
+            base = f"http://127.0.0.1:{port}"
+            _, experiments = get_json(base, "/experiments")
+            _, points = get_json(base, "/points?experiment=fig6")
+            records = {}
+            for point in points["points"]:
+                key = urllib.parse.quote(point["point_key"], safe="")
+                for record in get_json(base, f"/point/{key}")[1]["records"]:
+                    records[record["fingerprint"]] = record["result"]
+        finally:
+            if servers:
+                servers[0].shutdown()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert exits == [0]
+        assert capsys.readouterr().out == (
+            f"serving {root} on http://127.0.0.1:{port} (Ctrl-C to stop)\n"
+        )
+        names = {entry["experiment"] for entry in experiments["experiments"]}
+        assert {"fig4", "fig5", "fig6", "fig8"} <= names
+        assert points["experiment"] == "fig6"
+        assert points["count"] == len(points["points"]) == 2
+        for point in points["points"]:
+            assert point["point_key"].startswith("fig6/")
+            assert "empirical_detection_rate" in point["result"]
+            assert records[point["fingerprint"]] == point["result"]
+
+
 class TestConcurrency:
     def test_hammering_points_returns_identical_bodies(self, served):
         _, base = served

@@ -20,7 +20,7 @@ from repro.cli import PRESETS, build_parser, main
 
 needs_toml = pytest.mark.skipif(not TOML_AVAILABLE, reason="no TOML parser available")
 
-#: The example scripts; CI runs them too.
+#: The example scripts.
 EXAMPLES = sorted((Path(repro.__file__).resolve().parents[2] / "examples").glob("*.py"))
 
 #: The routed simulation-mode scenario file (hops {1, 3} x utilization {0.05, 0.45}).
@@ -720,7 +720,8 @@ class TestStartup:
 
     @pytest.mark.parametrize("script", EXAMPLES, ids=lambda path: path.stem)
     def test_example_runs_without_the_event_reference(self, script, tmp_path, monkeypatch):
-        """Each example script prints its report and never loads the reference."""
+        """Each example script prints its report and loads neither the
+        reference nor scipy, which only the test extra installs."""
         monkeypatch.chdir(tmp_path)
         code = (
             "import contextlib, io, runpy, sys\n"
@@ -729,7 +730,7 @@ class TestStartup:
             "with contextlib.redirect_stdout(output):\n"
             f"    runpy.run_path({str(script)!r}, run_name='__main__')\n"
             "print(len(output.getvalue().splitlines()), "
-            f"sorted(k for k in sys.modules if k.startswith({self.EVENT_MODULES!r})))"
+            f"sorted(k for k in sys.modules if k.startswith({self.EVENT_MODULES!r} + ('scipy',))))"
         )
         lines, _, modules = self.run_python(code).rpartition("\n")[2].partition(" ")
         assert int(lines) > 0
